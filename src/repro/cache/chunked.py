@@ -23,6 +23,11 @@ A plan whose segments all have length one reproduces element-sequential
 semantics exactly, which is what :meth:`DirectMappedCache.access_stream`
 uses — and why results are invariant under the chunk size used to slice
 the stream.
+
+The same argument lets :func:`collapsed_plan` drop any segment that
+repeats its predecessor line for line: the predecessor just left every
+one of those lines resident, so the repeat is all hits and changes no
+tag.  Only its access count survives, as hits.
 """
 
 from __future__ import annotations
@@ -54,6 +59,13 @@ class SegmentedAccessPlan:
         one scalar ``access_line_array_report`` call.
     num_lines:
         Number of sets of the (direct-mapped) cache this plan targets.
+    repeat_hits:
+        Accesses of segments elided by :func:`collapsed_plan`; each
+        :meth:`apply` adds them to ``stats.hits``.
+    with_mask:
+        Keep the position arrays ``apply(return_mask=True)`` needs.
+        Only element-sequential streams (:func:`unit_plan`) want the
+        mask, so other plans skip storing them.
 
     Raises
     ------
@@ -62,7 +74,13 @@ class SegmentedAccessPlan:
     """
 
     def __init__(
-        self, lines: np.ndarray, seg_offsets: np.ndarray, num_lines: int
+        self,
+        lines: np.ndarray,
+        seg_offsets: np.ndarray,
+        num_lines: int,
+        *,
+        repeat_hits: int = 0,
+        with_mask: bool = False,
     ) -> None:
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         offsets = np.ascontiguousarray(seg_offsets, dtype=np.int64)
@@ -70,6 +88,7 @@ class SegmentedAccessPlan:
         nseg = int(offsets.size) - 1
         self.size = total
         self.num_segments = nseg
+        self.repeat_hits = repeat_hits
         sets = lines % num_lines if total else lines
         seg_ids = np.repeat(np.arange(nseg, dtype=np.int64), np.diff(offsets))
         # Stable sort by set: equal-set positions stay in stream order,
@@ -87,12 +106,13 @@ class SegmentedAccessPlan:
                     "segment touches the same cache set twice"
                 )
         # Dynamic part: first occurrence of each set — resident tag must
-        # be gathered from live state at apply() time.
+        # be gathered from live state at apply() time.  One entry per
+        # touched set, ascending, which also indexes the final scatter.
         first = ~repeat
-        self._first_sets = sorted_sets[first]
+        self._sets = sorted_sets[first]
         self._first_lines = sorted_lines[first]
         self._first_segs = sorted_segs[first]
-        self._first_positions = order[first]
+        self._first_positions = order[first] if with_mask else None
         # Static part: repeat occurrences observe the previous
         # occurrence's line as resident (valid tag, so every miss here
         # is also an eviction), independent of live state.
@@ -101,7 +121,9 @@ class SegmentedAccessPlan:
             prev_lines = sorted_lines[:-1][repeat[1:]]
         repeat_lines = sorted_lines[repeat]
         repeat_miss = repeat_lines != prev_lines
-        self._static_miss_positions = order[repeat][repeat_miss]
+        self._static_miss_positions = (
+            order[repeat][repeat_miss] if with_mask else None
+        )
         self._static_misses = int(repeat_miss.sum())
         self._static_per_segment = np.bincount(
             sorted_segs[repeat][repeat_miss], minlength=nseg
@@ -111,7 +133,6 @@ class SegmentedAccessPlan:
         last = np.ones(total, dtype=bool)
         if total > 1:
             last[:-1] = ~repeat[1:]
-        self._last_sets = sorted_sets[last]
         self._last_lines = sorted_lines[last]
 
     def apply(
@@ -123,14 +144,15 @@ class SegmentedAccessPlan:
         """Replay the plan against live ``tags``, mutating them in place.
 
         Returns the per-segment miss counts (int64, one per segment);
-        with ``return_mask`` also returns the per-position miss mask in
-        stream order.  ``stats``, when given, accrues hits, misses, and
-        evictions exactly as the scalar per-call path would.
+        with ``return_mask`` (plans built ``with_mask=True`` only) also
+        returns the per-position miss mask in stream order.  ``stats``,
+        when given, accrues hits, misses, and evictions exactly as the
+        scalar per-call path would.
         """
-        resident = tags[self._first_sets]
+        resident = tags[self._sets]
         first_miss = self._first_lines != resident
-        if self._last_sets.size:
-            tags[self._last_sets] = self._last_lines
+        if self._sets.size:
+            tags[self._sets] = self._last_lines
         per_segment = self._static_per_segment.copy()
         if first_miss.size:
             per_segment += np.bincount(
@@ -140,11 +162,13 @@ class SegmentedAccessPlan:
             dynamic_misses = int(np.count_nonzero(first_miss))
             misses = self._static_misses + dynamic_misses
             stats.misses += misses
-            stats.hits += self.size - misses
+            stats.hits += self.size - misses + self.repeat_hits
             stats.evictions += self._static_misses + int(
                 np.count_nonzero(first_miss & (resident != -1))
             )
         if return_mask:
+            if self._first_positions is None:
+                raise ValueError("plan was built without with_mask=True")
             mask = np.zeros(self.size, dtype=bool)
             mask[self._static_miss_positions] = True
             mask[self._first_positions] = first_miss
@@ -155,4 +179,44 @@ class SegmentedAccessPlan:
 def unit_plan(lines: np.ndarray, num_lines: int) -> SegmentedAccessPlan:
     """A plan of single-element segments: element-sequential semantics."""
     offsets = np.arange(int(np.asarray(lines).size) + 1, dtype=np.int64)
-    return SegmentedAccessPlan(lines, offsets, num_lines)
+    return SegmentedAccessPlan(lines, offsets, num_lines, with_mask=True)
+
+
+def segment_plan(
+    segments: list[np.ndarray], num_lines: int, repeat_hits: int = 0
+) -> SegmentedAccessPlan:
+    """A plan with one segment per line array, in order."""
+    lines = (
+        np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
+    )
+    offsets = np.cumsum([0] + [segment.size for segment in segments])
+    return SegmentedAccessPlan(
+        lines, offsets, num_lines, repeat_hits=repeat_hits
+    )
+
+
+def collapsed_plan(
+    segments: list[np.ndarray], num_lines: int
+) -> tuple[SegmentedAccessPlan, list[int]]:
+    """:func:`segment_plan` minus segments that repeat their predecessor.
+
+    Returns the plan and the indices of the segments it kept, in order;
+    its per-segment misses line up with those indices, and every elided
+    segment missed nothing.  Cache state and ``stats`` after ``apply``
+    equal the full plan's (see the module docs for why).
+    """
+    kept: list[int] = []
+    repeat_hits = 0
+    for index, segment in enumerate(segments):
+        if index and _same_lines(segment, segments[index - 1]):
+            repeat_hits += int(segment.size)
+        else:
+            kept.append(index)
+    plan = segment_plan(
+        [segments[index] for index in kept], num_lines, repeat_hits
+    )
+    return plan, kept
+
+
+def _same_lines(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or bool(np.array_equal(a, b))

@@ -30,10 +30,10 @@ transplanted onto the paper's machine model:
 Every sweep point is the pure module-level
 :func:`repro.flows.runner.flows_point`, so the sweep parallelizes over
 the harness worker pool and caches by content hash like any other
-experiment.  Points accept ``engine`` for the CI dual-engine passes,
-but flow-charged runs always fall back to the scalar loop
-(``vec_supported`` declines them), so both passes share one set of
-byte-identical results.
+experiment.  Points accept ``engine`` for the CI dual-engine passes;
+the vec engine charges lookups at the same point of the service step as
+the scalar loop, so both passes share one set of byte-identical
+results.
 """
 
 from __future__ import annotations

@@ -20,11 +20,11 @@ wire-protocol story the Dispersy document tells and the paper predicts:
   ``offered != completed + dropped``.
 
 Every sweep point is the pure module-level
-:func:`repro.gossip.runner.gossip_point`; flow-charged runs always take
-the scalar loop, so the CI dual-engine passes share byte-identical
-results.  The HARN004 analysis rule pins that every framing mode
-registered in :data:`repro.gossip.wire.FRAMING_MODES` appears in this
-sweep at every scale.
+:func:`repro.gossip.runner.gossip_point`; both engines charge lookups
+at the same point of the service step, so the CI dual-engine passes
+share byte-identical results.  The HARN004 analysis rule pins that
+every framing mode registered in :data:`repro.gossip.wire.FRAMING_MODES`
+appears in this sweep at every scale.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ so under load, LDLP and Grouped batches amortize lookup misses the same
 way they amortize instruction misses, while Conventional and ILP pay
 per message.
 
-The vectorized engine's static templates do not model lookup charging;
-its ``vec_supported`` envelope declines bindings with a flow lookup
-attached, so ``engine="vec"`` configs transparently take the scalar
-loop and both engine passes produce byte-identical results.
+The vectorized engine (:mod:`repro.sim.vec`) calls the same hook at
+the same point of its service step, so ``engine="vec"`` runs replay
+flow-charged points on step templates and both engine passes produce
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -219,9 +219,8 @@ def flows_point(
     through the flow-charged stack; results merge across seeds.  The
     conservation audit counts seeds where
     ``offered != completed + dropped`` — lookup charging must neither
-    create nor lose messages.  ``engine`` is accepted for harness
-    engine pinning; flow-charged runs always fall back to the scalar
-    loop, so both engines return identical bytes.
+    create nor lose messages.  ``engine`` pins the drive loop for
+    the harness; both engines return identical bytes.
     """
     cache = FlowCacheSpec(
         entries=entries,

@@ -166,10 +166,6 @@ def build_scheduler(config: SimulationConfig, seed) -> Scheduler:
     )
 
 
-#: Backwards-compatible alias (pre-multicore name).
-_build_scheduler = build_scheduler
-
-
 @dataclass
 class DriveStats:
     """Raw outcome of :func:`drive`: latency samples plus work done."""

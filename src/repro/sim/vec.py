@@ -22,7 +22,12 @@ message size).  The engine compiles that into a
 :class:`repro.cache.chunked.SegmentedAccessPlan` per cache plus a
 per-invocation cost-addend layout, cached by composition key.  The ring
 of 32 buffers and the bounded batch cap keep the key space small, so
-steady state replays cached templates.
+steady state replays cached templates.  The code stream depends on the
+batch length alone, so its plan is compiled once per length and shared
+by every composition of that length; a code segment that re-runs the
+layer that just ran is elided from it
+(:func:`repro.cache.chunked.collapsed_plan`), which turns LDLP's
+layer-major batch into one segment per layer.
 
 *Dynamic replay.*  Applying a template is ~15 numpy ops: gather the
 live tags for first-touched sets, compare, scatter the final tags,
@@ -37,15 +42,22 @@ Equivalence boundaries
 ----------------------
 The engine silently declines (:func:`try_drive_vec` returns ``None``,
 the caller falls back to the scalar loop) whenever exact replay is not
-guaranteed: unbound schedulers, bindings carrying a flow-lookup cache
-(:mod:`repro.flows` charging is a scalar-path feature), non-passthrough
-layers (stateful stacks), an L2 hierarchy, layers whose code working
-set conflicts with itself in the instruction cache (the static template
-would be unsound — see
-:class:`~repro.cache.chunked.UnsupportedPlanError`), or a span-keeping
-obs recorder (the vec path does not emit per-layer ``invoke`` spans,
-only the drive-level counters and ``service_step`` spans the harness
-consumes; full tracing keeps the scalar path).
+guaranteed: unbound schedulers, non-passthrough layers (stateful
+stacks), an L2 hierarchy, layers whose code working set conflicts with
+itself in the instruction cache (the static template would be unsound —
+see :class:`~repro.cache.chunked.UnsupportedPlanError`), or a
+span-keeping obs recorder (the vec path does not emit per-layer
+``invoke`` spans, only the drive-level counters and ``service_step``
+spans the harness consumes; full tracing keeps the scalar path).
+
+Flow-lookup charging (:mod:`repro.flows`, :mod:`repro.gossip`) is
+inside the envelope.  The lookup stays scalar — LRU state depends on
+access order — and runs where the scalar schedulers run it: right
+after the dequeue, via
+:func:`~repro.core.scheduler.charge_flow_lookups` (batched schedulers
+charge inside :func:`~repro.core.scheduler.take_batch`).  Its cycles
+reach ``cpu.cycles`` before the template seeds addend slot 0 from it,
+so the ``cumsum`` still adds in the scalar order.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cache.cache import DirectMappedCache
-from ..cache.chunked import SegmentedAccessPlan
+from ..cache.chunked import SegmentedAccessPlan, collapsed_plan, segment_plan
 from ..core.layer import Message, PassthroughLayer
 from ..core.scheduler import (
     ConventionalScheduler,
@@ -61,6 +73,7 @@ from ..core.scheduler import (
     ILPScheduler,
     LDLPScheduler,
     Scheduler,
+    charge_flow_lookups,
     take_batch,
 )
 from ..errors import ConfigurationError
@@ -96,7 +109,11 @@ def arrival_table(arrivals: list[tuple[float, "Message"]], hz: float) -> np.ndar
 
 
 class _StepTemplate:
-    """Compiled cache plans + cost layout for one batch composition."""
+    """Compiled cache plans + cost layout for one batch composition.
+
+    ``iplan``, ``ipos``, ``dpos`` and ``completions`` depend on the batch
+    length only and are shared by every template of that length.
+    """
 
     __slots__ = (
         "iplan", "dplan", "addends", "ipos", "dpos", "completions"
@@ -116,11 +133,18 @@ class _StepTemplate:
         #: Flat addend array: slot 0 = live cycle counter, then _SLOTS
         #: per invocation; cumsum replays the scalar addition order.
         self.addends = addends
+        #: istall slots of the invocations ``iplan`` kept; the elided
+        #: repeats never miss, so their slots stay 0.
         self.ipos = ipos
         self.dpos = dpos
         #: (message slot, addend index of its completion cycle) pairs
         #: in scalar completion order.
         self.completions = completions
+
+
+#: The batch-length-only part of a template: (iplan, ipos, dpos,
+#: completions).
+_Shape = tuple[SegmentedAccessPlan, np.ndarray, np.ndarray, list[tuple[int, int]]]
 
 
 def _distinct_sets(lines: np.ndarray, num_lines: int) -> bool:
@@ -156,6 +180,7 @@ class _VecEngine:
             scheduler.groups if isinstance(scheduler, GroupedLDLPScheduler) else None
         )
         self._templates: dict[tuple[tuple[int, int], ...], _StepTemplate] = {}
+        self._shapes: dict[int, _Shape] = {}
 
     # ------------------------------------------------------------------
     # Template compilation
@@ -215,20 +240,45 @@ class _VecEngine:
             for slot in range(batch)
         ]
 
+    def _shape(
+        self, program: list[tuple[int, int, bool, float]], batch: int
+    ) -> _Shape:
+        """The batch-length-only parts of a template, compiled once.
+
+        The code stream is the program's layer sequence, which depends
+        on the batch length but not on buffers or sizes.
+        """
+        shape = self._shapes.get(batch)
+        if shape is None:
+            count = len(program)
+            base = _SLOTS * np.arange(count, dtype=np.int64)
+            iplan, kept = collapsed_plan(
+                [self.placed[layer_index].code_lines for layer_index, *_ in program],
+                self.icache.num_lines,
+            )
+            dpos = np.empty(2 * count, dtype=np.int64)
+            dpos[0::2] = base + 2
+            dpos[1::2] = base + 3
+            shape = (
+                iplan,
+                base[kept] + 1,
+                dpos,
+                self._completion_points(batch, count),
+            )
+            self._shapes[batch] = shape
+        return shape
+
     def _compile(
         self, sizes: list[int], buffers: list[MessageBuffer]
     ) -> _StepTemplate:
         program = self._invocations(sizes)
-        count = len(program)
-        code_segments: list[np.ndarray] = []
+        iplan, ipos, dpos, completions = self._shape(program, len(sizes))
         data_segments: list[np.ndarray] = []
-        addends = np.zeros(1 + _SLOTS * count)
-        base = _SLOTS * np.arange(count, dtype=np.int64)
+        addends = np.zeros(1 + _SLOTS * len(program))
         for position, (layer_index, slot, include_data, trailing) in enumerate(
             program
         ):
             placed = self.placed[layer_index]
-            code_segments.append(placed.code_lines)
             data_segments.append(placed.data_lines)
             if include_data:
                 buffer = buffers[slot]
@@ -243,29 +293,8 @@ class _VecEngine:
                 data_segments.append(placed.data_lines[:0])
                 addends[_SLOTS * position + 4] = placed.profile.base_cycles
             addends[_SLOTS * position + 5] = trailing
-        dpos = np.empty(2 * count, dtype=np.int64)
-        dpos[0::2] = base + 2
-        dpos[1::2] = base + 3
-        iplan = SegmentedAccessPlan(
-            np.concatenate(code_segments) if code_segments else
-            np.empty(0, dtype=np.int64),
-            np.cumsum([0] + [seg.size for seg in code_segments]),
-            self.icache.num_lines,
-        )
-        dplan = SegmentedAccessPlan(
-            np.concatenate(data_segments) if data_segments else
-            np.empty(0, dtype=np.int64),
-            np.cumsum([0] + [seg.size for seg in data_segments]),
-            self.dcache.num_lines,
-        )
-        return _StepTemplate(
-            iplan,
-            dplan,
-            addends,
-            base + 1,
-            dpos,
-            self._completion_points(len(sizes), count),
-        )
+        dplan = segment_plan(data_segments, self.dcache.num_lines)
+        return _StepTemplate(iplan, dplan, addends, ipos, dpos, completions)
 
     # ------------------------------------------------------------------
     # Dynamic replay
@@ -275,6 +304,7 @@ class _VecEngine:
         scheduler = self.scheduler
         if self.kind in ("conventional", "ilp"):
             batch = [scheduler.input_queue.popleft()]
+            charge_flow_lookups(scheduler, batch)
         else:
             batch = take_batch(scheduler)  # type: ignore[arg-type]
             if not batch:
@@ -324,11 +354,6 @@ def vec_supported(scheduler: Scheduler) -> bool:
         return False
     binding = scheduler.binding
     if binding is None or not binding.bound:
-        return False
-    if binding.flow_lookup is not None:
-        # Flow-lookup charging (repro.flows) happens inside the scalar
-        # service path; the static step templates do not model it, so
-        # a lookup-charged run must take the scalar loop.
         return False
     if binding.spec.l2 is not None:
         return False

@@ -6,8 +6,8 @@ pure function of the seed (crc32 derivation — byte-identical at any
 worker count and across repeat runs), (2) batching schedulers amortize
 lookups — LDLP performs strictly fewer lookups than Conventional at
 equal load and never more misses per message, (3) lookup charging
-conserves messages exactly, (4) the vectorized engine declines
-flow-charged bindings so both engine settings return identical bytes,
+conserves messages exactly, (4) the vectorized engine accepts
+flow-charged bindings and both engine settings return identical bytes,
 and (5) the HARN003 rule keeps every registered cache organization
 exercised by the sweep.
 """
@@ -378,11 +378,13 @@ class TestFlowRuns:
             scheduler=scheduler, duration=0.05, engine=engine
         )
 
-    def test_vec_envelope_declines_flow_lookup(self):
-        scheduler = build_scheduler(self.config("ldlp"), 0)
-        assert vec_supported(scheduler)
-        scheduler.binding.flow_lookup = FlowCacheSpec().build()
-        assert not vec_supported(scheduler)
+    def test_vec_envelope_accepts_flow_lookup(self):
+        """Lookup charging runs inside the vec step, so attaching a
+        lookup cache must not push a run off the vec engine."""
+        for scheduler_name in ("conventional", "ilp", "ldlp", "grouped"):
+            scheduler = build_scheduler(self.config(scheduler_name), 0)
+            scheduler.binding.flow_lookup = FlowCacheSpec().build()
+            assert vec_supported(scheduler), scheduler_name
 
     def test_conservation_exact(self):
         result = run_flow_simulation(

@@ -10,30 +10,51 @@ contract at three levels:
   counters, and an intact drop/completion conservation balance.
 * **Property level** — hypothesis fans random ``SimulationConfig``
   combinations (scheduler × drop policy × fault plan × seed) through
-  both engines and compares results and counters.
+  both engines and compares results and counters, including
+  flow-charged runs (:mod:`repro.flows`, :mod:`repro.gossip`), whose
+  lookups the vec step charges at the scalar loop's point.
 * **Degenerate-input level** — zero-length and length-1 arrival
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class), plus the structured arrival table
   itself at those lengths.
 
-Plus the engine-selection seams: config validation, the static
+Plus the template compiler (shared, collapsed code plans) and the
+engine-selection seams: config validation, the static
 ``vec_supported`` envelope, and the silent scalar fallbacks.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.vec as vec_module
+from repro.cache.cache import DirectMappedCache
+from repro.cache.chunked import collapsed_plan, segment_plan
+from repro.core.batching import BatchPolicy
 from repro.core.binding import MachineBinding
-from repro.core.layer import CountingLayer, LayerFootprint
+from repro.core.layer import CountingLayer, LayerFootprint, Message
 from repro.core.overload import DROP_POLICIES
-from repro.core.scheduler import ConventionalScheduler, LDLPScheduler
+from repro.core.scheduler import (
+    ConventionalScheduler,
+    GroupedLDLPScheduler,
+    LDLPScheduler,
+)
 from repro.errors import ConfigurationError
 from repro.faults.campaigns import campaign_plan
+from repro.flows import FLOW_CACHE_ORGS, FlowCacheSpec
+from repro.flows.runner import make_flow_base, run_flow_simulation
+from repro.gossip import (
+    FRAMING_MODES,
+    GossipFleetSource,
+    GossipFleetSpec,
+    run_gossip_simulation,
+)
 from repro.harness.cache import ResultCache, canonical_json
 from repro.harness.points import point_accepts_engine, with_engine
 from repro.harness.registry import EXPERIMENT_MODULES, get_spec
@@ -44,11 +65,14 @@ from repro.sim.runner import (
     SCHEDULER_NAMES,
     SimulationConfig,
     build_paper_stack,
+    build_scheduler,
+    drive,
     run_simulation,
 )
 from repro.sim.vec import ARRIVAL_DTYPE, arrival_table, try_drive_vec, vec_supported
 from repro.traffic.base import Arrival
 from repro.traffic.poisson import PoissonSource
+from repro.traffic.zipf import ZipfFlowSource
 
 POLICY_NAMES = tuple(sorted(DROP_POLICIES))
 
@@ -66,6 +90,40 @@ def _run_both_engines(config, arrivals, seed):
                 seed=seed,
                 arrivals=arrivals,
             )
+        outcomes[engine] = (
+            canonical_json(result.to_dict()),
+            recorder.counters.as_dict(),
+        )
+    return outcomes
+
+
+@contextmanager
+def _vec_outcomes():
+    """Record, per drive call, whether the vec engine ran the drive."""
+    outcomes: list[bool] = []
+    original = vec_module.try_drive_vec
+
+    def spy(*args, **kwargs):
+        outcome = original(*args, **kwargs)
+        outcomes.append(outcome is not None)
+        return outcome
+
+    vec_module.try_drive_vec = spy
+    try:
+        yield outcomes
+    finally:
+        vec_module.try_drive_vec = original
+
+
+def _flow_charged_both_engines(run, config):
+    """``run(config)`` on both engines under a metrics recorder; asserts
+    the vec pass really ran vec and returns {engine: (json, counters)}."""
+    outcomes = {}
+    for engine in ENGINE_NAMES:
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder), _vec_outcomes() as ran_vec:
+            result = run(replace(config, engine=engine))
+        assert ran_vec == ([True] if engine == "vec" else [])
         outcomes[engine] = (
             canonical_json(result.to_dict()),
             recorder.counters.as_dict(),
@@ -177,6 +235,185 @@ def test_machine_variation_equivalence(
     assert outcomes["scalar"] == outcomes["vec"]
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    scheduler=st.sampled_from(SCHEDULER_NAMES),
+    organization=st.sampled_from(sorted(FLOW_CACHE_ORGS)),
+    base=st.sampled_from(["poisson", "bellcore"]),
+    policy=st.sampled_from(POLICY_NAMES),
+    faulted=st.booleans(),
+    seed=st.integers(0, 2**10),
+)
+def test_flow_run_equivalence(scheduler, organization, base, policy, faulted, seed):
+    """run_flow_simulation: scalar ≡ vec, ``flows.*`` counters included,
+    over every scheduler, lookup-cache organization and base process."""
+    duration = 0.015
+    source = ZipfFlowSource(
+        make_flow_base(base, 11000.0, 552, seed), num_flows=64, skew=1.1,
+        seed=seed,
+    )
+    arrivals = source.arrival_list(duration)
+    flush = None
+    if faulted:
+        # Duplicates come back as plain arrivals: tagged flow 0.
+        plan = campaign_plan()
+        arrivals = plan.apply(arrivals, seed)
+        flush = plan.flush_period_cycles
+    config = SimulationConfig(
+        scheduler=scheduler, drop_policy=policy, duration=duration,
+        flush_period_cycles=flush,
+    )
+    cache = FlowCacheSpec(entries=16, organization=organization)
+    outcomes = _flow_charged_both_engines(
+        lambda config: run_flow_simulation(
+            source, config, cache, seed=seed, arrivals=arrivals
+        ),
+        config,
+    )
+    assert outcomes["scalar"] == outcomes["vec"]
+    # A short Bellcore-style stream can be all OFF period.
+    assert (outcomes["vec"][1].get("flows.lookups", 0.0) > 0) == bool(arrivals)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    scheduler=st.sampled_from(SCHEDULER_NAMES),
+    organization=st.sampled_from(sorted(FLOW_CACHE_ORGS)),
+    framing=st.sampled_from(sorted(FRAMING_MODES)),
+    collection_size=st.sampled_from([1, 8]),
+    policy=st.sampled_from(POLICY_NAMES),
+    faulted=st.booleans(),
+    seed=st.integers(0, 2**10),
+)
+def test_gossip_run_equivalence(
+    scheduler, organization, framing, collection_size, policy, faulted, seed
+):
+    """run_gossip_simulation: scalar ≡ vec over batches that mix tagged
+    data datagrams with untagged control datagrams (full table walks)."""
+    spec = GossipFleetSpec(
+        num_peers=1000, framing=framing, collection_size=collection_size,
+        rate=12000.0, seed=seed,
+    )
+    config = SimulationConfig(
+        scheduler=scheduler, drop_policy=policy, duration=0.015,
+        flush_period_cycles=campaign_plan().flush_period_cycles if faulted else None,
+    )
+    cache = FlowCacheSpec(entries=16, organization=organization)
+    outcomes = _flow_charged_both_engines(
+        lambda config: run_gossip_simulation(
+            GossipFleetSource(spec), config, cache, seed=seed
+        ),
+        config,
+    )
+    assert outcomes["scalar"] == outcomes["vec"]
+    counters = outcomes["vec"][1]
+    assert 0 < counters.get("flows.untagged", 0.0) < counters["flows.lookups"]
+
+
+# ----------------------------------------------------------------------
+# Template compiler: shared and collapsed code plans
+
+
+@pytest.mark.parametrize("batch_limit", [1, 3, 14])
+@pytest.mark.parametrize(
+    "groups", [[[0], [1], [2], [3], [4]], [[0, 1], [2], [3, 4]]],
+    ids=["singletons", "mixed"],
+)
+def test_grouped_explicit_groups_equivalence(batch_limit, groups):
+    """Grouped LDLP with explicit groups: every singleton group runs its
+    layer over the whole batch back to back, so its code segments
+    collapse; the latency samples and cache statistics must not move."""
+    arrivals = PoissonSource(12000.0, rng=3).arrival_list(0.01)
+    seen = {}
+    for engine in ENGINE_NAMES:
+        binding = MachineBinding(rng=3)
+        scheduler = GroupedLDLPScheduler(
+            build_paper_stack(), binding, 500, BatchPolicy(batch_limit),
+            groups=groups,
+        )
+        timestamped = [
+            (a.time, Message(size=a.size, arrival_time=a.time)) for a in arrivals
+        ]
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder):
+            stats = drive(scheduler, timestamped, engine=engine)
+        hierarchy = binding.cpu.hierarchy
+        seen[engine] = (
+            list(stats.latency._samples),
+            binding.cpu.cycles,
+            binding.cpu.stall_cycles,
+            hierarchy.icache.stats,
+            hierarchy.dcache.stats,
+            recorder.counters.as_dict(),
+        )
+    assert seen["scalar"] == seen["vec"]
+    assert max(scheduler.batch_sizes) == batch_limit
+
+
+def test_code_plan_shared_per_batch_length():
+    """Templates of one batch length share one code plan, and LDLP's
+    layer-major code stream collapses to one segment per layer."""
+    config = SimulationConfig(scheduler="ldlp", batch_limit=14, duration=0.01)
+    scheduler = build_scheduler(config, seed=0)
+    engine = vec_module._VecEngine(scheduler, "ldlp")
+    binding = scheduler.binding
+    buffers = binding.pool.buffers
+    first = engine._compile([552] * 14, buffers[:14])
+    second = engine._compile([100] * 14, buffers[14:28])
+    assert first.iplan is second.iplan
+    assert first.dplan is not second.dplan
+    assert first.iplan.num_segments == len(scheduler.layers)
+    code_lines = sum(
+        binding.placed_layer(layer.name).code_lines.size
+        for layer in scheduler.layers
+    )
+    assert first.iplan.repeat_hits == 13 * code_lines
+    assert first.ipos.tolist() == [1 + 5 * 14 * index for index in range(5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=8
+    ),
+    warm=st.lists(st.integers(0, 255), max_size=64),
+)
+def test_collapsed_plan_matches_uncollapsed(runs, warm):
+    """Eliding a segment that repeats its predecessor leaves hits,
+    misses, evictions and tags exactly as the full plan leaves them,
+    from any starting cache state."""
+    num_lines = 32
+    rng = np.random.default_rng(len(runs))
+    blocks = [
+        rng.choice(4 * num_lines, size=8, replace=False) for _ in range(4)
+    ]
+    # Distinct sets within a block, so both plans are supported.
+    blocks = [block[np.unique(block % num_lines, return_index=True)[1]] for block in blocks]
+    segments = [blocks[block] for block, repeat in runs for _ in range(repeat)]
+    full_cache = DirectMappedCache(num_lines * 32, 32)
+    full_cache.access_stream(np.asarray(warm, dtype=np.int64))
+    collapsed_cache = DirectMappedCache(num_lines * 32, 32)
+    collapsed_cache.access_stream(np.asarray(warm, dtype=np.int64))
+    full = segment_plan(segments, num_lines)
+    collapsed, kept = collapsed_plan(segments, num_lines)
+    full_misses = full.apply(full_cache.tag_array, full_cache.stats)
+    kept_misses = collapsed.apply(collapsed_cache.tag_array, collapsed_cache.stats)
+    assert collapsed.num_segments == len(kept) <= full.num_segments
+    assert kept_misses.tolist() == full_misses[kept].tolist()
+    elided = np.ones(len(segments), dtype=bool)
+    elided[kept] = False
+    assert not full_misses[elided].any()
+    assert collapsed_cache.stats == full_cache.stats
+    assert np.array_equal(collapsed_cache.tag_array, full_cache.tag_array)
+
+
+def test_vec_plans_keep_no_mask_arrays():
+    """Only element-sequential unit plans can return a miss mask."""
+    plan = segment_plan([np.arange(4, dtype=np.int64)], 8)
+    with pytest.raises(ValueError):
+        plan.apply(np.full(8, -1, dtype=np.int64), return_mask=True)
+
+
 # ----------------------------------------------------------------------
 # Degenerate-input level: the PR 4 truthiness bug class
 
@@ -204,7 +441,6 @@ def test_arrival_table_degenerate_lengths():
     empty = arrival_table([], hz=100e6)
     assert empty.dtype == ARRIVAL_DTYPE
     assert empty.shape == (0,)
-    from repro.core.layer import Message
 
     single = arrival_table([(0.25, Message(size=552))], hz=100e6)
     assert single.shape == (1,)
@@ -219,7 +455,6 @@ def test_arrival_table_degenerate_lengths():
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigurationError):
         SimulationConfig(engine="turbo")
-    from repro.sim.runner import drive
 
     scheduler = ConventionalScheduler(build_paper_stack(), MachineBinding())
     with pytest.raises(ConfigurationError):
@@ -290,15 +525,12 @@ def test_span_keeping_recorder_uses_scalar_path():
 def test_latency_sample_order_is_identical():
     """Not just summary statistics: the raw per-completion latency
     sample sequences match, which pins completion *order*."""
-    from repro.sim.runner import _build_scheduler, drive
-    from repro.core.layer import Message
-
     for scheduler_name in SCHEDULER_NAMES:
         config = SimulationConfig(scheduler=scheduler_name, duration=0.01)
         arrivals = PoissonSource(12000.0, rng=7).arrival_list(config.duration)
         samples = {}
         for engine in ENGINE_NAMES:
-            scheduler = _build_scheduler(config, seed=7)
+            scheduler = build_scheduler(config, seed=7)
             timestamped = [
                 (a.time, Message(size=a.size, arrival_time=a.time))
                 for a in arrivals
