@@ -68,7 +68,7 @@ def flow_of(message: Message) -> int:
     """The flow identifier a dispatcher hashes for one message.
 
     Reads :data:`FLOW_KEY` from the message meta (set by the traffic
-    tagger, :func:`repro.sim.multicore.tag_flows`); untagged messages
+    tagger, :func:`repro.sim.runner.tag_flows`); untagged messages
     all map to flow 0, i.e. one flow.
     """
     return int(message.meta.get(FLOW_KEY, 0))

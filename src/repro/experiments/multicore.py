@@ -15,10 +15,9 @@ pins at 1, since per-message processing cannot profit from steering.
 Every sweep point is the pure module-level
 :func:`repro.sim.multicore.multicore_point`, so the sweep parallelizes
 over the harness worker pool and caches by content hash like any other
-experiment.  Points take no ``engine`` parameter: the multi-core drive
-loop is always the scalar event merge (the vectorized engine is a
-single-core whole-run replay), so both CI engine passes share one set
-of cached results.
+experiment.  Points take the ``engine`` parameter like every other
+simulation point, so each CI engine pass really runs its engine (the
+results are bit-identical; the pinned engine only namespaces the cache).
 """
 
 from __future__ import annotations

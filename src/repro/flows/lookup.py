@@ -198,15 +198,17 @@ class FlowLookup:
                 recorder.count("flows.untagged", float(walked))
         return cycles
 
+    def counters(self) -> dict[str, int]:
+        """The live lookup counters, keyed as run results report them."""
+        return {
+            "lookups": self.lookups,
+            "demand": self.demand,
+            "hits": self.stats.hits,
+            "misses": self.stats.misses,
+            "evictions": self.stats.evictions,
+            "untagged": self.untagged,
+        }
+
     def describe(self) -> dict:
         """Spec plus live counters, for reports."""
-        description = self.spec.describe()
-        description.update(
-            lookups=self.lookups,
-            demand=self.demand,
-            untagged=self.untagged,
-            hits=self.stats.hits,
-            misses=self.stats.misses,
-            evictions=self.stats.evictions,
-        )
-        return description
+        return {**self.spec.describe(), **self.counters()}

@@ -4,7 +4,8 @@ Composes the pieces the rest of the package already provides: a
 :class:`~repro.traffic.zipf.ZipfFlowSource` supplies arrivals tagged
 with skewed destination flows, :func:`repro.sim.runner.build_scheduler`
 builds the Section-4 stack, a :class:`~repro.flows.lookup.FlowLookup`
-is attached to the machine binding, and the standard drive loop runs.
+is attached to the machine binding, and the standard drive loop runs
+(:func:`repro.sim.runner.simulate`; this module only tags arrivals).
 The scheduler hooks (:func:`repro.core.scheduler.charge_flow_lookups`)
 then charge one route/PCB lookup per distinct flow per service batch —
 so under load, LDLP and Grouped batches amortize lookup misses the same
@@ -19,20 +20,16 @@ byte-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 
 from ..core.dispatch import FLOW_KEY
 from ..core.layer import Message
+from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError
-from ..sim.runner import (
-    SimulationConfig,
-    assemble_run_result,
-    build_scheduler,
-    drive,
-)
+from ..sim.runner import SimulationConfig, simulate
 from ..sim.stats import RunResult, merge_results
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.onoff import ParetoOnOffSource
@@ -49,7 +46,15 @@ class FlowRunResult:
     dedup); ``demand`` counts the lookups messages would have performed
     without batching, so ``lookups / demand`` is the batch-amortization
     factor and ``misses / completed`` is the headline
-    lookup-misses-per-message the experiment pins.
+    lookup-misses-per-message the experiment pins.  ``untagged`` counts
+    table walks by messages with no flow tag at all (gossip's control
+    datagrams; always zero for :func:`run_flow_simulation`, which tags
+    every message).
+
+    The one lookup-counters record: :class:`repro.gossip.runner.GossipRunResult`
+    extends it with wire totals, and :meth:`to_dict`, :meth:`from_dict`
+    and :func:`merge_flow_results` cover every integer field a subclass
+    adds.
     """
 
     run: RunResult
@@ -58,17 +63,22 @@ class FlowRunResult:
     hits: int
     misses: int
     evictions: int
-    #: Table walks by untagged messages (no FLOW_KEY meta at all);
-    #: always zero here — run_flow_simulation tags every message — but
-    #: carried so gossip's mixed control/data runs share this type.
-    untagged: int = 0
+    untagged: int
+
+    @classmethod
+    def of(cls, run: RunResult, cores: list[Scheduler], **totals: int):
+        """``run`` plus the lookup counters summed over the cores' caches."""
+        counters = [core.binding.flow_lookup.counters() for core in cores]  # type: ignore[union-attr]
+        summed = {name: sum(c[name] for c in counters) for name in counters[0]}
+        return cls(run=run, **summed, **totals)
 
     @property
     def hit_ratio(self) -> float:
-        """Fraction of performed lookups served from the cache."""
-        if self.lookups == 0:
+        """Fraction of *tagged* lookups served from the cache."""
+        performed = self.lookups - self.untagged
+        if performed == 0:
             return float("nan")
-        return self.hits / self.lookups
+        return self.hits / performed
 
     @property
     def lookup_misses_per_message(self) -> float:
@@ -77,43 +87,40 @@ class FlowRunResult:
 
     def to_dict(self) -> dict:
         """JSON-serializable form (harness result cache)."""
-        return {
-            "run": self.run.to_dict(),
-            "lookups": self.lookups,
-            "demand": self.demand,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "untagged": self.untagged,
-        }
+        data: dict = {"run": self.run.to_dict()}
+        for counter in _counters(type(self)):
+            data[counter] = getattr(self, counter)
+        return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FlowRunResult":
+    def from_dict(cls, data: dict):
         """Inverse of :meth:`to_dict`."""
         return cls(
             run=RunResult.from_dict(data["run"]),
-            lookups=int(data["lookups"]),
-            demand=int(data["demand"]),
-            hits=int(data["hits"]),
-            misses=int(data["misses"]),
-            evictions=int(data["evictions"]),
-            # Absent in pre-gossip cached results; they had no way to
-            # produce untagged walks.
-            untagged=int(data.get("untagged", 0)),
+            **{counter: int(data[counter]) for counter in _counters(cls)},
         )
 
 
+def _counters(cls: type) -> list[str]:
+    """The integer counter fields of a flow-charged result type."""
+    return [field.name for field in fields(cls) if field.name != "run"]
+
+
 def merge_flow_results(results: list[FlowRunResult]) -> FlowRunResult:
-    """Merge per-seed runs: averaged run stats, summed lookup counters."""
-    return FlowRunResult(
+    """Merge per-seed runs: averaged run stats, summed counters."""
+    cls = type(results[0])
+    return cls(
         run=merge_results([result.run for result in results]),
-        lookups=sum(result.lookups for result in results),
-        demand=sum(result.demand for result in results),
-        hits=sum(result.hits for result in results),
-        misses=sum(result.misses for result in results),
-        evictions=sum(result.evictions for result in results),
-        untagged=sum(result.untagged for result in results),
+        **{
+            counter: sum(getattr(result, counter) for result in results)
+            for counter in _counters(cls)
+        },
     )
+
+
+def _tag_flow(arrival: Arrival, message: Message) -> None:
+    """Tag a message with its arrival's flow (plain arrivals: flow 0)."""
+    message.meta[FLOW_KEY] = int(getattr(arrival, "flow", 0))
 
 
 def run_flow_simulation(
@@ -133,36 +140,15 @@ def run_flow_simulation(
     the source's stream (to replay the identical sequence against
     several schedulers or cache organizations).
     """
-    config = config or SimulationConfig()
-    cache = cache or FlowCacheSpec()
-    scheduler = build_scheduler(config, seed)
-    binding = scheduler.binding
-    assert binding is not None
-    binding.flow_lookup = cache.build()
-
-    stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
-    timestamped = []
-    for a in stream:
-        message = Message(size=a.size, arrival_time=a.time)
-        message.meta[FLOW_KEY] = int(getattr(a, "flow", 0))
-        timestamped.append((a.time, message))
-    outcome = drive(
-        scheduler,
-        timestamped,
-        flush_period_cycles=config.flush_period_cycles,
-        engine=config.engine,
+    run, cores, _ = simulate(
+        source,
+        config or SimulationConfig(),
+        seed,
+        arrivals,
+        tag=_tag_flow,
+        flow_cache=cache or FlowCacheSpec(),
     )
-    run = assemble_run_result(scheduler, outcome, source, stream, config)
-    lookup = binding.flow_lookup
-    return FlowRunResult(
-        run=run,
-        lookups=lookup.lookups,
-        demand=lookup.demand,
-        hits=lookup.stats.hits,
-        misses=lookup.stats.misses,
-        evictions=lookup.stats.evictions,
-        untagged=lookup.untagged,
-    )
+    return FlowRunResult.of(run, cores)
 
 
 def make_flow_base(

@@ -12,7 +12,6 @@ from .fleet import GossipArrival, GossipFleetSource, GossipFleetSpec
 from .runner import (
     GossipRunResult,
     gossip_point,
-    merge_gossip_results,
     run_gossip_simulation,
 )
 from .wire import (
@@ -53,7 +52,6 @@ __all__ = [
     "encode_message",
     "framing",
     "gossip_point",
-    "merge_gossip_results",
     "message_wire_bytes",
     "run_gossip_simulation",
 ]

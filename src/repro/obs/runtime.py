@@ -31,6 +31,7 @@ miss penalty).  The clock unit is recorded per span track by the sink.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -46,7 +47,9 @@ class CounterSet:
 
     Counter names are dotted strings (``mbuf.alloc``,
     ``layer0.icache_misses``); values are floats so cycle counts and
-    event counts share one type.
+    event counts share one type.  Names are interned on first use, so
+    the many short-lived counter sets of a sweep (one per point) share
+    one copy of each formatted name such as ``dispatch.core3.assigned``.
     """
 
     def __init__(self) -> None:
@@ -54,7 +57,12 @@ class CounterSet:
 
     def add(self, name: str, amount: float = 1.0) -> None:
         """Accumulate ``amount`` into the named counter."""
-        self._values[name] = self._values.get(name, 0.0) + amount
+        values = self._values
+        value = values.get(name)
+        if value is None:
+            values[sys.intern(name)] = 0.0 + amount
+        else:
+            values[name] = value + amount
 
     def merge(self, other: dict[str, float]) -> None:
         """Accumulate every counter of ``other`` into this set."""

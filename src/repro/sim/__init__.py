@@ -1,19 +1,11 @@
-"""Discrete-event simulation: engine, queues, statistics, the
-Section-4 synthetic benchmark runner, and its multi-core
-generalization (:mod:`repro.sim.multicore`)."""
+"""Discrete-event simulation: engine, queues, statistics, and the
+Section-4 synthetic benchmark runner with its one drive loop for every
+engine and core count (multi-core attribution in
+:mod:`repro.sim.multicore`, the vectorized service step in
+:mod:`repro.sim.vec`)."""
 
 from .engine import Simulator
 from .events import Event, EventQueue
-from .multicore import (
-    CoreStats,
-    MultiCoreConfig,
-    MultiCoreRunResult,
-    drive_multicore,
-    merge_multicore_results,
-    multicore_point,
-    run_multicore,
-    run_multicore_averaged,
-)
 from .queues import BoundedQueue
 from .runner import (
     ComparisonResult,
@@ -34,37 +26,25 @@ from .stats import (
     RunResult,
     merge_results,
 )
-from .vec import arrival_table, try_drive_vec, vec_supported
 
 __all__ = [
     "BoundedQueue",
-    "CoreStats",
     "DriveStats",
     "drive",
-    "drive_multicore",
     "ComparisonResult",
     "ENGINE_NAMES",
     "Event",
     "EventQueue",
-    "arrival_table",
     "LatencyRecorder",
     "LatencySummary",
     "MissesPerMessage",
-    "MultiCoreConfig",
-    "MultiCoreRunResult",
     "RunResult",
     "SCHEDULER_NAMES",
     "SimulationConfig",
     "Simulator",
     "build_paper_stack",
     "compare_schedulers",
-    "merge_multicore_results",
     "merge_results",
-    "multicore_point",
     "run_averaged",
-    "run_multicore",
-    "run_multicore_averaged",
     "run_simulation",
-    "try_drive_vec",
-    "vec_supported",
 ]

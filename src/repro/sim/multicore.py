@@ -1,368 +1,37 @@
 """Multi-core synthetic benchmark: dispatch stage -> N cores -> stats.
 
-The single-core drive loop (:func:`repro.sim.runner.drive`) generalized
-to the modern topology: a receive-side dispatch stage
-(:mod:`repro.core.dispatch`) steers each arrival onto one of N modeled
-cores (:mod:`repro.machine.multicore`), each running its own scheduler
-instance over private I/D caches, optionally behind one shared L2.
-Admission-time dispatch composes with admission-time drops: the
-dispatcher picks the core *first*, then that core's
-:class:`~repro.core.overload.DropPolicy` decides admission, so every
-drop-policy sweep from :mod:`repro.faults` carries over unchanged.
+A multi-core run is a :class:`~repro.sim.runner.SimulationConfig` with
+``num_cores`` and a ``dispatch`` policy set: a receive-side dispatch
+stage (:mod:`repro.core.dispatch`) steers each arrival onto one of N
+modeled cores, each running its own scheduler instance over private
+I/D caches, optionally behind one shared L2.  Admission-time dispatch
+composes with admission-time drops: the dispatcher picks the core
+*first*, then that core's :class:`~repro.core.overload.DropPolicy`
+decides admission, so every drop-policy sweep from :mod:`repro.faults`
+carries over unchanged.
 
-The drive loop is a deterministic discrete-event merge of per-core CPU
-clocks: the next event is always the earliest of (next arrival, next
-busy core's service step), with ties admitting first — exactly the
-single-core loop's order, which is why a ``num_cores=1`` run reproduces
-:func:`repro.sim.runner.run_simulation` bit-identically for every
-dispatch policy (``tests/test_multicore.py`` pins this).  Multi-core
-runs always use the scalar service-step path; the vectorized engine
-(:mod:`repro.sim.vec`) is a single-core whole-run replay and does not
-apply here.
+The drive loop is the single-core one (:func:`repro.sim.runner.drive`):
+one deterministic event merge over per-core CPU clocks, with each core
+stepped by the scalar scheduler or the vectorized engine
+(:mod:`repro.sim.vec`), whichever that core supports.  A one-core
+dispatched run therefore reproduces
+:func:`repro.sim.runner.run_simulation` bit-identically by
+construction (``tests/test_multicore.py`` pins it).  This module adds
+only the per-core attribution on top of the shared aggregate and the
+harness sweep point.
 """
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
-import numpy as np
-
-from ..cache.hierarchy import CacheGeometry, MachineSpec
-from ..core.dispatch import (
-    APP_CLASS_KEY,
-    DISPATCH_POLICIES,
-    FLOW_KEY,
-    DispatchPolicy,
-    make_dispatch_policy,
-)
-from ..core.layer import Message
-from ..core.overload import DROP_POLICIES
-from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError
-from ..machine.multicore import MultiCoreSpec
-from ..obs.runtime import active_recorder, machine_counters
+from ..obs.runtime import active_recorder
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.poisson import PoissonSource
-from .runner import SCHEDULER_NAMES, SimulationConfig, build_scheduler
-from .stats import (
-    LatencyRecorder,
-    MissesPerMessage,
-    RunResult,
-    merge_results,
-)
-
-
-@dataclass(frozen=True)
-class MultiCoreConfig:
-    """Configuration of one multi-core benchmark run.
-
-    The per-core knobs (``scheduler``, layer shape, ``input_limit``,
-    ``drop_policy``, ``flush_period_cycles``, buffer geometry) mean
-    exactly what they mean in :class:`~repro.sim.runner.SimulationConfig`
-    — each core gets its own scheduler built from them.  On top of that:
-
-    ``num_cores`` / ``shared_l2``
-        The machine topology (see :class:`repro.machine.multicore.MultiCoreSpec`).
-    ``dispatch``
-        Dispatch-policy registry name (:data:`repro.core.dispatch.DISPATCH_POLICIES`).
-    ``num_flows`` / ``app_classes``
-        The modeled traffic structure the dispatcher keys on: arrivals
-        are tagged with a deterministic flow id in ``0..num_flows-1``
-        and a decoded application class ``flow % app_classes``.
-    """
-
-    scheduler: str = "ldlp"
-    dispatch: str = "rss"
-    num_cores: int = 4
-    num_flows: int = 64
-    app_classes: int = 8
-    num_layers: int = 5
-    layer_code_bytes: int = 6144
-    layer_data_bytes: int = 256
-    layer_base_cycles: float = 1376.0
-    layer_per_byte_cycles: float = 0.5
-    spec: MachineSpec = field(default_factory=MachineSpec)
-    shared_l2: CacheGeometry | None = None
-    duration: float = 0.2
-    input_limit: int = 500
-    batch_limit: int | None = None
-    pool_buffers: int = 32
-    buffer_size: int = 2048
-    random_placement: bool = True
-    drop_policy: str = "tail"
-    flush_period_cycles: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; expected one of "
-                f"{SCHEDULER_NAMES}"
-            )
-        if self.dispatch not in DISPATCH_POLICIES:
-            raise ConfigurationError(
-                f"unknown dispatch policy {self.dispatch!r}; expected one "
-                f"of {tuple(sorted(DISPATCH_POLICIES))}"
-            )
-        if self.drop_policy not in DROP_POLICIES:
-            raise ConfigurationError(
-                f"unknown drop policy {self.drop_policy!r}; expected one of "
-                f"{tuple(sorted(DROP_POLICIES))}"
-            )
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.num_flows < 1:
-            raise ConfigurationError("num_flows must be >= 1")
-        if self.app_classes < 1:
-            raise ConfigurationError("app_classes must be >= 1")
-        if self.flush_period_cycles is not None and self.flush_period_cycles <= 0:
-            raise ConfigurationError("cache-flush period must be positive")
-        # Topology validation (core count, shared-L2 geometry).
-        MultiCoreSpec(self.num_cores, self.spec, self.shared_l2)
-
-    def machine_spec(self) -> MultiCoreSpec:
-        """The machine topology this config describes."""
-        return MultiCoreSpec(self.num_cores, self.spec, self.shared_l2)
-
-    def core_config(self) -> SimulationConfig:
-        """The single-core :class:`SimulationConfig` each core is built from."""
-        return SimulationConfig(
-            scheduler=self.scheduler,
-            num_layers=self.num_layers,
-            layer_code_bytes=self.layer_code_bytes,
-            layer_data_bytes=self.layer_data_bytes,
-            layer_base_cycles=self.layer_base_cycles,
-            layer_per_byte_cycles=self.layer_per_byte_cycles,
-            spec=self.machine_spec().core_spec(),
-            duration=self.duration,
-            input_limit=self.input_limit,
-            batch_limit=self.batch_limit,
-            pool_buffers=self.pool_buffers,
-            buffer_size=self.buffer_size,
-            random_placement=self.random_placement,
-            drop_policy=self.drop_policy,
-            flush_period_cycles=self.flush_period_cycles,
-            engine="scalar",
-        )
-
-    def with_dispatch(self, dispatch: str) -> "MultiCoreConfig":
-        """This config with only the dispatch policy swapped."""
-        return replace(self, dispatch=dispatch)
-
-
-def core_seed(seed: int, core: int) -> int:
-    """The placement seed of one core.
-
-    Core 0 uses ``seed`` verbatim — the single-core equivalence anchor —
-    and higher cores derive distinct deterministic seeds (CRC-mixed, no
-    process entropy), so an N-core run samples N independent random code
-    placements, the paper's averaging methodology applied per core.
-    """
-    if core == 0:
-        return int(seed)
-    return zlib.crc32(f"core:{seed}:{core}".encode("utf-8"))
-
-
-def build_cores(config: MultiCoreConfig, seed: int) -> list[Scheduler]:
-    """Build one machine-bound scheduler per core.
-
-    Each core reuses the exact single-core constructor
-    (:func:`repro.sim.runner.build_scheduler`) with its own placement
-    seed; with a shared L2 configured, every core's hierarchy is then
-    rewired to probe one shared cache instance.
-    """
-    base = config.core_config()
-    cores = [
-        build_scheduler(base, core_seed(seed, index))
-        for index in range(config.num_cores)
-    ]
-    if config.shared_l2 is not None:
-        shared = config.shared_l2.build()
-        for scheduler in cores:
-            assert scheduler.binding is not None
-            scheduler.binding.cpu.hierarchy.l2 = shared
-    return cores
-
-
-def tag_flows(
-    messages: list[tuple[float, Message]],
-    seed: int,
-    num_flows: int,
-    app_classes: int,
-) -> None:
-    """Tag each message with its flow id and decoded application class.
-
-    The flow id is a CRC mix of (seed, arrival index) modulo
-    ``num_flows`` — deterministic, PYTHONHASHSEED-independent — and the
-    application class is ``flow % app_classes``, modeling many flows
-    multiplexed over fewer application-level services.  Dispatch
-    policies key on these meta fields (:data:`~repro.core.dispatch.FLOW_KEY`,
-    :data:`~repro.core.dispatch.APP_CLASS_KEY`).
-    """
-    for index, (_, message) in enumerate(messages):
-        flow = zlib.crc32(f"flow:{seed}:{index}".encode("utf-8")) % num_flows
-        message.meta[FLOW_KEY] = int(flow)
-        message.meta[APP_CLASS_KEY] = int(flow % app_classes)
-
-
-@dataclass
-class MultiCoreDriveStats:
-    """Raw outcome of :func:`drive_multicore`."""
-
-    latency: LatencyRecorder
-    completed: int
-    service_cycles: float
-    #: Completions attributed to each core, in core order.
-    per_core_completed: list[int]
-    #: Service cycles attributed to each core, in core order.
-    per_core_service_cycles: list[float]
-    #: Arrivals dispatched to each core, in core order.
-    per_core_dispatched: list[int]
-
-
-def drive_multicore(
-    cores: list[Scheduler],
-    dispatch: DispatchPolicy,
-    arrivals: list[tuple[float, Message]],
-    flush_period_cycles: float | None = None,
-) -> MultiCoreDriveStats:
-    """Drive N bound schedulers from one dispatched arrival stream.
-
-    Deterministic event merge over per-core CPU clocks: repeatedly take
-    the earliest pending event — the next arrival (admitted via the
-    dispatch policy, then the target core's drop policy) or a service
-    step on the busy core with the lowest cycle count (ties broken by
-    core index).  Arrivals at or before a core's current cycle are
-    admitted before that core steps again, matching the single-core
-    loop's admission order exactly.
-
-    With a :mod:`repro.obs` recorder installed, each core's service
-    steps are spans on a ``core{i}/scheduler`` track with machine
-    counters attached (per-core miss attribution), every dispatch an
-    instant on the ``dispatch`` track, and drops/flushes counted per
-    core as well as globally.
-    """
-    if not cores:
-        raise ConfigurationError("drive_multicore() needs at least one core")
-    for scheduler in cores:
-        if scheduler.binding is None:
-            raise ConfigurationError(
-                "drive_multicore() needs machine-bound schedulers"
-            )
-    if flush_period_cycles is not None and flush_period_cycles <= 0:
-        raise ConfigurationError("cache-flush period must be positive")
-    recorder = active_recorder()
-    num_cores = len(cores)
-    clock = cores[0].binding.cpu.clock  # type: ignore[union-attr]
-    pending = [
-        (clock.seconds_to_cycles(time), message) for time, message in arrivals
-    ]
-    next_flush = [flush_period_cycles] * num_cores
-    latency = LatencyRecorder()
-    per_core_completed = [0] * num_cores
-    per_core_service = [0.0] * num_cores
-    per_core_dispatched = [0] * num_cores
-    index = 0
-    completed = 0
-
-    while True:
-        busy = [
-            (cores[i].binding.cpu.cycles, i)  # type: ignore[union-attr]
-            for i in range(num_cores)
-            if cores[i].busy
-        ]
-        next_service = min(busy) if busy else None
-        next_arrival = pending[index][0] if index < len(pending) else None
-        if next_arrival is None and next_service is None:
-            break
-        if next_arrival is not None and (
-            next_service is None or next_arrival <= next_service[0]
-        ):
-            # Admission event: dispatch first, then the core's drop policy.
-            cycle, message = pending[index]
-            target = dispatch.select(message, num_cores) % num_cores
-            scheduler = cores[target]
-            cpu = scheduler.binding.cpu  # type: ignore[union-attr]
-            if not scheduler.busy:
-                cpu.advance_to_cycle(cycle)
-            message.meta["arrival_cycle"] = cycle
-            drops_before = scheduler.drops
-            scheduler.enqueue_arrival(message)
-            per_core_dispatched[target] += 1
-            if recorder is not None:
-                recorder.count("messages.arrivals")
-                recorder.count(f"dispatch.core{target}.assigned")
-                recorder.instant(
-                    "dispatch", dispatch.name, cycle,
-                    core=target, size=message.size,
-                )
-                lost = scheduler.drops - drops_before
-                if lost:
-                    recorder.count("messages.drops", float(lost))
-                    recorder.count(f"dispatch.core{target}.drops", float(lost))
-                    recorder.instant(
-                        f"core{target}/scheduler", "drop", cpu.cycles,
-                        size=message.size,
-                    )
-            index += 1
-            continue
-
-        # Service event on the earliest busy core.
-        assert next_service is not None
-        core_index = next_service[1]
-        scheduler = cores[core_index]
-        cpu = scheduler.binding.cpu  # type: ignore[union-attr]
-        before = cpu.cycles
-        handle = (
-            recorder.begin(
-                f"core{core_index}/scheduler",
-                "service_step",
-                cpu.cycles,
-                machine_counters(cpu),
-                pending_messages=scheduler.pending(),
-            )
-            if recorder is not None
-            else None
-        )
-        completions = scheduler.service_step()
-        if recorder is not None and handle is not None:
-            handle.args["completions"] = len(completions)
-            recorder.end(handle, cpu.cycles)
-            recorder.count("scheduler.service_steps")
-            recorder.count("messages.completions", float(len(completions)))
-        for completion in completions:
-            arrival_cycle = completion.message.meta.get("arrival_cycle")
-            if arrival_cycle is None:
-                continue
-            completed += 1
-            per_core_completed[core_index] += 1
-            latency.record(
-                clock.cycles_to_seconds(
-                    completion.completion_cycle - arrival_cycle
-                )
-            )
-        per_core_service[core_index] += cpu.cycles - before
-        flush_at = next_flush[core_index]
-        if flush_at is not None and cpu.cycles >= flush_at:
-            cpu.cold_start()
-            if recorder is not None:
-                recorder.count("faults.cache_flushes")
-                recorder.instant(
-                    f"core{core_index}/scheduler", "cache_flush", cpu.cycles
-                )
-            while flush_at <= cpu.cycles:
-                flush_at += flush_period_cycles  # type: ignore[operator]
-            next_flush[core_index] = flush_at
-
-    return MultiCoreDriveStats(
-        latency=latency,
-        completed=completed,
-        service_cycles=sum(per_core_service),
-        per_core_completed=per_core_completed,
-        per_core_service_cycles=per_core_service,
-        per_core_dispatched=per_core_dispatched,
-    )
+from .runner import SimulationConfig, simulate
+from .stats import RunResult, merge_results
 
 
 @dataclass(frozen=True)
@@ -381,17 +50,7 @@ class CoreStats:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (harness result cache)."""
-        return {
-            "core": self.core,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "drops": self.drops,
-            "icache_misses": self.icache_misses,
-            "dcache_misses": self.dcache_misses,
-            "cycles": self.cycles,
-            "stall_cycles": self.stall_cycles,
-            "service_cycles": self.service_cycles,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CoreStats":
@@ -444,78 +103,35 @@ class MultiCoreRunResult:
 
 def run_multicore(
     source: TrafficSource,
-    config: MultiCoreConfig | None = None,
+    config: SimulationConfig,
     seed: int = 0,
     arrivals: list[Arrival] | None = None,
 ) -> MultiCoreRunResult:
-    """Run one multi-core configuration against one traffic source.
+    """Run one dispatched configuration against one traffic source.
 
-    ``arrivals`` overrides the source's stream (used to replay the
-    identical arrival sequence against several dispatch policies or
-    core counts).  The aggregate :class:`~repro.sim.stats.RunResult`
-    uses the same accounting as the single-core benchmark — misses and
-    cycles summed over cores, divided by total completions — so a
-    one-core run is bit-identical to
-    :func:`repro.sim.runner.run_simulation`.
+    ``config`` must name a ``dispatch`` policy.  ``arrivals`` overrides
+    the source's stream (used to replay the identical arrival sequence
+    against several dispatch policies or core counts).  The aggregate
+    is :func:`repro.sim.runner.run_simulation`'s accounting; the
+    per-core stats serialize the drive's per-core lists and each core's
+    machine counters.
     """
-    config = config or MultiCoreConfig()
-    cores = build_cores(config, seed)
-    dispatch = make_dispatch_policy(config.dispatch)
-    stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
-    timestamped = [
-        (a.time, Message(size=a.size, arrival_time=a.time)) for a in stream
-    ]
-    tag_flows(timestamped, seed, config.num_flows, config.app_classes)
-    outcome = drive_multicore(
-        cores,
-        dispatch,
-        timestamped,
-        flush_period_cycles=config.flush_period_cycles,
-    )
-
-    imisses = sum(s.binding.cpu.icache_misses for s in cores)  # type: ignore[union-attr]
-    dmisses = sum(s.binding.cpu.dcache_misses for s in cores)  # type: ignore[union-attr]
-    batch_sizes: list[int] = []
-    for scheduler in cores:
-        batch_sizes.extend(getattr(scheduler, "batch_sizes", []))
-    mean_batch = float(np.mean(batch_sizes)) if len(batch_sizes) > 0 else 1.0
-    rate = getattr(source, "rate", None)
-    if rate is None:
-        rate = len(stream) / config.duration if len(stream) > 0 else 0.0
-    divisor = max(outcome.completed, 1)
-    aggregate = RunResult(
-        scheduler=config.scheduler,
-        arrival_rate=float(rate),
-        offered=sum(s.arrivals for s in cores),
-        completed=outcome.completed,
-        dropped=sum(s.drops for s in cores),
-        duration=config.duration,
-        latency=outcome.latency.summary(),
-        misses=MissesPerMessage(
-            instruction=imisses / divisor, data=dmisses / divisor
-        ),
-        cycles_per_message=outcome.service_cycles / divisor,
-        mean_batch_size=mean_batch,
-    )
+    if config.dispatch is None:
+        raise ConfigurationError("run_multicore() needs a dispatch policy")
+    aggregate, cores, outcome = simulate(source, config, seed, arrivals)
     core_stats = tuple(
         CoreStats(
             core=index,
-            dispatched=outcome.per_core_dispatched[index],
-            completed=outcome.per_core_completed[index],
+            dispatched=outcome.dispatched_per_core[index],
+            completed=outcome.completed_per_core[index],
             drops=scheduler.drops,
             icache_misses=scheduler.binding.cpu.icache_misses,  # type: ignore[union-attr]
             dcache_misses=scheduler.binding.cpu.dcache_misses,  # type: ignore[union-attr]
             cycles=float(scheduler.binding.cpu.cycles),  # type: ignore[union-attr]
             stall_cycles=float(scheduler.binding.cpu.stall_cycles),  # type: ignore[union-attr]
-            service_cycles=outcome.per_core_service_cycles[index],
+            service_cycles=outcome.service_cycles_per_core[index],
         )
         for index, scheduler in enumerate(cores)
-    )
-    result = MultiCoreRunResult(
-        dispatch=config.dispatch,
-        num_cores=config.num_cores,
-        aggregate=aggregate,
-        cores=core_stats,
     )
     recorder = active_recorder()
     if recorder is not None:
@@ -523,15 +139,24 @@ def run_multicore(
         # dispatch-locality claim is read from (ldlp vs rss at >= 4
         # cores), plus per-core attribution totals.
         prefix = f"multicore.{config.dispatch}.cores{config.num_cores}"
-        recorder.count(f"{prefix}.imisses", float(imisses))
-        recorder.count(f"{prefix}.dmisses", float(dmisses))
+        recorder.count(
+            f"{prefix}.imisses", float(sum(s.icache_misses for s in core_stats))
+        )
+        recorder.count(
+            f"{prefix}.dmisses", float(sum(s.dcache_misses for s in core_stats))
+        )
         recorder.count(f"{prefix}.completed", float(outcome.completed))
         for stats in core_stats:
             recorder.count(
                 f"multicore.core{stats.core}.imisses",
                 float(stats.icache_misses),
             )
-    return result
+    return MultiCoreRunResult(
+        dispatch=config.dispatch,
+        num_cores=config.num_cores,
+        aggregate=aggregate,
+        cores=core_stats,
+    )
 
 
 def merge_multicore_results(
@@ -546,43 +171,22 @@ def merge_multicore_results(
     if not results:
         raise ConfigurationError("cannot merge zero multi-core results")
     num_cores = results[0].num_cores
-    merged_cores = []
-    for index in range(num_cores):
-        per_seed = [r.cores[index] for r in results]
-        merged_cores.append(
-            CoreStats(
-                core=index,
-                dispatched=sum(c.dispatched for c in per_seed),
-                completed=sum(c.completed for c in per_seed),
-                drops=sum(c.drops for c in per_seed),
-                icache_misses=sum(c.icache_misses for c in per_seed),
-                dcache_misses=sum(c.dcache_misses for c in per_seed),
-                cycles=sum(c.cycles for c in per_seed),
-                stall_cycles=sum(c.stall_cycles for c in per_seed),
-                service_cycles=sum(c.service_cycles for c in per_seed),
-            )
+    summed = [field.name for field in fields(CoreStats) if field.name != "core"]
+    merged_cores = tuple(
+        CoreStats(
+            core=index,
+            **{
+                name: sum(getattr(r.cores[index], name) for r in results)
+                for name in summed
+            },
         )
+        for index in range(num_cores)
+    )
     return MultiCoreRunResult(
         dispatch=results[0].dispatch,
         num_cores=num_cores,
         aggregate=merge_results([r.aggregate for r in results]),
-        cores=tuple(merged_cores),
-    )
-
-
-def run_multicore_averaged(
-    source_factory,
-    config: MultiCoreConfig,
-    seeds: list[int],
-) -> MultiCoreRunResult:
-    """Average one multi-core configuration over several seeds.
-
-    ``source_factory(seed)`` returns a fresh traffic source; the same
-    seed drives per-core code placement and flow tagging — the paper's
-    placement-averaging methodology applied per core.
-    """
-    return merge_multicore_results(
-        [run_multicore(source_factory(seed), config, seed=seed) for seed in seeds]
+        cores=merged_cores,
     )
 
 
@@ -597,6 +201,7 @@ def multicore_point(
     num_flows: int = 64,
     app_classes: int = 8,
     message_size: int = 552,
+    engine: str = "vec",
 ) -> dict[str, Any]:
     """One (scheduler, dispatch, core count) sweep point.
 
@@ -608,8 +213,10 @@ def multicore_point(
     :class:`MultiCoreRunResult` plus a conservation audit — dispatching
     must neither create nor lose messages
     (``offered == completed + dropped`` once the queues drain).
+    ``engine`` pins each core's service step for the harness; both
+    engines return identical bytes.
     """
-    config = MultiCoreConfig(
+    config = SimulationConfig(
         scheduler=scheduler,
         dispatch=dispatch,
         num_cores=cores,
@@ -617,6 +224,7 @@ def multicore_point(
         app_classes=app_classes,
         duration=duration,
         drop_policy=policy,
+        engine=engine,
     )
     results = []
     violations = 0

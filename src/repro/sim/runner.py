@@ -9,17 +9,34 @@ Paper parameters (all defaults here): five layers of 6 KB code / 256 B
 data / 1652 cycles per 552-byte message; 100 MHz CPU; 8 KB direct-mapped
 I and D caches; 20-cycle read-miss stall; 500-packet input buffer;
 results averaged over runs with different random code placements.
+
+The same runner drives the multi-core machine: with ``num_cores`` > 1
+a receive-side dispatch stage (:mod:`repro.core.dispatch`) steers each
+arrival onto one of N cores, each running its own scheduler over
+private I/D caches (optionally behind one shared L2).  There is one
+drive loop (:func:`drive`) for every core count and both engines; a
+single-core run is simply the N=1 case without a dispatch policy.
 """
 
 from __future__ import annotations
 
+import math
+import zlib
 from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
-from ..cache.hierarchy import MachineSpec
+from ..cache.hierarchy import CacheGeometry, MachineSpec
 from ..core.batching import BatchPolicy
 from ..core.binding import MachineBinding
+from ..core.dispatch import (
+    APP_CLASS_KEY,
+    DISPATCH_POLICIES,
+    FLOW_KEY,
+    DispatchPolicy,
+    make_dispatch_policy,
+)
 from ..core.layer import Layer, LayerFootprint, Message, PassthroughLayer
 from ..core.overload import DROP_POLICIES, make_drop_policy
 from ..core.scheduler import (
@@ -30,6 +47,7 @@ from ..core.scheduler import (
     Scheduler,
 )
 from ..errors import ConfigurationError
+from ..machine.multicore import MultiCoreSpec
 from ..obs.runtime import active_recorder, machine_counters
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.poisson import PoissonSource
@@ -39,6 +57,10 @@ from .stats import (
     RunResult,
     merge_results,
 )
+
+#: One service step of one core: (message, completion cycle) pairs in
+#: completion order.
+Stepper = Callable[[], list[tuple[Message, float]]]
 
 #: Scheduler registry keyed by the names used throughout the experiments.
 SCHEDULER_NAMES = ("conventional", "ilp", "ldlp", "grouped")
@@ -76,6 +98,20 @@ class SimulationConfig:
     an environment fault: every that-many CPU cycles both caches are
     flushed cold, modelling interrupt/context-switch pollution
     (:mod:`repro.faults` campaigns sweep it).
+
+    The machine topology and dispatch stage:
+
+    ``num_cores`` / ``shared_l2``
+        Core count and an optional second-level cache shared by every
+        core (see :class:`repro.machine.multicore.MultiCoreSpec`).
+    ``dispatch``
+        Dispatch-policy registry name
+        (:data:`repro.core.dispatch.DISPATCH_POLICIES`), required with
+        more than one core.  ``None`` runs the single-core benchmark.
+    ``num_flows`` / ``app_classes``
+        The traffic structure a dispatcher keys on: arrivals are tagged
+        with a deterministic flow id in ``0..num_flows-1`` and a decoded
+        application class ``flow % app_classes`` (:func:`tag_flows`).
     """
 
     scheduler: str = "ldlp"
@@ -94,6 +130,11 @@ class SimulationConfig:
     drop_policy: str = "tail"
     flush_period_cycles: float | None = None
     engine: str = "vec"
+    num_cores: int = 1
+    dispatch: str | None = None
+    num_flows: int = 64
+    app_classes: int = 8
+    shared_l2: CacheGeometry | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_NAMES:
@@ -115,6 +156,20 @@ class SimulationConfig:
             )
         if self.flush_period_cycles is not None and self.flush_period_cycles <= 0:
             raise ConfigurationError("cache-flush period must be positive")
+        if self.dispatch is not None and self.dispatch not in DISPATCH_POLICIES:
+            raise ConfigurationError(
+                f"unknown dispatch policy {self.dispatch!r}; expected one "
+                f"of {tuple(sorted(DISPATCH_POLICIES))}"
+            )
+        if self.num_flows < 1:
+            raise ConfigurationError("num_flows must be >= 1")
+        if self.app_classes < 1:
+            raise ConfigurationError("app_classes must be >= 1")
+        if self.num_cores != 1 or self.shared_l2 is not None:
+            # Topology validation (core count, shared-L2 geometry).
+            MultiCoreSpec(self.num_cores, self.spec, self.shared_l2)
+        if self.num_cores > 1 and self.dispatch is None:
+            raise ConfigurationError("a multi-core run needs a dispatch policy")
 
     def with_scheduler(self, scheduler: str) -> "SimulationConfig":
         """This config with only the scheduler swapped."""
@@ -124,11 +179,15 @@ class SimulationConfig:
 def build_scheduler(config: SimulationConfig, seed) -> Scheduler:
     """Build one machine-bound scheduler from a config and placement seed.
 
-    Shared by :func:`run_simulation` and the multi-core runner
-    (:mod:`repro.sim.multicore`), which builds one per core — reusing
-    this exact constructor is what makes a one-core multi-core run
-    bit-identical to the single-core benchmark.
+    :func:`build_cores` builds every core with this exact constructor,
+    which is what makes a one-core dispatched run bit-identical to the
+    single-core benchmark.
     """
+    spec = config.spec
+    if config.shared_l2 is not None:
+        # The core charges two-level penalties; build_cores then rewires
+        # its L2 state to the one instance every core shares.
+        spec = replace(spec, l2=config.shared_l2)
     layers = build_paper_stack(
         config.num_layers,
         config.layer_code_bytes,
@@ -137,7 +196,7 @@ def build_scheduler(config: SimulationConfig, seed) -> Scheduler:
         config.layer_per_byte_cycles,
     )
     binding = MachineBinding(
-        spec=config.spec,
+        spec=spec,
         rng=seed,
         random_placement=config.random_placement,
         pool_buffers=config.pool_buffers,
@@ -155,7 +214,7 @@ def build_scheduler(config: SimulationConfig, seed) -> Scheduler:
     policy = (
         BatchPolicy(config.batch_limit)
         if config.batch_limit is not None
-        else BatchPolicy.from_machine(config.spec)
+        else BatchPolicy.from_machine(spec)
     )
     if config.scheduler == "grouped":
         return GroupedLDLPScheduler(
@@ -166,136 +225,330 @@ def build_scheduler(config: SimulationConfig, seed) -> Scheduler:
     )
 
 
+def core_seed(seed, core: int):
+    """The placement seed of one core.
+
+    Core 0 uses ``seed`` verbatim — the single-core equivalence anchor —
+    and higher cores derive distinct deterministic seeds (CRC-mixed, no
+    process entropy), so an N-core run samples N independent random code
+    placements, the paper's averaging methodology applied per core.
+    """
+    if core == 0:
+        return seed
+    return zlib.crc32(f"core:{seed}:{core}".encode("utf-8"))
+
+
+def build_cores(config: SimulationConfig, seed) -> list[Scheduler]:
+    """Build one machine-bound scheduler per core.
+
+    Each core reuses :func:`build_scheduler` with its own placement
+    seed (:func:`core_seed`); with a shared L2 configured, every core's
+    hierarchy is then rewired to probe one shared cache instance.
+    """
+    cores = [
+        build_scheduler(config, core_seed(seed, index))
+        for index in range(config.num_cores)
+    ]
+    if config.shared_l2 is not None:
+        shared = config.shared_l2.build()
+        for scheduler in cores:
+            assert scheduler.binding is not None
+            scheduler.binding.cpu.hierarchy.l2 = shared
+    return cores
+
+
+def tag_flows(
+    messages: list[tuple[float, Message]],
+    seed,
+    num_flows: int,
+    app_classes: int,
+) -> None:
+    """Tag each message with its flow id and decoded application class.
+
+    The flow id is a CRC mix of (seed, arrival index) modulo
+    ``num_flows`` — deterministic, PYTHONHASHSEED-independent — and the
+    application class is ``flow % app_classes``, modeling many flows
+    multiplexed over fewer application-level services.  Dispatch
+    policies key on these meta fields (:data:`~repro.core.dispatch.FLOW_KEY`,
+    :data:`~repro.core.dispatch.APP_CLASS_KEY`).
+    """
+    for index, (_, message) in enumerate(messages):
+        flow = zlib.crc32(f"flow:{seed}:{index}".encode("utf-8")) % num_flows
+        message.meta[FLOW_KEY] = int(flow)
+        message.meta[APP_CLASS_KEY] = int(flow % app_classes)
+
+
 @dataclass
 class DriveStats:
-    """Raw outcome of :func:`drive`: latency samples plus work done."""
+    """Raw outcome of :func:`drive`: latency samples plus per-core work.
+
+    The per-core lists are in core order; a single-core drive has one
+    entry in each.
+    """
 
     latency: LatencyRecorder
-    completed: int
-    service_cycles: float
+    completed_per_core: list[int]
+    service_cycles_per_core: list[float]
+    dispatched_per_core: list[int]
+
+    @property
+    def completed(self) -> int:
+        """Completions of arrival-stamped messages, over every core."""
+        return sum(self.completed_per_core)
+
+    @property
+    def service_cycles(self) -> float:
+        """CPU cycles spent in service steps, over every core."""
+        return sum(self.service_cycles_per_core)
+
+
+def _scalar_stepper(scheduler: Scheduler) -> Stepper:
+    """Adapt the scheduler's own ``service_step`` to the stepper shape."""
+
+    def step() -> list[tuple[Message, float]]:
+        return [
+            (completion.message, completion.completion_cycle)
+            for completion in scheduler.service_step()
+        ]
+
+    return step
+
+
+def _stepper(scheduler: Scheduler, engine: str) -> Stepper:
+    """The service step one core runs under ``engine``.
+
+    ``"vec"`` asks the vectorized engine (:func:`repro.sim.vec.vec_stepper`)
+    and falls back to the scalar step where it declines.  The returned
+    callable is the only reference to a vec engine, so the engines live
+    exactly as long as the drive call that holds them.
+    """
+    if engine == "vec":
+        from . import vec
+
+        stepper = vec.vec_stepper(scheduler)
+        if stepper is not None:
+            return stepper
+    return _scalar_stepper(scheduler)
 
 
 def drive(
-    scheduler: Scheduler,
+    cores: Scheduler | list[Scheduler],
     arrivals: list[tuple[float, Message]],
     flush_period_cycles: float | None = None,
     engine: str = "scalar",
+    dispatch: DispatchPolicy | None = None,
 ) -> DriveStats:
-    """Drive any bound scheduler with timestamped messages.
+    """Drive bound schedulers (one per core) with timestamped messages.
 
-    The scheduler's CPU is the clock: messages whose arrival time (in
-    seconds) has passed are admitted before each service step, and each
-    completion's latency is measured in CPU cycles.  Works for any
-    stack — the synthetic five-layer benchmark, the byte-level TCP
-    stack, or the signalling switch — as long as the scheduler carries
-    a :class:`~repro.core.binding.MachineBinding`.
+    Each core's CPU is its clock.  The loop is a deterministic event
+    merge: the busy core with the lowest cycle count (ties broken by
+    core index) steps next, and every arrival at or before that cycle
+    is admitted first — dispatched to a core by ``dispatch``, then
+    offered to that core's drop policy.  An admission that wakes an
+    idle core advances its clock to the arrival.  Each completion's
+    latency is measured in CPU cycles.  Works for any stack — the
+    synthetic five-layer benchmark, the byte-level TCP stack, or the
+    signalling switch — as long as each scheduler carries a
+    :class:`~repro.core.binding.MachineBinding`.
 
-    With a :mod:`repro.obs` recorder installed, every scheduler service
-    step is a span on the ``scheduler`` track and every admission or
-    drop an instant event, all on the CPU-cycle clock; the per-layer
-    spans inside a step come from
-    :meth:`~repro.core.binding.MachineBinding.charge`.
+    ``cores`` is one scheduler or a list; more than one core needs a
+    ``dispatch`` policy.  Without one every arrival goes to core 0.
+
+    With a :mod:`repro.obs` recorder installed, every service step is a
+    span with machine counters attached and every admission or drop an
+    instant event, all on the CPU-cycle clock; the per-layer spans
+    inside a step come from
+    :meth:`~repro.core.binding.MachineBinding.charge`.  Without a
+    dispatch policy the track is ``scheduler``; with one it is
+    ``core{i}/scheduler``, every dispatch is an instant on the
+    ``dispatch`` track, and assignments and drops are also counted per
+    core (``dispatch.core{i}.*``).
 
     ``flush_period_cycles`` injects periodic cold-cache faults: after
-    any service step that crosses a period boundary both caches are
-    flushed, modelling interrupts or context switches polluting the
-    cache mid-run (statistics are preserved, so the extra misses show
-    up in the results — that is the point).
+    any service step that crosses a period boundary of its core, that
+    core's caches are flushed, modelling interrupts or context switches
+    polluting the cache mid-run (statistics are preserved, so the extra
+    misses show up in the results — that is the point).
 
-    ``engine`` selects the drive loop: ``"scalar"`` is this module's
-    reference loop; ``"vec"`` replays service steps through the
-    batch/columnar engine (:mod:`repro.sim.vec`), which is bit-identical
-    where supported and silently falls back to the scalar loop where
-    not (stateful layers, L2 hierarchies, self-conflicting placements,
-    span-keeping recorders).
+    ``engine`` selects each core's service step: ``"scalar"`` is the
+    scheduler's own reference ``service_step``; ``"vec"`` replays
+    service steps through the batch/columnar engine
+    (:mod:`repro.sim.vec`), which is bit-identical where supported and
+    silently falls back to the scalar step where not (stateful layers,
+    L2 hierarchies, self-conflicting placements, span-keeping
+    recorders).
     """
-    binding = scheduler.binding
-    if binding is None:
-        raise ConfigurationError("drive() needs a machine-bound scheduler")
+    if isinstance(cores, Scheduler):
+        cores = [cores]
+    if not cores:
+        raise ConfigurationError("drive() needs at least one core")
+    for scheduler in cores:
+        if scheduler.binding is None:
+            raise ConfigurationError("drive() needs machine-bound schedulers")
+    if len(cores) > 1 and dispatch is None:
+        raise ConfigurationError("drive() needs a dispatch policy for several cores")
     if flush_period_cycles is not None and flush_period_cycles <= 0:
         raise ConfigurationError("cache-flush period must be positive")
     if engine not in ENGINE_NAMES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
         )
-    if engine == "vec":
-        from .vec import try_drive_vec
-
-        outcome = try_drive_vec(scheduler, arrivals, flush_period_cycles)
-        if outcome is not None:
-            return outcome
     recorder = active_recorder()
-    cpu = binding.cpu
-    clock = cpu.clock
-    next_flush = flush_period_cycles
-    pending = [
-        (clock.seconds_to_cycles(time), message) for time, message in arrivals
-    ]
+    num_cores = len(cores)
+    cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
+    steppers = [_stepper(scheduler, engine) for scheduler in cores]
+    if dispatch is None:
+        tracks = ["scheduler"]
+    else:
+        tracks = [f"core{index}/scheduler" for index in range(num_cores)]
+    clock = cpus[0].clock
+    cycles = [clock.seconds_to_cycles(time) for time, _ in arrivals]
+    total = len(arrivals)
+    next_flush = [flush_period_cycles] * num_cores
     latency = LatencyRecorder()
+    completed = [0] * num_cores
+    service = [0.0] * num_cores
+    dispatched = [0] * num_cores
+    awake = [False] * num_cores
     index = 0
-    completed = 0
-    service_cycles = 0.0
-    while index < len(pending) or scheduler.busy:
-        if not scheduler.busy:
-            if index >= len(pending):
-                break
-            cpu.advance_to_cycle(pending[index][0])
-        while index < len(pending) and pending[index][0] <= cpu.cycles:
-            cycle, message = pending[index]
+    while True:
+        core = -1
+        bound = math.inf
+        for candidate in range(num_cores):
+            awake[candidate] = busy = cores[candidate].busy
+            if busy and cpus[candidate].cycles < bound:
+                core, bound = candidate, cpus[candidate].cycles
+        # Admit every arrival at or before the next service step.  Only
+        # an admission that wakes an idle core can move that step
+        # earlier (drop policies never empty a busy core's queue, so a
+        # core stays awake until it steps).
+        while index < total and cycles[index] <= bound:
+            cycle = cycles[index]
+            message = arrivals[index][1]
+            target = 0
+            if dispatch is not None:
+                target = dispatch.select(message, num_cores) % num_cores
+            scheduler = cores[target]
+            cpu = cpus[target]
+            idle = not awake[target]
+            if idle:
+                cpu.advance_to_cycle(cycle)
             message.meta["arrival_cycle"] = cycle
             drops_before = scheduler.drops
             scheduler.enqueue_arrival(message)
+            dispatched[target] += 1
             if recorder is not None:
                 recorder.count("messages.arrivals")
+                if dispatch is not None:
+                    recorder.count(f"dispatch.core{target}.assigned")
+                    recorder.instant(
+                        "dispatch", dispatch.name, cycle,
+                        core=target, size=message.size,
+                    )
                 lost = scheduler.drops - drops_before
                 if lost:
                     # Tail drop loses the new message; head drop evicts
                     # older queued ones — either way, count every loss.
                     recorder.count("messages.drops", float(lost))
+                    if dispatch is not None:
+                        recorder.count(f"dispatch.core{target}.drops", float(lost))
                     recorder.instant(
-                        "scheduler", "drop", cpu.cycles, size=message.size
+                        tracks[target], "drop", cpu.cycles, size=message.size
                     )
             index += 1
-        if scheduler.busy:
-            before = cpu.cycles
-            handle = (
-                recorder.begin(
-                    "scheduler",
-                    "service_step",
-                    cpu.cycles,
-                    machine_counters(cpu),
-                    pending_messages=scheduler.pending(),
-                )
-                if recorder is not None
-                else None
+            if idle and scheduler.busy:
+                awake[target] = True
+                if cpu.cycles < bound or (cpu.cycles == bound and target < core):
+                    core, bound = target, cpu.cycles
+        if core < 0:
+            break
+        scheduler = cores[core]
+        cpu = cpus[core]
+        before = cpu.cycles
+        handle = None
+        if recorder is not None:
+            handle = recorder.begin(
+                tracks[core],
+                "service_step",
+                before,
+                machine_counters(cpu),
+                pending_messages=scheduler.pending(),
             )
-            completions = scheduler.service_step()
-            if recorder is not None and handle is not None:
-                handle.args["completions"] = len(completions)
-                recorder.end(handle, cpu.cycles)
-                recorder.count("scheduler.service_steps")
-                recorder.count("messages.completions", float(len(completions)))
-            for completion in completions:
-                arrival_cycle = completion.message.meta.get("arrival_cycle")
-                if arrival_cycle is None:
-                    continue
-                completed += 1
-                latency.record(
-                    clock.cycles_to_seconds(
-                        completion.completion_cycle - arrival_cycle
-                    )
-                )
-            service_cycles += cpu.cycles - before
-            if next_flush is not None and cpu.cycles >= next_flush:
-                cpu.cold_start()
-                if recorder is not None:
-                    recorder.count("faults.cache_flushes")
-                    recorder.instant("scheduler", "cache_flush", cpu.cycles)
-                while next_flush <= cpu.cycles:
-                    next_flush += flush_period_cycles
+        completions = steppers[core]()
+        if handle is not None:
+            handle.args["completions"] = len(completions)
+            recorder.end(handle, cpu.cycles)
+            recorder.count("scheduler.service_steps")
+            recorder.count("messages.completions", float(len(completions)))
+        for message, completion_cycle in completions:
+            arrival_cycle = message.meta.get("arrival_cycle")
+            if arrival_cycle is None:
+                continue
+            completed[core] += 1
+            latency.record(clock.cycles_to_seconds(completion_cycle - arrival_cycle))
+        service[core] += cpu.cycles - before
+        flush_at = next_flush[core]
+        if flush_at is not None and cpu.cycles >= flush_at:
+            cpu.cold_start()
+            if recorder is not None:
+                recorder.count("faults.cache_flushes")
+                recorder.instant(tracks[core], "cache_flush", cpu.cycles)
+            while flush_at <= cpu.cycles:
+                flush_at += flush_period_cycles  # type: ignore[operator]
+            next_flush[core] = flush_at
     return DriveStats(
-        latency=latency, completed=completed, service_cycles=service_cycles
+        latency=latency,
+        completed_per_core=completed,
+        service_cycles_per_core=service,
+        dispatched_per_core=dispatched,
     )
+
+
+def simulate(
+    source: TrafficSource,
+    config: SimulationConfig,
+    seed=0,
+    arrivals: list[Arrival] | None = None,
+    tag: Callable[[Arrival, Message], None] | None = None,
+    flow_cache: Any = None,
+) -> tuple[RunResult, list[Scheduler], DriveStats]:
+    """Build the cores, drive one arrival stream through them, assemble.
+
+    The shared body of every runner: ``tag(arrival, message)`` lets a
+    workload tag each message (flow, message kind) before the drive;
+    ``flow_cache`` (a :class:`repro.flows.lookup.FlowCacheSpec`, or
+    anything whose ``build()`` returns a fresh lookup cache) attaches a
+    route/PCB lookup cache to every core; a configured dispatch policy
+    tags flows (:func:`tag_flows`) and steers arrivals.  ``arrivals``
+    overrides the source's stream.  Returns the assembled result plus
+    the driven cores and raw drive outcome, for per-core and per-lookup
+    accounting.
+    """
+    cores = build_cores(config, seed)
+    if flow_cache is not None:
+        for scheduler in cores:
+            assert scheduler.binding is not None
+            scheduler.binding.flow_lookup = flow_cache.build()
+    stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
+    timestamped = [
+        (arrival.time, Message(size=arrival.size, arrival_time=arrival.time))
+        for arrival in stream
+    ]
+    if tag is not None:
+        for arrival, (_, message) in zip(stream, timestamped):
+            tag(arrival, message)
+    dispatch = None
+    if config.dispatch is not None:
+        dispatch = make_dispatch_policy(config.dispatch)
+        tag_flows(timestamped, seed, config.num_flows, config.app_classes)
+    outcome = drive(
+        cores,
+        timestamped,
+        flush_period_cycles=config.flush_period_cycles,
+        engine=config.engine,
+        dispatch=dispatch,
+    )
+    return assemble_run_result(cores, outcome, source, stream, config), cores, outcome
 
 
 def run_simulation(
@@ -309,25 +562,11 @@ def run_simulation(
     ``arrivals`` overrides the source's stream (used to replay the
     identical arrival sequence against several schedulers).
     """
-    config = config or SimulationConfig()
-    scheduler = build_scheduler(config, seed)
-    assert scheduler.binding is not None
-
-    stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
-    timestamped = [
-        (a.time, Message(size=a.size, arrival_time=a.time)) for a in stream
-    ]
-    outcome = drive(
-        scheduler,
-        timestamped,
-        flush_period_cycles=config.flush_period_cycles,
-        engine=config.engine,
-    )
-    return assemble_run_result(scheduler, outcome, source, stream, config)
+    return simulate(source, config or SimulationConfig(), seed, arrivals)[0]
 
 
 def assemble_run_result(
-    scheduler: Scheduler,
+    cores: list[Scheduler],
     outcome: DriveStats,
     source: TrafficSource,
     stream: list[Arrival],
@@ -335,28 +574,22 @@ def assemble_run_result(
 ) -> RunResult:
     """Reduce one driven run to its :class:`RunResult`.
 
-    Shared by :func:`run_simulation` and the flow-lookup runner
-    (:mod:`repro.flows.runner`), so both report misses, cycles, and
-    batching with exactly the same accounting.
+    The one place a run's accounting happens: misses, batch sizes,
+    offered and dropped are summed over the cores, and misses and
+    service cycles are divided by total completions — so a one-core run
+    reports exactly what the single-core benchmark reports.
     """
-    binding = scheduler.binding
-    assert binding is not None
-    cpu = binding.cpu
-    latency = outcome.latency
     completed = outcome.completed
-    service_cycles = outcome.service_cycles
-
-    imisses = cpu.icache_misses
-    dmisses = cpu.dcache_misses
-    # Explicit length checks: ``batch_sizes`` may be a numpy array from
-    # a future scheduler (bare truthiness raises "truth value of an
-    # array is ambiguous") and ``stream`` may be any sequence type.
-    batch_sizes = getattr(scheduler, "batch_sizes", None)
-    mean_batch = (
-        float(np.mean(batch_sizes))
-        if batch_sizes is not None and len(batch_sizes) > 0
-        else 1.0
-    )
+    cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
+    imisses = sum(cpu.icache_misses for cpu in cpus)
+    dmisses = sum(cpu.dcache_misses for cpu in cpus)
+    batch_sizes = [
+        size
+        for scheduler in cores
+        for size in getattr(scheduler, "batch_sizes", ())
+    ]
+    mean_batch = float(np.mean(batch_sizes)) if len(batch_sizes) > 0 else 1.0
+    # Explicit length check: ``stream`` may be any sequence type.
     rate = getattr(source, "rate", None)
     if rate is None:
         rate = len(stream) / config.duration if len(stream) > 0 else 0.0
@@ -364,15 +597,15 @@ def assemble_run_result(
     return RunResult(
         scheduler=config.scheduler,
         arrival_rate=float(rate),
-        offered=scheduler.arrivals,
+        offered=sum(scheduler.arrivals for scheduler in cores),
         completed=completed,
-        dropped=scheduler.drops,
+        dropped=sum(scheduler.drops for scheduler in cores),
         duration=config.duration,
-        latency=latency.summary(),
+        latency=outcome.latency.summary(),
         misses=MissesPerMessage(
             instruction=imisses / divisor, data=dmisses / divisor
         ),
-        cycles_per_message=service_cycles / divisor,
+        cycles_per_message=outcome.service_cycles / divisor,
         mean_batch_size=mean_batch,
     )
 

@@ -1,4 +1,4 @@
-"""The vectorized (columnar) drive-loop engine.
+"""The vectorized (columnar) service-step engine.
 
 :func:`repro.sim.runner.drive` spends essentially all of its time in
 the scalar service path: one Python-level call per (layer, message)
@@ -8,12 +8,15 @@ constant number of numpy operations, while producing **bit-identical**
 results — same latency samples in the same order, same cache statistics,
 same obs counters, same drop decisions.
 
+The engine is a per-core *stepper* inside the one drive loop: for each
+core, :func:`vec_stepper` returns the engine's ``step`` (a list of
+(message, completion cycle) pairs per call), and the loop — admission,
+dispatch, obs spans, cache flushes — is the same for both engines and
+every core count.  The drive call owns the engines; they are freed
+when it returns.
+
 How it works
 ------------
-*Columnar arrivals.*  The timestamped arrival stream becomes one numpy
-structured array (:data:`ARRIVAL_DTYPE`); admission scans an index over
-it instead of destructuring tuples.
-
 *Static step templates.*  For a given scheduler kind, the sequence of
 (layer, message-slot) invocations a service step performs — and hence
 the full reference stream it pushes through each cache — is a pure
@@ -40,10 +43,11 @@ not merely close.
 
 Equivalence boundaries
 ----------------------
-The engine silently declines (:func:`try_drive_vec` returns ``None``,
-the caller falls back to the scalar loop) whenever exact replay is not
+The engine silently declines (:func:`vec_stepper` returns ``None``,
+the core steps on the scalar path) whenever exact replay is not
 guaranteed: unbound schedulers, non-passthrough layers (stateful
-stacks), an L2 hierarchy, layers whose code working set conflicts with
+stacks), an L2 hierarchy (so a core behind a shared L2 steps scalar
+while the others replay), layers whose code working set conflicts with
 itself in the instruction cache (the static template would be unsound —
 see :class:`~repro.cache.chunked.UnsupportedPlanError`), or a
 span-keeping obs recorder (the vec path does not emit per-layer
@@ -62,6 +66,8 @@ so the ``cumsum`` still adds in the scalar order.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..cache.cache import DirectMappedCache
@@ -76,36 +82,12 @@ from ..core.scheduler import (
     charge_flow_lookups,
     take_batch,
 )
-from ..errors import ConfigurationError
 from ..machine.executor import FootprintExecutor, MessageBuffer
-from ..obs.runtime import active_recorder, machine_counters
-from .runner import DriveStats
-from .stats import LatencyRecorder
-
-#: Columnar arrival stream: one row per message, CPU-cycle timestamp
-#: plus message size (the two columns admission and templating need).
-ARRIVAL_DTYPE = np.dtype([("cycle", np.float64), ("size", np.int64)])
+from ..obs.runtime import active_recorder
 
 #: Cost-addend slots per invocation in a step template (istall, layer
 #: data stall, message-buffer stall, execute, trailing execute).
 _SLOTS = 5
-
-
-def arrival_table(arrivals: list[tuple[float, "Message"]], hz: float) -> np.ndarray:
-    """Build the columnar arrival table from timestamped messages.
-
-    ``cycle`` is ``time * hz`` computed elementwise in float64 —
-    bit-identical to the scalar path's per-arrival
-    :meth:`repro.units.Clock.seconds_to_cycles`.
-    """
-    table = np.zeros(len(arrivals), dtype=ARRIVAL_DTYPE)
-    if len(arrivals) > 0:
-        times = np.asarray([time for time, _ in arrivals], dtype=np.float64)
-        table["cycle"] = times * hz
-        table["size"] = np.asarray(
-            [message.size for _, message in arrivals], dtype=np.int64
-        )
-    return table
 
 
 class _StepTemplate:
@@ -347,7 +329,7 @@ def vec_supported(scheduler: Scheduler) -> bool:
     a bound flat (no-L2) direct-mapped hierarchy, and self-conflict-free
     code/data/buffer placements (the static-template soundness
     condition).  Dynamic conditions (a span-keeping recorder) are
-    checked by :func:`try_drive_vec` per call.
+    checked by :func:`vec_stepper` per drive call.
     """
     kind = _scheduler_kind(scheduler)
     if kind is None:
@@ -399,95 +381,19 @@ def _scheduler_kind(scheduler: Scheduler) -> str | None:
     return None
 
 
-def try_drive_vec(
-    scheduler: Scheduler,
-    arrivals: list[tuple[float, Message]],
-    flush_period_cycles: float | None = None,
-) -> DriveStats | None:
-    """Vectorized twin of :func:`repro.sim.runner.drive`.
+def vec_stepper(scheduler: Scheduler) -> Callable[[], list[tuple[Message, float]]] | None:
+    """The vec engine's service step for one core, or ``None``.
 
-    Returns ``None`` (caller falls back to the scalar loop) when the
-    configuration is outside the engine's exact-replay envelope; see
-    the module docstring for the boundaries.  When it does run, the
-    returned :class:`~repro.sim.runner.DriveStats`, all cache/CPU
-    statistics, and all obs counters are bit-identical to the scalar
-    path's.
+    ``None`` means the caller steps this core on the scalar path: the
+    configuration is outside the engine's exact-replay envelope (see
+    the module docstring and :func:`vec_supported`), or a span-keeping
+    recorder wants the per-layer ``invoke`` spans only the scalar path
+    emits.  The returned bound method is the engine's only owner, so the
+    engine and its compiled templates are freed with it.
     """
     recorder = active_recorder()
     if recorder is not None and recorder.keep_spans:
-        # Full tracing wants the per-layer invoke spans only the scalar
-        # path emits.
         return None
     if not vec_supported(scheduler):
         return None
-    engine = _VecEngine(scheduler, _scheduler_kind(scheduler) or "")
-    if flush_period_cycles is not None and flush_period_cycles <= 0:
-        raise ConfigurationError("cache-flush period must be positive")
-    cpu = engine.cpu
-    clock = cpu.clock
-    next_flush = flush_period_cycles
-    table = arrival_table(arrivals, clock.hz)
-    cycles_column = table["cycle"]
-    messages = [message for _, message in arrivals]
-    latency = LatencyRecorder()
-    index = 0
-    total = len(messages)
-    completed = 0
-    service_cycles = 0.0
-    while index < total or scheduler.busy:
-        if not scheduler.busy:
-            if index >= total:
-                break
-            cpu.advance_to_cycle(float(cycles_column[index]))
-        while index < total and cycles_column[index] <= cpu.cycles:
-            message = messages[index]
-            message.meta["arrival_cycle"] = float(cycles_column[index])
-            drops_before = scheduler.drops
-            scheduler.enqueue_arrival(message)
-            if recorder is not None:
-                recorder.count("messages.arrivals")
-                lost = scheduler.drops - drops_before
-                if lost:
-                    recorder.count("messages.drops", float(lost))
-                    recorder.instant(
-                        "scheduler", "drop", cpu.cycles, size=message.size
-                    )
-            index += 1
-        if scheduler.busy:
-            before = cpu.cycles
-            handle = (
-                recorder.begin(
-                    "scheduler",
-                    "service_step",
-                    cpu.cycles,
-                    machine_counters(cpu),
-                    pending_messages=scheduler.pending(),
-                )
-                if recorder is not None
-                else None
-            )
-            completions = engine.step()
-            if recorder is not None and handle is not None:
-                handle.args["completions"] = len(completions)
-                recorder.end(handle, cpu.cycles)
-                recorder.count("scheduler.service_steps")
-                recorder.count("messages.completions", float(len(completions)))
-            for message, completion_cycle in completions:
-                arrival_cycle = message.meta.get("arrival_cycle")
-                if arrival_cycle is None:
-                    continue
-                completed += 1
-                latency.record(
-                    clock.cycles_to_seconds(completion_cycle - arrival_cycle)
-                )
-            service_cycles += cpu.cycles - before
-            if next_flush is not None and cpu.cycles >= next_flush:
-                cpu.cold_start()
-                if recorder is not None:
-                    recorder.count("faults.cache_flushes")
-                    recorder.instant("scheduler", "cache_flush", cpu.cycles)
-                while next_flush <= cpu.cycles:
-                    next_flush += flush_period_cycles
-    return DriveStats(
-        latency=latency, completed=completed, service_cycles=service_cycles
-    )
+    return _VecEngine(scheduler, _scheduler_kind(scheduler) or "").step

@@ -74,7 +74,7 @@ def flow_rng(seed: int) -> np.random.Generator:
     """The flow-draw generator for one run seed.
 
     Derived as ``crc32("zipf:{seed}")`` — the package's standard seed
-    derivation (compare :func:`repro.sim.multicore.core_seed`) — so
+    derivation (compare :func:`repro.sim.runner.core_seed`) — so
     flow draws share a run's seed without consuming the base traffic
     source's RNG stream.
     """

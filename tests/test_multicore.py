@@ -33,12 +33,11 @@ from repro.experiments import multicore as experiment
 from repro.harness import ResultCache, run_experiment
 from repro.machine.multicore import MultiCoreMachine, MultiCoreSpec
 from repro.sim.multicore import (
-    MultiCoreConfig,
     MultiCoreRunResult,
     multicore_point,
     run_multicore,
 )
-from repro.sim.runner import SimulationConfig, run_simulation
+from repro.sim.runner import ENGINE_NAMES, SimulationConfig, run_simulation
 from repro.traffic.poisson import PoissonSource
 
 ALL_SCHEDULERS = ("conventional", "ilp", "ldlp", "grouped")
@@ -198,6 +197,8 @@ class TestSingleCoreEquivalence:
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     @pytest.mark.parametrize("dispatch", sorted(DISPATCH_POLICIES))
     def test_one_core_reproduces_run_simulation(self, scheduler, dispatch):
+        """On both engines: the dispatched one-core run equals the
+        scalar single-core reference."""
         base = run_simulation(
             PoissonSource(9000.0, size=552, rng=7),
             SimulationConfig(
@@ -205,17 +206,19 @@ class TestSingleCoreEquivalence:
             ),
             seed=7,
         )
-        multi = run_multicore(
-            PoissonSource(9000.0, size=552, rng=7),
-            MultiCoreConfig(
-                scheduler=scheduler,
-                dispatch=dispatch,
-                num_cores=1,
-                duration=0.04,
-            ),
-            seed=7,
-        )
-        assert multi.aggregate.to_dict() == base.to_dict()
+        for engine in ENGINE_NAMES:
+            multi = run_multicore(
+                PoissonSource(9000.0, size=552, rng=7),
+                SimulationConfig(
+                    scheduler=scheduler,
+                    dispatch=dispatch,
+                    num_cores=1,
+                    duration=0.04,
+                    engine=engine,
+                ),
+                seed=7,
+            )
+            assert multi.aggregate.to_dict() == base.to_dict(), engine
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +240,8 @@ class TestMultiCoreRun:
     def test_per_core_counts_sum_to_aggregate(self):
         result = run_multicore(
             PoissonSource(12000.0, size=552, rng=1),
-            MultiCoreConfig(scheduler="ldlp", dispatch="rss", num_cores=4,
-                            duration=0.03),
+            SimulationConfig(scheduler="ldlp", dispatch="rss", num_cores=4,
+                             duration=0.03),
             seed=1,
         )
         assert sum(c.completed for c in result.cores) == (
@@ -261,7 +264,7 @@ class TestMultiCoreRun:
     def test_result_dict_roundtrip(self):
         result = run_multicore(
             PoissonSource(9000.0, size=552, rng=0),
-            MultiCoreConfig(num_cores=2, duration=0.02),
+            SimulationConfig(num_cores=2, dispatch="rss", duration=0.02),
             seed=0,
         )
         rebuilt = MultiCoreRunResult.from_dict(result.to_dict())
@@ -269,11 +272,15 @@ class TestMultiCoreRun:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            MultiCoreConfig(dispatch="nope")
+            SimulationConfig(dispatch="nope")
         with pytest.raises(ConfigurationError):
-            MultiCoreConfig(num_cores=0)
+            SimulationConfig(num_cores=0, dispatch="rss")
         with pytest.raises(ConfigurationError):
-            MultiCoreConfig(num_flows=0)
+            SimulationConfig(num_flows=0)
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(num_cores=2)  # several cores, no dispatcher
+        with pytest.raises(ConfigurationError):
+            run_multicore(PoissonSource(9000.0), SimulationConfig())
 
 
 # ----------------------------------------------------------------------

@@ -12,11 +12,11 @@ contract at three levels:
   combinations (scheduler × drop policy × fault plan × seed) through
   both engines and compares results and counters, including
   flow-charged runs (:mod:`repro.flows`, :mod:`repro.gossip`), whose
-  lookups the vec step charges at the scalar loop's point.
+  lookups the vec step charges at the scalar loop's point, and
+  dispatched multi-core runs, where each core picks its own engine.
 * **Degenerate-input level** — zero-length and length-1 arrival
   streams through every scheduler and drop policy (the PR 4
-  ``len()``-truthiness bug class), plus the structured arrival table
-  itself at those lengths.
+  ``len()``-truthiness bug class).
 
 Plus the template compiler (shared, collapsed code plans) and the
 engine-selection seams: config validation, the static
@@ -25,6 +25,8 @@ engine-selection seams: config validation, the static
 
 from __future__ import annotations
 
+import gc
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -36,8 +38,10 @@ from hypothesis import strategies as st
 import repro.sim.vec as vec_module
 from repro.cache.cache import DirectMappedCache
 from repro.cache.chunked import collapsed_plan, segment_plan
+from repro.cache.hierarchy import CacheGeometry
 from repro.core.batching import BatchPolicy
 from repro.core.binding import MachineBinding
+from repro.core.dispatch import DISPATCH_POLICIES
 from repro.core.layer import CountingLayer, LayerFootprint, Message
 from repro.core.overload import DROP_POLICIES
 from repro.core.scheduler import (
@@ -69,7 +73,8 @@ from repro.sim.runner import (
     drive,
     run_simulation,
 )
-from repro.sim.vec import ARRIVAL_DTYPE, arrival_table, try_drive_vec, vec_supported
+from repro.sim.multicore import run_multicore
+from repro.sim.vec import vec_supported
 from repro.traffic.base import Arrival
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.zipf import ZipfFlowSource
@@ -99,20 +104,21 @@ def _run_both_engines(config, arrivals, seed):
 
 @contextmanager
 def _vec_outcomes():
-    """Record, per drive call, whether the vec engine ran the drive."""
+    """Record, per core of each drive call, whether the vec engine
+    stepped it."""
     outcomes: list[bool] = []
-    original = vec_module.try_drive_vec
+    original = vec_module.vec_stepper
 
     def spy(*args, **kwargs):
         outcome = original(*args, **kwargs)
         outcomes.append(outcome is not None)
         return outcome
 
-    vec_module.try_drive_vec = spy
+    vec_module.vec_stepper = spy
     try:
         yield outcomes
     finally:
-        vec_module.try_drive_vec = original
+        vec_module.vec_stepper = original
 
 
 def _flow_charged_both_engines(run, config):
@@ -310,6 +316,77 @@ def test_gossip_run_equivalence(
     assert 0 < counters.get("flows.untagged", 0.0) < counters["flows.lookups"]
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    scheduler=st.sampled_from(SCHEDULER_NAMES),
+    dispatch=st.sampled_from(sorted(DISPATCH_POLICIES)),
+    cores=st.integers(1, 4),
+    policy=st.sampled_from(POLICY_NAMES),
+    input_limit=st.sampled_from([8, 500]),
+    flushed=st.booleans(),
+    shared_l2=st.booleans(),
+    seed=st.integers(0, 2**10),
+)
+def test_multicore_run_equivalence(
+    scheduler, dispatch, cores, policy, input_limit, flushed, shared_l2, seed
+):
+    """run_multicore: scalar ≡ vec over scheduler × dispatch × core
+    count × drop policy × flush period × shared L2.  Every core vec
+    supports steps on vec; cores behind a shared L2 step scalar."""
+    config = SimulationConfig(
+        scheduler=scheduler,
+        dispatch=dispatch,
+        num_cores=cores,
+        drop_policy=policy,
+        input_limit=input_limit,
+        duration=0.015,
+        flush_period_cycles=campaign_plan().flush_period_cycles if flushed else None,
+        shared_l2=CacheGeometry(size=65536, line_size=32) if shared_l2 else None,
+    )
+    source = PoissonSource(15000.0, rng=seed)
+    arrivals = source.arrival_list(config.duration)
+    outcomes = {}
+    for engine in ENGINE_NAMES:
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder), _vec_outcomes() as ran_vec:
+            result = run_multicore(
+                source, replace(config, engine=engine), seed=seed,
+                arrivals=arrivals,
+            )
+        assert ran_vec == ([not shared_l2] * cores if engine == "vec" else [])
+        outcomes[engine] = (
+            canonical_json(result.to_dict()),
+            recorder.counters.as_dict(),
+        )
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert outcomes["vec"][1]["messages.arrivals"] == len(arrivals)
+
+
+def test_drive_owns_the_vec_engines():
+    """Each per-core vec engine dies with the drive call that made it:
+    with the cycle collector off, every engine of a 4-core vec run is
+    gone once the run returns (an engine parked on its scheduler would
+    form a reference cycle and outlive the run)."""
+    engines = []
+    original = vec_module.vec_stepper
+
+    def spy(scheduler):
+        stepper = original(scheduler)
+        engines.append(weakref.ref(stepper.__self__))
+        return stepper
+
+    config = SimulationConfig(dispatch="ldlp", num_cores=4, duration=0.01)
+    gc.disable()
+    vec_module.vec_stepper = spy
+    try:
+        run_multicore(PoissonSource(12000.0, rng=0), config, seed=0)
+        alive = [ref() is not None for ref in engines]
+    finally:
+        vec_module.vec_stepper = original
+        gc.enable()
+    assert alive == [False] * 4
+
+
 # ----------------------------------------------------------------------
 # Template compiler: shared and collapsed code plans
 
@@ -436,18 +513,6 @@ def test_empty_and_singleton_streams(scheduler, policy):
             assert counters.get("messages.completions", 0.0) == expected
 
 
-def test_arrival_table_degenerate_lengths():
-    """The columnar arrival table at lengths 0 and 1."""
-    empty = arrival_table([], hz=100e6)
-    assert empty.dtype == ARRIVAL_DTYPE
-    assert empty.shape == (0,)
-
-    single = arrival_table([(0.25, Message(size=552))], hz=100e6)
-    assert single.shape == (1,)
-    assert single["cycle"][0] == 0.25 * 100e6
-    assert single["size"][0] == 552
-
-
 # ----------------------------------------------------------------------
 # Engine-selection seams
 
@@ -490,7 +555,7 @@ def test_unsupported_stack_falls_back_to_scalar():
         CountingLayer(f"count{i}", LayerFootprint()) for i in range(3)
     ]
     scheduler = ConventionalScheduler(counting, MachineBinding())
-    assert try_drive_vec(scheduler, []) is None
+    assert not vec_supported(scheduler)
     results = {}
     for engine in ENGINE_NAMES:
         config = SimulationConfig(
