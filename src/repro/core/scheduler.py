@@ -225,8 +225,8 @@ class Scheduler(ABC):
         rejects ``message`` itself, head drop evicts older queued
         messages instead.  Either way every lost message counts once in
         :attr:`drops`, so ``arrivals == completions + drops + queued``
-        holds at all times (the conservation invariant the fault
-        campaigns pin).
+        holds at all times (the conservation invariant
+        :func:`repro.sim.runner.assemble_run_result` enforces).
         """
         self.arrivals += 1
         accepted, evicted = self.drop_policy.admit(

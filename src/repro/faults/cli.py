@@ -12,8 +12,8 @@ the parallel harness (cached, byte-identical at any ``--jobs``) and
 prints the degradation-curve table; ``--out`` also writes it to a file
 for CI artifacts.  ``injectors`` runs every injector against every
 scheduler at overload and fails (exit 1) unless each combination
-survives with conservation intact and both checksum routines agreeing
-on corrupted frames.
+survives and both checksum routines agree on corrupted frames (every
+run enforces message conservation itself).
 """
 
 from __future__ import annotations
@@ -114,14 +114,10 @@ def cmd_degradation(args: argparse.Namespace) -> int:
     table = campaign.render()
     print()
     print(table)
-    violations = campaign.conservation_violations()
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as stream:
             stream.write(table + "\n")
         print(f"\nwrote {args.out}")
-    if violations:
-        print(f"\nFAIL: {violations} conservation violation(s)")
-        return 1
     return 0
 
 
@@ -129,9 +125,9 @@ def _survives(kind: str, scheduler: str, seed: int, rate: float,
               duration: float) -> str | None:
     """Run one injector/scheduler combination; None when it survives.
 
-    Survival means: the run completes without an unexpected exception,
-    at least one message completes, and admission accounting conserves
-    (``offered == completed + dropped`` once the queue drains).
+    Survival means: the run completes without raising (a broken message
+    balance raises :class:`~repro.errors.SimulationError`) and at least
+    one message completes.
     """
     plan = FaultPlan(stages=(STAGE_KINDS[kind](),))
     config = SimulationConfig(scheduler=scheduler, duration=duration)
@@ -143,11 +139,6 @@ def _survives(kind: str, scheduler: str, seed: int, rate: float,
         return f"raised {type(exc).__name__}: {exc}"
     if result.completed == 0:
         return "completed no messages"
-    if result.offered != result.completed + result.dropped:
-        return (
-            f"conservation broken: offered={result.offered} != "
-            f"completed={result.completed} + dropped={result.dropped}"
-        )
     return None
 
 
@@ -207,7 +198,7 @@ def cmd_injectors(args: argparse.Namespace) -> int:
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print("all injectors survived on every scheduler; conservation holds")
+    print("all injectors survived on every scheduler")
     return 0
 
 

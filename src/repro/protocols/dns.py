@@ -127,7 +127,10 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
             break
         if position + length > len(data):
             raise ProtocolError("truncated label")
-        labels.append(data[position : position + length].decode("ascii"))
+        label = data[position : position + length]
+        if not label.isascii():
+            raise ProtocolError(f"non-ASCII byte in label at offset {position}")
+        labels.append(label.decode("ascii"))
         position += length
         if sum(len(l) + 1 for l in labels) > MAX_NAME_LEN:
             raise ProtocolError("decoded name too long")

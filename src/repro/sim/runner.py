@@ -46,7 +46,7 @@ from ..core.scheduler import (
     LDLPScheduler,
     Scheduler,
 )
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..machine.multicore import MultiCoreSpec
 from ..obs.runtime import active_recorder, machine_counters
 from ..traffic.base import Arrival, TrafficSource
@@ -578,7 +578,20 @@ def assemble_run_result(
     offered and dropped are summed over the cores, and misses and
     service cycles are divided by total completions — so a one-core run
     reports exactly what the single-core benchmark reports.
+
+    It is also the one place message conservation is enforced: a core
+    whose ``arrivals != completed + drops`` raises
+    :class:`~repro.errors.SimulationError`.  Not in :func:`drive`, whose
+    byte-level stacks may complete several outputs per input.
     """
+    for index, scheduler in enumerate(cores):
+        done = outcome.completed_per_core[index]
+        if scheduler.arrivals != done + scheduler.drops:
+            raise SimulationError(
+                f"core {index} broke message conservation: "
+                f"offered={scheduler.arrivals} != completed={done} + "
+                f"dropped={scheduler.drops}"
+            )
     completed = outcome.completed
     cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
     imisses = sum(cpu.icache_misses for cpu in cpus)

@@ -92,6 +92,9 @@ def trace_line(trace: TraceBuffer, line: str) -> None:
 
 
 def load_trace(path: str | Path) -> TraceBuffer:
-    """Read a trace from ``path``."""
-    with open(path, "r", encoding="ascii") as stream:
-        return parse_trace(stream)
+    """Read a trace from ``path``; a non-ASCII file raises :class:`TraceError`."""
+    try:
+        with open(path, "r", encoding="ascii") as stream:
+            return parse_trace(stream)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not an ASCII trace ({exc.reason})") from exc

@@ -15,6 +15,7 @@ directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -81,7 +82,8 @@ def read_bellcore_trace(
     blow out the per-byte cost model).  Violations raise
     :class:`~repro.errors.TraceError` naming ``file:line``:
 
-    * timestamps must be non-negative and non-decreasing;
+    * the file must be ASCII text;
+    * timestamps must be finite, non-negative and non-decreasing;
     * sizes must be within ``[1, ETHERNET_MAX]`` bytes.
 
     Real captures are sometimes dirty in harmless ways (clock skew at
@@ -89,12 +91,16 @@ def read_bellcore_trace(
     hatch: negative times clamp to ``0.0``, a backwards timestamp
     clamps up to the previous record's time, and sizes clamp into
     ``[1, ETHERNET_MAX]`` — the trace loads, monotone and in range,
-    instead of raising.
+    instead of raising.  A NaN or infinite timestamp has no sane clamp
+    and raises either way.
     """
     arrivals: list[Arrival] = []
     last_time = 0.0
-    with open(path, "r", encoding="ascii") as stream:
+    # surrogateescape: a non-ASCII byte fails isascii() with its line number.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as stream:
         for lineno, raw in enumerate(stream, start=1):
+            if not raw.isascii():
+                raise TraceError(f"{path}:{lineno}: non-ASCII byte in trace")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -106,6 +112,8 @@ def read_bellcore_trace(
                 size = int(fields[1])
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: cannot parse {line!r}") from exc
+            if not math.isfinite(time):
+                raise TraceError(f"{path}:{lineno}: non-finite timestamp {time!r}")
             if time < 0:
                 if not clamp:
                     raise TraceError(

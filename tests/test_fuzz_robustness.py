@@ -5,15 +5,49 @@ A receive path's first job is to survive garbage; these tests throw
 random bytes, bit-flipped valid frames, truncations, and mutated
 signalling messages at the full stacks and assert the only observable
 effects are drop counters.
+
+The input decoders get the same treatment one level down: on arbitrary
+bytes or text each may raise only its own typed error (gossip wire
+decoders :class:`WireError`, DNS :class:`ProtocolError`, trace readers
+:class:`TraceError`), and every valid encoding round-trips.
 """
 
+import io
+import struct
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConventionalScheduler, LDLPScheduler, Message
+from repro.errors import ProtocolError, TraceError, WireError
+from repro.gossip.wire import (
+    FRAMING_MODES,
+    MESSAGE_IDS,
+    WireIdentity,
+    decode_collection,
+    decode_message,
+    encode_collection,
+    encode_message,
+)
 from repro.protocols import TcpSender, build_tcp_receive_stack
+from repro.protocols.dns import DnsMessage, Question, ResourceRecord
 from repro.signalling import build_switch, saal_frame, setup
+from repro.trace.buffer import TraceBuffer
+from repro.trace.io import dump_trace, load_trace, parse_trace
+from repro.trace.record import MemRef, RefKind
+from repro.traffic.base import Arrival
+from repro.traffic.bellcore import read_bellcore_trace, write_bellcore_trace
+
+#: Function-scoped ``tmp_path`` is safe here: every example overwrites
+#: the same file before reading it.
+FILE_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def total_drops(stats) -> int:
@@ -134,3 +168,229 @@ class TestSignallingFuzz:
                 )
         scheduler.run_to_completion(messages)
         assert switch.stats.setups == valid
+
+
+# ----------------------------------------------------------------------
+# Input decoders: only typed errors on garbage, exact round-trips
+
+
+MODES = st.sampled_from(sorted(FRAMING_MODES))
+
+IDENTITIES = st.builds(
+    WireIdentity,
+    session_id=st.integers(0, 0xFFFFFFFF),
+    dispersy_version=st.integers(0, 0xFF),
+    community_version=st.integers(0, 0xFF),
+    community_id=st.binary(min_size=20, max_size=20),
+)
+
+GLOBAL_TIMES = st.integers(0, 0xFFFFFFFFFFFFFFFF)
+
+
+def _wire_view(mode, identity):
+    """The identity fields one framing mode actually carries."""
+    if mode == "session":
+        return WireIdentity(session_id=identity.session_id)
+    return replace(identity, session_id=0)
+
+
+class TestGossipWireFuzz:
+    @given(mode=MODES, data=st.binary(max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_message_raises_only_wire_error(self, mode, data):
+        try:
+            decode_message(mode, data)
+        except WireError:
+            pass
+
+    @given(mode=MODES, data=st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_collection_raises_only_wire_error(self, mode, data):
+        try:
+            decode_collection(mode, data)
+        except WireError:
+            pass
+
+    @given(
+        mode=MODES,
+        kind=st.sampled_from(sorted(MESSAGE_IDS)),
+        identity=IDENTITIES,
+        global_time=GLOBAL_TIMES,
+        payload=st.binary(max_size=80),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_message_round_trips(self, mode, kind, identity, global_time, payload):
+        data = encode_message(mode, kind, identity, global_time, payload)
+        assert decode_message(mode, data) == (
+            kind, _wire_view(mode, identity), global_time, payload
+        )
+
+    @given(
+        mode=MODES,
+        identity=IDENTITIES,
+        global_time=GLOBAL_TIMES,
+        elements=st.lists(st.binary(max_size=60), min_size=1, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_collection_round_trips(self, mode, identity, global_time, elements):
+        data = encode_collection(mode, identity, global_time, elements)
+        assert decode_collection(mode, data) == elements
+
+
+LABELS = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12
+)
+NAMES = st.lists(LABELS, min_size=1, max_size=4).map(".".join)
+DNS_HEADERS = st.tuples(*[st.integers(0, 3)] * 4).map(
+    lambda counts: struct.pack("!6H", 1, 0, *counts)
+)
+
+
+class TestDnsFuzz:
+    @given(data=st.binary(max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_raises_only_protocol_error(self, data):
+        try:
+            DnsMessage.parse(data)
+        except ProtocolError:
+            pass
+
+    @given(header=DNS_HEADERS, body=st.binary(max_size=100))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_past_a_plausible_header(self, header, body):
+        """Small section counts reach the name and record decoders."""
+        try:
+            DnsMessage.parse(header + body)
+        except ProtocolError:
+            pass
+
+    def test_non_ascii_label_is_a_protocol_error(self):
+        data = struct.pack("!6H", 1, 0, 1, 0, 0, 0) + b"\x01\x80\x00\x00\x01\x00\x01"
+        with pytest.raises(ProtocolError, match="non-ASCII"):
+            DnsMessage.parse(data)
+
+    @given(
+        ident=st.integers(0, 0xFFFF),
+        flags=st.integers(0, 0xFFFF),
+        questions=st.lists(NAMES, max_size=3),
+        answers=st.lists(
+            st.tuples(NAMES, st.integers(0, 0xFFFFFFFF), st.binary(max_size=16)),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trips(self, ident, flags, questions, answers):
+        message = DnsMessage(
+            ident=ident,
+            flags=flags,
+            questions=tuple(Question(name) for name in questions),
+            answers=tuple(
+                ResourceRecord(name, 16, ttl, rdata) for name, ttl, rdata in answers
+            ),
+        )
+        assert DnsMessage.parse(message.serialize()) == message
+
+
+REFS = st.builds(
+    MemRef,
+    kind=st.sampled_from(list(RefKind)),
+    addr=st.integers(0, 2**48),
+    size=st.integers(1, 4096),
+    fn=st.none() | st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True),
+)
+
+
+class TestTraceFuzz:
+    @given(lines=st.lists(st.text(max_size=40), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_trace_raises_only_trace_error(self, lines):
+        try:
+            parse_trace(lines)
+        except TraceError:
+            pass
+
+    @given(data=st.binary(max_size=200))
+    @FILE_SETTINGS
+    def test_load_trace_raises_only_trace_error(self, tmp_path, data):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(data)
+        try:
+            load_trace(path)
+        except TraceError:
+            pass
+
+    def test_non_ascii_trace_file_is_a_trace_error(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"R 0x10 4 f\xc3\xa9\n")
+        with pytest.raises(TraceError, match="trace.txt"):
+            load_trace(path)
+
+    @given(refs=st.lists(REFS, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trips(self, refs):
+        trace = TraceBuffer()
+        trace.refs.extend(refs)
+        stream = io.StringIO()
+        dump_trace(trace, stream)
+        stream.seek(0)
+        assert parse_trace(stream).refs == refs
+
+
+class TestBellcoreFuzz:
+    @given(data=st.binary(max_size=200), clamp=st.booleans())
+    @FILE_SETTINGS
+    def test_read_raises_only_trace_error(self, tmp_path, data, clamp):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(data)
+        try:
+            read_bellcore_trace(path, clamp=clamp)
+        except TraceError:
+            pass
+
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.floats(allow_nan=True, allow_infinity=True) | st.integers(),
+                st.integers(-10, 2000),
+            ),
+            max_size=8,
+        ),
+        clamp=st.booleans(),
+    )
+    @FILE_SETTINGS
+    def test_loaded_times_are_finite_and_monotone(self, tmp_path, lines, clamp):
+        path = tmp_path / "trace.txt"
+        path.write_text("".join(f"{time} {size}\n" for time, size in lines))
+        try:
+            arrivals = read_bellcore_trace(path, clamp=clamp)
+        except TraceError:
+            return
+        times = [arrival.time for arrival in arrivals]
+        assert all(np.isfinite(times))
+        assert times == sorted(times)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_nan_timestamp_is_a_trace_error(self, tmp_path, clamp):
+        path = tmp_path / "trace.txt"
+        path.write_text("0.5 100\nnan 200\n0.1 300\n")
+        with pytest.raises(TraceError, match="trace.txt:2: non-finite"):
+            read_bellcore_trace(path, clamp=clamp)
+
+    def test_non_ascii_trace_file_is_a_trace_error(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"0.5 100\n0.6 2\xff0\n")
+        with pytest.raises(TraceError, match="trace.txt:2: non-ASCII"):
+            read_bellcore_trace(path)
+
+    @given(
+        micros=st.lists(st.integers(0, 10**9), max_size=20),
+        sizes=st.lists(st.integers(1, 1518), min_size=20, max_size=20),
+    )
+    @FILE_SETTINGS
+    def test_round_trips(self, tmp_path, micros, sizes):
+        arrivals = [
+            Arrival(tick / 1e6, size) for tick, size in zip(sorted(micros), sizes)
+        ]
+        path = tmp_path / "trace.txt"
+        write_bellcore_trace(arrivals, path)
+        assert read_bellcore_trace(path) == arrivals

@@ -1,11 +1,22 @@
 """Property tests of the simulation as a whole: conservation laws and
-monotonicity that must hold for any configuration."""
+monotonicity that must hold for any configuration, and the one runtime
+check that enforces conservation in every simulated run."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.vec as vec_module
+from repro.core.scheduler import Scheduler
+from repro.errors import SimulationError
+from repro.faults.campaigns import campaign_plan, fault_point
+from repro.faults.cli import _survives
+from repro.flows.runner import flows_point
+from repro.gossip.runner import gossip_point
 from repro.sim import SimulationConfig, run_simulation
+from repro.sim.multicore import multicore_point
 from repro.traffic import DeterministicSource, PoissonSource
 
 
@@ -41,6 +52,69 @@ class TestConservation:
         result = run_simulation(DeterministicSource(2000), config, seed=0)
         assert result.dropped == 0
         assert result.completed == result.offered
+
+
+@pytest.fixture
+def leaky_admission(monkeypatch):
+    """Break conservation: every 7th offered message counts as an
+    arrival but is neither queued nor dropped.  Patched on the base
+    class, so :func:`repro.sim.vec.vec_supported` still accepts every
+    scheduler and the vec engine still steps it."""
+    admit = Scheduler.enqueue_arrival
+    offered = itertools.count(1)
+
+    def enqueue_arrival(self, message):
+        if next(offered) % 7 == 0:
+            self.arrivals += 1
+            return True
+        return admit(self, message)
+
+    monkeypatch.setattr(Scheduler, "enqueue_arrival", enqueue_arrival)
+
+
+class TestConservationEnforced:
+    """Every simulated run raises when a message is created or lost."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "vec"])
+    def test_run_simulation_raises(self, leaky_admission, monkeypatch, engine):
+        stepped_vec = []
+        stepper = vec_module.vec_stepper
+
+        def spy(scheduler):
+            outcome = stepper(scheduler)
+            stepped_vec.append(outcome is not None)
+            return outcome
+
+        monkeypatch.setattr(vec_module, "vec_stepper", spy)
+        config = SimulationConfig(scheduler="ldlp", duration=0.02, engine=engine)
+        with pytest.raises(SimulationError, match=r"core 0 broke message conservation"):
+            run_simulation(PoissonSource(9000.0, rng=0), config, seed=0)
+        assert stepped_vec == ([True] if engine == "vec" else [])
+
+    def test_fault_point_propagates(self, leaky_admission):
+        with pytest.raises(SimulationError, match="conservation"):
+            fault_point(
+                "ldlp", "head", 12000.0, [0], 0.02, campaign_plan().to_params()
+            )
+
+    def test_flows_point_propagates(self, leaky_admission):
+        with pytest.raises(SimulationError, match="conservation"):
+            flows_point("ldlp", "direct", 16, 1.1, 11000.0, [0], 0.02)
+
+    def test_gossip_point_propagates(self, leaky_admission):
+        with pytest.raises(SimulationError, match="conservation"):
+            gossip_point(
+                "session", 4, "ldlp", "tail", 9000.0, [0], 0.02, num_peers=500
+            )
+
+    def test_multicore_point_names_the_core(self, leaky_admission):
+        with pytest.raises(SimulationError, match=r"core [01] broke"):
+            multicore_point("ldlp", "rss", 2, 12000.0, [0], 0.02)
+
+    def test_injector_survival_reports_the_error(self, leaky_admission):
+        problem = _survives("duplicate", "ldlp", 0, 11000.0, 0.02)
+        assert problem is not None
+        assert problem.startswith("raised SimulationError")
 
 
 class TestMonotonicity:
