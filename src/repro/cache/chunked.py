@@ -32,6 +32,8 @@ tag.  Only its access count survives, as hits.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .stats import CacheStats
@@ -89,8 +91,9 @@ class SegmentedAccessPlan:
         self.size = total
         self.num_segments = nseg
         self.repeat_hits = repeat_hits
-        sets = lines % num_lines if total else lines
-        seg_ids = np.repeat(np.arange(nseg, dtype=np.int64), np.diff(offsets))
+        sets = lines % num_lines
+        # Segment id of each position: segment starts at or before it.
+        seg_ids = np.bincount(offsets[1:-1], minlength=total)[:total].cumsum()
         # Stable sort by set: equal-set positions stay in stream order,
         # so "previous element in the sorted run" = "previous occurrence
         # of this set in the stream".
@@ -98,10 +101,17 @@ class SegmentedAccessPlan:
         sorted_sets = sets[order]
         sorted_segs = seg_ids[order]
         sorted_lines = lines[order]
+        # repeat[i]: position i re-touches the set of position i - 1 in
+        # sorted order.  static_miss[i]: it does so with a different line.
         repeat = np.zeros(total, dtype=bool)
+        static_miss = np.zeros(total, dtype=bool)
         if total > 1:
-            repeat[1:] = sorted_sets[1:] == sorted_sets[:-1]
-            if bool(np.any(repeat[1:] & (sorted_segs[1:] == sorted_segs[:-1]))):
+            np.equal(sorted_sets[1:], sorted_sets[:-1], out=repeat[1:])
+            np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=static_miss[1:])
+            static_miss &= repeat
+            same_segment = sorted_segs[1:] == sorted_segs[:-1]
+            same_segment &= repeat[1:]
+            if same_segment.any():
                 raise UnsupportedPlanError(
                     "segment touches the same cache set twice"
                 )
@@ -113,26 +123,20 @@ class SegmentedAccessPlan:
         self._first_lines = sorted_lines[first]
         self._first_segs = sorted_segs[first]
         self._first_positions = order[first] if with_mask else None
-        # Static part: repeat occurrences observe the previous
+        # Static part: a repeat occurrence observes the previous
         # occurrence's line as resident (valid tag, so every miss here
         # is also an eviction), independent of live state.
-        prev_lines = np.empty(0, dtype=np.int64)
-        if total > 1:
-            prev_lines = sorted_lines[:-1][repeat[1:]]
-        repeat_lines = sorted_lines[repeat]
-        repeat_miss = repeat_lines != prev_lines
-        self._static_miss_positions = (
-            order[repeat][repeat_miss] if with_mask else None
-        )
-        self._static_misses = int(repeat_miss.sum())
+        self._static_miss_positions = order[static_miss] if with_mask else None
+        self._static_misses = int(np.count_nonzero(static_miss))
         self._static_per_segment = np.bincount(
-            sorted_segs[repeat][repeat_miss], minlength=nseg
-        ).astype(np.int64)
+            sorted_segs[static_miss], minlength=nseg
+        ).astype(np.int64, copy=False)
         # Final state: the tag of each touched set is the line of its
-        # last occurrence in the plan (hit or miss — see module docs).
-        last = np.ones(total, dtype=bool)
-        if total > 1:
-            last[:-1] = ~repeat[1:]
+        # last occurrence in the plan (hit or miss — see module docs),
+        # i.e. the position just before the next set's first occurrence.
+        last = np.empty(total, dtype=bool)
+        last[:-1] = first[1:]
+        last[-1:] = True
         self._last_lines = sorted_lines[last]
 
     def apply(
@@ -189,7 +193,7 @@ def segment_plan(
     lines = (
         np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
     )
-    offsets = np.cumsum([0] + [segment.size for segment in segments])
+    offsets = list(accumulate([segment.size for segment in segments], initial=0))
     return SegmentedAccessPlan(
         lines, offsets, num_lines, repeat_hits=repeat_hits
     )

@@ -33,7 +33,13 @@ ETHERNET_MAX = 1518
 
 @dataclass(frozen=True)
 class SizeMix:
-    """A discrete packet-size mixture: sizes and their probabilities."""
+    """A discrete packet-size mixture: sizes and their probabilities.
+
+    Sizes must be positive integers and weights finite, non-negative
+    and of positive sum; anything else raises
+    :class:`~repro.errors.ConfigurationError` here rather than failing
+    (or yielding impossible packets) at sampling time.
+    """
 
     sizes: tuple[int, ...]
     weights: tuple[float, ...]
@@ -41,16 +47,23 @@ class SizeMix:
     def __post_init__(self) -> None:
         if len(self.sizes) != len(self.weights) or not self.sizes:
             raise ConfigurationError("sizes and weights must align and be non-empty")
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ConfigurationError("weights must be non-negative and sum > 0")
+        if not all(isinstance(s, (int, np.integer)) and s > 0 for s in self.sizes):
+            raise ConfigurationError(f"sizes must be positive integers: {self.sizes}")
+        total = sum(self.weights)
+        if (
+            not all(math.isfinite(w) and w >= 0 for w in self.weights)
+            or not math.isfinite(total)
+            or total <= 0
+        ):
+            raise ConfigurationError(
+                f"weights must be finite, non-negative and sum > 0: {self.weights}"
+            )
 
-    def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` sizes drawn independently (int64)."""
         probs = np.asarray(self.weights, dtype=float)
         probs = probs / probs.sum()
         return rng.choice(np.asarray(self.sizes), size=count, p=probs)
-
-    def __call__(self, rng: np.random.Generator) -> int:
-        return int(self.sample(rng, 1)[0])
 
     @property
     def mean(self) -> float:

@@ -12,13 +12,15 @@ self-similar with Hurst parameter H = (3 - alpha) / 2.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from .base import Arrival, TrafficSource, make_rng
+
+if TYPE_CHECKING:
+    from .bellcore import SizeMix
 
 
 def pareto_samples(
@@ -56,8 +58,11 @@ class ParetoOnOffSource(TrafficSource):
         Pareto shape for both period distributions; 1 < alpha < 2 gives
         long-range dependence (H = (3 - alpha)/2).
     size:
-        Packet size in bytes, or a :class:`PacketSizeDistribution`-like
-        callable ``(rng) -> int``.
+        Packet size in bytes, or a size distribution: any object with a
+        ``sample(rng, count)`` method returning ``count`` integer sizes
+        (:class:`~repro.traffic.bellcore.SizeMix` is the one shipped).
+        All sizes of a trace are drawn in one call, after the arrival
+        times.
     """
 
     def __init__(
@@ -67,7 +72,7 @@ class ParetoOnOffSource(TrafficSource):
         mean_on: float = 0.02,
         mean_off: float = 0.08,
         alpha: float = 1.5,
-        size: int = 552,
+        size: int | SizeMix = 552,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if num_sources <= 0:
@@ -115,10 +120,17 @@ class ParetoOnOffSource(TrafficSource):
             self._one_source_times(duration, self.rng)
             for _ in range(self.num_sources)
         ]
-        merged = heapq.merge(*[iter(stream) for stream in streams])
-        for time in merged:
-            size = self.size(self.rng) if callable(self.size) else self.size
-            yield Arrival(float(time), int(size))
+        # A stable sort of the source-ordered concatenation merges the
+        # (individually increasing) trains and breaks timestamp ties by
+        # source index, exactly as heapq.merge would.
+        times = np.concatenate(streams)
+        times = times[np.argsort(times, kind="stable")].tolist()
+        if hasattr(self.size, "sample"):
+            sizes = self.size.sample(self.rng, len(times)).tolist()
+        else:
+            sizes = [int(self.size)] * len(times)
+        for time, size in zip(times, sizes):
+            yield Arrival(time, size)
 
 
 def hurst_estimate(counts: np.ndarray, min_scale: int = 1, num_scales: int = 6) -> float:

@@ -1,7 +1,12 @@
 """Tests for repro.traffic."""
 
+import heapq
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TraceError
 from repro.traffic import (
@@ -163,15 +168,88 @@ class TestSizeMix:
         mix = SizeMix(sizes=(100, 300), weights=(0.5, 0.5))
         assert mix.mean == pytest.approx(200.0)
 
-    def test_callable(self):
-        rng = np.random.default_rng(0)
-        assert OCT89_SIZE_MIX(rng) in OCT89_SIZE_MIX.sizes
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SizeMix(sizes=(), weights=())
         with pytest.raises(ConfigurationError):
             SizeMix(sizes=(1,), weights=(-1.0,))
+
+    @pytest.mark.parametrize(
+        "sizes, weights",
+        [
+            ((64,), (math.nan,)),
+            ((64, 64), (math.inf, 1.0)),
+            ((0, -5), (1, 1)),
+        ],
+    )
+    def test_rejects_invalid_mix(self, sizes, weights):
+        """Non-finite weights used to pass validation and fail in numpy at
+        sampling time; non-positive sizes yielded impossible packets."""
+        with pytest.raises(ConfigurationError):
+            SizeMix(sizes=sizes, weights=weights)
+
+
+def _reference_arrivals(source, duration):
+    """The per-packet synthesis: heapq.merge, then one size draw per packet."""
+    streams = [
+        source._one_source_times(duration, source.rng)
+        for _ in range(source.num_sources)
+    ]
+    arrivals = []
+    for time in heapq.merge(*[iter(stream) for stream in streams]):
+        if isinstance(source.size, SizeMix):
+            size = source.size.sample(source.rng, 1)[0]
+        else:
+            size = source.size
+        arrivals.append((float(time), int(size)))
+    return arrivals
+
+
+def _pairs(arrivals):
+    return [(a.time, a.size) for a in arrivals]
+
+
+_SIZE_MIXES = st.lists(
+    st.tuples(st.integers(1, 1518), st.floats(0.01, 10.0)), min_size=1, max_size=6
+).map(lambda pairs: SizeMix(*map(tuple, zip(*pairs))))
+
+
+class TestSynthesisEquivalence:
+    """Whole-array synthesis reproduces the per-packet reference exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        duration=st.floats(0.001, 0.4),
+        num_sources=st.integers(1, 40),
+        size=st.one_of(st.integers(1, 1518), st.just(OCT89_SIZE_MIX), _SIZE_MIXES),
+    )
+    def test_matches_per_packet_reference(self, seed, duration, num_sources, size):
+        fast = ParetoOnOffSource(num_sources=num_sources, size=size, rng=seed)
+        slow = ParetoOnOffSource(num_sources=num_sources, size=size, rng=seed)
+        assert _pairs(fast.arrival_list(duration)) == _reference_arrivals(
+            slow, duration
+        )
+        assert fast.rng.random() == slow.rng.random()
+
+    def test_ties_keep_source_order(self, monkeypatch):
+        """Equal timestamps from two sources both survive, in source order.
+
+        0.0 and -0.0 compare equal but are distinguishable, which makes
+        the tie break at t=0 observable.
+        """
+        trains = iter(
+            [np.array([0.0, 0.002, 0.004]), np.array([-0.0, 0.002, 0.003])] * 2
+        )
+        monkeypatch.setattr(
+            ParetoOnOffSource, "_one_source_times", lambda self, d, rng: next(trains)
+        )
+        fast = ParetoOnOffSource(num_sources=2, size=OCT89_SIZE_MIX, rng=7)
+        slow = ParetoOnOffSource(num_sources=2, size=OCT89_SIZE_MIX, rng=7)
+        got = _pairs(fast.arrival_list(0.01))
+        assert got == _reference_arrivals(slow, 0.01)
+        assert [time for time, _ in got] == [0.0, 0.0, 0.002, 0.002, 0.003, 0.004]
+        assert [math.copysign(1.0, time) for time, _ in got[:2]] == [1.0, -1.0]
 
 
 class TestBellcore:

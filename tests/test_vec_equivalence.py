@@ -484,6 +484,74 @@ def test_collapsed_plan_matches_uncollapsed(runs, warm):
     assert np.array_equal(collapsed_cache.tag_array, full_cache.tag_array)
 
 
+def _reference_compile(engine, sizes, buffers):
+    """The per-invocation compile loop: one ``lines_for`` call and one
+    addend write per invocation.  Returns (addends, data segments)."""
+    program = engine._invocations(sizes)
+    data_segments = []
+    addends = np.zeros(1 + 5 * len(program))
+    for position, (layer_index, slot, include_data, trailing) in enumerate(program):
+        placed = engine.placed[layer_index]
+        data_segments.append(placed.data_lines)
+        if include_data:
+            buffer = buffers[slot]
+            size = min(sizes[slot], buffer.capacity)
+            data_segments.append(
+                buffer.lines_for(size) if size > 0 else placed.data_lines[:0]
+            )
+            addends[5 * position + 4] = placed.profile.compute_cycles(sizes[slot])
+        else:
+            data_segments.append(placed.data_lines[:0])
+            addends[5 * position + 4] = placed.profile.base_cycles
+        addends[5 * position + 5] = trailing
+    return addends, data_segments
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheduler=st.sampled_from(SCHEDULER_NAMES),
+    batch=st.lists(
+        st.tuples(st.integers(0, 31), st.integers(1, 3000)), min_size=1, max_size=12
+    ),
+    warm_seed=st.integers(0, 2**32 - 1),
+)
+def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
+    """A compiled template equals the per-invocation reference: bit-equal
+    addends, and a data plan whose replay on a live cache gives the
+    per-segment misses, stats and tags of the reference segments
+    accessed one scalar call at a time."""
+    config = SimulationConfig(scheduler=scheduler, batch_limit=12, duration=0.01)
+    built = build_scheduler(config, seed=0)
+    engine = vec_module._VecEngine(built, vec_module._scheduler_kind(built))
+    if scheduler in ("conventional", "ilp"):
+        batch = batch[:1]
+    pool = built.binding.pool.buffers
+    buffers = [pool[index % len(pool)] for index, _ in batch]
+    sizes = [size for _, size in batch]
+    template = engine._compile(sizes, buffers)
+    addends, segments = _reference_compile(engine, sizes, buffers)
+    assert template.addends.tobytes() == addends.tobytes()
+
+    # Warm both caches alike: some reference lines (hits), some strays.
+    rng = np.random.default_rng(warm_seed)
+    all_lines = np.concatenate(segments)
+    warm = np.concatenate([
+        rng.choice(all_lines, size=all_lines.size // 2 + 1),
+        rng.integers(0, 4 * engine.dcache.num_lines, size=8),
+    ])
+    planned, scalar = (
+        DirectMappedCache(engine.dcache.size, engine.dcache.line_size)
+        for _ in range(2)
+    )
+    for cache in (planned, scalar):
+        cache.access_stream(warm)
+    per_segment = template.dplan.apply(planned.tag_array, planned.stats)
+    expected = [scalar.access_line_array_report(segment).size for segment in segments]
+    assert per_segment.tolist() == expected
+    assert planned.stats == scalar.stats
+    assert np.array_equal(planned.tag_array, scalar.tag_array)
+
+
 def test_vec_plans_keep_no_mask_arrays():
     """Only element-sequential unit plans can return a miss mask."""
     plan = segment_plan([np.arange(4, dtype=np.int64)], 8)
