@@ -16,6 +16,7 @@ Run:  python examples/checksum_study.py
 
 from repro.buffers import MbufChain
 from repro.experiments import figure8
+from repro.harness import run_assembled
 from repro.protocols import (
     checksum_chain,
     internet_checksum,
@@ -44,7 +45,7 @@ def main() -> None:
     print(__doc__)
     correctness_demo()
     print()
-    result = figure8.run()
+    result = run_assembled(figure8.SWEEP, "default")
     print(result.render())
     print()
     crossover = result.cold_crossover()

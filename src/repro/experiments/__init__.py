@@ -1,8 +1,11 @@
 """Reproduction harnesses: one module per table/figure of the paper.
 
-Each module exposes ``run(...) -> <Result>`` returning a structured
-result with a ``render()`` text table and a shape/tolerance predicate,
-plus a ``main()`` entry point.  The ``ldlp-experiment`` CLI (see
+Every module declares a :class:`~repro.harness.points.SweepSpec` named
+``SWEEP``.  Swept experiments rebuild a structured result (a
+``render()`` text table plus shape/tolerance predicates) with the
+spec's ``assemble``; the single-computation analyses (tables 1-3,
+Figure 1) return one from ``run(seed)``, and the schedules module
+prints Figures 2/3 from ``main()``.  The ``ldlp-experiment`` CLI (see
 :mod:`repro.experiments.cli`) drives them from the shell.
 """
 

@@ -1,4 +1,4 @@
-"""Ablations A1-A3: design-choice sweeps behind the headline figures.
+"""Ablations: design-choice sweeps behind the headline figures.
 
 * **A1 batch cap** — why Figure 5's LDLP curve flattens: sweep the
   maximum batch size at a high arrival rate.
@@ -8,6 +8,16 @@
 * **A3 layer code size** — Figure 4's large- vs small-message boundary:
   sweep per-layer code size; LDLP's advantage should vanish when the
   whole stack fits in the instruction cache and grow with code size.
+* **A4 CISC code density** (Section 5.2) — scale per-layer code size by
+  a density factor (1.0 = Alpha, 0.45 = i386) with compute cost held
+  fixed.  Denser code means better locality for the conventional
+  schedule and a smaller LDLP advantage.
+* **A6 instruction prefetch** (Section 4 remark) — sweep the fraction
+  of instruction stall hidden by prefetching from the next level.
+  Prefetch narrows LDLP's advantage but cannot remove it while any
+  instruction stall remains.
+
+A5, the Cord layout compaction, is :mod:`repro.netbsd.cord`.
 """
 
 from __future__ import annotations
@@ -27,17 +37,32 @@ from .report import render_table
 DEFAULT_RATE = 9000.0
 DEFAULT_DURATION = 0.15
 
+#: Section 5.2: "The NetBSD TCP and IP code ... is 55% smaller on the
+#: i386"; typical i386 code about 40% smaller.  We model the i386 as the
+#: same stack at 0.45x code density.
+I386_DENSITY = 0.45
+
+#: Per sweep: (parameter column, table title before the arrival rate).
+TABLES: dict[str, tuple[str, str]] = {
+    "batch_cap": ("cap", "A1: LDLP batch-size cap"),
+    "miss_penalty": ("penalty", "A2: miss-penalty sweep"),
+    "code_size": ("code B", "A3: per-layer code size"),
+    "cisc_density": ("density", "A4: CISC code density (1.0 = Alpha, 0.45 = i386)"),
+    "prefetch": ("prefetch", "A6: instruction-prefetch efficiency"),
+}
+
 
 @dataclass(frozen=True)
 class SweepResult:
     """One ablation: parameter values and per-scheduler results."""
 
+    title: str
     parameter: str
     values: tuple[float, ...]
     conventional: list[RunResult]
     ldlp: list[RunResult]
 
-    def render(self, title: str) -> str:
+    def render(self) -> str:
         rows = []
         for index, value in enumerate(self.values):
             conv = self.conventional[index]
@@ -56,8 +81,18 @@ class SweepResult:
             [self.parameter, "conv miss", "conv lat", "LDLP miss", "LDLP lat",
              "LDLP cyc/msg"],
             rows,
-            title=title,
+            title=self.title,
         )
+
+
+@dataclass(frozen=True)
+class AblationsResult:
+    """Every swept ablation, in declared order."""
+
+    sweeps: tuple[SweepResult, ...]
+
+    def render(self) -> str:
+        return "\n\n".join(sweep.render() for sweep in self.sweeps)
 
 
 def _run_pair(config_conv: SimulationConfig, config_ldlp: SimulationConfig,
@@ -67,138 +102,6 @@ def _run_pair(config_conv: SimulationConfig, config_ldlp: SimulationConfig,
     conv = run_simulation(source, config_conv, seed=seed, arrivals=arrivals)
     ldlp = run_simulation(source, config_ldlp, seed=seed, arrivals=arrivals)
     return conv, ldlp
-
-
-def batch_cap_sweep(
-    caps: tuple[int, ...] = (1, 2, 4, 8, 14, 24, 32),
-    rate: float = DEFAULT_RATE,
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-) -> SweepResult:
-    """A1: LDLP with the batch limit forced to each cap."""
-    conventional = []
-    ldlp = []
-    for cap in caps:
-        conv_cfg = SimulationConfig(scheduler="conventional", duration=duration)
-        ldlp_cfg = SimulationConfig(
-            scheduler="ldlp", duration=duration, batch_limit=cap
-        )
-        conv, batched = _run_pair(conv_cfg, ldlp_cfg, rate, seed)
-        conventional.append(conv)
-        ldlp.append(batched)
-    return SweepResult("cap", tuple(float(c) for c in caps), conventional, ldlp)
-
-
-def miss_penalty_sweep(
-    penalties: tuple[int, ...] = (0, 10, 20, 30, 60),
-    rate: float = 6000.0,
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-) -> SweepResult:
-    """A2: both schedulers across miss penalties."""
-    conventional = []
-    ldlp = []
-    for penalty in penalties:
-        spec = MachineSpec(miss_penalty=penalty)
-        conv_cfg = SimulationConfig(
-            scheduler="conventional", duration=duration, spec=spec
-        )
-        ldlp_cfg = SimulationConfig(scheduler="ldlp", duration=duration, spec=spec)
-        conv, batched = _run_pair(conv_cfg, ldlp_cfg, rate, seed)
-        conventional.append(conv)
-        ldlp.append(batched)
-    return SweepResult(
-        "penalty", tuple(float(p) for p in penalties), conventional, ldlp
-    )
-
-
-def code_size_sweep(
-    code_sizes: tuple[int, ...] = (1024, 2048, 4096, 6144, 8192, 12288),
-    rate: float = 4000.0,
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-) -> SweepResult:
-    """A3: per-layer code size from cache-resident to far oversized.
-
-    Compute cost is held fixed; only the memory footprint varies.
-    """
-    conventional = []
-    ldlp = []
-    for code in code_sizes:
-        conv_cfg = SimulationConfig(
-            scheduler="conventional", duration=duration, layer_code_bytes=code
-        )
-        ldlp_cfg = SimulationConfig(
-            scheduler="ldlp", duration=duration, layer_code_bytes=code
-        )
-        conv, batched = _run_pair(conv_cfg, ldlp_cfg, rate, seed)
-        conventional.append(conv)
-        ldlp.append(batched)
-    return SweepResult(
-        "code B", tuple(float(c) for c in code_sizes), conventional, ldlp
-    )
-
-
-#: Section 5.2: "The NetBSD TCP and IP code ... is 55% smaller on the
-#: i386"; typical i386 code about 40% smaller.  We model the i386 as the
-#: same stack at 0.45x code density.
-I386_DENSITY = 0.45
-
-
-def cisc_density_sweep(
-    densities: tuple[float, ...] = (1.0, I386_DENSITY),
-    rate: float = 5000.0,
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-) -> SweepResult:
-    """A4 (Section 5.2): CISC code density.
-
-    Scales per-layer code size by each density factor (1.0 = Alpha,
-    0.45 = i386) with compute cost held fixed.  Denser code means
-    better locality for the conventional schedule and a smaller LDLP
-    advantage — the paper's CISC-vs-RISC observation.
-    """
-    conventional = []
-    ldlp = []
-    for density in densities:
-        code = max(512, int(6144 * density) // 32 * 32)
-        conv_cfg = SimulationConfig(
-            scheduler="conventional", duration=duration, layer_code_bytes=code
-        )
-        ldlp_cfg = SimulationConfig(
-            scheduler="ldlp", duration=duration, layer_code_bytes=code
-        )
-        conv, batched = _run_pair(conv_cfg, ldlp_cfg, rate, seed)
-        conventional.append(conv)
-        ldlp.append(batched)
-    return SweepResult("density", tuple(densities), conventional, ldlp)
-
-
-def prefetch_sweep(
-    efficiencies: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75),
-    rate: float = 6000.0,
-    duration: float = DEFAULT_DURATION,
-    seed: int = 0,
-) -> SweepResult:
-    """A6 (Section 4 remark): instruction prefetch from the next level.
-
-    "Some processors can prefetch instructions from the second level
-    cache to hide some of the cache miss cost" — sweep the fraction of
-    instruction stall hidden.  Prefetch narrows LDLP's advantage but
-    cannot remove it while any instruction stall remains.
-    """
-    conventional = []
-    ldlp = []
-    for efficiency in efficiencies:
-        spec = MachineSpec(iprefetch_efficiency=efficiency)
-        conv_cfg = SimulationConfig(
-            scheduler="conventional", duration=duration, spec=spec
-        )
-        ldlp_cfg = SimulationConfig(scheduler="ldlp", duration=duration, spec=spec)
-        conv, batched = _run_pair(conv_cfg, ldlp_cfg, rate, seed)
-        conventional.append(conv)
-        ldlp.append(batched)
-    return SweepResult("prefetch", tuple(efficiencies), conventional, ldlp)
 
 
 # ----------------------------------------------------------------------
@@ -220,13 +123,18 @@ def _configs_for(
             scheduler="conventional", duration=duration, spec=spec
         )
         ldlp = SimulationConfig(scheduler="ldlp", duration=duration, spec=spec)
-    elif sweep == "code_size":
+    elif sweep in ("code_size", "cisc_density"):
+        # Density scales the 6 KB layer with compute cost held fixed.
+        code = (
+            int(value)
+            if sweep == "code_size"
+            else max(512, int(6144 * value) // 32 * 32)
+        )
         conv = SimulationConfig(
-            scheduler="conventional", duration=duration,
-            layer_code_bytes=int(value),
+            scheduler="conventional", duration=duration, layer_code_bytes=code
         )
         ldlp = SimulationConfig(
-            scheduler="ldlp", duration=duration, layer_code_bytes=int(value)
+            scheduler="ldlp", duration=duration, layer_code_bytes=code
         )
     elif sweep == "prefetch":
         spec = MachineSpec(iprefetch_efficiency=float(value))
@@ -267,6 +175,7 @@ SWEEP_SCALES: dict[str, tuple[dict[str, tuple[tuple[float, ...], float]], float]
             "batch_cap": ((1, 2, 4, 8, 14, 24, 32), DEFAULT_RATE),
             "miss_penalty": ((0, 10, 20, 30, 60), 6000.0),
             "code_size": ((1024, 2048, 4096, 6144, 8192, 12288), 4000.0),
+            "cisc_density": ((1.0, I386_DENSITY), 5000.0),
             "prefetch": ((0.0, 0.25, 0.5, 0.75), 6000.0),
         },
         DEFAULT_DURATION,
@@ -276,6 +185,7 @@ SWEEP_SCALES: dict[str, tuple[dict[str, tuple[tuple[float, ...], float]], float]
             "batch_cap": ((1, 2, 4, 8, 14, 24, 32), DEFAULT_RATE),
             "miss_penalty": ((0, 10, 20, 30, 60), 6000.0),
             "code_size": ((1024, 2048, 4096, 6144, 8192, 12288), 4000.0),
+            "cisc_density": ((1.0, I386_DENSITY), 5000.0),
             "prefetch": ((0.0, 0.25, 0.5, 0.75), 6000.0),
         },
         0.5,
@@ -309,6 +219,27 @@ def _pair(results: dict[str, Any], key: str) -> tuple[RunResult, RunResult]:
         RunResult.from_dict(data["conventional"]),
         RunResult.from_dict(data["ldlp"]),
     )
+
+
+def assemble(points: list[SweepPoint], results: dict[str, Any]) -> AblationsResult:
+    """Group the point results into one titled table per sweep."""
+    grouped: dict[str, list[SweepPoint]] = {}
+    for point in points:
+        grouped.setdefault(point.params["sweep"], []).append(point)
+    sweeps = []
+    for sweep, members in grouped.items():
+        parameter, label = TABLES[sweep]
+        pairs = [_pair(results, point.key) for point in members]
+        sweeps.append(
+            SweepResult(
+                title=f"{label} at {members[0].params['rate']:.0f} msgs/s",
+                parameter=parameter,
+                values=tuple(float(point.params["value"]) for point in members),
+                conventional=[conv for conv, _ in pairs],
+                ldlp=[ldlp for _, ldlp in pairs],
+            )
+        )
+    return AblationsResult(sweeps=tuple(sweeps))
 
 
 def golden_quantities(
@@ -346,6 +277,7 @@ SWEEP = SweepSpec(
     name="ablations",
     points=sweep_points,
     quantities=golden_quantities,
+    assemble=assemble,
     sources=(
         "repro.sim",
         "repro.core",
@@ -369,31 +301,3 @@ SWEEP = SweepSpec(
         "code_small_cycles_ratio": Tolerance(rel=0.12),
     },
 )
-
-
-def main() -> None:
-    print(batch_cap_sweep().render("A1: LDLP batch-size cap at 9000 msgs/s"))
-    print()
-    print(miss_penalty_sweep().render("A2: miss-penalty sweep at 6000 msgs/s"))
-    print()
-    print(code_size_sweep().render("A3: per-layer code size at 4000 msgs/s"))
-    print()
-    print(
-        cisc_density_sweep().render(
-            "A4: CISC code density (1.0 = Alpha, 0.45 = i386) at 5000 msgs/s"
-        )
-    )
-    print()
-    print(
-        prefetch_sweep().render(
-            "A6: instruction-prefetch efficiency at 6000 msgs/s"
-        )
-    )
-    from ..netbsd.cord import run_cord_experiment
-
-    print()
-    print(run_cord_experiment().render())
-
-
-if __name__ == "__main__":
-    main()

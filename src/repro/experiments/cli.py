@@ -21,8 +21,11 @@ Usage::
     ldlp-experiment analyze --determinism         # DET gate (exit 1 on ERROR)
     ldlp-experiment analyze --list-rules          # rule registry
 
-The first form runs one experiment serially and prints its table.  The
-``run``/``regress`` forms go through :mod:`repro.harness`: sweep points
+The first form runs one experiment serially and prints its table.  An
+experiment with a declared sweep runs that sweep's points inline with no
+result cache, at the ``default`` scale (``paper`` under
+``--paper-scale``), and prints the table ``run`` renders at that scale.
+The ``run``/``regress`` forms go through :mod:`repro.harness`: sweep points
 fan out over a worker pool, results are cached by content hash, timings
 land in ``BENCH_experiments.json``, and ``regress`` gates reproduced
 quantities against the checked-in ``goldens/``.  ``trace`` goes through
@@ -34,43 +37,46 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
-from . import (
-    ablations,
-    figure1,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    flows,
-    gossip,
-    motivation,
-    multicore,
-    schedules,
-    table1,
-    table2,
-    table3,
-)
+from ..harness.registry import get_spec
+from ..harness.runner import run_assembled
+from . import figure1, schedules, table1, table2, table3
+
+
+def _sweep(name: str) -> Callable[[argparse.Namespace], None]:
+    """The serial form of a swept experiment: run and render its sweep."""
+    def show(args: argparse.Namespace) -> None:
+        scale = "paper" if args.paper_scale else "default"
+        print(run_assembled(get_spec(name), scale).render())
+
+    return show
+
+
+def _ablations(args: argparse.Namespace) -> None:
+    """A1-A4 and A6 from the sweep, then A5 (Cord layout compaction)."""
+    from ..netbsd.cord import run_cord_experiment
+
+    _sweep("ablations")(args)
+    print()
+    print(run_cord_experiment().render())
+
 
 EXPERIMENTS = {
     "table1": lambda args: print(table1.run(seed=args.seed).render()),
     "table2": lambda args: table2.main(),
     "table3": lambda args: print(table3.run(seed=args.seed).render()),
     "figure1": lambda args: _figure1(args),
-    "figure5": lambda args: print(
-        figure5.run(paper_scale=args.paper_scale).render()
-    ),
-    "figure6": lambda args: print(
-        figure6.run(paper_scale=args.paper_scale).render()
-    ),
-    "figure7": lambda args: print(figure7.run().render()),
-    "figure8": lambda args: print(figure8.run().render()),
-    "ablations": lambda args: ablations.main(),
+    "figure5": _sweep("figure5"),
+    "figure6": _sweep("figure6"),
+    "figure7": _sweep("figure7"),
+    "figure8": _sweep("figure8"),
+    "ablations": _ablations,
     "schedules": lambda args: schedules.main(),
-    "motivation": lambda args: print(motivation.run().render()),
-    "multicore": lambda args: multicore.main(),
-    "flows": lambda args: flows.main(),
-    "gossip": lambda args: gossip.main(),
+    "motivation": _sweep("motivation"),
+    "multicore": _sweep("multicore"),
+    "flows": _sweep("flows"),
+    "gossip": _sweep("gossip"),
     "analyze": lambda args: _analyze(args),
 }
 
@@ -155,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="full paper methodology (100 placements x 1 s) where applicable",
+        help="run a swept experiment at its paper scale instead of default",
     )
     return parser
 

@@ -18,17 +18,15 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import SweepPoint, SweepSpec, Tolerance
-from ..sim.runner import SimulationConfig, run_averaged
 from ..sim.stats import RunResult
-from ..traffic.poisson import PoissonSource
 from .report import render_table
 
 #: The paper sweeps 1000..10000 msgs/sec.
 PAPER_RATES = tuple(range(1000, 10001, 1000))
 
 #: Default experiment scale: full paper methodology is 100 placements x
-#: 1 s; the default here is sized for minutes-scale runs.  Pass
-#: ``paper_scale=True`` to ``run`` for the full version.
+#: 1 s; the default here is sized for minutes-scale runs.  The ``paper``
+#: scale (``ldlp-experiment figure5 --paper-scale``) is the full version.
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DURATION = 0.15
 
@@ -82,31 +80,6 @@ class Figure5Result:
             rows,
             title="Figure 5: cache misses per message (Poisson, 552-byte messages)",
         )
-
-
-def run(
-    rates: tuple[int, ...] = PAPER_RATES,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    duration: float = DEFAULT_DURATION,
-    paper_scale: bool = False,
-) -> Figure5Result:
-    if paper_scale:
-        seeds = tuple(range(100))
-        duration = 1.0
-    conventional: list[RunResult] = []
-    ldlp: list[RunResult] = []
-    for rate in rates:
-        def source_factory(seed, rate=rate):
-            return PoissonSource(rate, rng=seed)
-
-        for name, bucket in (("conventional", conventional), ("ldlp", ldlp)):
-            config = SimulationConfig(scheduler=name, duration=duration)
-            bucket.append(run_averaged(source_factory, config, list(seeds)))
-    return Figure5Result(rates=tuple(rates), conventional=conventional, ldlp=ldlp)
-
-
-def main() -> None:
-    print(run().render())
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +183,3 @@ SWEEP = SweepSpec(
         "ldlp_batch_top": Tolerance(rel=0.30),
     },
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import SweepPoint, SweepSpec, Tolerance
-from ..sim.runner import SimulationConfig, run_averaged
 from ..sim.stats import RunResult
-from ..traffic.poisson import PoissonSource
 from ..units import format_duration
 from .figure5 import DEFAULT_DURATION, DEFAULT_SEEDS, PAPER_RATES, point_series
 from .report import render_table
@@ -74,31 +72,6 @@ class Figure6Result:
             rows,
             title="Figure 6: latency vs arrival rate (Poisson, 500-packet buffer)",
         )
-
-
-def run(
-    rates: tuple[int, ...] = PAPER_RATES,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    duration: float = DEFAULT_DURATION,
-    paper_scale: bool = False,
-) -> Figure6Result:
-    if paper_scale:
-        seeds = tuple(range(100))
-        duration = 1.0
-    conventional = []
-    ldlp = []
-    for rate in rates:
-        def source_factory(seed, rate=rate):
-            return PoissonSource(rate, rng=seed)
-
-        for name, bucket in (("conventional", conventional), ("ldlp", ldlp)):
-            config = SimulationConfig(scheduler=name, duration=duration)
-            bucket.append(run_averaged(source_factory, config, list(seeds)))
-    return Figure6Result(rates=tuple(rates), conventional=conventional, ldlp=ldlp)
-
-
-def main() -> None:
-    print(run().render())
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +154,3 @@ SWEEP = SweepSpec(
         "ldlp_drops_total": Tolerance(rel=0.5, abs=100.0),
     },
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -7,7 +7,8 @@ LDLP version batches packets to maintain throughput."
 
 We substitute a synthetic self-similar trace (see DESIGN.md): aggregated
 Pareto ON/OFF sources with the 1989 LAN packet-size mix.  A real
-Bellcore trace file can be passed via ``arrivals``.
+Bellcore trace file replays through ``read_bellcore_trace`` and
+``run_simulation`` (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..cache.hierarchy import MachineSpec
 from ..harness.points import SweepPoint, SweepSpec, Tolerance
 from ..sim.runner import SimulationConfig, run_simulation
 from ..sim.stats import RunResult, merge_results
-from ..traffic.base import Arrival
 from ..traffic.bellcore import TraceSource, synthesize_bellcore_like
 from ..units import format_duration, mhz
 from .report import render_table
@@ -74,51 +74,6 @@ class Figure7Result:
         )
 
 
-def run(
-    clocks_mhz: tuple[int, ...] = PAPER_CLOCKS_MHZ,
-    duration: float = DEFAULT_DURATION,
-    mean_rate: float = DEFAULT_MEAN_RATE,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    arrivals: list[Arrival] | None = None,
-) -> Figure7Result:
-    conventional = []
-    ldlp = []
-    streams = {
-        seed: (
-            arrivals
-            if arrivals is not None
-            else synthesize_bellcore_like(
-                duration, mean_rate=mean_rate, rng=seed
-            )
-        )
-        for seed in seeds
-    }
-    for clock in clocks_mhz:
-        spec = MachineSpec(clock_hz=mhz(clock))
-        for name, bucket in (("conventional", conventional), ("ldlp", ldlp)):
-            per_seed = []
-            for seed in seeds:
-                stream = streams[seed]
-                config = SimulationConfig(
-                    scheduler=name, duration=duration, spec=spec,
-                    # Ethernet frames reach 1518 bytes.
-                    buffer_size=2048,
-                )
-                per_seed.append(
-                    run_simulation(
-                        TraceSource(stream), config, seed=seed, arrivals=stream
-                    )
-                )
-            bucket.append(merge_results(per_seed))
-    return Figure7Result(
-        clocks_mhz=tuple(clocks_mhz), conventional=conventional, ldlp=ldlp
-    )
-
-
-def main() -> None:
-    print(run().render())
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -144,6 +99,7 @@ def clock_point(
             scheduler=scheduler,
             duration=duration,
             spec=spec,
+            # Ethernet frames reach 1518 bytes.
             buffer_size=2048,
             engine=engine,
         )
@@ -249,7 +205,3 @@ SWEEP = SweepSpec(
         "ldlp_batch_fastest": Tolerance(rel=0.3, abs=0.5),
     },
 )
-
-
-if __name__ == "__main__":
-    main()

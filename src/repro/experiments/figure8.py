@@ -124,24 +124,6 @@ class Figure8Result:
         )
 
 
-def run(sizes: tuple[int, ...] = PAPER_SIZES) -> Figure8Result:
-    return Figure8Result(
-        sizes=tuple(sizes),
-        bsd_warm=[checksum_cycles(BSD_CKSUM_MODEL, s, cold=False) for s in sizes],
-        simple_warm=[
-            checksum_cycles(SIMPLE_CKSUM_MODEL, s, cold=False) for s in sizes
-        ],
-        bsd_cold=[checksum_cycles(BSD_CKSUM_MODEL, s, cold=True) for s in sizes],
-        simple_cold=[
-            checksum_cycles(SIMPLE_CKSUM_MODEL, s, cold=True) for s in sizes
-        ],
-    )
-
-
-def main() -> None:
-    print(run().render())
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -224,7 +206,3 @@ SWEEP = SweepSpec(
     # absolute slack for float accumulation across numpy builds).
     default_tolerance=Tolerance(abs=1e-6),
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..flows.runner import FlowRunResult, flows_point
+from ..flows.runner import FlowRunResult
 from ..harness.points import SweepPoint, SweepSpec, Tolerance
 from .report import render_table
 
@@ -476,19 +476,3 @@ SWEEP = SweepSpec(
     default_tolerance=Tolerance(rel=0.4, abs=0.02),
     tolerances=_exact_tolerances(),
 )
-
-
-def run(scale: str = "ci") -> FlowSweepResult:
-    """Run the sweep serially (no worker pool) and assemble the table."""
-    points = sweep_points(scale)
-    results = {point.key: flows_point(**point.params) for point in points}
-    return assemble(points, results)
-
-
-def main() -> None:
-    """Serial CLI entry: run the CI-scale sweep and print the table."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

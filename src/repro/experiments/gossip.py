@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..gossip.runner import GossipRunResult, gossip_point
+from ..gossip.runner import GossipRunResult
 from ..harness.points import SweepPoint, SweepSpec, Tolerance
 from .report import render_table
 
@@ -343,19 +343,3 @@ SWEEP = SweepSpec(
     default_tolerance=Tolerance(rel=0.4, abs=0.02),
     tolerances=_exact_tolerances(),
 )
-
-
-def run(scale: str = "ci") -> GossipSweepResult:
-    """Run the sweep serially (no worker pool) and assemble the table."""
-    points = sweep_points(scale)
-    results = {point.key: gossip_point(**point.params) for point in points}
-    return assemble(points, results)
-
-
-def main() -> None:
-    """Serial CLI entry: run the CI-scale sweep and print the table."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

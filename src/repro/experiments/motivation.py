@@ -36,6 +36,9 @@ from .report import render_table
 #: Cross-country speed-of-light propagation (one way, in fibre).
 CROSS_COUNTRY_PROPAGATION = 0.020
 
+#: Switch-chain lengths the end-to-end table composes.
+HOPS = (1, 5, 10, 20)
+
 
 def per_hop_latency(
     scheduler_name: str,
@@ -59,30 +62,23 @@ def per_hop_latency(
         )
     else:
         scheduler = ConventionalScheduler(switch.layers, binding)
-    arrivals = []
+    requests = []
     time = 0.0
-    sequence = 0
     call_ref = 1
     while True:
         time += rng.exponential(1.0 / pair_rate)
         if time >= duration:
             break
-        for offset, wire in (
-            (0.0, setup(call_ref, f"dest-{call_ref % 57}")),
-            (200e-6, release(call_ref)),
-        ):
-            arrivals.append(
-                (time + offset,
-                 Message(payload=saal_frame(wire.serialize(), sequence)))
-            )
-            sequence += 1
+        requests.append((time, setup(call_ref, f"dest-{call_ref % 57}")))
+        requests.append((time + 200e-6, release(call_ref)))
         call_ref += 1
-    arrivals.sort(key=lambda pair: pair[0])
-    # Re-sequence after sorting (SAAL expects in-order sequence numbers).
-    resequenced = []
-    for index, (when, message) in enumerate(arrivals):
-        resequenced.append((when, message))
-    outcome = drive(scheduler, resequenced)
+    requests.sort(key=lambda pair: pair[0])
+    # Sequence after sorting: SAAL expects in-order sequence numbers.
+    arrivals = [
+        (when, Message(payload=saal_frame(wire.serialize(), sequence)))
+        for sequence, (when, wire) in enumerate(requests)
+    ]
+    outcome = drive(scheduler, arrivals)
     summary = outcome.latency.summary()
     return summary.mean if summary.count else float("inf")
 
@@ -133,26 +129,6 @@ class MotivationResult:
         )
 
 
-def run(
-    pair_rate: float = 10_000.0,
-    hops: tuple[int, ...] = (1, 5, 10, 20),
-    duration: float = 0.3,
-    seed: int = 5,
-) -> MotivationResult:
-    return MotivationResult(
-        pair_rate=pair_rate,
-        hops=hops,
-        conventional_per_hop=per_hop_latency(
-            "conventional", pair_rate, duration, seed
-        ),
-        ldlp_per_hop=per_hop_latency("ldlp", pair_rate, duration, seed),
-    )
-
-
-def main() -> None:
-    print(run().render())
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -192,6 +168,16 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
+def assemble(points: list[SweepPoint], results: dict[str, Any]) -> MotivationResult:
+    """Compose both schedulers' per-hop latencies across :data:`HOPS`."""
+    return MotivationResult(
+        pair_rate=points[0].params["pair_rate"],
+        hops=HOPS,
+        conventional_per_hop=results["conventional"]["per_hop_latency_s"],
+        ldlp_per_hop=results["ldlp"]["per_hop_latency_s"],
+    )
+
+
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
@@ -210,6 +196,7 @@ SWEEP = SweepSpec(
     name="motivation",
     points=sweep_points,
     quantities=golden_quantities,
+    assemble=assemble,
     sources=(
         "repro.sim",
         "repro.core",
@@ -231,7 +218,3 @@ SWEEP = SweepSpec(
         "ldlp_per_hop_ms": Tolerance(rel=0.5),
     },
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import SweepPoint, SweepSpec, Tolerance
-from ..sim.multicore import MultiCoreRunResult, multicore_point
+from ..sim.multicore import MultiCoreRunResult
 from .report import render_table
 
 #: Dispatch policies the sweep compares (all registered policies —
@@ -246,21 +246,3 @@ SWEEP = SweepSpec(
         "conservation_violations": Tolerance(),
     },
 )
-
-
-def run(scale: str = "ci") -> MultiCoreSweepResult:
-    """Run the sweep serially (no worker pool) and assemble the table."""
-    points = sweep_points(scale)
-    results = {
-        point.key: multicore_point(**point.params) for point in points
-    }
-    return assemble(points, results)
-
-
-def main() -> None:
-    """Serial CLI entry: run the CI-scale sweep and print the table."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

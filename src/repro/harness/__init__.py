@@ -9,7 +9,8 @@ provides:
 
 * :mod:`repro.harness.runner` — fan the points out over a
   ``multiprocessing`` worker pool (``--jobs N``), with per-point
-  wall-clock timing;
+  wall-clock timing, or inline and assembled (``run_assembled``, the
+  serial ``ldlp-experiment <name>`` form);
 * :mod:`repro.harness.cache` — an on-disk result cache keyed by a
   content hash of (point function, parameters, repro version, relevant
   source files) so unchanged points are never recomputed;
@@ -25,7 +26,7 @@ from .cache import ResultCache, content_key, source_digest
 from .golden import GoldenBreach, bless, check_quantities, load_golden
 from .points import SweepPoint, SweepSpec, Tolerance
 from .registry import all_specs, get_spec
-from .runner import ExperimentRun, run_experiment
+from .runner import ExperimentRun, run_assembled, run_experiment
 
 __all__ = [
     "ExperimentRun",
@@ -41,6 +42,7 @@ __all__ = [
     "content_key",
     "get_spec",
     "load_golden",
+    "run_assembled",
     "run_experiment",
     "source_digest",
 ]

@@ -168,3 +168,17 @@ def run_experiment(
         point_elapsed={point.key: elapsed[point.key] for point in points},
         counters={name: counters[name] for name in sorted(counters)},
     )
+
+
+def run_assembled(spec: SweepSpec, scale: str) -> Any:
+    """Run ``spec`` inline with no result cache and assemble its result.
+
+    The serial ``ldlp-experiment <name>`` form: every point is computed
+    afresh in this process (``jobs=1``), and the spec's ``assemble``
+    rebuilds the rich result, so its ``render()`` is exactly the table
+    ``ldlp-experiment run <name>`` prints at the same scale.
+    """
+    if spec.assemble is None:
+        raise ConfigurationError(f"experiment {spec.name!r} declares no assemble")
+    run = run_experiment(spec, scale, jobs=1, cache=ResultCache(enabled=False))
+    return spec.assemble(run.points, run.results)

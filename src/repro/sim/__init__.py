@@ -1,12 +1,8 @@
-"""Discrete-event simulation: engine, queues, statistics, and the
-Section-4 synthetic benchmark runner with its one drive loop for every
-engine and core count (multi-core attribution in
-:mod:`repro.sim.multicore`, the vectorized service step in
-:mod:`repro.sim.vec`)."""
+"""Simulation statistics and the Section-4 synthetic benchmark runner
+with its one drive loop for every engine and core count (multi-core
+attribution in :mod:`repro.sim.multicore`, the vectorized service step
+in :mod:`repro.sim.vec`)."""
 
-from .engine import Simulator
-from .events import Event, EventQueue
-from .queues import BoundedQueue
 from .runner import (
     ComparisonResult,
     DriveStats,
@@ -28,20 +24,16 @@ from .stats import (
 )
 
 __all__ = [
-    "BoundedQueue",
     "DriveStats",
     "drive",
     "ComparisonResult",
     "ENGINE_NAMES",
-    "Event",
-    "EventQueue",
     "LatencyRecorder",
     "LatencySummary",
     "MissesPerMessage",
     "RunResult",
     "SCHEDULER_NAMES",
     "SimulationConfig",
-    "Simulator",
     "build_paper_stack",
     "compare_schedulers",
     "merge_results",

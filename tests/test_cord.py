@@ -4,7 +4,6 @@
 import pytest
 
 from repro.cache.workingset import Category, WorkingSetAnalyzer
-from repro.experiments import ablations
 from repro.netbsd import (
     ReceivePathModel,
     compact_trace,
@@ -106,10 +105,9 @@ class TestCompactTrace:
 
 
 class TestCiscDensity:
-    def test_i386_shrinks_the_gap(self):
-        sweep = ablations.cisc_density_sweep(
-            densities=(1.0, 0.45), rate=5000, duration=0.08
-        )
+    def test_i386_shrinks_the_gap(self, ablation_sweep):
+        sweep = ablation_sweep("cisc_density", (1.0, 0.45), rate=5000,
+                               duration=0.08)
         alpha_adv = (
             sweep.conventional[0].cycles_per_message
             / sweep.ldlp[0].cycles_per_message
@@ -123,10 +121,9 @@ class TestCiscDensity:
         # advantage remains — but far less.
         assert i386_adv > 0.95
 
-    def test_i386_conventional_misses_lower(self):
-        sweep = ablations.cisc_density_sweep(
-            densities=(1.0, 0.45), rate=3000, duration=0.08
-        )
+    def test_i386_conventional_misses_lower(self, ablation_sweep):
+        sweep = ablation_sweep("cisc_density", (1.0, 0.45), rate=3000,
+                               duration=0.08)
         assert (
             sweep.conventional[1].misses.total
             < 0.6 * sweep.conventional[0].misses.total

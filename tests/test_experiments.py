@@ -2,23 +2,50 @@
 and figures reproduce with the shapes the paper reports?
 
 These run at reduced scale (few seeds, short simulated time) but assert
-the same qualitative claims; the benchmarks record the full numbers.
+the same qualitative claims; ``ldlp-experiment <name>`` prints the full
+``default``-scale tables.
 """
 
 import pytest
 
 from repro.experiments import (
-    ablations,
     figure1,
     figure5,
     figure6,
     figure7,
     figure8,
+    motivation,
     table1,
     table3,
 )
 from repro.experiments.cli import build_parser, main as cli_main
 from repro.experiments.report import pct, render_table
+from repro.harness import SweepPoint, run_assembled
+
+
+def assembled(module, func, grid):
+    """``module.assemble`` over hand-picked points: ``{key: params}``."""
+    points = [
+        SweepPoint(module.SWEEP.name, key, func, params)
+        for key, params in grid.items()
+    ]
+    return module.assemble(points, {point.key: point.execute() for point in points})
+
+
+def poisson_figure(module, rates):
+    """A Figure 5/6 result from ``poisson_point`` at 2 seeds x 0.12 s."""
+    return assembled(
+        module,
+        "repro.sim.runner:poisson_point",
+        {
+            f"{scheduler}/rate={rate}": {
+                "scheduler": scheduler, "rate": rate, "seeds": [0, 1],
+                "duration": 0.12,
+            }
+            for scheduler in ("conventional", "ldlp")
+            for rate in rates
+        },
+    )
 
 
 class TestReport:
@@ -83,13 +110,12 @@ SMALL_RATES = (1000, 4000, 7000, 9500)
 
 @pytest.fixture(scope="module")
 def figure5_result():
-    return figure5.run(rates=SMALL_RATES, seeds=(0, 1), duration=0.12)
+    return poisson_figure(figure5, SMALL_RATES)
 
 
 @pytest.fixture(scope="module")
 def figure6_result():
-    return figure6.run(rates=(1000, 4000, 7000, 9000, 10000), seeds=(0, 1),
-                       duration=0.12)
+    return poisson_figure(figure6, (1000, 4000, 7000, 9000, 10000))
 
 
 class TestFigure5:
@@ -131,10 +157,8 @@ class TestFigure6:
 class TestFigure7:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure7.run(
-            clocks_mhz=(10, 20, 40, 80), duration=0.4, mean_rate=1000,
-            seeds=(0,),
-        )
+        # The ci scale: 10/20/40/80 MHz, seed 0, 0.4 s at 1000 msgs/s.
+        return run_assembled(figure7.SWEEP, "ci")
 
     def test_shape(self, result):
         assert result.shape_holds()
@@ -150,7 +174,7 @@ class TestFigure7:
 class TestFigure8:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure8.run()
+        return run_assembled(figure8.SWEEP, "ci")
 
     def test_shape(self, result):
         assert result.shape_holds()
@@ -172,8 +196,8 @@ class TestFigure8:
 
 
 class TestAblations:
-    def test_batch_cap_one_equals_conventional(self):
-        sweep = ablations.batch_cap_sweep(caps=(1, 8), duration=0.08)
+    def test_batch_cap_one_equals_conventional(self, ablation_sweep):
+        sweep = ablation_sweep("batch_cap", (1, 8), rate=9000, duration=0.08)
         conv = sweep.conventional[0]
         capped = sweep.ldlp[0]
         # cap=1 LDLP degenerates to per-message processing: same misses
@@ -182,9 +206,8 @@ class TestAblations:
         # cap=8 is far better.
         assert sweep.ldlp[1].misses.total < 0.5 * conv.misses.total
 
-    def test_penalty_zero_removes_advantage(self):
-        sweep = ablations.miss_penalty_sweep(penalties=(0, 30), rate=5000,
-                                             duration=0.08)
+    def test_penalty_zero_removes_advantage(self, ablation_sweep):
+        sweep = ablation_sweep("miss_penalty", (0, 30), rate=5000, duration=0.08)
         zero_conv, zero_ldlp = sweep.conventional[0], sweep.ldlp[0]
         assert zero_ldlp.cycles_per_message == pytest.approx(
             zero_conv.cycles_per_message, rel=0.05
@@ -192,9 +215,9 @@ class TestAblations:
         high_conv, high_ldlp = sweep.conventional[1], sweep.ldlp[1]
         assert high_ldlp.cycles_per_message < 0.75 * high_conv.cycles_per_message
 
-    def test_small_code_removes_advantage(self):
-        sweep = ablations.code_size_sweep(code_sizes=(1024, 12288), rate=3500,
-                                          duration=0.08)
+    def test_small_code_removes_advantage(self, ablation_sweep):
+        sweep = ablation_sweep("code_size", (1024, 12288), rate=3500,
+                               duration=0.08)
         small_conv, small_ldlp = sweep.conventional[0], sweep.ldlp[0]
         # Whole stack fits the cache: LDLP buys nothing (Figure 4).
         assert small_ldlp.cycles_per_message == pytest.approx(
@@ -219,12 +242,16 @@ class TestCli:
         assert cli_main(["figure8"]) == 0
         assert "crossover" in capsys.readouterr().out
 
+    def test_cli_motivation_prints_the_default_sweep(self, capsys):
+        expected = run_assembled(motivation.SWEEP, "default").render()
+        assert cli_main(["motivation"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
 
 class TestMotivation:
     def test_intro_arithmetic(self):
-        from repro.experiments import motivation
-
-        result = motivation.run(duration=0.15)
+        # The ci scale: 10000 pairs/s for 0.15 s, seed 5.
+        result = run_assembled(motivation.SWEEP, "ci")
         # Conventional at 10k pairs/s across 20 hops: "a large fraction
         # of a second" (or more); LDLP keeps the whole path fast.
         conv_20 = result.end_to_end(result.conventional_per_hop, 20)
@@ -234,7 +261,46 @@ class TestMotivation:
         assert result.goal_met()
 
     def test_render(self):
-        from repro.experiments import motivation
-
-        text = motivation.run(duration=0.1).render()
+        text = assembled(
+            motivation,
+            "repro.experiments.motivation:compute_point",
+            {
+                scheduler: {
+                    "scheduler": scheduler, "pair_rate": 10_000.0,
+                    "duration": 0.1, "seed": 5,
+                }
+                for scheduler in ("conventional", "ldlp")
+            },
+        ).render()
         assert "per-hop processing" in text
+
+    @staticmethod
+    def saal_stats(monkeypatch, pair_rate):
+        """Each scheduler's switch stats after one per-hop run."""
+        build_switch = motivation.build_switch
+        switches = []
+
+        def recording_switch():
+            switches.append(build_switch())
+            return switches[-1]
+
+        monkeypatch.setattr(motivation, "build_switch", recording_switch)
+        for scheduler in ("conventional", "ldlp"):
+            motivation.per_hop_latency(scheduler, pair_rate)
+        return [switch.stats for switch in switches]
+
+    def test_saal_frames_arrive_in_sequence(self, monkeypatch):
+        """The stream is numbered after it is time-sorted: below
+        saturation neither scheduler drops, and SAAL sees every frame
+        in sequence."""
+        conv, ldlp = self.saal_stats(monkeypatch, 3000.0)
+        assert conv.frames_in == ldlp.frames_in > 0
+        assert conv.out_of_sequence == ldlp.out_of_sequence == 0
+
+    def test_saal_gaps_only_follow_drops(self, monkeypatch):
+        """At 5000 pairs/s LDLP admits every frame and sees no gap; the
+        saturated conventional switch drops frames, and only those
+        drops open gaps."""
+        conv, ldlp = self.saal_stats(monkeypatch, 5000.0)
+        assert ldlp.out_of_sequence == 0
+        assert 0 < conv.out_of_sequence <= ldlp.frames_in - conv.frames_in

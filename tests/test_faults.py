@@ -56,7 +56,6 @@ from repro.protocols.checksum import (
     internet_checksum_unrolled,
     verify_checksum,
 )
-from repro.sim.queues import BoundedQueue
 from repro.sim.runner import (
     SCHEDULER_NAMES,
     SimulationConfig,
@@ -428,24 +427,6 @@ class TestEnvironmentFaults:
 
 
 class TestSatelliteFixes:
-    def test_drain_negative_limit_raises(self):
-        queue = BoundedQueue(capacity=8)
-        for item in range(5):
-            queue.offer(item)
-        with pytest.raises(ConfigurationError):
-            queue.drain(-1)
-        assert queue.drain(2) == [0, 1]
-        assert queue.drain() == [2, 3, 4]
-
-    def test_reset_stats_keeps_items(self):
-        queue = BoundedQueue(capacity=2)
-        for item in range(4):
-            queue.offer(item)
-        assert queue.drops == 2 and queue.offered == 4
-        queue.reset_stats()
-        assert queue.drops == 0 and queue.offered == 0
-        assert len(queue) == 2 and queue.peak_depth == 2
-
     def test_bellcore_rejects_dirty_traces(self, tmp_path):
         cases = {
             "negative.txt": "-1.0 64\n",

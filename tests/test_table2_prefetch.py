@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.hierarchy import MachineSpec
 from repro.errors import ConfigurationError
-from repro.experiments import ablations, table2
+from repro.experiments import table2
 from repro.machine import CPU
 from repro.sim import SimulationConfig, run_simulation
 from repro.traffic import PoissonSource
@@ -62,12 +62,10 @@ class TestPrefetchModel:
 
 
 class TestPrefetchAblation:
-    def test_prefetch_narrows_but_keeps_advantage(self):
+    def test_prefetch_narrows_but_keeps_advantage(self, ablation_sweep):
         # 8000 msgs/s: past conventional saturation even with prefetch,
         # so batching is actually exercised.
-        sweep = ablations.prefetch_sweep(
-            efficiencies=(0.0, 0.75), rate=8000, duration=0.08
-        )
+        sweep = ablation_sweep("prefetch", (0.0, 0.75), rate=8000, duration=0.08)
         advantages = [
             conv.cycles_per_message / ldlp.cycles_per_message
             for conv, ldlp in zip(sweep.conventional, sweep.ldlp)
