@@ -8,9 +8,8 @@ events recorded in a :class:`~repro.trace.buffer.TraceBuffer`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ..errors import TraceError
 from .buffer import TraceBuffer
@@ -22,39 +21,39 @@ class CallGraph:
 
     Attributes
     ----------
-    graph:
-        ``networkx.DiGraph`` whose nodes are function names; edge
-        ``(a, b)`` carries attribute ``calls`` — how many times ``a``
-        called ``b`` in the trace.
+    edges:
+        Maps every entered function to a ``Counter`` of its callees, in
+        first-call order: ``edges[a][b]`` is how many times ``a`` called
+        ``b`` in the trace.
     roots:
         Functions entered with an empty call stack (trace entry points).
     """
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    edges: dict[str, Counter[str]] = field(default_factory=dict)
     roots: list[str] = field(default_factory=list)
 
     def call_count(self, caller: str, callee: str) -> int:
         """Number of recorded ``caller`` → ``callee`` calls (0 if none)."""
-        if not self.graph.has_edge(caller, callee):
-            return 0
-        return self.graph.edges[caller, callee]["calls"]
+        return self.edges.get(caller, Counter())[callee]
 
     def callees(self, fn: str) -> list[str]:
         """Functions called directly by ``fn``, sorted by call count."""
-        if fn not in self.graph:
-            return []
-        return sorted(
-            self.graph.successors(fn),
-            key=lambda callee: -self.call_count(fn, callee),
-        )
+        # most_common() is a stable sort: ties keep first-call order.
+        return [callee for callee, _ in self.edges.get(fn, Counter()).most_common()]
 
     def transitive_callees(self, fn: str) -> set[str]:
         """Every function reachable from ``fn`` (excluding ``fn`` itself)."""
-        if fn not in self.graph:
-            return set()
-        return set(nx.descendants(self.graph, fn))
+        reached: set[str] = set()
+        stack = list(self.edges.get(fn, ()))
+        while stack:
+            callee = stack.pop()
+            if callee not in reached:
+                reached.add(callee)
+                stack.extend(self.edges[callee])
+        reached.discard(fn)
+        return reached
 
-    def format(self, root: str | None = None, _depth: int = 0) -> str:
+    def format(self, root: str | None = None) -> str:
         """Render as an indented tree (cycles cut at repeats)."""
         lines: list[str] = []
         starts = [root] if root is not None else self.roots
@@ -79,16 +78,11 @@ def build_call_graph(trace: TraceBuffer) -> CallGraph:
     stack: list[str] = []
     for event in trace.call_events:
         if event.enter:
+            result.edges.setdefault(event.fn, Counter())
             if stack:
-                caller = stack[-1]
-                if result.graph.has_edge(caller, event.fn):
-                    result.graph.edges[caller, event.fn]["calls"] += 1
-                else:
-                    result.graph.add_edge(caller, event.fn, calls=1)
-            else:
-                result.graph.add_node(event.fn)
-                if event.fn not in result.roots:
-                    result.roots.append(event.fn)
+                result.edges[stack[-1]][event.fn] += 1
+            elif event.fn not in result.roots:
+                result.roots.append(event.fn)
             stack.append(event.fn)
         else:
             if not stack:

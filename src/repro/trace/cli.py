@@ -64,7 +64,7 @@ def analyze(path: str, callgraph: bool = False, line_sizes: bool = False) -> str
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-trace",
+        prog="python -m repro.trace.cli",
         description="Analyze a saved memory trace (repro.trace text format).",
     )
     parser.add_argument("trace", help="path to the trace file")

@@ -1,9 +1,14 @@
 """Tests for the repro.trace package."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import TraceError
 from repro.trace import (
     LayerClassifier,
@@ -198,6 +203,9 @@ class TestCallGraph:
         assert graph.call_count("syscall", "soreceive") == 2
         assert graph.call_count("syscall", "tsleep") == 1
         assert graph.call_count("tsleep", "syscall") == 0
+        # A function that is only ever called has no callees.
+        assert graph.callees("tsleep") == []
+        assert graph.transitive_callees("tsleep") == set()
 
     def test_callees_sorted_by_count(self):
         trace = TraceBuffer()
@@ -211,6 +219,16 @@ class TestCallGraph:
         graph = build_call_graph(trace)
         assert graph.callees("main") == ["often", "rare"]
 
+        # Equal counts keep first-call order, not name order.
+        trace = TraceBuffer()
+        trace.enter("main")
+        for fn in ["zeta", "alpha", "mid", "alpha", "zeta", "once"]:
+            trace.enter(fn)
+            trace.leave()
+        trace.leave()
+        graph = build_call_graph(trace)
+        assert graph.callees("main") == ["zeta", "alpha", "mid", "once"]
+
     def test_transitive_callees(self):
         trace = TraceBuffer()
         trace.enter("a")
@@ -222,6 +240,27 @@ class TestCallGraph:
         graph = build_call_graph(trace)
         assert graph.transitive_callees("a") == {"b", "c"}
         assert graph.transitive_callees("missing") == set()
+
+        # A cycle back to the start does not include the start: a→b→a.
+        trace = TraceBuffer()
+        trace.enter("a")
+        trace.enter("b")
+        trace.enter("a")
+        trace.leave()
+        trace.leave()
+        trace.leave()
+        graph = build_call_graph(trace)
+        assert graph.transitive_callees("a") == {"b"}
+        assert graph.transitive_callees("b") == {"a"}
+
+        # Nor does self-recursion: a→a.
+        trace = TraceBuffer()
+        trace.enter("a")
+        trace.enter("a")
+        trace.leave()
+        trace.leave()
+        graph = build_call_graph(trace)
+        assert graph.transitive_callees("a") == set()
 
     def test_mismatched_return_raises(self):
         trace = TraceBuffer()
@@ -241,6 +280,52 @@ class TestCallGraph:
         trace.leave()
         graph = build_call_graph(trace)
         assert graph.format() == "a\n  b"
+        assert graph.format("b") == "b"
+
+        # A call back into a function on the current path is cut there.
+        trace = TraceBuffer()
+        trace.enter("a")
+        trace.enter("b")
+        trace.enter("a")
+        trace.leave()
+        trace.leave()
+        trace.enter("c")
+        trace.leave()
+        trace.leave()
+        graph = build_call_graph(trace)
+        assert graph.format() == "a\n  b\n    a (recursive)\n  c"
+
+
+# Runs in a fresh interpreter where `import networkx` raises ImportError.
+_WITHOUT_NETWORKX = """
+import importlib
+import pkgutil
+import sys
+
+sys.modules["networkx"] = None
+
+import repro
+from repro.netbsd import ReceivePathModel
+from repro.trace import build_call_graph
+
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not module.name.endswith(".__main__"):
+        importlib.import_module(module.name)
+
+graph = build_call_graph(ReceivePathModel(seed=0).build_trace())
+assert "tcp_output" in graph.transitive_callees("cpu_switch")
+"""
+
+
+def test_every_module_imports_without_networkx():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLayerClassifier:
