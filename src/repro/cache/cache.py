@@ -86,11 +86,20 @@ class DirectMappedCache(Cache):
     tag.  ``-1`` marks an invalid (empty) slot, so callers must use
     non-negative line numbers (i.e. non-negative addresses), which the
     memory layout code guarantees.
+
+    ``tags``, when given, is the int64 array (one entry per set) the
+    cache keeps its tags in, for example a view into a larger backing
+    array; it is emptied here.
     """
 
-    def __init__(self, size: int, line_size: int = 32) -> None:
+    def __init__(
+        self, size: int, line_size: int = 32, tags: np.ndarray | None = None
+    ) -> None:
         super().__init__(size, line_size)
-        self._tags = np.full(self.num_lines, -1, dtype=np.int64)
+        if tags is None:
+            tags = np.empty(self.num_lines, dtype=np.int64)
+        tags.fill(-1)
+        self._tags = tags
 
     def access_line(self, line: int) -> bool:
         if line < 0:
@@ -232,10 +241,10 @@ class DirectMappedCache(Cache):
     def tag_array(self) -> np.ndarray:
         """The live tag array (one int64 tag per set; ``-1`` = empty).
 
-        Exposed for the vectorized engine, which replays precompiled
-        :class:`repro.cache.chunked.SegmentedAccessPlan` objects against
-        it.  Mutating it bypasses statistics accounting — use the
-        ``access_*`` methods unless you are implementing a kernel.
+        Exposed for cache kernels that replay precompiled
+        :mod:`repro.cache.chunked` plans against it.  Mutating it
+        bypasses statistics accounting — use the ``access_*`` methods
+        unless you are implementing a kernel.
         """
         return self._tags
 

@@ -28,6 +28,13 @@ The same argument lets :func:`collapsed_plan` drop any segment that
 repeats its predecessor line for line: the predecessor just left every
 one of those lines resident, so the repeat is all hits and changes no
 tag.  Only its access count survives, as hits.
+
+Since only first touches read live state, two plans over two disjoint
+tag arrays are one plan over an array holding both:
+:class:`FusedReplay` replays an instruction-cache plan and a data-cache
+plan against the split L1's one backing tag array
+(:class:`repro.cache.hierarchy.SplitCacheHierarchy`) with one gather,
+compare, scatter and count.
 """
 
 from __future__ import annotations
@@ -224,3 +231,110 @@ def collapsed_plan(
 
 def _same_lines(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or bool(np.array_equal(a, b))
+
+
+class PackedPlan:
+    """A data-cache plan's apply-time arrays, packed for a :class:`FusedReplay`.
+
+    ``block`` stacks the plan's first-touch sets, first lines, segment
+    ids and last lines as four rows; ``static`` is its static misses
+    per segment followed by the instruction plan's; ``accesses`` counts
+    its accesses, elided repeats included.
+    """
+
+    __slots__ = ("block", "static", "accesses")
+
+    def __init__(self, block: np.ndarray, static: np.ndarray, accesses: int) -> None:
+        self.block = block
+        self.static = static
+        self.accesses = accesses
+
+
+class FusedReplay:
+    """One instruction-cache plan replayed together with data-cache plans.
+
+    The split L1's tag arrays are views of one backing array, data sets
+    first: ``tags[:dsets]`` is the D-cache and ``tags[dsets:]`` the
+    I-cache.  Offsetting the I plan's sets by ``dsets`` and its segment
+    ids by ``dsegments`` turns an (I plan, D plan) pair into one plan
+    over the backing array, whose per-segment misses list the D plan's
+    segments first.
+
+    One instance serves one I plan and every D plan of ``dsegments``
+    segments.  It keeps an arena whose tail holds the I plan's
+    first-touch arrays; :meth:`apply` copies a packed D plan
+    (:meth:`pack`) into the columns just before the tail, so each
+    replay reads one contiguous run of first touches and never copies
+    the I arrays.  Hits, misses and evictions accrue to each cache's
+    :class:`CacheStats` exactly as the two plans' own
+    :meth:`SegmentedAccessPlan.apply` calls would add them, given
+    non-negative line numbers (``-1`` marks an empty set).
+    """
+
+    def __init__(
+        self, iplan: SegmentedAccessPlan, dsets: int, dsegments: int
+    ) -> None:
+        self.iplan = iplan
+        self.dsegments = dsegments
+        self.num_segments = dsegments + iplan.num_segments
+        self._bounds = np.array([0, dsegments], dtype=np.int64)
+        self._iaccesses = iplan.size + iplan.repeat_hits
+        # A D plan touches each of the dsets sets at most once first,
+        # so the first ``dsets`` columns have room for any of them.
+        self._tail = dsets
+        self._arena = np.empty((4, dsets + iplan._sets.size), dtype=np.int64)
+        self._arena[:, dsets:] = (
+            iplan._sets + dsets,
+            iplan._first_lines,
+            iplan._first_segs + dsegments,
+            iplan._last_lines,
+        )
+
+    def pack(self, dplan: SegmentedAccessPlan) -> PackedPlan:
+        """The part of a replay owned by ``dplan``, a plan of
+        ``dsegments`` segments; the plan object can then go."""
+        block = np.stack(
+            (dplan._sets, dplan._first_lines, dplan._first_segs, dplan._last_lines)
+        )
+        static = np.concatenate(
+            (dplan._static_per_segment, self.iplan._static_per_segment)
+        )
+        return PackedPlan(block, static, dplan.size + dplan.repeat_hits)
+
+    def apply(
+        self,
+        tags: np.ndarray,
+        data: PackedPlan,
+        dstats: CacheStats,
+        istats: CacheStats,
+    ) -> np.ndarray:
+        """Replay the I plan and ``data`` against the backing ``tags``.
+
+        Mutates ``tags`` in place and returns the per-segment miss
+        counts (int64): the D plan's segments, then the I plan's.
+        """
+        head = self._tail - data.block.shape[1]
+        arena = self._arena
+        arena[:, head : self._tail] = data.block
+        sets, first_lines, segments, last_lines = arena[:, head:]
+        resident = tags[sets]
+        first_miss = first_lines != resident
+        tags[sets] = last_lines
+        per_segment = data.static + np.bincount(
+            segments[first_miss], minlength=self.num_segments
+        )
+        dmisses, imisses = np.add.reduceat(per_segment, self._bounds).tolist()
+        # Every miss evicts except a first touch of an empty set.
+        cold = resident < 0
+        dcold = 0
+        icold = int(np.count_nonzero(cold))
+        if icold:
+            dcold = int(np.count_nonzero(cold[: self._tail - head]))
+            icold -= dcold
+        dstats.misses += dmisses
+        dstats.hits += data.accesses - dmisses
+        dstats.evictions += dmisses - dcold
+        istats.misses += imisses
+        istats.hits += self._iaccesses - imisses
+        istats.evictions += imisses - icold
+        return per_segment

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..units import kb
 from .cache import Cache, DirectMappedCache
@@ -23,9 +25,13 @@ class CacheGeometry:
     size: int = kb(8)
     line_size: int = 32
 
-    def build(self) -> DirectMappedCache:
-        """Construct a direct-mapped cache with this geometry."""
-        return DirectMappedCache(self.size, self.line_size)
+    def build(self, tags: np.ndarray | None = None) -> DirectMappedCache:
+        """Construct a direct-mapped cache with this geometry.
+
+        ``tags`` optionally supplies the cache's tag storage (see
+        :class:`~repro.cache.cache.DirectMappedCache`).
+        """
+        return DirectMappedCache(self.size, self.line_size, tags)
 
     @property
     def num_lines(self) -> int:
@@ -139,17 +145,24 @@ class SplitCacheHierarchy:
 
     This is the mutable runtime counterpart of :class:`MachineSpec`: it
     owns actual cache state and accumulates stall cycles.
+
+    The primaries keep their tags in one backing array, ``l1_tags``:
+    the D-cache's sets first, then the I-cache's.  Each cache sees only
+    its own view, and :class:`repro.cache.chunked.FusedReplay` replays
+    both caches' plans in one pass over the whole array.
     """
 
     def __init__(self, spec: MachineSpec | None = None) -> None:
         self.spec = spec or MachineSpec()
-        self.icache: Cache = self.spec.icache.build()
-        self.dcache: Cache = self.spec.dcache.build()
+        dsets = self.spec.dcache.num_lines
+        self.l1_tags = np.empty(dsets + self.spec.icache.num_lines, dtype=np.int64)
+        self.dcache: Cache = self.spec.dcache.build(self.l1_tags[:dsets])
+        self.icache: Cache = self.spec.icache.build(self.l1_tags[dsets:])
         self.l2: DirectMappedCache | None = (
             self.spec.l2.build() if self.spec.l2 is not None else None
         )
 
-    def stall_for_missed(self, missed: "np.ndarray", instruction: bool = False) -> int:
+    def stall_for_missed(self, missed: np.ndarray, instruction: bool = False) -> int:
         """Stall cycles for primary-miss lines, probing L2 when present.
 
         With the paper's flat model (no L2 configured) every primary
@@ -174,7 +187,7 @@ class SplitCacheHierarchy:
             stall = int(round(stall * (1.0 - self.spec.iprefetch_efficiency)))
         return stall
 
-    def _probe_l2(self, missed: "np.ndarray") -> int:
+    def _probe_l2(self, missed: np.ndarray) -> int:
         assert self.l2 is not None
         span = int(missed.max() - missed.min()) + 1 if missed.size else 0
         if span <= self.l2.num_lines:

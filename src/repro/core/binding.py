@@ -21,7 +21,7 @@ from ..machine.executor import (
     PlacedLayer,
 )
 from ..machine.layout import DEFAULT_SEED, MemoryLayout
-from ..obs.runtime import active_recorder, machine_counters
+from ..obs.runtime import machine_counters, span_recorder
 from .layer import Layer, Message
 
 #: meta key under which a message's placed buffer is stored.
@@ -142,12 +142,13 @@ class MachineBinding:
         layer's integrated loop, so this invocation touches only code
         and layer data and skips the per-byte data-loop cycles.
 
-        When a :mod:`repro.obs` recorder is installed, each invocation
-        is recorded as a span on the layer's track (CPU-cycle clock,
-        cache hit/miss deltas as span counters); with no recorder the
-        only overhead is one global read.
+        When a span-keeping :mod:`repro.obs` recorder is installed, each
+        invocation is recorded as a span on the layer's track (CPU-cycle
+        clock, cache hit/miss deltas as span counters); otherwise
+        (:func:`~repro.obs.runtime.span_recorder`) the only overhead is
+        one global read.
         """
-        recorder = active_recorder()
+        recorder = span_recorder()
         if recorder is None:
             return self._charge_cost(
                 layer, message, include_message_data, queue_overhead

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, LayoutError
-from ..obs.runtime import active_recorder, machine_counters
+from ..obs.runtime import machine_counters, span_recorder
 from .cpu import CPU
 from .layout import MemoryLayout
 from .program import Region, RegionKind
@@ -185,9 +185,10 @@ class FootprintExecutor:
         """Process one message at one layer; return cycles consumed.
 
         Recorded as a span on the layer's track (CPU-cycle clock) when
-        a :mod:`repro.obs` recorder is installed.
+        a span-keeping :mod:`repro.obs` recorder is installed
+        (:func:`~repro.obs.runtime.span_recorder`).
         """
-        recorder = active_recorder()
+        recorder = span_recorder()
         handle = (
             recorder.begin(
                 layer.name,

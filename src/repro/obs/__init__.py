@@ -40,6 +40,7 @@ from .runtime import (
     install,
     machine_counters,
     recording,
+    span_recorder,
 )
 from .schema import validate_chrome_trace, validate_metrics
 from .sinks import ChromeTraceSink, MetricsSink, TableSink
@@ -73,6 +74,7 @@ __all__ = [
     "recording",
     "render_live_table1",
     "replay_receive_path",
+    "span_recorder",
     "trace_receive_path",
     "trace_schedulers",
     "trace_simulation",

@@ -11,12 +11,19 @@ Instrumentation sites follow one pattern::
 
     recorder = active_recorder()
     if recorder is not None:
-        ...record a span or bump a counter...
+        ...bump a counter...
 
 With no recorder installed (the default), the only cost is one global
 read and an ``is None`` test; no object is allocated, no RNG is drawn,
 and no cache state is touched, so simulation results are byte-identical
 with tracing on or off (``tests/test_obs.py`` pins this).
+
+Span and instant sites on the simulator's hot paths ask
+:func:`span_recorder` instead, which answers None for a metrics-only
+recorder (``keep_spans=False``): spans feed only ``spans``,
+``instants`` and ``track_totals``, which such a recorder is not asked
+for, so those paths skip the span objects and their counter probes and
+record counters alone.
 
 Clocks
 ------
@@ -151,7 +158,8 @@ class Recorder:
         When False the recorder accumulates only counters and per-track
         totals, discarding span/instant objects — the metrics-sink mode
         the harness uses, where memory must stay bounded over thousands
-        of sweep-point messages.
+        of sweep-point messages.  The simulator's hot paths then skip
+        their spans altogether (:func:`span_recorder`).
     """
 
     def __init__(self, keep_spans: bool = True) -> None:
@@ -159,8 +167,12 @@ class Recorder:
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
         self.counters = CounterSet()
-        #: Aggregate per-track counter totals (always maintained, even
-        #: when spans themselves are discarded).
+        #: Aggregate per-track counter totals of every :meth:`end` and
+        #: :meth:`instant` call, kept even when the span objects are
+        #: discarded.  The simulator's span sites call them only for a
+        #: span-keeping recorder (:func:`span_recorder`); under
+        #: ``keep_spans=False`` only direct callers such as the
+        #: receive-path replay fill it.
         self.track_totals: dict[str, CounterSet] = {}
 
     # ------------------------------------------------------------------
@@ -280,6 +292,20 @@ def active_recorder() -> Recorder | None:
     must stay a plain module-global read.
     """
     return _recorder
+
+
+def span_recorder() -> Recorder | None:
+    """The installed recorder if it keeps spans, else None.
+
+    The one check every hot-path span or instant site performs (the
+    drive loop's service steps, dispatches and drops; per-layer
+    invocations): a metrics-only recorder gets counters from those
+    paths but no spans, instants or track totals.
+    """
+    recorder = _recorder
+    if recorder is not None and recorder.keep_spans:
+        return recorder
+    return None
 
 
 def install(recorder: Recorder | None) -> Recorder | None:

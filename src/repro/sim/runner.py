@@ -48,7 +48,7 @@ from ..core.scheduler import (
 )
 from ..errors import ConfigurationError, SimulationError
 from ..machine.multicore import MultiCoreSpec
-from ..obs.runtime import active_recorder, machine_counters
+from ..obs.runtime import active_recorder, machine_counters, span_recorder
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.poisson import PoissonSource
 from .stats import (
@@ -354,15 +354,21 @@ def drive(
     ``cores`` is one scheduler or a list; more than one core needs a
     ``dispatch`` policy.  Without one every arrival goes to core 0.
 
-    With a :mod:`repro.obs` recorder installed, every service step is a
-    span with machine counters attached and every admission or drop an
-    instant event, all on the CPU-cycle clock; the per-layer spans
-    inside a step come from
+    With a :mod:`repro.obs` recorder installed, the call counts
+    arrivals, drops, service steps and completions (plus, with a
+    dispatch policy, assignments and drops per core as
+    ``dispatch.core{i}.*``).  The counts are tallied as ints and added
+    once when the call returns, each only when non-zero, which gives
+    the same float totals as counting every event (integer-valued
+    floats below 2**53 add exactly).  Spans and instants are emitted
+    only for a span-keeping recorder
+    (:func:`~repro.obs.runtime.span_recorder`): every service step is
+    then a span with machine counters attached and every dispatch, drop
+    and cache flush an instant, all on the CPU-cycle clock; the
+    per-layer spans inside a step come from
     :meth:`~repro.core.binding.MachineBinding.charge`.  Without a
     dispatch policy the track is ``scheduler``; with one it is
-    ``core{i}/scheduler``, every dispatch is an instant on the
-    ``dispatch`` track, and assignments and drops are also counted per
-    core (``dispatch.core{i}.*``).
+    ``core{i}/scheduler``, and dispatches go on the ``dispatch`` track.
 
     ``flush_period_cycles`` injects periodic cold-cache faults: after
     any service step that crosses a period boundary of its core, that
@@ -394,6 +400,7 @@ def drive(
             f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
         )
     recorder = active_recorder()
+    spans = span_recorder()
     num_cores = len(cores)
     cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
     steppers = [_stepper(scheduler, engine) for scheduler in cores]
@@ -409,6 +416,9 @@ def drive(
     completed = [0] * num_cores
     service = [0.0] * num_cores
     dispatched = [0] * num_cores
+    dropped = [0] * num_cores
+    steps = 0
+    finished = 0
     awake = [False] * num_cores
     index = 0
     while True:
@@ -437,22 +447,18 @@ def drive(
             drops_before = scheduler.drops
             scheduler.enqueue_arrival(message)
             dispatched[target] += 1
-            if recorder is not None:
-                recorder.count("messages.arrivals")
+            # Tail drop loses the new message; head drop evicts older
+            # queued ones — either way, count every loss.
+            lost = scheduler.drops - drops_before
+            dropped[target] += lost
+            if spans is not None:
                 if dispatch is not None:
-                    recorder.count(f"dispatch.core{target}.assigned")
-                    recorder.instant(
+                    spans.instant(
                         "dispatch", dispatch.name, cycle,
                         core=target, size=message.size,
                     )
-                lost = scheduler.drops - drops_before
                 if lost:
-                    # Tail drop loses the new message; head drop evicts
-                    # older queued ones — either way, count every loss.
-                    recorder.count("messages.drops", float(lost))
-                    if dispatch is not None:
-                        recorder.count(f"dispatch.core{target}.drops", float(lost))
-                    recorder.instant(
+                    spans.instant(
                         tracks[target], "drop", cpu.cycles, size=message.size
                     )
             index += 1
@@ -465,21 +471,21 @@ def drive(
         scheduler = cores[core]
         cpu = cpus[core]
         before = cpu.cycles
-        handle = None
-        if recorder is not None:
-            handle = recorder.begin(
+        if spans is None:
+            completions = steppers[core]()
+        else:
+            handle = spans.begin(
                 tracks[core],
                 "service_step",
                 before,
                 machine_counters(cpu),
                 pending_messages=scheduler.pending(),
             )
-        completions = steppers[core]()
-        if handle is not None:
+            completions = steppers[core]()
             handle.args["completions"] = len(completions)
-            recorder.end(handle, cpu.cycles)
-            recorder.count("scheduler.service_steps")
-            recorder.count("messages.completions", float(len(completions)))
+            spans.end(handle, cpu.cycles)
+        steps += 1
+        finished += len(completions)
         for message, completion_cycle in completions:
             arrival_cycle = message.meta.get("arrival_cycle")
             if arrival_cycle is None:
@@ -492,10 +498,27 @@ def drive(
             cpu.cold_start()
             if recorder is not None:
                 recorder.count("faults.cache_flushes")
-                recorder.instant(tracks[core], "cache_flush", cpu.cycles)
+            if spans is not None:
+                spans.instant(tracks[core], "cache_flush", cpu.cycles)
             while flush_at <= cpu.cycles:
                 flush_at += flush_period_cycles  # type: ignore[operator]
             next_flush[core] = flush_at
+    if recorder is not None:
+        tallies = {
+            "messages.arrivals": sum(dispatched),
+            "messages.drops": sum(dropped),
+            "scheduler.service_steps": steps,
+        }
+        if dispatch is not None:
+            for target in range(num_cores):
+                tallies[f"dispatch.core{target}.assigned"] = dispatched[target]
+                tallies[f"dispatch.core{target}.drops"] = dropped[target]
+        for name, value in tallies.items():
+            if value:
+                recorder.count(name, float(value))
+        if steps:
+            # Counted per step, so present (maybe 0) once any step ran.
+            recorder.count("messages.completions", float(finished))
     return DriveStats(
         latency=latency,
         completed_per_core=completed,

@@ -23,7 +23,9 @@ the full reference stream it pushes through each cache — is a pure
 function of the batch composition (which ring buffer holds which
 message size).  The engine compiles that into a
 :class:`repro.cache.chunked.SegmentedAccessPlan` per cache plus a
-per-invocation cost-addend layout, cached by composition key.  The ring
+per-invocation cost-addend layout, cached by composition key; a
+template keeps its data plan packed (:class:`~repro.cache.chunked.PackedPlan`)
+for the batch length's :class:`~repro.cache.chunked.FusedReplay`.  The ring
 of 32 buffers and the bounded batch cap keep the key space small, so a
 single-size workload soon replays only cached templates.  A mixed-size
 trace does not: on the synthesized Bellcore-like trace (nine Ethernet
@@ -36,10 +38,13 @@ from it
 (:func:`repro.cache.chunked.collapsed_plan`), which turns LDLP's
 layer-major batch into one segment per layer.
 
-*Dynamic replay.*  Applying a template is ~15 numpy ops: gather the
-live tags for first-touched sets, compare, scatter the final tags,
-turn per-segment miss counts into stall addends, and one ``cumsum``
-over the flat addend array.  ``cumsum`` accumulates strictly
+*Dynamic replay.*  The split L1 keeps both tag arrays in one backing
+array (:class:`~repro.cache.hierarchy.SplitCacheHierarchy`), so a step
+replays its code and data plans as one plan, in ~15 numpy ops: copy
+the data plan's first touches in front of the code plan's in the batch
+length's arena, gather the live tags, compare, scatter the final tags,
+count misses per segment, scatter them as stall addends, and one
+``cumsum`` over the flat addend array.  ``cumsum`` accumulates strictly
 left-to-right, so seeding slot 0 with the current cycle counter
 reproduces the scalar engine's float-addition *order* — which is what
 makes the cycle counts (and therefore every latency sample) bit-exact,
@@ -54,9 +59,9 @@ stacks), an L2 hierarchy (so a core behind a shared L2 steps scalar
 while the others replay), layers whose code working set conflicts with
 itself in the instruction cache (the static template would be unsound —
 see :class:`~repro.cache.chunked.UnsupportedPlanError`), or a
-span-keeping obs recorder (the vec path does not emit per-layer
-``invoke`` spans, only the drive-level counters and ``service_step``
-spans the harness consumes; full tracing keeps the scalar path).
+span-keeping obs recorder (the vec path emits no per-layer ``invoke``
+spans; full tracing keeps the scalar path, and the harness's
+metrics-only recorder wants only the drive loop's counters).
 
 Flow-lookup charging (:mod:`repro.flows`, :mod:`repro.gossip`) is
 inside the envelope.  The lookup stays scalar — LRU state depends on
@@ -75,7 +80,7 @@ from typing import Callable
 import numpy as np
 
 from ..cache.cache import DirectMappedCache
-from ..cache.chunked import SegmentedAccessPlan, collapsed_plan, segment_plan
+from ..cache.chunked import FusedReplay, PackedPlan, collapsed_plan, segment_plan
 from ..core.layer import Message, PassthroughLayer
 from ..core.scheduler import (
     ConventionalScheduler,
@@ -87,7 +92,7 @@ from ..core.scheduler import (
     take_batch,
 )
 from ..machine.executor import FootprintExecutor, MessageBuffer
-from ..obs.runtime import active_recorder
+from ..obs.runtime import span_recorder
 
 #: Cost-addend slots per invocation in a step template (istall, layer
 #: data stall, message-buffer stall, execute, trailing execute).
@@ -95,42 +100,42 @@ _SLOTS = 5
 
 
 class _StepTemplate:
-    """Compiled cache plans + cost layout for one batch composition.
+    """Compiled cache replay + cost layout for one batch composition.
 
-    ``iplan``, ``ipos``, ``dpos`` and ``completions`` depend on the batch
-    length only and are shared by every template of that length.
+    ``replay``, ``positions`` and ``completions`` depend on the batch
+    length only and are shared by every template of that length; only
+    ``data`` and ``addends`` belong to the composition.
     """
 
-    __slots__ = (
-        "iplan", "dplan", "addends", "ipos", "dpos", "completions"
-    )
+    __slots__ = ("replay", "data", "addends", "positions", "completions")
 
     def __init__(
         self,
-        iplan: SegmentedAccessPlan,
-        dplan: SegmentedAccessPlan,
+        replay: FusedReplay,
+        data: PackedPlan,
         addends: np.ndarray,
-        ipos: np.ndarray,
-        dpos: np.ndarray,
+        positions: np.ndarray,
         completions: list[tuple[int, int]],
     ) -> None:
-        self.iplan = iplan
-        self.dplan = dplan
+        #: The batch length's code plan, fused with ``data`` per step.
+        self.replay = replay
+        self.data = data
         #: Flat addend array: slot 0 = live cycle counter, then _SLOTS
         #: per invocation; cumsum replays the scalar addition order.
         self.addends = addends
-        #: istall slots of the invocations ``iplan`` kept; the elided
-        #: repeats never miss, so their slots stay 0.
-        self.ipos = ipos
-        self.dpos = dpos
+        #: Addend slot of each replay segment's stall: the data and
+        #: buffer stall slots, then the istall slots of the invocations
+        #: the code plan kept (elided repeats never miss; their slots
+        #: stay 0).
+        self.positions = positions
         #: (message slot, addend index of its completion cycle) pairs
         #: in scalar completion order.
         self.completions = completions
 
 
-#: The batch-length-only part of a template: (iplan, ipos, dpos,
+#: The batch-length-only part of a template: (replay, positions,
 #: completions).
-_Shape = tuple[SegmentedAccessPlan, np.ndarray, np.ndarray, list[tuple[int, int]]]
+_Shape = tuple[FusedReplay, np.ndarray, list[tuple[int, int]]]
 
 
 def _distinct_sets(lines: np.ndarray, num_lines: int) -> bool:
@@ -153,7 +158,10 @@ class _VecEngine:
         hierarchy = self.cpu.hierarchy
         self.icache = hierarchy.icache
         self.dcache = hierarchy.dcache
-        self.miss_penalty = int(binding.spec.miss_penalty)
+        self.tags = hierarchy.l1_tags
+        # A float penalty makes the stalls float64, exactly: miss counts
+        # times the penalty stay far below 2**53.
+        self.miss_penalty = float(binding.spec.miss_penalty)
         efficiency = float(binding.spec.iprefetch_efficiency)
         self.iprefetch_scale = (1.0 - efficiency) if efficiency else None
         self.placed = [
@@ -246,9 +254,8 @@ class _VecEngine:
             dpos[0::2] = base + 2
             dpos[1::2] = base + 3
             shape = (
-                iplan,
-                base[kept] + 1,
-                dpos,
+                FusedReplay(iplan, self.dcache.num_lines, 2 * count),
+                np.concatenate((dpos, base[kept] + 1)),
                 self._completion_points(batch, count),
             )
             self._shapes[batch] = shape
@@ -258,7 +265,7 @@ class _VecEngine:
         self, sizes: list[int], buffers: list[MessageBuffer]
     ) -> _StepTemplate:
         program = self._invocations(sizes)
-        iplan, ipos, dpos, completions = self._shape(program, len(sizes))
+        replay, positions, completions = self._shape(program, len(sizes))
         # Each slot's buffer lines, computed once: LDLP and grouped
         # programs touch every slot once per layer (or group).
         slot_lines = [
@@ -280,8 +287,8 @@ class _VecEngine:
         addends = np.zeros(1 + _SLOTS * len(program))
         addends[4::_SLOTS] = execute
         addends[5::_SLOTS] = [trailing for *_, trailing in program]
-        dplan = segment_plan(data_segments, self.dcache.num_lines)
-        return _StepTemplate(iplan, dplan, addends, ipos, dpos, completions)
+        data = replay.pack(segment_plan(data_segments, self.dcache.num_lines))
+        return _StepTemplate(replay, data, addends, positions, completions)
 
     # ------------------------------------------------------------------
     # Dynamic replay
@@ -306,21 +313,22 @@ class _VecEngine:
             template = self._compile(sizes, buffers)
             self._templates[key] = template
         cpu = self.cpu
-        imiss = template.iplan.apply(self.icache.tag_array, self.icache.stats)
-        dmiss = template.dplan.apply(self.dcache.tag_array, self.dcache.stats)
-        istall = imiss * self.miss_penalty
+        replay = template.replay
+        misses = replay.apply(
+            self.tags, template.data, self.dcache.stats, self.icache.stats
+        )
+        stall = misses * self.miss_penalty
         if self.iprefetch_scale is not None:
             # round() and np.rint both round half to even, so the
             # per-call prefetch discount truncates identically.
-            istall = np.rint(istall * self.iprefetch_scale)
-        dstall = dmiss * self.miss_penalty
+            istall = stall[replay.dsegments :]
+            istall[:] = np.rint(istall * self.iprefetch_scale)
         addends = template.addends
         addends[0] = cpu.cycles
-        addends[template.ipos] = istall
-        addends[template.dpos] = dstall
-        timeline = np.cumsum(addends)
+        addends[template.positions] = stall
+        timeline = addends.cumsum()
         cpu.cycles = float(timeline[-1])
-        cpu.stall_cycles += float(istall.sum() + dstall.sum())
+        cpu.stall_cycles += float(stall.sum())
         return [
             (batch[slot], float(timeline[index]))
             for slot, index in template.completions
@@ -345,10 +353,11 @@ def vec_supported(scheduler: Scheduler) -> bool:
     if binding.spec.l2 is not None:
         return False
     hierarchy = binding.cpu.hierarchy
-    if type(hierarchy.icache) is not DirectMappedCache:
-        return False
-    if type(hierarchy.dcache) is not DirectMappedCache:
-        return False
+    for cache in (hierarchy.icache, hierarchy.dcache):
+        if type(cache) is not DirectMappedCache:
+            return False
+        if cache.tag_array.base is not hierarchy.l1_tags:
+            return False
     for layer in scheduler.layers:
         if type(layer) is not PassthroughLayer:
             return False
@@ -396,8 +405,7 @@ def vec_stepper(scheduler: Scheduler) -> Callable[[], list[tuple[Message, float]
     emits.  The returned bound method is the engine's only owner, so the
     engine and its compiled templates are freed with it.
     """
-    recorder = active_recorder()
-    if recorder is not None and recorder.keep_spans:
+    if span_recorder() is not None:
         return None
     if not vec_supported(scheduler):
         return None

@@ -12,7 +12,8 @@ randomly generated access traces rather than hand-picked cases:
 * hierarchy — the second-level cache is probed exactly on primary
   misses, so its access count can never exceed the primary miss count;
 * equivalence — the vectorized span path matches the scalar path, and
-  1-way set-associative matches direct-mapped, access for access.
+  1-way set-associative matches direct-mapped, access for access; the
+  fused I+D replay matches the two caches' plans applied one by one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.cache.cache import DirectMappedCache, SetAssociativeCache
-from repro.cache.chunked import SegmentedAccessPlan, UnsupportedPlanError, unit_plan
+from repro.cache.chunked import (
+    FusedReplay,
+    SegmentedAccessPlan,
+    UnsupportedPlanError,
+    collapsed_plan,
+    segment_plan,
+    unit_plan,
+)
 from repro.cache.hierarchy import CacheGeometry, MachineSpec, SplitCacheHierarchy
 from repro.errors import ConfigurationError
 
@@ -355,6 +363,87 @@ def test_segmented_plan_matches_call_parallel_path(size, line_size, lines):
     assert planned.stats.hits == scalar.stats.hits
     assert planned.stats.evictions == scalar.stats.evictions
     assert planned.resident_lines() == scalar.resident_lines()
+
+
+def _set_distinct(lines: list[int], num_sets: int) -> np.ndarray:
+    """``lines`` minus any later line whose set is already taken."""
+    segment = np.asarray(lines, dtype=np.int64)
+    _, first_index = np.unique(segment % num_sets, return_index=True)
+    return segment[np.sort(first_index)]
+
+
+SEGMENT = st.lists(st.integers(0, 255), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    isets=st.sampled_from([8, 16, 32]),
+    dsets=st.sampled_from([8, 16, 32]),
+    code=st.lists(st.tuples(SEGMENT, st.integers(1, 3)), min_size=1, max_size=5),
+    data=st.integers(1, 5).flatmap(
+        lambda count: st.lists(
+            st.lists(SEGMENT, min_size=count, max_size=count),
+            min_size=1, max_size=3,
+        )
+    ),
+    iwarm=st.lists(st.integers(0, 255), max_size=40),
+    dwarm=st.lists(st.integers(0, 255), max_size=40),
+)
+def test_fused_replay_matches_separate_plans(isets, dsets, code, data, iwarm, dwarm):
+    """One fused pass over the split L1's backing tag array gives the
+    per-segment misses, final tags and both caches' stats that applying
+    the I plan and each D plan separately gives — from warm states
+    that leave some sets empty (-1), through several D plans of one
+    replay, with the I plan's repeated segments elided."""
+    spec = MachineSpec(
+        icache=CacheGeometry(isets * 32, 32), dcache=CacheGeometry(dsets * 32, 32)
+    )
+    fused = SplitCacheHierarchy(spec)
+    icache = DirectMappedCache(isets * 32, 32)
+    dcache = DirectMappedCache(dsets * 32, 32)
+    for pair in ((fused.icache, icache), (fused.dcache, dcache)):
+        warm = np.asarray(iwarm if pair[1] is icache else dwarm, dtype=np.int64)
+        for cache in pair:
+            cache.access_stream(warm)
+    code_segments = [
+        _set_distinct(lines, isets) for lines, repeat in code for _ in range(repeat)
+    ]
+    iplan, _ = collapsed_plan(code_segments, isets)
+    replay = FusedReplay(iplan, dsets, len(data[0]))
+    for plan_segments in data:
+        dplan = segment_plan([_set_distinct(lines, dsets) for lines in plan_segments], dsets)
+        misses = replay.apply(
+            fused.l1_tags, replay.pack(dplan), fused.dcache.stats, fused.icache.stats
+        )
+        expected = np.concatenate((
+            dplan.apply(dcache.tag_array, dcache.stats),
+            iplan.apply(icache.tag_array, icache.stats),
+        ))
+        assert misses.tolist() == expected.tolist()
+        assert fused.dcache.stats == dcache.stats
+        assert fused.icache.stats == icache.stats
+        assert np.array_equal(fused.dcache.tag_array, dcache.tag_array)
+        assert np.array_equal(fused.icache.tag_array, icache.tag_array)
+    assert fused.icache.stats.evictions <= fused.icache.stats.misses
+
+
+def test_split_hierarchy_shares_one_tag_array():
+    """The primaries' tags are views of ``l1_tags``, data sets first;
+    flushing either cache empties only its own part, in place."""
+    hierarchy = SplitCacheHierarchy(
+        MachineSpec(icache=CacheGeometry(512, 32), dcache=CacheGeometry(256, 32))
+    )
+    tags = hierarchy.l1_tags
+    assert tags.size == 16 + 8
+    assert hierarchy.dcache.tag_array.base is tags
+    assert hierarchy.icache.tag_array.base is tags
+    hierarchy.read_data(0, 64)
+    hierarchy.fetch_code(0, 32)
+    assert tags[:8].tolist()[:2] == [0, 1] and tags[8] == 0
+    hierarchy.dcache.flush()
+    assert (tags[:8] == -1).all() and tags[8] == 0
+    hierarchy.flush()
+    assert (tags == -1).all()
 
 
 def test_segmented_plan_rejects_in_segment_set_repeat():

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 import repro.sim.vec as vec_module
 from repro.cache.cache import DirectMappedCache
 from repro.cache.chunked import collapsed_plan, segment_plan
-from repro.cache.hierarchy import CacheGeometry
+from repro.cache.hierarchy import CacheGeometry, SplitCacheHierarchy
 from repro.core.batching import BatchPolicy
 from repro.core.binding import MachineBinding
 from repro.core.dispatch import DISPATCH_POLICIES
@@ -428,8 +428,9 @@ def test_grouped_explicit_groups_equivalence(batch_limit, groups):
 
 
 def test_code_plan_shared_per_batch_length():
-    """Templates of one batch length share one code plan, and LDLP's
-    layer-major code stream collapses to one segment per layer."""
+    """Templates of one batch length share one code plan, fused replay
+    and arena, and LDLP's layer-major code stream collapses to one
+    segment per layer."""
     config = SimulationConfig(scheduler="ldlp", batch_limit=14, duration=0.01)
     scheduler = build_scheduler(config, seed=0)
     engine = vec_module._VecEngine(scheduler, "ldlp")
@@ -437,15 +438,26 @@ def test_code_plan_shared_per_batch_length():
     buffers = binding.pool.buffers
     first = engine._compile([552] * 14, buffers[:14])
     second = engine._compile([100] * 14, buffers[14:28])
-    assert first.iplan is second.iplan
-    assert first.dplan is not second.dplan
-    assert first.iplan.num_segments == len(scheduler.layers)
+    replay = first.replay
+    assert second.replay is replay
+    assert second.positions is first.positions
+    assert first.data is not second.data
+    assert replay.iplan.num_segments == len(scheduler.layers)
     code_lines = sum(
         binding.placed_layer(layer.name).code_lines.size
         for layer in scheduler.layers
     )
-    assert first.iplan.repeat_hits == 13 * code_lines
-    assert first.ipos.tolist() == [1 + 5 * 14 * index for index in range(5)]
+    assert replay.iplan.repeat_hits == 13 * code_lines
+    istall = first.positions[replay.dsegments:]
+    assert istall.tolist() == [1 + 5 * 14 * index for index in range(5)]
+    # The code plan's first-touch arrays are not copied into templates:
+    # a template's block holds one column per data set it touches.
+    dsets = engine.dcache.num_lines
+    for template, sizes, ring in ((first, 552, buffers[:14]), (second, 100, buffers[14:28])):
+        _, segments = _reference_compile(engine, [sizes] * 14, ring)
+        touched = np.unique(np.concatenate(segments) % dsets).size
+        assert template.data.block.shape == (4, touched)
+        assert template.data.static.size == replay.num_segments
 
 
 @settings(max_examples=40, deadline=None)
@@ -517,9 +529,9 @@ def _reference_compile(engine, sizes, buffers):
 )
 def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
     """A compiled template equals the per-invocation reference: bit-equal
-    addends, and a data plan whose replay on a live cache gives the
-    per-segment misses, stats and tags of the reference segments
-    accessed one scalar call at a time."""
+    addends, and a fused replay on a live split L1 that gives the
+    per-segment misses, stats and tags of the reference code and data
+    segments accessed one scalar call at a time."""
     config = SimulationConfig(scheduler=scheduler, batch_limit=12, duration=0.01)
     built = build_scheduler(config, seed=0)
     engine = vec_module._VecEngine(built, vec_module._scheduler_kind(built))
@@ -531,25 +543,39 @@ def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
     template = engine._compile(sizes, buffers)
     addends, segments = _reference_compile(engine, sizes, buffers)
     assert template.addends.tobytes() == addends.tobytes()
+    program = engine._invocations(sizes)
+    code = [engine.placed[layer_index].code_lines for layer_index, *_ in program]
 
-    # Warm both caches alike: some reference lines (hits), some strays.
+    # Warm both machines alike: some reference lines (hits), some strays.
     rng = np.random.default_rng(warm_seed)
-    all_lines = np.concatenate(segments)
-    warm = np.concatenate([
-        rng.choice(all_lines, size=all_lines.size // 2 + 1),
-        rng.integers(0, 4 * engine.dcache.num_lines, size=8),
-    ])
-    planned, scalar = (
-        DirectMappedCache(engine.dcache.size, engine.dcache.line_size)
-        for _ in range(2)
+    planned = SplitCacheHierarchy(built.binding.spec)
+    scalar = SplitCacheHierarchy(built.binding.spec)
+    for name, lines in (("dcache", segments), ("icache", code)):
+        all_lines = np.concatenate(lines)
+        num_lines = getattr(planned, name).num_lines
+        warm = np.concatenate([
+            rng.choice(all_lines, size=all_lines.size // 2 + 1),
+            rng.integers(0, 4 * num_lines, size=8),
+        ])
+        for hierarchy in (planned, scalar):
+            getattr(hierarchy, name).access_stream(warm)
+    replay = template.replay
+    per_segment = replay.apply(
+        planned.l1_tags, template.data, planned.dcache.stats, planned.icache.stats
     )
-    for cache in (planned, scalar):
-        cache.access_stream(warm)
-    per_segment = template.dplan.apply(planned.tag_array, planned.stats)
-    expected = [scalar.access_line_array_report(segment).size for segment in segments]
-    assert per_segment.tolist() == expected
-    assert planned.stats == scalar.stats
-    assert np.array_equal(planned.tag_array, scalar.tag_array)
+    dmisses = [scalar.dcache.access_line_array_report(lines).size for lines in segments]
+    imisses = [scalar.icache.access_line_array_report(lines).size for lines in code]
+    assert per_segment[: replay.dsegments].tolist() == dmisses
+    # Each code segment's stall lands in its invocation's istall slot;
+    # the elided repeats missed nothing.
+    istall = np.zeros(len(program), dtype=np.int64)
+    istall[(template.positions[replay.dsegments:] - 1) // 5] = per_segment[replay.dsegments:]
+    assert istall.tolist() == imisses
+    dslots = template.positions[: replay.dsegments].reshape(-1, 2)
+    assert dslots.tolist() == [[5 * i + 2, 5 * i + 3] for i in range(len(program))]
+    for name in ("dcache", "icache"):
+        assert getattr(planned, name).stats == getattr(scalar, name).stats
+    assert np.array_equal(planned.l1_tags, scalar.l1_tags)
 
 
 def test_vec_plans_keep_no_mask_arrays():
@@ -653,6 +679,63 @@ def test_span_keeping_recorder_uses_scalar_path():
     tracks = set(recorder.tracks())
     assert "layer0" in tracks
     assert any(span.name == "invoke" for span in recorder.spans)
+
+
+#: Runs whose counters must not depend on the recorder mode: every
+#: scheduler, a cache-flushed run, and a 2-core dispatched run that
+#: overflows its 4-deep queues.
+COUNTER_IDENTITY_CASES = {
+    **{
+        name: (SimulationConfig(scheduler=name, duration=0.02), 12000.0)
+        for name in SCHEDULER_NAMES
+    },
+    "flushed": (
+        SimulationConfig(
+            scheduler="ldlp", duration=0.02,
+            flush_period_cycles=campaign_plan().flush_period_cycles,
+        ),
+        12000.0,
+    ),
+    "dispatched": (
+        SimulationConfig(
+            scheduler="conventional", dispatch="rss", num_cores=2,
+            input_limit=4, duration=0.02,
+        ),
+        30000.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTER_IDENTITY_CASES))
+def test_counters_identical_with_and_without_spans(case):
+    """The same run under a span-keeping and a metrics-only recorder,
+    on both engines, counts exactly the same: skipping spans on the
+    metrics-only path and tallying the drive counters per call must
+    not change a bit (nor which counters exist)."""
+    config, rate = COUNTER_IDENTITY_CASES[case]
+    arrivals = PoissonSource(rate, rng=5).arrival_list(config.duration)
+    seen = {}
+    for engine in ENGINE_NAMES:
+        for keep_spans in (True, False):
+            recorder = Recorder(keep_spans=keep_spans)
+            with recording(recorder):
+                result = run_simulation(
+                    PoissonSource(rate, rng=5), replace(config, engine=engine),
+                    seed=5, arrivals=arrivals,
+                )
+            seen[engine, keep_spans] = (
+                canonical_json(result.to_dict()), recorder.counters.as_dict()
+            )
+    assert len(set(map(repr, seen.values()))) == 1
+    counters = seen["vec", False][1]
+    assert counters["messages.arrivals"] == len(arrivals)
+    if case == "flushed":
+        assert counters["faults.cache_flushes"] > 0
+    if case == "dispatched":
+        assert counters["messages.drops"] > 0
+        assert counters["dispatch.core0.drops"] + counters["dispatch.core1.drops"] == (
+            counters["messages.drops"]
+        )
 
 
 def test_latency_sample_order_is_identical():
