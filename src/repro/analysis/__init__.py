@@ -11,8 +11,8 @@ Four analyzers over the repo's own models and sources, each reporting
   (``SCHED001``–``SCHED004``);
 * :mod:`~repro.analysis.mbuflint` — AST lint of mbuf alloc/free
   lifecycles in Python sources (``MBUF001``–``MBUF003``);
-* :mod:`~repro.analysis.harnesscheck` — sweep-point import closures vs
-  declared cache sources (``HARN001``);
+* :mod:`~repro.analysis.harnesscheck` — sweep-point import closures
+  and registry sweep coverage (``HARN002``–``HARN004``);
 * :mod:`~repro.analysis.detcheck` — whole-package determinism and
   sweep-point parallel purity (``DET001``–``DET005``), with inline
   ``# det: allow[RULE] reason`` suppressions.

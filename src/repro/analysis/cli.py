@@ -66,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--harness",
         action="store_true",
         help=(
-            "check every experiment's sweep-point import closure against "
-            "its declared cache sources (HARN001) and dispatch-policy "
-            "sweep coverage (HARN002)"
+            "check that some sweep point exercises every registered "
+            "dispatch policy, flow-cache organization and framing mode "
+            "(HARN002-HARN004)"
         ),
     )
     parser.add_argument(
@@ -119,9 +119,9 @@ def run(args: argparse.Namespace) -> tuple[list[Finding], dict[str, object]]:
         findings.extend(analysis.findings)
         summaries[f"stack:{analysis.name}"] = analysis.summary
     if args.harness:
-        from .harnesscheck import check_all_specs
+        from .harnesscheck import check_sweep_coverage
 
-        harness_findings = check_all_specs()
+        harness_findings = check_sweep_coverage()
         findings.extend(harness_findings)
         summaries["harness"] = {
             "experiments_checked": True,

@@ -49,7 +49,7 @@ import repro
 
 from ..errors import TraceError
 from .findings import Finding
-from .harnesscheck import PACKAGE, import_closure, module_path
+from .harnesscheck import PACKAGE, declared_points, import_closure, module_path
 
 #: Root directory of the analyzed package (``src/repro``).
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
@@ -705,21 +705,14 @@ def module_state_writes(tree: ast.Module) -> list[StateWrite]:
 
 def check_parallel_purity() -> list[Finding]:
     """DET005 findings over every registered experiment's point closure."""
-    from ..harness.points import SCALES
     from ..harness.registry import all_specs
 
     # Which experiments reach each closed-over module.
     reached_by: dict[str, list[str]] = {}
     for spec in all_specs():
-        func_modules: set[str] = set()
-        for scale in SCALES:
-            try:
-                points = spec.points_for(scale)
-            except Exception:  # noqa: BLE001 — scale not defined by this spec
-                continue
-            for point in points:
-                module, _, _ = point.func.partition(":")
-                func_modules.add(module)
+        func_modules = {
+            point.func.partition(":")[0] for point in declared_points(spec)
+        }
         closure: set[str] = set()
         for module in sorted(func_modules):
             closure |= import_closure(module)

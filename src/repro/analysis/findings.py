@@ -130,16 +130,6 @@ RULES: dict[str, Rule] = {
             "An mbuf variable is used after being returned to its pool.",
         ),
         Rule(
-            "HARN001",
-            "undeclared-cache-source",
-            Severity.ERROR,
-            "Reproduction methodology",
-            "A sweep point function's transitive repro.* import closure "
-            "reaches a module not covered by the experiment's declared "
-            "cache sources; editing that module would not invalidate "
-            "cached results (stale cache hits).",
-        ),
-        Rule(
             "HARN002",
             "unexercised-dispatch-policy",
             Severity.ERROR,

@@ -1,64 +1,52 @@
-"""HARN001 — sweep-point import closures vs declared cache sources.
+"""Harness checks: sweep-point import closures and sweep coverage.
 
-The parallel harness caches every sweep point on disk, keyed by the
-point function, its parameters, and a digest of the experiment's
-declared ``sources`` modules (:class:`repro.harness.points.SweepSpec`).
-The declaration is trust-based: if a point function transitively
-imports a ``repro.*`` module the spec does *not* declare, editing that
-module leaves the digest unchanged and ``regress`` happily serves
-stale cached results — the nastiest kind of reproduction bug, because
-everything still passes.
+Two things live here.
 
-This checker closes the loop statically.  For each registered spec it
-
-1. collects the modules named by every point's ``func`` across all
-   scales,
-2. walks each module's transitive ``repro.*`` import closure by parsing
-   ASTs (absolute imports, relative imports at any level, and
-   ``from pkg import submodule`` resolved against the package tree —
-   nothing is executed or imported),
-3. reports a :class:`~repro.analysis.findings.Finding` (rule
-   ``HARN001``, ERROR) for every closed-over module no declared source
-   covers.
-
-A module ``m`` is covered by source ``s`` when ``m == s`` or ``m``
-lives under the package ``s``.  The package root ``repro`` itself and
-``repro.version`` are exempt: the root ``__init__`` is a thin lazy
-wrapper and the version string is already part of the cache key.
+The import-closure walker (:func:`import_closure`) computes the
+transitive ``repro.*`` imports of a sweep point's module by parsing
+ASTs: absolute imports, relative imports at any level, and ``from pkg
+import submodule`` resolved against the package tree.  Nothing is
+executed or imported.  The DET005 parallel-purity rule
+(:mod:`repro.analysis.detcheck`) walks it to find every module a point
+function can reach.
 
 One deliberate refinement keeps the closure honest instead of
 everything-reaches-everything: importing a submodule executes every
 ancestor package ``__init__``, and re-export hubs like
 ``repro.experiments.__init__`` eagerly import *every sibling* — which
 would drag the whole codebase into every experiment's closure and make
-the rule useless.  Ancestor ``__init__`` files that are pure re-export
+the walk useless.  Ancestor ``__init__`` files that are pure re-export
 hubs (docstring + imports + ``__all__`` only) are therefore treated as
-inert: their imports are not followed and they need no declaration.
-Any ``__init__`` reached through a real import edge (``from ..core
-import BatchPolicy``), or containing actual logic, is followed in
-full — its code demonstrably feeds the point result.
+inert: their imports are not followed.  Any ``__init__`` reached
+through a real import edge (``from ..core import BatchPolicy``), or
+containing actual logic, is followed in full — its code demonstrably
+feeds the point result.
+
+The sweep-coverage rules (:func:`check_sweep_coverage`, HARN002–HARN004)
+pin that every entry of a registry the golden gate depends on is
+exercised: every dispatch policy by a ``multicore`` point, every
+flow-cache organization by a ``flows`` point, every framing mode by a
+``gossip`` point.  A registered entry no sweep runs could change
+behaviour without tripping any golden.
 """
 
 from __future__ import annotations
 
 import ast
+from importlib import import_module
 from pathlib import Path
+from typing import NamedTuple
 
 import repro
 
 from ..errors import ConfigurationError
-from ..harness.points import SCALES, SweepSpec
+from ..harness.points import SCALES, SweepPoint, SweepSpec
 from .findings import Finding
 
 #: The package every experiment lives under.
 PACKAGE = "repro"
 
 _ROOT = Path(repro.__file__).resolve().parent
-
-#: Modules whose changes need not invalidate caches: the root
-#: ``__init__`` only lazy-imports, and the version string is hashed
-#: into every cache key independently of source digests.
-IGNORED_MODULES = frozenset({PACKAGE, f"{PACKAGE}.version"})
 
 
 def module_path(name: str) -> Path | None:
@@ -190,206 +178,74 @@ def import_closure(root_module: str) -> set[str]:
     return closure
 
 
-def _covered(module: str, sources: tuple[str, ...]) -> bool:
-    """True when some declared source digests this module's file."""
-    return any(
-        module == source or module.startswith(source + ".")
-        for source in sources
-    )
-
-
-def check_spec(spec: SweepSpec) -> list[Finding]:
-    """HARN001 findings for one experiment's sweep spec."""
-    func_modules: set[str] = set()
+def declared_points(spec: SweepSpec) -> list[SweepPoint]:
+    """Every sweep point ``spec`` declares, across all scales it defines."""
+    points: list[SweepPoint] = []
     for scale in SCALES:
         try:
-            points = spec.points_for(scale)
+            points.extend(spec.points_for(scale))
         except (KeyError, ConfigurationError):
             # A scale this experiment does not define.
             continue
-        for point in points:
-            module, _, _ = point.func.partition(":")
-            func_modules.add(module)
-    closure: set[str] = set()
-    for module in sorted(func_modules):
-        closure |= import_closure(module)
-    missing = sorted(
-        module
-        for module in closure
-        if module not in IGNORED_MODULES and not _covered(module, spec.sources)
-    )
-    if not missing:
-        return []
-    return [
-        Finding(
-            rule_id="HARN001",
-            message=(
-                f"experiment {spec.name!r}: point functions transitively "
-                f"import {module}, which no declared cache source covers "
-                f"— edits to it would serve stale cached results "
-                f"(declared sources: {', '.join(spec.sources)})"
-            ),
-            target=f"experiment:{spec.name}",
-            details={
-                "experiment": spec.name,
-                "module": module,
-                "sources": list(spec.sources),
-            },
-        )
-        for module in missing
-    ]
+    return points
 
 
-def check_dispatch_coverage() -> list[Finding]:
-    """HARN002 findings: dispatch policies no multicore sweep exercises.
+class _Coverage(NamedTuple):
+    """One registry whose every entry some sweep point must exercise."""
 
-    The ``multicore`` experiment's golden gate only pins the behaviour
-    of dispatch policies its sweep actually runs.  A policy registered
-    in :data:`repro.core.dispatch.DISPATCH_POLICIES` but absent from
-    every scale's sweep points could change behaviour without tripping
-    any golden — so every registered policy must appear as the
-    ``dispatch`` parameter of at least one point at some scale.
+    rule_id: str
+    experiment: str
+    param: str
+    registry: str  # "module:attribute" of the registry dict
+    noun: str
+    detail: str  # the ``details`` key naming the unexercised entry
+    drift: str  # what changes unpinned when the entry goes unexercised
+
+
+_COVERAGE = (
+    _Coverage("HARN002", "multicore", "dispatch",
+              "repro.core.dispatch:DISPATCH_POLICIES",
+              "dispatch policy", "policy", "behaviour"),
+    _Coverage("HARN003", "flows", "organization",
+              "repro.flows.lookup:FLOW_CACHE_ORGS",
+              "flow-cache organization", "organization", "behaviour"),
+    _Coverage("HARN004", "gossip", "framing",
+              "repro.gossip.wire:FRAMING_MODES",
+              "framing mode", "framing", "wire layout"),
+)
+
+
+def check_sweep_coverage() -> list[Finding]:
+    """HARN002–HARN004 findings: registry entries no sweep exercises.
+
+    For each row of the coverage table, every name registered in the
+    registry must appear as the row's parameter of at least one point
+    of the row's experiment at some scale.
     """
-    from ..core.dispatch import DISPATCH_POLICIES
     from ..harness.registry import get_spec
-
-    spec = get_spec("multicore")
-    exercised: set[str] = set()
-    for scale in SCALES:
-        try:
-            points = spec.points_for(scale)
-        except (KeyError, ConfigurationError):
-            continue
-        for point in points:
-            name = point.params.get("dispatch")
-            if name is not None:
-                exercised.add(str(name))
-    missing = sorted(set(DISPATCH_POLICIES) - exercised)
-    return [
-        Finding(
-            rule_id="HARN002",
-            message=(
-                f"dispatch policy {name!r} is registered in "
-                f"repro.core.dispatch.DISPATCH_POLICIES but exercised by "
-                f"no multicore sweep point at any scale — its behaviour "
-                f"is unpinned by the golden gate "
-                f"(exercised: {', '.join(sorted(exercised)) or 'none'})"
-            ),
-            target="experiment:multicore",
-            details={
-                "policy": name,
-                "exercised": sorted(exercised),
-            },
-        )
-        for name in missing
-    ]
-
-
-def check_flow_org_coverage() -> list[Finding]:
-    """HARN003 findings: flow-cache organizations no flows sweep runs.
-
-    The mirror of HARN002 for the flow-lookup layer: every cache
-    organization registered in
-    :data:`repro.flows.lookup.FLOW_CACHE_ORGS` must appear as the
-    ``organization`` parameter of at least one ``flows`` sweep point at
-    some scale, or its replacement behaviour could change without
-    tripping any golden.
-    """
-    from ..flows.lookup import FLOW_CACHE_ORGS
-    from ..harness.registry import get_spec
-
-    spec = get_spec("flows")
-    exercised: set[str] = set()
-    for scale in SCALES:
-        try:
-            points = spec.points_for(scale)
-        except (KeyError, ConfigurationError):
-            continue
-        for point in points:
-            name = point.params.get("organization")
-            if name is not None:
-                exercised.add(str(name))
-    missing = sorted(set(FLOW_CACHE_ORGS) - exercised)
-    return [
-        Finding(
-            rule_id="HARN003",
-            message=(
-                f"flow-cache organization {name!r} is registered in "
-                f"repro.flows.lookup.FLOW_CACHE_ORGS but exercised by "
-                f"no flows sweep point at any scale — its behaviour "
-                f"is unpinned by the golden gate "
-                f"(exercised: {', '.join(sorted(exercised)) or 'none'})"
-            ),
-            target="experiment:flows",
-            details={
-                "organization": name,
-                "exercised": sorted(exercised),
-            },
-        )
-        for name in missing
-    ]
-
-
-def check_framing_coverage() -> list[Finding]:
-    """HARN004 findings: framing modes no gossip sweep point exercises.
-
-    The wire-protocol twin of HARN002/HARN003: every framing mode
-    registered in :data:`repro.gossip.wire.FRAMING_MODES` must appear
-    as the ``framing`` parameter of at least one ``gossip`` sweep point
-    at some scale, or its header layout could change without tripping
-    any golden — and the session-vs-sessionless savings pin would
-    silently stop comparing anything.
-    """
-    from ..gossip.wire import FRAMING_MODES
-    from ..harness.registry import get_spec
-
-    spec = get_spec("gossip")
-    exercised: set[str] = set()
-    for scale in SCALES:
-        try:
-            points = spec.points_for(scale)
-        except (KeyError, ConfigurationError):
-            continue
-        for point in points:
-            name = point.params.get("framing")
-            if name is not None:
-                exercised.add(str(name))
-    missing = sorted(set(FRAMING_MODES) - exercised)
-    return [
-        Finding(
-            rule_id="HARN004",
-            message=(
-                f"framing mode {name!r} is registered in "
-                f"repro.gossip.wire.FRAMING_MODES but exercised by "
-                f"no gossip sweep point at any scale — its wire layout "
-                f"is unpinned by the golden gate "
-                f"(exercised: {', '.join(sorted(exercised)) or 'none'})"
-            ),
-            target="experiment:gossip",
-            details={
-                "framing": name,
-                "exercised": sorted(exercised),
-            },
-        )
-        for name in missing
-    ]
-
-
-def check_all_specs() -> list[Finding]:
-    """HARN findings across every registered experiment.
-
-    HARN001 (undeclared cache sources) for each spec, plus HARN002
-    (dispatch-policy sweep coverage) for the multicore experiment,
-    HARN003 (flow-cache-organization sweep coverage) for the flows
-    experiment, and HARN004 (framing-mode sweep coverage) for the
-    gossip experiment.
-    """
-    from ..harness.registry import all_specs
 
     findings: list[Finding] = []
-    for spec in all_specs():
-        findings.extend(check_spec(spec))
-    findings.extend(check_dispatch_coverage())
-    findings.extend(check_flow_org_coverage())
-    findings.extend(check_framing_coverage())
+    for row in _COVERAGE:
+        module_name, _, attr = row.registry.partition(":")
+        registered = getattr(import_module(module_name), attr)
+        exercised = sorted({
+            str(point.params[row.param])
+            for point in declared_points(get_spec(row.experiment))
+            if point.params.get(row.param) is not None
+        })
+        findings.extend(
+            Finding(
+                rule_id=row.rule_id,
+                message=(
+                    f"{row.noun} {name!r} is registered in "
+                    f"{module_name}.{attr} but exercised by "
+                    f"no {row.experiment} sweep point at any scale — its "
+                    f"{row.drift} is unpinned by the golden gate "
+                    f"(exercised: {', '.join(exercised) or 'none'})"
+                ),
+                target=f"experiment:{row.experiment}",
+                details={row.detail: name, "exercised": exercised},
+            )
+            for name in sorted(set(registered) - set(exercised))
+        )
     return findings

@@ -278,22 +278,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.sim",
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.traffic",
-        "repro.buffers",
-        "repro.netbsd",
-        "repro.trace",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.ablations",
-        "repro.experiments.report",
-        "repro.harness.points",
-    ),
     default_tolerance=Tolerance(rel=0.15),
     tolerances={
         "batch1_miss_ratio": Tolerance(rel=0.1),

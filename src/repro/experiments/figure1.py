@@ -172,21 +172,6 @@ SWEEP = SweepSpec(
     name="figure1",
     points=sweep_points,
     quantities=golden_quantities,
-    sources=(
-        "repro.netbsd",
-        "repro.trace",
-        "repro.cache",
-        "repro.core",
-        "repro.machine",
-        "repro.sim",
-        "repro.traffic",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.figure1",
-        "repro.experiments.report",
-        "repro.harness.points",
-    ),
 )
 
 

@@ -163,17 +163,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.sim",
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.traffic",
-        "repro.buffers",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-    ),
     default_tolerance=Tolerance(rel=0.15),
     tolerances={
         "ldlp_instruction_fall_ratio": Tolerance(rel=0.35),

@@ -135,17 +135,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.sim",
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.traffic",
-        "repro.buffers",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-    ),
     default_tolerance=Tolerance(rel=0.25),
     tolerances={
         "low_rate_conv_over_ldlp": Tolerance(rel=0.5),

@@ -185,20 +185,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.sim",
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.traffic",
-        "repro.buffers",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.figure7",
-        "repro.experiments.report",
-        "repro.harness.points",
-    ),
     default_tolerance=Tolerance(rel=0.3),
     tolerances={
         "conv_over_ldlp_mid": Tolerance(rel=0.5),

@@ -187,21 +187,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.machine",
-        "repro.cache",
-        "repro.protocols.checksum",
-        "repro.buffers.mbuf",
-        "repro.core",
-        "repro.sim",
-        "repro.traffic",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.figure8",
-        "repro.experiments.report",
-        "repro.harness.points",
-    ),
     # The checksum model is deterministic: exact reproduction (a hair of
     # absolute slack for float accumulation across numpy builds).
     default_tolerance=Tolerance(abs=1e-6),

@@ -324,22 +324,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.sim",
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.traffic",
-        "repro.buffers",
-        "repro.flows",
-        "repro.gossip",
-        "repro.obs.runtime",
-        "repro.units",
-        "repro.errors",
-        "repro.experiments.report",
-        "repro.experiments.gossip",
-        "repro.harness.points",
-    ),
     default_tolerance=Tolerance(rel=0.4, abs=0.02),
     tolerances=_exact_tolerances(),
 )

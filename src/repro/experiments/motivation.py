@@ -197,21 +197,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.sim",
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.signalling",
-        "repro.buffers",
-        "repro.traffic",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.motivation",
-        "repro.experiments.report",
-        "repro.harness.points",
-    ),
     default_tolerance=Tolerance(rel=0.3),
     tolerances={
         "goal_met": Tolerance(),

@@ -146,18 +146,6 @@ SWEEP = SweepSpec(
     name="schedules",
     points=sweep_points,
     quantities=golden_quantities,
-    sources=(
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.sim",
-        "repro.traffic",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.schedules",
-        "repro.harness.points",
-    ),
 )
 
 

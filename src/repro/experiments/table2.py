@@ -153,20 +153,6 @@ SWEEP = SweepSpec(
     name="table2",
     points=sweep_points,
     quantities=golden_quantities,
-    sources=(
-        "repro.netbsd",
-        "repro.trace",
-        "repro.cache",
-        "repro.core",
-        "repro.machine",
-        "repro.sim",
-        "repro.traffic",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.table2",
-        "repro.harness.points",
-    ),
 )
 
 

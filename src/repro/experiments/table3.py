@@ -150,21 +150,6 @@ SWEEP = SweepSpec(
     name="table3",
     points=sweep_points,
     quantities=golden_quantities,
-    sources=(
-        "repro.netbsd",
-        "repro.trace",
-        "repro.cache",
-        "repro.core",
-        "repro.machine",
-        "repro.sim",
-        "repro.traffic",
-        "repro.obs.runtime",
-        "repro.errors",
-        "repro.units",
-        "repro.experiments.table3",
-        "repro.experiments.report",
-        "repro.harness.points",
-    ),
     # Percent-change cells are deterministic floats; allow only float
     # noise across numpy builds.
     default_tolerance=Tolerance(abs=1e-6),

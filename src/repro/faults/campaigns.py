@@ -239,20 +239,6 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    sources=(
-        "repro.faults",
-        "repro.sim",
-        "repro.core",
-        "repro.cache",
-        "repro.machine",
-        "repro.traffic",
-        "repro.buffers",
-        "repro.obs.runtime",
-        "repro.units",
-        "repro.errors",
-        "repro.experiments.report",
-        "repro.harness.points",
-    ),
     default_tolerance=Tolerance(rel=0.4, abs=0.02),
     tolerances={
         "conservation_violations": Tolerance(),

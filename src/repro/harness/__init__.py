@@ -2,18 +2,17 @@
 
 Every figure/table module in :mod:`repro.experiments` declares a
 :class:`~repro.harness.points.SweepSpec` named ``SWEEP``: the list of
-pure, picklable sweep points that make up the experiment, how to
-extract its paper-expected scalar quantities, and which source modules
-its results depend on.  On top of that declaration this package
-provides:
+pure, picklable sweep points that make up the experiment and how to
+extract its paper-expected scalar quantities.  On top of that
+declaration this package provides:
 
 * :mod:`repro.harness.runner` — fan the points out over a
   ``multiprocessing`` worker pool (``--jobs N``), with per-point
   wall-clock timing, or inline and assembled (``run_assembled``, the
   serial ``ldlp-experiment <name>`` form);
 * :mod:`repro.harness.cache` — an on-disk result cache keyed by a
-  content hash of (point function, parameters, repro version, relevant
-  source files) so unchanged points are never recomputed;
+  content hash of (point function, parameters, every source file of
+  the package) so unchanged points are never recomputed;
 * :mod:`repro.harness.golden` — a golden-figure regression gate:
   checked-in expected quantities with tolerances under ``goldens/``,
   compared by ``ldlp-experiment regress``;
@@ -22,7 +21,7 @@ provides:
 """
 
 from .bench import write_bench
-from .cache import ResultCache, content_key, source_digest
+from .cache import ResultCache, content_key, package_digest
 from .golden import GoldenBreach, bless, check_quantities, load_golden
 from .points import SweepPoint, SweepSpec, Tolerance
 from .registry import all_specs, get_spec
@@ -42,7 +41,7 @@ __all__ = [
     "content_key",
     "get_spec",
     "load_golden",
+    "package_digest",
     "run_assembled",
     "run_experiment",
-    "source_digest",
 ]

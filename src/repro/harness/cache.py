@@ -1,32 +1,32 @@
 """On-disk result cache keyed by content hashes.
 
 A cached sweep point is addressed by the SHA-256 of its function path,
-its parameters, the package version, and a digest of the source files
-the experiment declares it depends on.  Any edit to a relevant model
-file therefore invalidates exactly the experiments that use it, while
-unrelated experiments keep their cached points.
+its parameters, and a digest of every ``.py`` file in the ``repro``
+package.  Any edit to the package therefore invalidates every cached
+point, so a cached result can never outlive a change to the code that
+produced it.  Because the key names nothing but the computation, two
+experiments that declare the same point (figures 5 and 6 do) share one
+entry: whichever runs first computes what both consume.
 
 Layout on disk (default ``.ldlp-cache/``, override with ``--cache-dir``
 or ``LDLP_CACHE_DIR``)::
 
     .ldlp-cache/
-      figure5/
-        <16-hex-digit key prefix>.json   # {"key", "point_key", "func",
-                                         #  "params", "result", "elapsed_s"}
+      <16-hex-digit key prefix>.json   # {"key", "point_key", "func",
+                                       #  "params", "result", "elapsed_s",
+                                       #  "counters"}
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from importlib import import_module
 from pathlib import Path
 from typing import Any
 
-from ..errors import ConfigurationError
-from ..version import __version__
 from .points import SweepPoint
 
 #: Environment variable overriding the default cache directory.
@@ -35,7 +35,8 @@ CACHE_DIR_ENV = "LDLP_CACHE_DIR"
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".ldlp-cache"
 
-_digest_memo: dict[tuple[str, ...], str] = {}
+#: Root of the ``repro`` package, whose sources every key digests.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 def canonical_json(value: Any) -> str:
@@ -43,45 +44,29 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def source_digest(modules: tuple[str, ...]) -> str:
-    """Hash the source files of the given modules/packages.
+@functools.cache
+def package_digest() -> str:
+    """Hash every ``.py`` file of the ``repro`` package, once per process.
 
-    Package names cover every ``.py`` file under the package directory;
-    module names cover the single file.  The digest changes whenever any
-    covered file's bytes change, so cached results can never survive an
-    edit to the models that produced them.
+    Files are keyed by their path relative to the package root, so the
+    digest is the same in any checkout of the same sources and changes
+    whenever a file is edited, added, removed or renamed.
     """
-    if modules in _digest_memo:
-        return _digest_memo[modules]
+    files = sorted(
+        (path.relative_to(_PACKAGE_ROOT).as_posix(), path)
+        for path in _PACKAGE_ROOT.rglob("*.py")
+    )
     outer = hashlib.sha256()
-    for name in sorted(modules):
-        module = import_module(name)
-        module_file = getattr(module, "__file__", None)
-        if module_file is None:
-            raise ConfigurationError(f"module {name!r} has no source file to hash")
-        path = Path(module_file)
-        files = (
-            sorted(path.parent.rglob("*.py"))
-            if path.name == "__init__.py"
-            else [path]
-        )
-        for file in files:
-            outer.update(str(file.name).encode())
-            outer.update(hashlib.sha256(file.read_bytes()).digest())
-    digest = outer.hexdigest()
-    _digest_memo[modules] = digest
-    return digest
+    for name, path in files:
+        outer.update(name.encode())
+        outer.update(hashlib.sha256(path.read_bytes()).digest())
+    return outer.hexdigest()
 
 
-def content_key(point: SweepPoint, sources: tuple[str, ...]) -> str:
+def content_key(point: SweepPoint) -> str:
     """The cache key of one sweep point."""
     payload = canonical_json(
-        {
-            "func": point.func,
-            "params": point.params,
-            "version": __version__,
-            "sources": source_digest(sources),
-        }
+        {"func": point.func, "params": point.params, "package": package_digest()}
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -113,14 +98,14 @@ class ResultCache:
         self.root = Path(root)
         self.enabled = enabled
 
-    def _path(self, experiment: str, key: str) -> Path:
-        return self.root / experiment / f"{key[:16]}.json"
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key[:16]}.json"
 
-    def lookup(self, experiment: str, key: str) -> CacheEntry | None:
+    def lookup(self, key: str) -> CacheEntry | None:
         """Return the stored entry for ``key``, or None on a miss."""
         if not self.enabled:
             return None
-        path = self._path(experiment, key)
+        path = self._path(key)
         if not path.exists():
             return None
         try:
@@ -137,7 +122,6 @@ class ResultCache:
 
     def store(
         self,
-        experiment: str,
         key: str,
         point: SweepPoint,
         result: Any,
@@ -147,7 +131,7 @@ class ResultCache:
         """Persist one computed point result atomically."""
         if not self.enabled:
             return
-        path = self._path(experiment, key)
+        path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "key": key,
@@ -161,15 +145,3 @@ class ResultCache:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
         tmp.replace(path)
-
-    def clear(self, experiment: str | None = None) -> int:
-        """Delete cached entries; returns the number of files removed."""
-        roots = [self.root / experiment] if experiment else [self.root]
-        removed = 0
-        for root in roots:
-            if not root.is_dir():
-                continue
-            for file in root.rglob("*.json"):
-                file.unlink()
-                removed += 1
-        return removed

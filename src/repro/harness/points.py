@@ -4,7 +4,7 @@ A sweep point is one unit of parallel work: a pure function of its
 parameters, addressed by dotted name so worker processes can import and
 execute it, with JSON-serializable parameters and result so the on-disk
 cache can store it.  A :class:`SweepSpec` bundles an experiment's
-points with its golden quantities and cache dependencies.
+points with its golden quantities.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class SweepSpec:
     tolerances:
         Per-quantity drift tolerances; quantities not listed here use
         ``default_tolerance``.
-    sources:
-        Module or package names (``repro.sim``, ``repro.cache``) whose
-        file contents are hashed into every cache key, so editing any
-        model the experiment depends on invalidates its cached points.
     assemble:
         Optional ``assemble(points, results) -> object`` rebuilding the
         experiment's rich result (with ``render()``) from point results.
@@ -108,7 +104,6 @@ class SweepSpec:
     name: str
     points: Callable[[str], list[SweepPoint]]
     quantities: Callable[[list[SweepPoint], dict[str, Any]], dict[str, float]]
-    sources: tuple[str, ...]
     tolerances: dict[str, Tolerance] = field(default_factory=dict)
     default_tolerance: Tolerance = field(default_factory=Tolerance)
     assemble: Callable[[list[SweepPoint], dict[str, Any]], Any] | None = None

@@ -125,13 +125,13 @@ def run_experiment(
     points = spec.points_for(scale)
     start = time.perf_counter()  # det: allow[DET003] wall_s is BENCH timing metadata, not a result
 
-    keys = {point.key: content_key(point, spec.sources) for point in points}
+    keys = {point.key: content_key(point) for point in points}
     results: dict[str, Any] = {}
     elapsed: dict[str, float] = {}
     counters: dict[str, float] = {}
     pending: list[SweepPoint] = []
     for point in points:
-        entry = cache.lookup(spec.name, keys[point.key])
+        entry = cache.lookup(keys[point.key])
         if entry is None:
             pending.append(point)
         else:
@@ -150,9 +150,7 @@ def run_experiment(
             results[point.key] = result
             elapsed[point.key] = seconds
             merge_counters(counters, point_counters)
-            cache.store(
-                spec.name, keys[point.key], point, result, seconds, point_counters
-            )
+            cache.store(keys[point.key], point, result, seconds, point_counters)
 
     # Re-key in declared order so serialization ignores completion order.
     ordered = {point.key: results[point.key] for point in points}

@@ -70,12 +70,12 @@ class TestFindings:
             "LDLP001", "LDLP002", "LDLP003", "LDLP004",
             "SCHED001", "SCHED002", "SCHED003", "SCHED004",
             "MBUF001", "MBUF002", "MBUF003",
-            "HARN001", "HARN002", "HARN003", "HARN004",
+            "HARN002", "HARN003", "HARN004",
             "DET001", "DET002", "DET003", "DET004", "DET005",
         }
         assert expected == set(RULES)
         for rule in RULES.values():
-            # Paper-derived rules cite a section; HARN001 guards the
+            # Paper-derived rules cite a section; HARN002-HARN004 guard the
             # reproduction harness itself rather than the paper.
             assert rule.paper_section.startswith(("Section", "Reproduction"))
 

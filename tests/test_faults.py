@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.harnesscheck import (
-    check_all_specs,
-    check_spec,
+    check_sweep_coverage,
     import_closure,
     module_path,
 )
@@ -50,7 +49,6 @@ from repro.faults import (
     stage_from_params,
 )
 from repro.faults.campaigns import SWEEP, campaign_plan, fault_point
-from repro.harness.points import SweepPoint, SweepSpec
 from repro.protocols.checksum import (
     internet_checksum,
     internet_checksum_unrolled,
@@ -552,44 +550,5 @@ class TestHarnessCheck:
         # repro.experiments.__init__ must NOT leak into the closure.
         assert not any(m.startswith("repro.experiments") for m in closure)
 
-    def _spec(self, sources):
-        return SweepSpec(
-            name="probe",
-            points=lambda scale: [
-                SweepPoint(
-                    experiment="probe",
-                    key="only",
-                    func="repro.sim.runner:poisson_point",
-                    params={},
-                )
-            ],
-            quantities=lambda points, results: {},
-            sources=sources,
-        )
-
-    def test_undeclared_source_flagged(self):
-        findings = check_spec(self._spec(("repro.sim",)))
-        assert findings
-        assert all(f.rule_id == "HARN001" for f in findings)
-        assert all(f.severity.value == "error" for f in findings)
-        flagged = {f.details["module"] for f in findings}
-        assert "repro.core.scheduler" in flagged
-
-    def test_fully_declared_spec_clean(self):
-        spec = self._spec(
-            (
-                "repro.sim",
-                "repro.core",
-                "repro.cache",
-                "repro.machine",
-                "repro.traffic",
-                "repro.buffers",
-                "repro.obs.runtime",
-                "repro.errors",
-                "repro.units",
-            )
-        )
-        assert check_spec(spec) == []
-
     def test_repo_specs_all_clean(self):
-        assert check_all_specs() == []
+        assert check_sweep_coverage() == []

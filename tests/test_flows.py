@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.harnesscheck import check_flow_org_coverage
+from repro.analysis.harnesscheck import check_sweep_coverage
 from repro.cache.cache import DirectMappedCache
 from repro.errors import ConfigurationError
 from repro.experiments import flows as experiment
@@ -523,7 +523,6 @@ class TestSweepDeterminism:
             name="tinyflows",
             points=points,
             quantities=lambda points, results: {},
-            sources=("repro.sim", "repro.core", "repro.flows"),
         )
 
     def test_identical_across_jobs(self, tmp_path):
@@ -592,7 +591,7 @@ class TestExperimentSweep:
         assert "scheduler" in table and "entries" in table
 
     def test_harn003_clean_on_shipped_registry(self):
-        assert check_flow_org_coverage() == []
+        assert check_sweep_coverage() == []
 
     def test_harn003_flags_unexercised_organization(self, monkeypatch):
         import repro.flows.lookup as lookup_module
@@ -602,7 +601,7 @@ class TestExperimentSweep:
             "phantom",
             lambda entries: DirectMappedCache(entries, line_size=1),
         )
-        findings = check_flow_org_coverage()
+        findings = check_sweep_coverage()
         assert len(findings) == 1
         assert findings[0].rule_id == "HARN003"
         assert findings[0].details["organization"] == "phantom"

@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.analysis.harnesscheck import check_framing_coverage
+from repro.analysis.harnesscheck import check_sweep_coverage
 from repro.errors import ConfigurationError, WireError
 from repro.experiments import gossip as experiment
 from repro.flows import FlowCacheSpec
@@ -437,7 +437,7 @@ class TestExperimentSweep:
         assert "framing" in table and "hdrB/msg" in table
 
     def test_harn004_clean_on_shipped_registry(self):
-        assert check_framing_coverage() == []
+        assert check_sweep_coverage() == []
 
     def test_harn004_flags_unexercised_mode(self, monkeypatch):
         import repro.gossip.wire as wire_module
@@ -447,7 +447,7 @@ class TestExperimentSweep:
             "phantom",
             wire_module.FramingSpec("phantom", 9),
         )
-        findings = check_framing_coverage()
+        findings = check_sweep_coverage()
         assert len(findings) == 1
         assert findings[0].rule_id == "HARN004"
         assert findings[0].details["framing"] == "phantom"

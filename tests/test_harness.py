@@ -11,6 +11,7 @@ function of its explicitly seeded parameters.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -26,10 +27,11 @@ from repro.harness import (
     content_key,
     get_spec,
     load_golden,
+    package_digest,
     run_experiment,
-    source_digest,
     write_bench,
 )
+import repro.harness.cache as cache_module
 from repro.harness.cli import main as harness_cli
 from repro.harness.registry import EXPERIMENT_MODULES
 
@@ -68,9 +70,23 @@ def tiny_sim_spec() -> SweepSpec:
         name="tinysim",
         points=points,
         quantities=quantities,
-        sources=("repro.sim", "repro.core"),
         default_tolerance=Tolerance(rel=0.1),
     )
+
+
+@pytest.fixture
+def package_copy(tmp_path, monkeypatch):
+    """A copy of the ``repro`` sources that ``package_digest`` hashes
+    instead of the real package for the duration of one test."""
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        cache_module._PACKAGE_ROOT, copy,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    monkeypatch.setattr(cache_module, "_PACKAGE_ROOT", copy)
+    package_digest.cache_clear()
+    yield copy
+    package_digest.cache_clear()
 
 
 class TestWorkerDeterminism:
@@ -127,27 +143,37 @@ class TestResultCache:
     def test_key_depends_on_params(self):
         spec = tiny_sim_spec()
         a, b = spec.points_for("ci")[:2]
-        assert content_key(a, spec.sources) != content_key(b, spec.sources)
-        assert content_key(a, spec.sources) == content_key(a, spec.sources)
+        assert content_key(a) != content_key(b)
+        assert content_key(a) == content_key(a)
 
-    def test_key_depends_on_sources(self):
-        point = tiny_sim_spec().points_for("ci")[0]
-        assert content_key(point, ("repro.sim",)) != content_key(
-            point, ("repro.cache",)
-        )
+    def test_key_depends_on_sources(self, package_copy):
+        """A byte edit anywhere in the package changes every key — here
+        a protocol module no sweep point imports."""
+        point = get_spec("figure5").points_for("ci")[0]
+        before = content_key(point)
+        edited = package_copy / "protocols" / "udp.py"
+        edited.write_bytes(edited.read_bytes() + b"\n")
+        package_digest.cache_clear()
+        assert content_key(point) != before
 
-    def test_source_digest_covers_packages_and_modules(self):
-        package = source_digest(("repro.sim",))
-        module = source_digest(("repro.sim.runner",))
-        assert package != module
-        assert len(package) == 64
+    def test_package_digest_keys_files_by_relative_path(
+        self, package_copy, monkeypatch
+    ):
+        """A copy of the package digests like the original, so the key
+        survives a fresh checkout; renaming a file changes it."""
+        copied = package_digest()
+        (package_copy / "units.py").rename(package_copy / "units2.py")
+        package_digest.cache_clear()
+        assert package_digest() != copied
+        monkeypatch.undo()  # hash the real package again
+        package_digest.cache_clear()
+        assert package_digest() == copied and len(copied) == 64
 
-    def test_clear(self, tmp_path):
-        spec = tiny_sim_spec()
-        cache = ResultCache(tmp_path)
-        run_experiment(spec, jobs=1, cache=cache)
-        assert cache.clear("tinysim") == 4
-        assert run_experiment(spec, jobs=1, cache=cache).computed == 4
+    def test_entries_are_stored_flat(self, tmp_path):
+        run_experiment(tiny_sim_spec(), jobs=1, cache=ResultCache(tmp_path))
+        stored = sorted(tmp_path.iterdir())
+        assert len(stored) == 4
+        assert all(path.is_file() and path.suffix == ".json" for path in stored)
 
 
 class TestGoldenGate:
@@ -217,25 +243,22 @@ class TestSpecs:
                 SweepPoint("dup", "same", "repro.sim.runner:poisson_point", {}),
             ],
             quantities=lambda points, results: {},
-            sources=("repro.sim",),
         )
         with pytest.raises(ConfigurationError):
             spec.points_for("ci")
 
     def test_figure5_figure6_share_cached_points(self, tmp_path):
-        """The two figures are views of the same simulations: at equal
-        (scheduler, rate, seeds, duration) they produce equal cache
-        keys, so one computation serves both."""
-        f5 = get_spec("figure5")
-        f6 = get_spec("figure6")
-        point5 = f5.points_for("default")[0]
-        match = [
-            p for p in f6.points_for("default") if p.params == point5.params
-        ]
-        assert match
-        assert content_key(point5, f5.sources) == content_key(
-            match[0], f6.sources
+        """The two figures are views of the same simulations: the points
+        figure5 computes are cache hits for figure6, and serve it the
+        same bytes a cache-less run computes."""
+        cache = ResultCache(tmp_path)
+        run_experiment(get_spec("figure5"), scale="ci", cache=cache)
+        shared = run_experiment(get_spec("figure6"), scale="ci", cache=cache)
+        fresh = run_experiment(
+            get_spec("figure6"), scale="ci", cache=ResultCache(enabled=False)
         )
+        assert shared.cache_hits == 6
+        assert shared.results_json() == fresh.results_json()
 
 
 class TestBench:

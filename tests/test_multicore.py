@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.harnesscheck import check_dispatch_coverage
+from repro.analysis.harnesscheck import check_sweep_coverage
 from repro.cache.hierarchy import CacheGeometry, MachineSpec
 from repro.core.dispatch import (
     APP_CLASS_KEY,
@@ -316,7 +316,6 @@ class TestSweepDeterminism:
             name="tinymulticore",
             points=points,
             quantities=lambda points, results: {},
-            sources=("repro.sim", "repro.core", "repro.machine"),
         )
 
     def test_every_policy_identical_across_jobs(self, tmp_path):
@@ -385,7 +384,7 @@ class TestExperimentSweep:
         assert "dispatch" in table and "cores" in table
 
     def test_harn002_clean_on_shipped_registry(self):
-        assert check_dispatch_coverage() == []
+        assert check_sweep_coverage() == []
 
     def test_harn002_flags_unexercised_policy(self, monkeypatch):
         import repro.core.dispatch as dispatch_module
@@ -393,7 +392,7 @@ class TestExperimentSweep:
         monkeypatch.setitem(
             dispatch_module.DISPATCH_POLICIES, "phantom", FlowHashRSS
         )
-        findings = check_dispatch_coverage()
+        findings = check_sweep_coverage()
         assert len(findings) == 1
         assert findings[0].rule_id == "HARN002"
         assert findings[0].details["policy"] == "phantom"

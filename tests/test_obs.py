@@ -313,14 +313,13 @@ class TestHarnessCounters:
         from repro.harness.cache import ResultCache
 
         cache = ResultCache(root=tmp_path)
-        path = cache._path("exp", "a" * 64)
-        path.parent.mkdir(parents=True)
+        path = cache._path("a" * 64)
         path.write_text(
             json.dumps(
                 {"key": "a" * 64, "point_key": "p", "func": "f",
                  "params": {}, "result": 1, "elapsed_s": 0.5}
             )
         )  # pre-obs format: no "counters"
-        entry = cache.lookup("exp", "a" * 64)
+        entry = cache.lookup("a" * 64)
         assert entry is not None
         assert entry.counters == {}
