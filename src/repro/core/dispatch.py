@@ -159,8 +159,8 @@ class LDLPAwareDispatch(DispatchPolicy):
     in batch-sized bursts: its (batching) scheduler drains them as one
     LDLP batch, loading each layer's code once per chunk instead of
     once per message — which is exactly why this policy's I-cache miss
-    rate beats RSS once per-core load is light (>= 4 cores in the BENCH
-    record).  ``chunk`` defaults to the paper's 14-message cache-fit
+    rate beats RSS once per-core load is light (>= 4 cores in the
+    ``multicore`` experiment).  ``chunk`` defaults to the paper's 14-message cache-fit
     batch cap (:class:`repro.core.batching.BatchPolicy`).
     """
 

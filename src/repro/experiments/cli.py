@@ -26,9 +26,9 @@ experiment with a declared sweep runs that sweep's points inline with no
 result cache, at the ``default`` scale (``paper`` under
 ``--paper-scale``), and prints the table ``run`` renders at that scale.
 The ``run``/``regress`` forms go through :mod:`repro.harness`: sweep points
-fan out over a worker pool, results are cached by content hash, timings
-land in ``BENCH_experiments.json``, and ``regress`` gates reproduced
-quantities against the checked-in ``goldens/``.  ``trace`` goes through
+fan out over a worker pool, results are cached by content hash, each
+experiment prints one wall-clock timing line, and ``regress`` gates
+reproduced quantities against the checked-in ``goldens/``.  ``trace`` goes through
 :mod:`repro.obs`: it re-runs one experiment under a recorder and emits
 a Chrome-trace timeline, a miss-attribution table, or counter metrics.
 """

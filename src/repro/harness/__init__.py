@@ -7,20 +7,20 @@ extract its paper-expected scalar quantities.  On top of that
 declaration this package provides:
 
 * :mod:`repro.harness.runner` — fan the points out over a
-  ``multiprocessing`` worker pool (``--jobs N``), with per-point
-  wall-clock timing, or inline and assembled (``run_assembled``, the
-  serial ``ldlp-experiment <name>`` form);
+  ``multiprocessing`` worker pool (``--jobs N``), or run them inline
+  and assembled (``run_assembled``, the serial ``ldlp-experiment
+  <name>`` form);
 * :mod:`repro.harness.cache` — an on-disk result cache keyed by a
   content hash of (point function, parameters, every source file of
   the package) so unchanged points are never recomputed;
 * :mod:`repro.harness.golden` — a golden-figure regression gate:
   checked-in expected quantities with tolerances under ``goldens/``,
-  compared by ``ldlp-experiment regress``;
-* :mod:`repro.harness.bench` — the ``BENCH_experiments.json`` writer
-  recording per-experiment timings, speedups, and cache hit rates.
+  compared by ``ldlp-experiment regress``.
+
+The harness computes and gates results; the simulator's own wall clock
+is measured by ``simbench/``.
 """
 
-from .bench import write_bench
 from .cache import ResultCache, content_key, package_digest
 from .golden import GoldenBreach, bless, check_quantities, load_golden
 from .points import SweepPoint, SweepSpec, Tolerance
@@ -29,7 +29,6 @@ from .runner import ExperimentRun, run_assembled, run_experiment
 
 __all__ = [
     "ExperimentRun",
-    "write_bench",
     "GoldenBreach",
     "ResultCache",
     "SweepPoint",

@@ -13,8 +13,10 @@ or ``LDLP_CACHE_DIR``)::
 
     .ldlp-cache/
       <16-hex-digit key prefix>.json   # {"key", "point_key", "func",
-                                       #  "params", "result", "elapsed_s",
-                                       #  "counters"}
+                                       #  "params", "result"}
+
+A file that cannot be read back as an entry for the requested key is
+a miss; the next store overwrites it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -73,16 +75,10 @@ def content_key(point: SweepPoint) -> str:
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One stored point result plus the time it originally took.
-
-    ``counters`` holds the obs counter totals recorded when the point
-    was first computed; entries written before the obs layer existed
-    deserialize with an empty dict.
-    """
+    """One stored point result (the wrapper tells a miss from a stored
+    ``None``)."""
 
     result: Any
-    elapsed_s: float
-    counters: dict[str, float] = field(default_factory=dict)
 
 
 class ResultCache:
@@ -105,29 +101,16 @@ class ResultCache:
         """Return the stored entry for ``key``, or None on a miss."""
         if not self.enabled:
             return None
-        path = self._path(key)
-        if not path.exists():
-            return None
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            data = json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError):  # absent, not UTF-8 JSON
             return None
-        if data.get("key") != key:  # prefix collision or stale file
+        # A prefix collision, a stale file or a foreign shape is a miss.
+        if not (isinstance(data, dict) and data.get("key") == key and "result" in data):
             return None
-        return CacheEntry(
-            result=data["result"],
-            elapsed_s=float(data["elapsed_s"]),
-            counters=dict(data.get("counters", {})),
-        )
+        return CacheEntry(result=data["result"])
 
-    def store(
-        self,
-        key: str,
-        point: SweepPoint,
-        result: Any,
-        elapsed_s: float,
-        counters: dict[str, float] | None = None,
-    ) -> None:
+    def store(self, key: str, point: SweepPoint, result: Any) -> None:
         """Persist one computed point result atomically."""
         if not self.enabled:
             return
@@ -139,8 +122,6 @@ class ResultCache:
             "func": point.func,
             "params": point.params,
             "result": result,
-            "elapsed_s": elapsed_s,
-            "counters": counters or {},
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))

@@ -76,21 +76,33 @@ def bless(
 def load_golden(
     name: str, scale: str, root: str | Path = DEFAULT_GOLDENS_DIR
 ) -> dict[str, tuple[float, Tolerance]]:
-    """Load one golden file as {quantity: (value, tolerance)}."""
+    """Load one golden file as {quantity: (value, tolerance)}.
+
+    A missing or malformed file raises :class:`ConfigurationError`
+    naming its path, so ``regress`` reports it as one failed experiment.
+    """
     path = golden_path(root, name, scale)
     if not path.exists():
         raise ConfigurationError(
             f"no golden for {name!r} at scale {scale!r} ({path}); "
             f"run 'ldlp-experiment regress {name} --scale {scale} --bless'"
         )
-    data = json.loads(path.read_text())
-    return {
-        quantity: (
-            float(entry["value"]),
-            Tolerance(rel=float(entry["rel"]), abs=float(entry["abs"])),
-        )
-        for quantity, entry in data["quantities"].items()
-    }
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        return {
+            quantity: (
+                float(entry["value"]),
+                Tolerance(rel=float(entry["rel"]), abs=float(entry["abs"])),
+            )
+            for quantity, entry in data["quantities"].items()
+        }
+    except (
+        OSError, ValueError, TypeError, KeyError, AttributeError,
+        OverflowError, RecursionError,
+    ) as exc:
+        raise ConfigurationError(
+            f"malformed golden {path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def check_quantities(

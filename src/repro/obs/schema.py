@@ -25,8 +25,8 @@ Event Format that ``chrome://tracing`` and Perfetto load:
   ``otherData.clock_unit``.
 
 **Metrics JSON** (``MetricsSink``) — an object with ``counters`` (flat
-name → number) and ``tracks`` (track name → counter totals), the shape
-folded into ``BENCH_experiments.json`` entries by the harness.
+name → number) and ``tracks`` (track name → counter totals), what
+``ldlp-experiment trace … --sink metrics`` prints.
 """
 
 from __future__ import annotations

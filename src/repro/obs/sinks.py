@@ -1,6 +1,6 @@
 """Pluggable sinks turning recorded spans/counters into artifacts.
 
-Three sinks ship with the subsystem (ISSUE 3's contract):
+Three sinks ship with the subsystem:
 
 * :class:`ChromeTraceSink` — a ``chrome://tracing``/Perfetto-loadable
   timeline, one thread (track) per protocol layer, one process per
@@ -8,8 +8,8 @@ Three sinks ship with the subsystem (ISSUE 3's contract):
 * :class:`TableSink` — plain-text per-track counter totals, and (for
   the receive path) the live per-function miss-attribution table from
   :mod:`repro.obs.attribution`;
-* :class:`MetricsSink` — flat counter totals, the shape the harness
-  folds into ``BENCH_experiments.json``.
+* :class:`MetricsSink` — flat counter totals plus per-track totals,
+  what ``ldlp-experiment trace … --sink metrics`` prints.
 
 All payload shapes are documented and validated in
 :mod:`repro.obs.schema`.
@@ -122,7 +122,7 @@ class ChromeTraceSink:
 
 
 class MetricsSink:
-    """Flattens a recorder into counter totals (the BENCH shape)."""
+    """Flattens a recorder into counter totals and per-track totals."""
 
     def __init__(self, recorder: Recorder) -> None:
         self.recorder = recorder

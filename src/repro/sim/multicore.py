@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 from ..errors import ConfigurationError
-from ..obs.runtime import active_recorder
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.poisson import PoissonSource
 from .runner import SimulationConfig, simulate
@@ -133,24 +132,6 @@ def run_multicore(
         )
         for index, scheduler in enumerate(cores)
     )
-    recorder = active_recorder()
-    if recorder is not None:
-        # Per-(policy, core count) miss totals: the BENCH record the
-        # dispatch-locality claim is read from (ldlp vs rss at >= 4
-        # cores), plus per-core attribution totals.
-        prefix = f"multicore.{config.dispatch}.cores{config.num_cores}"
-        recorder.count(
-            f"{prefix}.imisses", float(sum(s.icache_misses for s in core_stats))
-        )
-        recorder.count(
-            f"{prefix}.dmisses", float(sum(s.dcache_misses for s in core_stats))
-        )
-        recorder.count(f"{prefix}.completed", float(outcome.completed))
-        for stats in core_stats:
-            recorder.count(
-                f"multicore.core{stats.core}.imisses",
-                float(stats.icache_misses),
-            )
     return MultiCoreRunResult(
         dispatch=config.dispatch,
         num_cores=config.num_cores,

@@ -147,7 +147,7 @@ class RunResult:
         )
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (harness result cache, BENCH files)."""
+        """JSON-serializable form (the harness result cache)."""
         return {
             "scheduler": self.scheduler,
             "arrival_rate": self.arrival_rate,

@@ -9,10 +9,13 @@ effects are drop counters.
 The input decoders get the same treatment one level down: on arbitrary
 bytes or text each may raise only its own typed error (gossip wire
 decoders :class:`WireError`, DNS :class:`ProtocolError`, trace readers
-:class:`TraceError`), and every valid encoding round-trips.
+:class:`TraceError`, golden files :class:`ConfigurationError`), and
+every valid encoding round-trips.  A result-cache entry that cannot be
+read back is a miss, never an error.
 """
 
 import io
+import json
 import struct
 from dataclasses import replace
 
@@ -22,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConventionalScheduler, LDLPScheduler, Message
-from repro.errors import ProtocolError, TraceError, WireError
+from repro.errors import ConfigurationError, ProtocolError, TraceError, WireError
 from repro.gossip.wire import (
     FRAMING_MODES,
     MESSAGE_IDS,
@@ -32,6 +35,7 @@ from repro.gossip.wire import (
     encode_collection,
     encode_message,
 )
+from repro.harness import ResultCache, SweepPoint, load_golden
 from repro.protocols import TcpSender, build_tcp_receive_stack
 from repro.protocols.dns import DnsMessage, Question, ResourceRecord
 from repro.signalling import build_switch, saal_frame, setup
@@ -394,3 +398,91 @@ class TestBellcoreFuzz:
         path = tmp_path / "trace.txt"
         write_bellcore_trace(arrivals, path)
         assert read_bellcore_trace(path) == arrivals
+
+
+#: Any JSON document, so the readers' checks past the parser get
+#: exercised too.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["quantities", "value", "rel", "abs", "key", "result", "q"]),
+        children,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+#: The five malformed goldens that once escaped as untyped errors.
+BAD_GOLDENS = [
+    b"{not json",
+    b"[]",
+    b'{"quantities": {"q": {"value": "x", "rel": 0, "abs": 0}}}',
+    b'{"experiment": "e"}',
+    b'{"quantities": []}',
+    b'{"quantities": {"q": {"value": 1, "rel": 0, "abs": 0}}}\xff',
+]
+
+
+class TestGoldenFuzz:
+    @pytest.mark.parametrize("data", BAD_GOLDENS)
+    def test_malformed_golden_names_its_path(self, tmp_path, data):
+        (tmp_path / "e.ci.json").write_bytes(data)
+        with pytest.raises(ConfigurationError, match="e.ci.json"):
+            load_golden("e", "ci", root=tmp_path)
+
+    @given(data=st.binary(max_size=200))
+    @FILE_SETTINGS
+    def test_load_golden_raises_only_configuration_error(self, tmp_path, data):
+        (tmp_path / "e.ci.json").write_bytes(data)
+        try:
+            load_golden("e", "ci", root=tmp_path)
+        except ConfigurationError:
+            pass
+
+    @given(document=JSON_VALUES)
+    @FILE_SETTINGS
+    def test_any_json_document_raises_only_configuration_error(
+        self, tmp_path, document
+    ):
+        (tmp_path / "e.ci.json").write_text(json.dumps({"quantities": document}))
+        try:
+            golden = load_golden("e", "ci", root=tmp_path)
+        except ConfigurationError:
+            return
+        assert all(isinstance(value, float) for value, _ in golden.values())
+
+
+CACHE_KEY = "ab" * 32
+CACHE_POINT = SweepPoint("e", "p", "repro.sim.runner:poisson_point", {})
+
+
+class TestResultCacheFuzz:
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{", b"[]", b'"str"', json.dumps({"key": CACHE_KEY}).encode()],
+    )
+    def test_unusable_entry_is_a_miss(self, tmp_path, data):
+        cache = ResultCache(tmp_path)
+        cache._path(CACHE_KEY).write_bytes(data)
+        assert cache.lookup(CACHE_KEY) is None
+        cache.store(CACHE_KEY, CACHE_POINT, {"answer": 42})
+        assert cache.lookup(CACHE_KEY).result == {"answer": 42}
+
+    @given(data=st.binary(max_size=200))
+    @FILE_SETTINGS
+    def test_arbitrary_bytes_are_a_miss(self, tmp_path, data):
+        cache = ResultCache(tmp_path)
+        cache._path(CACHE_KEY).write_bytes(data)
+        assert cache.lookup(CACHE_KEY) is None
+
+    @given(document=JSON_VALUES, keyed=st.booleans())
+    @FILE_SETTINGS
+    def test_any_json_document_is_a_miss_or_an_entry(self, tmp_path, document, keyed):
+        cache = ResultCache(tmp_path)
+        if keyed and isinstance(document, dict):
+            document = {**document, "key": CACHE_KEY}
+        cache._path(CACHE_KEY).write_text(json.dumps(document))
+        entry = cache.lookup(CACHE_KEY)
+        if entry is not None:
+            assert entry.result == document["result"]

@@ -1,6 +1,6 @@
 """Tests of the parallel experiment harness: worker-count determinism,
 the content-hashed result cache, the golden regression gate, and the
-BENCH writer.
+``run``/``regress`` CLI.
 
 The determinism tests are the satellite regression required by the
 harness design: the same sweep run at ``--jobs 1`` and ``--jobs 4``
@@ -29,7 +29,6 @@ from repro.harness import (
     load_golden,
     package_digest,
     run_experiment,
-    write_bench,
 )
 import repro.harness.cache as cache_module
 from repro.harness.cli import main as harness_cli
@@ -124,13 +123,6 @@ class TestResultCache:
         assert second.computed == 0 and second.cache_hits == 4
         assert second.hit_rate == 1.0
         assert first.results_json() == second.results_json()
-
-    def test_cached_points_keep_original_elapsed(self, tmp_path):
-        spec = tiny_sim_spec()
-        cache = ResultCache(tmp_path)
-        first = run_experiment(spec, jobs=1, cache=cache)
-        second = run_experiment(spec, jobs=1, cache=cache)
-        assert second.serial_s == pytest.approx(first.serial_s, rel=1e-6)
 
     def test_disabled_cache_always_recomputes(self, tmp_path):
         spec = tiny_sim_spec()
@@ -261,33 +253,7 @@ class TestSpecs:
         assert shared.results_json() == fresh.results_json()
 
 
-class TestBench:
-    def test_write_bench(self, tmp_path):
-        spec = tiny_sim_spec()
-        run = run_experiment(spec, jobs=2, cache=ResultCache(tmp_path / "c"))
-        out = write_bench([run], tmp_path / "BENCH_experiments.json")
-        data = json.loads(out.read_text())
-        assert data["bench"] == "experiments"
-        record = data["experiments"]["tinysim"]
-        assert record["points"] == 4
-        assert record["computed"] == 4
-        assert record["hit_rate"] == 0.0
-        assert record["wall_s"] > 0
-        assert record["slowest_point"]["key"] in run.point_elapsed
-        assert data["totals"]["points"] == 4
-
-    def test_write_bench_clock_is_injectable(self, tmp_path):
-        """The generated_unix stamp comes from the clock parameter, so a
-        fixed clock makes the BENCH file fully deterministic (the real
-        time.time default carries the canonical DET003 suppression)."""
-        spec = tiny_sim_spec()
-        run = run_experiment(spec, jobs=1, cache=ResultCache(tmp_path / "c"))
-        out = write_bench(
-            [run], tmp_path / "BENCH.json", clock=lambda: 1234567890.9
-        )
-        data = json.loads(out.read_text())
-        assert data["generated_unix"] == 1234567890
-
+class TestHashpoint:
     def test_hashpoint_digest_is_stable(self, capsys):
         """python -m repro.harness.hashpoint prints the same digest for
         the same point in-process (the CI seed-matrix smoke compares it
@@ -306,29 +272,28 @@ class TestBench:
 
 
 class TestHarnessCli:
-    def test_run_and_regress_roundtrip(self, tmp_path, capsys):
-        args = [
-            "schedules",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--scale", "ci",
-            "--bench-out", str(tmp_path / "BENCH.json"),
-        ]
+    def test_run_and_regress_roundtrip(self, tmp_path, capsys, monkeypatch):
+        """``run`` and ``regress`` write the cache and the goldens and
+        nothing else into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        args = ["schedules", "--cache-dir", "cache", "--scale", "ci"]
         assert harness_cli(["run", *args, "--no-render"]) == 0
-        assert (tmp_path / "BENCH.json").exists()
-        goldens = ["--goldens-dir", str(tmp_path / "goldens")]
+        goldens = ["--goldens-dir", "goldens"]
         assert harness_cli(["regress", *args, *goldens, "--bless"]) == 0
         assert harness_cli(
             ["regress", *args, *goldens, "--expect-cached"]
         ) == 0
         out = capsys.readouterr().out
         assert "PASS    schedules" in out
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "cache", "goldens",
+        ]
 
     def test_regress_fails_without_golden(self, tmp_path, capsys):
         assert harness_cli([
             "regress", "schedules",
             "--cache-dir", str(tmp_path / "cache"),
             "--goldens-dir", str(tmp_path / "empty"),
-            "--no-bench",
         ]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -336,7 +301,7 @@ class TestHarnessCli:
         cache = ["--cache-dir", str(tmp_path / "cache")]
         goldens = ["--goldens-dir", str(tmp_path / "goldens")]
         assert harness_cli(
-            ["regress", "schedules", *cache, *goldens, "--bless", "--no-bench"]
+            ["regress", "schedules", *cache, *goldens, "--bless"]
         ) == 0
         # Corrupt one golden value: the gate must fail on exactly it.
         path = tmp_path / "goldens" / "schedules.ci.json"
@@ -345,9 +310,46 @@ class TestHarnessCli:
         data["quantities"][key]["value"] += 1
         path.write_text(json.dumps(data))
         assert harness_cli(
-            ["regress", "schedules", *cache, *goldens, "--no-bench"]
+            ["regress", "schedules", *cache, *goldens]
         ) == 1
         assert key in capsys.readouterr().out
+
+    def test_malformed_golden_fails_only_its_experiment(self, tmp_path, capsys):
+        """A golden that does not parse is one FAIL line, and the gate
+        goes on to check the next experiment."""
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        goldens = ["--goldens-dir", str(tmp_path / "goldens")]
+        names = ["schedules", "table3"]
+        assert harness_cli(["regress", *names, *cache, *goldens, "--bless"]) == 0
+        (tmp_path / "goldens" / "schedules.ci.json").write_text('{"quantities": []}')
+        capsys.readouterr()
+        assert harness_cli(["regress", *names, *cache, *goldens]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL    schedules: malformed golden" in out
+        assert "PASS    table3" in out
+
+    def test_unknown_experiment_is_a_usage_error(self, tmp_path, capsys):
+        """A bad name is rejected before the valid one before it runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            harness_cli([
+                "regress", "figure5", "nosuch",
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "nosuch" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            harness_cli([
+                "run", "schedules", "--jobs", "0",
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_top_level_cli_dispatches(self, tmp_path, capsys):
         from repro.experiments.cli import main as top_main
@@ -355,6 +357,6 @@ class TestHarnessCli:
         assert top_main([
             "run", "schedules",
             "--cache-dir", str(tmp_path / "cache"),
-            "--no-bench", "--no-render",
+            "--no-render",
         ]) == 0
         assert "schedules" in capsys.readouterr().out

@@ -271,55 +271,3 @@ class TestCli:
         assert code == 0
         validate_chrome_trace(json.loads(out.read_text()))
 
-
-class TestHarnessCounters:
-    def test_execute_point_returns_counters(self):
-        from repro.harness.registry import get_spec
-        from repro.harness.runner import _execute_point
-
-        spec = get_spec("figure8")
-        point = spec.points_for("ci")[0]
-        key, result, seconds, counters = _execute_point(point)
-        assert key == point.key
-        assert isinstance(counters, dict)
-
-    def test_run_experiment_aggregates_and_caches_counters(self, tmp_path):
-        from repro.harness.cache import ResultCache
-        from repro.harness.registry import get_spec
-        from repro.harness.runner import run_experiment
-
-        cache = ResultCache(root=tmp_path)
-        spec = get_spec("table1")
-        cold = run_experiment(spec, scale="ci", jobs=1, cache=cache)
-        assert cold.counters.get("trace.refs", 0) > 0
-        warm = run_experiment(spec, scale="ci", jobs=1, cache=cache)
-        assert warm.cache_hits == len(warm.points)
-        assert warm.counters == cold.counters
-
-    def test_bench_record_includes_counters(self, tmp_path):
-        from repro.harness.bench import bench_record
-        from repro.harness.cache import ResultCache
-        from repro.harness.registry import get_spec
-        from repro.harness.runner import run_experiment
-
-        run = run_experiment(
-            get_spec("table1"), scale="ci", jobs=1,
-            cache=ResultCache(root=tmp_path),
-        )
-        record = bench_record(run)
-        assert record["counters"]["trace.refs"] > 0
-
-    def test_old_cache_entries_tolerated(self, tmp_path):
-        from repro.harness.cache import ResultCache
-
-        cache = ResultCache(root=tmp_path)
-        path = cache._path("a" * 64)
-        path.write_text(
-            json.dumps(
-                {"key": "a" * 64, "point_key": "p", "func": "f",
-                 "params": {}, "result": 1, "elapsed_s": 0.5}
-            )
-        )  # pre-obs format: no "counters"
-        entry = cache.lookup("a" * 64)
-        assert entry is not None
-        assert entry.counters == {}

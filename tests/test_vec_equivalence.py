@@ -143,17 +143,23 @@ def _flow_charged_both_engines(run, config):
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_MODULES))
 def test_experiment_byte_identical_across_engines(name):
-    """Stats, counters, and conservation balance at CI scale."""
-    runs = {}
+    """Stats, counters, and conservation balance at CI scale.
+
+    At ``jobs=1`` every point runs in this process, so one recorder
+    around the run totals the counters of all its points.
+    """
+    runs, totals = {}, {}
     for engine in ENGINE_NAMES:
         spec = with_engine(get_spec(name), engine)
-        runs[engine] = run_experiment(
-            spec, scale="ci", jobs=1, cache=ResultCache(enabled=False)
-        )
-    scalar, vec = runs["scalar"], runs["vec"]
-    assert scalar.results_json() == vec.results_json()
-    assert scalar.counters == vec.counters
-    counters = vec.counters
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder):
+            runs[engine] = run_experiment(
+                spec, scale="ci", jobs=1, cache=ResultCache(enabled=False)
+            )
+        totals[engine] = recorder.counters.as_dict()
+    assert runs["scalar"].results_json() == runs["vec"].results_json()
+    assert totals["scalar"] == totals["vec"]
+    counters = totals["vec"]
     if counters.get("messages.arrivals"):
         # Every simulated drive loop runs until the queue drains, so
         # arrivals must be fully accounted as completions + drops.
