@@ -58,9 +58,14 @@ from .stats import (
     merge_results,
 )
 
-#: One service step of one core: (message, completion cycle) pairs in
-#: completion order.
-Stepper = Callable[[], list[tuple[Message, float]]]
+#: (message, completion cycle) pairs in completion order.
+Completions = list[tuple[Message, float]]
+
+#: One service step of one core: the step's completions, then the
+#: one-message steps it replayed ahead (conventional/ILP on the vec
+#: engine), one pair per step, whose messages are still queued for
+#: :func:`drive` to pop and settle one by one.
+Stepper = Callable[[], tuple[Completions, Completions]]
 
 #: Scheduler registry keyed by the names used throughout the experiments.
 SCHEDULER_NAMES = ("conventional", "ilp", "ldlp", "grouped")
@@ -305,27 +310,29 @@ class DriveStats:
 def _scalar_stepper(scheduler: Scheduler) -> Stepper:
     """Adapt the scheduler's own ``service_step`` to the stepper shape."""
 
-    def step() -> list[tuple[Message, float]]:
-        return [
+    def step() -> tuple[Completions, Completions]:
+        completions = [
             (completion.message, completion.completion_cycle)
             for completion in scheduler.service_step()
         ]
+        return completions, []
 
     return step
 
 
-def _stepper(scheduler: Scheduler, engine: str) -> Stepper:
+def _stepper(scheduler: Scheduler, engine: str, multi_step: bool) -> Stepper:
     """The service step one core runs under ``engine``.
 
     ``"vec"`` asks the vectorized engine (:func:`repro.sim.vec.vec_stepper`)
-    and falls back to the scalar step where it declines.  The returned
+    and falls back to the scalar step where it declines; ``multi_step``
+    lets it replay several conventional/ILP steps at once.  The returned
     callable is the only reference to a vec engine, so the engines live
     exactly as long as the drive call that holds them.
     """
     if engine == "vec":
         from . import vec
 
-        stepper = vec.vec_stepper(scheduler)
+        stepper = vec.vec_stepper(scheduler, multi_step)
         if stepper is not None:
             return stepper
     return _scalar_stepper(scheduler)
@@ -382,7 +389,13 @@ def drive(
     (:mod:`repro.sim.vec`), which is bit-identical where supported and
     silently falls back to the scalar step where not (stateful layers,
     L2 hierarchies, self-conflicting placements, span-keeping
-    recorders).
+    recorders).  On one core without a dispatch policy or flush period,
+    a vec conventional/ILP step may replay up to
+    :data:`repro.sim.vec.MAX_STEPS` queued messages' steps at once.
+    The loop settles them one by one, exactly as if each had run alone:
+    before each replayed step it admits every arrival up to the
+    previous step's completion, then pops the step's message, counts
+    the step and its service cycles and records its latency.
     """
     if isinstance(cores, Scheduler):
         cores = [cores]
@@ -403,7 +416,8 @@ def drive(
     spans = span_recorder()
     num_cores = len(cores)
     cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
-    steppers = [_stepper(scheduler, engine) for scheduler in cores]
+    multi_step = num_cores == 1 and dispatch is None and flush_period_cycles is None
+    steppers = [_stepper(scheduler, engine, multi_step) for scheduler in cores]
     if dispatch is None:
         tracks = ["scheduler"]
     else:
@@ -421,13 +435,22 @@ def drive(
     finished = 0
     awake = [False] * num_cores
     index = 0
+    # Steps replayed ahead on core 0 (multi_step runs only), still to
+    # settle, and the completion cycle of its last settled step.
+    replayed: Completions = []
+    settled = 0.0
     while True:
-        core = -1
-        bound = math.inf
-        for candidate in range(num_cores):
-            awake[candidate] = busy = cores[candidate].busy
-            if busy and cpus[candidate].cycles < bound:
-                core, bound = candidate, cpus[candidate].cycles
+        if replayed:
+            # The next replayed step starts where the last one ended;
+            # its message is still queued, so the core stays awake.
+            core, bound = 0, settled
+        else:
+            core = -1
+            bound = math.inf
+            for candidate in range(num_cores):
+                awake[candidate] = busy = cores[candidate].busy
+                if busy and cpus[candidate].cycles < bound:
+                    core, bound = candidate, cpus[candidate].cycles
         # Admit every arrival at or before the next service step.  Only
         # an admission that wakes an idle core can move that step
         # earlier (drop policies never empty a busy core's queue, so a
@@ -470,20 +493,28 @@ def drive(
             break
         scheduler = cores[core]
         cpu = cpus[core]
-        before = cpu.cycles
-        if spans is None:
-            completions = steppers[core]()
+        if replayed:
+            before = settled
+            message, settled = replayed.pop(0)
+            popped = scheduler.input_queue.popleft()
+            assert popped is message, "replayed step out of queue order"
+            completions = [(message, settled)]
         else:
-            handle = spans.begin(
-                tracks[core],
-                "service_step",
-                before,
-                machine_counters(cpu),
-                pending_messages=scheduler.pending(),
-            )
-            completions = steppers[core]()
-            handle.args["completions"] = len(completions)
-            spans.end(handle, cpu.cycles)
+            before = cpu.cycles
+            if spans is None:
+                completions, replayed = steppers[core]()
+            else:
+                handle = spans.begin(
+                    tracks[core],
+                    "service_step",
+                    before,
+                    machine_counters(cpu),
+                    pending_messages=scheduler.pending(),
+                )
+                completions, replayed = steppers[core]()
+                handle.args["completions"] = len(completions)
+                spans.end(handle, cpu.cycles)
+            settled = completions[-1][1] if replayed else cpu.cycles
         steps += 1
         finished += len(completions)
         for message, completion_cycle in completions:
@@ -492,7 +523,7 @@ def drive(
                 continue
             completed[core] += 1
             latency.record(clock.cycles_to_seconds(completion_cycle - arrival_cycle))
-        service[core] += cpu.cycles - before
+        service[core] += settled - before
         flush_at = next_flush[core]
         if flush_at is not None and cpu.cycles >= flush_at:
             cpu.cold_start()

@@ -9,11 +9,11 @@ results — same latency samples in the same order, same cache statistics,
 same obs counters, same drop decisions.
 
 The engine is a per-core *stepper* inside the one drive loop: for each
-core, :func:`vec_stepper` returns the engine's ``step`` (a list of
-(message, completion cycle) pairs per call), and the loop — admission,
-dispatch, obs spans, cache flushes — is the same for both engines and
-every core count.  The drive call owns the engines; they are freed
-when it returns.
+core, :func:`vec_stepper` returns the engine's ``step`` (the step's
+(message, completion cycle) pairs, plus any steps replayed ahead of
+it), and the loop — admission, dispatch, obs spans, cache flushes — is
+the same for both engines and every core count.  The drive call owns
+the engines; they are freed when it returns.
 
 How it works
 ------------
@@ -50,6 +50,27 @@ reproduces the scalar engine's float-addition *order* — which is what
 makes the cycle counts (and therefore every latency sample) bit-exact,
 not merely close.
 
+*Multi-step replay.*  A conventional or ILP step serves one message,
+so its fixed Python cost is paid once per message.  When such a core
+has q >= 2 messages queued, its next k = min(q, :data:`MAX_STEPS`)
+steps are fully determined before any new arrival is admitted, so one
+replay runs them back to back: the engine pops the first message,
+peeks at the next k - 1 without popping them, takes their buffers in
+ring order (:meth:`~repro.core.binding.MachineBinding.buffer_of`
+acquires exactly as the k scalar steps would, since nothing acquires
+between them), and keys the template on the k-tuple of (ring slot,
+size).  The template is the k single-message programs back to back;
+step j completes at addend index ``_SLOTS * num_layers * (j + 1)``,
+and one fused apply and one ``cumsum`` keep the scalar left fold.
+:func:`repro.sim.runner.drive` then settles the replayed steps one by
+one: before step j >= 1 it admits every arrival up to step j - 1's
+completion, then pops step j's message.  The envelope is one core
+without a dispatch policy or flush period (the caller's
+``multi_step``), exact :class:`~repro.core.overload.TailDrop` (which
+never evicts, so every admission sees the scalar queue length and no
+replayed message can be lost) and no flow lookup; everything else
+replays single steps.
+
 Equivalence boundaries
 ----------------------
 The engine silently declines (:func:`vec_stepper` returns ``None``,
@@ -75,13 +96,14 @@ so the ``cumsum`` still adds in the scalar order.
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import islice
 
 import numpy as np
 
 from ..cache.cache import DirectMappedCache
 from ..cache.chunked import FusedReplay, PackedPlan, collapsed_plan, segment_plan
-from ..core.layer import Message, PassthroughLayer
+from ..core.layer import PassthroughLayer
+from ..core.overload import TailDrop
 from ..core.scheduler import (
     ConventionalScheduler,
     GroupedLDLPScheduler,
@@ -93,10 +115,14 @@ from ..core.scheduler import (
 )
 from ..machine.executor import FootprintExecutor, MessageBuffer
 from ..obs.runtime import span_recorder
+from .runner import Completions, Stepper
 
 #: Cost-addend slots per invocation in a step template (istall, layer
 #: data stall, message-buffer stall, execute, trailing execute).
 _SLOTS = 5
+
+#: Most conventional/ILP service steps one multi-step replay runs.
+MAX_STEPS = 8
 
 
 class _StepTemplate:
@@ -129,7 +155,8 @@ class _StepTemplate:
         #: stay 0).
         self.positions = positions
         #: (message slot, addend index of its completion cycle) pairs
-        #: in scalar completion order.
+        #: in scalar completion order; for conventional/ILP, one per
+        #: replayed step.
         self.completions = completions
 
 
@@ -148,12 +175,24 @@ def _distinct_sets(lines: np.ndarray, num_lines: int) -> bool:
 class _VecEngine:
     """Per-drive-call state of the vectorized service path."""
 
-    def __init__(self, scheduler: Scheduler, kind: str) -> None:
+    def __init__(
+        self, scheduler: Scheduler, kind: str, multi_step: bool = False
+    ) -> None:
         self.scheduler = scheduler
         self.kind = kind
         binding = scheduler.binding
         assert binding is not None
         self.binding = binding
+        self.per_message = kind in ("conventional", "ilp")
+        #: Steps one replay may run: see the module docs' envelope.
+        self.max_steps = (
+            MAX_STEPS
+            if multi_step
+            and self.per_message
+            and type(scheduler.drop_policy) is TailDrop
+            and binding.flow_lookup is None
+            else 1
+        )
         self.cpu = binding.cpu
         hierarchy = self.cpu.hierarchy
         self.icache = hierarchy.icache
@@ -184,17 +223,25 @@ class _VecEngine:
 
         Mirrors each scalar scheduler's invocation order exactly (the
         order determines cache behaviour — it is the paper's whole
-        subject): conventional/ILP are message-major, LDLP is
-        layer-major over the batch, grouped is group-major with one
-        queue hop per group.
+        subject): conventional/ILP are message-major (one step per
+        slot, back to back), LDLP is layer-major over the batch,
+        grouped is group-major with one queue hop per group.
         """
         num_layers = len(self.placed)
         queue_cost = float(FootprintExecutor.QUEUE_INSTRUCTIONS)
         if self.kind == "conventional":
-            return [(index, 0, True, 0.0) for index in range(num_layers)]
+            return [
+                (index, slot, True, 0.0)
+                for slot in range(len(sizes))
+                for index in range(num_layers)
+            ]
         if self.kind == "ilp":
-            program = [(0, 0, True, self.extra_per_byte * sizes[0])]
-            program += [(index, 0, False, 0.0) for index in range(1, num_layers)]
+            program = []
+            for slot, size in enumerate(sizes):
+                program.append((0, slot, True, self.extra_per_byte * size))
+                program += [
+                    (index, slot, False, 0.0) for index in range(1, num_layers)
+                ]
             return program
         if self.kind == "ldlp":
             return [
@@ -213,13 +260,13 @@ class _VecEngine:
                     )
         return program
 
-    def _completion_points(
-        self, batch: int, invocations: int
-    ) -> list[tuple[int, int]]:
+    def _completion_points(self, batch: int) -> list[tuple[int, int]]:
         """Per-message completion (slot, addend index) in scalar order."""
         num_layers = len(self.placed)
-        if self.kind in ("conventional", "ilp"):
-            return [(0, _SLOTS * invocations)]
+        if self.per_message:
+            return [
+                (slot, _SLOTS * num_layers * (slot + 1)) for slot in range(batch)
+            ]
         if self.kind == "ldlp":
             first_top = (num_layers - 1) * batch
             return [
@@ -256,7 +303,7 @@ class _VecEngine:
             shape = (
                 FusedReplay(iplan, self.dcache.num_lines, 2 * count),
                 np.concatenate((dpos, base[kept] + 1)),
-                self._completion_points(batch, count),
+                self._completion_points(batch),
             )
             self._shapes[batch] = shape
         return shape
@@ -293,16 +340,24 @@ class _VecEngine:
     # ------------------------------------------------------------------
     # Dynamic replay
 
-    def step(self) -> list[tuple[Message, float]]:
-        """Run one service step; returns (message, completion cycle)."""
+    def step(self) -> tuple[Completions, Completions]:
+        """Run one service step, plus any conventional/ILP steps replayed
+        after it.
+
+        Returns the step's completions and the replayed steps, one
+        (message, completion cycle) pair each, whose messages are still
+        queued for the drive loop to pop.
+        """
         scheduler = self.scheduler
-        if self.kind in ("conventional", "ilp"):
-            batch = [scheduler.input_queue.popleft()]
+        if self.per_message:
+            queue = scheduler.input_queue
+            batch = [queue.popleft()]
             charge_flow_lookups(scheduler, batch)
+            batch += islice(queue, self.max_steps - 1)
         else:
             batch = take_batch(scheduler)  # type: ignore[arg-type]
             if not batch:
-                return []
+                return [], []
         buffers = [self.binding.buffer_of(message) for message in batch]
         sizes = [message.size for message in batch]
         key = tuple(
@@ -329,10 +384,13 @@ class _VecEngine:
         timeline = addends.cumsum()
         cpu.cycles = float(timeline[-1])
         cpu.stall_cycles += float(stall.sum())
-        return [
+        completions = [
             (batch[slot], float(timeline[index]))
             for slot, index in template.completions
         ]
+        if self.per_message:
+            return completions[:1], completions[1:]
+        return completions, []
 
 
 def vec_supported(scheduler: Scheduler) -> bool:
@@ -395,18 +453,21 @@ def _scheduler_kind(scheduler: Scheduler) -> str | None:
     return None
 
 
-def vec_stepper(scheduler: Scheduler) -> Callable[[], list[tuple[Message, float]]] | None:
+def vec_stepper(scheduler: Scheduler, multi_step: bool) -> Stepper | None:
     """The vec engine's service step for one core, or ``None``.
 
     ``None`` means the caller steps this core on the scalar path: the
     configuration is outside the engine's exact-replay envelope (see
     the module docstring and :func:`vec_supported`), or a span-keeping
     recorder wants the per-layer ``invoke`` spans only the scalar path
-    emits.  The returned bound method is the engine's only owner, so the
-    engine and its compiled templates are freed with it.
+    emits.  ``multi_step`` is the caller's half of the multi-step
+    envelope (one core, no dispatch policy, no flush period); the
+    engine checks the rest.  The returned bound method is the engine's
+    only owner, so the engine and its compiled templates are freed with
+    it.
     """
     if span_recorder() is not None:
         return None
     if not vec_supported(scheduler):
         return None
-    return _VecEngine(scheduler, _scheduler_kind(scheduler) or "").step
+    return _VecEngine(scheduler, _scheduler_kind(scheduler) or "", multi_step).step

@@ -80,8 +80,8 @@ class TestConservationEnforced:
         stepped_vec = []
         stepper = vec_module.vec_stepper
 
-        def spy(scheduler):
-            outcome = stepper(scheduler)
+        def spy(*args):
+            outcome = stepper(*args)
             stepped_vec.append(outcome is not None)
             return outcome
 

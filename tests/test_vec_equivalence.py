@@ -12,8 +12,10 @@ contract at three levels:
   combinations (scheduler × drop policy × fault plan × seed) through
   both engines and compares results and counters, including
   flow-charged runs (:mod:`repro.flows`, :mod:`repro.gossip`), whose
-  lookups the vec step charges at the scalar loop's point, and
-  dispatched multi-core runs, where each core picks its own engine.
+  lookups the vec step charges at the scalar loop's point,
+  dispatched multi-core runs, where each core picks its own engine,
+  and conventional/ILP runs whose queued steps the vec engine replays
+  several at a time (latency sample order included).
 * **Degenerate-input level** — zero-length and length-1 arrival
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class).
@@ -72,6 +74,7 @@ from repro.sim.runner import (
     build_scheduler,
     drive,
     run_simulation,
+    simulate,
 )
 from repro.sim.multicore import run_multicore
 from repro.sim.vec import vec_supported
@@ -82,41 +85,43 @@ from repro.traffic.zipf import ZipfFlowSource
 POLICY_NAMES = tuple(sorted(DROP_POLICIES))
 
 
-def _run_both_engines(config, arrivals, seed):
+def _run_both_engines(config, arrivals, seed, flow_cache=None):
     """One config on both engines under a metrics recorder; returns
-    {engine: (canonical result JSON, counters dict)}."""
+    {engine: (canonical result JSON, counters dict, latency samples)}."""
     outcomes = {}
     for engine in ENGINE_NAMES:
         recorder = Recorder(keep_spans=False)
         with recording(recorder):
-            result = run_simulation(
+            result, _, stats = simulate(
                 PoissonSource(1000.0, rng=seed),
                 replace(config, engine=engine),
                 seed=seed,
                 arrivals=arrivals,
+                flow_cache=flow_cache,
             )
         outcomes[engine] = (
             canonical_json(result.to_dict()),
             recorder.counters.as_dict(),
+            list(stats.latency._samples),
         )
     return outcomes
 
 
 @contextmanager
-def _vec_outcomes():
-    """Record, per core of each drive call, whether the vec engine
-    stepped it."""
-    outcomes: list[bool] = []
+def _vec_steppers():
+    """Record, per core of each drive call, the vec engine's stepper,
+    or ``None`` where the core stepped scalar."""
+    steppers: list = []
     original = vec_module.vec_stepper
 
     def spy(*args, **kwargs):
-        outcome = original(*args, **kwargs)
-        outcomes.append(outcome is not None)
-        return outcome
+        stepper = original(*args, **kwargs)
+        steppers.append(stepper)
+        return stepper
 
     vec_module.vec_stepper = spy
     try:
-        yield outcomes
+        yield steppers
     finally:
         vec_module.vec_stepper = original
 
@@ -127,8 +132,9 @@ def _flow_charged_both_engines(run, config):
     outcomes = {}
     for engine in ENGINE_NAMES:
         recorder = Recorder(keep_spans=False)
-        with recording(recorder), _vec_outcomes() as ran_vec:
+        with recording(recorder), _vec_steppers() as steppers:
             result = run(replace(config, engine=engine))
+        ran_vec = [stepper is not None for stepper in steppers]
         assert ran_vec == ([True] if engine == "vec" else [])
         outcomes[engine] = (
             canonical_json(result.to_dict()),
@@ -354,11 +360,12 @@ def test_multicore_run_equivalence(
     outcomes = {}
     for engine in ENGINE_NAMES:
         recorder = Recorder(keep_spans=False)
-        with recording(recorder), _vec_outcomes() as ran_vec:
+        with recording(recorder), _vec_steppers() as steppers:
             result = run_multicore(
                 source, replace(config, engine=engine), seed=seed,
                 arrivals=arrivals,
             )
+        ran_vec = [stepper is not None for stepper in steppers]
         assert ran_vec == ([not shared_l2] * cores if engine == "vec" else [])
         outcomes[engine] = (
             canonical_json(result.to_dict()),
@@ -366,6 +373,64 @@ def test_multicore_run_equivalence(
         )
     assert outcomes["scalar"] == outcomes["vec"]
     assert outcomes["vec"][1]["messages.arrivals"] == len(arrivals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scheduler=st.sampled_from(["conventional", "ilp"]),
+    rate=st.floats(2000.0, 40000.0),
+    input_limit=st.integers(1, 40),
+    max_steps=st.sampled_from([1, 2, 3, 8, 32]),
+    seed=st.integers(0, 2**20),
+)
+def test_multi_step_replay_equivalence(
+    scheduler, rate, input_limit, max_steps, seed
+):
+    """Conventional/ILP steps replayed up to ``max_steps`` at a time:
+    results, counters and latency sample order equal the scalar
+    engine's, from idle to a full queue that drops."""
+    config = SimulationConfig(
+        scheduler=scheduler, input_limit=input_limit, duration=0.015
+    )
+    arrivals = PoissonSource(rate, rng=seed).arrival_list(config.duration)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module, "MAX_STEPS", max_steps)
+        outcomes = _run_both_engines(config, arrivals, seed)
+    assert outcomes["scalar"] == outcomes["vec"]
+
+
+#: Saturated conventional runs that fill an 8-deep queue: only the
+#: first replays several steps at once; head drop, a flush period, a
+#: flow lookup and a second core each keep single steps.
+MULTI_STEP_ENVELOPE_CASES = {
+    "tail": ({}, None, True),
+    "head": ({"drop_policy": "head"}, None, False),
+    "flushed": (
+        {"flush_period_cycles": campaign_plan().flush_period_cycles}, None, False,
+    ),
+    "flow-lookup": ({}, FlowCacheSpec(entries=16, organization="direct"), False),
+    "two-cores": ({"num_cores": 2, "dispatch": "rss"}, None, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_STEP_ENVELOPE_CASES))
+def test_multi_step_envelope(case):
+    """Multi-step replay engages only inside its envelope, and every
+    case stays byte-identical to scalar, latency order included."""
+    changes, flow_cache, multi = MULTI_STEP_ENVELOPE_CASES[case]
+    config = SimulationConfig(
+        scheduler="conventional", input_limit=8, duration=0.015, **changes
+    )
+    arrivals = PoissonSource(30000.0, rng=2).arrival_list(config.duration)
+    with _vec_steppers() as steppers:
+        outcomes = _run_both_engines(config, arrivals, 2, flow_cache)
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert outcomes["vec"][1]["messages.drops"] > 0
+    replayed = {
+        len(key) for stepper in steppers for key in stepper.__self__._templates
+    }
+    assert len(steppers) == config.num_cores
+    assert (max(replayed) == vec_module.MAX_STEPS) if multi else replayed == {1}
 
 
 def test_drive_owns_the_vec_engines():
@@ -376,8 +441,8 @@ def test_drive_owns_the_vec_engines():
     engines = []
     original = vec_module.vec_stepper
 
-    def spy(scheduler):
-        stepper = original(scheduler)
+    def spy(*args):
+        stepper = original(*args)
         engines.append(weakref.ref(stepper.__self__))
         return stepper
 
@@ -541,8 +606,6 @@ def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
     config = SimulationConfig(scheduler=scheduler, batch_limit=12, duration=0.01)
     built = build_scheduler(config, seed=0)
     engine = vec_module._VecEngine(built, vec_module._scheduler_kind(built))
-    if scheduler in ("conventional", "ilp"):
-        batch = batch[:1]
     pool = built.binding.pool.buffers
     buffers = [pool[index % len(pool)] for index, _ in batch]
     sizes = [size for _, size in batch]
@@ -607,7 +670,7 @@ def test_empty_and_singleton_streams(scheduler, policy):
         outcomes = _run_both_engines(config, list(arrivals), seed=0)
         assert outcomes["scalar"] == outcomes["vec"]
         for engine in ENGINE_NAMES:
-            result_json, counters = outcomes[engine]
+            counters = outcomes[engine][1]
             expected = float(len(arrivals))
             assert counters.get("messages.arrivals", 0.0) == expected
             assert counters.get("messages.completions", 0.0) == expected
