@@ -19,6 +19,7 @@ is exercised by the ``flows`` experiment sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
@@ -80,6 +81,12 @@ class FlowCacheSpec:
             raise ConfigurationError(
                 f"unknown flow-cache organization {self.organization!r}; "
                 f"expected one of {tuple(sorted(FLOW_CACHE_ORGS))}"
+            )
+        # NaN fails every comparison below, so check finiteness first.
+        if not (math.isfinite(self.hit_cycles) and math.isfinite(self.miss_cycles)):
+            raise ConfigurationError(
+                f"hit_cycles ({self.hit_cycles}) and miss_cycles "
+                f"({self.miss_cycles}) must be finite"
             )
         if self.hit_cycles < 0:
             raise ConfigurationError(
@@ -148,10 +155,23 @@ class FlowLookup:
     def charge_batch(self, binding, flows: list[int | None]) -> float:
         """Charge one service batch's lookups to the bound CPU.
 
+        :meth:`resolve_batch`, then execute the cycles it returns on
+        ``binding.cpu``.  Returns the cycles charged.
+        """
+        cycles = self.resolve_batch(flows)
+        if cycles:
+            binding.cpu.execute(cycles)
+        return cycles
+
+    def resolve_batch(self, flows: list[int | None]) -> float:
+        """Resolve one service batch's lookups; returns their cycle cost.
+
         Looks up the first occurrence of each distinct flow in the
         batch (order-preserving, so the cache sees flows in arrival
-        order), executes the summed cost on ``binding.cpu``, and bumps
-        the ``flows.*`` obs counters.  Returns the cycles charged.
+        order) and bumps the lookup counters and the ``flows.*`` obs
+        counters, but charges no CPU: the vec engine
+        (:mod:`repro.sim.vec`) places the cycles of steps it replays
+        ahead in its own addend timeline.
 
         A ``None`` entry is a message with *no* flow tag — there is no
         destination to cache, so it can neither be deduplicated against
@@ -183,8 +203,6 @@ class FlowLookup:
             performed += 1
         self.lookups += walked
         self.untagged += walked
-        if cycles:
-            binding.cpu.execute(cycles)
         recorder = active_recorder()
         if recorder is not None and (performed or walked):
             recorder.count("flows.lookups", float(performed + walked))

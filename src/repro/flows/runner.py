@@ -13,9 +13,10 @@ way they amortize instruction misses, while Conventional and ILP pay
 per message.
 
 The vectorized engine (:mod:`repro.sim.vec`) calls the same hook at
-the same point of its service step, so ``engine="vec"`` runs replay
-flow-charged points on step templates and both engine passes produce
-byte-identical results.
+the same point of its service step, and places the lookups of the
+conventional/ILP steps it replays ahead where the scalar steps would
+charge them, so ``engine="vec"`` runs replay flow-charged points on
+step templates and both engine passes produce byte-identical results.
 """
 
 from __future__ import annotations

@@ -391,11 +391,13 @@ def drive(
     L2 hierarchies, self-conflicting placements, span-keeping
     recorders).  On one core without a dispatch policy or flush period,
     a vec conventional/ILP step may replay up to
-    :data:`repro.sim.vec.MAX_STEPS` queued messages' steps at once.
-    The loop settles them one by one, exactly as if each had run alone:
-    before each replayed step it admits every arrival up to the
-    previous step's completion, then pops the step's message, counts
-    the step and its service cycles and records its latency.
+    :data:`repro.sim.vec.MAX_STEPS` queued messages' steps at once,
+    each replayed step's flow lookup (if the core has a lookup cache)
+    already charged inside the replayed timeline.  The loop settles
+    them one by one, exactly as if each had run alone: before each
+    replayed step it admits every arrival up to the previous step's
+    completion, then pops the step's message, counts the step and its
+    service cycles and records its latency.
     """
     if isinstance(cores, Scheduler):
         cores = [cores]

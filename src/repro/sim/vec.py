@@ -60,16 +60,18 @@ ring order (:meth:`~repro.core.binding.MachineBinding.buffer_of`
 acquires exactly as the k scalar steps would, since nothing acquires
 between them), and keys the template on the k-tuple of (ring slot,
 size).  The template is the k single-message programs back to back;
-step j completes at addend index ``_SLOTS * num_layers * (j + 1)``,
-and one fused apply and one ``cumsum`` keep the scalar left fold.
+step j completes at its last invocation's execute slot, addend index
+``_SLOTS * num_layers * (j + 1) - 1`` (the trailing-execute slot after
+it is always 0.0 for these kinds, so the value is the scalar one), and
+one fused apply and one ``cumsum`` keep the scalar left fold.
 :func:`repro.sim.runner.drive` then settles the replayed steps one by
 one: before step j >= 1 it admits every arrival up to step j - 1's
 completion, then pops step j's message.  The envelope is one core
 without a dispatch policy or flush period (the caller's
-``multi_step``), exact :class:`~repro.core.overload.TailDrop` (which
-never evicts, so every admission sees the scalar queue length and no
-replayed message can be lost) and no flow lookup; everything else
-replays single steps.
+``multi_step``) and exact :class:`~repro.core.overload.TailDrop`
+(which never evicts, so every admission sees the scalar queue length
+and no replayed message can be lost); everything else replays single
+steps.
 
 Equivalence boundaries
 ----------------------
@@ -85,13 +87,20 @@ spans; full tracing keeps the scalar path, and the harness's
 metrics-only recorder wants only the drive loop's counters).
 
 Flow-lookup charging (:mod:`repro.flows`, :mod:`repro.gossip`) is
-inside the envelope.  The lookup stays scalar — LRU state depends on
-access order — and runs where the scalar schedulers run it: right
-after the dequeue, via
+inside the envelope, multi-step replay included.  The lookup stays
+scalar — LRU state depends on access order — and runs where the
+scalar schedulers run it: right after the dequeue, via
 :func:`~repro.core.scheduler.charge_flow_lookups` (batched schedulers
 charge inside :func:`~repro.core.scheduler.take_batch`).  Its cycles
 reach ``cpu.cycles`` before the template seeds addend slot 0 from it,
-so the ``cumsum`` still adds in the scalar order.
+so the ``cumsum`` still adds in the scalar order.  A multi-step replay
+resolves the lookups of steps 1..k-1 ahead, in queue order
+(:meth:`~repro.flows.lookup.FlowLookup.resolve_batch`, which executes
+nothing), and writes step j's cycles into the 0.0 trailing-execute
+slot right after step j - 1's completion: the point in the timeline
+where the scalar step j would charge them.  Resolving ahead is exact
+because only lookups touch the lookup cache (admissions never do) and
+TailDrop never evicts a peeked message.
 """
 
 from __future__ import annotations
@@ -102,6 +111,7 @@ import numpy as np
 
 from ..cache.cache import DirectMappedCache
 from ..cache.chunked import FusedReplay, PackedPlan, collapsed_plan, segment_plan
+from ..core.dispatch import FLOW_KEY
 from ..core.layer import PassthroughLayer
 from ..core.overload import TailDrop
 from ..core.scheduler import (
@@ -190,9 +200,10 @@ class _VecEngine:
             if multi_step
             and self.per_message
             and type(scheduler.drop_policy) is TailDrop
-            and binding.flow_lookup is None
             else 1
         )
+        #: Resolves the lookups of steps replayed after the first.
+        self.flow_lookup = binding.flow_lookup if self.max_steps > 1 else None
         self.cpu = binding.cpu
         hierarchy = self.cpu.hierarchy
         self.icache = hierarchy.icache
@@ -264,8 +275,12 @@ class _VecEngine:
         """Per-message completion (slot, addend index) in scalar order."""
         num_layers = len(self.placed)
         if self.per_message:
+            # A step's last trailing execute is 0.0 (see _compile), so the
+            # step completes one slot early with the same value and leaves
+            # that slot to the next step's flow lookup.
             return [
-                (slot, _SLOTS * num_layers * (slot + 1)) for slot in range(batch)
+                (slot, _SLOTS * num_layers * (slot + 1) - 1)
+                for slot in range(batch)
             ]
         if self.kind == "ldlp":
             first_top = (num_layers - 1) * batch
@@ -334,6 +349,10 @@ class _VecEngine:
         addends = np.zeros(1 + _SLOTS * len(program))
         addends[4::_SLOTS] = execute
         addends[5::_SLOTS] = [trailing for *_, trailing in program]
+        if self.per_message:
+            # The slot after each completion carries the next step's flow
+            # lookup, so it must be free: the step's 0.0 trailing execute.
+            assert not addends[[index + 1 for _, index in completions]].any()
         data = replay.pack(segment_plan(data_segments, self.dcache.num_lines))
         return _StepTemplate(replay, data, addends, positions, completions)
 
@@ -379,6 +398,15 @@ class _VecEngine:
             istall = stall[replay.dsegments :]
             istall[:] = np.rint(istall * self.iprefetch_scale)
         addends = template.addends
+        lookup = self.flow_lookup
+        if lookup is not None:
+            # Steps 1..k-1's lookups, resolved ahead in queue order; each
+            # lands right after the previous step's completion, where the
+            # scalar step would charge it.
+            for (_, index), message in zip(template.completions, batch[1:]):
+                addends[index + 1] = lookup.resolve_batch(
+                    [message.meta.get(FLOW_KEY)]
+                )
         addends[0] = cpu.cycles
         addends[template.positions] = stall
         timeline = addends.cumsum()

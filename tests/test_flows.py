@@ -15,6 +15,7 @@ exercised by the sweep.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.flows import (
 )
 from repro.flows.runner import flows_point, make_flow_base, run_flow_simulation
 from repro.harness import ResultCache, run_experiment
+from repro.obs.runtime import Recorder, recording
 from repro.sim.runner import SimulationConfig, build_scheduler
 from repro.sim.vec import vec_supported
 from repro.traffic.poisson import PoissonSource
@@ -274,6 +276,22 @@ class TestFlowLookup:
         with pytest.raises(ConfigurationError):
             FlowCacheSpec(entries=2, organization="lru4")  # ways > lines
 
+    @pytest.mark.parametrize(
+        "hit, miss",
+        [
+            (math.nan, math.nan),
+            (4.0, math.nan),
+            (math.nan, 120.0),
+            (math.inf, math.inf),
+            (0.0, math.inf),
+        ],
+    )
+    def test_spec_rejects_non_finite_costs(self, hit, miss):
+        """NaN slips past both ordering checks and infinity past the
+        first; neither is a cycle cost."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            FlowCacheSpec(hit_cycles=hit, miss_cycles=miss)
+
     def test_lookup_cost_model(self):
         lookup = FlowCacheSpec(entries=16).build()
         assert lookup.lookup(3) == 120.0  # cold miss: full table walk
@@ -291,6 +309,36 @@ class TestFlowLookup:
         # The next batch re-resolves both flows, now cached.
         assert lookup.charge_batch(binding, [5, 3]) == 8.0
         assert lookup.stats.hits == 2
+
+    def test_resolve_batch_is_charge_batch_without_executing(self):
+        """The split: on the same flows, resolving leaves the same lookup
+        counters and ``flows.*`` obs counts as charging, and charging
+        adds exactly the returned cycles to the CPU."""
+        batches = [[3, None, 3], [7, 5, None, 7], [3, 5, 9, 11, 3]]
+        outcomes = {}
+        for method in ("charge", "resolve"):
+            lookup = FlowCacheSpec(entries=4, organization="lru2").build()
+            binding = _Binding()
+            binding.cpu.cycles = 1000.0
+            recorder = Recorder(keep_spans=False)
+            returned = []
+            with recording(recorder):
+                for batch in batches:
+                    before = binding.cpu.cycles
+                    if method == "charge":
+                        cycles = lookup.charge_batch(binding, batch)
+                        assert binding.cpu.cycles == before + cycles
+                    else:
+                        cycles = lookup.resolve_batch(batch)
+                        assert binding.cpu.cycles == before
+                    returned.append(cycles)
+            outcomes[method] = (
+                lookup.counters(), recorder.counters.as_dict(), returned
+            )
+        assert outcomes["charge"] == outcomes["resolve"]
+        counters, obs, _ = outcomes["resolve"]
+        assert counters["hits"] > 0 and counters["evictions"] > 0
+        assert obs["flows.untagged"] == counters["untagged"] == 2
 
     def test_charge_batch_empty_is_free(self):
         lookup = FlowCacheSpec().build()

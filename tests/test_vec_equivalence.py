@@ -15,7 +15,8 @@ contract at three levels:
   lookups the vec step charges at the scalar loop's point,
   dispatched multi-core runs, where each core picks its own engine,
   and conventional/ILP runs whose queued steps the vec engine replays
-  several at a time (latency sample order included).
+  several at a time (latency sample order included), with and without
+  a flow lookup.
 * **Degenerate-input level** — zero-length and length-1 arrival
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class).
@@ -54,7 +55,12 @@ from repro.core.scheduler import (
 from repro.errors import ConfigurationError
 from repro.faults.campaigns import campaign_plan
 from repro.flows import FLOW_CACHE_ORGS, FlowCacheSpec
-from repro.flows.runner import make_flow_base, run_flow_simulation
+from repro.flows.runner import (
+    FlowRunResult,
+    _tag_flow,
+    make_flow_base,
+    run_flow_simulation,
+)
 from repro.gossip import (
     FRAMING_MODES,
     GossipFleetSource,
@@ -85,20 +91,24 @@ from repro.traffic.zipf import ZipfFlowSource
 POLICY_NAMES = tuple(sorted(DROP_POLICIES))
 
 
-def _run_both_engines(config, arrivals, seed, flow_cache=None):
+def _run_both_engines(config, arrivals, seed, flow_cache=None, tag=None):
     """One config on both engines under a metrics recorder; returns
-    {engine: (canonical result JSON, counters dict, latency samples)}."""
+    {engine: (canonical result JSON, counters dict, latency samples)}.
+    With a ``flow_cache`` the result carries the lookup counters."""
     outcomes = {}
     for engine in ENGINE_NAMES:
         recorder = Recorder(keep_spans=False)
         with recording(recorder):
-            result, _, stats = simulate(
+            result, cores, stats = simulate(
                 PoissonSource(1000.0, rng=seed),
                 replace(config, engine=engine),
                 seed=seed,
                 arrivals=arrivals,
+                tag=tag,
                 flow_cache=flow_cache,
             )
+        if flow_cache is not None:
+            result = FlowRunResult.of(result, cores)
         outcomes[engine] = (
             canonical_json(result.to_dict()),
             recorder.counters.as_dict(),
@@ -399,17 +409,58 @@ def test_multi_step_replay_equivalence(
     assert outcomes["scalar"] == outcomes["vec"]
 
 
-#: Saturated conventional runs that fill an 8-deep queue: only the
-#: first replays several steps at once; head drop, a flush period, a
-#: flow lookup and a second core each keep single steps.
+@settings(max_examples=30, deadline=None)
+@given(
+    scheduler=st.sampled_from(["conventional", "ilp"]),
+    organization=st.sampled_from(sorted(FLOW_CACHE_ORGS)),
+    tagged=st.booleans(),
+    rate=st.floats(2000.0, 40000.0),
+    input_limit=st.integers(1, 40),
+    max_steps=st.sampled_from([1, 2, 3, 8, 32]),
+    seed=st.integers(0, 2**20),
+)
+def test_multi_step_flow_lookup_equivalence(
+    scheduler, organization, tagged, rate, input_limit, max_steps, seed
+):
+    """Flow-charged conventional/ILP steps replayed up to ``max_steps``
+    at a time, over Zipf-tagged arrivals (lookups through the cache)
+    or untagged ones (full table walks): results, lookup counters, obs
+    counters and latency sample order equal the scalar engine's."""
+    config = SimulationConfig(
+        scheduler=scheduler, input_limit=input_limit, duration=0.015
+    )
+    source = PoissonSource(rate, rng=seed)
+    if tagged:
+        source = ZipfFlowSource(source, num_flows=64, skew=1.1, seed=seed)
+    arrivals = source.arrival_list(config.duration)
+    cache = FlowCacheSpec(entries=16, organization=organization)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module, "MAX_STEPS", max_steps)
+        outcomes = _run_both_engines(
+            config, arrivals, seed, cache, _tag_flow if tagged else None
+        )
+    assert outcomes["scalar"] == outcomes["vec"]
+
+
+#: Saturated conventional runs that fill an 8-deep queue, each as
+#: (config changes, flow cache, Zipf-tagged arrivals, multi-step): only
+#: the first replays several steps at once, with or without a flow
+#: lookup; head drop, a flush period and a second core each keep
+#: single steps.
 MULTI_STEP_ENVELOPE_CASES = {
-    "tail": ({}, None, True),
-    "head": ({"drop_policy": "head"}, None, False),
+    "tail": ({}, None, False, True),
+    "head": ({"drop_policy": "head"}, None, False, False),
     "flushed": (
-        {"flush_period_cycles": campaign_plan().flush_period_cycles}, None, False,
+        {"flush_period_cycles": campaign_plan().flush_period_cycles},
+        None, False, False,
     ),
-    "flow-lookup": ({}, FlowCacheSpec(entries=16, organization="direct"), False),
-    "two-cores": ({"num_cores": 2, "dispatch": "rss"}, None, False),
+    "flow-lookup": (
+        {}, FlowCacheSpec(entries=16, organization="direct"), False, True,
+    ),
+    "flow-lookup-lru4": (
+        {}, FlowCacheSpec(entries=16, organization="lru4"), True, True,
+    ),
+    "two-cores": ({"num_cores": 2, "dispatch": "rss"}, None, False, False),
 }
 
 
@@ -417,15 +468,26 @@ MULTI_STEP_ENVELOPE_CASES = {
 def test_multi_step_envelope(case):
     """Multi-step replay engages only inside its envelope, and every
     case stays byte-identical to scalar, latency order included."""
-    changes, flow_cache, multi = MULTI_STEP_ENVELOPE_CASES[case]
+    changes, flow_cache, tagged, multi = MULTI_STEP_ENVELOPE_CASES[case]
     config = SimulationConfig(
         scheduler="conventional", input_limit=8, duration=0.015, **changes
     )
-    arrivals = PoissonSource(30000.0, rng=2).arrival_list(config.duration)
+    source = PoissonSource(30000.0, rng=2)
+    if tagged:
+        source = ZipfFlowSource(source, num_flows=64, skew=1.1, seed=2)
+    arrivals = source.arrival_list(config.duration)
     with _vec_steppers() as steppers:
-        outcomes = _run_both_engines(config, arrivals, 2, flow_cache)
+        outcomes = _run_both_engines(
+            config, arrivals, 2, flow_cache, _tag_flow if tagged else None
+        )
     assert outcomes["scalar"] == outcomes["vec"]
-    assert outcomes["vec"][1]["messages.drops"] > 0
+    counters = outcomes["vec"][1]
+    assert counters["messages.drops"] > 0
+    if flow_cache is not None:
+        # Tagged lookups go through the cache; untagged ones walk.
+        walked = "flows.misses" if tagged else "flows.untagged"
+        assert 0 < counters[walked] <= counters["flows.lookups"]
+        assert (counters.get("flows.hits", 0.0) > 0) == tagged
     replayed = {
         len(key) for stepper in steppers for key in stepper.__self__._templates
     }
