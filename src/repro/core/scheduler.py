@@ -14,6 +14,10 @@ invocations, which is what determines cache behaviour (Figures 2 and 3):
   over the whole batch before moving up.  "Under light load, messages
   will usually be processed singly, minimizing delay.  Under heavy load,
   messages will be processed in batches, maximizing throughput."
+
+LDLP is one case of the paper's advice to "decide how to group [layers]
+to maximize locality": :class:`LDLPScheduler` is
+:class:`GroupedLDLPScheduler` with every layer in its own group.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
+from ..cache.hierarchy import MachineSpec
 from ..errors import GroupingError, SchedulerError
 from ..obs.runtime import active_recorder
 from .batching import BatchPolicy
 from .binding import MachineBinding
+from .blocking import group_layers_for_cache
 from .dispatch import FLOW_KEY
 from .layer import Layer, Message
 from .overload import DropPolicy, TailDrop
@@ -367,8 +373,6 @@ class ILPScheduler(Scheduler):
         message = self.input_queue.popleft()
         charge_flow_lookups(self, [message])
         completions: list[Completion] = []
-        if not self.layers:
-            return completions
         # First layer sweeps the data for everyone (the integrated loop
         # pays all layers' per-byte cycles at once).
         first = self.layers[0]
@@ -388,14 +392,14 @@ class ILPScheduler(Scheduler):
         return completions
 
 
-def take_batch(scheduler: "LDLPScheduler | GroupedLDLPScheduler") -> list[Message]:
+def take_batch(scheduler: "GroupedLDLPScheduler") -> list[Message]:
     """Pop one service-step batch off a batched scheduler's input queue.
 
     Applies the drop policy's dynamic batch cap, appends to
     ``batch_sizes``, and bumps the ``ldlp.batches`` /
     ``ldlp.batched_messages`` counters — the single place batch
-    assembly happens, shared by the scalar ``service_step`` paths and
-    the vectorized engine (:mod:`repro.sim.vec`) so both observe
+    assembly happens, shared by the scalar ``service_step`` and the
+    vectorized engine (:mod:`repro.sim.vec`) so both observe
     byte-identical batching behavior.
     """
     limit = scheduler.drop_policy.batch_limit(
@@ -413,86 +417,6 @@ def take_batch(scheduler: "LDLPScheduler | GroupedLDLPScheduler") -> list[Messag
     return batch
 
 
-class LDLPScheduler(Scheduler):
-    """Locality-driven layer processing (the paper's Section 3).
-
-    Layer boundaries are queues.  A service step drains the input queue
-    into a batch of at most :attr:`batch_limit` messages ("as many
-    available messages as will fit in the data cache"), then runs each
-    layer to completion over its queue before invoking the next layer
-    up.  Each queue hop is charged the ~40-instruction enqueue/dequeue
-    overhead the paper measured.
-    """
-
-    uses_queues = True
-
-    def __init__(
-        self,
-        layers: list[Layer],
-        binding: MachineBinding | None = None,
-        input_limit: int = 500,
-        batch_policy: BatchPolicy | None = None,
-        *,
-        drop_policy: DropPolicy | None = None,
-    ) -> None:
-        super().__init__(layers, binding, input_limit, drop_policy=drop_policy)
-        if batch_policy is None:
-            if binding is not None:
-                batch_policy = BatchPolicy.from_machine(binding.spec)
-            else:
-                batch_policy = BatchPolicy(max_batch=14)
-        self.batch_policy = batch_policy
-        self._queues: list[deque[Message]] = [deque() for _ in layers]
-        self.batch_sizes: list[int] = []
-
-    @property
-    def batch_limit(self) -> int:
-        """Largest batch one service step may assemble (the D-cache cap)."""
-        return self.batch_policy.max_batch
-
-    def describe_config(self) -> dict[str, Any]:
-        """Scheduler config plus the batch cap, for analysis/reporting."""
-        config = super().describe_config()
-        config["batch_limit"] = self.batch_limit
-        return config
-
-    def service_step(self) -> list[Completion]:
-        """Drain up to one batch through the stack layer by layer."""
-        if not self.input_queue:
-            return []
-        self._queues[0].extend(take_batch(self))
-        completions: list[Completion] = []
-        # Run layers bottom-up; repeat while flush() backwash leaves
-        # work in any queue (e.g. a held-back coalesced message).
-        while any(self._queues):
-            for index, layer in enumerate(self.layers):
-                queue = self._queues[index]
-                while queue:
-                    message = queue.popleft()
-                    self._charge(layer, message, queue_overhead=True)
-                    self._emit(index, layer.deliver(message), message, completions)
-                for flushed in layer.flush():
-                    self._emit(index, [flushed], flushed, completions)
-        return completions
-
-    def _emit(
-        self,
-        index: int,
-        outputs: list[Message],
-        source: Message,
-        completions: list[Completion],
-    ) -> None:
-        top = index == len(self.layers) - 1
-        if not outputs:
-            completions.append(Completion(source, self._now(), delivered=top))
-            return
-        for out in outputs:
-            if top:
-                completions.append(Completion(out, self._now(), delivered=True))
-            else:
-                self._queues[index + 1].append(out)
-
-
 class GroupedLDLPScheduler(Scheduler):
     """LDLP over *groups* of layers (the paper's closing advice).
 
@@ -504,9 +428,9 @@ class GroupedLDLPScheduler(Scheduler):
     through all member layers by plain procedure calls (one queue hop
     per *group*, not per layer), and the batch moves group by group.
 
-    With every layer in its own group this is exactly
-    :class:`LDLPScheduler`; with one group it degenerates to a batched
-    conventional schedule.
+    With every layer in its own group this is the paper's LDLP, which
+    :class:`LDLPScheduler` builds; with one group it degenerates to a
+    batched conventional schedule.
     """
 
     uses_queues = True
@@ -522,20 +446,15 @@ class GroupedLDLPScheduler(Scheduler):
         drop_policy: DropPolicy | None = None,
     ) -> None:
         super().__init__(layers, binding, input_limit, drop_policy=drop_policy)
-        if batch_policy is None:
-            if binding is not None:
-                batch_policy = BatchPolicy.from_machine(binding.spec)
-            else:
-                batch_policy = BatchPolicy(max_batch=14)
-        self.batch_policy = batch_policy
+        spec = binding.spec if binding is not None else MachineSpec()
+        self.batch_policy = (
+            batch_policy if batch_policy is not None
+            else BatchPolicy.from_machine(spec)
+        )
         if groups is None:
-            from .blocking import group_layers_for_cache
-
-            icache = (
-                binding.spec.icache.size if binding is not None else 8192
-            )
             groups = group_layers_for_cache(
-                [layer.footprint.code_bytes for layer in layers], icache
+                [layer.footprint.code_bytes for layer in layers],
+                spec.icache.size,
             )
         self._validate_groups(groups)
         self.groups = groups
@@ -596,16 +515,14 @@ class GroupedLDLPScheduler(Scheduler):
         completions: list[Completion],
         charge_queue_hop: bool,
     ) -> None:
-        """Depth-first through the group's layers for one message."""
+        """Depth-first through the group's layers for one message.
+
+        Outputs move on to the next member; the last member's outputs,
+        and a message a layer consumed, go to :meth:`_route`.
+        """
         work: list[tuple[int, Message]] = [(0, message)]
         while work:
             position, current = work.pop()
-            if position >= len(member_layers):
-                self._route(
-                    group_index, member_layers[-1], [current], current,
-                    completions, already_processed=True,
-                )
-                continue
             layer_index = member_layers[position]
             layer = self.layers[layer_index]
             self._charge(
@@ -614,12 +531,10 @@ class GroupedLDLPScheduler(Scheduler):
                 queue_overhead=charge_queue_hop and position == 0,
             )
             outputs = layer.deliver(current)
-            if not outputs:
-                delivered = layer_index == len(self.layers) - 1
-                completions.append(Completion(current, self._now(), delivered))
-                continue
-            for out in reversed(outputs):
-                work.append((position + 1, out))
+            if outputs and position + 1 < len(member_layers):
+                work.extend((position + 1, out) for out in reversed(outputs))
+            else:
+                self._route(group_index, layer_index, outputs, current, completions)
 
     def _route(
         self,
@@ -628,7 +543,6 @@ class GroupedLDLPScheduler(Scheduler):
         outputs: list[Message],
         source: Message,
         completions: list[Completion],
-        already_processed: bool = False,
     ) -> None:
         """Send messages leaving ``layer_index`` to the next hop."""
         top = layer_index == len(self.layers) - 1
@@ -638,7 +552,7 @@ class GroupedLDLPScheduler(Scheduler):
         for out in outputs:
             if top:
                 completions.append(Completion(out, self._now(), delivered=True))
-            elif already_processed or layer_index == self.groups[group_index][-1]:
+            elif layer_index == self.groups[group_index][-1]:
                 self._group_queues[group_index + 1].append(out)
             else:
                 # flush() output from a mid-group layer: re-enter the
@@ -650,3 +564,33 @@ class GroupedLDLPScheduler(Scheduler):
                     group_index, remaining, out, completions,
                     charge_queue_hop=False,
                 )
+
+
+class LDLPScheduler(GroupedLDLPScheduler):
+    """Locality-driven layer processing (the paper's Section 3).
+
+    Layer boundaries are queues.  A service step drains the input queue
+    into a batch of at most :attr:`batch_limit` messages ("as many
+    available messages as will fit in the data cache"), then runs each
+    layer to completion over its queue before invoking the next layer
+    up.  Each queue hop is charged the ~40-instruction enqueue/dequeue
+    overhead the paper measured.
+
+    That is grouped LDLP with every layer in its own group, so this
+    class only fixes the grouping; the service loop is the grouped one.
+    """
+
+    def __init__(
+        self,
+        layers: list[Layer],
+        binding: MachineBinding | None = None,
+        input_limit: int = 500,
+        batch_policy: BatchPolicy | None = None,
+        *,
+        drop_policy: DropPolicy | None = None,
+    ) -> None:
+        super().__init__(
+            layers, binding, input_limit, batch_policy,
+            groups=[[index] for index in range(len(layers))],
+            drop_policy=drop_policy,
+        )

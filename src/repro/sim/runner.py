@@ -216,16 +216,12 @@ def build_scheduler(config: SimulationConfig, seed) -> Scheduler:
         return ILPScheduler(
             layers, binding, config.input_limit, drop_policy=drop_policy
         )
+    # None lets the constructor derive the cap from binding.spec.
     policy = (
-        BatchPolicy(config.batch_limit)
-        if config.batch_limit is not None
-        else BatchPolicy.from_machine(spec)
+        BatchPolicy(config.batch_limit) if config.batch_limit is not None else None
     )
-    if config.scheduler == "grouped":
-        return GroupedLDLPScheduler(
-            layers, binding, config.input_limit, policy, drop_policy=drop_policy
-        )
-    return LDLPScheduler(
+    batched = GroupedLDLPScheduler if config.scheduler == "grouped" else LDLPScheduler
+    return batched(
         layers, binding, config.input_limit, policy, drop_policy=drop_policy
     )
 

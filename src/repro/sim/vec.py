@@ -220,8 +220,19 @@ class _VecEngine:
         self.extra_per_byte = sum(
             layer.footprint.per_byte_cycles for layer in scheduler.layers[1:]
         )
+        #: Per group, each member's (layer index, trailing execute): the
+        #: queue hop is charged on entering the group.
+        queue_cost = float(FootprintExecutor.QUEUE_INSTRUCTIONS)
         self.groups = (
-            scheduler.groups if isinstance(scheduler, GroupedLDLPScheduler) else None
+            [
+                [
+                    (index, queue_cost if position == 0 else 0.0)
+                    for position, index in enumerate(members)
+                ]
+                for members in scheduler.groups
+            ]
+            if isinstance(scheduler, GroupedLDLPScheduler)
+            else None
         )
         self._templates: dict[tuple[tuple[int, int], ...], _StepTemplate] = {}
         self._shapes: dict[int, _Shape] = {}
@@ -235,11 +246,11 @@ class _VecEngine:
         Mirrors each scalar scheduler's invocation order exactly (the
         order determines cache behaviour — it is the paper's whole
         subject): conventional/ILP are message-major (one step per
-        slot, back to back), LDLP is layer-major over the batch,
-        grouped is group-major with one queue hop per group.
+        slot, back to back); grouped is group-major with one queue hop
+        per group, which with singleton groups (LDLP) is layer-major
+        over the batch.
         """
         num_layers = len(self.placed)
-        queue_cost = float(FootprintExecutor.QUEUE_INSTRUCTIONS)
         if self.kind == "conventional":
             return [
                 (index, slot, True, 0.0)
@@ -254,22 +265,13 @@ class _VecEngine:
                     (index, slot, False, 0.0) for index in range(1, num_layers)
                 ]
             return program
-        if self.kind == "ldlp":
-            return [
-                (layer_index, slot, True, queue_cost)
-                for layer_index in range(num_layers)
-                for slot in range(len(sizes))
-            ]
         assert self.groups is not None
-        program = []
-        for members in self.groups:
-            for slot in range(len(sizes)):
-                for position, layer_index in enumerate(members):
-                    program.append(
-                        (layer_index, slot, True,
-                         queue_cost if position == 0 else 0.0)
-                    )
-        return program
+        return [
+            (layer_index, slot, True, trailing)
+            for members in self.groups
+            for slot in range(len(sizes))
+            for layer_index, trailing in members
+        ]
 
     def _completion_points(self, batch: int) -> list[tuple[int, int]]:
         """Per-message completion (slot, addend index) in scalar order."""
@@ -280,12 +282,6 @@ class _VecEngine:
             # that slot to the next step's flow lookup.
             return [
                 (slot, _SLOTS * num_layers * (slot + 1) - 1)
-                for slot in range(batch)
-            ]
-        if self.kind == "ldlp":
-            first_top = (num_layers - 1) * batch
-            return [
-                (slot, _SLOTS * (first_top + slot) + _SLOTS)
                 for slot in range(batch)
             ]
         assert self.groups is not None
@@ -328,8 +324,8 @@ class _VecEngine:
     ) -> _StepTemplate:
         program = self._invocations(sizes)
         replay, positions, completions = self._shape(program, len(sizes))
-        # Each slot's buffer lines, computed once: LDLP and grouped
-        # programs touch every slot once per layer (or group).
+        # Each slot's buffer lines, computed once: grouped programs
+        # (LDLP included) touch every slot once per layer.
         slot_lines = [
             buffer.lines_for(min(size, buffer.capacity))
             for buffer, size in zip(buffers, sizes)
@@ -469,12 +465,14 @@ def _scheduler_kind(scheduler: Scheduler) -> str | None:
 
     Exact-type checks: a subclass may override service semantics, and
     silently vectorizing it would break the scalar≡vec contract.
+    :class:`~repro.core.scheduler.LDLPScheduler` only fixes the grouping
+    (one layer per group), so it replays the grouped template.
     """
     for cls, kind in (
         (ConventionalScheduler, "conventional"),
         (ILPScheduler, "ilp"),
-        (LDLPScheduler, "ldlp"),
         (GroupedLDLPScheduler, "grouped"),
+        (LDLPScheduler, "grouped"),
     ):
         if type(scheduler) is cls:
             return kind

@@ -325,10 +325,11 @@ class TestIntrospection:
         assert description["code_bytes"] == 6144
         assert description["holds_messages"] is False
 
-    def test_scheduler_describe_config(self):
-        scheduler = GroupedLDLPScheduler(build_paper_stack())
+    @pytest.mark.parametrize("cls", [GroupedLDLPScheduler, LDLPScheduler])
+    def test_scheduler_describe_config(self, cls):
+        scheduler = cls(build_paper_stack())
         config = scheduler.describe_config()
-        assert config["scheduler"] == "GroupedLDLPScheduler"
+        assert config["scheduler"] == cls.__name__
         assert config["uses_queues"] is True
         assert config["groups"] == [[0], [1], [2], [3], [4]]
         assert config["batch_limit"] == 14

@@ -14,6 +14,7 @@ from repro.core import (
     PassthroughLayer,
 )
 from repro.errors import SchedulerError
+from repro.sim.vec import vec_stepper
 
 
 def small_layers(n=5, code=2048):
@@ -27,6 +28,22 @@ class TestGrouping:
         scheduler = GroupedLDLPScheduler(small_layers(), MachineBinding(rng=0))
         # 5 x 2 KB layers against an 8 KB I-cache: 4 + 1.
         assert scheduler.groups == [[0, 1, 2, 3], [4]]
+
+    def test_ldlp_is_singleton_grouping(self):
+        """LDLP keeps one layer per group even where the grouped default
+        would pack layers into the I-cache, and the vec engine replays
+        it (as the grouped template)."""
+        layers = [
+            PassthroughLayer(f"L{i}", LayerFootprint(code_bytes=2048))
+            for i in range(5)
+        ]
+        scheduler = LDLPScheduler(layers, MachineBinding(rng=0))
+        singletons = [[0], [1], [2], [3], [4]]
+        assert scheduler.groups == singletons
+        config = scheduler.describe_config()
+        assert config["groups"] == singletons
+        assert config["scheduler"] == "LDLPScheduler"
+        assert vec_stepper(scheduler, multi_step=False) is not None
 
     def test_explicit_groups(self):
         scheduler = GroupedLDLPScheduler(
@@ -113,6 +130,61 @@ class TestFunctional:
         completions = scheduler.run_to_completion([Message() for _ in range(6)])
         assert len(completions) == 6
         assert len(top.delivered) == 3
+
+    def test_split_and_mid_group_flush_routing(self):
+        """A split inside a group runs each output through the rest of
+        the group depth-first; a mid-group flush() re-enters the group
+        at the next member, queue-free, before the batch moves on."""
+        from repro.core import Layer
+
+        log = []
+
+        class Logged(Layer):
+            def deliver(self, message):
+                log.append((self.name, message.meta["tag"]))
+                return self.emit(message)
+
+            def emit(self, message):
+                return [message]
+
+        class Split(Logged):
+            def emit(self, message):
+                tag = message.meta["tag"]
+                return [Message(meta={"tag": tag + "a"}),
+                        Message(meta={"tag": tag + "b"})]
+
+        class HoldB(Logged):
+            def __init__(self, name):
+                super().__init__(name)
+                self.held = []
+
+            def emit(self, message):
+                if message.meta["tag"].endswith("b"):
+                    self.held.append(message)
+                    return []
+                return [message]
+
+            def flush(self):
+                held, self.held = self.held, []
+                return held
+
+        layers = [Split("L0"), HoldB("L1"), Logged("L2"), Logged("L3"),
+                  Logged("L4")]
+        scheduler = GroupedLDLPScheduler(layers, groups=[[0, 1, 2], [3, 4]])
+        completions = scheduler.run_to_completion(
+            [Message(meta={"tag": "x"}), Message(meta={"tag": "y"})]
+        )
+        assert log == [
+            ("L0", "x"), ("L1", "xa"), ("L2", "xa"), ("L1", "xb"),
+            ("L0", "y"), ("L1", "ya"), ("L2", "ya"), ("L1", "yb"),
+            ("L2", "xb"), ("L2", "yb"),
+            ("L3", "xa"), ("L4", "xa"), ("L3", "ya"), ("L4", "ya"),
+            ("L3", "xb"), ("L4", "xb"), ("L3", "yb"), ("L4", "yb"),
+        ]
+        assert [(c.message.meta["tag"], c.delivered) for c in completions] == [
+            ("xb", False), ("yb", False),
+            ("xa", True), ("ya", True), ("xb", True), ("yb", True),
+        ]
 
     def test_batch_cap_respected(self):
         scheduler = GroupedLDLPScheduler(

@@ -526,21 +526,27 @@ def test_drive_owns_the_vec_engines():
 
 @pytest.mark.parametrize("batch_limit", [1, 3, 14])
 @pytest.mark.parametrize(
-    "groups", [[[0], [1], [2], [3], [4]], [[0, 1], [2], [3, 4]]],
-    ids=["singletons", "mixed"],
+    "groups", [[[0], [1], [2], [3], [4]], [[0, 1], [2], [3, 4]], None],
+    ids=["singletons", "mixed", "ldlp"],
 )
 def test_grouped_explicit_groups_equivalence(batch_limit, groups):
     """Grouped LDLP with explicit groups: every singleton group runs its
     layer over the whole batch back to back, so its code segments
-    collapse; the latency samples and cache statistics must not move."""
+    collapse; the latency samples and cache statistics must not move.
+    ``None`` builds :class:`LDLPScheduler`, the singleton grouping."""
     arrivals = PoissonSource(12000.0, rng=3).arrival_list(0.01)
     seen = {}
     for engine in ENGINE_NAMES:
         binding = MachineBinding(rng=3)
-        scheduler = GroupedLDLPScheduler(
-            build_paper_stack(), binding, 500, BatchPolicy(batch_limit),
-            groups=groups,
-        )
+        if groups is None:
+            scheduler = LDLPScheduler(
+                build_paper_stack(), binding, 500, BatchPolicy(batch_limit)
+            )
+        else:
+            scheduler = GroupedLDLPScheduler(
+                build_paper_stack(), binding, 500, BatchPolicy(batch_limit),
+                groups=groups,
+            )
         timestamped = [
             (a.time, Message(size=a.size, arrival_time=a.time)) for a in arrivals
         ]
@@ -566,7 +572,7 @@ def test_code_plan_shared_per_batch_length():
     segment per layer."""
     config = SimulationConfig(scheduler="ldlp", batch_limit=14, duration=0.01)
     scheduler = build_scheduler(config, seed=0)
-    engine = vec_module._VecEngine(scheduler, "ldlp")
+    engine = vec_module._VecEngine(scheduler, vec_module._scheduler_kind(scheduler))
     binding = scheduler.binding
     buffers = binding.pool.buffers
     first = engine._compile([552] * 14, buffers[:14])
