@@ -19,6 +19,7 @@ run enforces message conservation itself).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -203,8 +204,15 @@ def cmd_injectors(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry: dispatch one fault campaign."""
-    args = build_parser().parse_args(argv)
+    """CLI entry: dispatch one fault campaign (bad arguments exit 2)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.campaign == "degradation" and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.campaign == "injectors":
+        for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
+            if not (math.isfinite(value) and value > 0):
+                parser.error(f"{flag} must be positive and finite, got {value}")
     if args.campaign == "list":
         return cmd_list()
     if args.campaign == "degradation":

@@ -13,29 +13,30 @@ declaration this package provides:
 * :mod:`repro.harness.cache` — an on-disk result cache keyed by a
   content hash of (point function, parameters, every source file of
   the package) so unchanged points are never recomputed;
-* :mod:`repro.harness.golden` — a golden-figure regression gate:
-  checked-in expected quantities with tolerances under ``goldens/``,
-  compared by ``ldlp-experiment regress``.
+* :mod:`repro.harness.golden` — the regression gate: checked-in
+  per-point result digests and expected quantities with tolerances
+  under ``goldens/``, compared by ``ldlp-experiment regress``.
 
 The harness computes and gates results; the simulator's own wall clock
 is measured by ``simbench/``.
 """
 
 from .cache import ResultCache, content_key, package_digest
-from .golden import GoldenBreach, bless, check_quantities, load_golden
+from .golden import Golden, bless, check_digests, check_quantities, load_golden
 from .points import SweepPoint, SweepSpec, Tolerance
 from .registry import all_specs, get_spec
 from .runner import ExperimentRun, run_assembled, run_experiment
 
 __all__ = [
     "ExperimentRun",
-    "GoldenBreach",
+    "Golden",
     "ResultCache",
     "SweepPoint",
     "SweepSpec",
     "Tolerance",
     "all_specs",
     "bless",
+    "check_digests",
     "check_quantities",
     "content_key",
     "get_spec",

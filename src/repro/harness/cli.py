@@ -9,11 +9,11 @@ Usage::
 
 ``run`` executes each experiment's declared sweep points over a worker
 pool, reusing the content-hashed cache, and prints one timing line and
-the reproduced table per experiment.  ``regress`` additionally extracts
-each experiment's golden quantities and fails (exit 1) when any drifts
-outside its checked-in tolerance.  Unknown experiment names and
-``--jobs`` below 1 are usage errors (exit 2), reported before any sweep
-runs.
+the reproduced table per experiment.  ``regress`` additionally fails
+(exit 1) when any point result's digest or any golden quantity differs
+from the checked-in golden, printing one block per failed experiment
+that lists every failed check.  Unknown experiment names and ``--jobs``
+below 1 are usage errors (exit 2), reported before any sweep runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from ..errors import ConfigurationError
 from .cache import ResultCache
 from ..sim.runner import ENGINE_NAMES
-from .golden import DEFAULT_GOLDENS_DIR, bless, check_quantities, load_golden
+from .golden import DEFAULT_GOLDENS_DIR, bless, check_digests, check_quantities, load_golden
 from .points import SCALES, with_engine
 from .registry import EXPERIMENT_MODULES, get_spec
 from .runner import ExperimentRun, run_experiment
@@ -129,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    """``regress``: execute sweeps and gate quantities against goldens."""
+    """``regress``: execute sweeps and gate them against goldens."""
     runs = _run_all(args)
     print()
     failures = 0
@@ -137,30 +137,28 @@ def cmd_regress(args: argparse.Namespace) -> int:
         spec = get_spec(run.name)
         quantities = run.quantities(spec)
         if args.bless:
-            path = bless(spec, args.scale, quantities, root=args.goldens_dir)
-            print(f"BLESSED {run.name}: {len(quantities)} quantities -> {path}")
+            path = bless(spec, args.scale, quantities, run.results, root=args.goldens_dir)
+            print(f"BLESSED {run.name}: {len(run.results)} digests, "
+                  f"{len(quantities)} quantities -> {path}")
             continue
         try:
             golden = load_golden(run.name, args.scale, root=args.goldens_dir)
         except ConfigurationError as exc:
-            print(f"FAIL    {run.name}: {exc}")
-            failures += 1
-            continue
-        breaches = check_quantities(run.name, golden, quantities)
+            problems = [str(exc)]
+        else:
+            problems = check_digests(run.name, golden, run.results)
+            problems += check_quantities(run.name, golden.quantities, quantities)
         if args.expect_cached and run.computed:
-            print(
-                f"FAIL    {run.name}: {run.computed} points were recomputed "
-                f"(expected a fully cached run; cache keys are unstable or "
-                f"the cache was not warmed)"
-            )
-            failures += 1
-        elif breaches:
-            print(f"FAIL    {run.name}: {len(breaches)} quantity breach(es)")
-            for breach in breaches:
-                print(f"        {breach.describe()}")
+            problems.append(f"{run.computed} points were recomputed (cache keys "
+                            f"are unstable or the cache was not warmed)")
+        if problems:
+            print(f"FAIL    {run.name}: {len(problems)} failed check(s)")
+            for problem in problems:
+                print(f"        {problem}")
             failures += 1
         else:
-            print(f"PASS    {run.name}: {len(golden)} quantities within tolerance")
+            print(f"PASS    {run.name}: {len(golden.digests)} point digests match, "
+                  f"{len(golden.quantities)} quantities within tolerance")
     if failures:
         print(f"\nregression gate FAILED for {failures} experiment(s)")
         return 1

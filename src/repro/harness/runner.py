@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ConfigurationError
-from .cache import ResultCache, canonical_json, content_key
+from .cache import ResultCache, content_key
 from .points import SweepPoint, SweepSpec
 
 
@@ -38,10 +38,6 @@ class ExperimentRun:
         """Fraction of points served from the result cache."""
         total = len(self.points)
         return self.cache_hits / total if total else 0.0
-
-    def results_json(self) -> str:
-        """Canonical serialization used for determinism diffing."""
-        return canonical_json(self.results)
 
     def quantities(self, spec: SweepSpec) -> dict[str, float]:
         """The experiment's named golden quantities from this run."""

@@ -152,15 +152,17 @@ class SimulationConfig:
                 f"unknown scheduler {self.scheduler!r}; expected one of "
                 f"{SCHEDULER_NAMES}"
             )
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        # NaN fails every comparison, so test finiteness first.
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ConfigurationError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
         if self.drop_policy not in DROP_POLICIES:
             raise ConfigurationError(
                 f"unknown drop policy {self.drop_policy!r}; expected one of "
                 f"{tuple(sorted(DROP_POLICIES))}"
             )
-        if self.flush_period_cycles is not None and self.flush_period_cycles <= 0:
-            raise ConfigurationError("cache-flush period must be positive")
+        _check_flush_period(self.flush_period_cycles)
         if self.dispatch is not None and self.dispatch not in DISPATCH_POLICIES:
             raise ConfigurationError(
                 f"unknown dispatch policy {self.dispatch!r}; expected one "
@@ -334,6 +336,14 @@ def _stepper(scheduler: Scheduler, engine: str, multi_step: bool) -> Stepper:
     return _scalar_stepper(scheduler)
 
 
+def _check_flush_period(period: float | None) -> None:
+    """Reject a flush period that is not positive and finite (NaN never flushes)."""
+    if period is not None and not (math.isfinite(period) and period > 0):
+        raise ConfigurationError(
+            f"cache-flush period must be positive and finite, got {period}"
+        )
+
+
 def drive(
     cores: Scheduler | list[Scheduler],
     arrivals: list[tuple[float, Message]],
@@ -404,8 +414,7 @@ def drive(
             raise ConfigurationError("drive() needs machine-bound schedulers")
     if len(cores) > 1 and dispatch is None:
         raise ConfigurationError("drive() needs a dispatch policy for several cores")
-    if flush_period_cycles is not None and flush_period_cycles <= 0:
-        raise ConfigurationError("cache-flush period must be positive")
+    _check_flush_period(flush_period_cycles)
     if engine not in ENGINE_NAMES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"

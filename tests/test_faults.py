@@ -480,6 +480,31 @@ class TestSatelliteFixes:
         assert result.mean_batch_size >= 1.0
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["injectors", "--duration", "-1"],
+            ["injectors", "--duration", "nan"],
+            ["injectors", "--rate", "0"],
+            ["degradation", "--jobs", "0"],
+        ],
+    )
+    def test_faults_cli_rejects_bad_arguments(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        """Bad arguments are usage errors (exit 2) before any run, not
+        exit 1, which means an injector failed."""
+        from repro.faults.cli import main as faults_main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            faults_main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert argv[1] in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # no cache written
+
+
 class TestCampaigns:
     def test_fault_point_deterministic_and_conserving(self):
         params = dict(

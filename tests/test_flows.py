@@ -34,6 +34,7 @@ from repro.flows import (
 )
 from repro.flows.runner import flows_point, make_flow_base, run_flow_simulation
 from repro.harness import ResultCache, run_experiment
+from repro.harness.golden import result_digests
 from repro.obs.runtime import Recorder, recording
 from repro.sim.runner import SimulationConfig, build_scheduler
 from repro.sim.vec import vec_supported
@@ -579,7 +580,7 @@ class TestSweepDeterminism:
         parallel = run_experiment(
             spec, jobs=2, cache=ResultCache(tmp_path / "b")
         )
-        assert serial.results_json() == parallel.results_json()
+        assert result_digests(serial.results) == result_digests(parallel.results)
 
 
 # ----------------------------------------------------------------------

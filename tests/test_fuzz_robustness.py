@@ -406,14 +406,18 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(
-        st.sampled_from(["quantities", "value", "rel", "abs", "key", "result", "q"]),
+        st.sampled_from([
+            "quantities", "value", "rel", "abs", "digests", "numpy",
+            "key", "result", "q",
+        ]),
         children,
         max_size=4,
     ),
     max_leaves=12,
 )
 
-#: The five malformed goldens that once escaped as untyped errors.
+#: The malformed goldens that once escaped as untyped errors, then
+#: malformed digest maps: missing, a list, non-string digests or numpy.
 BAD_GOLDENS = [
     b"{not json",
     b"[]",
@@ -421,6 +425,11 @@ BAD_GOLDENS = [
     b'{"experiment": "e"}',
     b'{"quantities": []}',
     b'{"quantities": {"q": {"value": 1, "rel": 0, "abs": 0}}}\xff',
+    b'{"quantities": {}, "numpy": "2.0"}',
+    b'{"quantities": {}, "digests": ["p"], "numpy": "2.0"}',
+    b'{"quantities": {}, "digests": {"p": 1}, "numpy": "2.0"}',
+    b'{"quantities": {}, "digests": {"p": null}, "numpy": "2.0"}',
+    b'{"quantities": {}, "digests": {}, "numpy": 2}',
 ]
 
 
@@ -440,17 +449,27 @@ class TestGoldenFuzz:
         except ConfigurationError:
             pass
 
-    @given(document=JSON_VALUES)
+    @given(
+        quantities=JSON_VALUES,
+        digests=st.dictionaries(st.text(max_size=4), st.text(max_size=8), max_size=3)
+        | JSON_VALUES,
+        numpy_version=st.text(max_size=8) | JSON_VALUES,
+    )
     @FILE_SETTINGS
     def test_any_json_document_raises_only_configuration_error(
-        self, tmp_path, document
+        self, tmp_path, quantities, digests, numpy_version
     ):
-        (tmp_path / "e.ci.json").write_text(json.dumps({"quantities": document}))
+        document = {
+            "quantities": quantities, "digests": digests, "numpy": numpy_version,
+        }
+        (tmp_path / "e.ci.json").write_text(json.dumps(document))
         try:
             golden = load_golden("e", "ci", root=tmp_path)
         except ConfigurationError:
             return
-        assert all(isinstance(value, float) for value, _ in golden.values())
+        assert all(isinstance(value, float) for value, _ in golden.quantities.values())
+        assert all(isinstance(value, str) for value in golden.digests.values())
+        assert isinstance(golden.numpy, str)
 
 
 CACHE_KEY = "ab" * 32

@@ -11,8 +11,10 @@ function of its explicitly seeded parameters.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 
+import numpy
 import pytest
 
 from repro.errors import ConfigurationError
@@ -23,6 +25,7 @@ from repro.harness import (
     Tolerance,
     all_specs,
     bless,
+    check_digests,
     check_quantities,
     content_key,
     get_spec,
@@ -31,6 +34,7 @@ from repro.harness import (
     run_experiment,
 )
 import repro.harness.cache as cache_module
+from repro.harness.golden import result_digests
 from repro.harness.cli import main as harness_cli
 from repro.harness.registry import EXPERIMENT_MODULES
 
@@ -98,7 +102,7 @@ class TestWorkerDeterminism:
         parallel = run_experiment(
             spec, jobs=4, cache=ResultCache(tmp_path / "b")
         )
-        assert serial.results_json() == parallel.results_json()
+        assert result_digests(serial.results) == result_digests(parallel.results)
         assert serial.computed == parallel.computed == 4
 
     def test_result_order_is_declared_order(self, tmp_path):
@@ -122,7 +126,7 @@ class TestResultCache:
         assert first.computed == 4 and first.cache_hits == 0
         assert second.computed == 0 and second.cache_hits == 4
         assert second.hit_rate == 1.0
-        assert first.results_json() == second.results_json()
+        assert result_digests(first.results) == result_digests(second.results)
 
     def test_disabled_cache_always_recomputes(self, tmp_path):
         spec = tiny_sim_spec()
@@ -173,23 +177,24 @@ class TestGoldenGate:
         spec = tiny_sim_spec()
         run = run_experiment(spec, jobs=1, cache=ResultCache(tmp_path / "c"))
         quantities = run.quantities(spec)
-        bless(spec, "ci", quantities, root=tmp_path / "g")
+        bless(spec, "ci", quantities, run.results, root=tmp_path / "g")
         golden = load_golden("tinysim", "ci", root=tmp_path / "g")
-        assert check_quantities("tinysim", golden, quantities) == []
+        assert check_quantities("tinysim", golden.quantities, quantities) == []
+        assert check_digests("tinysim", golden, run.results) == []
 
     def test_perturbation_fails(self, tmp_path):
         """A deliberate model perturbation must trip the gate."""
         spec = tiny_sim_spec()
         run = run_experiment(spec, jobs=1, cache=ResultCache(tmp_path / "c"))
         quantities = run.quantities(spec)
-        bless(spec, "ci", quantities, root=tmp_path / "g")
+        bless(spec, "ci", quantities, run.results, root=tmp_path / "g")
         golden = load_golden("tinysim", "ci", root=tmp_path / "g")
         perturbed = {
             key: value * 1.5 for key, value in quantities.items()
         }
-        breaches = check_quantities("tinysim", golden, perturbed)
+        breaches = check_quantities("tinysim", golden.quantities, perturbed)
         assert len(breaches) == 1
-        assert "ldlp_total_misses_8000" in breaches[0].describe()
+        assert "ldlp_total_misses_8000" in breaches[0]
 
     def test_missing_and_extra_quantities_are_breaches(self):
         golden = {"present": (1.0, Tolerance(rel=0.1))}
@@ -250,25 +255,121 @@ class TestSpecs:
             get_spec("figure6"), scale="ci", cache=ResultCache(enabled=False)
         )
         assert shared.cache_hits == 6
-        assert shared.results_json() == fresh.results_json()
+        assert result_digests(shared.results) == result_digests(fresh.results)
 
 
-class TestHashpoint:
-    def test_hashpoint_digest_is_stable(self, capsys):
-        """python -m repro.harness.hashpoint prints the same digest for
-        the same point in-process (the CI seed-matrix smoke compares it
-        across PYTHONHASHSEED values)."""
-        from repro.harness.hashpoint import main as hashpoint_main
+def bless_into(tmp_path, *names: str) -> list[str]:
+    """Bless ``names`` into fresh goldens over a fresh cache under
+    ``tmp_path``; return the matching ``regress`` arguments."""
+    args = [
+        *names,
+        "--cache-dir", str(tmp_path / "cache"),
+        "--goldens-dir", str(tmp_path / "goldens"),
+    ]
+    assert harness_cli(["regress", *args, "--bless"]) == 0
+    return args
 
-        digests = []
-        for _ in range(2):
-            assert hashpoint_main(["table1", "--scale", "ci"]) == 0
-            line = capsys.readouterr().out.strip()
-            name, digest = line.split()
-            assert name.startswith("table1/")
-            digests.append(digest)
-        assert digests[0] == digests[1]
-        assert len(digests[0]) == 64
+
+def edit_json(path, edit) -> None:
+    """Rewrite the JSON file at ``path`` through ``edit(data)``."""
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+class TestDigestGate:
+    """``regress`` pins every point's result bytes, not only the
+    tolerance quantities."""
+
+    def test_bless_records_a_digest_for_every_point(self, tmp_path, capsys):
+        args = bless_into(tmp_path, "figure8", "schedules")
+        for name in ("figure8", "schedules"):
+            golden = load_golden(name, "ci", root=tmp_path / "goldens")
+            keys = [point.key for point in get_spec(name).points_for("ci")]
+            assert sorted(golden.digests) == sorted(keys)
+            assert all(len(digest) == 64 for digest in golden.digests.values())
+            assert golden.numpy == numpy.__version__
+        capsys.readouterr()
+        assert harness_cli(["regress", *args, "--expect-cached"]) == 0
+        out = capsys.readouterr().out
+        assert "figure8: 4 points, 4 cached (100%), 0 computed" in out
+        assert "PASS    figure8: 4 point digests match" in out
+
+    def test_one_ulp_in_a_cached_result_fails_naming_the_point(
+        self, tmp_path, capsys
+    ):
+        """Far inside every tolerance, but not the same bytes."""
+        args = bless_into(tmp_path, "figure8")
+        point = get_spec("figure8").points_for("ci")[0]
+        (entry,) = [
+            path for path in (tmp_path / "cache").iterdir()
+            if json.loads(path.read_text())["point_key"] == point.key
+        ]
+
+        def nudge(data):
+            cycles = data["result"]["cycles"]
+            cycles[0] = math.nextafter(cycles[0], math.inf)
+
+        edit_json(entry, nudge)
+        capsys.readouterr()
+        assert harness_cli(["regress", *args]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL    figure8: 1 failed check(s)" in out
+        assert f"figure8/{point.key}: result digest" in out
+
+    def test_tampered_missing_and_extra_digests_fail(self, tmp_path, capsys):
+        args = bless_into(tmp_path, "figure8")
+        tampered, dropped = sorted(
+            point.key for point in get_spec("figure8").points_for("ci")
+        )[:2]
+
+        def tamper(data):
+            data["digests"][tampered] = "0" * 64
+            del data["digests"][dropped]
+            data["digests"]["ghost"] = "0" * 64
+
+        edit_json(tmp_path / "goldens" / "figure8.ci.json", tamper)
+        capsys.readouterr()
+        assert harness_cli(["regress", *args]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL    figure8: 3 failed check(s)" in out
+        assert f"figure8/{tampered}: result digest" in out
+        assert f"figure8/{dropped}: point has no golden digest" in out
+        assert "figure8/ghost: golden digest but no such point" in out
+        assert "numpy" not in out
+
+    def test_numpy_mismatch_names_both_versions(self, tmp_path, capsys):
+        args = bless_into(tmp_path, "schedules")
+
+        def tamper(data):
+            data["numpy"] = "0.0.1"
+            data["digests"]["ldlp"] = "0" * 64
+
+        edit_json(tmp_path / "goldens" / "schedules.ci.json", tamper)
+        capsys.readouterr()
+        assert harness_cli(["regress", *args]) == 1
+        out = capsys.readouterr().out
+        assert "schedules/ldlp: result digest" in out
+        assert "numpy 0.0.1" in out and f"numpy {numpy.__version__}" in out
+
+    def test_every_failed_check_is_listed_in_one_block(self, tmp_path, capsys):
+        """Digest mismatches, tolerance breaches and ``--expect-cached``
+        recomputes are all reported; none hides another."""
+        args = bless_into(tmp_path, "schedules")
+
+        def tamper(data):
+            data["digests"]["ldlp"] = "0" * 64
+            data["quantities"]["ldlp_order_crc"]["value"] += 1
+
+        edit_json(tmp_path / "goldens" / "schedules.ci.json", tamper)
+        shutil.rmtree(tmp_path / "cache")
+        capsys.readouterr()
+        assert harness_cli(["regress", *args, "--expect-cached"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL    schedules: 3 failed check(s)" in out
+        assert "schedules/ldlp: result digest" in out
+        assert "schedules.ldlp_order_crc" in out
+        assert "3 points were recomputed" in out
 
 
 class TestHarnessCli:
@@ -325,7 +426,8 @@ class TestHarnessCli:
         capsys.readouterr()
         assert harness_cli(["regress", *names, *cache, *goldens]) == 1
         out = capsys.readouterr().out
-        assert "FAIL    schedules: malformed golden" in out
+        assert "FAIL    schedules: 1 failed check(s)" in out
+        assert "malformed golden" in out
         assert "PASS    table3" in out
 
     def test_unknown_experiment_is_a_usage_error(self, tmp_path, capsys):

@@ -31,6 +31,7 @@ from repro.core.layer import Message
 from repro.errors import ConfigurationError
 from repro.experiments import multicore as experiment
 from repro.harness import ResultCache, run_experiment
+from repro.harness.golden import result_digests
 from repro.machine.multicore import MultiCoreMachine, MultiCoreSpec
 from repro.sim.multicore import (
     MultiCoreRunResult,
@@ -322,7 +323,7 @@ class TestSweepDeterminism:
         spec = self.tiny_spec()
         serial = run_experiment(spec, jobs=1, cache=ResultCache(tmp_path / "a"))
         parallel = run_experiment(spec, jobs=2, cache=ResultCache(tmp_path / "b"))
-        assert serial.results_json() == parallel.results_json()
+        assert result_digests(serial.results) == result_digests(parallel.results)
 
     def test_point_repeats_byte_identically(self):
         import json

@@ -11,6 +11,7 @@ from repro.sim import (
     merge_results,
     run_simulation,
 )
+from repro.sim.runner import build_scheduler, drive
 from repro.sim.stats import MissesPerMessage, RunResult
 from repro.traffic import DeterministicSource, PoissonSource
 
@@ -42,6 +43,20 @@ class TestRunner:
             SimulationConfig(scheduler="bogus")
         with pytest.raises(ConfigurationError):
             SimulationConfig(duration=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_config_rejects_non_finite(self, value):
+        """NaN passes a ``<= 0`` test; both fields must be finite."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            SimulationConfig(duration=value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            SimulationConfig(flush_period_cycles=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_drive_rejects_bad_flush_period(self, value):
+        scheduler = build_scheduler(SimulationConfig(scheduler="ldlp"), 0)
+        with pytest.raises(ConfigurationError, match="flush period"):
+            drive(scheduler, [], flush_period_cycles=value)
 
     def test_paper_stack_shape(self):
         layers = build_paper_stack()

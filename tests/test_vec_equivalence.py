@@ -68,6 +68,7 @@ from repro.gossip import (
     run_gossip_simulation,
 )
 from repro.harness.cache import ResultCache, canonical_json
+from repro.harness.golden import result_digests
 from repro.harness.points import point_accepts_engine, with_engine
 from repro.harness.registry import EXPERIMENT_MODULES, get_spec
 from repro.harness.runner import run_experiment
@@ -173,7 +174,7 @@ def test_experiment_byte_identical_across_engines(name):
                 spec, scale="ci", jobs=1, cache=ResultCache(enabled=False)
             )
         totals[engine] = recorder.counters.as_dict()
-    assert runs["scalar"].results_json() == runs["vec"].results_json()
+    assert result_digests(runs["scalar"].results) == result_digests(runs["vec"].results)
     assert totals["scalar"] == totals["vec"]
     counters = totals["vec"]
     if counters.get("messages.arrivals"):
