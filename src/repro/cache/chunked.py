@@ -35,6 +35,15 @@ tag arrays are one plan over an array holding both:
 plan against the split L1's one backing tag array
 (:class:`repro.cache.hierarchy.SplitCacheHierarchy`) with one gather,
 compare, scatter and count.
+
+One static-analysis kernel, :func:`_first_touches`, computes a stream's
+first touches, last lines and static misses per segment: one stable
+argsort by set (a radix sort: the key is the narrowest unsigned dtype
+that fits the set count) and a handful of vector operations, written
+once into the ``(4, n)`` block a replay reads.  It serves both
+:class:`SegmentedAccessPlan` and :meth:`FusedReplay.data_plan`, which
+packs a data plan straight from its segments without a plan object in
+between — the vectorized engine compiles one per new batch composition.
 """
 
 from __future__ import annotations
@@ -53,6 +62,82 @@ class UnsupportedPlanError(ValueError):
     position's resident tag depends on the first's hit/miss outcome at
     *apply* time), so callers must fall back to the scalar path.
     """
+
+
+def _key_dtype(num_lines: int) -> type[np.unsignedinteger]:
+    """The narrowest unsigned dtype holding every set index below
+    ``num_lines``; numpy's stable argsort is a radix sort up to 16 bits."""
+    if num_lines <= 1 << 8:
+        return np.uint8
+    if num_lines <= 1 << 16:
+        return np.uint16
+    return np.uint32 if num_lines <= 1 << 32 else np.uint64
+
+
+def _first_touches(
+    lines: np.ndarray,
+    lengths: np.ndarray | list[int],
+    num_lines: int,
+    num_segments: int,
+    *,
+    positions: bool = False,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """The static analysis of a segmented access stream.
+
+    ``lines`` holds every line of the stream (int64), segment by
+    segment; ``lengths`` holds each segment's length.  Returns:
+
+    * ``block`` — a ``(4, n)`` int64 array with one column per touched
+      set, ascending by set: the set, the line of its first touch, that
+      touch's segment id and the line of its last touch (the set's tag
+      after the stream, hit or miss; see the module docs);
+    * ``static`` — static misses per segment (int64, ``num_segments``
+      entries, which may run past the stream's own segments):
+      re-touches of a set by a different line than its previous touch,
+      which miss whatever the live state;
+    * with ``positions``, the stream positions of the first touches
+      (in ``block`` order) and of the static misses; else ``None``.
+
+    Raises
+    ------
+    UnsupportedPlanError
+        If any segment touches the same set twice (see module docs).
+    """
+    total = int(lines.size)
+    # Rows: set, line and segment id of every position.
+    stream = np.empty((3, total), dtype=np.int64)
+    np.remainder(lines, num_lines, out=stream[0])
+    stream[1] = lines
+    stream[2] = np.repeat(np.arange(len(lengths)), lengths)
+    # Stable sort by set: equal-set positions stay in stream order, so
+    # "previous element in the sorted run" = "previous occurrence of
+    # this set in the stream".
+    order = stream[0].astype(_key_dtype(num_lines)).argsort(kind="stable")
+    ordered = stream.take(order, axis=1)
+    sets, ordered_lines, segs = ordered
+    # repeat[i]: position i re-touches the set of position i - 1 in
+    # sorted order.  static_miss[i - 1]: it does so with a different line.
+    repeat = np.empty(total, dtype=bool)
+    repeat[:1] = False
+    np.equal(sets[1:], sets[:-1], out=repeat[1:])
+    same_segment = segs[1:] == segs[:-1]
+    same_segment &= repeat[1:]
+    if same_segment.any():
+        raise UnsupportedPlanError("segment touches the same cache set twice")
+    static_miss = ordered_lines[1:] != ordered_lines[:-1]
+    static_miss &= repeat[1:]
+    # Dynamic part: the first occurrence of each set, whose resident tag
+    # is gathered from live state at replay time.  The set's last
+    # occurrence is the position just before the next set's first.
+    first = (~repeat).nonzero()[0]
+    block = np.empty((4, first.size), dtype=np.int64)
+    block[:3] = ordered.take(first, axis=1)
+    block[3, :-1] = ordered_lines[first[1:] - 1]
+    block[3, -1:] = ordered_lines[-1:]
+    static = np.bincount(segs[1:][static_miss], minlength=num_segments)
+    if not positions:
+        return block, static, None
+    return block, static, (order[first], order[1:][static_miss])
 
 
 class SegmentedAccessPlan:
@@ -92,59 +177,24 @@ class SegmentedAccessPlan:
         with_mask: bool = False,
     ) -> None:
         lines = np.ascontiguousarray(lines, dtype=np.int64)
-        offsets = np.ascontiguousarray(seg_offsets, dtype=np.int64)
-        total = int(lines.size)
-        nseg = int(offsets.size) - 1
-        self.size = total
-        self.num_segments = nseg
+        lengths = np.diff(np.asarray(seg_offsets, dtype=np.int64))
+        self.size = int(lines.size)
+        self.num_segments = int(lengths.size)
         self.repeat_hits = repeat_hits
-        sets = lines % num_lines
-        # Segment id of each position: segment starts at or before it.
-        seg_ids = np.bincount(offsets[1:-1], minlength=total)[:total].cumsum()
-        # Stable sort by set: equal-set positions stay in stream order,
-        # so "previous element in the sorted run" = "previous occurrence
-        # of this set in the stream".
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
-        sorted_segs = seg_ids[order]
-        sorted_lines = lines[order]
-        # repeat[i]: position i re-touches the set of position i - 1 in
-        # sorted order.  static_miss[i]: it does so with a different line.
-        repeat = np.zeros(total, dtype=bool)
-        static_miss = np.zeros(total, dtype=bool)
-        if total > 1:
-            np.equal(sorted_sets[1:], sorted_sets[:-1], out=repeat[1:])
-            np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=static_miss[1:])
-            static_miss &= repeat
-            same_segment = sorted_segs[1:] == sorted_segs[:-1]
-            same_segment &= repeat[1:]
-            if same_segment.any():
-                raise UnsupportedPlanError(
-                    "segment touches the same cache set twice"
-                )
-        # Dynamic part: first occurrence of each set — resident tag must
-        # be gathered from live state at apply() time.  One entry per
-        # touched set, ascending, which also indexes the final scatter.
-        first = ~repeat
-        self._sets = sorted_sets[first]
-        self._first_lines = sorted_lines[first]
-        self._first_segs = sorted_segs[first]
-        self._first_positions = order[first] if with_mask else None
-        # Static part: a repeat occurrence observes the previous
-        # occurrence's line as resident (valid tag, so every miss here
-        # is also an eviction), independent of live state.
-        self._static_miss_positions = order[static_miss] if with_mask else None
-        self._static_misses = int(np.count_nonzero(static_miss))
-        self._static_per_segment = np.bincount(
-            sorted_segs[static_miss], minlength=nseg
-        ).astype(np.int64, copy=False)
-        # Final state: the tag of each touched set is the line of its
-        # last occurrence in the plan (hit or miss — see module docs),
-        # i.e. the position just before the next set's first occurrence.
-        last = np.empty(total, dtype=bool)
-        last[:-1] = first[1:]
-        last[-1:] = True
-        self._last_lines = sorted_lines[last]
+        self._block, self._static_per_segment, positions = _first_touches(
+            lines, lengths, num_lines, self.num_segments, positions=with_mask
+        )
+        #: One entry per touched set, ascending, which also indexes the
+        #: final scatter.
+        self._sets, self._first_lines, self._first_segs, self._last_lines = (
+            self._block
+        )
+        # A static miss observes the previous occurrence's line as
+        # resident (a valid tag), so it is also an eviction.
+        self._static_misses = int(self._static_per_segment.sum())
+        self._first_positions, self._static_miss_positions = (
+            positions if positions is not None else (None, None)
+        )
 
     def apply(
         self,
@@ -193,23 +243,11 @@ def unit_plan(lines: np.ndarray, num_lines: int) -> SegmentedAccessPlan:
     return SegmentedAccessPlan(lines, offsets, num_lines, with_mask=True)
 
 
-def segment_plan(
-    segments: list[np.ndarray], num_lines: int, repeat_hits: int = 0
-) -> SegmentedAccessPlan:
-    """A plan with one segment per line array, in order."""
-    lines = (
-        np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
-    )
-    offsets = list(accumulate([segment.size for segment in segments], initial=0))
-    return SegmentedAccessPlan(
-        lines, offsets, num_lines, repeat_hits=repeat_hits
-    )
-
-
 def collapsed_plan(
     segments: list[np.ndarray], num_lines: int
 ) -> tuple[SegmentedAccessPlan, list[int]]:
-    """:func:`segment_plan` minus segments that repeat their predecessor.
+    """A plan with one segment per line array, minus the segments that
+    repeat their predecessor.
 
     Returns the plan and the indices of the segments it kept, in order;
     its per-segment misses line up with those indices, and every elided
@@ -223,23 +261,29 @@ def collapsed_plan(
             repeat_hits += int(segment.size)
         else:
             kept.append(index)
-    plan = segment_plan(
-        [segments[index] for index in kept], num_lines, repeat_hits
+    lines = [segments[index] for index in kept]
+    plan = SegmentedAccessPlan(
+        np.concatenate(lines) if lines else np.empty(0, dtype=np.int64),
+        list(accumulate((segment.size for segment in lines), initial=0)),
+        num_lines,
+        repeat_hits=repeat_hits,
     )
     return plan, kept
 
 
 def _same_lines(a: np.ndarray, b: np.ndarray) -> bool:
-    return a is b or bool(np.array_equal(a, b))
+    return a is b or (
+        a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    )
 
 
 class PackedPlan:
     """A data-cache plan's apply-time arrays, packed for a :class:`FusedReplay`.
 
-    ``block`` stacks the plan's first-touch sets, first lines, segment
-    ids and last lines as four rows; ``static`` is its static misses
-    per segment followed by the instruction plan's; ``accesses`` counts
-    its accesses, elided repeats included.
+    ``block`` holds the plan's first-touch sets, first lines, segment
+    ids and last lines as four rows (:func:`_first_touches`); ``static``
+    is its static misses per segment followed by the instruction
+    plan's; ``accesses`` counts its accesses.
     """
 
     __slots__ = ("block", "static", "accesses")
@@ -263,7 +307,7 @@ class FusedReplay:
     One instance serves one I plan and every D plan of ``dsegments``
     segments.  It keeps an arena whose tail holds the I plan's
     first-touch arrays; :meth:`apply` copies a packed D plan
-    (:meth:`pack`) into the columns just before the tail, so each
+    (:meth:`data_plan`) into the columns just before the tail, so each
     replay reads one contiguous run of first touches and never copies
     the I arrays.  Hits, misses and evictions accrue to each cache's
     :class:`CacheStats` exactly as the two plans' own
@@ -275,31 +319,38 @@ class FusedReplay:
         self, iplan: SegmentedAccessPlan, dsets: int, dsegments: int
     ) -> None:
         self.iplan = iplan
+        self.dsets = dsets
         self.dsegments = dsegments
         self.num_segments = dsegments + iplan.num_segments
         self._bounds = np.array([0, dsegments], dtype=np.int64)
         self._iaccesses = iplan.size + iplan.repeat_hits
         # A D plan touches each of the dsets sets at most once first,
         # so the first ``dsets`` columns have room for any of them.
-        self._tail = dsets
         self._arena = np.empty((4, dsets + iplan._sets.size), dtype=np.int64)
-        self._arena[:, dsets:] = (
-            iplan._sets + dsets,
-            iplan._first_lines,
-            iplan._first_segs + dsegments,
-            iplan._last_lines,
-        )
+        self._arena[:, dsets:] = iplan._block
+        self._arena[0, dsets:] += dsets
+        self._arena[2, dsets:] += dsegments
 
-    def pack(self, dplan: SegmentedAccessPlan) -> PackedPlan:
-        """The part of a replay owned by ``dplan``, a plan of
-        ``dsegments`` segments; the plan object can then go."""
-        block = np.stack(
-            (dplan._sets, dplan._first_lines, dplan._first_segs, dplan._last_lines)
+    def data_plan(self, segments: list[np.ndarray]) -> PackedPlan:
+        """Compile ``dsegments`` data line arrays, one segment each in
+        order, straight into their packed replay.
+
+        Equal to a :class:`SegmentedAccessPlan` over the same segments,
+        packed; raises :class:`UnsupportedPlanError` where it would.
+        """
+        if len(segments) != self.dsegments:
+            raise ValueError(
+                f"expected {self.dsegments} data segments, got {len(segments)}"
+            )
+        lines = (
+            np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
         )
-        static = np.concatenate(
-            (dplan._static_per_segment, self.iplan._static_per_segment)
+        lengths = [segment.size for segment in segments]
+        block, static, _ = _first_touches(
+            lines, lengths, self.dsets, self.num_segments
         )
-        return PackedPlan(block, static, dplan.size + dplan.repeat_hits)
+        static[self.dsegments :] = self.iplan._static_per_segment
+        return PackedPlan(block, static, int(lines.size))
 
     def apply(
         self,
@@ -313,9 +364,9 @@ class FusedReplay:
         Mutates ``tags`` in place and returns the per-segment miss
         counts (int64): the D plan's segments, then the I plan's.
         """
-        head = self._tail - data.block.shape[1]
+        head = self.dsets - data.block.shape[1]
         arena = self._arena
-        arena[:, head : self._tail] = data.block
+        arena[:, head : self.dsets] = data.block
         sets, first_lines, segments, last_lines = arena[:, head:]
         resident = tags[sets]
         first_miss = first_lines != resident
@@ -329,7 +380,7 @@ class FusedReplay:
         dcold = 0
         icold = int(np.count_nonzero(cold))
         if icold:
-            dcold = int(np.count_nonzero(cold[: self._tail - head]))
+            dcold = int(np.count_nonzero(cold[: self.dsets - head]))
             icold -= dcold
         dstats.misses += dmisses
         dstats.hits += data.accesses - dmisses

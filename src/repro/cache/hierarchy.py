@@ -9,6 +9,7 @@ converts miss counts into stall cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,12 @@ class CacheGeometry:
     size: int = kb(8)
     line_size: int = 32
 
+    def __post_init__(self) -> None:
+        if self.line_size <= 0:
+            raise ConfigurationError(
+                f"line size must be positive, got {self.line_size}"
+            )
+
     def build(self, tags: np.ndarray | None = None) -> DirectMappedCache:
         """Construct a direct-mapped cache with this geometry.
 
@@ -35,6 +42,7 @@ class CacheGeometry:
 
     @property
     def num_lines(self) -> int:
+        """Line count: the cache size over the line size."""
         return self.size // self.line_size
 
     @property
@@ -83,8 +91,11 @@ class MachineSpec:
     iprefetch_efficiency: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ConfigurationError(f"clock must be positive, got {self.clock_hz}")
+        # A NaN clock passes ``<= 0`` and makes every arrival cycle NaN.
+        if not (math.isfinite(self.clock_hz) and self.clock_hz > 0):
+            raise ConfigurationError(
+                f"clock must be positive and finite, got {self.clock_hz}"
+            )
         if self.miss_penalty < 0:
             raise ConfigurationError(
                 f"miss penalty must be non-negative, got {self.miss_penalty}"

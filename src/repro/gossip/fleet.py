@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..traffic.base import TrafficSource
+from ..traffic.base import TrafficSource, check_positive
 from ..traffic.zipf import FlowArrival, zipf_weights
 from .wire import (
     CONTROL_KINDS,
@@ -127,8 +127,7 @@ class GossipFleetSpec:
             raise ConfigurationError(
                 f"data_payload_bytes must be >= 1, got {self.data_payload_bytes}"
             )
-        if self.rate <= 0:
-            raise ConfigurationError(f"rate must be positive, got {self.rate}")
+        check_positive(self.rate, "rate")
         # Skew validation (finite, non-negative) without materializing a
         # million-peer weight vector at construction time.
         zipf_weights(1, self.peer_skew)

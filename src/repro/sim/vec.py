@@ -21,22 +21,29 @@ How it works
 (layer, message-slot) invocations a service step performs — and hence
 the full reference stream it pushes through each cache — is a pure
 function of the batch composition (which ring buffer holds which
-message size).  The engine compiles that into a
-:class:`repro.cache.chunked.SegmentedAccessPlan` per cache plus a
-per-invocation cost-addend layout, cached by composition key; a
-template keeps its data plan packed (:class:`~repro.cache.chunked.PackedPlan`)
-for the batch length's :class:`~repro.cache.chunked.FusedReplay`.  The ring
+message size).  The engine compiles that into a cache replay plus a
+per-invocation cost-addend layout, cached by composition key.  The ring
 of 32 buffers and the bounded batch cap keep the key space small, so a
 single-size workload soon replays only cached templates.  A mixed-size
 trace does not: on the synthesized Bellcore-like trace (nine Ethernet
-frame sizes) about 0.55 plans are compiled per step, most templates
-are used once or twice, and compiling costs about as much as a step.
-The code stream depends on the batch length alone, so its plan is
-compiled once per length and shared by every composition of that
-length; a code segment that re-runs the layer that just ran is elided
-from it
-(:func:`repro.cache.chunked.collapsed_plan`), which turns LDLP's
-layer-major batch into one segment per layer.
+frame sizes) about 0.7 templates are compiled per step, so almost every
+compile sits on the critical path.
+
+Everything that depends on the batch length alone is built once per
+length (:class:`_Layout`): the code stream's plan (a code segment that
+re-runs the layer that just ran is elided from it,
+:func:`repro.cache.chunked.collapsed_plan`, which turns LDLP's
+layer-major batch into one segment per layer), the piece each data
+segment draws its lines from (a layer's data, a slot's buffer, or
+none), and each addend's constant and per-byte terms.  Compiling a
+composition is then only a lookup of each slot's buffer lines (cached
+per ring slot and size), one
+:meth:`~repro.cache.chunked.FusedReplay.data_plan` that packs the data
+segments straight into the replay's
+:class:`~repro.cache.chunked.PackedPlan`, and one vector expression,
+``constant + per_byte * size``, for the addends: the same IEEE products
+and sums :meth:`~repro.machine.executor.ExecutionProfile.compute_cycles`
+forms, so the addends are bit-equal to the per-invocation ones.
 
 *Dynamic replay.*  The split L1 keeps both tag arrays in one backing
 array (:class:`~repro.cache.hierarchy.SplitCacheHierarchy`), so a step
@@ -105,12 +112,13 @@ TailDrop never evicts a peeked message.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from ..cache.cache import DirectMappedCache
-from ..cache.chunked import FusedReplay, PackedPlan, collapsed_plan, segment_plan
+from ..cache.chunked import FusedReplay, PackedPlan, collapsed_plan
 from ..core.dispatch import FLOW_KEY
 from ..core.layer import PassthroughLayer
 from ..core.overload import TailDrop
@@ -138,9 +146,9 @@ MAX_STEPS = 8
 class _StepTemplate:
     """Compiled cache replay + cost layout for one batch composition.
 
-    ``replay``, ``positions`` and ``completions`` depend on the batch
-    length only and are shared by every template of that length; only
-    ``data`` and ``addends`` belong to the composition.
+    ``replay``, ``positions`` and ``completions`` come from the batch
+    length's :class:`_Layout` and are shared by every template of that
+    length; only ``data`` and ``addends`` belong to the composition.
     """
 
     __slots__ = ("replay", "data", "addends", "positions", "completions")
@@ -170,9 +178,32 @@ class _StepTemplate:
         self.completions = completions
 
 
-#: The batch-length-only part of a template: (replay, positions,
-#: completions).
-_Shape = tuple[FusedReplay, np.ndarray, list[tuple[int, int]]]
+@dataclass(slots=True)
+class _Layout:
+    """Everything about a template that depends on the batch length only.
+
+    Built once per batch length, so compiling a composition is a lookup
+    of its buffers' lines, one :meth:`FusedReplay.data_plan` and one
+    vector expression for the addends.  ``replay``, ``positions`` and
+    ``completions`` are every such template's (see
+    :class:`_StepTemplate`).
+    """
+
+    replay: FusedReplay
+    positions: np.ndarray
+    completions: list[tuple[int, int]]
+    #: Piece of each data segment, in order: with ``L`` layers, piece
+    #: ``i < L`` is layer ``i``'s data lines, piece ``L`` no lines and
+    #: piece ``L + 1 + j`` message slot ``j``'s buffer lines.
+    pieces: list[int]
+    #: Message slot whose size scales each addend's per-byte term.
+    slots: np.ndarray
+    #: Addend ``a`` is ``constant[a] + per_byte[a] * size``, the sum
+    #: :meth:`ExecutionProfile.compute_cycles` forms.
+    constant: np.ndarray
+    per_byte: np.ndarray
+    #: The addend slot after each completion; see ``_compile``.
+    free: np.ndarray
 
 
 def _distinct_sets(lines: np.ndarray, num_lines: int) -> bool:
@@ -235,42 +266,58 @@ class _VecEngine:
             else None
         )
         self._templates: dict[tuple[tuple[int, int], ...], _StepTemplate] = {}
-        self._shapes: dict[int, _Shape] = {}
+        self._layouts: dict[int, _Layout] = {}
+        #: Data-segment pieces shared by every template: each layer's
+        #: data lines, then no lines (see _Layout.pieces).
+        self._layer_pieces = [placed.data_lines for placed in self.placed]
+        self._layer_pieces.append(np.empty(0, dtype=np.int64))
+        #: (ring slot, size) -> the buffer lines a message touches.
+        self._buffer_lines: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Template compilation
 
-    def _invocations(self, sizes: list[int]) -> list[tuple[int, int, bool, float]]:
-        """The step's (layer, slot, include_data, trailing_execute) list.
+    def _program(self, batch: int) -> list[tuple[int, int, bool, float, float]]:
+        """The step's (layer, slot, include_data, trailing execute, its
+        per-byte part) list for a batch of ``batch`` messages.
 
         Mirrors each scalar scheduler's invocation order exactly (the
         order determines cache behaviour — it is the paper's whole
         subject): conventional/ILP are message-major (one step per
         slot, back to back); grouped is group-major with one queue hop
         per group, which with singleton groups (LDLP) is layer-major
-        over the batch.
+        over the batch.  ILP's integrated loop charges the later layers'
+        per-byte cycles as the first layer's trailing execute.
         """
         num_layers = len(self.placed)
         if self.kind == "conventional":
             return [
-                (index, slot, True, 0.0)
-                for slot in range(len(sizes))
+                (index, slot, True, 0.0, 0.0)
+                for slot in range(batch)
                 for index in range(num_layers)
             ]
         if self.kind == "ilp":
             program = []
-            for slot, size in enumerate(sizes):
-                program.append((0, slot, True, self.extra_per_byte * size))
+            for slot in range(batch):
+                program.append((0, slot, True, 0.0, self.extra_per_byte))
                 program += [
-                    (index, slot, False, 0.0) for index in range(1, num_layers)
+                    (index, slot, False, 0.0, 0.0) for index in range(1, num_layers)
                 ]
             return program
         assert self.groups is not None
         return [
-            (layer_index, slot, True, trailing)
+            (layer_index, slot, True, trailing, 0.0)
             for members in self.groups
-            for slot in range(len(sizes))
+            for slot in range(batch)
             for layer_index, trailing in members
+        ]
+
+    def _invocations(self, sizes: list[int]) -> list[tuple[int, int, bool, float]]:
+        """The step's (layer, slot, include_data, trailing execute) list."""
+        return [
+            (layer_index, slot, include_data, trailing + per_byte * sizes[slot])
+            for layer_index, slot, include_data, trailing, per_byte
+            in self._program(len(sizes))
         ]
 
     def _completion_points(self, batch: int) -> list[tuple[int, int]]:
@@ -292,65 +339,87 @@ class _VecEngine:
             for slot in range(batch)
         ]
 
-    def _shape(
-        self, program: list[tuple[int, int, bool, float]], batch: int
-    ) -> _Shape:
-        """The batch-length-only parts of a template, compiled once.
+    def _layout(self, batch: int) -> _Layout:
+        """The batch-length-only parts of a template, built once.
 
         The code stream is the program's layer sequence, which depends
-        on the batch length but not on buffers or sizes.
+        on the batch length but not on buffers or sizes; so do the
+        data segments' pieces and the addends' terms.
         """
-        shape = self._shapes.get(batch)
-        if shape is None:
-            count = len(program)
-            base = _SLOTS * np.arange(count, dtype=np.int64)
-            iplan, kept = collapsed_plan(
-                [self.placed[layer_index].code_lines for layer_index, *_ in program],
-                self.icache.num_lines,
-            )
-            dpos = np.empty(2 * count, dtype=np.int64)
-            dpos[0::2] = base + 2
-            dpos[1::2] = base + 3
-            shape = (
-                FusedReplay(iplan, self.dcache.num_lines, 2 * count),
-                np.concatenate((dpos, base[kept] + 1)),
-                self._completion_points(batch),
-            )
-            self._shapes[batch] = shape
-        return shape
+        layout = self._layouts.get(batch)
+        if layout is not None:
+            return layout
+        program = self._program(batch)
+        num_layers = len(self.placed)
+        count = len(program)
+        base = _SLOTS * np.arange(count, dtype=np.int64)
+        iplan, kept = collapsed_plan(
+            [self.placed[layer_index].code_lines for layer_index, *_ in program],
+            self.icache.num_lines,
+        )
+        dpos = np.empty(2 * count, dtype=np.int64)
+        dpos[0::2] = base + 2
+        dpos[1::2] = base + 3
+        layers, slots, include, trailing, extra = (
+            np.array(column) for column in zip(*program)
+        )
+        pieces = np.empty(2 * count, dtype=np.intp)
+        pieces[0::2] = layers
+        pieces[1::2] = np.where(include, num_layers + 1 + slots, num_layers)
+        profiles = [placed.profile for placed in self.placed]
+        base_cycles = np.array([profile.base_cycles for profile in profiles], dtype=float)
+        per_byte_cycles = np.array(
+            [profile.per_byte_cycles for profile in profiles], dtype=float
+        )
+        # Slot 4 of each invocation is its execute, slot 5 its trailing one.
+        addend_slots = np.zeros(1 + _SLOTS * count, dtype=np.intp)
+        addend_slots[4::_SLOTS] = addend_slots[5::_SLOTS] = slots
+        constant = np.zeros(1 + _SLOTS * count)
+        constant[4::_SLOTS] = base_cycles[layers]
+        constant[5::_SLOTS] = trailing
+        per_byte = np.zeros(1 + _SLOTS * count)
+        per_byte[4::_SLOTS] = np.where(include, per_byte_cycles[layers], 0.0)
+        per_byte[5::_SLOTS] = extra
+        completions = self._completion_points(batch)
+        layout = _Layout(
+            FusedReplay(iplan, self.dcache.num_lines, 2 * count),
+            np.concatenate((dpos, base[kept] + 1)),
+            completions,
+            pieces.tolist(),
+            addend_slots,
+            constant,
+            per_byte,
+            np.array([index + 1 for _, index in completions], dtype=np.intp),
+        )
+        self._layouts[batch] = layout
+        return layout
 
     def _compile(
         self, sizes: list[int], buffers: list[MessageBuffer]
     ) -> _StepTemplate:
-        program = self._invocations(sizes)
-        replay, positions, completions = self._shape(program, len(sizes))
-        # Each slot's buffer lines, computed once: grouped programs
-        # (LDLP included) touch every slot once per layer.
-        slot_lines = [
-            buffer.lines_for(min(size, buffer.capacity))
-            for buffer, size in zip(buffers, sizes)
-        ]
-        no_lines = slot_lines[0][:0]
-        data_segments: list[np.ndarray] = []
-        execute: list[float] = []
-        for layer_index, slot, include_data, _ in program:
-            placed = self.placed[layer_index]
-            data_segments.append(placed.data_lines)
-            if include_data:
-                data_segments.append(slot_lines[slot])
-                execute.append(placed.profile.compute_cycles(sizes[slot]))
-            else:
-                data_segments.append(no_lines)
-                execute.append(placed.profile.base_cycles)
-        addends = np.zeros(1 + _SLOTS * len(program))
-        addends[4::_SLOTS] = execute
-        addends[5::_SLOTS] = [trailing for *_, trailing in program]
+        layout = self._layout(len(sizes))
+        # Each slot's buffer lines, computed once per (ring slot, size).
+        pieces = self._layer_pieces.copy()
+        cache = self._buffer_lines
+        for buffer, size in zip(buffers, sizes):
+            key = (buffer.index, size)
+            lines = cache.get(key)
+            if lines is None:
+                lines = cache[key] = buffer.lines_for(min(size, buffer.capacity))
+            pieces.append(lines)
+        replay = layout.replay
+        data = replay.data_plan([pieces[index] for index in layout.pieces])
+        # The same IEEE products and sums compute_cycles forms, so the
+        # addends are bit-equal to the per-invocation ones.
+        slot_sizes = np.array(sizes, dtype=np.float64)
+        addends = layout.constant + layout.per_byte * slot_sizes[layout.slots]
         if self.per_message:
             # The slot after each completion carries the next step's flow
             # lookup, so it must be free: the step's 0.0 trailing execute.
-            assert not addends[[index + 1 for _, index in completions]].any()
-        data = replay.pack(segment_plan(data_segments, self.dcache.num_lines))
-        return _StepTemplate(replay, data, addends, positions, completions)
+            assert not addends[layout.free].any()
+        return _StepTemplate(
+            replay, data, addends, layout.positions, layout.completions
+        )
 
     # ------------------------------------------------------------------
     # Dynamic replay

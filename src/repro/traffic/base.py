@@ -7,6 +7,7 @@ seed, which is what lets every experiment be reproduced exactly.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator
@@ -14,6 +15,15 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError
+
+
+def check_positive(value: float, what: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is positive and
+    finite: a NaN passes ``<= 0``, and a NaN or infinite rate breaks
+    arrival generation later (an infinite burst rate never advances
+    time)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{what} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, slots=True)

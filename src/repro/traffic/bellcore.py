@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, TraceError
-from .base import Arrival, TrafficSource, make_rng
+from .base import Arrival, TrafficSource, check_positive, make_rng
 from .onoff import ParetoOnOffSource
 
 #: Minimum / maximum Ethernet frame sizes.
@@ -178,10 +178,8 @@ def synthesize_bellcore_like(
     parameters keep the Willinger-construction defaults and scale the
     per-source ON rate to hit the target mean.
     """
-    if duration <= 0:
-        raise ConfigurationError("duration must be positive")
-    if mean_rate <= 0:
-        raise ConfigurationError("mean rate must be positive")
+    check_positive(duration, "duration")
+    check_positive(mean_rate, "mean rate")
     rng = make_rng(rng)
     mean_on, mean_off = 0.02, 0.08
     duty = mean_on / (mean_on + mean_off)

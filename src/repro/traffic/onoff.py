@@ -12,12 +12,13 @@ self-similar with Hurst parameter H = (3 - alpha) / 2.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, TrafficSource, make_rng
+from .base import Arrival, TrafficSource, check_positive, make_rng
 
 if TYPE_CHECKING:
     from .bellcore import SizeMix
@@ -32,14 +33,18 @@ def pareto_samples(
     distribution mean is ``mean``; requires ``alpha > 1`` for a finite
     mean.
     """
-    if alpha <= 1:
-        raise ConfigurationError(f"Pareto alpha must exceed 1, got {alpha}")
-    if mean <= 0:
-        raise ConfigurationError(f"Pareto mean must be positive, got {mean}")
+    _check_alpha(alpha)
+    check_positive(mean, "Pareto mean")
     xm = mean * (alpha - 1) / alpha
     # Inverse-CDF sampling of Pareto-I: xm * U^(-1/alpha).
     u = rng.random(count)
     return xm * u ** (-1.0 / alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    # A NaN or infinite alpha makes every period NaN: an empty trace.
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ConfigurationError(f"Pareto alpha must be finite and exceed 1, got {alpha}")
 
 
 class ParetoOnOffSource(TrafficSource):
@@ -77,10 +82,10 @@ class ParetoOnOffSource(TrafficSource):
     ) -> None:
         if num_sources <= 0:
             raise ConfigurationError("need at least one ON/OFF source")
-        if packet_rate_on <= 0:
-            raise ConfigurationError("ON packet rate must be positive")
-        if mean_on <= 0 or mean_off <= 0:
-            raise ConfigurationError("mean ON/OFF durations must be positive")
+        check_positive(packet_rate_on, "ON packet rate")
+        check_positive(mean_on, "mean ON duration")
+        check_positive(mean_off, "mean OFF duration")
+        _check_alpha(alpha)
         self.num_sources = num_sources
         self.packet_rate_on = packet_rate_on
         self.mean_on = mean_on

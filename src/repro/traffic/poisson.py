@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, TrafficSource, make_rng
+from .base import Arrival, TrafficSource, check_positive, make_rng
 
 #: The paper's message size for Figures 5 and 6.
 PAPER_MESSAGE_SIZE = 552
@@ -37,8 +37,7 @@ class PoissonSource(TrafficSource):
         size: int = PAPER_MESSAGE_SIZE,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"arrival rate must be positive, got {rate}")
+        check_positive(rate, "arrival rate")
         if size <= 0:
             raise ConfigurationError(f"message size must be positive, got {size}")
         self.rate = rate
@@ -68,8 +67,7 @@ class DeterministicSource(TrafficSource):
     """
 
     def __init__(self, rate: float, size: int = PAPER_MESSAGE_SIZE) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"arrival rate must be positive, got {rate}")
+        check_positive(rate, "arrival rate")
         if size <= 0:
             raise ConfigurationError(f"message size must be positive, got {size}")
         self.rate = rate
@@ -95,8 +93,7 @@ class BurstSource(TrafficSource):
     def __init__(
         self, burst_rate: float, burst_size: int, size: int = PAPER_MESSAGE_SIZE
     ) -> None:
-        if burst_rate <= 0:
-            raise ConfigurationError("burst rate must be positive")
+        check_positive(burst_rate, "burst rate")
         if burst_size <= 0:
             raise ConfigurationError("burst size must be positive")
         self.burst_rate = burst_rate

@@ -13,7 +13,9 @@ randomly generated access traces rather than hand-picked cases:
   misses, so its access count can never exceed the primary miss count;
 * equivalence — the vectorized span path matches the scalar path, and
   1-way set-associative matches direct-mapped, access for access; the
-  fused I+D replay matches the two caches' plans applied one by one.
+  fused I+D replay matches the two caches' plans applied one by one,
+  and a data plan packed straight from its segments matches both the
+  plan object and the scalar per-call path.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.cache.chunked import (
     SegmentedAccessPlan,
     UnsupportedPlanError,
     collapsed_plan,
-    segment_plan,
     unit_plan,
 )
 from repro.cache.hierarchy import CacheGeometry, MachineSpec, SplitCacheHierarchy
@@ -411,9 +412,13 @@ def test_fused_replay_matches_separate_plans(isets, dsets, code, data, iwarm, dw
     iplan, _ = collapsed_plan(code_segments, isets)
     replay = FusedReplay(iplan, dsets, len(data[0]))
     for plan_segments in data:
-        dplan = segment_plan([_set_distinct(lines, dsets) for lines in plan_segments], dsets)
+        segments = [_set_distinct(lines, dsets) for lines in plan_segments]
+        dplan = SegmentedAccessPlan(
+            np.concatenate(segments), _offsets(segments), dsets
+        )
         misses = replay.apply(
-            fused.l1_tags, replay.pack(dplan), fused.dcache.stats, fused.icache.stats
+            fused.l1_tags, replay.data_plan(segments), fused.dcache.stats,
+            fused.icache.stats,
         )
         expected = np.concatenate((
             dplan.apply(dcache.tag_array, dcache.stats),
@@ -425,6 +430,102 @@ def test_fused_replay_matches_separate_plans(isets, dsets, code, data, iwarm, dw
         assert np.array_equal(fused.dcache.tag_array, dcache.tag_array)
         assert np.array_equal(fused.icache.tag_array, icache.tag_array)
     assert fused.icache.stats.evictions <= fused.icache.stats.misses
+
+
+def _offsets(segments: list[np.ndarray]) -> np.ndarray:
+    return np.cumsum([0] + [segment.size for segment in segments])
+
+
+#: More sets than a 16-bit sort key can tell apart.
+WIDE_SETS = 1 << 17
+
+#: Lines a multiple of 2**16 apart: distinct sets of a WIDE_SETS cache
+#: that a 16-bit key would merge, and conflicts in the narrow caches.
+WIDE_LINES = st.builds(
+    lambda high, low: (high << 16) + low, st.integers(0, 7), st.integers(0, 7)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dsets=st.sampled_from([8, 32, WIDE_SETS]),
+    pool=st.lists(WIDE_LINES, min_size=1, max_size=24),
+    picks=st.lists(st.lists(st.integers(0, 23), max_size=10), min_size=1, max_size=6),
+    code=st.lists(st.lists(st.integers(0, 63), max_size=8), min_size=1, max_size=4),
+    strays=st.lists(WIDE_LINES, max_size=20),
+)
+def test_data_plan_matches_plan_and_scalar_calls(dsets, pool, picks, code, strays):
+    """A data plan packed straight from its segments and replayed with
+    an I plan gives the per-segment misses, final tags and both caches'
+    hits, misses and evictions of a :class:`SegmentedAccessPlan` over
+    the same segments and of one scalar call per segment — from warm
+    states that leave some sets empty (-1), on caches narrow and wider
+    than a 16-bit set key."""
+    isets = 16
+    spec = MachineSpec(
+        icache=CacheGeometry(isets * 32, 32), dcache=CacheGeometry(dsets * 32, 32)
+    )
+    fused = SplitCacheHierarchy(spec)
+    planned = DirectMappedCache(dsets * 32, 32)
+    scalar = DirectMappedCache(dsets * 32, 32)
+    icache = DirectMappedCache(isets * 32, 32)
+    # Warm with half the pool (later hits) and some strays (conflicts).
+    warm = np.asarray(pool[::2] + strays, dtype=np.int64)
+    for cache in (fused.dcache, planned, scalar):
+        cache.access_stream(warm)
+    segments = [
+        _set_distinct([pool[index % len(pool)] for index in pick], dsets)
+        for pick in picks
+    ]
+    code_segments = [_set_distinct(lines, isets) for lines in code]
+    iplan, _ = collapsed_plan(code_segments, isets)
+    replay = FusedReplay(iplan, dsets, len(segments))
+    misses = replay.apply(
+        fused.l1_tags, replay.data_plan(segments), fused.dcache.stats,
+        fused.icache.stats,
+    )
+    dplan = SegmentedAccessPlan(np.concatenate(segments), _offsets(segments), dsets)
+    planned_misses = dplan.apply(planned.tag_array, planned.stats)
+    scalar_misses = [scalar.access_line_array_report(lines).size for lines in segments]
+    dmisses = misses[: len(segments)].tolist()
+    assert dmisses == planned_misses.tolist() == scalar_misses
+    assert misses[len(segments) :].tolist() == iplan.apply(
+        icache.tag_array, icache.stats
+    ).tolist()
+    for cache in (planned, scalar):
+        assert fused.dcache.stats == cache.stats
+        assert np.array_equal(fused.dcache.tag_array, cache.tag_array)
+    assert fused.icache.stats == icache.stats
+    assert np.array_equal(fused.icache.tag_array, icache.tag_array)
+
+
+def test_data_plan_keys_wide_caches_by_full_set():
+    """Sets 2**16 apart are distinct sets of a wider cache: the sort key
+    widens past 16 bits, so set 1's second touch is a static miss after
+    set 2**16 + 1's, not a first touch."""
+    iplan, _ = collapsed_plan([np.arange(4, dtype=np.int64)], 8)
+    replay = FusedReplay(iplan, WIDE_SETS, 3)
+    lines = (1, 1 + (1 << 16), 1 + 2 * WIDE_SETS)
+    packed = replay.data_plan([np.asarray([line], dtype=np.int64) for line in lines])
+    assert packed.block.tolist() == [[1, 1 + (1 << 16)], [1, 1 + (1 << 16)],
+                                     [0, 1], [1 + 2 * WIDE_SETS, 1 + (1 << 16)]]
+    assert packed.static.tolist() == [0, 0, 1] + [0] * iplan.num_segments
+
+
+def test_data_plan_rejects_in_segment_set_repeat():
+    """The direct packer refuses what the plan object refuses."""
+    iplan, _ = collapsed_plan([np.arange(4, dtype=np.int64)], 8)
+    replay = FusedReplay(iplan, 8, 2)
+    with pytest.raises(UnsupportedPlanError):
+        replay.data_plan(
+            [np.asarray([3, 3 + 8], dtype=np.int64), np.empty(0, dtype=np.int64)]
+        )
+    packed = replay.data_plan(
+        [np.asarray([3], dtype=np.int64), np.asarray([3 + 8], dtype=np.int64)]
+    )
+    assert packed.static.tolist() == [0, 1] + [0] * iplan.num_segments
+    with pytest.raises(ValueError):
+        replay.data_plan([np.asarray([3], dtype=np.int64)])
 
 
 def test_split_hierarchy_shares_one_tag_array():

@@ -213,8 +213,9 @@ class TestFleet:
             self.spec(data_fraction=1.5)
         with pytest.raises(ConfigurationError):
             self.spec(data_payload_bytes=0)
-        with pytest.raises(ConfigurationError):
-            self.spec(rate=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                self.spec(rate=rate)
         with pytest.raises(ConfigurationError):
             self.spec(peer_skew=-1.0)
 

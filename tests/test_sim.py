@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.hierarchy import CacheGeometry, MachineSpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import (
     LatencyRecorder,
@@ -51,6 +52,21 @@ class TestRunner:
             SimulationConfig(duration=value)
         with pytest.raises(ConfigurationError, match="finite"):
             SimulationConfig(flush_period_cycles=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_machine_spec_rejects_bad_clock(self, value):
+        """A NaN clock made every arrival cycle NaN, so no arrival was
+        ever admitted; an infinite one broke message conservation."""
+        with pytest.raises(ConfigurationError, match="clock"):
+            MachineSpec(clock_hz=value)
+        with pytest.raises(ConfigurationError, match="clock"):
+            MachineSpec().with_clock(value)
+
+    @pytest.mark.parametrize("line_size", [0, -32])
+    def test_cache_geometry_rejects_bad_line_size(self, line_size):
+        """A zero line size used to fail with a bare ZeroDivisionError."""
+        with pytest.raises(ConfigurationError, match="line size"):
+            CacheGeometry(8192, line_size)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_drive_rejects_bad_flush_period(self, value):

@@ -26,6 +26,30 @@ from repro.traffic import (
 )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: PoissonSource(value),
+        lambda value: DeterministicSource(value),
+        lambda value: BurstSource(value, 1),
+        lambda value: ParetoOnOffSource(packet_rate_on=value),
+        lambda value: ParetoOnOffSource(mean_on=value),
+        lambda value: ParetoOnOffSource(mean_off=value),
+        lambda value: ParetoOnOffSource(alpha=value),
+        lambda value: synthesize_bellcore_like(0.01, mean_rate=value),
+    ],
+    ids=["poisson", "deterministic", "burst", "rate_on", "mean_on", "mean_off",
+         "alpha", "bellcore"],
+)
+def test_non_finite_rates_rejected_at_construction(build, value):
+    """A NaN rate passes ``<= 0`` and an infinite one breaks arrival
+    generation later (an infinite burst rate never advances time), so
+    both are refused up front; nothing here iterates a source."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        build(value)
+
+
 class TestArrival:
     def test_validation(self):
         with pytest.raises(ConfigurationError):

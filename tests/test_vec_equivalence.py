@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 import repro.sim.vec as vec_module
 from repro.cache.cache import DirectMappedCache
-from repro.cache.chunked import collapsed_plan, segment_plan
+from repro.cache.chunked import SegmentedAccessPlan, collapsed_plan
 from repro.cache.hierarchy import CacheGeometry, SplitCacheHierarchy
 from repro.core.batching import BatchPolicy
 from repro.core.binding import MachineBinding
@@ -609,8 +609,8 @@ def test_code_plan_shared_per_batch_length():
 )
 def test_collapsed_plan_matches_uncollapsed(runs, warm):
     """Eliding a segment that repeats its predecessor leaves hits,
-    misses, evictions and tags exactly as the full plan leaves them,
-    from any starting cache state."""
+    misses, evictions and tags exactly as the full plan and the scalar
+    per-call path leave them, from any starting cache state."""
     num_lines = 32
     rng = np.random.default_rng(len(runs))
     blocks = [
@@ -619,21 +619,32 @@ def test_collapsed_plan_matches_uncollapsed(runs, warm):
     # Distinct sets within a block, so both plans are supported.
     blocks = [block[np.unique(block % num_lines, return_index=True)[1]] for block in blocks]
     segments = [blocks[block] for block, repeat in runs for _ in range(repeat)]
-    full_cache = DirectMappedCache(num_lines * 32, 32)
-    full_cache.access_stream(np.asarray(warm, dtype=np.int64))
-    collapsed_cache = DirectMappedCache(num_lines * 32, 32)
-    collapsed_cache.access_stream(np.asarray(warm, dtype=np.int64))
-    full = segment_plan(segments, num_lines)
+    caches = []
+    for _ in range(3):
+        cache = DirectMappedCache(num_lines * 32, 32)
+        cache.access_stream(np.asarray(warm, dtype=np.int64))
+        caches.append(cache)
+    full_cache, collapsed_cache, scalar_cache = caches
+    full = SegmentedAccessPlan(
+        np.concatenate(segments),
+        np.cumsum([0] + [segment.size for segment in segments]),
+        num_lines,
+    )
     collapsed, kept = collapsed_plan(segments, num_lines)
     full_misses = full.apply(full_cache.tag_array, full_cache.stats)
     kept_misses = collapsed.apply(collapsed_cache.tag_array, collapsed_cache.stats)
+    scalar_misses = [
+        scalar_cache.access_line_array_report(segment).size for segment in segments
+    ]
+    assert full_misses.tolist() == scalar_misses
     assert collapsed.num_segments == len(kept) <= full.num_segments
     assert kept_misses.tolist() == full_misses[kept].tolist()
     elided = np.ones(len(segments), dtype=bool)
     elided[kept] = False
     assert not full_misses[elided].any()
-    assert collapsed_cache.stats == full_cache.stats
-    assert np.array_equal(collapsed_cache.tag_array, full_cache.tag_array)
+    for cache in (full_cache, scalar_cache):
+        assert collapsed_cache.stats == cache.stats
+        assert np.array_equal(collapsed_cache.tag_array, cache.tag_array)
 
 
 def _reference_compile(engine, sizes, buffers):
@@ -718,9 +729,14 @@ def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
 
 def test_vec_plans_keep_no_mask_arrays():
     """Only element-sequential unit plans can return a miss mask."""
-    plan = segment_plan([np.arange(4, dtype=np.int64)], 8)
-    with pytest.raises(ValueError):
-        plan.apply(np.full(8, -1, dtype=np.int64), return_mask=True)
+    lines = np.arange(4, dtype=np.int64)
+    plans = (
+        SegmentedAccessPlan(lines, np.asarray([0, 4]), 8),
+        collapsed_plan([lines, lines], 8)[0],
+    )
+    for plan in plans:
+        with pytest.raises(ValueError):
+            plan.apply(np.full(8, -1, dtype=np.int64), return_mask=True)
 
 
 # ----------------------------------------------------------------------
