@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..sim.stats import RunResult
 from .report import render_table
 
@@ -43,22 +43,6 @@ class Figure5Result:
         results = self.conventional if scheduler == "conventional" else self.ldlp
         return [getattr(r.misses, component, r.misses.total) if component != "total"
                 else r.misses.total for r in results]
-
-    def shape_holds(self) -> bool:
-        """The paper's qualitative claims about Figure 5."""
-        conv_total = [r.misses.total for r in self.conventional]
-        ldlp_i = [r.misses.instruction for r in self.ldlp]
-        ldlp_d = [r.misses.data for r in self.ldlp]
-        # Conventional roughly flat (within 15% of its own mean).
-        mean_conv = sum(conv_total) / len(conv_total)
-        flat = all(abs(v - mean_conv) < 0.15 * mean_conv for v in conv_total)
-        # LDLP instruction misses fall by >5x from the lowest to the
-        # highest rate; data misses do not fall.
-        falls = ldlp_i[0] / max(ldlp_i[-1], 1e-9) > 5
-        data_up = ldlp_d[-1] >= ldlp_d[0] * 0.8
-        # At the top rate LDLP total is far below conventional.
-        wins = self.ldlp[-1].misses.total < 0.35 * self.conventional[-1].misses.total
-        return flat and falls and data_up and wins
 
     def render(self) -> str:
         rows = []
@@ -138,9 +122,9 @@ def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure5Result
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
-    """Figure 5's paper-expected quantities: conventional flat near
-    ~1000 misses/message, LDLP instruction misses falling >5x into the
-    batch cap, and the top-rate miss-count advantage."""
+    """Figure 5's levels: conventional misses/message, LDLP instruction
+    misses at both ends of the sweep and their fall, and the top-rate
+    miss-count advantage and batch size."""
     figure = assemble(points, results)
     conv_total = [r.misses.total for r in figure.conventional]
     ldlp_i = [r.misses.instruction for r in figure.ldlp]
@@ -158,17 +142,31 @@ def golden_quantities(
     }
 
 
+def _conventional_flat_near_1000(points, results) -> bool:
+    totals = [r.misses.total for r in assemble(points, results).conventional]
+    mean = sum(totals) / len(totals)
+    return all(870 <= t <= 1130 and abs(t - mean) < 0.15 * mean for t in totals)
+
+
+def _ldlp_data_does_not_fall(points, results) -> bool:
+    ldlp = assemble(points, results).ldlp
+    return ldlp[-1].misses.data >= 0.8 * ldlp[0].misses.data
+
+
 SWEEP = SweepSpec(
     name="figure5",
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    default_tolerance=Tolerance(rel=0.15),
-    tolerances={
-        "ldlp_instruction_fall_ratio": Tolerance(rel=0.35),
-        "ldlp_instruction_last": Tolerance(rel=0.30),
-        "ldlp_data_last": Tolerance(rel=0.30),
-        "ldlp_over_conv_total_top": Tolerance(rel=0.30),
-        "ldlp_batch_top": Tolerance(rel=0.30),
-    },
+    claims=(
+        Claim("conventional flat near 1000 misses/msg: every rate in [870, 1130] "
+              "and within 15% of the mean", "§4, Fig. 5", _conventional_flat_near_1000),
+        Claim("LDLP instruction misses fall over 5x across the sweep", "§4, Fig. 5",
+              lambda p, r: golden_quantities(p, r)["ldlp_instruction_fall_ratio"] > 5),
+        Claim("LDLP data misses do not fall (top rate >= 0.8x lowest)", "§4, Fig. 5",
+              _ldlp_data_does_not_fall),
+        Claim("at the top rate LDLP takes under 35% of conventional's misses",
+              "§4, Fig. 5",
+              lambda p, r: golden_quantities(p, r)["ldlp_over_conv_total_top"] < 0.35),
+    ),
 )

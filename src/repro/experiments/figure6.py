@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..sim.stats import RunResult
 from ..units import format_duration
 from .figure5 import DEFAULT_DURATION, DEFAULT_SEEDS, PAPER_RATES, point_series
@@ -23,25 +23,6 @@ class Figure6Result:
     rates: tuple[int, ...]
     conventional: list[RunResult]
     ldlp: list[RunResult]
-
-    def shape_holds(self) -> bool:
-        """The paper's qualitative claims about Figure 6."""
-        conv = self.conventional
-        ldlp = self.ldlp
-        # Comparable at the lowest rate (within 3x either way).
-        low_ratio = conv[0].latency.mean / ldlp[0].latency.mean
-        comparable = 1 / 3 <= low_ratio <= 3
-        # Conventional saturates: latency at the top rate beyond 10 ms
-        # and drops occur; LDLP stays below 10 ms at 9000/s.
-        conv_saturated = conv[-1].latency.mean > 10e-3 and conv[-1].dropped > 0
-        ldlp_index = self.rates.index(9000) if 9000 in self.rates else -1
-        ldlp_ok = ldlp[ldlp_index].latency.mean < 10e-3
-        # LDLP latency is never dramatically worse than conventional.
-        never_worse = all(
-            l.latency.mean < max(3 * c.latency.mean, 2e-3)
-            for c, l in zip(conv, ldlp)
-        )
-        return comparable and conv_saturated and ldlp_ok and never_worse
 
     def render(self) -> str:
         rows = []
@@ -116,8 +97,8 @@ def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure6Result
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
-    """Figure 6's claims: comparable at low load, conventional saturates
-    with drops well before 10 k msgs/s, LDLP holds low latency to ~9 k."""
+    """Figure 6's levels: the low-load latency ratio, conventional's
+    saturated latency and drops, and LDLP's latency near 9 k msgs/s."""
     figure = assemble(points, results)
     conv, ldlp = figure.conventional, figure.ldlp
     ldlp_index = figure.rates.index(9000) if 9000 in figure.rates else -1
@@ -130,16 +111,33 @@ def golden_quantities(
     }
 
 
+def _conventional_saturates(points, results) -> bool:
+    quantities = golden_quantities(points, results)
+    return quantities["conv_latency_top_ms"] > 10 and quantities["conv_drops_top"] > 0
+
+
+def _ldlp_never_much_worse(points, results) -> bool:
+    figure = assemble(points, results)
+    return all(
+        ldlp.latency.mean < max(3 * conv.latency.mean, 2e-3)
+        for conv, ldlp in zip(figure.conventional, figure.ldlp)
+    )
+
+
 SWEEP = SweepSpec(
     name="figure6",
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    default_tolerance=Tolerance(rel=0.25),
-    tolerances={
-        "low_rate_conv_over_ldlp": Tolerance(rel=0.5),
-        "conv_drops_top": Tolerance(rel=0.3, abs=50.0),
-        "ldlp_latency_9000_ms": Tolerance(rel=0.5),
-        "ldlp_drops_total": Tolerance(rel=0.5, abs=100.0),
-    },
+    claims=(
+        Claim("comparable at low load: mean latencies within 1.5x at the lowest rate",
+              "§4, Fig. 6",
+              lambda p, r: 1 / 1.5 <= golden_quantities(p, r)["low_rate_conv_over_ldlp"] <= 1.5),
+        Claim("conventional saturates: over 10 ms mean latency, with drops, at the "
+              "top rate", "§4, Fig. 6", _conventional_saturates),
+        Claim("LDLP holds mean latency under 10 ms at 9000 msgs/s", "§4, Fig. 6",
+              lambda p, r: golden_quantities(p, r)["ldlp_latency_9000_ms"] < 10),
+        Claim("LDLP latency never above max(3x conventional, 2 ms)", "§4, Fig. 6",
+              _ldlp_never_much_worse),
+    ),
 )

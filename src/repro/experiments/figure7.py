@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..cache.hierarchy import MachineSpec
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..sim.runner import SimulationConfig, run_simulation
 from ..sim.stats import RunResult, merge_results
 from ..traffic.bellcore import TraceSource, synthesize_bellcore_like
@@ -37,20 +37,6 @@ class Figure7Result:
     clocks_mhz: tuple[int, ...]
     conventional: list[RunResult]
     ldlp: list[RunResult]
-
-    def shape_holds(self) -> bool:
-        """Latency falls as the clock rises, and LDLP tolerates much
-        lower clock rates than conventional before saturating."""
-        conv = [r.latency.mean for r in self.conventional]
-        ldlp = [r.latency.mean for r in self.ldlp]
-        falling_conv = conv[0] > conv[-1]
-        falling_ldlp = ldlp[0] > ldlp[-1]
-        # At mid-range clocks conventional is already saturated while
-        # LDLP is not: compare at 30-40 MHz.
-        mid = min(range(len(self.clocks_mhz)),
-                  key=lambda i: abs(self.clocks_mhz[i] - 40))
-        advantage = ldlp[mid] < conv[mid]
-        return falling_conv and falling_ldlp and advantage
 
     def render(self) -> str:
         rows = []
@@ -161,8 +147,8 @@ def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure7Result
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
-    """Figure 7's claims: latency falls with the clock, LDLP batches to
-    survive slow clocks, and holds a mid-range (~40 MHz) advantage."""
+    """Figure 7's levels: latency at both clock extremes and near
+    40 MHz, and LDLP's batch size at both extremes."""
     figure = assemble(points, results)
     mid = min(
         range(len(figure.clocks_mhz)),
@@ -180,14 +166,30 @@ def golden_quantities(
     }
 
 
+def _latency_rises_as_clock_falls(points, results) -> bool:
+    figure = assemble(points, results)
+    return all(
+        series[0].latency.mean > series[-1].latency.mean
+        for series in (figure.conventional, figure.ldlp)
+    )
+
+
+def _ldlp_batches_when_slow(points, results) -> bool:
+    ldlp = assemble(points, results).ldlp
+    return ldlp[0].mean_batch_size > ldlp[-1].mean_batch_size
+
+
 SWEEP = SweepSpec(
     name="figure7",
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    default_tolerance=Tolerance(rel=0.3),
-    tolerances={
-        "conv_over_ldlp_mid": Tolerance(rel=0.5),
-        "ldlp_batch_fastest": Tolerance(rel=0.3, abs=0.5),
-    },
+    claims=(
+        Claim("latency rises as the CPU clock falls, both schedulers", "Fig. 7",
+              _latency_rises_as_clock_falls),
+        Claim("near 40 MHz LDLP's mean latency is below conventional's", "Fig. 7",
+              lambda p, r: golden_quantities(p, r)["conv_over_ldlp_mid"] > 1),
+        Claim("LDLP batches as the clock falls: slowest-clock mean batch above the "
+              "fastest's", "Fig. 7", _ldlp_batches_when_slow),
+    ),
 )

@@ -19,7 +19,7 @@ from typing import Any
 
 from ..machine.cpu import CPU
 from ..cache.hierarchy import DEC3000_400
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..machine.layout import MemoryLayout
 from ..machine.program import Region, RegionKind
 from ..protocols.checksum import (
@@ -84,19 +84,6 @@ class Figure8Result:
             if bsd <= simple:
                 return float(size)
         return float("inf")
-
-    def shape_holds(self) -> bool:
-        warm_ok = sum(
-            bsd <= simple
-            for bsd, simple in zip(self.bsd_warm[3:], self.simple_warm[3:])
-        ) == len(self.sizes) - 3
-        crossover = self.cold_crossover()
-        crossover_ok = 700 <= crossover <= 1000
-        intercepts_ok = (
-            abs(self.bsd_cold[0] - PAPER_BSD_COLD_INTERCEPT) < 40
-            and abs(self.simple_cold[0] - PAPER_SIMPLE_COLD_INTERCEPT) < 40
-        )
-        return warm_ok and crossover_ok and intercepts_ok
 
     def render(self) -> str:
         rows = []
@@ -182,12 +169,32 @@ def golden_quantities(
     }
 
 
+def _cold_intercepts_exact(points, results) -> bool:
+    figure = assemble(points, results)
+    return (figure.bsd_cold[0], figure.simple_cold[0]) == (
+        PAPER_BSD_COLD_INTERCEPT, PAPER_SIMPLE_COLD_INTERCEPT
+    )
+
+
+def _warm_elaborate_wins(points, results) -> bool:
+    figure = assemble(points, results)
+    return all(
+        bsd <= simple
+        for bsd, simple in zip(figure.bsd_warm[3:], figure.simple_warm[3:])
+    )
+
+
 SWEEP = SweepSpec(
     name="figure8",
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    # The checksum model is deterministic: exact reproduction (a hair of
-    # absolute slack for float accumulation across numpy builds).
-    default_tolerance=Tolerance(abs=1e-6),
+    claims=(
+        Claim("cold-start intercepts are exactly 426 (4.4BSD) and 176 (simple) "
+              "cycles", "§5, Fig. 8", _cold_intercepts_exact),
+        Claim("cold, the simple routine wins below exactly 900 bytes", "§5, Fig. 8",
+              lambda p, r: assemble(p, r).cold_crossover() == PAPER_COLD_CROSSOVER),
+        Claim("warm, the elaborate routine is never slower from 150 bytes up",
+              "§5, Fig. 8", _warm_elaborate_wins),
+    ),
 )

@@ -9,21 +9,20 @@ over the self-similar Pareto ON/OFF base — the bursty stateful source
 whose per-batch re-materialization exposed the ``ZipfFlowSource``
 snapshot bug this sweep regression-guards.
 
-Two golden-pinned headlines, both Jain's DEC-TR-592 qualitative claims
-transplanted onto the paper's machine model:
+Its claims are Jain's DEC-TR-592 qualitative results transplanted onto
+the paper's machine model:
 
 * hit ratio grows monotonically with lookup-cache size at fixed skew
-  (the classic lookup-cache curve — pinned per (scheduler,
-  organization, skew) as an exact 1.0 boolean, plus the raw curve
-  values under tolerance);
+  (the classic lookup-cache curve), for every (scheduler,
+  organization, skew) curve;
 * batching schedulers (LDLP, Grouped) incur *at most* the per-message
   schedulers' lookup misses per message at equal load over the Poisson
   grid, because one batch resolves each distinct destination once
-  (``lookup_amortization_ok``, exact 1.0).  Over the bursty Bellcore grid only the
-  performed-lookup *fraction* reduction is guaranteed
-  (``lookup_reduction_ok``, exact 1.0): batch dedup also skips LRU
-  recency refreshes, so an LRU organization can miss slightly more per
-  message while still performing a smaller share of its demanded
+  (:meth:`FlowSweepResult.amortization_ok`).  Over the bursty Bellcore
+  grid only the performed-lookup *fraction* reduction is guaranteed
+  (:meth:`FlowSweepResult.lookup_reduction_ok`): batch dedup also skips
+  LRU recency refreshes, so an LRU organization can miss slightly more
+  per message while still performing a smaller share of its demanded
   lookups.
 
 Every sweep point is the pure module-level
@@ -38,10 +37,11 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Any
 
 from ..flows.runner import FlowRunResult
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from .report import render_table
 
 #: Slack for the amortization comparison: misses/msg are ratios of
@@ -68,30 +68,18 @@ class FlowSweepResult:
 
     rows: tuple[FlowRow, ...]
 
-    def hit_ratio_curve(
-        self, scheduler: str, organization: str, skew: float,
-        base: str = "poisson",
-    ) -> list[tuple[int, float]]:
-        """(entries, hit ratio) pairs for one curve, smallest cache first."""
-        points = [
-            (row.entries, row.result.hit_ratio)
-            for row in self.rows
-            if row.scheduler == scheduler
-            and row.organization == organization
-            and row.skew == skew
-            and row.base == base
-        ]
-        return sorted(points)
-
-    def hit_ratio_monotonic(
-        self, scheduler: str, organization: str, skew: float,
-        base: str = "poisson",
-    ) -> bool:
-        """Whether one curve's hit ratio never drops as the cache grows."""
-        curve = self.hit_ratio_curve(scheduler, organization, skew, base)
+    def hit_ratios_monotonic(self) -> bool:
+        """Whether no (scheduler, organization, skew, base) curve's hit
+        ratio drops as the cache grows."""
+        curves: dict[tuple[str, str, float, str], list[tuple[int, float]]] = {}
+        for row in self.rows:
+            curves.setdefault(
+                (row.scheduler, row.organization, row.skew, row.base), []
+            ).append((row.entries, row.result.hit_ratio))
         return all(
             earlier <= later + _EPSILON
-            for (_, earlier), (_, later) in zip(curve, curve[1:])
+            for curve in curves.values()
+            for (_, earlier), (_, later) in pairwise(sorted(curve))
         )
 
     def amortization_ok(self, base: str = "poisson") -> bool:
@@ -388,21 +376,10 @@ def assemble(
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
-    """The pinned flow-lookup curves.
-
-    Per combination: the lookup-cache hit ratio and lookup misses per
-    completed message (tolerance-gated curve values).  Per (scheduler,
-    organization, skew): an exact 1.0 pin that the hit-ratio curve is
-    monotone in cache size — Jain's qualitative result.  Sweep-wide:
-    the exact amortization boolean (batching never exceeds
-    conventional's misses/msg over the Poisson grid), the exact
-    lookup-reduction boolean (batching never performs more lookups,
-    any base), and the conservation count (always 0: runs enforce it).
-    """
-    sweep = assemble(points, results)
+    """The flow-lookup curves: per combination, the lookup-cache hit
+    ratio and lookup misses per completed message."""
     quantities: dict[str, float] = {}
-    curves: list[tuple[str, str, str, float]] = []
-    for row in sweep.rows:
+    for row in assemble(points, results).rows:
         mark = "bellcore/" if row.base == "bellcore" else ""
         prefix = (
             f"{mark}{row.scheduler}/{row.organization}/skew={row.skew:g}/"
@@ -412,45 +389,7 @@ def golden_quantities(
         quantities[f"{prefix}/lookup_misses_per_msg"] = (
             row.result.lookup_misses_per_message
         )
-        curve = (row.base, row.scheduler, row.organization, row.skew)
-        if curve not in curves:
-            curves.append(curve)
-    for base, scheduler, organization, skew in curves:
-        mark = "bellcore/" if base == "bellcore" else ""
-        quantities[
-            f"{mark}{scheduler}/{organization}/skew={skew:g}/"
-            f"hit_ratio_monotonic"
-        ] = float(
-            sweep.hit_ratio_monotonic(scheduler, organization, skew, base)
-        )
-    quantities["lookup_amortization_ok"] = float(sweep.amortization_ok())
-    quantities["lookup_reduction_ok"] = float(sweep.lookup_reduction_ok())
-    quantities["conservation_violations"] = 0.0
     return quantities
-
-
-def _exact_tolerances() -> dict[str, Tolerance]:
-    """Exact-match tolerances for every boolean/count quantity.
-
-    Enumerated statically over every scale's combinations so the spec
-    covers whichever scale a regress run uses.
-    """
-    names = {
-        "lookup_amortization_ok",
-        "lookup_reduction_ok",
-        "conservation_violations",
-    }
-    grids = [("", SWEEP_SCALES), ("bellcore/", BELLCORE_SCALES)]
-    for mark, scales in grids:
-        for organizations, _, skews, schedulers, _, _ in scales.values():
-            for scheduler in schedulers:
-                for organization in organizations:
-                    for skew in skews:
-                        names.add(
-                            f"{mark}{scheduler}/{organization}/skew={skew:g}/"
-                            f"hit_ratio_monotonic"
-                        )
-    return {name: Tolerance() for name in sorted(names)}
 
 
 SWEEP = SweepSpec(
@@ -458,6 +397,15 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    default_tolerance=Tolerance(rel=0.4, abs=0.02),
-    tolerances=_exact_tolerances(),
+    claims=(
+        Claim("hit ratio never falls as the lookup cache grows, every scheduler, "
+              "organization, skew and base", "Jain, DEC-TR-592",
+              lambda p, r: assemble(p, r).hit_ratios_monotonic()),
+        Claim("batching schedulers miss no more per message than conventional over "
+              "the Poisson grid", "§4; Jain, DEC-TR-592",
+              lambda p, r: assemble(p, r).amortization_ok()),
+        Claim("batching never performs a larger share of its demanded lookups than "
+              "conventional, any base", "§4; Jain, DEC-TR-592",
+              lambda p, r: assemble(p, r).lookup_reduction_ok()),
+    ),
 )

@@ -2,22 +2,21 @@
 
 The ``gossip`` experiment drives Zipf-skewed peer fleets
 (:mod:`repro.gossip`) through the flow-charged stack, sweeping framing
-mode x collection batch size x scheduler x drop policy.  It pins the
+mode x collection batch size x scheduler x drop policy.  It tells the
 wire-protocol story the Dispersy document tells and the paper predicts:
 
 * **sessions shrink headers** — session framing's header-bytes per
   logical message is strictly below sessionless at *every* collection
-  size (exact 1.0 boolean per collection size, plus the raw per-point
-  header-bytes/msg under tolerance);
+  size (a claim);
 * **collections amortize framing** — header-bytes/msg falls
   monotonically as the collection batch size grows, for both framing
-  modes (exact 1.0 per framing; this is LDLP's amortization argument
-  applied to wire bytes instead of I-cache lines);
+  modes (a claim; this is LDLP's amortization argument applied to wire
+  bytes instead of I-cache lines);
 * **peer skew keeps lookups cached** — lookup-misses per completed
-  datagram per point (tolerance-gated), with mixed tagged/untagged
+  datagram per point (a reported quantity), with mixed tagged/untagged
   batches charged through the untagged-walk accounting;
 * **conservation** — every run raises if
-  ``offered != completed + dropped``, so the pinned count is always 0.
+  ``offered != completed + dropped``.
 
 Every sweep point is the pure module-level
 :func:`repro.gossip.runner.gossip_point`; both engines charge lookups
@@ -30,10 +29,11 @@ appears in this sweep at every scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Any
 
 from ..gossip.runner import GossipRunResult
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from .report import render_table
 
 #: Slack for cross-point comparisons of exact-counter ratios.
@@ -57,55 +57,46 @@ class GossipSweepResult:
 
     rows: tuple[GossipRow, ...]
 
-    def session_savings_ok(self, collection_size: int) -> bool:
-        """Session framing beats sessionless at one collection size.
+    def session_savings_ok(self) -> bool:
+        """Session framing beats sessionless at every collection size.
 
-        For every (scheduler, policy) pair where both framings ran at
-        this collection size, session framing's header-bytes per
-        logical message must be strictly below sessionless — the whole
-        point of negotiating a session is deleting the version and
-        community fields from every subsequent header.
+        For every (collection size, scheduler, policy) where both
+        framings ran, session framing's header-bytes per logical message
+        must be strictly below sessionless — the whole point of
+        negotiating a session is deleting the version and community
+        fields from every subsequent header — and every swept size must
+        have such a pair.
         """
-        sessionless: dict[tuple[str, str], float] = {}
-        for row in self.rows:
-            if row.collection_size != collection_size:
-                continue
-            if row.framing == "sessionless":
-                sessionless[(row.scheduler, row.policy)] = (
-                    row.result.header_bytes_per_message
-                )
-        compared = 0
-        for row in self.rows:
-            if row.collection_size != collection_size:
-                continue
-            if row.framing != "session":
-                continue
-            base = sessionless.get((row.scheduler, row.policy))
-            if base is None:
-                continue
-            compared += 1
-            if row.result.header_bytes_per_message >= base - _EPSILON:
-                return False
-        return compared > 0
+        sessionless = {
+            (row.collection_size, row.scheduler, row.policy):
+                row.result.header_bytes_per_message
+            for row in self.rows
+            if row.framing == "sessionless"
+        }
+        pairs = [
+            (key[0], row.result.header_bytes_per_message, sessionless[key])
+            for row in self.rows
+            if row.framing == "session"
+            and (key := (row.collection_size, row.scheduler, row.policy)) in sessionless
+        ]
+        return {size for size, _, _ in pairs} == {
+            row.collection_size for row in self.rows
+        } and all(session < base - _EPSILON for _, session, base in pairs)
 
-    def header_curve(self, framing: str) -> list[tuple[int, float]]:
-        """(collection size, header-bytes/msg) pairs for one framing."""
-        curve: dict[int, float] = {}
+    def header_amortization_ok(self) -> bool:
+        """Header-bytes/msg falls as the collection batch grows, for
+        every framing."""
+        curves: dict[str, dict[int, float]] = {}
         for row in self.rows:
-            if row.framing == framing:
-                # Header accounting is a pure function of the fleet
-                # spec, so every (scheduler, policy) at one size agrees.
-                curve[row.collection_size] = (
-                    row.result.header_bytes_per_message
-                )
-        return sorted(curve.items())
-
-    def header_amortization_ok(self, framing: str) -> bool:
-        """Header-bytes/msg falls as the collection batch grows."""
-        curve = self.header_curve(framing)
+            # Header accounting is a pure function of the fleet spec, so
+            # every (scheduler, policy) at one size agrees.
+            curves.setdefault(row.framing, {})[row.collection_size] = (
+                row.result.header_bytes_per_message
+            )
         return all(
             earlier > later + _EPSILON
-            for (_, earlier), (_, later) in zip(curve, curve[1:])
+            for curve in curves.values()
+            for (_, earlier), (_, later) in pairwise(sorted(curve.items()))
         )
 
     def render(self) -> str:
@@ -262,19 +253,10 @@ def assemble(
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
-    """The pinned gossip curves.
-
-    Per combination: header-bytes/msg, wire-bytes/msg, and
-    lookup-misses per completed datagram (tolerance-gated).  Per
-    collection size: the exact session-savings boolean.  Per framing:
-    the exact header-amortization boolean.  Sweep-wide: the conservation
-    count, a constant 0 because every run enforces conservation itself.
-    """
-    sweep = assemble(points, results)
+    """The gossip curves: per combination, header-bytes/msg,
+    wire-bytes/msg and lookup-misses per completed datagram."""
     quantities: dict[str, float] = {}
-    sizes: list[int] = []
-    framings: list[str] = []
-    for row in sweep.rows:
+    for row in assemble(points, results).rows:
         prefix = (
             f"{row.framing}/k={row.collection_size}/{row.scheduler}/"
             f"{row.policy}"
@@ -288,35 +270,7 @@ def golden_quantities(
         quantities[f"{prefix}/lookup_misses_per_msg"] = (
             row.result.lookup_misses_per_message
         )
-        if row.collection_size not in sizes:
-            sizes.append(row.collection_size)
-        if row.framing not in framings:
-            framings.append(row.framing)
-    for size in sizes:
-        quantities[f"session_savings_ok/k={size}"] = float(
-            sweep.session_savings_ok(size)
-        )
-    for mode in framings:
-        quantities[f"header_amortization_ok/{mode}"] = float(
-            sweep.header_amortization_ok(mode)
-        )
-    quantities["conservation_violations"] = 0.0
     return quantities
-
-
-def _exact_tolerances() -> dict[str, Tolerance]:
-    """Exact-match tolerances for every boolean/count quantity.
-
-    Enumerated statically over every scale's combinations so the spec
-    covers whichever scale a regress run uses.
-    """
-    names = {"conservation_violations"}
-    for framings, sizes, _, _, _, _, _ in SWEEP_SCALES.values():
-        for size in sizes:
-            names.add(f"session_savings_ok/k={size}")
-        for mode in framings:
-            names.add(f"header_amortization_ok/{mode}")
-    return {name: Tolerance() for name in sorted(names)}
 
 
 SWEEP = SweepSpec(
@@ -324,6 +278,13 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    default_tolerance=Tolerance(rel=0.4, abs=0.02),
-    tolerances=_exact_tolerances(),
+    claims=(
+        Claim("session framing carries fewer header bytes per message than "
+              "sessionless at every collection size",
+              "Dispersy wire protocol 2.0",
+              lambda p, r: assemble(p, r).session_savings_ok()),
+        Claim("header bytes per message fall as collections grow, both framings",
+              "§4, applied to wire bytes",
+              lambda p, r: assemble(p, r).header_amortization_ok()),
+    ),
 )

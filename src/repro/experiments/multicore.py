@@ -4,13 +4,13 @@ The ``multicore`` experiment sweeps core count x dispatch policy x
 scheduler over the synthetic Section-4 stack dispatched across N
 modeled cores (:mod:`repro.sim.multicore`), and reports aggregate
 throughput, misses per message, and dispatch imbalance for each
-combination.  The golden-pinned headline is the locality claim behind
-receive-side dispatch: at the top swept core count, LDLP-aware dispatch
-must show a lower I-cache miss rate than flow-hash RSS under a batching
-scheduler (the pinned ``ldlp/ldlp_vs_rss_imiss`` ratio sits well below
-1), because chunked steering lets each core batch arrivals and keep
-layer code resident — while under the conventional scheduler the ratio
-pins at 1, since per-message processing cannot profit from steering.
+combination.  Its claims are the locality argument behind receive-side
+dispatch: at the top swept core count, LDLP-aware dispatch at least
+halves a batching scheduler's I-cache misses per message against
+flow-hash RSS, because chunked steering lets each core batch arrivals
+and keep layer code resident — while under a per-message scheduler the
+ratio stays at 1, since per-message processing cannot profit from
+steering.
 
 Every sweep point is the pure module-level
 :func:`repro.sim.multicore.multicore_point`, so the sweep parallelizes
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..sim.multicore import MultiCoreRunResult
 from .report import render_table
 
@@ -191,12 +191,7 @@ def golden_quantities(
 
     Per (scheduler, dispatch) at the top swept core count: I-misses per
     message and delivered throughput.  Per scheduler: the LDLP-vs-RSS
-    I-miss ratio at that core count — the receive-side-dispatch
-    locality claim.  For batching schedulers the ratio sits well below
-    1; for the conventional scheduler it pins at 1 (per-message
-    processing cannot profit from chunked steering, which is itself
-    worth pinning).  The sweep-wide conservation-violation count is a
-    constant 0: every run enforces conservation itself.
+    I-miss ratio at that core count, which the claims bound.
     """
     sweep = assemble(points, results)
     top = sweep.top_cores()
@@ -218,8 +213,19 @@ def golden_quantities(
         quantities[f"{scheduler}/ldlp_vs_rss_imiss"] = sweep.imiss_ratio(
             scheduler
         )
-    quantities["conservation_violations"] = 0.0
     return quantities
+
+
+def _locality_holds(points, results) -> bool:
+    """Batching schedulers' LDLP-vs-RSS I-miss ratio below 0.5, the
+    per-message schedulers' within 5% of 1."""
+    sweep = assemble(points, results)
+    return all(
+        sweep.imiss_ratio(scheduler) < 0.5
+        if scheduler in ("ldlp", "grouped")
+        else abs(sweep.imiss_ratio(scheduler) - 1) <= 0.05
+        for scheduler in {row.scheduler for row in sweep.rows}
+    )
 
 
 SWEEP = SweepSpec(
@@ -227,8 +233,10 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    default_tolerance=Tolerance(rel=0.4, abs=0.02),
-    tolerances={
-        "conservation_violations": Tolerance(),
-    },
+    claims=(
+        Claim("at the top core count LDLP-aware dispatch at least halves a batching "
+              "scheduler's I-misses/msg against RSS, and leaves a per-message "
+              "scheduler's within 5%", "§4, N-core dispatch extension",
+              _locality_holds),
+    ),
 )

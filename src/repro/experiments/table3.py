@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..cache.workingset import Category, LineSizeTable, WorkingSetAnalyzer
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..netbsd.layers import PAPER_TABLE3
 from ..netbsd.receive_path import ReceivePathModel
 from .report import pct, render_table
@@ -137,9 +137,7 @@ def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
     data = results[points[0].key]
-    quantities: dict[str, float] = {
-        "within_tolerance": float(bool(data["within_tolerance"]))
-    }
+    quantities: dict[str, float] = {}
     for line_size, cells in data["rows"].items():
         for key, value in cells.items():
             quantities[f"l{line_size}_{key}"] = float(value)
@@ -150,9 +148,11 @@ SWEEP = SweepSpec(
     name="table3",
     points=sweep_points,
     quantities=golden_quantities,
-    # Percent-change cells are deterministic floats; allow only float
-    # noise across numpy builds.
-    default_tolerance=Tolerance(abs=1e-6),
+    claims=(
+        Claim("every published cell within 15 percentage points (scaled up beyond "
+              "75%)", "Table 3",
+              lambda points, results: results[points[0].key]["within_tolerance"]),
+    ),
 )
 
 

@@ -21,7 +21,7 @@ from typing import Any
 
 from ..cache.hierarchy import MachineSpec
 from ..experiments.report import render_table
-from ..harness.points import SweepPoint, SweepSpec, Tolerance
+from ..harness.points import SweepPoint, SweepSpec
 from ..sim.runner import SimulationConfig, run_simulation
 from ..sim.stats import RunResult, merge_results
 from ..traffic.poisson import PoissonSource
@@ -217,9 +217,8 @@ def golden_quantities(
     """The pinned degradation curves.
 
     Per (scheduler, policy): drop fraction and p99 latency at the most
-    overloaded swept rate — the degradation end-point each combination
-    must reproduce — plus the campaign-wide conservation-violation
-    count, a constant 0 because every run enforces conservation itself.
+    overloaded swept rate — the degradation end-point of each
+    combination.
     """
     campaign = assemble(points, results)
     top = campaign.top_rate()
@@ -230,7 +229,6 @@ def golden_quantities(
         prefix = f"{row.scheduler}/{row.policy}"
         quantities[f"{prefix}/drop_frac"] = row.result.drop_fraction
         quantities[f"{prefix}/p99_ms"] = 1e3 * row.result.latency.p99
-    quantities["conservation_violations"] = 0.0
     return quantities
 
 
@@ -239,8 +237,4 @@ SWEEP = SweepSpec(
     points=sweep_points,
     quantities=golden_quantities,
     assemble=assemble,
-    default_tolerance=Tolerance(rel=0.4, abs=0.02),
-    tolerances={
-        "conservation_violations": Tolerance(),
-    },
 )

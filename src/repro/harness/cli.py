@@ -10,9 +10,11 @@ Usage::
 ``run`` executes each experiment's declared sweep points over a worker
 pool, reusing the content-hashed cache, and prints one timing line and
 the reproduced table per experiment.  ``regress`` additionally fails
-(exit 1) when any point result's digest or any golden quantity differs
-from the checked-in golden, printing one block per failed experiment
-that lists every failed check.  Unknown experiment names and ``--jobs``
+(exit 1) when any point result's digest differs from the checked-in
+golden or any of the experiment's paper claims does not hold, printing
+one block per failed experiment that lists every failed check (each
+failed claim with its citation) and, under a digest failure, every
+golden quantity that moved.  Unknown experiment names and ``--jobs``
 below 1 are usage errors (exit 2), reported before any sweep runs.
 """
 
@@ -24,7 +26,10 @@ import sys
 from ..errors import ConfigurationError
 from .cache import ResultCache
 from ..sim.runner import ENGINE_NAMES
-from .golden import DEFAULT_GOLDENS_DIR, bless, check_digests, check_quantities, load_golden
+from .golden import (
+    DEFAULT_GOLDENS_DIR, bless, check_claims, check_digests, load_golden,
+    quantity_changes,
+)
 from .points import SCALES, with_engine
 from .registry import EXPERIMENT_MODULES, get_spec
 from .runner import ExperimentRun, run_experiment
@@ -136,18 +141,24 @@ def cmd_regress(args: argparse.Namespace) -> int:
     for run in runs:
         spec = get_spec(run.name)
         quantities = run.quantities(spec)
-        if args.bless:
+        problems = check_claims(spec, run.points, run.results)
+        moved: list[str] = []
+        if args.bless and not problems:
             path = bless(spec, args.scale, quantities, run.results, root=args.goldens_dir)
             print(f"BLESSED {run.name}: {len(run.results)} digests, "
-                  f"{len(quantities)} quantities -> {path}")
+                  f"{len(quantities)} quantities, {len(spec.claims)} claim(s) "
+                  f"hold -> {path}")
             continue
-        try:
-            golden = load_golden(run.name, args.scale, root=args.goldens_dir)
-        except ConfigurationError as exc:
-            problems = [str(exc)]
-        else:
-            problems = check_digests(run.name, golden, run.results)
-            problems += check_quantities(run.name, golden.quantities, quantities)
+        if not args.bless:
+            try:
+                golden = load_golden(run.name, args.scale, root=args.goldens_dir)
+            except ConfigurationError as exc:
+                problems.append(str(exc))
+            else:
+                digest_problems = check_digests(run.name, golden, run.results)
+                if digest_problems:
+                    moved = quantity_changes(run.name, golden.quantities, quantities)
+                problems += digest_problems
         if args.expect_cached and run.computed:
             problems.append(f"{run.computed} points were recomputed (cache keys "
                             f"are unstable or the cache was not warmed)")
@@ -155,10 +166,16 @@ def cmd_regress(args: argparse.Namespace) -> int:
             print(f"FAIL    {run.name}: {len(problems)} failed check(s)")
             for problem in problems:
                 print(f"        {problem}")
+            if moved:
+                print("        quantities that moved (golden → this run):")
+                for line in moved:
+                    print(f"          {line}")
             failures += 1
         else:
-            print(f"PASS    {run.name}: {len(golden.digests)} point digests match, "
-                  f"{len(golden.quantities)} quantities within tolerance")
+            print(f"PASS    {run.name}: {len(run.results)} point digests match, "
+                  f"{len(spec.claims)} claim(s) hold")
+            for claim in spec.claims:
+                print(f"        holds: {claim.name} ({claim.cites})")
     if failures:
         print(f"\nregression gate FAILED for {failures} experiment(s)")
         return 1

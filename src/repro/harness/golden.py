@@ -2,19 +2,20 @@
 
 Each experiment's checked-in JSON file under ``goldens/`` pins the
 SHA-256 of every sweep point's canonical-JSON result (exactly: results
-are seeded and identical across engines and hash salts) and its
-paper-expected quantities (Figure 5's miss-count levels, Table 1's
-working-set totals, ...) with tolerances.  ``ldlp-experiment regress``
-recomputes both, via the cache, and fails on any digest or quantity
-that differs.  ``--bless`` rewrites the goldens from the current run,
-which is only done to fix a proven bug.
+are seeded and identical across engines and hash salts) and reports its
+named quantities (Figure 5's miss-count levels, Table 1's working-set
+totals, ...) as plain ``{name: value}``.  ``ldlp-experiment regress``
+recomputes the results, via the cache, and fails on any digest that
+differs, listing every quantity that moved so the failure says why, or
+on any of the spec's paper claims that does not hold.  Quantities never
+fail the gate on their own.  ``--bless`` rewrites the goldens from the
+current run, which is only done to fix a proven bug.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -24,7 +25,7 @@ import numpy
 from ..errors import ConfigurationError
 from ..version import __version__
 from .cache import canonical_json
-from .points import SweepSpec, Tolerance
+from .points import SweepPoint, SweepSpec
 
 #: Default goldens directory (relative to the working directory).
 DEFAULT_GOLDENS_DIR = "goldens"
@@ -39,7 +40,7 @@ def golden_path(root: str | Path, name: str, scale: str) -> Path:
 class Golden:
     """One experiment's golden file at one scale."""
 
-    quantities: dict[str, tuple[float, Tolerance]]
+    quantities: dict[str, float]  # report only: never gated
     digests: dict[str, str]  # point key -> result digest
     numpy: str  # numpy version the digests were recorded under
 
@@ -68,14 +69,7 @@ def bless(
         "blessed_version": __version__,
         "numpy": numpy.__version__,
         "digests": result_digests(results),
-        "quantities": {
-            name: {
-                "value": value,
-                "rel": spec.tolerance_for(name).rel,
-                "abs": spec.tolerance_for(name).abs,
-            }
-            for name, value in sorted(quantities.items())
-        },
+        "quantities": dict(sorted(quantities.items())),
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
@@ -97,19 +91,22 @@ def load_golden(
         )
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        quantities = {
-            quantity: (
-                float(entry["value"]),
-                Tolerance(rel=float(entry["rel"]), abs=float(entry["abs"])),
-            )
-            for quantity, entry in data["quantities"].items()
-        }
-        digests, numpy_version = data["digests"], data["numpy"]
+        quantities, digests, numpy_version = (
+            data["quantities"], data["digests"], data["numpy"]
+        )
+        if not isinstance(quantities, dict) or not all(
+            type(value) in (int, float) for value in quantities.values()
+        ):
+            raise TypeError("quantities must map names to numbers")
         if not isinstance(digests, dict) or not all(
             isinstance(text, str) for text in (*digests.values(), numpy_version)
         ):
             raise TypeError("digests and the numpy version must be strings")
-        return Golden(quantities, digests, numpy_version)
+        return Golden(
+            {name: float(value) for name, value in quantities.items()},
+            digests,
+            numpy_version,
+        )
     except (
         OSError, ValueError, TypeError, KeyError, AttributeError,
         OverflowError, RecursionError,
@@ -119,27 +116,31 @@ def load_golden(
         ) from exc
 
 
-def check_quantities(
-    experiment: str,
-    golden: dict[str, tuple[float, Tolerance]],
-    got: dict[str, float],
+def check_claims(
+    spec: SweepSpec, points: list[SweepPoint], results: dict[str, Any]
 ) -> list[str]:
-    """One line per quantity outside its golden tolerance.
+    """One line per paper claim of ``spec`` the results do not bear out,
+    naming the claim and the section it cites."""
+    return [
+        f"{spec.name}: claim '{claim.name}' ({claim.cites}) does not hold"
+        for claim in spec.claims
+        if not claim.holds(points, results)
+    ]
 
-    A quantity present in the golden but missing from the run (or vice
-    versa) compares against NaN and so always fails: renames must be
-    blessed deliberately.
-    """
-    problems = []
-    for quantity in sorted(set(golden) | set(got)):
-        want, tolerance = golden.get(quantity, (math.nan, Tolerance()))
-        value = got.get(quantity, math.nan)
-        if not tolerance.allows(want, value):
-            problems.append(
-                f"{experiment}.{quantity}: got {value:g}, golden {want:g} "
-                f"(tol rel={tolerance.rel:g} abs={tolerance.abs:g})"
-            )
-    return problems
+
+def quantity_changes(
+    experiment: str, golden: dict[str, float], got: dict[str, float]
+) -> list[str]:
+    """``experiment.quantity: old → new`` for every quantity that moved,
+    appeared or vanished; shown beside a digest failure to say why."""
+    def show(values: dict[str, float], name: str) -> str:
+        return repr(float(values[name])) if name in values else "absent"
+
+    return [
+        f"{experiment}.{name}: {show(golden, name)} → {show(got, name)}"
+        for name in sorted(set(golden) | set(got))
+        if golden.get(name) != got.get(name)
+    ]
 
 
 def check_digests(

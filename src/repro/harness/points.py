@@ -4,13 +4,14 @@ A sweep point is one unit of parallel work: a pure function of its
 parameters, addressed by dotted name so worker processes can import and
 execute it, with JSON-serializable parameters and result so the on-disk
 cache can store it.  A :class:`SweepSpec` bundles an experiment's
-points with its golden quantities.
+points with the quantities its goldens report and the paper claims
+(:class:`Claim`) its results must bear out.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import import_module
 from typing import Any, Callable
 
@@ -63,20 +64,26 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class Tolerance:
-    """How far a reproduced quantity may drift from its golden value.
+class Claim:
+    """One checkable statement of the paper, stated over an experiment's
+    results.
 
-    A measurement passes when ``|got - want| <= max(abs, rel * |want|)``.
-    The default (both zero) demands exact reproduction — right for
-    deterministic analyses like Table 1.
+    Attributes
+    ----------
+    name:
+        The statement, in words (``conventional flat near 1000
+        misses/msg``).
+    cites:
+        The paper section or figure it states (``§4, Fig. 5``).
+    holds:
+        ``holds(points, results) -> bool`` over the same inputs as
+        :attr:`SweepSpec.quantities`; true when the results bear the
+        statement out.
     """
 
-    rel: float = 0.0
-    abs: float = 0.0
-
-    def allows(self, want: float, got: float) -> bool:
-        """True when ``got`` is within this tolerance of ``want``."""
-        return abs(got - want) <= max(self.abs, self.rel * abs(want))
+    name: str
+    cites: str
+    holds: Callable[[list[SweepPoint], dict[str, Any]], bool]
 
 
 @dataclass(frozen=True)
@@ -90,12 +97,13 @@ class SweepSpec:
     points:
         ``points(scale) -> list[SweepPoint]`` — the declarative sweep.
     quantities:
-        ``quantities(points, results) -> dict[str, float]`` — the
-        scalar paper-expected quantities extracted from a completed
-        run's results (keyed by point key), used by the golden gate.
-    tolerances:
-        Per-quantity drift tolerances; quantities not listed here use
-        ``default_tolerance``.
+        ``quantities(points, results) -> dict[str, float]`` — named
+        scalars extracted from a completed run's results (keyed by
+        point key).  The goldens record them as a report, so a moved
+        digest also shows which quantities moved; they gate nothing.
+    claims:
+        The paper's statements about this experiment, each checked by
+        ``regress`` at every scale.
     assemble:
         Optional ``assemble(points, results) -> object`` rebuilding the
         experiment's rich result (with ``render()``) from point results.
@@ -104,8 +112,7 @@ class SweepSpec:
     name: str
     points: Callable[[str], list[SweepPoint]]
     quantities: Callable[[list[SweepPoint], dict[str, Any]], dict[str, float]]
-    tolerances: dict[str, Tolerance] = field(default_factory=dict)
-    default_tolerance: Tolerance = field(default_factory=Tolerance)
+    claims: tuple[Claim, ...] = ()
     assemble: Callable[[list[SweepPoint], dict[str, Any]], Any] | None = None
 
     def points_for(self, scale: str) -> list[SweepPoint]:
@@ -126,10 +133,6 @@ class SweepSpec:
                 )
             seen.add(point.key)
         return built
-
-    def tolerance_for(self, quantity: str) -> Tolerance:
-        """The per-quantity tolerance, falling back to the default."""
-        return self.tolerances.get(quantity, self.default_tolerance)
 
 
 def point_accepts_engine(point: SweepPoint) -> bool:

@@ -1,9 +1,9 @@
-"""End-to-end tests of the experiment harnesses: do the paper's tables
-and figures reproduce with the shapes the paper reports?
+"""End-to-end tests of the experiment harnesses: rendering, the CLI,
+and checks beyond the paper claims each ``SweepSpec`` declares.
 
-These run at reduced scale (few seeds, short simulated time) but assert
-the same qualitative claims; ``ldlp-experiment <name>`` prints the full
-``default``-scale tables.
+The claims themselves are evaluated on every experiment's ``ci`` run in
+``tests/test_vec_equivalence.py``; ``ldlp-experiment <name>`` prints
+the full ``default``-scale tables.
 """
 
 import pytest
@@ -32,22 +32,6 @@ def assembled(module, func, grid):
     return module.assemble(points, {point.key: point.execute() for point in points})
 
 
-def poisson_figure(module, rates):
-    """A Figure 5/6 result from ``poisson_point`` at 2 seeds x 0.12 s."""
-    return assembled(
-        module,
-        "repro.sim.runner:poisson_point",
-        {
-            f"{scheduler}/rate={rate}": {
-                "scheduler": scheduler, "rate": rate, "seeds": [0, 1],
-                "duration": 0.12,
-            }
-            for scheduler in ("conventional", "ldlp")
-            for rate in rates
-        },
-    )
-
-
 class TestReport:
     def test_render_table(self):
         text = render_table(["a", "bb"], [["x", 1], ["yyy", 22]], title="T")
@@ -60,10 +44,6 @@ class TestReport:
 
 
 class TestTable1:
-    def test_exact_reproduction(self):
-        result = table1.run(seed=0)
-        assert result.matches_paper()
-
     def test_render_contains_layers(self):
         text = table1.run(seed=0).render()
         assert "Socket low" in text
@@ -71,9 +51,6 @@ class TestTable1:
 
 
 class TestTable3:
-    def test_within_tolerance(self):
-        assert table3.run(seed=0).within_tolerance()
-
     def test_direction_of_every_cell(self):
         """Signs must match the paper everywhere: smaller lines shrink
         bytes and grow lines; larger lines do the opposite."""
@@ -93,9 +70,6 @@ class TestTable3:
 
 
 class TestFigure1:
-    def test_phase_totals_within_tolerance(self):
-        assert figure1.run(seed=0).within_tolerance(rel=0.25)
-
     def test_code_map_lists_big_functions(self):
         text = figure1.run(seed=0).code_map()
         assert "tcp_input" in text
@@ -105,28 +79,17 @@ class TestFigure1:
         assert "pkt intr" in figure1.run(seed=0).phase_table()
 
 
-SMALL_RATES = (1000, 4000, 7000, 9500)
-
-
 @pytest.fixture(scope="module")
 def figure5_result():
-    return poisson_figure(figure5, SMALL_RATES)
+    return run_assembled(figure5.SWEEP, "ci")
 
 
 @pytest.fixture(scope="module")
 def figure6_result():
-    return poisson_figure(figure6, (1000, 4000, 7000, 9000, 10000))
+    return run_assembled(figure6.SWEEP, "ci")
 
 
 class TestFigure5:
-    def test_shape(self, figure5_result):
-        assert figure5_result.shape_holds()
-
-    def test_conventional_near_thousand(self, figure5_result):
-        # Paper: ~1000 misses/message for the conventional stack.
-        for result in figure5_result.conventional:
-            assert 800 < result.misses.total < 1200
-
     def test_ldlp_flattens_at_cap(self, figure5_result):
         top = figure5_result.ldlp[-1]
         assert top.mean_batch_size > 8
@@ -136,9 +99,6 @@ class TestFigure5:
 
 
 class TestFigure6:
-    def test_shape(self, figure6_result):
-        assert figure6_result.shape_holds()
-
     def test_conventional_saturates_before_ldlp(self, figure6_result):
         conv = figure6_result.conventional
         ldlp = figure6_result.ldlp
@@ -160,9 +120,6 @@ class TestFigure7:
         # The ci scale: 10/20/40/80 MHz, seed 0, 0.4 s at 1000 msgs/s.
         return run_assembled(figure7.SWEEP, "ci")
 
-    def test_shape(self, result):
-        assert result.shape_holds()
-
     def test_batching_grows_as_clock_falls(self, result):
         batches = [r.mean_batch_size for r in result.ldlp]
         assert batches[0] > batches[-1]
@@ -175,17 +132,6 @@ class TestFigure8:
     @pytest.fixture(scope="class")
     def result(self):
         return run_assembled(figure8.SWEEP, "ci")
-
-    def test_shape(self, result):
-        assert result.shape_holds()
-
-    def test_cold_intercepts_exact(self, result):
-        # 426 and 176 cycles, annotated on the paper's figure.
-        assert result.bsd_cold[0] == pytest.approx(426.0)
-        assert result.simple_cold[0] == pytest.approx(176.0)
-
-    def test_crossover_near_900(self, result):
-        assert result.cold_crossover() == pytest.approx(900, abs=100)
 
     def test_warm_elaborate_wins_large(self, result):
         assert result.bsd_warm[-1] < result.simple_warm[-1]
@@ -249,17 +195,6 @@ class TestCli:
 
 
 class TestMotivation:
-    def test_intro_arithmetic(self):
-        # The ci scale: 10000 pairs/s for 0.15 s, seed 5.
-        result = run_assembled(motivation.SWEEP, "ci")
-        # Conventional at 10k pairs/s across 20 hops: "a large fraction
-        # of a second" (or more); LDLP keeps the whole path fast.
-        conv_20 = result.end_to_end(result.conventional_per_hop, 20)
-        ldlp_20 = result.end_to_end(result.ldlp_per_hop, 20)
-        assert conv_20 > 0.3
-        assert ldlp_20 < 0.1
-        assert result.goal_met()
-
     def test_render(self):
         text = assembled(
             motivation,

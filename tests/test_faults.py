@@ -552,7 +552,6 @@ class TestCampaigns:
             for p in points
         }
         quantities = SWEEP.quantities(points, results)
-        assert quantities["conservation_violations"] == 0.0
         for scheduler in ("conventional", "ilp", "ldlp"):
             for policy in ("tail", "head"):
                 assert f"{scheduler}/{policy}/drop_frac" in quantities

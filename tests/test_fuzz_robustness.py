@@ -417,7 +417,9 @@ JSON_VALUES = st.recursive(
 )
 
 #: The malformed goldens that once escaped as untyped errors, then
-#: malformed digest maps: missing, a list, non-string digests or numpy.
+#: malformed digest maps: missing, a list, non-string digests or numpy,
+#: then quantities that are not plain numbers: a string, and the
+#: retired ``{"value", "rel", "abs"}`` entry in an otherwise valid file.
 BAD_GOLDENS = [
     b"{not json",
     b"[]",
@@ -430,6 +432,8 @@ BAD_GOLDENS = [
     b'{"quantities": {}, "digests": {"p": 1}, "numpy": "2.0"}',
     b'{"quantities": {}, "digests": {"p": null}, "numpy": "2.0"}',
     b'{"quantities": {}, "digests": {}, "numpy": 2}',
+    b'{"quantities": {"q": "1.5"}, "digests": {}, "numpy": "2.0"}',
+    b'{"quantities": {"q": {"value": 1, "rel": 0, "abs": 0}}, "digests": {}, "numpy": "2.0"}',
 ]
 
 
@@ -467,7 +471,7 @@ class TestGoldenFuzz:
             golden = load_golden("e", "ci", root=tmp_path)
         except ConfigurationError:
             return
-        assert all(isinstance(value, float) for value, _ in golden.quantities.values())
+        assert all(type(value) is float for value in golden.quantities.values())
         assert all(isinstance(value, str) for value in golden.digests.values())
         assert isinstance(golden.numpy, str)
 

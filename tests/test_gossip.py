@@ -41,6 +41,7 @@ from repro.gossip import (
     message_wire_bytes,
 )
 from repro.gossip.runner import gossip_point, run_gossip_simulation
+from repro.harness import check_claims
 from repro.sim import SimulationConfig
 
 
@@ -406,31 +407,13 @@ class TestExperimentSweep:
             assert exercised == set(FRAMING_MODES)
 
     def test_golden_quantities_pin_the_wire_story(self):
+        """On a shorter, smaller fleet than any scale's, the session and
+        collection claims still hold, and the quantities report the
+        three per-point curves."""
         points, results = self.shrunk_results()
+        assert check_claims(experiment.SWEEP, points, results) == []
         quantities = experiment.golden_quantities(points, results)
-        assert quantities["conservation_violations"] == 0.0
-        savings = [
-            value
-            for name, value in quantities.items()
-            if name.startswith("session_savings_ok/")
-        ]
-        assert savings and all(value == 1.0 for value in savings)
-        amortization = [
-            value
-            for name, value in quantities.items()
-            if name.startswith("header_amortization_ok/")
-        ]
-        assert amortization and all(value == 1.0 for value in amortization)
-
-    def test_exact_tolerances_cover_booleans(self):
-        tolerances = experiment.SWEEP.tolerances
-        assert "conservation_violations" in tolerances
-        assert any(
-            name.startswith("session_savings_ok/") for name in tolerances
-        )
-        assert any(
-            name.startswith("header_amortization_ok/") for name in tolerances
-        )
+        assert len(quantities) == 3 * len(points)
 
     def test_assemble_and_render(self):
         points, results = self.shrunk_results()

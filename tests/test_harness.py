@@ -13,20 +13,21 @@ from __future__ import annotations
 import json
 import math
 import shutil
+from dataclasses import replace
 
 import numpy
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness import (
+    Claim,
     ResultCache,
     SweepPoint,
     SweepSpec,
-    Tolerance,
     all_specs,
     bless,
+    check_claims,
     check_digests,
-    check_quantities,
     content_key,
     get_spec,
     load_golden,
@@ -34,7 +35,7 @@ from repro.harness import (
     run_experiment,
 )
 import repro.harness.cache as cache_module
-from repro.harness.golden import result_digests
+from repro.harness.golden import quantity_changes, result_digests
 from repro.harness.cli import main as harness_cli
 from repro.harness.registry import EXPERIMENT_MODULES
 
@@ -73,7 +74,6 @@ def tiny_sim_spec() -> SweepSpec:
         name="tinysim",
         points=points,
         quantities=quantities,
-        default_tolerance=Tolerance(rel=0.1),
     )
 
 
@@ -179,39 +179,31 @@ class TestGoldenGate:
         quantities = run.quantities(spec)
         bless(spec, "ci", quantities, run.results, root=tmp_path / "g")
         golden = load_golden("tinysim", "ci", root=tmp_path / "g")
-        assert check_quantities("tinysim", golden.quantities, quantities) == []
+        assert golden.quantities == quantities
         assert check_digests("tinysim", golden, run.results) == []
+        assert check_claims(spec, run.points, run.results) == []
 
     def test_perturbation_fails(self, tmp_path):
-        """A deliberate model perturbation must trip the gate."""
+        """A deliberate model perturbation must trip the gate, and the
+        reported quantities say what it moved."""
         spec = tiny_sim_spec()
         run = run_experiment(spec, jobs=1, cache=ResultCache(tmp_path / "c"))
         quantities = run.quantities(spec)
         bless(spec, "ci", quantities, run.results, root=tmp_path / "g")
         golden = load_golden("tinysim", "ci", root=tmp_path / "g")
-        perturbed = {
-            key: value * 1.5 for key, value in quantities.items()
-        }
-        breaches = check_quantities("tinysim", golden.quantities, perturbed)
+        perturbed = json.loads(json.dumps(run.results))
+        perturbed["ldlp/rate=8000"]["misses"]["data"] *= 1.5
+        breaches = check_digests("tinysim", golden, perturbed)
         assert len(breaches) == 1
-        assert "ldlp_total_misses_8000" in breaches[0]
-
-    def test_missing_and_extra_quantities_are_breaches(self):
-        golden = {"present": (1.0, Tolerance(rel=0.1))}
-        assert len(check_quantities("x", golden, {})) == 1
-        assert len(check_quantities("x", golden, {"present": 1.0, "new": 2.0})) == 1
+        assert "tinysim/ldlp/rate=8000: result digest" in breaches[0]
+        (moved,) = quantity_changes(
+            "tinysim", golden.quantities, spec.quantities(run.points, perturbed)
+        )
+        assert moved.startswith("tinysim.ldlp_total_misses_8000: ")
 
     def test_missing_golden_file_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_golden("nope", "ci", root=tmp_path)
-
-    def test_tolerance_semantics(self):
-        tolerance = Tolerance(rel=0.1, abs=2.0)
-        assert tolerance.allows(100.0, 109.0)
-        assert not tolerance.allows(100.0, 111.0)
-        assert tolerance.allows(1.0, 2.9)  # abs dominates near zero
-        assert Tolerance().allows(5.0, 5.0)
-        assert not Tolerance().allows(5.0, 5.0001)
 
 
 class TestSpecs:
@@ -277,9 +269,19 @@ def edit_json(path, edit) -> None:
     path.write_text(json.dumps(data))
 
 
+def with_false_claim(monkeypatch) -> None:
+    """Give the registered schedules spec one claim that never holds."""
+    from repro.experiments import schedules
+
+    claim = Claim("schedules run backwards", "Fig. 3", lambda points, results: False)
+    monkeypatch.setattr(
+        schedules, "SWEEP",
+        replace(schedules.SWEEP, claims=(*schedules.SWEEP.claims, claim)),
+    )
+
+
 class TestDigestGate:
-    """``regress`` pins every point's result bytes, not only the
-    tolerance quantities."""
+    """``regress`` pins every point's result bytes exactly."""
 
     def test_bless_records_a_digest_for_every_point(self, tmp_path, capsys):
         args = bless_into(tmp_path, "figure8", "schedules")
@@ -298,7 +300,7 @@ class TestDigestGate:
     def test_one_ulp_in_a_cached_result_fails_naming_the_point(
         self, tmp_path, capsys
     ):
-        """Far inside every tolerance, but not the same bytes."""
+        """One ulp is not the same bytes."""
         args = bless_into(tmp_path, "figure8")
         point = get_spec("figure8").points_for("ci")[0]
         (entry,) = [
@@ -352,23 +354,28 @@ class TestDigestGate:
         assert "schedules/ldlp: result digest" in out
         assert "numpy 0.0.1" in out and f"numpy {numpy.__version__}" in out
 
-    def test_every_failed_check_is_listed_in_one_block(self, tmp_path, capsys):
-        """Digest mismatches, tolerance breaches and ``--expect-cached``
-        recomputes are all reported; none hides another."""
+    def test_every_failed_check_is_listed_in_one_block(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Failed claims, digest mismatches and ``--expect-cached``
+        recomputes are all reported, none hiding another, with the
+        quantities that moved beside the digest failure."""
         args = bless_into(tmp_path, "schedules")
 
         def tamper(data):
             data["digests"]["ldlp"] = "0" * 64
-            data["quantities"]["ldlp_order_crc"]["value"] += 1
+            data["quantities"]["ldlp_order_crc"] += 1
 
         edit_json(tmp_path / "goldens" / "schedules.ci.json", tamper)
         shutil.rmtree(tmp_path / "cache")
+        with_false_claim(monkeypatch)
         capsys.readouterr()
         assert harness_cli(["regress", *args, "--expect-cached"]) == 1
         out = capsys.readouterr().out
         assert "FAIL    schedules: 3 failed check(s)" in out
+        assert "claim 'schedules run backwards' (Fig. 3) does not hold" in out
         assert "schedules/ldlp: result digest" in out
-        assert "schedules.ldlp_order_crc" in out
+        assert "schedules.ldlp_order_crc: " in out
         assert "3 points were recomputed" in out
 
 
@@ -399,21 +406,59 @@ class TestHarnessCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_regress_detects_drift(self, tmp_path, capsys):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        goldens = ["--goldens-dir", str(tmp_path / "goldens")]
-        assert harness_cli(
-            ["regress", "schedules", *cache, *goldens, "--bless"]
-        ) == 0
-        # Corrupt one golden value: the gate must fail on exactly it.
-        path = tmp_path / "goldens" / "schedules.ci.json"
-        data = json.loads(path.read_text())
-        key = "ldlp_order_crc"
-        data["quantities"][key]["value"] += 1
-        path.write_text(json.dumps(data))
-        assert harness_cli(
-            ["regress", "schedules", *cache, *goldens]
-        ) == 1
-        assert key in capsys.readouterr().out
+        """A 1-ulp drift in a cached figure8 result fails the digest and
+        prints the quantity it moved, old value then new."""
+        args = bless_into(tmp_path, "figure8")
+        (entry,) = [
+            path for path in (tmp_path / "cache").iterdir()
+            if json.loads(path.read_text())["point_key"] == "bsd/warm"
+        ]
+
+        def nudge(data):
+            cycles = data["result"]["cycles"]
+            cycles[-1] = math.nextafter(cycles[-1], math.inf)
+
+        edit_json(entry, nudge)
+        capsys.readouterr()
+        assert harness_cli(["regress", *args]) == 1
+        out = capsys.readouterr().out
+        assert "figure8/bsd/warm: result digest" in out
+        assert (
+            f"figure8.bsd_warm_at_1000: 836.0 → {math.nextafter(836.0, math.inf)!r}"
+            in out
+        )
+
+    def test_false_claim_fails_naming_it_and_its_citation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A claim the results break fails ``regress`` (and ``--bless``
+        refuses the run) with the claim and its citation named."""
+        args = bless_into(tmp_path, "schedules")
+        golden = tmp_path / "goldens" / "schedules.ci.json"
+        blessed = golden.read_text()
+        with_false_claim(monkeypatch)
+        capsys.readouterr()
+        assert harness_cli(["regress", *args]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL    schedules: 1 failed check(s)" in out
+        assert "schedules: claim 'schedules run backwards' (Fig. 3) does not hold" in out
+        assert harness_cli(["regress", *args, "--bless"]) == 1
+        assert golden.read_text() == blessed
+
+    def test_edited_quantity_with_matching_digests_passes(self, tmp_path, capsys):
+        """Quantities are a report: with every digest matching, an edited
+        golden quantity does not fail the gate."""
+        args = bless_into(tmp_path, "figure8")
+
+        def edit(data):
+            data["quantities"]["simple_warm_at_1000"] += 1
+
+        edit_json(tmp_path / "goldens" / "figure8.ci.json", edit)
+        capsys.readouterr()
+        assert harness_cli(["regress", *args]) == 0
+        out = capsys.readouterr().out
+        assert "PASS    figure8: 4 point digests match, 3 claim(s) hold" in out
+        assert "holds: cold-start intercepts are exactly 426 (4.4BSD)" in out
 
     def test_malformed_golden_fails_only_its_experiment(self, tmp_path, capsys):
         """A golden that does not parse is one FAIL line, and the gate

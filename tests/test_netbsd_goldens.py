@@ -15,6 +15,7 @@ import pytest
 
 from repro.cache.workingset import Category
 from repro.experiments import table1
+from repro.harness import check_claims
 from repro.netbsd.layers import (
     PAPER_TABLE1,
     PAPER_TABLE1_TOTAL,
@@ -117,4 +118,4 @@ class TestSweepQuantities:
         assert quantities["total_code"] == EXPECTED_ROW_SUM[0]
         assert quantities["total_readonly"] == EXPECTED_ROW_SUM[1]
         assert quantities["total_mutable"] == EXPECTED_ROW_SUM[2]
-        assert quantities["matches_paper"] == 1.0
+        assert check_claims(table1.SWEEP, points, results) == []

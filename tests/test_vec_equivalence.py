@@ -7,7 +7,9 @@ contract at three levels:
 * **ExperimentRun level** — every declared experiment at CI scale,
   executed once per engine through the real harness (no cache), must
   produce byte-identical canonical-JSON results, identical obs
-  counters, and an intact drop/completion conservation balance.
+  counters, and an intact drop/completion conservation balance; the
+  results must match the checked-in ``goldens/*.ci.json`` digests and
+  bear out every paper claim the spec declares, as ``regress`` checks.
 * **Property level** — hypothesis fans random ``SimulationConfig``
   combinations (scheduler × drop policy × fault plan × seed) through
   both engines and compares results and counters, including
@@ -32,6 +34,7 @@ import gc
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +71,7 @@ from repro.gossip import (
     run_gossip_simulation,
 )
 from repro.harness.cache import ResultCache, canonical_json
-from repro.harness.golden import result_digests
+from repro.harness.golden import check_claims, check_digests, load_golden, result_digests
 from repro.harness.points import point_accepts_engine, with_engine
 from repro.harness.registry import EXPERIMENT_MODULES, get_spec
 from repro.harness.runner import run_experiment
@@ -158,9 +161,14 @@ def _flow_charged_both_engines(run, config):
 # ExperimentRun level: all declared experiments, both engines
 
 
+#: The checked-in goldens ``regress`` gates against.
+GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
+
+
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_MODULES))
 def test_experiment_byte_identical_across_engines(name):
-    """Stats, counters, and conservation balance at CI scale.
+    """Stats, counters, conservation balance, golden digests and paper
+    claims at CI scale.
 
     At ``jobs=1`` every point runs in this process, so one recorder
     around the run totals the counters of all its points.
@@ -176,6 +184,9 @@ def test_experiment_byte_identical_across_engines(name):
         totals[engine] = recorder.counters.as_dict()
     assert result_digests(runs["scalar"].results) == result_digests(runs["vec"].results)
     assert totals["scalar"] == totals["vec"]
+    vec = runs["vec"]
+    assert check_digests(name, load_golden(name, "ci", root=GOLDENS), vec.results) == []
+    assert check_claims(get_spec(name), vec.points, vec.results) == []
     counters = totals["vec"]
     if counters.get("messages.arrivals"):
         # Every simulated drive loop runs until the queue drains, so
