@@ -30,7 +30,7 @@ from ..machine.executor import ExecutionProfile
 _message_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message moving through a stack.
 
@@ -48,13 +48,19 @@ class Message:
     meta:
         Layer-to-layer annotations (e.g. parsed headers), replacing the
         fields a kernel would stash in the mbuf packet header.
+    arrival_cycle:
+        CPU cycle of the message's arrival, stamped by
+        :func:`repro.sim.runner.drive` on every message of its arrival
+        stream.  Only stamped messages count as completions there; a
+        message a layer creates keeps ``None``.
     """
 
     payload: Any = None
     size: int = 0
     arrival_time: float = 0.0
     meta: dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
+    arrival_cycle: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:

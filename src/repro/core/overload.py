@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError
 
@@ -44,9 +44,13 @@ class DropPolicy(ABC):
 
     Two independent hooks:
 
-    * :meth:`admit` — called once per arrival with the live input queue;
-      decides whether the new message enters and which queued messages
-      (if any) are evicted to make room;
+    * :meth:`admit_run` — admits a run of arrivals, in order, to the
+      live input queue: decides which new messages enter and which
+      queued messages (if any) are evicted to make room.  The
+      scheduler's one admission entry point
+      (:meth:`~repro.core.scheduler.Scheduler.enqueue_arrivals`) calls
+      it, with a one-message run where arrivals are admitted singly;
+      the outcome must not depend on how a stream is split into runs;
     * :meth:`batch_limit` — called by the batching schedulers (LDLP and
       grouped LDLP) at the start of each service step; may shrink the
       cache-derived batch cap based on buffer occupancy.
@@ -60,24 +64,21 @@ class DropPolicy(ABC):
     name = "abstract"
 
     @abstractmethod
-    def admit(
-        self, queue: deque, capacity: int
-    ) -> tuple[bool, list]:
-        """Decide one admission.
+    def admit_run(self, queue: deque, capacity: int, messages: Sequence) -> int:
+        """Admit ``messages`` in order; returns how many messages were lost.
 
         Parameters
         ----------
         queue:
-            The live input queue (the policy may evict from it).
+            The live input queue: accepted messages are appended to it,
+            and the policy may evict from it.
         capacity:
             The configured buffer limit in messages.
+        messages:
+            The arrivals, oldest first.
 
-        Returns
-        -------
-        (accepted, evicted):
-            ``accepted`` — whether the *new* message may be appended;
-            ``evicted`` — queued messages the policy removed to make
-            room (each counts as a drop).
+        Every rejected arrival and every evicted queued message counts
+        as one loss (a drop).
         """
 
     def batch_limit(self, base: int, queue_len: int, capacity: int) -> int:
@@ -93,16 +94,31 @@ class DropPolicy(ABC):
         return {"policy": self.name}
 
 
-class TailDrop(DropPolicy):
+class _NeverEvicting(DropPolicy):
+    """Tail drop at a depth limit: the newest arrival loses when full.
+
+    Nothing is ever evicted, so a run's outcome is arithmetic: the first
+    ``limit - len(queue)`` arrivals enter and the rest are dropped.
+    """
+
+    def depth_limit(self, capacity: int) -> int:
+        """Deepest queue an arrival may join (the buffer by default)."""
+        return capacity
+
+    def admit_run(self, queue: deque, capacity: int, messages: Sequence) -> int:
+        """Admit ``min(n, room)`` messages in one ``extend``; drop the rest."""
+        room = max(0, self.depth_limit(capacity) - len(queue))
+        if room >= len(messages):
+            queue.extend(messages)
+            return 0
+        queue.extend(messages[:room])
+        return len(messages) - room
+
+
+class TailDrop(_NeverEvicting):
     """Reject the newest arrival when the buffer is full (the default)."""
 
     name = "tail"
-
-    def admit(self, queue: deque, capacity: int) -> tuple[bool, list]:
-        """Accept while there is room; never evict."""
-        if len(queue) >= capacity:
-            return False, []
-        return True, []
 
 
 class HeadDrop(DropPolicy):
@@ -116,15 +132,18 @@ class HeadDrop(DropPolicy):
 
     name = "head"
 
-    def admit(self, queue: deque, capacity: int) -> tuple[bool, list]:
-        """Always accept; evict from the front when full."""
-        evicted = []
-        while len(queue) >= capacity:
-            evicted.append(queue.popleft())
-        return True, evicted
+    def admit_run(self, queue: deque, capacity: int, messages: Sequence) -> int:
+        """Always accept; evict from the front while full."""
+        lost = 0
+        for message in messages:
+            while len(queue) >= capacity:
+                queue.popleft()
+                lost += 1
+            queue.append(message)
+        return lost
 
 
-class QueueCap(DropPolicy):
+class QueueCap(_NeverEvicting):
     """Early tail drop at a fixed depth below the physical buffer.
 
     Parameters
@@ -142,18 +161,16 @@ class QueueCap(DropPolicy):
             raise ConfigurationError(f"queue cap must be positive: {cap}")
         self.cap = cap
 
-    def admit(self, queue: deque, capacity: int) -> tuple[bool, list]:
-        """Accept while below ``min(cap, capacity)``; never evict."""
-        if len(queue) >= min(self.cap, capacity):
-            return False, []
-        return True, []
+    def depth_limit(self, capacity: int) -> int:
+        """Accept while below ``min(cap, capacity)``."""
+        return min(self.cap, capacity)
 
     def describe(self) -> dict[str, Any]:
         """Policy name plus the configured cap."""
         return {"policy": self.name, "cap": self.cap}
 
 
-class AdaptiveBatchBackoff(DropPolicy):
+class AdaptiveBatchBackoff(_NeverEvicting):
     """Tail-drop admission with occupancy-scaled LDLP batches.
 
     The effective batch cap is ``base * queue_len / capacity`` (at least
@@ -172,12 +189,6 @@ class AdaptiveBatchBackoff(DropPolicy):
                 f"minimum batch must be positive: {min_batch}"
             )
         self.min_batch = min_batch
-
-    def admit(self, queue: deque, capacity: int) -> tuple[bool, list]:
-        """Tail-drop admission (reject the newest when full)."""
-        if len(queue) >= capacity:
-            return False, []
-        return True, []
 
     def batch_limit(self, base: int, queue_len: int, capacity: int) -> int:
         """Scale the cap with occupancy: empty → ``min_batch``, full → ``base``."""

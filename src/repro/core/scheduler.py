@@ -25,7 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from ..cache.hierarchy import MachineSpec
 from ..errors import GroupingError, SchedulerError
@@ -224,26 +224,32 @@ class Scheduler(ABC):
     # ------------------------------------------------------------------
     # Input side
 
-    def enqueue_arrival(self, message: Message) -> bool:
-        """Offer an arriving message; returns False if *it* was dropped.
+    def enqueue_arrivals(self, messages: Sequence[Message]) -> int:
+        """Offer a run of arriving messages in order; returns how many
+        messages were lost.
 
-        The drop policy decides who loses under contention: tail drop
-        rejects ``message`` itself, head drop evicts older queued
-        messages instead.  Either way every lost message counts once in
-        :attr:`drops`, so ``arrivals == completions + drops + queued``
-        holds at all times (the conservation invariant
+        The one admission entry point: the drop policy admits the whole
+        run (:meth:`~repro.core.overload.DropPolicy.admit_run`) exactly
+        as it would admit the messages one at a time.  It decides who
+        loses under contention: tail drop rejects the newest arrivals,
+        head drop evicts older queued messages instead.  Either way
+        every lost message counts once in :attr:`drops`, so
+        ``arrivals == completions + drops + queued`` holds at all times
+        (the conservation invariant
         :func:`repro.sim.runner.assemble_run_result` enforces).
         """
-        self.arrivals += 1
-        accepted, evicted = self.drop_policy.admit(
-            self.input_queue, self.input_limit
+        self.arrivals += len(messages)
+        lost = self.drop_policy.admit_run(
+            self.input_queue, self.input_limit, messages
         )
-        self.drops += len(evicted)
-        if not accepted:
-            self.drops += 1
-            return False
-        self.input_queue.append(message)
-        return True
+        self.drops += lost
+        return lost
+
+    def enqueue_arrival(self, message: Message) -> bool:
+        """Offer one message; returns False if *it* was dropped."""
+        self.enqueue_arrivals((message,))
+        queue = self.input_queue
+        return bool(queue) and queue[-1] is message
 
     def pending(self) -> int:
         """Messages waiting to start processing."""
@@ -284,8 +290,7 @@ class Scheduler(ABC):
 
     def run_to_completion(self, messages: list[Message] | None = None) -> list[Completion]:
         """Offline convenience: enqueue ``messages`` and drain everything."""
-        for message in messages or []:
-            self.enqueue_arrival(message)
+        self.enqueue_arrivals(messages or [])
         completions: list[Completion] = []
         while self.busy:
             completions.extend(self.service_step())

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import math
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from itertools import islice
+from operator import le
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -64,7 +67,7 @@ Completions = list[tuple[Message, float]]
 #: One service step of one core: the step's completions, then the
 #: one-message steps it replayed ahead (conventional/ILP on the vec
 #: engine), one pair per step, whose messages are still queued for
-#: :func:`drive` to pop and settle one by one.
+#: :func:`drive` to pop and settle.
 Stepper = Callable[[], tuple[Completions, Completions]]
 
 #: Scheduler registry keyed by the names used throughout the experiments.
@@ -395,15 +398,32 @@ def drive(
     (:mod:`repro.sim.vec`), which is bit-identical where supported and
     silently falls back to the scalar step where not (stateful layers,
     L2 hierarchies, self-conflicting placements, span-keeping
-    recorders).  On one core without a dispatch policy or flush period,
-    a vec conventional/ILP step may replay up to
+    recorders).
+
+    Admission and settlement are per window, not per message, where
+    that cannot change an outcome.  Every message of ``arrivals`` is
+    stamped with its arrival cycle (:attr:`Message.arrival_cycle
+    <repro.core.layer.Message.arrival_cycle>`); only stamped messages
+    count as completions, so a message a byte-level layer creates does
+    not.  Every admission goes through
+    :meth:`~repro.core.scheduler.Scheduler.enqueue_arrivals`.  On one
+    core without a dispatch policy or span-keeping recorder (and with
+    the arrivals in time order), a busy core's window of arrivals up to
+    its next step is one ``bisect`` over the arrival cycles and one
+    admission call; an arrival that wakes an idle core is admitted
+    alone, as with dispatch or spans, where every arrival is.  Without
+    a flush period, a vec conventional/ILP step may also replay up to
     :data:`repro.sim.vec.MAX_STEPS` queued messages' steps at once,
     each replayed step's flow lookup (if the core has a lookup cache)
-    already charged inside the replayed timeline.  The loop settles
-    them one by one, exactly as if each had run alone: before each
-    replayed step it admits every arrival up to the previous step's
-    completion, then pops the step's message, counts the step and its
-    service cycles and records its latency.
+    already charged inside the replayed timeline.  The loop settles the
+    replayed steps as one block, with the outcome of settling them one
+    by one as if each had run alone: it pops their messages (asserting
+    queue order), adds each step's service cycles in step order and
+    records the block's latencies in sample order with one call.  When
+    the queue has room for every arrival up to the last replayed
+    completion, it admits them all first; otherwise, before popping
+    each replayed step's message, it admits every arrival up to the
+    previous step's completion.
     """
     if isinstance(cores, Scheduler):
         cores = [cores]
@@ -423,14 +443,27 @@ def drive(
     spans = span_recorder()
     num_cores = len(cores)
     cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
-    multi_step = num_cores == 1 and dispatch is None and flush_period_cycles is None
+    hz = cpus[0].clock.hz
+    messages = [message for _, message in arrivals]
+    # Clock.seconds_to_cycles, stamped on each message for its latency.
+    cycles = [time * hz for time, _ in arrivals]
+    for message, cycle in zip(messages, cycles):
+        message.arrival_cycle = cycle
+    # One core without a dispatch policy or spans admits each window of
+    # arrivals in one call; its end is a bisect, so the cycles must be
+    # in order.
+    bulk = (
+        num_cores == 1
+        and dispatch is None
+        and spans is None
+        and all(map(le, cycles, islice(cycles, 1, None)))
+    )
+    multi_step = bulk and flush_period_cycles is None
     steppers = [_stepper(scheduler, engine, multi_step) for scheduler in cores]
     if dispatch is None:
         tracks = ["scheduler"]
     else:
         tracks = [f"core{index}/scheduler" for index in range(num_cores)]
-    clock = cpus[0].clock
-    cycles = [clock.seconds_to_cycles(time) for time, _ in arrivals]
     total = len(arrivals)
     next_flush = [flush_period_cycles] * num_cores
     latency = LatencyRecorder()
@@ -442,29 +475,31 @@ def drive(
     finished = 0
     awake = [False] * num_cores
     index = 0
-    # Steps replayed ahead on core 0 (multi_step runs only), still to
-    # settle, and the completion cycle of its last settled step.
-    replayed: Completions = []
-    settled = 0.0
+
+    def admit_window(end: int) -> None:
+        """Admit arrivals ``index..end-1`` to core 0 in one call."""
+        nonlocal index
+        dropped[0] += cores[0].enqueue_arrivals(messages[index:end])
+        dispatched[0] += end - index
+        index = end
+
     while True:
-        if replayed:
-            # The next replayed step starts where the last one ended;
-            # its message is still queued, so the core stays awake.
-            core, bound = 0, settled
-        else:
-            core = -1
-            bound = math.inf
-            for candidate in range(num_cores):
-                awake[candidate] = busy = cores[candidate].busy
-                if busy and cpus[candidate].cycles < bound:
-                    core, bound = candidate, cpus[candidate].cycles
+        core = -1
+        bound = math.inf
+        for candidate in range(num_cores):
+            awake[candidate] = busy = cores[candidate].busy
+            if busy and cpus[candidate].cycles < bound:
+                core, bound = candidate, cpus[candidate].cycles
         # Admit every arrival at or before the next service step.  Only
         # an admission that wakes an idle core can move that step
         # earlier (drop policies never empty a busy core's queue, so a
         # core stays awake until it steps).
         while index < total and cycles[index] <= bound:
+            if bulk and awake[0]:
+                admit_window(bisect_right(cycles, bound, index))
+                break
             cycle = cycles[index]
-            message = arrivals[index][1]
+            message = messages[index]
             target = 0
             if dispatch is not None:
                 target = dispatch.select(message, num_cores) % num_cores
@@ -473,13 +508,10 @@ def drive(
             idle = not awake[target]
             if idle:
                 cpu.advance_to_cycle(cycle)
-            message.meta["arrival_cycle"] = cycle
-            drops_before = scheduler.drops
-            scheduler.enqueue_arrival(message)
-            dispatched[target] += 1
             # Tail drop loses the new message; head drop evicts older
             # queued ones — either way, count every loss.
-            lost = scheduler.drops - drops_before
+            lost = scheduler.enqueue_arrivals((message,))
+            dispatched[target] += 1
             dropped[target] += lost
             if spans is not None:
                 if dispatch is not None:
@@ -500,37 +532,57 @@ def drive(
             break
         scheduler = cores[core]
         cpu = cpus[core]
-        if replayed:
-            before = settled
-            message, settled = replayed.pop(0)
-            popped = scheduler.input_queue.popleft()
-            assert popped is message, "replayed step out of queue order"
-            completions = [(message, settled)]
+        before = cpu.cycles
+        if spans is None:
+            completions, replayed = steppers[core]()
         else:
-            before = cpu.cycles
-            if spans is None:
-                completions, replayed = steppers[core]()
-            else:
-                handle = spans.begin(
-                    tracks[core],
-                    "service_step",
-                    before,
-                    machine_counters(cpu),
-                    pending_messages=scheduler.pending(),
-                )
-                completions, replayed = steppers[core]()
-                handle.args["completions"] = len(completions)
-                spans.end(handle, cpu.cycles)
-            settled = completions[-1][1] if replayed else cpu.cycles
-        steps += 1
+            handle = spans.begin(
+                tracks[core],
+                "service_step",
+                before,
+                machine_counters(cpu),
+                pending_messages=scheduler.pending(),
+            )
+            completions, replayed = steppers[core]()
+            handle.args["completions"] = len(completions)
+            spans.end(handle, cpu.cycles)
+        ends = [cpu.cycles]
+        if replayed:
+            # Settle the replayed steps, whose messages are still queued,
+            # as one block.  Step j >= 1 runs after every arrival up to
+            # step j - 1's completion is admitted.  When the queue has
+            # room for every arrival up to the last completion (a
+            # multi-step core runs TailDrop), admitting them all first
+            # changes nothing; otherwise each step's window is admitted
+            # before its message leaves the queue.
+            queue = scheduler.input_queue
+            end = bisect_right(cycles, replayed[-1][1], index)
+            fits = len(queue) + end - index <= scheduler.input_limit
+            if fits:
+                admit_window(end)
+            previous = completions[-1][1]
+            for message, cycle in replayed:
+                if not fits:
+                    admit_window(bisect_right(cycles, previous, index))
+                popped = queue.popleft()
+                assert popped is message, "replayed step out of queue order"
+                previous = cycle
+            completions += replayed
+            ends = [cycle for _, cycle in completions]
+        # One service addition per settled step, in step order, so the
+        # float sum is the step-by-step one.
+        for end_cycle in ends:
+            service[core] += end_cycle - before
+            before = end_cycle
+        steps += len(ends)
         finished += len(completions)
-        for message, completion_cycle in completions:
-            arrival_cycle = message.meta.get("arrival_cycle")
-            if arrival_cycle is None:
-                continue
-            completed[core] += 1
-            latency.record(clock.cycles_to_seconds(completion_cycle - arrival_cycle))
-        service[core] += settled - before
+        samples = [
+            (cycle - arrival) / hz  # Clock.cycles_to_seconds
+            for message, cycle in completions
+            if (arrival := message.arrival_cycle) is not None
+        ]
+        completed[core] += len(samples)
+        latency.extend(samples)
         flush_at = next_flush[core]
         if flush_at is not None and cpu.cycles >= flush_at:
             cpu.cold_start()
@@ -590,14 +642,23 @@ def simulate(
         for scheduler in cores:
             assert scheduler.binding is not None
             scheduler.binding.flow_lookup = flow_cache.build()
-    stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
-    timestamped = [
-        (arrival.time, Message(size=arrival.size, arrival_time=arrival.time))
-        for arrival in stream
-    ]
-    if tag is not None:
-        for arrival, (_, message) in zip(stream, timestamped):
-            tag(arrival, message)
+    stream: Sequence[Any]
+    if arrivals is None and tag is None:
+        # Nothing needs Arrival records: build the messages from columns.
+        stream, sizes = source.arrival_columns(config.duration)
+        timestamped = [
+            (time, Message(size=size, arrival_time=time))
+            for time, size in zip(stream, sizes)
+        ]
+    else:
+        stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
+        timestamped = [
+            (arrival.time, Message(size=arrival.size, arrival_time=arrival.time))
+            for arrival in stream
+        ]
+        if tag is not None:
+            for arrival, (_, message) in zip(stream, timestamped):
+                tag(arrival, message)
     dispatch = None
     if config.dispatch is not None:
         dispatch = make_dispatch_policy(config.dispatch)
@@ -630,7 +691,7 @@ def assemble_run_result(
     cores: list[Scheduler],
     outcome: DriveStats,
     source: TrafficSource,
-    stream: list[Arrival],
+    stream: Sequence[Any],
     config: SimulationConfig,
 ) -> RunResult:
     """Reduce one driven run to its :class:`RunResult`.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -15,11 +16,12 @@ class LatencyRecorder:
     def __init__(self) -> None:
         self._samples: list[float] = []
 
-    def record(self, latency: float) -> None:
-        """Append one latency sample; negative values are a model bug."""
-        if latency < 0:
-            raise SimulationError(f"negative latency {latency}")
-        self._samples.append(latency)
+    def extend(self, latencies: Sequence[float]) -> None:
+        """Append a block of samples in order; a negative one is a model
+        bug, and then none of the block is kept."""
+        if latencies and min(latencies) < 0:
+            raise SimulationError(f"negative latency {min(latencies)}")
+        self._samples.extend(latencies)
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -71,14 +71,17 @@ step j completes at its last invocation's execute slot, addend index
 ``_SLOTS * num_layers * (j + 1) - 1`` (the trailing-execute slot after
 it is always 0.0 for these kinds, so the value is the scalar one), and
 one fused apply and one ``cumsum`` keep the scalar left fold.
-:func:`repro.sim.runner.drive` then settles the replayed steps one by
-one: before step j >= 1 it admits every arrival up to step j - 1's
-completion, then pops step j's message.  The envelope is one core
-without a dispatch policy or flush period (the caller's
-``multi_step``) and exact :class:`~repro.core.overload.TailDrop`
-(which never evicts, so every admission sees the scalar queue length
-and no replayed message can be lost); everything else replays single
-steps.
+:func:`repro.sim.runner.drive` then settles the replayed steps as one
+block: it pops the k - 1 replayed messages and records the block in
+one pass.  When the queue has room for every arrival up to the last
+completion, it admits them all at once; otherwise, before popping step
+j >= 1's message, it admits every arrival up to step j - 1's
+completion, as k separate steps would.  The envelope is one core
+without a dispatch policy, flush period or span-keeping recorder, with
+the arrivals in time order (the caller's ``multi_step``), and exact
+:class:`~repro.core.overload.TailDrop` (which never evicts, so every
+admission sees the scalar queue length and no replayed message can be
+lost); everything else replays single steps.
 
 Equivalence boundaries
 ----------------------
@@ -556,10 +559,10 @@ def vec_stepper(scheduler: Scheduler, multi_step: bool) -> Stepper | None:
     the module docstring and :func:`vec_supported`), or a span-keeping
     recorder wants the per-layer ``invoke`` spans only the scalar path
     emits.  ``multi_step`` is the caller's half of the multi-step
-    envelope (one core, no dispatch policy, no flush period); the
-    engine checks the rest.  The returned bound method is the engine's
-    only owner, so the engine and its compiled templates are freed with
-    it.
+    envelope (one core, no dispatch policy, flush period or span-keeping
+    recorder, arrivals in time order); the engine checks the rest.  The
+    returned bound method is the engine's only owner, so the engine and
+    its compiled templates are freed with it.
     """
     if span_recorder() is not None:
         return None

@@ -51,6 +51,15 @@ class TrafficSource(ABC):
         """Materialize :meth:`arrivals` as a list."""
         return list(self.arrivals(duration))
 
+    def arrival_columns(self, duration: float) -> tuple[list[float], list[int]]:
+        """:meth:`arrivals` as parallel lists of times and sizes.
+
+        A source that can generate the columns directly overrides this
+        and skips building :class:`Arrival` records.
+        """
+        stream = self.arrival_list(duration)
+        return [arrival.time for arrival in stream], [arrival.size for arrival in stream]
+
 
 def make_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     """Coerce a seed or generator into a generator."""

@@ -44,19 +44,37 @@ class PoissonSource(TrafficSource):
         self.size = size
         self.rng = make_rng(rng)
 
-    def arrivals(self, duration: float) -> Iterator[Arrival]:
+    def arrival_times(self, duration: float) -> np.ndarray:
+        """Every arrival time in ``[0, duration)``, in order, as one array.
+
+        Exponential gaps are drawn in blocks to amortize RNG overhead;
+        each block's times are one ``np.add.accumulate`` seeded with the
+        previous block's last time, the same left fold as adding the
+        gaps one by one.
+        """
         if duration <= 0:
-            return
-        time = 0.0
-        # Draw exponential gaps in blocks to amortize RNG overhead.
+            return np.empty(0)
         block = max(16, int(self.rate * duration * 1.2))
+        chunks = []
+        time = 0.0
         while True:
             gaps = self.rng.exponential(1.0 / self.rate, size=block)
-            for gap in gaps:
-                time += gap
-                if time >= duration:
-                    return
-                yield Arrival(time, self.size)
+            times = np.add.accumulate(np.concatenate(([time], gaps)))[1:]
+            # The first time at or past the horizon ends the stream.
+            stop = int(np.searchsorted(times, duration))
+            chunks.append(times[:stop])
+            if stop < block:
+                return np.concatenate(chunks)
+            time = times[-1]
+
+    def arrivals(self, duration: float) -> Iterator[Arrival]:
+        for time in self.arrival_times(duration).tolist():
+            yield Arrival(time, self.size)
+
+    def arrival_columns(self, duration: float) -> tuple[list[float], list[int]]:
+        """:meth:`arrival_times` as a list, with the fixed size per arrival."""
+        times = self.arrival_times(duration).tolist()
+        return times, [self.size] * len(times)
 
 
 class DeterministicSource(TrafficSource):

@@ -328,6 +328,55 @@ class TestDropPolicies:
             AdaptiveBatchBackoff(min_batch=0)
 
 
+class TestBulkAdmission:
+    """One ``enqueue_arrivals`` call over a run of n messages is n
+    one-message calls: same queue, evictions and counters."""
+
+    POLICIES = {
+        "tail": lambda cap: TailDrop(),
+        "head": lambda cap: HeadDrop(),
+        "batch-cap": lambda cap: QueueCap(cap=cap),
+        "adaptive": lambda cap: AdaptiveBatchBackoff(),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        queued=st.integers(0, 12),
+        capacity=st.integers(1, 12),
+        cap=st.integers(1, 12),
+        n=st.integers(0, 15),
+    )
+    def test_one_run_equals_one_message_at_a_time(self, policy, queued, capacity, cap, n):
+        waiting = [Message(size=1) for _ in range(queued)]
+        offered = [Message(size=1) for _ in range(n)]
+        outcomes = []
+        for bulk in (True, False):
+            scheduler = ConventionalScheduler(
+                [PassthroughLayer("l0")], None, capacity,
+                drop_policy=self.POLICIES[policy](cap),
+            )
+            # A queue may start deeper than the buffer (cap or capacity
+            # below what is already queued): nothing is admitted then.
+            scheduler.input_queue.extend(waiting)
+            if bulk:
+                lost = scheduler.enqueue_arrivals(offered)
+            else:
+                lost = sum(scheduler.enqueue_arrivals([message]) for message in offered)
+            queue = list(scheduler.input_queue)
+            gone = [message for message in waiting + offered if message not in queue]
+            outcomes.append((
+                [id(message) for message in queue],
+                [id(message) for message in gone],
+                lost,
+                scheduler.drops,
+                scheduler.arrivals,
+            ))
+        assert outcomes[0] == outcomes[1]
+        queue_ids, gone_ids, lost, drops, arrivals = outcomes[0]
+        assert (lost, drops, arrivals) == (len(gone_ids), len(gone_ids), n)
+
+
 class TestConservationUnderFaults:
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     @pytest.mark.parametrize("stage", ALL_STAGES, ids=lambda s: s.kind)

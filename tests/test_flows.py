@@ -29,7 +29,6 @@ from repro.experiments import flows as experiment
 from repro.flows import (
     FLOW_CACHE_ORGS,
     FlowCacheSpec,
-    FlowLookup,
     make_flow_cache,
 )
 from repro.flows.runner import flows_point, make_flow_base, run_flow_simulation

@@ -12,7 +12,10 @@ from repro.sim import (
     merge_results,
     run_simulation,
 )
-from repro.sim.runner import build_scheduler, drive
+from repro.core.overload import DROP_POLICIES
+from repro.harness.cache import canonical_json
+from repro.obs.runtime import Recorder, recording
+from repro.sim.runner import SCHEDULER_NAMES, build_scheduler, drive, simulate
 from repro.sim.stats import MissesPerMessage, RunResult
 from repro.traffic import DeterministicSource, PoissonSource
 
@@ -20,8 +23,7 @@ from repro.traffic import DeterministicSource, PoissonSource
 class TestLatencyRecorder:
     def test_summary(self):
         recorder = LatencyRecorder()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            recorder.record(value)
+        recorder.extend([1.0, 2.0, 3.0, 4.0])
         summary = recorder.summary()
         assert summary.count == 4
         assert summary.mean == pytest.approx(2.5)
@@ -35,7 +37,23 @@ class TestLatencyRecorder:
 
     def test_negative_rejected(self):
         with pytest.raises(SimulationError):
-            LatencyRecorder().record(-1.0)
+            LatencyRecorder().extend([-1.0])
+
+    def test_block_keeps_sample_order(self):
+        recorder = LatencyRecorder()
+        recorder.extend([3.0, 1.0])
+        recorder.extend([])
+        recorder.extend([2.0])
+        assert recorder._samples == [3.0, 1.0, 2.0]
+
+    def test_negative_inside_block_rejected(self):
+        """The whole block is checked, not only its ends, and a rejected
+        block leaves no sample behind."""
+        recorder = LatencyRecorder()
+        recorder.extend([1.0])
+        with pytest.raises(SimulationError, match="negative latency -0.5"):
+            recorder.extend([2.0, -0.5, 3.0])
+        assert recorder._samples == [1.0]
 
 
 class TestRunner:
@@ -161,3 +179,27 @@ class TestMergeResults:
         merged = merge_results([one])
         assert merged.latency.mean == pytest.approx(2.0)
         assert merged.misses.total == pytest.approx(110)
+
+
+@pytest.mark.parametrize("drop_policy", sorted(DROP_POLICIES))
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_bulk_drive_equals_per_message_drive(scheduler, drop_policy):
+    """A span-keeping recorder admits every arrival alone and steps
+    scalar; the default path admits whole windows and settles replayed
+    blocks.  A 12-deep queue under a 30k msg/s burst fills and drains,
+    so block settles, step-by-step settles and drops all occur: the
+    result and the raw latency samples must not differ."""
+    config = SimulationConfig(
+        scheduler=scheduler, drop_policy=drop_policy, input_limit=12,
+        duration=0.01,
+    )
+    arrivals = PoissonSource(30000.0, rng=2).arrival_list(config.duration)
+    seen = []
+    for keep_spans in (True, False):
+        with recording(Recorder(keep_spans=keep_spans)):
+            result, _, stats = simulate(
+                PoissonSource(30000.0, rng=2), config, seed=2, arrivals=arrivals
+            )
+        seen.append((canonical_json(result.to_dict()), stats.latency._samples))
+    assert seen[0] == seen[1]
+    assert result.dropped > 0

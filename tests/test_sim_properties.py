@@ -57,19 +57,19 @@ class TestConservation:
 @pytest.fixture
 def leaky_admission(monkeypatch):
     """Break conservation: every 7th offered message counts as an
-    arrival but is neither queued nor dropped.  Patched on the base
-    class, so :func:`repro.sim.vec.vec_supported` still accepts every
-    scheduler and the vec engine still steps it."""
-    admit = Scheduler.enqueue_arrival
+    arrival but is neither queued nor dropped.  Patched on the one
+    admission entry point of the base class, so every bulk and
+    one-message admission leaks, :func:`repro.sim.vec.vec_supported`
+    still accepts every scheduler and the vec engine still steps it."""
+    admit = Scheduler.enqueue_arrivals
     offered = itertools.count(1)
 
-    def enqueue_arrival(self, message):
-        if next(offered) % 7 == 0:
-            self.arrivals += 1
-            return True
-        return admit(self, message)
+    def enqueue_arrivals(self, messages):
+        kept = [message for message in messages if next(offered) % 7]
+        self.arrivals += len(messages) - len(kept)
+        return admit(self, kept)
 
-    monkeypatch.setattr(Scheduler, "enqueue_arrival", enqueue_arrival)
+    monkeypatch.setattr(Scheduler, "enqueue_arrivals", enqueue_arrivals)
 
 
 class TestConservationEnforced:

@@ -95,6 +95,66 @@ class TestPoisson:
         assert PoissonSource(1000, rng=0).arrival_list(0) == []
 
 
+def _per_gap_poisson(rate, duration, seed):
+    """The per-gap generator loop the array path replaced: ``time += gap``
+    over blocks of exponential gaps until the horizon.  Returns the
+    times, the number of blocks drawn and the generator."""
+    rng = np.random.default_rng(seed)
+    times, blocks, time = [], 0, 0.0
+    block = max(16, int(rate * duration * 1.2))
+    while True:
+        gaps = rng.exponential(1.0 / rate, size=block)
+        blocks += 1
+        for gap in gaps:
+            time += gap
+            if time >= duration:
+                return times, blocks, rng
+            times.append(time)
+
+
+class TestPoissonArrays:
+    """The array path (one seeded ``np.add.accumulate`` per block, the
+    carry prepended) is the per-gap loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("rate,duration", [(2000, 0.2), (9000, 0.2), (12000, 0.05), (300, 1.0)])
+    def test_matches_per_gap_loop(self, rate, duration, seed):
+        expected, blocks, rng = _per_gap_poisson(rate, duration, seed)
+        source = PoissonSource(rate, rng=seed)
+        times = source.arrival_times(duration)
+        assert times.dtype == np.float64
+        assert np.array_equal(times.view(np.uint64), np.array(expected).view(np.uint64))
+        # The same number of gaps was drawn: the generators agree.
+        assert source.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed,count", [(11, 16), (20, 23)])
+    def test_second_block(self, seed, count):
+        """At 1000 msg/s over 13 ms the block is 16 gaps, and these seeds
+        need more: seed 11 uses the whole first block and stops on the
+        second block's first gap; seed 20 takes 7 times from it."""
+        expected, blocks, rng = _per_gap_poisson(1000, 0.013, seed)
+        assert (len(expected), blocks) == (count, 2)
+        source = PoissonSource(1000, rng=seed)
+        assert source.arrival_times(0.013).tolist() == expected
+        assert source.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_arrivals_and_columns_derive_from_the_array(self):
+        expected, _, _ = _per_gap_poisson(5000, 0.1, 3)
+        arrivals = PoissonSource(5000, size=100, rng=3).arrival_list(0.1)
+        assert [arrival.time for arrival in arrivals] == expected
+        assert all(type(arrival.time) is float for arrival in arrivals)
+        times, sizes = PoissonSource(5000, size=100, rng=3).arrival_columns(0.1)
+        assert times == expected
+        assert sizes == [100] * len(expected)
+
+    def test_base_columns_match_arrivals(self):
+        source = DeterministicSource(100, size=64)
+        times, sizes = source.arrival_columns(0.1)
+        arrivals = DeterministicSource(100, size=64).arrival_list(0.1)
+        assert times == [arrival.time for arrival in arrivals]
+        assert sizes == [64] * len(arrivals)
+
+
 class TestDeterministic:
     def test_exact_count(self):
         arrivals = DeterministicSource(100).arrival_list(1.0)
