@@ -15,7 +15,7 @@ from .cache import (
     DirectMappedCache,
     SetAssociativeCache,
 )
-from .chunked import SegmentedAccessPlan, UnsupportedPlanError, unit_plan
+from .chunked import UnsupportedPlanError
 from .hierarchy import (
     DEC3000_400,
     ROSENBLUM_1998,
@@ -49,11 +49,9 @@ __all__ = [
     "MachineSpec",
     "REPLACEMENT_POLICIES",
     "ROSENBLUM_1998",
-    "SegmentedAccessPlan",
     "SetAssociativeCache",
     "SplitCacheHierarchy",
     "UnsupportedPlanError",
-    "unit_plan",
     "WorkingSetAnalyzer",
     "WorkingSetReport",
     "line_base",

@@ -2,9 +2,12 @@
 
 The paper's synthetic environment (Section 4) uses 8 KB direct-mapped
 primary instruction and data caches with 32-byte lines and a 20-cycle
-read-miss stall.  :class:`DirectMappedCache` models exactly that, with a
-vectorized fast path for the contiguous multi-line accesses that dominate
-protocol processing (sweeping a layer's code, reading a message body).
+read-miss stall.  :class:`DirectMappedCache` models exactly that.  Its
+one multi-line access, :meth:`~DirectMappedCache.access_line_array_report`,
+probes one *call*'s lines (a layer's code, its data, a message body:
+contiguous, so distinct sets) with one gather, compare and scatter, and
+is the per-call reference the vectorized replays of
+:mod:`repro.cache.chunked` reproduce.
 
 :class:`SetAssociativeCache` generalizes to N-way replacement — true LRU
 or FIFO, selected by ``policy`` — for the cache organization studies in
@@ -67,13 +70,6 @@ class Cache(ABC):
                 misses += 1
         return misses
 
-    def access_span(self, addr: int, size: int) -> int:
-        """Access a contiguous byte span; alias of :meth:`access`.
-
-        Subclasses may override with a vectorized implementation.
-        """
-        return self.access(addr, size)
-
     def contains(self, addr: int) -> bool:
         """Return True iff the line holding byte ``addr`` is resident."""
         return self.contains_line(addr // self.line_size)
@@ -125,50 +121,11 @@ class DirectMappedCache(Cache):
     def flush(self) -> None:
         self._tags.fill(-1)
 
-    def access_span(self, addr: int, size: int) -> int:
-        """Vectorized access to a contiguous byte span.
-
-        Contiguous lines map to distinct sets as long as the span covers
-        at most ``num_lines`` lines, so a single vector compare-and-fill
-        is exactly equivalent to the sequential scalar loop.  Longer
-        spans (which self-evict) fall back to the scalar path.
-        """
-        if size < 0:
-            raise ConfigurationError(f"access size must be non-negative, got {size}")
-        if size == 0:
-            return 0
-        if addr < 0:
-            raise ConfigurationError(f"address must be non-negative, got {addr}")
-        first = addr // self.line_size
-        last = (addr + size - 1) // self.line_size
-        count = last - first + 1
-        if count > self.num_lines:
-            return self.access(addr, size)
-        lines = np.arange(first, last + 1, dtype=np.int64)
-        indices = lines % self.num_lines
-        resident = self._tags[indices]
-        miss_mask = resident != lines
-        misses = int(miss_mask.sum())
-        if misses:
-            evicted = miss_mask & (resident != -1)
-            self.stats.evictions += int(evicted.sum())
-            self._tags[indices[miss_mask]] = lines[miss_mask]
-        self.stats.misses += misses
-        self.stats.hits += count - misses
-        return misses
-
-    def access_line_array(self, lines: np.ndarray) -> int:
-        """Vectorized access to an array of *distinct* line numbers.
+    def access_line_array_report(self, lines: np.ndarray) -> np.ndarray:
+        """Access an array of line numbers; return the *missed* lines.
 
         The caller must guarantee the lines map to distinct sets (e.g.
-        consecutive lines of a region smaller than the cache).  Used by
-        the executor for strided but regular reference patterns.
-        """
-        return int(self.access_line_array_report(lines).size)
-
-    def access_line_array_report(self, lines: np.ndarray) -> np.ndarray:
-        """Like :meth:`access_line_array` but returns the *missed* lines.
-
+        consecutive lines of a region smaller than the cache).
         Multi-level hierarchies use the returned array to probe the
         next cache level.
         """
@@ -202,40 +159,6 @@ class DirectMappedCache(Cache):
             )
         missed = [line for line in range(first, last + 1) if self.access_line(line)]
         return np.asarray(missed, dtype=np.int64)
-
-    def access_stream(
-        self, lines: np.ndarray, chunk_size: int | None = None
-    ) -> np.ndarray:
-        """Vectorized *sequential* access to an arbitrary line stream.
-
-        Exactly equivalent to calling :meth:`access_line` once per
-        element (no distinct-sets requirement — repeats and conflicts
-        are handled), but implemented as a chunked segmented-plan
-        replay (:mod:`repro.cache.chunked`).  Returns the boolean miss
-        mask in stream order.  Results are invariant under
-        ``chunk_size`` (None = the whole stream as one chunk); chunking
-        only bounds the transient memory of plan construction.
-        """
-        from .chunked import unit_plan
-
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        if lines.size and int(lines.min()) < 0:
-            raise ConfigurationError("line numbers must be non-negative")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ConfigurationError(
-                f"chunk size must be positive, got {chunk_size}"
-            )
-        step = int(lines.size) if chunk_size is None else chunk_size
-        masks = []
-        for start in range(0, int(lines.size), max(step, 1)):
-            chunk = lines[start : start + step]
-            _, mask = unit_plan(chunk, self.num_lines).apply(
-                self._tags, self.stats, return_mask=True
-            )
-            masks.append(mask)
-        if not masks:
-            return np.zeros(0, dtype=bool)
-        return np.concatenate(masks)
 
     @property
     def tag_array(self) -> np.ndarray:

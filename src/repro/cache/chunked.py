@@ -1,13 +1,13 @@
-"""Vectorized (chunked/segmented) direct-mapped cache kernels.
+"""Vectorized (segmented) direct-mapped cache replays.
 
 The scalar hot path simulates one *call* at a time:
 :meth:`repro.cache.cache.DirectMappedCache.access_line_array_report`
 gathers the resident tags for every position of the call, compares,
 then scatters the new tags — parallel *within* a call, sequential
 *across* calls.  This module precomputes everything about a whole
-sequence of such calls (a *segmented plan*) so that replaying it against
-live cache state costs a handful of numpy operations instead of a
-Python-level loop.
+sequence of such calls (a *segmented plan*, one segment per call) so
+that replaying it against live cache state costs a handful of numpy
+operations instead of a Python-level loop.
 
 The trick that makes a static template possible: when no single segment
 contains two positions mapping to the same cache set (true for every
@@ -18,11 +18,6 @@ hit or miss.  Therefore, for any position whose set was already touched
 by an *earlier* segment of the plan, the resident tag it observes is a
 static, state-independent quantity; only positions touching a set for
 the *first time* within the plan need a gather from the live tag array.
-
-A plan whose segments all have length one reproduces element-sequential
-semantics exactly, which is what :meth:`DirectMappedCache.access_stream`
-uses — and why results are invariant under the chunk size used to slice
-the stream.
 
 The same argument lets :func:`collapsed_plan` drop any segment that
 repeats its predecessor line for line: the predecessor just left every
@@ -40,15 +35,13 @@ One static-analysis kernel, :func:`_first_touches`, computes a stream's
 first touches, last lines and static misses per segment: one stable
 argsort by set (a radix sort: the key is the narrowest unsigned dtype
 that fits the set count) and a handful of vector operations, written
-once into the ``(4, n)`` block a replay reads.  It serves both
-:class:`SegmentedAccessPlan` and :meth:`FusedReplay.data_plan`, which
-packs a data plan straight from its segments without a plan object in
-between — the vectorized engine compiles one per new batch composition.
+once into the ``(4, n)`` block a replay reads.  It packs the code plan
+(:func:`collapsed_plan`, once per batch length) and every data plan
+(:meth:`FusedReplay.data_plan`, once per new batch composition) into a
+:class:`PackedPlan`.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -79,9 +72,7 @@ def _first_touches(
     lengths: np.ndarray | list[int],
     num_lines: int,
     num_segments: int,
-    *,
-    positions: bool = False,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The static analysis of a segmented access stream.
 
     ``lines`` holds every line of the stream (int64), segment by
@@ -94,9 +85,7 @@ def _first_touches(
     * ``static`` — static misses per segment (int64, ``num_segments``
       entries, which may run past the stream's own segments):
       re-touches of a set by a different line than its previous touch,
-      which miss whatever the live state;
-    * with ``positions``, the stream positions of the first touches
-      (in ``block`` order) and of the static misses; else ``None``.
+      which miss whatever the live state.
 
     Raises
     ------
@@ -135,124 +124,43 @@ def _first_touches(
     block[3, :-1] = ordered_lines[first[1:] - 1]
     block[3, -1:] = ordered_lines[-1:]
     static = np.bincount(segs[1:][static_miss], minlength=num_segments)
-    if not positions:
-        return block, static, None
-    return block, static, (order[first], order[1:][static_miss])
+    return block, static
 
 
-class SegmentedAccessPlan:
-    """A precompiled sequence of parallel-within-call cache accesses.
+class PackedPlan:
+    """A plan's apply-time arrays, packed for a :class:`FusedReplay`.
 
-    Parameters
-    ----------
-    lines:
-        All line numbers of the plan, segment by segment (int64).
-    seg_offsets:
-        Segment boundaries into ``lines``: segment ``j`` is
-        ``lines[seg_offsets[j]:seg_offsets[j + 1]]``.  Each segment is
-        one scalar ``access_line_array_report`` call.
-    num_lines:
-        Number of sets of the (direct-mapped) cache this plan targets.
-    repeat_hits:
-        Accesses of segments elided by :func:`collapsed_plan`; each
-        :meth:`apply` adds them to ``stats.hits``.
-    with_mask:
-        Keep the position arrays ``apply(return_mask=True)`` needs.
-        Only element-sequential streams (:func:`unit_plan`) want the
-        mask, so other plans skip storing them.
+    ``block`` holds the plan's first-touch sets, first lines, segment
+    ids and last lines as four rows (:func:`_first_touches`);
+    ``static`` is its static misses per segment (a data plan's are
+    followed by its replay's instruction plan's); ``accesses`` counts
+    its accesses, elided repeats included.
+    """
+
+    __slots__ = ("block", "static", "accesses")
+
+    def __init__(self, block: np.ndarray, static: np.ndarray, accesses: int) -> None:
+        self.block = block
+        self.static = static
+        self.accesses = accesses
+
+
+def collapsed_plan(
+    segments: list[np.ndarray], num_lines: int
+) -> tuple[PackedPlan, list[int]]:
+    """A packed plan with one segment per line array, minus the segments
+    that repeat their predecessor.
+
+    Returns the plan and the indices of the segments it kept, in order;
+    its per-segment misses line up with those indices, and every elided
+    segment missed nothing.  Cache state and statistics after a replay
+    equal the full plan's (see the module docs for why): the elided
+    segments' accesses count as hits.
 
     Raises
     ------
     UnsupportedPlanError
         If any segment touches the same set twice (see module docs).
-    """
-
-    def __init__(
-        self,
-        lines: np.ndarray,
-        seg_offsets: np.ndarray,
-        num_lines: int,
-        *,
-        repeat_hits: int = 0,
-        with_mask: bool = False,
-    ) -> None:
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        lengths = np.diff(np.asarray(seg_offsets, dtype=np.int64))
-        self.size = int(lines.size)
-        self.num_segments = int(lengths.size)
-        self.repeat_hits = repeat_hits
-        self._block, self._static_per_segment, positions = _first_touches(
-            lines, lengths, num_lines, self.num_segments, positions=with_mask
-        )
-        #: One entry per touched set, ascending, which also indexes the
-        #: final scatter.
-        self._sets, self._first_lines, self._first_segs, self._last_lines = (
-            self._block
-        )
-        # A static miss observes the previous occurrence's line as
-        # resident (a valid tag), so it is also an eviction.
-        self._static_misses = int(self._static_per_segment.sum())
-        self._first_positions, self._static_miss_positions = (
-            positions if positions is not None else (None, None)
-        )
-
-    def apply(
-        self,
-        tags: np.ndarray,
-        stats: CacheStats | None = None,
-        return_mask: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Replay the plan against live ``tags``, mutating them in place.
-
-        Returns the per-segment miss counts (int64, one per segment);
-        with ``return_mask`` (plans built ``with_mask=True`` only) also
-        returns the per-position miss mask in stream order.  ``stats``,
-        when given, accrues hits, misses, and evictions exactly as the
-        scalar per-call path would.
-        """
-        resident = tags[self._sets]
-        first_miss = self._first_lines != resident
-        if self._sets.size:
-            tags[self._sets] = self._last_lines
-        per_segment = self._static_per_segment.copy()
-        if first_miss.size:
-            per_segment += np.bincount(
-                self._first_segs[first_miss], minlength=self.num_segments
-            )
-        if stats is not None:
-            dynamic_misses = int(np.count_nonzero(first_miss))
-            misses = self._static_misses + dynamic_misses
-            stats.misses += misses
-            stats.hits += self.size - misses + self.repeat_hits
-            stats.evictions += self._static_misses + int(
-                np.count_nonzero(first_miss & (resident != -1))
-            )
-        if return_mask:
-            if self._first_positions is None:
-                raise ValueError("plan was built without with_mask=True")
-            mask = np.zeros(self.size, dtype=bool)
-            mask[self._static_miss_positions] = True
-            mask[self._first_positions] = first_miss
-            return per_segment, mask
-        return per_segment
-
-
-def unit_plan(lines: np.ndarray, num_lines: int) -> SegmentedAccessPlan:
-    """A plan of single-element segments: element-sequential semantics."""
-    offsets = np.arange(int(np.asarray(lines).size) + 1, dtype=np.int64)
-    return SegmentedAccessPlan(lines, offsets, num_lines, with_mask=True)
-
-
-def collapsed_plan(
-    segments: list[np.ndarray], num_lines: int
-) -> tuple[SegmentedAccessPlan, list[int]]:
-    """A plan with one segment per line array, minus the segments that
-    repeat their predecessor.
-
-    Returns the plan and the indices of the segments it kept, in order;
-    its per-segment misses line up with those indices, and every elided
-    segment missed nothing.  Cache state and ``stats`` after ``apply``
-    equal the full plan's (see the module docs for why).
     """
     kept: list[int] = []
     repeat_hits = 0
@@ -262,36 +170,17 @@ def collapsed_plan(
         else:
             kept.append(index)
     lines = [segments[index] for index in kept]
-    plan = SegmentedAccessPlan(
-        np.concatenate(lines) if lines else np.empty(0, dtype=np.int64),
-        list(accumulate((segment.size for segment in lines), initial=0)),
-        num_lines,
-        repeat_hits=repeat_hits,
+    flat = np.concatenate(lines) if lines else np.empty(0, dtype=np.int64)
+    block, static = _first_touches(
+        flat, [segment.size for segment in lines], num_lines, len(kept)
     )
-    return plan, kept
+    return PackedPlan(block, static, int(flat.size) + repeat_hits), kept
 
 
 def _same_lines(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or (
         a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     )
-
-
-class PackedPlan:
-    """A data-cache plan's apply-time arrays, packed for a :class:`FusedReplay`.
-
-    ``block`` holds the plan's first-touch sets, first lines, segment
-    ids and last lines as four rows (:func:`_first_touches`); ``static``
-    is its static misses per segment followed by the instruction
-    plan's; ``accesses`` counts its accesses.
-    """
-
-    __slots__ = ("block", "static", "accesses")
-
-    def __init__(self, block: np.ndarray, static: np.ndarray, accesses: int) -> None:
-        self.block = block
-        self.static = static
-        self.accesses = accesses
 
 
 class FusedReplay:
@@ -310,24 +199,21 @@ class FusedReplay:
     (:meth:`data_plan`) into the columns just before the tail, so each
     replay reads one contiguous run of first touches and never copies
     the I arrays.  Hits, misses and evictions accrue to each cache's
-    :class:`CacheStats` exactly as the two plans' own
-    :meth:`SegmentedAccessPlan.apply` calls would add them, given
+    :class:`CacheStats` exactly as one scalar
+    ``access_line_array_report`` call per segment would add them, given
     non-negative line numbers (``-1`` marks an empty set).
     """
 
-    def __init__(
-        self, iplan: SegmentedAccessPlan, dsets: int, dsegments: int
-    ) -> None:
+    def __init__(self, iplan: PackedPlan, dsets: int, dsegments: int) -> None:
         self.iplan = iplan
         self.dsets = dsets
         self.dsegments = dsegments
-        self.num_segments = dsegments + iplan.num_segments
+        self.num_segments = dsegments + iplan.static.size
         self._bounds = np.array([0, dsegments], dtype=np.int64)
-        self._iaccesses = iplan.size + iplan.repeat_hits
         # A D plan touches each of the dsets sets at most once first,
         # so the first ``dsets`` columns have room for any of them.
-        self._arena = np.empty((4, dsets + iplan._sets.size), dtype=np.int64)
-        self._arena[:, dsets:] = iplan._block
+        self._arena = np.empty((4, dsets + iplan.block.shape[1]), dtype=np.int64)
+        self._arena[:, dsets:] = iplan.block
         self._arena[0, dsets:] += dsets
         self._arena[2, dsets:] += dsegments
 
@@ -335,8 +221,8 @@ class FusedReplay:
         """Compile ``dsegments`` data line arrays, one segment each in
         order, straight into their packed replay.
 
-        Equal to a :class:`SegmentedAccessPlan` over the same segments,
-        packed; raises :class:`UnsupportedPlanError` where it would.
+        Raises :class:`UnsupportedPlanError` if a segment touches the
+        same set twice (see module docs).
         """
         if len(segments) != self.dsegments:
             raise ValueError(
@@ -346,10 +232,10 @@ class FusedReplay:
             np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
         )
         lengths = [segment.size for segment in segments]
-        block, static, _ = _first_touches(
+        block, static = _first_touches(
             lines, lengths, self.dsets, self.num_segments
         )
-        static[self.dsegments :] = self.iplan._static_per_segment
+        static[self.dsegments :] = self.iplan.static
         return PackedPlan(block, static, int(lines.size))
 
     def apply(
@@ -386,6 +272,6 @@ class FusedReplay:
         dstats.hits += data.accesses - dmisses
         dstats.evictions += dmisses - dcold
         istats.misses += imisses
-        istats.hits += self._iaccesses - imisses
+        istats.hits += self.iplan.accesses - imisses
         istats.evictions += imisses - icold
         return per_segment

@@ -50,10 +50,6 @@ class CacheGeometry:
         """Set count (equal to the line count: direct-mapped)."""
         return self.num_lines
 
-    def set_of_addr(self, addr: int) -> int:
-        """Cache set index a byte address maps to."""
-        return (addr // self.line_size) % self.num_lines
-
     def describe(self) -> dict[str, int]:
         """Static description for offline analysis and reports."""
         return {
@@ -131,10 +127,6 @@ class MachineSpec:
             self.iprefetch_efficiency,
         )
 
-    def with_miss_penalty(self, miss_penalty: int) -> "MachineSpec":
-        """Return a copy with a different miss penalty (ablation A2)."""
-        return MachineSpec(self.clock_hz, self.icache, self.dcache, miss_penalty)
-
 
 #: The DEC 3000/400 of Section 2: 8 KB primaries, 32-byte lines, and a
 #: 10-cycle primary-miss penalty ("wastes 20 instruction slots (10
@@ -202,29 +194,8 @@ class SplitCacheHierarchy:
         assert self.l2 is not None
         span = int(missed.max() - missed.min()) + 1 if missed.size else 0
         if span <= self.l2.num_lines:
-            return self.l2.access_line_array(missed)
+            return int(self.l2.access_line_array_report(missed).size)
         return sum(self.l2.access_line(int(line)) for line in missed)
-
-    def fetch_code(self, addr: int, size: int) -> int:
-        """Fetch ``size`` bytes of code; return stall cycles incurred."""
-        missed = self.icache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        return self.stall_for_missed(missed)
-
-    def read_data(self, addr: int, size: int) -> int:
-        """Read ``size`` bytes of data; return stall cycles incurred."""
-        missed = self.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        return self.stall_for_missed(missed)
-
-    def write_data(self, addr: int, size: int) -> int:
-        """Write ``size`` bytes of data; return stall cycles incurred.
-
-        The paper's model stalls only on *read* misses; writes allocate
-        in the caches but cost no stall (write buffer assumed).
-        """
-        missed = self.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        if self.l2 is not None and missed.size:
-            self._probe_l2(missed)
-        return 0
 
     def flush(self) -> None:
         """Cold-start all caches (statistics are preserved)."""
@@ -238,7 +209,3 @@ class SplitCacheHierarchy:
         self.dcache.stats.reset()
         if self.l2 is not None:
             self.l2.stats.reset()
-
-    @property
-    def total_misses(self) -> int:
-        return self.icache.stats.misses + self.dcache.stats.misses

@@ -29,13 +29,6 @@ class CacheStats:
         """Total number of line accesses observed."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of accesses that missed; 0.0 when no accesses occurred."""
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
     def reset(self) -> None:
         """Zero all counters."""
         self.hits = 0
@@ -45,14 +38,6 @@ class CacheStats:
     def snapshot(self) -> "CacheStats":
         """Return an independent copy of the current counters."""
         return CacheStats(self.hits, self.misses, self.evictions)
-
-    def delta_since(self, earlier: "CacheStats") -> "CacheStats":
-        """Return counters accumulated since ``earlier`` was snapshotted."""
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evictions=self.evictions - earlier.evictions,
-        )
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(

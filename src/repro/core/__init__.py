@@ -16,7 +16,7 @@
 """
 
 from .batching import BatchPolicy
-from .binding import BUFFER_KEY, MachineBinding
+from .binding import MachineBinding
 from .dispatch import (
     APP_CLASS_KEY,
     DISPATCH_POLICIES,
@@ -64,7 +64,6 @@ from .scheduler import (
 
 __all__ = [
     "APP_CLASS_KEY",
-    "BUFFER_KEY",
     "AdaptiveBatchBackoff",
     "AppDefinedDispatch",
     "BatchPolicy",

@@ -15,17 +15,14 @@ from ..cache.hierarchy import MachineSpec
 from ..errors import ConfigurationError
 from ..machine.cpu import CPU
 from ..machine.executor import (
+    QUEUE_INSTRUCTIONS,
     BufferPool,
-    FootprintExecutor,
     MessageBuffer,
     PlacedLayer,
 )
 from ..machine.layout import DEFAULT_SEED, MemoryLayout
 from ..obs.runtime import machine_counters, span_recorder
 from .layer import Layer, Message
-
-#: meta key under which a message's placed buffer is stored.
-BUFFER_KEY = "machine.buffer"
 
 
 class MachineBinding:
@@ -66,7 +63,6 @@ class MachineBinding:
         self.pool_buffers = pool_buffers
         self.buffer_size = buffer_size
         self.cpu = CPU(self.spec)
-        self.executor = FootprintExecutor(self.cpu)
         #: Optional flow-lookup cache (:class:`repro.flows.FlowLookup`).
         #: When set, the scheduler hooks charge a route/PCB lookup per
         #: service batch (see repro.core.scheduler.charge_flow_lookups);
@@ -90,7 +86,7 @@ class MachineBinding:
                 raise ConfigurationError(f"duplicate layer name {layer.name!r}")
             self._placed[layer.name] = PlacedLayer(
                 layer.name,
-                layer.footprint.to_profile(),
+                layer.footprint,
                 self._layout,
                 random_placement=self.random_placement,
             )
@@ -120,12 +116,11 @@ class MachineBinding:
 
     def buffer_of(self, message: Message) -> MessageBuffer:
         """The placed buffer holding a message's bytes (assigned lazily)."""
-        buffer = message.meta.get(BUFFER_KEY)
+        buffer = message.buffer
         if buffer is None:
             if self._pool is None:
                 raise ConfigurationError("binding not bound; call bind() first")
-            buffer = self._pool.acquire()
-            message.meta[BUFFER_KEY] = buffer
+            buffer = message.buffer = self._pool.acquire()
         return buffer
 
     def charge(
@@ -187,9 +182,9 @@ class MachineBinding:
             lines = buffer.lines_for(size)
             if lines.size:
                 self.cpu.read_data_lines(lines)
-            self.cpu.execute(placed.profile.compute_cycles(message.size))
+            self.cpu.execute(placed.footprint.compute_cycles(message.size))
         else:
-            self.cpu.execute(placed.profile.base_cycles)
+            self.cpu.execute(placed.footprint.base_cycles)
         if queue_overhead:
-            self.cpu.execute(FootprintExecutor.QUEUE_INSTRUCTIONS)
+            self.cpu.execute(QUEUE_INSTRUCTIONS)
         return self.cpu.cycles - start

@@ -7,9 +7,10 @@ two independent things:
   header, verify a checksum, append to a socket buffer) and returns the
   messages to hand to the next layer up (zero, one, or several — e.g. a
   reassembled datagram or an ACK to emit);
-* *memory-system* work: the layer's :class:`LayerFootprint` describes
-  the code and data it touches, which the machine model charges against
-  the simulated caches.
+* *memory-system* work: the layer's
+  :class:`~repro.machine.executor.LayerFootprint` describes the code and
+  data it touches, which the machine model charges against the simulated
+  caches.
 
 Keeping these separate is exactly what makes LDLP applicable "to
 existing protocol implementations by changing only the interface to the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import SchedulerError
-from ..machine.executor import ExecutionProfile
+from ..machine.executor import LayerFootprint, MessageBuffer
 
 _message_ids = itertools.count()
 
@@ -53,6 +54,11 @@ class Message:
         :func:`repro.sim.runner.drive` on every message of its arrival
         stream.  Only stamped messages count as completions there; a
         message a layer creates keeps ``None``.
+    buffer:
+        The placed :class:`~repro.machine.executor.MessageBuffer` holding
+        the message's bytes, assigned on first use by
+        :meth:`repro.core.binding.MachineBinding.buffer_of`; a message a
+        layer creates starts with ``None`` and gets its own.
     """
 
     payload: Any = None
@@ -61,6 +67,7 @@ class Message:
     meta: dict[str, Any] = field(default_factory=dict)
     msg_id: int = field(default_factory=_message_ids.__next__)
     arrival_cycle: float | None = field(default=None, compare=False)
+    buffer: MessageBuffer | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -70,39 +77,6 @@ class Message:
                 self.size = len(self.payload)
             except TypeError:
                 pass
-
-
-@dataclass(frozen=True)
-class LayerFootprint:
-    """Memory/compute footprint of one layer (see Section 4's benchmark).
-
-    This is a thin, named wrapper over the machine model's
-    :class:`~repro.machine.executor.ExecutionProfile` defaults so stack
-    definitions read in the paper's terms.
-    """
-
-    code_bytes: int = 6144
-    data_bytes: int = 256
-    base_cycles: float = 1376.0
-    per_byte_cycles: float = 0.5
-
-    def to_profile(self) -> ExecutionProfile:
-        """The machine-level execution profile with the same numbers."""
-        return ExecutionProfile(
-            code_bytes=self.code_bytes,
-            data_bytes=self.data_bytes,
-            base_cycles=self.base_cycles,
-            per_byte_cycles=self.per_byte_cycles,
-        )
-
-    def describe(self) -> dict[str, float]:
-        """Plain-dict form for offline analysis and JSON reports."""
-        return {
-            "code_bytes": self.code_bytes,
-            "data_bytes": self.data_bytes,
-            "base_cycles": self.base_cycles,
-            "per_byte_cycles": self.per_byte_cycles,
-        }
 
 
 class Layer(ABC):

@@ -211,6 +211,10 @@ class Scheduler(ABC):
         names = [layer.name for layer in layers]
         if len(set(names)) != len(names):
             raise SchedulerError(f"duplicate layer names in stack: {names}")
+        if input_limit < 1:
+            # Every drop policy assumes room for one message; HeadDrop
+            # would pop an empty queue.
+            raise SchedulerError(f"input limit must be >= 1, got {input_limit}")
         self.layers = layers
         self.binding = binding
         if binding is not None and not binding.bound:

@@ -44,10 +44,3 @@ def render_table(
 def pct(value: float) -> str:
     """Format a percentage delta the way Table 3 prints it (``+17%``)."""
     return f"{value:+.0f}%"
-
-
-def ratio_note(measured: float, paper: float) -> str:
-    """A compact measured-vs-paper annotation."""
-    if paper == 0:
-        return f"{measured:.0f} (paper 0)"
-    return f"{measured:.0f} (paper {paper:.0f}, {measured / paper:.2f}x)"

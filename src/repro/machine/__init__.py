@@ -1,11 +1,11 @@
-"""The simulated machine: regions, layout, CPU cost model, executor,
-and the N-core topology (:mod:`repro.machine.multicore`)."""
+"""The simulated machine: regions, layout, CPU cost model, layer
+footprints and message buffers, and the N-core topology
+(:mod:`repro.machine.multicore`)."""
 
 from .cpu import CPU
 from .executor import (
     BufferPool,
-    ExecutionProfile,
-    FootprintExecutor,
+    LayerFootprint,
     MessageBuffer,
     PlacedLayer,
 )
@@ -17,8 +17,7 @@ __all__ = [
     "BufferPool",
     "CPU",
     "DEFAULT_SPAN",
-    "ExecutionProfile",
-    "FootprintExecutor",
+    "LayerFootprint",
     "MemoryLayout",
     "MessageBuffer",
     "MultiCoreMachine",

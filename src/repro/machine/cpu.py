@@ -44,35 +44,16 @@ class CPU:
         """Charge pure execution cycles (no memory-system interaction)."""
         self.cycles += cycles
 
-    def fetch_code_span(self, addr: int, size: int) -> int:
-        """Fetch a contiguous code span; returns misses, charges stalls."""
-        missed = self.hierarchy.icache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        self._stall_for(missed, instruction=True)
-        return int(missed.size)
-
     def fetch_code_lines(self, lines: np.ndarray) -> int:
         """Fetch code by (distinct) absolute line numbers; vectorized."""
         missed = self.hierarchy.icache.access_line_array_report(lines)  # type: ignore[attr-defined]
         self._stall_for(missed, instruction=True)
         return int(missed.size)
 
-    def read_data_span(self, addr: int, size: int) -> int:
-        """Read a byte span; returns missed lines (stalls charged)."""
-        missed = self.hierarchy.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        self._stall_for(missed)
-        return int(missed.size)
-
     def read_data_lines(self, lines: np.ndarray) -> int:
         """Read whole lines; returns missed lines (stalls charged)."""
         missed = self.hierarchy.dcache.access_line_array_report(lines)  # type: ignore[attr-defined]
         self._stall_for(missed)
-        return int(missed.size)
-
-    def write_data_span(self, addr: int, size: int) -> int:
-        """Write data: allocates in the caches but never stalls."""
-        missed = self.hierarchy.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        if self.hierarchy.l2 is not None and missed.size:
-            self.hierarchy._probe_l2(missed)
         return int(missed.size)
 
     def _stall_for(self, missed_lines: np.ndarray, instruction: bool = False) -> None:

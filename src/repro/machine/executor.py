@@ -1,12 +1,15 @@
-"""Executing annotated layer work against the simulated machine.
+"""Layer footprints, placed layers and message buffers.
 
 The synthetic benchmark of Section 4 does not interpret instructions; it
 models each layer invocation as (a) touching every line of the layer's
 code working set, (b) touching the layer's private data, (c) a loop over
 the message contents, and (d) a fixed amount of instruction execution.
-:class:`FootprintExecutor` charges exactly that against a :class:`CPU`.
+A :class:`LayerFootprint` states those sizes and costs for one layer,
+:class:`PlacedLayer` binds them to placed memory regions, and
+:meth:`repro.core.binding.MachineBinding.charge` charges one invocation
+against the :class:`~repro.machine.cpu.CPU`.
 
-The numbers in :class:`ExecutionProfile`'s defaults are the paper's:
+The numbers in :class:`LayerFootprint`'s defaults are the paper's:
 6 KB of code and 256 bytes of data per layer; 1652 cycles of instruction
 processing per layer for a 552-byte message, of which 0.5 cycles/byte is
 the data loop (hence 1376 base cycles + 0.5 × 552 = 1652).
@@ -19,14 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, LayoutError
-from ..obs.runtime import machine_counters, span_recorder
-from .cpu import CPU
 from .layout import MemoryLayout
 from .program import Region, RegionKind
 
+#: Instructions for one enqueue+dequeue pair at a layer boundary ("on
+#: the order of 40 instructions", Section 3.2).
+QUEUE_INSTRUCTIONS = 40
+
 
 @dataclass(frozen=True)
-class ExecutionProfile:
+class LayerFootprint:
     """Memory/compute footprint of one protocol layer per message.
 
     Attributes
@@ -59,9 +64,18 @@ class ExecutionProfile:
         """Pure execution cycles for one message of the given size."""
         return self.base_cycles + self.per_byte_cycles * message_bytes
 
+    def describe(self) -> dict[str, float]:
+        """Plain-dict form for offline analysis and JSON reports."""
+        return {
+            "code_bytes": self.code_bytes,
+            "data_bytes": self.data_bytes,
+            "base_cycles": self.base_cycles,
+            "per_byte_cycles": self.per_byte_cycles,
+        }
+
 
 class PlacedLayer:
-    """An :class:`ExecutionProfile` bound to placed code/data regions.
+    """A :class:`LayerFootprint` bound to placed code/data regions.
 
     Precomputes the absolute line-number arrays so the hot loop is a
     handful of vectorized cache probes.
@@ -70,19 +84,19 @@ class PlacedLayer:
     def __init__(
         self,
         name: str,
-        profile: ExecutionProfile,
+        footprint: LayerFootprint,
         layout: MemoryLayout,
         random_placement: bool = True,
     ) -> None:
         self.name = name
-        self.profile = profile
-        self.code_region = Region(f"{name}.code", profile.code_bytes, RegionKind.CODE)
+        self.footprint = footprint
+        self.code_region = Region(f"{name}.code", footprint.code_bytes, RegionKind.CODE)
         place = layout.place_random if random_placement else layout.place_sequential
         place(self.code_region)
         self.code_lines = self.code_region.line_numbers(layout.line_size)
-        if profile.data_bytes > 0:
+        if footprint.data_bytes > 0:
             self.data_region = Region(
-                f"{name}.data", profile.data_bytes, RegionKind.DATA
+                f"{name}.data", footprint.data_bytes, RegionKind.DATA
             )
             place(self.data_region)
             self.data_lines = self.data_region.line_numbers(layout.line_size)
@@ -158,58 +172,3 @@ class BufferPool:
         buffer = self.buffers[self._next]
         self._next = (self._next + 1) % len(self.buffers)
         return buffer
-
-
-class FootprintExecutor:
-    """Charges layer invocations against a :class:`CPU`.
-
-    One invocation = fetch the layer's full code working set, read its
-    private data, read the message contents, and execute the layer's
-    instruction cycles.  Returns the cycle cost of the invocation.
-    """
-
-    #: Instructions for one enqueue+dequeue pair at a layer boundary
-    #: ("on the order of 40 instructions", Section 3.2).
-    QUEUE_INSTRUCTIONS = 40
-
-    def __init__(self, cpu: CPU) -> None:
-        self.cpu = cpu
-
-    def run_layer(
-        self,
-        layer: PlacedLayer,
-        message: MessageBuffer,
-        message_bytes: int,
-        queue_overhead: bool = False,
-    ) -> float:
-        """Process one message at one layer; return cycles consumed.
-
-        Recorded as a span on the layer's track (CPU-cycle clock) when
-        a span-keeping :mod:`repro.obs` recorder is installed
-        (:func:`~repro.obs.runtime.span_recorder`).
-        """
-        recorder = span_recorder()
-        handle = (
-            recorder.begin(
-                layer.name,
-                "run_layer",
-                self.cpu.cycles,
-                machine_counters(self.cpu),
-                message_bytes=message_bytes,
-            )
-            if recorder is not None
-            else None
-        )
-        start = self.cpu.cycles
-        self.cpu.fetch_code_lines(layer.code_lines)
-        if layer.data_lines.size:
-            self.cpu.read_data_lines(layer.data_lines)
-        msg_lines = message.lines_for(message_bytes)
-        if msg_lines.size:
-            self.cpu.read_data_lines(msg_lines)
-        self.cpu.execute(layer.profile.compute_cycles(message_bytes))
-        if queue_overhead:
-            self.cpu.execute(self.QUEUE_INSTRUCTIONS)
-        if recorder is not None and handle is not None:
-            recorder.end(handle, self.cpu.cycles)
-        return self.cpu.cycles - start

@@ -17,8 +17,7 @@ simulator's hot paths.  The pieces:
 
 Instrumented producers: :meth:`repro.core.binding.MachineBinding.charge`
 (per-layer invocation spans), :func:`repro.sim.runner.drive` (scheduler
-steps, arrival/drop instants), :meth:`repro.machine.executor
-.FootprintExecutor.run_layer`, :meth:`repro.netbsd.receive_path
+steps, arrival/drop instants), :meth:`repro.netbsd.receive_path
 .ReceivePathModel.build_trace` (phase spans), and
 :class:`repro.buffers.pool.MbufPool` (allocation counters).
 """

@@ -42,7 +42,7 @@ per ring slot and size), one
 segments straight into the replay's
 :class:`~repro.cache.chunked.PackedPlan`, and one vector expression,
 ``constant + per_byte * size``, for the addends: the same IEEE products
-and sums :meth:`~repro.machine.executor.ExecutionProfile.compute_cycles`
+and sums :meth:`~repro.machine.executor.LayerFootprint.compute_cycles`
 forms, so the addends are bit-equal to the per-invocation ones.
 
 *Dynamic replay.*  The split L1 keeps both tag arrays in one backing
@@ -134,7 +134,7 @@ from ..core.scheduler import (
     charge_flow_lookups,
     take_batch,
 )
-from ..machine.executor import FootprintExecutor, MessageBuffer
+from ..machine.executor import QUEUE_INSTRUCTIONS, MessageBuffer
 from ..obs.runtime import span_recorder
 from .runner import Completions, Stepper
 
@@ -202,7 +202,7 @@ class _Layout:
     #: Message slot whose size scales each addend's per-byte term.
     slots: np.ndarray
     #: Addend ``a`` is ``constant[a] + per_byte[a] * size``, the sum
-    #: :meth:`ExecutionProfile.compute_cycles` forms.
+    #: :meth:`LayerFootprint.compute_cycles` forms.
     constant: np.ndarray
     per_byte: np.ndarray
     #: The addend slot after each completion; see ``_compile``.
@@ -256,7 +256,7 @@ class _VecEngine:
         )
         #: Per group, each member's (layer index, trailing execute): the
         #: queue hop is charged on entering the group.
-        queue_cost = float(FootprintExecutor.QUEUE_INSTRUCTIONS)
+        queue_cost = float(QUEUE_INSTRUCTIONS)
         self.groups = (
             [
                 [
@@ -369,10 +369,12 @@ class _VecEngine:
         pieces = np.empty(2 * count, dtype=np.intp)
         pieces[0::2] = layers
         pieces[1::2] = np.where(include, num_layers + 1 + slots, num_layers)
-        profiles = [placed.profile for placed in self.placed]
-        base_cycles = np.array([profile.base_cycles for profile in profiles], dtype=float)
+        footprints = [placed.footprint for placed in self.placed]
+        base_cycles = np.array(
+            [footprint.base_cycles for footprint in footprints], dtype=float
+        )
         per_byte_cycles = np.array(
-            [profile.per_byte_cycles for profile in profiles], dtype=float
+            [footprint.per_byte_cycles for footprint in footprints], dtype=float
         )
         # Slot 4 of each invocation is its execute, slot 5 its trailing one.
         addend_slots = np.zeros(1 + _SLOTS * count, dtype=np.intp)

@@ -51,11 +51,6 @@ class TraceBuffer:
     def __iter__(self) -> Iterator[MemRef]:
         return iter(self.refs)
 
-    @property
-    def current_fn(self) -> str | None:
-        """Function on top of the call stack, or None outside any call."""
-        return self._fn_stack[-1] if self._fn_stack else None
-
     def append(self, ref: MemRef) -> None:
         """Append one reference.
 

@@ -10,7 +10,7 @@ was first accessed during the trace").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .record import MemRef
 
@@ -68,11 +68,6 @@ class FirstTouchAttributor:
         last = (ref.end - 1) // self.chunk_size
         for chunk in range(first, last + 1):
             self._owner.setdefault(chunk, layer)
-
-    def observe_all(self, refs: Iterable[MemRef]) -> None:
-        for ref in refs:
-            if not ref.is_code():
-                self.observe(ref)
 
     def owner_of_addr(self, addr: int) -> str:
         """Layer owning the chunk containing ``addr``."""

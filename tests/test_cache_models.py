@@ -100,7 +100,7 @@ class TestDirectMappedCache:
         a = DirectMappedCache(8192, 32)
         b = DirectMappedCache(8192, 32)
         for addr, size in [(0, 6144), (100, 552), (8000, 9000), (0, 6144)]:
-            assert a.access_span(addr, size) == b.access(addr, size)
+            assert a.access_span_report(addr, size).size == b.access(addr, size)
         assert a.stats.misses == b.stats.misses
         assert a.stats.hits == b.stats.hits
         assert a.stats.evictions == b.stats.evictions
@@ -108,30 +108,30 @@ class TestDirectMappedCache:
     def test_span_larger_than_cache_self_evicts(self):
         cache = DirectMappedCache(8192, 32)
         # A 16 KB sweep cannot be cached; sweeping twice misses twice.
-        assert cache.access_span(0, 16384) == 512
-        assert cache.access_span(0, 16384) == 512
+        assert cache.access_span_report(0, 16384).size == 512
+        assert cache.access_span_report(0, 16384).size == 512
 
     def test_span_zero_size(self):
         cache = DirectMappedCache(8192, 32)
-        assert cache.access_span(0, 0) == 0
+        assert cache.access_span_report(0, 0).size == 0
         assert cache.stats.accesses == 0
 
     def test_negative_address_rejected(self):
         cache = DirectMappedCache(8192, 32)
         with pytest.raises(ConfigurationError):
-            cache.access_span(-4, 8)
+            cache.access_span_report(-4, 8)
         with pytest.raises(ConfigurationError):
             cache.access_line(-1)
 
     def test_line_array_access(self):
         cache = DirectMappedCache(8192, 32)
         lines = np.arange(10, 20, dtype=np.int64)
-        assert cache.access_line_array(lines) == 10
-        assert cache.access_line_array(lines) == 0
+        assert cache.access_line_array_report(lines).tolist() == list(range(10, 20))
+        assert cache.access_line_array_report(lines).size == 0
 
     def test_line_array_empty(self):
         cache = DirectMappedCache(8192, 32)
-        assert cache.access_line_array(np.empty(0, dtype=np.int64)) == 0
+        assert cache.access_line_array_report(np.empty(0, dtype=np.int64)).size == 0
 
     def test_contains(self):
         cache = DirectMappedCache(8192, 32)
@@ -159,7 +159,7 @@ class TestDirectMappedCache:
         fast = DirectMappedCache(1024, 32)
         slow = DirectMappedCache(1024, 32)
         for addr, size in ops:
-            fast_misses = fast.access_span(addr, size)
+            fast_misses = fast.access_span_report(addr, size).size
             slow_misses = slow.access(addr, size)
             assert fast_misses == slow_misses
         assert fast.resident_lines() == slow.resident_lines()

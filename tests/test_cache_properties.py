@@ -10,12 +10,14 @@ randomly generated access traces rather than hand-picked cases:
 * locality — once a span smaller than the cache is resident, repeated
   access to it hits on every line;
 * hierarchy — the second-level cache is probed exactly on primary
-  misses, so its access count can never exceed the primary miss count;
-* equivalence — the vectorized span path matches the scalar path, and
+  misses, so its access count can never exceed the primary miss count,
+  and its probe matches a per-line loop on both sides of its span
+  branch;
+* equivalence — the span path matches the scalar byte-access loop, and
   1-way set-associative matches direct-mapped, access for access; the
-  fused I+D replay matches the two caches' plans applied one by one,
-  and a data plan packed straight from its segments matches both the
-  plan object and the scalar per-call path.
+  fused I+D replay of collapsed code plans and packed data plans
+  matches the scalar per-call path, one
+  ``access_line_array_report`` call per segment.
 """
 
 from __future__ import annotations
@@ -27,15 +29,10 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.cache.cache import DirectMappedCache, SetAssociativeCache
-from repro.cache.chunked import (
-    FusedReplay,
-    SegmentedAccessPlan,
-    UnsupportedPlanError,
-    collapsed_plan,
-    unit_plan,
-)
+from repro.cache.chunked import FusedReplay, UnsupportedPlanError, collapsed_plan
 from repro.cache.hierarchy import CacheGeometry, MachineSpec, SplitCacheHierarchy
-from repro.errors import ConfigurationError
+from repro.cache.line import lines_touched
+from repro.machine.cpu import CPU
 
 #: Small geometries keep traces interesting (evictions actually happen).
 SIZES = st.sampled_from([256, 512, 1024])
@@ -56,7 +53,7 @@ ACCESSES = st.lists(
 def test_misses_never_exceed_accesses(size, line_size, accesses):
     cache = DirectMappedCache(size, line_size)
     for addr, span in accesses:
-        cache.access_span(addr, span)
+        cache.access_span_report(addr, span)
     stats = cache.stats
     assert stats.misses <= stats.accesses
     assert stats.hits + stats.misses == stats.accesses
@@ -79,7 +76,7 @@ def test_set_associative_counters_sane(size, line_size, ways, accesses):
 def test_occupancy_bounded_by_set_count(size, line_size, accesses):
     cache = DirectMappedCache(size, line_size)
     for addr, span in accesses:
-        cache.access_span(addr, span)
+        cache.access_span_report(addr, span)
     assert len(cache.resident_lines()) <= cache.num_lines
 
 
@@ -98,10 +95,10 @@ def test_warm_span_hits_on_repeat(size, line_size, addr, data):
     # a full cache-size span would touch one extra line and self-evict.
     span = data.draw(st.integers(1, size - addr % line_size))
     cache = DirectMappedCache(size, line_size)
-    cache.access_span(addr, span)  # warm-up may miss freely
+    cache.access_span_report(addr, span)  # warm-up may miss freely
     before = cache.stats.misses
     for _ in range(3):
-        assert cache.access_span(addr, span) == 0
+        assert cache.access_span_report(addr, span).size == 0
     assert cache.stats.misses == before
 
 
@@ -114,12 +111,12 @@ def test_l2_accesses_bounded_by_l1_misses(accesses, instruction):
         dcache=CacheGeometry(size=512, line_size=32),
         l2=CacheGeometry(size=2048, line_size=32),
     )
-    hierarchy = SplitCacheHierarchy(spec)
+    cpu = CPU(spec)
+    hierarchy = cpu.hierarchy
+    access = cpu.fetch_code_lines if instruction else cpu.read_data_lines
     for addr, span in accesses:
-        if instruction:
-            hierarchy.fetch_code(addr, span)
-        else:
-            hierarchy.read_data(addr, span)
+        # At most 96 bytes: contiguous lines, distinct sets of a 16-set cache.
+        access(np.asarray(lines_touched(addr, span, 32), dtype=np.int64))
     primary = hierarchy.icache if instruction else hierarchy.dcache
     assert hierarchy.l2 is not None
     assert hierarchy.l2.stats.accesses <= primary.stats.misses
@@ -128,15 +125,13 @@ def test_l2_accesses_bounded_by_l1_misses(accesses, instruction):
 @settings(max_examples=60, deadline=None)
 @given(size=SIZES, line_size=LINE_SIZES, accesses=ACCESSES)
 def test_span_path_matches_scalar_path(size, line_size, accesses):
-    """The vectorized DirectMappedCache.access_span must be observably
+    """DirectMappedCache.access_span_report must be observably
     identical to the scalar Cache.access loop: same per-call miss
     counts, same final counters, same resident lines."""
     fast = DirectMappedCache(size, line_size)
     slow = DirectMappedCache(size, line_size)
     for addr, span in accesses:
-        assert fast.access_span(addr, span) == super(
-            DirectMappedCache, slow
-        ).access_span(addr, span)
+        assert fast.access_span_report(addr, span).size == slow.access(addr, span)
     assert fast.stats.misses == slow.stats.misses
     assert fast.stats.hits == slow.stats.hits
     assert fast.stats.evictions == slow.stats.evictions
@@ -161,7 +156,7 @@ def test_one_way_equals_direct_mapped(policy, size, line_size, accesses):
 
 
 #: Spans sized in *lines* relative to the cache so the vectorized
-#: access_span boundary (count == num_lines, where the fast path hands
+#: access_span_report boundary (count == num_lines, where it hands
 #: off to the scalar loop) is actually crossed: with 8–64 lines per
 #: cache, relative spans of num_lines - 2 .. num_lines + 2 lines all
 #: occur, on warm as well as cold tag state.
@@ -177,7 +172,7 @@ BOUNDARY_OPS = st.lists(
 def test_span_boundary_full_stats_parity(size, line_size, ops):
     """Full CacheStats parity across the count == num_lines boundary.
 
-    The vectorized access_span path is only taken while the span covers
+    The vectorized access_span_report path is only taken while the span covers
     at most num_lines lines; the first span past that falls back to the
     scalar loop mid-sequence.  Hits, misses, *and* evictions — not just
     the returned miss counts — must agree with the pure scalar path at
@@ -190,9 +185,7 @@ def test_span_boundary_full_stats_parity(size, line_size, ops):
         span = (num_lines + delta) * line_size - addr % line_size
         if span <= 0:
             continue
-        assert fast.access_span(addr, span) == super(
-            DirectMappedCache, slow
-        ).access_span(addr, span)
+        assert fast.access_span_report(addr, span).size == slow.access(addr, span)
         assert fast.stats.snapshot() == slow.stats.snapshot()
     assert fast.stats.hits == slow.stats.hits
     assert fast.stats.misses == slow.stats.misses
@@ -257,112 +250,150 @@ def test_flush_behavior_matches_direct_mapped(
         assert cache.contains_line(0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(l2_lines=st.sampled_from([16, 32, 64]), data=st.data())
+def test_probe_l2_matches_access_line_loop(l2_lines, data):
+    """SplitCacheHierarchy._probe_l2 ≡ an access_line loop over the
+    missed lines: same miss count, stats and tags, from warm state, on
+    both sides of its span branch (one vector probe while the lines
+    span at most the L2's line count, the loop past it)."""
+    spec = MachineSpec(
+        icache=CacheGeometry(256, 32),
+        dcache=CacheGeometry(256, 32),
+        l2=CacheGeometry(l2_lines * 32, 32),
+    )
+    hierarchy = SplitCacheHierarchy(spec)
+    assert hierarchy.l2 is not None
+    reference = DirectMappedCache(l2_lines * 32, 32)
+    for _ in range(data.draw(st.integers(1, 6))):
+        wide = data.draw(st.booleans())
+        reach = (4 if wide else 1) * l2_lines
+        offsets = data.draw(
+            st.lists(st.integers(0, reach - 1), unique=True, min_size=1, max_size=24)
+        )
+        if wide:
+            # Span past the L2's line count: the per-line branch.
+            offsets += [edge for edge in (0, reach - 1) if edge not in offsets]
+        base = data.draw(st.integers(0, 8 * l2_lines))
+        missed = base + np.asarray(offsets, dtype=np.int64)
+        expected = sum(reference.access_line(int(line)) for line in missed)
+        assert hierarchy._probe_l2(missed) == expected
+        assert hierarchy.l2.stats == reference.stats
+        assert np.array_equal(hierarchy.l2.tag_array, reference.tag_array)
+
+
 # ----------------------------------------------------------------------
-# Chunked (vectorized) kernels: repro.cache.chunked
+# Vectorized replays: repro.cache.chunked
 
 #: Line streams with heavy set reuse (small line-number range) so the
-#: chunked kernels see repeats, conflicts, and evictions.
-LINE_STREAMS = st.lists(st.integers(0, 96), min_size=0, max_size=120)
+#: replays see repeats, conflicts, and evictions.  A replay's code
+#: stream is never empty (every layer has code).
+LINE_STREAMS = st.lists(st.integers(0, 96), min_size=1, max_size=120)
 
-#: The satellite chunk sizes: degenerate (1), odd (7), typical (64),
-#: and the whole stream at once (None).
-CHUNK_SIZES = st.sampled_from([1, 7, 64, None])
+_NO_LINES = np.empty(0, dtype=np.int64)
+
+
+def _replay_code(
+    hierarchy: SplitCacheHierarchy, segments: list[np.ndarray]
+) -> tuple[list[int], list[int]]:
+    """Replay ``segments`` as a collapsed code plan (beside one empty
+    data segment) against ``hierarchy``; return the kept segments'
+    indices and their misses."""
+    iplan, kept = collapsed_plan(segments, hierarchy.icache.num_lines)
+    replay = FusedReplay(iplan, hierarchy.dcache.num_lines, 1)
+    misses = replay.apply(
+        hierarchy.l1_tags, replay.data_plan([_NO_LINES]),
+        hierarchy.dcache.stats, hierarchy.icache.stats,
+    )
+    return kept, misses[1:].tolist()
+
+
+def _split(size: int, line_size: int) -> SplitCacheHierarchy:
+    geometry = CacheGeometry(size, line_size)
+    return SplitCacheHierarchy(MachineSpec(icache=geometry, dcache=geometry))
+
+
+def _warm(cache: DirectMappedCache, lines) -> None:
+    for line in lines:
+        cache.access_line(int(line))
 
 
 @settings(max_examples=60, deadline=None)
-@given(size=SIZES, line_size=LINE_SIZES, lines=LINE_STREAMS, chunk=CHUNK_SIZES)
-def test_stream_path_matches_scalar_path(size, line_size, lines, chunk):
-    """access_stream ≡ an access_line loop: same per-position miss
-    mask, same counters, same resident lines — for every chunk size."""
-    stream = np.asarray(lines, dtype=np.int64)
-    fast = DirectMappedCache(size, line_size)
+@given(size=SIZES, line_size=LINE_SIZES, lines=LINE_STREAMS)
+def test_stream_path_matches_scalar_path(size, line_size, lines):
+    """A line stream replayed as a collapsed plan of one-line segments
+    ≡ an access_line loop: same per-position misses (a repeat of the
+    previous line is elided and hits), same counters, same resident
+    lines — the one-line stream included."""
+    hierarchy = _split(size, line_size)
     slow = DirectMappedCache(size, line_size)
-    mask = fast.access_stream(stream, chunk_size=chunk)
-    expected = [slow.access_line(int(line)) for line in lines]
-    assert mask.tolist() == expected
-    assert fast.stats.misses == slow.stats.misses
-    assert fast.stats.hits == slow.stats.hits
-    assert fast.stats.evictions == slow.stats.evictions
+    kept, misses = _replay_code(
+        hierarchy, [np.asarray([line], dtype=np.int64) for line in lines]
+    )
+    observed = [False] * len(lines)
+    for index, miss in zip(kept, misses):
+        observed[index] = bool(miss)
+    assert observed == [slow.access_line(line) for line in lines]
+    fast = hierarchy.icache
+    assert fast.stats == slow.stats
     assert fast.resident_lines() == slow.resident_lines()
 
 
 @settings(max_examples=60, deadline=None)
 @given(size=SIZES, line_size=LINE_SIZES, lines=LINE_STREAMS)
-def test_stream_invariant_under_chunk_size(size, line_size, lines):
-    """Chunking is purely an implementation knob: every chunk size
-    (1, 7, 64, whole-stream) produces identical masks and state."""
-    stream = np.asarray(lines, dtype=np.int64)
-    reference = DirectMappedCache(size, line_size)
-    ref_mask = reference.access_stream(stream, chunk_size=None)
-    for chunk in (1, 7, 64):
-        cache = DirectMappedCache(size, line_size)
-        mask = cache.access_stream(stream, chunk_size=chunk)
-        assert np.array_equal(mask, ref_mask)
-        assert cache.stats.misses == reference.stats.misses
-        assert cache.stats.hits == reference.stats.hits
-        assert cache.stats.evictions == reference.stats.evictions
-        assert cache.resident_lines() == reference.resident_lines()
-
-
-@settings(max_examples=60, deadline=None)
-@given(size=SIZES, line_size=LINE_SIZES, lines=LINE_STREAMS, chunk=CHUNK_SIZES)
-def test_chunked_counters_sane(size, line_size, lines, chunk):
+def test_chunked_counters_sane(size, line_size, lines):
     """misses ≤ accesses (and hits + misses == accesses) on the
-    chunked path, matching the scalar counter-sanity property."""
-    cache = DirectMappedCache(size, line_size)
-    cache.access_stream(np.asarray(lines, dtype=np.int64), chunk_size=chunk)
-    stats = cache.stats
+    replayed path, matching the scalar counter-sanity property."""
+    hierarchy = _split(size, line_size)
+    _replay_code(hierarchy, [np.asarray([line], dtype=np.int64) for line in lines])
+    stats = hierarchy.icache.stats
     assert stats.accesses == len(lines)
     assert stats.misses <= stats.accesses
     assert stats.hits + stats.misses == stats.accesses
     assert stats.evictions <= stats.misses
+    assert hierarchy.dcache.stats.accesses == 0
 
 
 @settings(max_examples=40, deadline=None)
-@given(size=SIZES, line_size=LINE_SIZES, lines=LINE_STREAMS, chunk=CHUNK_SIZES)
-def test_chunked_l2_bounded_by_l1_misses(size, line_size, lines, chunk):
-    """Feeding the chunked path's missed lines to a next-level cache
+@given(size=SIZES, line_size=LINE_SIZES, lines=LINE_STREAMS)
+def test_chunked_l2_bounded_by_l1_misses(size, line_size, lines):
+    """Feeding the replayed path's missed lines to a next-level cache
     keeps the hierarchy invariant: L2 accesses ≤ L1 misses."""
-    l1 = DirectMappedCache(size, line_size)
+    hierarchy = _split(size, line_size)
     l2 = DirectMappedCache(4 * size, line_size)
-    stream = np.asarray(lines, dtype=np.int64)
-    mask = l1.access_stream(stream, chunk_size=chunk)
-    missed = stream[mask]
-    l2.access_stream(missed, chunk_size=chunk)
-    assert l2.stats.accesses == int(mask.sum())
-    assert l2.stats.accesses <= l1.stats.misses
+    kept, misses = _replay_code(
+        hierarchy, [np.asarray([line], dtype=np.int64) for line in lines]
+    )
+    for index, miss in zip(kept, misses):
+        if miss:
+            l2.access_line(lines[index])
+    assert l2.stats.accesses == sum(misses)
+    assert l2.stats.accesses <= hierarchy.icache.stats.misses
 
 
 @settings(max_examples=60, deadline=None)
 @given(size=SIZES, line_size=LINE_SIZES, lines=LINE_STREAMS)
 def test_segmented_plan_matches_call_parallel_path(size, line_size, lines):
-    """A segmented plan over random segment boundaries reproduces the
+    """A collapsed plan over random segment boundaries reproduces the
     scalar per-call access_line_array_report path, provided no segment
     repeats a set (the plan's declared soundness condition)."""
     cache_sets = size // line_size
     stream = np.asarray(lines, dtype=np.int64)
     # Split the stream at arbitrary fixed boundaries, then drop
-    # in-segment set repeats so the plan is supported.
-    pieces = [stream[start : start + 5] for start in range(0, stream.size, 5)]
+    # in-segment set repeats so the plan is supported; repeat every
+    # third segment so the plan elides some.
     segments = []
-    for piece in pieces:
-        sets = piece % cache_sets
-        _, first_index = np.unique(sets, return_index=True)
-        segments.append(piece[np.sort(first_index)])
-    flat = (
-        np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
-    )
-    offsets = np.cumsum([0] + [seg.size for seg in segments])
-    planned = DirectMappedCache(size, line_size)
+    for start in range(0, stream.size, 5):
+        segment = _set_distinct(stream[start : start + 5].tolist(), cache_sets)
+        segments += [segment] * (2 if start % 15 == 0 else 1)
+    hierarchy = _split(size, line_size)
     scalar = DirectMappedCache(size, line_size)
-    plan = SegmentedAccessPlan(flat, offsets, cache_sets)
-    per_segment = plan.apply(planned._tags, planned.stats)
-    for index, segment in enumerate(segments):
-        missed = scalar.access_line_array_report(segment)
-        assert int(per_segment[index]) == int(missed.size)
-    assert planned.stats.misses == scalar.stats.misses
-    assert planned.stats.hits == scalar.stats.hits
-    assert planned.stats.evictions == scalar.stats.evictions
+    kept, misses = _replay_code(hierarchy, segments)
+    calls = [int(scalar.access_line_array_report(segment).size) for segment in segments]
+    assert misses == [calls[index] for index in kept]
+    assert not any(calls[index] for index in set(range(len(segments))) - set(kept))
+    planned = hierarchy.icache
+    assert planned.stats == scalar.stats
     assert planned.resident_lines() == scalar.resident_lines()
 
 
@@ -392,48 +423,42 @@ SEGMENT = st.lists(st.integers(0, 255), max_size=12)
 )
 def test_fused_replay_matches_separate_plans(isets, dsets, code, data, iwarm, dwarm):
     """One fused pass over the split L1's backing tag array gives the
-    per-segment misses, final tags and both caches' stats that applying
-    the I plan and each D plan separately gives — from warm states
-    that leave some sets empty (-1), through several D plans of one
-    replay, with the I plan's repeated segments elided."""
+    per-segment misses, final tags and both caches' stats of one scalar
+    access_line_array_report call per segment on two separate caches —
+    from warm states that leave some sets empty (-1), through several
+    D plans of one replay, with the I plan's repeated segments elided
+    (their calls all hit)."""
     spec = MachineSpec(
         icache=CacheGeometry(isets * 32, 32), dcache=CacheGeometry(dsets * 32, 32)
     )
     fused = SplitCacheHierarchy(spec)
     icache = DirectMappedCache(isets * 32, 32)
     dcache = DirectMappedCache(dsets * 32, 32)
-    for pair in ((fused.icache, icache), (fused.dcache, dcache)):
-        warm = np.asarray(iwarm if pair[1] is icache else dwarm, dtype=np.int64)
-        for cache in pair:
-            cache.access_stream(warm)
+    for cache in (fused.icache, icache):
+        _warm(cache, iwarm)
+    for cache in (fused.dcache, dcache):
+        _warm(cache, dwarm)
     code_segments = [
         _set_distinct(lines, isets) for lines, repeat in code for _ in range(repeat)
     ]
-    iplan, _ = collapsed_plan(code_segments, isets)
+    iplan, kept = collapsed_plan(code_segments, isets)
     replay = FusedReplay(iplan, dsets, len(data[0]))
     for plan_segments in data:
         segments = [_set_distinct(lines, dsets) for lines in plan_segments]
-        dplan = SegmentedAccessPlan(
-            np.concatenate(segments), _offsets(segments), dsets
-        )
         misses = replay.apply(
             fused.l1_tags, replay.data_plan(segments), fused.dcache.stats,
             fused.icache.stats,
         )
-        expected = np.concatenate((
-            dplan.apply(dcache.tag_array, dcache.stats),
-            iplan.apply(icache.tag_array, icache.stats),
-        ))
-        assert misses.tolist() == expected.tolist()
+        icalls = [icache.access_line_array_report(lines).size for lines in code_segments]
+        expected = [dcache.access_line_array_report(lines).size for lines in segments]
+        expected += [icalls[index] for index in kept]
+        assert misses.tolist() == expected
+        assert sum(icalls) == sum(expected[len(segments) :])
         assert fused.dcache.stats == dcache.stats
         assert fused.icache.stats == icache.stats
         assert np.array_equal(fused.dcache.tag_array, dcache.tag_array)
         assert np.array_equal(fused.icache.tag_array, icache.tag_array)
     assert fused.icache.stats.evictions <= fused.icache.stats.misses
-
-
-def _offsets(segments: list[np.ndarray]) -> np.ndarray:
-    return np.cumsum([0] + [segment.size for segment in segments])
 
 
 #: More sets than a 16-bit sort key can tell apart.
@@ -457,44 +482,36 @@ WIDE_LINES = st.builds(
 def test_data_plan_matches_plan_and_scalar_calls(dsets, pool, picks, code, strays):
     """A data plan packed straight from its segments and replayed with
     an I plan gives the per-segment misses, final tags and both caches'
-    hits, misses and evictions of a :class:`SegmentedAccessPlan` over
-    the same segments and of one scalar call per segment — from warm
-    states that leave some sets empty (-1), on caches narrow and wider
-    than a 16-bit set key."""
+    hits, misses and evictions of one scalar call per segment — from
+    warm states that leave some sets empty (-1), on caches narrow and
+    wider than a 16-bit set key."""
     isets = 16
     spec = MachineSpec(
         icache=CacheGeometry(isets * 32, 32), dcache=CacheGeometry(dsets * 32, 32)
     )
     fused = SplitCacheHierarchy(spec)
-    planned = DirectMappedCache(dsets * 32, 32)
     scalar = DirectMappedCache(dsets * 32, 32)
     icache = DirectMappedCache(isets * 32, 32)
     # Warm with half the pool (later hits) and some strays (conflicts).
-    warm = np.asarray(pool[::2] + strays, dtype=np.int64)
-    for cache in (fused.dcache, planned, scalar):
-        cache.access_stream(warm)
+    for cache in (fused.dcache, scalar):
+        _warm(cache, pool[::2] + strays)
     segments = [
         _set_distinct([pool[index % len(pool)] for index in pick], dsets)
         for pick in picks
     ]
     code_segments = [_set_distinct(lines, isets) for lines in code]
-    iplan, _ = collapsed_plan(code_segments, isets)
+    iplan, kept = collapsed_plan(code_segments, isets)
     replay = FusedReplay(iplan, dsets, len(segments))
     misses = replay.apply(
         fused.l1_tags, replay.data_plan(segments), fused.dcache.stats,
         fused.icache.stats,
     )
-    dplan = SegmentedAccessPlan(np.concatenate(segments), _offsets(segments), dsets)
-    planned_misses = dplan.apply(planned.tag_array, planned.stats)
     scalar_misses = [scalar.access_line_array_report(lines).size for lines in segments]
-    dmisses = misses[: len(segments)].tolist()
-    assert dmisses == planned_misses.tolist() == scalar_misses
-    assert misses[len(segments) :].tolist() == iplan.apply(
-        icache.tag_array, icache.stats
-    ).tolist()
-    for cache in (planned, scalar):
-        assert fused.dcache.stats == cache.stats
-        assert np.array_equal(fused.dcache.tag_array, cache.tag_array)
+    icalls = [icache.access_line_array_report(lines).size for lines in code_segments]
+    assert misses[: len(segments)].tolist() == scalar_misses
+    assert misses[len(segments) :].tolist() == [icalls[index] for index in kept]
+    assert fused.dcache.stats == scalar.stats
+    assert np.array_equal(fused.dcache.tag_array, scalar.tag_array)
     assert fused.icache.stats == icache.stats
     assert np.array_equal(fused.icache.tag_array, icache.tag_array)
 
@@ -509,11 +526,12 @@ def test_data_plan_keys_wide_caches_by_full_set():
     packed = replay.data_plan([np.asarray([line], dtype=np.int64) for line in lines])
     assert packed.block.tolist() == [[1, 1 + (1 << 16)], [1, 1 + (1 << 16)],
                                      [0, 1], [1 + 2 * WIDE_SETS, 1 + (1 << 16)]]
-    assert packed.static.tolist() == [0, 0, 1] + [0] * iplan.num_segments
+    assert packed.static.tolist() == [0, 0, 1] + [0] * iplan.static.size
 
 
 def test_data_plan_rejects_in_segment_set_repeat():
-    """The direct packer refuses what the plan object refuses."""
+    """The data-plan packer refuses a segment that touches one set
+    twice, as the code-plan packer does."""
     iplan, _ = collapsed_plan([np.arange(4, dtype=np.int64)], 8)
     replay = FusedReplay(iplan, 8, 2)
     with pytest.raises(UnsupportedPlanError):
@@ -523,7 +541,7 @@ def test_data_plan_rejects_in_segment_set_repeat():
     packed = replay.data_plan(
         [np.asarray([3], dtype=np.int64), np.asarray([3 + 8], dtype=np.int64)]
     )
-    assert packed.static.tolist() == [0, 1] + [0] * iplan.num_segments
+    assert packed.static.tolist() == [0, 1] + [0] * iplan.static.size
     with pytest.raises(ValueError):
         replay.data_plan([np.asarray([3], dtype=np.int64)])
 
@@ -538,8 +556,8 @@ def test_split_hierarchy_shares_one_tag_array():
     assert tags.size == 16 + 8
     assert hierarchy.dcache.tag_array.base is tags
     assert hierarchy.icache.tag_array.base is tags
-    hierarchy.read_data(0, 64)
-    hierarchy.fetch_code(0, 32)
+    hierarchy.dcache.access_span_report(0, 64)
+    hierarchy.icache.access_span_report(0, 32)
     assert tags[:8].tolist()[:2] == [0, 1] and tags[8] == 0
     hierarchy.dcache.flush()
     assert (tags[:8] == -1).all() and tags[8] == 0
@@ -551,41 +569,12 @@ def test_segmented_plan_rejects_in_segment_set_repeat():
     """Two same-set positions in one segment defeat the static
     template; the plan must refuse rather than silently diverge."""
     with pytest.raises(UnsupportedPlanError):
-        SegmentedAccessPlan(
-            np.asarray([3, 3 + 8], dtype=np.int64),
-            np.asarray([0, 2], dtype=np.int64),
-            8,
-        )
+        collapsed_plan([np.asarray([3, 3 + 8], dtype=np.int64)], 8)
     # The same two lines in separate segments are fine.
-    plan = SegmentedAccessPlan(
-        np.asarray([3, 3 + 8], dtype=np.int64),
-        np.asarray([0, 1, 2], dtype=np.int64),
-        8,
+    plan, kept = collapsed_plan(
+        [np.asarray([3], dtype=np.int64), np.asarray([3 + 8], dtype=np.int64)], 8
     )
-    assert plan.size == 2
-
-
-def test_access_stream_validates_inputs():
-    cache = DirectMappedCache(256, 32)
-    with pytest.raises(ConfigurationError):
-        cache.access_stream(np.asarray([-1], dtype=np.int64))
-    with pytest.raises(ConfigurationError):
-        cache.access_stream(np.asarray([1], dtype=np.int64), chunk_size=0)
-
-
-def test_access_stream_empty_and_singleton():
-    """The zero-length and length-1 degenerate streams (the PR 4
-    truthiness bug class) behave exactly like the scalar loop."""
-    cache = DirectMappedCache(256, 32)
-    empty = cache.access_stream(np.empty(0, dtype=np.int64))
-    assert empty.shape == (0,) and empty.dtype == bool
-    assert cache.stats.accesses == 0
-    single = cache.access_stream(np.asarray([5], dtype=np.int64))
-    assert single.tolist() == [True]
-    assert cache.access_stream(np.asarray([5], dtype=np.int64)).tolist() == [
-        False
-    ]
-    assert unit_plan(np.empty(0, dtype=np.int64), 8).size == 0
+    assert plan.accesses == 2 and kept == [0, 1]
 
 
 @settings(max_examples=40, deadline=None)

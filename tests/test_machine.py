@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from repro.cache import MachineSpec
+from repro.core.binding import MachineBinding
+from repro.core.layer import Message, PassthroughLayer
 from repro.errors import ConfigurationError, LayoutError
 from repro.machine import layout as layout_mod
 from repro.machine import (
     CPU,
     BufferPool,
-    ExecutionProfile,
-    FootprintExecutor,
+    LayerFootprint,
     MemoryLayout,
-    PlacedLayer,
     Program,
     Region,
     RegionKind,
 )
+
+#: The first line of memory.
+FIRST_LINE = np.arange(1, dtype=np.int64)
 
 
 class TestRegion:
@@ -171,18 +174,11 @@ class TestCPU:
 
     def test_miss_charges_penalty(self):
         cpu = CPU()
-        cpu.fetch_code_span(0, 32)
+        cpu.fetch_code_lines(FIRST_LINE)
         assert cpu.cycles == 20
         assert cpu.stall_cycles == 20
-        cpu.fetch_code_span(0, 32)  # now warm
+        cpu.fetch_code_lines(FIRST_LINE)  # now warm
         assert cpu.cycles == 20
-
-    def test_write_never_stalls(self):
-        cpu = CPU()
-        cpu.write_data_span(0, 4096)
-        assert cpu.cycles == 0
-        # But the written lines are now resident.
-        assert cpu.read_data_span(0, 4096) == 0
 
     def test_time_seconds(self):
         cpu = CPU(MachineSpec(clock_hz=100e6))
@@ -198,13 +194,13 @@ class TestCPU:
 
     def test_cold_start_flushes(self):
         cpu = CPU()
-        cpu.fetch_code_span(0, 32)
+        cpu.fetch_code_lines(FIRST_LINE)
         cpu.cold_start()
-        assert cpu.fetch_code_span(0, 32) == 1
+        assert cpu.fetch_code_lines(FIRST_LINE) == 1
 
     def test_reset(self):
         cpu = CPU()
-        cpu.fetch_code_span(0, 32)
+        cpu.fetch_code_lines(FIRST_LINE)
         cpu.reset()
         assert cpu.cycles == 0
         assert cpu.icache_misses == 0
@@ -212,66 +208,68 @@ class TestCPU:
     def test_custom_miss_penalty(self):
         spec = MachineSpec(miss_penalty=10)
         cpu = CPU(spec)
-        cpu.read_data_span(0, 32)
+        cpu.read_data_lines(FIRST_LINE)
         assert cpu.cycles == 10
 
 
 class TestExecutionProfile:
+    """A layer's execution profile: its :class:`LayerFootprint`."""
+
     def test_paper_defaults(self):
         # "In total 1652 cycles of instruction processing are executed
         # for each layer" for a 552-byte message.
-        profile = ExecutionProfile()
-        assert profile.compute_cycles(552) == pytest.approx(1652.0)
+        footprint = LayerFootprint()
+        assert footprint.compute_cycles(552) == pytest.approx(1652.0)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
-            ExecutionProfile(code_bytes=0)
+            LayerFootprint(code_bytes=0)
         with pytest.raises(ConfigurationError):
-            ExecutionProfile(base_cycles=-1)
+            LayerFootprint(base_cycles=-1)
 
 
 class TestFootprintExecutor:
-    def make(self, seed=1):
-        cpu = CPU()
-        layout = MemoryLayout(rng=np.random.default_rng(seed))
-        layer = PlacedLayer("L1", ExecutionProfile(), layout)
-        pool = BufferPool(layout, 4, 1536)
-        return cpu, layer, pool, FootprintExecutor(cpu)
+    """Executing layer footprints: one (layer, message) invocation
+    charged by :meth:`MachineBinding.charge`."""
+
+    def make(self, seed=1, layers=1, buffers=4):
+        binding = MachineBinding(rng=seed, pool_buffers=buffers, buffer_size=1536)
+        stack = [PassthroughLayer(f"L{index + 1}") for index in range(layers)]
+        binding.bind(stack)
+        return binding, stack
 
     def test_cold_invocation_cost(self):
-        cpu, layer, pool, executor = self.make()
-        buffer = pool.acquire()
-        cycles = executor.run_layer(layer, buffer, 552)
+        binding, (layer,) = self.make()
+        cycles = binding.charge(layer, Message(size=552))
         # 192 code lines + 8 data lines + 18 message lines, all cold:
         # 218 misses x 20 + 1652 compute = 6012 cycles.
         assert cycles == pytest.approx(6012.0)
-        assert cpu.icache_misses == 192
-        assert cpu.dcache_misses == 26
+        assert binding.cpu.icache_misses == 192
+        assert binding.cpu.dcache_misses == 26
 
     def test_warm_invocation_cost(self):
-        _cpu, layer, pool, executor = self.make()
-        buffer = pool.acquire()
-        executor.run_layer(layer, buffer, 552)
-        warm = executor.run_layer(layer, buffer, 552)
+        binding, (layer,) = self.make()
+        message = Message(size=552)
+        binding.charge(layer, message)
+        warm = binding.charge(layer, message)
         assert warm == pytest.approx(1652.0)
 
     def test_queue_overhead(self):
-        _cpu, layer, pool, executor = self.make()
-        buffer = pool.acquire()
-        executor.run_layer(layer, buffer, 552)
-        with_queue = executor.run_layer(layer, buffer, 552, queue_overhead=True)
+        binding, (layer,) = self.make()
+        message = Message(size=552)
+        binding.charge(layer, message)
+        with_queue = binding.charge(layer, message, queue_overhead=True)
         assert with_queue == pytest.approx(1652.0 + 40)
 
     def test_zero_byte_message(self):
-        _cpu, layer, pool, executor = self.make()
-        buffer = pool.acquire()
-        cycles = executor.run_layer(layer, buffer, 0)
+        binding, (layer,) = self.make()
+        cycles = binding.charge(layer, Message(size=0))
         # 200 misses (code + layer data only) x 20 + 1376 base cycles.
         assert cycles == pytest.approx(200 * 20 + 1376.0)
 
     def test_message_exceeding_buffer_raises(self):
-        _cpu, _layer, pool, executor = self.make()
-        buffer = pool.acquire()
+        binding, _ = self.make()
+        buffer = binding.pool.acquire()
         with pytest.raises(LayoutError):
             buffer.lines_for(4096)
 
@@ -279,30 +277,21 @@ class TestFootprintExecutor:
         # Two 6 KB layers cannot both stay in an 8 KB cache: running
         # L1, L2, L1, L2 must evict and refetch (the paper's core claim
         # about the conventional schedule).
-        cpu = CPU()
-        layout = MemoryLayout(rng=np.random.default_rng(5))
-        l1 = PlacedLayer("L1", ExecutionProfile(), layout)
-        l2 = PlacedLayer("L2", ExecutionProfile(), layout)
-        pool = BufferPool(layout, 4, 1536)
-        executor = FootprintExecutor(cpu)
-        buffer = pool.acquire()
+        binding, (l1, l2) = self.make(seed=5, layers=2)
+        message = Message(size=552)
         for layer in (l1, l2, l1, l2):
-            executor.run_layer(layer, buffer, 552)
+            binding.charge(layer, message)
         # With random placement two 6 KB regions overlap substantially
         # in a 256-line cache; the second round must re-miss heavily.
-        assert cpu.icache_misses > 2 * 192 + 100
+        assert binding.cpu.icache_misses > 2 * 192 + 100
 
     def test_batch_amortizes_code_misses(self):
         # Processing 10 messages at one layer costs far fewer I-misses
         # per message than alternating layers (the LDLP effect).
-        cpu = CPU()
-        layout = MemoryLayout(rng=np.random.default_rng(6))
-        layer = PlacedLayer("L1", ExecutionProfile(), layout)
-        pool = BufferPool(layout, 14, 1536)
-        executor = FootprintExecutor(cpu)
+        binding, (layer,) = self.make(seed=6, buffers=14)
         for _ in range(10):
-            executor.run_layer(layer, pool.acquire(), 552)
-        assert cpu.icache_misses == 192  # code fetched exactly once
+            binding.charge(layer, Message(size=552))
+        assert binding.cpu.icache_misses == 192  # code fetched exactly once
 
 
 class TestBufferPool:

@@ -23,7 +23,10 @@ from repro.core import (
     group_layers_for_cache,
     process_blocked,
 )
+from repro.core.overload import DROP_POLICIES, make_drop_policy
 from repro.errors import ConfigurationError, SchedulerError
+from repro.sim import SimulationConfig, run_simulation
+from repro.traffic import PoissonSource
 from repro.units import kb
 
 
@@ -45,6 +48,15 @@ class TestMessage:
     def test_unique_ids(self):
         assert Message().msg_id != Message().msg_id
 
+    def test_buffer_assigned_once_and_not_compared(self):
+        binding = MachineBinding()
+        binding.bind(stack_of(1))
+        message = Message(size=64, msg_id=1)
+        buffer = binding.buffer_of(message)
+        assert message.buffer is buffer
+        assert binding.buffer_of(message) is buffer
+        assert message == Message(size=64, msg_id=1)
+
 
 class TestSchedulerBasics:
     def test_empty_stack_rejected(self):
@@ -61,6 +73,20 @@ class TestSchedulerBasics:
         assert accepted == [True, True, False, False]
         assert scheduler.drops == 2
         assert scheduler.arrivals == 4
+
+    @pytest.mark.parametrize("policy", sorted(DROP_POLICIES))
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_input_limit_below_one_rejected(self, policy, limit):
+        """Every drop policy needs room for one message, so a smaller
+        input buffer is refused up front, through the constructor and
+        through run_simulation alike."""
+        with pytest.raises(SchedulerError, match="input limit"):
+            ConventionalScheduler(
+                stack_of(1), input_limit=limit, drop_policy=make_drop_policy(policy)
+            )
+        config = SimulationConfig(drop_policy=policy, input_limit=limit, duration=0.01)
+        with pytest.raises(SchedulerError, match="input limit"):
+            run_simulation(PoissonSource(5000, rng=1), config)
 
     def test_service_step_idle(self):
         scheduler = ConventionalScheduler(stack_of(1))

@@ -1,5 +1,6 @@
 """Tests for the Table 2 narrative harness and the prefetch model/ablation."""
 
+import numpy as np
 import pytest
 
 from repro.cache.hierarchy import MachineSpec
@@ -43,8 +44,9 @@ class TestPrefetchModel:
     def test_instruction_stall_scaled(self):
         plain = CPU(MachineSpec())
         prefetching = CPU(MachineSpec(iprefetch_efficiency=0.5))
-        plain.fetch_code_span(0, 6144)
-        prefetching.fetch_code_span(0, 6144)
+        # A 6 KB layer's code: 192 lines.
+        plain.fetch_code_lines(np.arange(192, dtype=np.int64))
+        prefetching.fetch_code_lines(np.arange(192, dtype=np.int64))
         assert prefetching.stall_cycles == pytest.approx(
             plain.stall_cycles * 0.5
         )
@@ -52,8 +54,9 @@ class TestPrefetchModel:
     def test_data_stall_unaffected(self):
         plain = CPU(MachineSpec())
         prefetching = CPU(MachineSpec(iprefetch_efficiency=0.5))
-        plain.read_data_span(0, 552)
-        prefetching.read_data_span(0, 552)
+        # A 552-byte message: 18 lines.
+        plain.read_data_lines(np.arange(18, dtype=np.int64))
+        prefetching.read_data_lines(np.arange(18, dtype=np.int64))
         assert prefetching.stall_cycles == plain.stall_cycles
 
     def test_with_clock_preserves_prefetch(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache import CacheGeometry, MachineSpec, SplitCacheHierarchy
+from repro.cache import CacheGeometry, MachineSpec
 from repro.errors import ConfigurationError
 from repro.machine import CPU
 from repro.sim import SimulationConfig, run_simulation
@@ -36,62 +36,69 @@ class TestSpecValidation:
         assert scaled.memory_penalty == 100
 
 
+#: The first line of memory, and a 6 KB layer's 192 lines from it.
+FIRST_LINE = np.arange(1, dtype=np.int64)
+LAYER_LINES = np.arange(192, dtype=np.int64)
+
+
+def stall(cpu, access, lines) -> float:
+    """Stall cycles one ``CPU.fetch_code_lines``/``read_data_lines``
+    call charges."""
+    before = cpu.stall_cycles
+    access(lines)
+    return cpu.stall_cycles - before
+
+
 class TestHierarchy:
     def test_flat_model_unchanged(self):
         """Without an L2, every primary miss costs miss_penalty."""
-        hierarchy = SplitCacheHierarchy(MachineSpec())
-        assert hierarchy.fetch_code(0, 6144) == 192 * 20
-        assert hierarchy.fetch_code(0, 6144) == 0
+        cpu = CPU(MachineSpec())
+        assert stall(cpu, cpu.fetch_code_lines, LAYER_LINES) == 192 * 20
+        assert stall(cpu, cpu.fetch_code_lines, LAYER_LINES) == 0
 
     def test_cold_miss_costs_memory_penalty(self):
-        hierarchy = SplitCacheHierarchy(L2_SPEC)
+        cpu = CPU(L2_SPEC)
         # First touch misses both levels.
-        assert hierarchy.fetch_code(0, 32) == 100
+        assert stall(cpu, cpu.fetch_code_lines, FIRST_LINE) == 100
 
     def test_l2_hit_costs_miss_penalty(self):
-        hierarchy = SplitCacheHierarchy(L2_SPEC)
-        hierarchy.fetch_code(0, 32)
-        hierarchy.icache.flush()  # evict from L1 only
-        assert hierarchy.fetch_code(0, 32) == 20
+        cpu = CPU(L2_SPEC)
+        cpu.fetch_code_lines(FIRST_LINE)
+        cpu.hierarchy.icache.flush()  # evict from L1 only
+        assert stall(cpu, cpu.fetch_code_lines, FIRST_LINE) == 20
 
     def test_l1_hit_costs_nothing(self):
-        hierarchy = SplitCacheHierarchy(L2_SPEC)
-        hierarchy.fetch_code(0, 32)
-        assert hierarchy.fetch_code(0, 32) == 0
+        cpu = CPU(L2_SPEC)
+        cpu.fetch_code_lines(FIRST_LINE)
+        assert stall(cpu, cpu.fetch_code_lines, FIRST_LINE) == 0
 
     def test_l2_shared_between_i_and_d(self):
         """The L2 is unified: data fetches warm it for code too."""
-        hierarchy = SplitCacheHierarchy(L2_SPEC)
-        hierarchy.read_data(0, 32)
-        assert hierarchy.fetch_code(0, 32) == 20  # L2 hit
-
-    def test_writes_allocate_in_l2(self):
-        hierarchy = SplitCacheHierarchy(L2_SPEC)
-        assert hierarchy.write_data(0, 32) == 0
-        hierarchy.dcache.flush()
-        assert hierarchy.read_data(0, 32) == 20  # L2 hit after write
+        cpu = CPU(L2_SPEC)
+        cpu.read_data_lines(FIRST_LINE)
+        assert stall(cpu, cpu.fetch_code_lines, FIRST_LINE) == 20  # L2 hit
 
     def test_flush_clears_l2(self):
-        hierarchy = SplitCacheHierarchy(L2_SPEC)
-        hierarchy.fetch_code(0, 32)
-        hierarchy.flush()
-        assert hierarchy.fetch_code(0, 32) == 100
+        cpu = CPU(L2_SPEC)
+        cpu.fetch_code_lines(FIRST_LINE)
+        cpu.hierarchy.flush()
+        assert stall(cpu, cpu.fetch_code_lines, FIRST_LINE) == 100
 
 
 class TestCpuWithL2:
     def test_line_array_path(self):
         cpu = CPU(L2_SPEC)
-        lines = np.arange(0, 192, dtype=np.int64)
-        cpu.fetch_code_lines(lines)
+        cpu.fetch_code_lines(LAYER_LINES)
         assert cpu.stall_cycles == 192 * 100
         cpu.hierarchy.icache.flush()
         before = cpu.stall_cycles
-        cpu.fetch_code_lines(lines)
+        cpu.fetch_code_lines(LAYER_LINES)
         assert cpu.stall_cycles - before == 192 * 20
 
     def test_span_path(self):
+        """A 552-byte message at address 0 spans 18 lines."""
         cpu = CPU(L2_SPEC)
-        cpu.read_data_span(0, 552)
+        cpu.read_data_lines(np.arange(18, dtype=np.int64))
         assert cpu.stall_cycles == 18 * 100
 
 

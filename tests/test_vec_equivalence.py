@@ -43,8 +43,8 @@ from hypothesis import strategies as st
 
 import repro.sim.vec as vec_module
 from repro.cache.cache import DirectMappedCache
-from repro.cache.chunked import SegmentedAccessPlan, collapsed_plan
-from repro.cache.hierarchy import CacheGeometry, SplitCacheHierarchy
+from repro.cache.chunked import FusedReplay, collapsed_plan
+from repro.cache.hierarchy import CacheGeometry, MachineSpec, SplitCacheHierarchy
 from repro.core.batching import BatchPolicy
 from repro.core.binding import MachineBinding
 from repro.core.dispatch import DISPATCH_POLICIES
@@ -261,8 +261,6 @@ def test_machine_variation_equivalence(
 ):
     """Machine-shape knobs that stress the template compiler: batch
     caps, buffer geometry, and the iprefetch rounding path."""
-    from repro.cache.hierarchy import MachineSpec
-
     config = SimulationConfig(
         scheduler=scheduler,
         duration=0.01,
@@ -593,12 +591,13 @@ def test_code_plan_shared_per_batch_length():
     assert second.replay is replay
     assert second.positions is first.positions
     assert first.data is not second.data
-    assert replay.iplan.num_segments == len(scheduler.layers)
+    assert replay.iplan.static.size == len(scheduler.layers)
     code_lines = sum(
         binding.placed_layer(layer.name).code_lines.size
         for layer in scheduler.layers
     )
-    assert replay.iplan.repeat_hits == 13 * code_lines
+    # The 13 elided repeats of each layer's code still count as accesses.
+    assert replay.iplan.accesses == 14 * code_lines
     istall = first.positions[replay.dsegments:]
     assert istall.tolist() == [1 + 5 * 14 * index for index in range(5)]
     # The code plan's first-touch arrays are not copied into templates:
@@ -620,8 +619,8 @@ def test_code_plan_shared_per_batch_length():
 )
 def test_collapsed_plan_matches_uncollapsed(runs, warm):
     """Eliding a segment that repeats its predecessor leaves hits,
-    misses, evictions and tags exactly as the full plan and the scalar
-    per-call path leave them, from any starting cache state."""
+    misses, evictions and tags exactly as the scalar per-call path over
+    every segment leaves them, from any starting cache state."""
     num_lines = 32
     rng = np.random.default_rng(len(runs))
     blocks = [
@@ -630,32 +629,31 @@ def test_collapsed_plan_matches_uncollapsed(runs, warm):
     # Distinct sets within a block, so both plans are supported.
     blocks = [block[np.unique(block % num_lines, return_index=True)[1]] for block in blocks]
     segments = [blocks[block] for block, repeat in runs for _ in range(repeat)]
-    caches = []
-    for _ in range(3):
-        cache = DirectMappedCache(num_lines * 32, 32)
-        cache.access_stream(np.asarray(warm, dtype=np.int64))
-        caches.append(cache)
-    full_cache, collapsed_cache, scalar_cache = caches
-    full = SegmentedAccessPlan(
-        np.concatenate(segments),
-        np.cumsum([0] + [segment.size for segment in segments]),
-        num_lines,
-    )
+    geometry = CacheGeometry(num_lines * 32, 32)
+    hierarchy = SplitCacheHierarchy(MachineSpec(icache=geometry, dcache=geometry))
+    collapsed_cache = hierarchy.icache
+    scalar_cache = DirectMappedCache(num_lines * 32, 32)
+    for cache in (collapsed_cache, scalar_cache):
+        for line in warm:
+            cache.access_line(line)
     collapsed, kept = collapsed_plan(segments, num_lines)
-    full_misses = full.apply(full_cache.tag_array, full_cache.stats)
-    kept_misses = collapsed.apply(collapsed_cache.tag_array, collapsed_cache.stats)
-    scalar_misses = [
+    # Replay the code plan beside one empty data segment.
+    replay = FusedReplay(collapsed, num_lines, 1)
+    no_lines = np.empty(0, dtype=np.int64)
+    kept_misses = replay.apply(
+        hierarchy.l1_tags, replay.data_plan([no_lines]),
+        hierarchy.dcache.stats, collapsed_cache.stats,
+    )[1:]
+    scalar_misses = np.array([
         scalar_cache.access_line_array_report(segment).size for segment in segments
-    ]
-    assert full_misses.tolist() == scalar_misses
-    assert collapsed.num_segments == len(kept) <= full.num_segments
-    assert kept_misses.tolist() == full_misses[kept].tolist()
+    ])
+    assert collapsed.static.size == len(kept) <= len(segments)
+    assert kept_misses.tolist() == scalar_misses[kept].tolist()
     elided = np.ones(len(segments), dtype=bool)
     elided[kept] = False
-    assert not full_misses[elided].any()
-    for cache in (full_cache, scalar_cache):
-        assert collapsed_cache.stats == cache.stats
-        assert np.array_equal(collapsed_cache.tag_array, cache.tag_array)
+    assert not scalar_misses[elided].any()
+    assert collapsed_cache.stats == scalar_cache.stats
+    assert np.array_equal(collapsed_cache.tag_array, scalar_cache.tag_array)
 
 
 def _reference_compile(engine, sizes, buffers):
@@ -673,10 +671,10 @@ def _reference_compile(engine, sizes, buffers):
             data_segments.append(
                 buffer.lines_for(size) if size > 0 else placed.data_lines[:0]
             )
-            addends[5 * position + 4] = placed.profile.compute_cycles(sizes[slot])
+            addends[5 * position + 4] = placed.footprint.compute_cycles(sizes[slot])
         else:
             data_segments.append(placed.data_lines[:0])
-            addends[5 * position + 4] = placed.profile.base_cycles
+            addends[5 * position + 4] = placed.footprint.base_cycles
         addends[5 * position + 5] = trailing
     return addends, data_segments
 
@@ -718,7 +716,9 @@ def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
             rng.integers(0, 4 * num_lines, size=8),
         ])
         for hierarchy in (planned, scalar):
-            getattr(hierarchy, name).access_stream(warm)
+            cache = getattr(hierarchy, name)
+            for line in warm.tolist():
+                cache.access_line(line)
     replay = template.replay
     per_segment = replay.apply(
         planned.l1_tags, template.data, planned.dcache.stats, planned.icache.stats
@@ -736,18 +736,6 @@ def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
     for name in ("dcache", "icache"):
         assert getattr(planned, name).stats == getattr(scalar, name).stats
     assert np.array_equal(planned.l1_tags, scalar.l1_tags)
-
-
-def test_vec_plans_keep_no_mask_arrays():
-    """Only element-sequential unit plans can return a miss mask."""
-    lines = np.arange(4, dtype=np.int64)
-    plans = (
-        SegmentedAccessPlan(lines, np.asarray([0, 4]), 8),
-        collapsed_plan([lines, lines], 8)[0],
-    )
-    for plan in plans:
-        with pytest.raises(ValueError):
-            plan.apply(np.full(8, -1, dtype=np.int64), return_mask=True)
 
 
 # ----------------------------------------------------------------------
