@@ -202,9 +202,17 @@ class FusedReplay:
     :class:`CacheStats` exactly as one scalar
     ``access_line_array_report`` call per segment would add them, given
     non-negative line numbers (``-1`` marks an empty set).
+
+    Both sides need at least one segment: :meth:`apply` splits the
+    per-segment misses at ``dsegments`` with one ``add.reduceat``, which
+    miscounts an empty side.  A segment may be empty.
     """
 
     def __init__(self, iplan: PackedPlan, dsets: int, dsegments: int) -> None:
+        if dsegments < 1:
+            raise ValueError(f"need at least one data segment, got {dsegments}")
+        if iplan.static.size < 1:
+            raise ValueError("need at least one code segment, got none")
         self.iplan = iplan
         self.dsets = dsets
         self.dsegments = dsegments

@@ -152,7 +152,9 @@ class SplitCacheHierarchy:
     The primaries keep their tags in one backing array, ``l1_tags``:
     the D-cache's sets first, then the I-cache's.  Each cache sees only
     its own view, and :class:`repro.cache.chunked.FusedReplay` replays
-    both caches' plans in one pass over the whole array.
+    both caches' plans in one pass over the whole array.  ``flushes``
+    counts :meth:`flush` calls, so a replay that remembers the tags it
+    left behind can tell when they were reset under it.
     """
 
     def __init__(self, spec: MachineSpec | None = None) -> None:
@@ -164,6 +166,7 @@ class SplitCacheHierarchy:
         self.l2: DirectMappedCache | None = (
             self.spec.l2.build() if self.spec.l2 is not None else None
         )
+        self.flushes = 0
 
     def stall_for_missed(self, missed: np.ndarray, instruction: bool = False) -> int:
         """Stall cycles for primary-miss lines, probing L2 when present.
@@ -199,6 +202,7 @@ class SplitCacheHierarchy:
 
     def flush(self) -> None:
         """Cold-start all caches (statistics are preserved)."""
+        self.flushes += 1
         self.icache.flush()
         self.dcache.flush()
         if self.l2 is not None:

@@ -57,6 +57,27 @@ reproduces the scalar engine's float-addition *order* — which is what
 makes the cycle counts (and therefore every latency sample) bit-exact,
 not merely close.
 
+*State memo.*  A direct-mapped replay is a pure function of the tag
+array and the plan, so a step that starts from a (tag state, template)
+pair it has seen before needs no cache model: the engine interns the
+live L1 tags (``l1_tags.tobytes()`` is both the key and, through
+``np.frombuffer``, the one stored copy) as a small state id, and each
+template memoizes, per start state, the stall vector after the
+iprefetch ``rint``, its float sum, the next state's id and the six
+hit/miss/eviction deltas, cold fills included
+(:class:`_StateMemo`).  A hit copies the next state's tags back into
+the live array and adds the deltas; the stall values, and hence the
+addend array and its ``cumsum``, are the ones the cache model would
+give, so a hit is exact.  The state is unknown at engine start, after
+any :meth:`~repro.cache.hierarchy.SplitCacheHierarchy.flush` (the
+hierarchy counts them in ``flushes``), and after a template's first
+use, which cannot hit and so is not worth an intern; a reused template
+interns an unknown state before its lookup.  Paper-scale working sets
+leave the cache in a few recurring states (the paper's Section 4
+argument, turned on the simulator), so the table is bounded at
+:data:`MAX_STATES`; once it is full, steps from a new state replay
+through the cache model unrecorded.
+
 *Multi-step replay.*  A conventional or ILP step serves one message,
 so its fixed Python cost is paid once per message.  When such a core
 has q >= 2 messages queued, its next k = min(q, :data:`MAX_STEPS`)
@@ -117,11 +138,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import sub
 
 import numpy as np
 
 from ..cache.cache import DirectMappedCache
 from ..cache.chunked import FusedReplay, PackedPlan, collapsed_plan
+from ..cache.hierarchy import SplitCacheHierarchy
 from ..core.dispatch import FLOW_KEY
 from ..core.layer import PassthroughLayer
 from ..core.overload import TailDrop
@@ -145,6 +168,10 @@ _SLOTS = 5
 #: Most conventional/ILP service steps one multi-step replay runs.
 MAX_STEPS = 8
 
+#: Most L1 tag states one engine interns (see "State memo"): 128 states
+#: of the default 2 x 8 KiB L1 hold 512 KiB of tags.
+MAX_STATES = 128
+
 
 class _StepTemplate:
     """Compiled cache replay + cost layout for one batch composition.
@@ -154,7 +181,7 @@ class _StepTemplate:
     length; only ``data`` and ``addends`` belong to the composition.
     """
 
-    __slots__ = ("replay", "data", "addends", "positions", "completions")
+    __slots__ = ("replay", "data", "addends", "positions", "completions", "memo")
 
     def __init__(
         self,
@@ -179,6 +206,9 @@ class _StepTemplate:
         #: in scalar completion order; for conventional/ILP, one per
         #: replayed step.
         self.completions = completions
+        #: Interned start state -> (stall vector, its sum, next state,
+        #: D hits/misses/evictions and I hits/misses/evictions deltas).
+        self.memo: dict[int, tuple[np.ndarray, float, int, tuple[int, ...]]] = {}
 
 
 @dataclass(slots=True)
@@ -207,6 +237,113 @@ class _Layout:
     per_byte: np.ndarray
     #: The addend slot after each completion; see ``_compile``.
     free: np.ndarray
+
+
+class _StateMemo:
+    """Replays step templates against one split L1, memoized per
+    (interned tag state, template); see the module docs' "State memo".
+
+    ``state`` is the live tags' id in ``states``, or -1 while unknown.
+    ``hits`` counts replays served from a memo, ``misses`` replays that
+    ran :meth:`~repro.cache.chunked.FusedReplay.apply`.
+    """
+
+    __slots__ = (
+        "hierarchy", "tags", "dstats", "istats", "miss_penalty",
+        "iprefetch_scale", "flushes", "state", "ids", "states", "hits",
+        "misses",
+    )
+
+    def __init__(
+        self,
+        hierarchy: SplitCacheHierarchy,
+        miss_penalty: float,
+        iprefetch_scale: float | None,
+    ) -> None:
+        self.hierarchy = hierarchy
+        self.tags = hierarchy.l1_tags
+        self.dstats = hierarchy.dcache.stats
+        self.istats = hierarchy.icache.stats
+        self.miss_penalty = miss_penalty
+        self.iprefetch_scale = iprefetch_scale
+        self.flushes = hierarchy.flushes
+        self.state = -1
+        #: Tag bytes -> state id, and each id's tags: a view of its key.
+        self.ids: dict[bytes, int] = {}
+        self.states: list[np.ndarray] = []
+        self.hits = 0
+        self.misses = 0
+
+    def _intern(self) -> int:
+        """The live tags' state id, interned while the table has room;
+        -1 once it is full and the tags are new."""
+        key = self.tags.tobytes()
+        state = self.ids.get(key, -1)
+        if state < 0 and len(self.states) < MAX_STATES:
+            state = self.ids[key] = len(self.states)
+            self.states.append(np.frombuffer(key, dtype=self.tags.dtype))
+        return state
+
+    def apply(self, template: _StepTemplate) -> tuple[np.ndarray, float]:
+        """Replay ``template`` through the cache model; returns its stall
+        vector and sum, and leaves the state unknown."""
+        self.state = -1
+        self.misses += 1
+        replay = template.replay
+        misses = replay.apply(self.tags, template.data, self.dstats, self.istats)
+        stall = misses * self.miss_penalty
+        if self.iprefetch_scale is not None:
+            # round() and np.rint both round half to even, so the
+            # per-call prefetch discount truncates identically.
+            istall = stall[replay.dsegments :]
+            istall[:] = np.rint(istall * self.iprefetch_scale)
+        return stall, float(stall.sum())
+
+    def replay(self, template: _StepTemplate) -> tuple[np.ndarray, float]:
+        """:meth:`apply` for a template used before, served from its
+        memo when it has left this tag state before."""
+        flushes = self.hierarchy.flushes
+        if flushes != self.flushes:
+            self.flushes = flushes
+            self.state = -1
+        state = self.state
+        if state < 0:
+            state = self._intern()
+            if state < 0:
+                return self.apply(template)
+        entry = template.memo.get(state)
+        if entry is not None:
+            stall, total, after, deltas = entry
+            self.tags[:] = self.states[after]
+            dhits, dmisses, devictions, ihits, imisses, ievictions = deltas
+            dstats = self.dstats
+            istats = self.istats
+            dstats.hits += dhits
+            dstats.misses += dmisses
+            dstats.evictions += devictions
+            istats.hits += ihits
+            istats.misses += imisses
+            istats.evictions += ievictions
+            self.state = after
+            self.hits += 1
+            return stall, total
+        before = self._counts()
+        stall, total = self.apply(template)
+        after = self._intern()
+        if after >= 0:
+            deltas = tuple(map(sub, self._counts(), before))
+            template.memo[state] = (stall, total, after, deltas)
+            self.state = after
+        return stall, total
+
+    def _counts(self) -> tuple[int, ...]:
+        """The six counters a replay adds to, in memo-delta order."""
+        dstats = self.dstats
+        istats = self.istats
+        return (
+            dstats.hits, dstats.misses, dstats.evictions,
+            istats.hits, istats.misses, istats.evictions,
+        )
 
 
 def _distinct_sets(lines: np.ndarray, num_lines: int) -> bool:
@@ -242,12 +379,14 @@ class _VecEngine:
         hierarchy = self.cpu.hierarchy
         self.icache = hierarchy.icache
         self.dcache = hierarchy.dcache
-        self.tags = hierarchy.l1_tags
+        efficiency = float(binding.spec.iprefetch_efficiency)
         # A float penalty makes the stalls float64, exactly: miss counts
         # times the penalty stay far below 2**53.
-        self.miss_penalty = float(binding.spec.miss_penalty)
-        efficiency = float(binding.spec.iprefetch_efficiency)
-        self.iprefetch_scale = (1.0 - efficiency) if efficiency else None
+        self.memo = _StateMemo(
+            hierarchy,
+            float(binding.spec.miss_penalty),
+            (1.0 - efficiency) if efficiency else None,
+        )
         self.placed = [
             binding.placed_layer(layer.name) for layer in scheduler.layers
         ]
@@ -276,6 +415,16 @@ class _VecEngine:
         self._layer_pieces.append(np.empty(0, dtype=np.int64))
         #: (ring slot, size) -> the buffer lines a message touches.
         self._buffer_lines: dict[tuple[int, int], np.ndarray] = {}
+
+    @property
+    def memo_hits(self) -> int:
+        """Steps replayed from a template's memo."""
+        return self.memo.hits
+
+    @property
+    def memo_misses(self) -> int:
+        """Steps replayed through the cache model."""
+        return self.memo.misses
 
     # ------------------------------------------------------------------
     # Template compilation
@@ -454,19 +603,12 @@ class _VecEngine:
         )
         template = self._templates.get(key)
         if template is None:
-            template = self._compile(sizes, buffers)
-            self._templates[key] = template
+            # A first use cannot hit its empty memo: skip the intern.
+            template = self._templates[key] = self._compile(sizes, buffers)
+            stall, total = self.memo.apply(template)
+        else:
+            stall, total = self.memo.replay(template)
         cpu = self.cpu
-        replay = template.replay
-        misses = replay.apply(
-            self.tags, template.data, self.dcache.stats, self.icache.stats
-        )
-        stall = misses * self.miss_penalty
-        if self.iprefetch_scale is not None:
-            # round() and np.rint both round half to even, so the
-            # per-call prefetch discount truncates identically.
-            istall = stall[replay.dsegments :]
-            istall[:] = np.rint(istall * self.iprefetch_scale)
         addends = template.addends
         lookup = self.flow_lookup
         if lookup is not None:
@@ -481,7 +623,7 @@ class _VecEngine:
         addends[template.positions] = stall
         timeline = addends.cumsum()
         cpu.cycles = float(timeline[-1])
-        cpu.stall_cycles += float(stall.sum())
+        cpu.stall_cycles += total
         completions = [
             (batch[slot], float(timeline[index]))
             for slot, index in template.completions

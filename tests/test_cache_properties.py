@@ -546,6 +546,37 @@ def test_data_plan_rejects_in_segment_set_repeat():
         replay.data_plan([np.asarray([3], dtype=np.int64)])
 
 
+def test_fused_replay_refuses_no_data_segments():
+    """With no data segments, ``apply``'s split of the per-segment misses
+    would credit the first code segment's misses to the D-cache (as
+    ``hits=-2, misses=2``), so the replay is refused up front."""
+    iplan, _ = collapsed_plan(
+        [np.asarray(lines, dtype=np.int64) for lines in ([1, 2], [1, 2], [9])], 8
+    )
+    with pytest.raises(ValueError, match="data segment"):
+        FusedReplay(iplan, 4, 0)
+
+
+def test_fused_replay_refuses_empty_code_plan():
+    """An empty code plan beside a data segment would raise a bare
+    ``IndexError`` from ``apply``; it is refused up front.  A code plan
+    of one empty segment is fine."""
+    iplan, kept = collapsed_plan([], 8)
+    assert kept == []
+    with pytest.raises(ValueError, match="code segment"):
+        FusedReplay(iplan, 4, 1)
+    iplan, _ = collapsed_plan([_NO_LINES], 8)
+    replay = FusedReplay(iplan, 8, 1)
+    hierarchy = _split(8 * 32, 32)
+    misses = replay.apply(
+        hierarchy.l1_tags, replay.data_plan([np.asarray([3], dtype=np.int64)]),
+        hierarchy.dcache.stats, hierarchy.icache.stats,
+    )
+    assert misses.tolist() == [1, 0]
+    assert hierarchy.dcache.stats.misses == 1
+    assert hierarchy.icache.stats.accesses == 0
+
+
 def test_split_hierarchy_shares_one_tag_array():
     """The primaries' tags are views of ``l1_tags``, data sets first;
     flushing either cache empties only its own part, in place."""

@@ -23,8 +23,9 @@ contract at three levels:
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class).
 
-Plus the template compiler (shared, collapsed code plans) and the
-engine-selection seams: config validation, the static
+Plus the template compiler (shared, collapsed code plans), the state
+memo (a memoized replay equals the cache model's, across flushes and
+under a tiny state table) and the engine-selection seams: config validation, the static
 ``vec_supported`` envelope, and the silent scalar fallbacks.
 """
 
@@ -83,6 +84,7 @@ from repro.sim.runner import (
     build_paper_stack,
     build_scheduler,
     drive,
+    poisson_point,
     run_simulation,
     simulate,
 )
@@ -736,6 +738,149 @@ def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
     for name in ("dcache", "icache"):
         assert getattr(planned, name).stats == getattr(scalar, name).stats
     assert np.array_equal(planned.l1_tags, scalar.l1_tags)
+
+
+# ----------------------------------------------------------------------
+# State memo: (interned L1 tag state, template) -> replay outcome
+
+
+def _segments(data, num_sets, min_size, repeats=False):
+    """Draw self-conflict-free segments over ``num_sets`` sets: each is
+    one line per drawn set, from one of six lines mapping to it; with
+    ``repeats``, a segment may run up to three times in a row."""
+    drawn = data.draw(
+        st.lists(
+            st.tuples(
+                st.dictionaries(
+                    st.integers(0, num_sets - 1), st.integers(0, 5), max_size=12
+                ),
+                st.integers(1, 3 if repeats else 1),
+            ),
+            min_size=min_size, max_size=6,
+        )
+    )
+    return [
+        np.array(
+            [index + num_sets * tag for index, tag in lines.items()], dtype=np.int64
+        )
+        for lines, repeat in drawn
+        for _ in range(repeat)
+    ]
+
+
+def _stats(hierarchy):
+    d, i = hierarchy.dcache.stats, hierarchy.icache.stats
+    return (d.hits, d.misses, d.evictions, i.hits, i.misses, i.evictions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_state_memo_reproduces_apply(data):
+    """Twice from one tag state (cold sets included), a memoized replay
+    leaves the final tags, the per-segment stall vector and the six
+    hit/miss/eviction deltas that ``FusedReplay.apply`` and the engine's
+    stall arithmetic give: first through the cache model, then from the
+    memo."""
+    isets = data.draw(st.sampled_from([8, 16, 32]))
+    dsets = data.draw(st.sampled_from([8, 16, 32]))
+    penalty = data.draw(st.sampled_from([20.0, 7.0]))
+    efficiency = data.draw(st.sampled_from([0.0, 0.3, 0.5]))
+    spec = MachineSpec(
+        icache=CacheGeometry(isets * 32, 32), dcache=CacheGeometry(dsets * 32, 32)
+    )
+    iplan, _ = collapsed_plan(_segments(data, isets, 1, repeats=True), isets)
+    dsegments = _segments(data, dsets, 1)
+    replay = FusedReplay(iplan, dsets, len(dsegments))
+    template = vec_module._StepTemplate(
+        replay, replay.data_plan(dsegments), np.zeros(1), np.empty(0, np.intp), []
+    )
+    # Each set holds -1 (cold) or one of six lines mapping to it.
+    tags = data.draw(
+        st.lists(st.integers(-1, 5), min_size=dsets + isets, max_size=dsets + isets)
+    )
+    sets = np.r_[np.arange(dsets), np.arange(isets)]
+    per_set = np.r_[np.full(dsets, dsets), np.full(isets, isets)]
+    start = np.where(np.array(tags) < 0, -1, sets + per_set * np.array(tags))
+
+    reference = SplitCacheHierarchy(spec)
+    reference.l1_tags[:] = start
+    stall = replay.apply(
+        reference.l1_tags, template.data,
+        reference.dcache.stats, reference.icache.stats,
+    ) * penalty
+    if efficiency:
+        stall[len(dsegments):] = np.rint(stall[len(dsegments):] * (1.0 - efficiency))
+
+    live = SplitCacheHierarchy(spec)
+    memo = vec_module._StateMemo(
+        live, penalty, (1.0 - efficiency) if efficiency else None
+    )
+    for hits in (0, 1):
+        # A flush tells the memo the tags changed under it.
+        live.flush()
+        live.l1_tags[:] = start
+        before = _stats(live)
+        got, total = memo.replay(template)
+        assert memo.hits == hits
+        assert got.tolist() == stall.tolist()
+        assert total == float(stall.sum())
+        assert np.array_equal(live.l1_tags, reference.l1_tags)
+        assert np.subtract(_stats(live), before).tolist() == list(_stats(reference))
+
+
+#: Arrival rate per scheduler for a flush every 0.5 ms to land between
+#: steps that replay from a memo: a few steps run warm between flushes
+#: (a flush after every step would make every step start cold, where a
+#: stale state id happens to give the right answer).  LDLP batches at
+#: higher rates, so its steps rarely repeat a template.
+FLUSHED_MEMO_RATES = {"conventional": 9000.0, "ldlp": 3000.0}
+
+
+@pytest.mark.parametrize("scheduler", sorted(FLUSHED_MEMO_RATES))
+def test_state_memo_flushed_equivalence(scheduler):
+    """A flush resets the L1 behind the memo's back: the engine must
+    re-intern the state after every ``SplitCacheHierarchy.flush``, or a
+    memo hit restores the warm tags the flush emptied.  Results,
+    counters and latency order equal the scalar engine's."""
+    config = SimulationConfig(
+        scheduler=scheduler, duration=0.03, flush_period_cycles=50_000.0
+    )
+    rate = FLUSHED_MEMO_RATES[scheduler]
+    arrivals = PoissonSource(rate, rng=3).arrival_list(config.duration)
+    with _vec_steppers() as steppers:
+        outcomes = _run_both_engines(config, arrivals, 3)
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert outcomes["vec"][1]["faults.cache_flushes"] > 10
+    (engine,) = [stepper.__self__ for stepper in steppers]
+    assert engine.memo_hits > 0
+
+
+def test_state_memo_engages_on_steady_poisson_point():
+    """Conventional processing at a steady rate leaves the L1 in a few
+    recurring states, so most steps replay from a memo."""
+    with _vec_steppers() as steppers:
+        poisson_point("conventional", 9000.0, [1, 2], 0.05)
+    engines = [stepper.__self__ for stepper in steppers]
+    assert len(engines) == 2
+    for engine in engines:
+        assert engine.memo_hits > engine.memo_misses > 0
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_state_table_bound(scheduler):
+    """With room for two states, the table never holds more, and
+    results stay byte-identical to the unbounded-enough default's and
+    the scalar engine's."""
+    config = SimulationConfig(scheduler=scheduler, duration=0.03)
+    arrivals = PoissonSource(7000.0, rng=4).arrival_list(config.duration)
+    default = _run_both_engines(config, arrivals, 4)
+    with pytest.MonkeyPatch.context() as patch, _vec_steppers() as steppers:
+        patch.setattr(vec_module, "MAX_STATES", 2)
+        bounded = _run_both_engines(config, arrivals, 4)
+    assert bounded == default
+    assert default["scalar"] == default["vec"]
+    (engine,) = [stepper.__self__ for stepper in steppers]
+    assert len(engine.memo.states) == len(engine.memo.ids) == 2
 
 
 # ----------------------------------------------------------------------
