@@ -36,9 +36,10 @@ first touches, last lines and static misses per segment: one stable
 argsort by set (a radix sort: the key is the narrowest unsigned dtype
 that fits the set count) and a handful of vector operations, written
 once into the ``(4, n)`` block a replay reads.  It packs the code plan
-(:func:`collapsed_plan`, once per batch length) and every data plan
-(:meth:`FusedReplay.data_plan`, once per new batch composition) into a
-:class:`PackedPlan`.
+(:func:`collapsed_plan`, once per vec engine: the plan of a batch of
+two gives every batch length's in closed form, see
+:mod:`repro.sim.vec`) and every data plan (:meth:`FusedReplay.data_plan`,
+once per new batch composition) into a :class:`PackedPlan`.
 """
 
 from __future__ import annotations

@@ -29,17 +29,42 @@ trace does not: on the synthesized Bellcore-like trace (nine Ethernet
 frame sizes) about 0.7 templates are compiled per step, so almost every
 compile sits on the critical path.
 
-Everything that depends on the batch length alone is built once per
-length (:class:`_Layout`): the code stream's plan (a code segment that
-re-runs the layer that just ran is elided from it,
-:func:`repro.cache.chunked.collapsed_plan`, which turns LDLP's
-layer-major batch into one segment per layer), the piece each data
-segment draws its lines from (a layer's data, a slot's buffer, or
-none), and each addend's constant and per-byte terms.  Compiling a
-composition is then only a lookup of each slot's buffer lines (cached
-per ring slot and size), one
-:meth:`~repro.cache.chunked.FusedReplay.data_plan` that packs the data
-segments straight into the replay's
+*Layouts.*  Everything that depends on the batch length alone — the
+code stream's plan, the piece each data segment draws its lines from
+(a layer's data, a slot's buffer, or none) and each addend's constant
+and per-byte terms — is built for every length at once, from one
+analysis per engine (:class:`_Rows`).  A batch of ``b`` runs each
+group of layers ``b`` times back to back, one repetition per message
+(LDLP's groups; for conventional/ILP, whose ``b``-step replay is ``b``
+copies of one step, the whole stack), so its code stream is each
+group's members ``b`` times over, group after group.  Its collapsed
+plan (:func:`repro.cache.chunked.collapsed_plan`: a code segment that
+re-runs the layer that just ran is elided, which turns LDLP's
+layer-major batch into one segment per layer) follows in closed form
+from the batch-2 plan, which holds a first and a later repetition of
+every group:
+
+* every first touch lies in a first repetition, and a set's last touch
+  lies in the last repetition of the last group that touches it, which
+  holds the same line in every repetition; so the first-touch block is
+  the same at every length but for its segment ids;
+* a first repetition's other touches follow either touches in the
+  same repetition or the last repetition of an earlier group, so its
+  static misses and elided segments are the same at every length;
+* a later repetition touches exactly the sets the one before it
+  touched, so none of its touches reads live state: a set's first
+  touch misses when the set's first and last lines in the group differ
+  (a *wrap* miss), and every later touch and elision is as in the
+  repetition before.  All later repetitions are alike.
+
+So a batch of ``b``'s plan is the batch-2 plan with each group's
+second repetition repeated ``b - 1`` times, its first-touch block's
+segment ids moved past the added repetitions.  The other arrays are
+gathers: a batch of ``b``'s invocations are the longest batch's with a
+message slot below ``b``, in order.  Compiling a composition is then
+only a lookup of each slot's buffer lines (cached per ring slot and
+size), one :meth:`~repro.cache.chunked.FusedReplay.data_plan` that
+packs the data segments straight into the replay's
 :class:`~repro.cache.chunked.PackedPlan`, and one vector expression,
 ``constant + per_byte * size``, for the addends: the same IEEE products
 and sums :meth:`~repro.machine.executor.LayerFootprint.compute_cycles`
@@ -76,7 +101,11 @@ interns an unknown state before its lookup.  Paper-scale working sets
 leave the cache in a few recurring states (the paper's Section 4
 argument, turned on the simulator), so the table is bounded at
 :data:`MAX_STATES`; once it is full, steps from a new state replay
-through the cache model unrecorded.
+through the cache model unrecorded.  Mixed message sizes (the
+Bellcore-like trace) leave states that do not recur: once the table
+fills before any step has replayed from a memo, the engine stops
+interning, and its later steps replay through the cache model without
+paying for the intern and lookup.
 
 *Multi-step replay.*  A conventional or ILP step serves one message,
 so its fixed Python cost is paid once per message.  When such a core
@@ -215,11 +244,12 @@ class _StepTemplate:
 class _Layout:
     """Everything about a template that depends on the batch length only.
 
-    Built once per batch length, so compiling a composition is a lookup
-    of its buffers' lines, one :meth:`FusedReplay.data_plan` and one
-    vector expression for the addends.  ``replay``, ``positions`` and
-    ``completions`` are every such template's (see
-    :class:`_StepTemplate`).
+    The length's rows of the engine's :class:`_Rows` plus its own fused
+    replay, built at the length's first compile; compiling a
+    composition is then a lookup of its buffers' lines, one
+    :meth:`FusedReplay.data_plan` and one vector expression for the
+    addends.  ``replay``, ``positions`` and ``completions`` are every
+    such template's (see :class:`_StepTemplate`).
     """
 
     replay: FusedReplay
@@ -235,8 +265,46 @@ class _Layout:
     #: :meth:`LayerFootprint.compute_cycles` forms.
     constant: np.ndarray
     per_byte: np.ndarray
-    #: The addend slot after each completion; see ``_compile``.
-    free: np.ndarray
+
+
+@dataclass(slots=True)
+class _Rows:
+    """Every batch length's layout rows, built at once from one
+    analysis of the code stream (see the module docs' "Layouts").
+
+    Batch-major: batch length ``b``'s rows run from entry ``b - 1`` to
+    entry ``b`` of ``row_ends``, a padding row (whose last addend is
+    addend slot 0) and then one row per invocation; its code segments
+    run likewise between entries of ``code_ends``.
+    """
+
+    #: Longest batch length covered.
+    length: int
+    row_ends: list[int]
+    #: Each row's batch-1 invocation (``step`` for padding) and message
+    #: slot.
+    member: np.ndarray
+    slots: np.ndarray
+    #: Per batch-1 invocation, then padding: its ``_SLOTS`` addends'
+    #: constant and per-byte terms (see :class:`_Layout`).
+    constant: np.ndarray
+    per_byte: np.ndarray
+    #: Two data-segment pieces per row (see :attr:`_Layout.pieces`).
+    pieces: list[int]
+    #: The longest batch's data stall slots, two per invocation: a
+    #: shorter batch's are a prefix.
+    dpos: np.ndarray
+    code_ends: list[int]
+    #: Each kept code segment's istall slot and static misses.
+    istall: np.ndarray
+    static: np.ndarray
+    #: The analysed code plan's first-touch block, and what a batch of
+    #: ``b`` adds ``b - 2`` times to it: ``None`` unless a group keeps
+    #: second repetitions before another (see :meth:`_VecEngine._code_rows`).
+    block: np.ndarray
+    shift: np.ndarray | None
+    #: Code accesses per message, elided repeats included.
+    accesses: int
 
 
 class _StateMemo:
@@ -251,7 +319,7 @@ class _StateMemo:
     __slots__ = (
         "hierarchy", "tags", "dstats", "istats", "miss_penalty",
         "iprefetch_scale", "flushes", "state", "ids", "states", "hits",
-        "misses",
+        "misses", "interning",
     )
 
     def __init__(
@@ -273,15 +341,22 @@ class _StateMemo:
         self.states: list[np.ndarray] = []
         self.hits = 0
         self.misses = 0
+        #: False once a full table has served no hit (see _intern).
+        self.interning = True
 
     def _intern(self) -> int:
         """The live tags' state id, interned while the table has room;
-        -1 once it is full and the tags are new."""
+        -1 once it is full and the tags are new.  A table that fills
+        before any replay hits shows tag states that do not recur: the
+        memo then stops interning."""
         key = self.tags.tobytes()
         state = self.ids.get(key, -1)
-        if state < 0 and len(self.states) < MAX_STATES:
-            state = self.ids[key] = len(self.states)
-            self.states.append(np.frombuffer(key, dtype=self.tags.dtype))
+        if state < 0:
+            if len(self.states) < MAX_STATES:
+                state = self.ids[key] = len(self.states)
+                self.states.append(np.frombuffer(key, dtype=self.tags.dtype))
+            elif not self.hits:
+                self.interning = False
         return state
 
     def apply(self, template: _StepTemplate) -> tuple[np.ndarray, float]:
@@ -302,6 +377,8 @@ class _StateMemo:
     def replay(self, template: _StepTemplate) -> tuple[np.ndarray, float]:
         """:meth:`apply` for a template used before, served from its
         memo when it has left this tag state before."""
+        if not self.interning:
+            return self.apply(template)
         flushes = self.hierarchy.flushes
         if flushes != self.flushes:
             self.flushes = flushes
@@ -346,11 +423,15 @@ class _StateMemo:
         )
 
 
-def _distinct_sets(lines: np.ndarray, num_lines: int) -> bool:
-    """True when the line array maps to all-distinct cache sets."""
-    if lines.size == 0:
-        return True
-    return int(np.unique(lines % num_lines).size) == int(lines.size)
+def _distinct_sets(arrays: list[np.ndarray], num_lines: int) -> bool:
+    """True when each line array maps to all-distinct cache sets: one
+    sort of every (array, set) key."""
+    keys = np.concatenate(arrays) % num_lines
+    keys += num_lines * np.repeat(
+        np.arange(len(arrays)), [lines.size for lines in arrays]
+    )
+    keys.sort()
+    return not (keys[1:] == keys[:-1]).any()
 
 
 class _VecEngine:
@@ -396,19 +477,22 @@ class _VecEngine:
         #: Per group, each member's (layer index, trailing execute): the
         #: queue hop is charged on entering the group.
         queue_cost = float(QUEUE_INSTRUCTIONS)
-        self.groups = (
-            [
+        self.groups: list[list[tuple[int, float]]] | None = None
+        #: Longest batch a step serves, unless a drop policy's batch cap
+        #: exceeds the scheduler's (see _rows).
+        self.longest = self.max_steps
+        if isinstance(scheduler, GroupedLDLPScheduler):
+            self.groups = [
                 [
                     (index, queue_cost if position == 0 else 0.0)
                     for position, index in enumerate(members)
                 ]
                 for members in scheduler.groups
             ]
-            if isinstance(scheduler, GroupedLDLPScheduler)
-            else None
-        )
+            self.longest = scheduler.batch_limit
         self._templates: dict[tuple[tuple[int, int], ...], _StepTemplate] = {}
         self._layouts: dict[int, _Layout] = {}
+        self._rows_built: _Rows | None = None
         #: Data-segment pieces shared by every template: each layer's
         #: data lines, then no lines (see _Layout.pieces).
         self._layer_pieces = [placed.data_lines for placed in self.placed]
@@ -491,59 +575,174 @@ class _VecEngine:
             for slot in range(batch)
         ]
 
-    def _layout(self, batch: int) -> _Layout:
-        """The batch-length-only parts of a template, built once.
+    def _rows(self, batch: int) -> _Rows:
+        """Every batch length's layout arrays, up to at least ``batch``.
 
-        The code stream is the program's layer sequence, which depends
-        on the batch length but not on buffers or sizes; so do the
-        data segments' pieces and the addends' terms.
+        Built once, up to the engine's longest batch (its multi-step
+        bound, or the scheduler's batch limit); a drop policy whose
+        batches outgrow the limit rebuilds them longer.
         """
+        rows = self._rows_built
+        if rows is not None and rows.length >= batch:
+            return rows
+        length = max(batch, self.longest)
+        one = self._program(1)
+        step = len(one)
+        # Each group's first batch-1 invocation and size; a
+        # conventional/ILP step is one group.
+        spans = []
+        start = 0
+        for members in self.groups or [one]:
+            spans.append((start, len(members)))
+            start += len(members)
+        batches = np.arange(1, length + 1)[:, None]
+
+        # The longest program is group-major, then slot, then member: a
+        # stable sort by group of the (slot, member) grid.  Each batch
+        # takes its rows with a lower slot than its length, after a
+        # padding row (batch-1 invocation ``step``).
+        count = length * step
+        member = np.empty(count + 1, dtype=np.intp)
+        slots = np.empty(count + 1, dtype=np.intp)
+        member[0] = step
+        slots[0] = 0
+        groups = np.repeat(np.arange(len(spans)), [size for _, size in spans])
+        np.divmod(
+            np.tile(groups, length).argsort(kind="stable"),
+            step,
+            out=(slots[1:], member[1:]),
+        )
+        picked = np.flatnonzero(slots < batches) % (count + 1)
+        member = member.take(picked)
+        slots = slots.take(picked)
+        # Per batch-1 invocation, then padding: its addends' constant and
+        # per-byte terms (columns 3 and 4 are the execute and trailing
+        # execute) and its pieces, (layer, L + include * (1 + slot)) with
+        # L layers.
+        footprints = [self.placed[layer_index].footprint for layer_index, *_ in one]
+        zeros = [0.0] * _SLOTS
+        constant = np.array(
+            [
+                [0.0, 0.0, 0.0, footprint.base_cycles, trailing]
+                for footprint, (_, _, _, trailing, _) in zip(footprints, one)
+            ]
+            + [zeros]
+        )
+        per_byte = np.array(
+            [
+                [0.0, 0.0, 0.0, footprint.per_byte_cycles if include else 0.0, extra]
+                for footprint, (_, _, include, _, extra) in zip(footprints, one)
+            ]
+            + [zeros]
+        )
+        num_layers = len(self.placed)
+        pieces = np.array(
+            [(layer_index, num_layers) for layer_index, *_ in one] + [(0, 0)]
+        )
+        buffers = np.array([(0, include) for _, _, include, *_ in one] + [(0, 0)])
+        rows = self._rows_built = _Rows(
+            length,
+            [b + step * b * (b + 1) // 2 for b in range(length + 1)],
+            member,
+            slots,
+            constant,
+            per_byte,
+            (
+                pieces.take(member, axis=0)
+                + buffers.take(member, axis=0) * (slots + 1)[:, None]
+            ).ravel().tolist(),
+            (_SLOTS * np.arange(count)[:, None] + (2, 3)).ravel(),
+            *self._code_rows(spans, batches),
+        )
+        return rows
+
+    def _code_rows(
+        self, spans: list[tuple[int, int]], batches: np.ndarray
+    ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, int]:
+        """The code half of :class:`_Rows`, from its ``code_ends`` on:
+        one analysis, of a batch of two (one for an engine whose
+        batches are all single), whose plan keeps each group's first
+        repetition and one copy of its second (see the module docs'
+        "Layouts").  ``spans`` are the groups' first batch-1
+        invocations and sizes, ``batches`` the lengths as a column."""
+        length = len(batches)
+        analysed = min(2, length)
+        plan, kept = collapsed_plan(
+            [
+                self.placed[layer_index].code_lines
+                for layer_index, *_ in self._program(analysed)
+            ],
+            self.icache.num_lines,
+        )
+        twins = [
+            (group, repetition, member)
+            for group, (_, size) in enumerate(spans)
+            for repetition in range(analysed)
+            for member in range(size)
+        ]
+        repetitions: list[tuple[list, list]] = [([], []) for _ in spans]
+        for index, static in zip(kept, plan.static.tolist()):
+            group, repetition, member = twins[index]
+            repetitions[group][repetition].append((member, static))
+        # The longest batch's kept segments as (slot, and in a batch of
+        # b + 1, its istall slot b * scale + offset, its static misses);
+        # each batch takes those with a lower slot than its length.
+        code = np.array(
+            [
+                (slot, _SLOTS * start, _SLOTS * (start + slot * size + member) + 1, static)
+                for (start, size), (first, second) in zip(spans, repetitions)
+                for slot, segments in enumerate([first] + [second] * (length - 1))
+                for member, static in segments
+            ]
+        )
+        code_batch, code_row = np.divmod(
+            np.flatnonzero(code[:, 0] < batches), len(code)
+        )
+        code = code.take(code_row, axis=0)
+        seconds = [len(second) for _, second in repetitions]
+        firsts = len(kept) - sum(seconds)
+        # The first-touch block's segments are all first repetitions, and
+        # a batch of b keeps b - 2 more second repetitions than a batch
+        # of 2 in the groups before each.
+        before = [sum(seconds[: twins[index][0]]) for index in kept]
+        shift = None
+        if any(before):
+            shift = np.zeros_like(plan.block)
+            shift[2] = np.array(before)[plan.block[2]]
+        return (
+            [b * firsts + sum(seconds) * b * (b - 1) // 2 for b in range(length + 1)],
+            code_batch * code[:, 1] + code[:, 2],
+            code[:, 3],
+            plan.block,
+            shift,
+            plan.accesses // analysed,
+        )
+
+    def _layout(self, batch: int) -> _Layout:
+        """The batch-length-only parts of a template: its rows of
+        :meth:`_rows` (slices, and gathers of the per-invocation addend
+        terms), plus the length's own fused replay."""
         layout = self._layouts.get(batch)
         if layout is not None:
             return layout
-        program = self._program(batch)
-        num_layers = len(self.placed)
-        count = len(program)
-        base = _SLOTS * np.arange(count, dtype=np.int64)
-        iplan, kept = collapsed_plan(
-            [self.placed[layer_index].code_lines for layer_index, *_ in program],
-            self.icache.num_lines,
-        )
-        dpos = np.empty(2 * count, dtype=np.int64)
-        dpos[0::2] = base + 2
-        dpos[1::2] = base + 3
-        layers, slots, include, trailing, extra = (
-            np.array(column) for column in zip(*program)
-        )
-        pieces = np.empty(2 * count, dtype=np.intp)
-        pieces[0::2] = layers
-        pieces[1::2] = np.where(include, num_layers + 1 + slots, num_layers)
-        footprints = [placed.footprint for placed in self.placed]
-        base_cycles = np.array(
-            [footprint.base_cycles for footprint in footprints], dtype=float
-        )
-        per_byte_cycles = np.array(
-            [footprint.per_byte_cycles for footprint in footprints], dtype=float
-        )
-        # Slot 4 of each invocation is its execute, slot 5 its trailing one.
-        addend_slots = np.zeros(1 + _SLOTS * count, dtype=np.intp)
-        addend_slots[4::_SLOTS] = addend_slots[5::_SLOTS] = slots
-        constant = np.zeros(1 + _SLOTS * count)
-        constant[4::_SLOTS] = base_cycles[layers]
-        constant[5::_SLOTS] = trailing
-        per_byte = np.zeros(1 + _SLOTS * count)
-        per_byte[4::_SLOTS] = np.where(include, per_byte_cycles[layers], 0.0)
-        per_byte[5::_SLOTS] = extra
-        completions = self._completion_points(batch)
+        rows = self._rows(batch)
+        first, last = rows.row_ends[batch - 1 : batch + 1]
+        start, stop = rows.code_ends[batch - 1 : batch + 1]
+        count = last - first - 1
+        block = rows.block
+        if rows.shift is not None:
+            block = block + (batch - 2) * rows.shift
+        iplan = PackedPlan(block, rows.static[start:stop], batch * rows.accesses)
+        member = rows.member[first:last]
         layout = _Layout(
             FusedReplay(iplan, self.dcache.num_lines, 2 * count),
-            np.concatenate((dpos, base[kept] + 1)),
-            completions,
-            pieces.tolist(),
-            addend_slots,
-            constant,
-            per_byte,
-            np.array([index + 1 for _, index in completions], dtype=np.intp),
+            np.concatenate((rows.dpos[: 2 * count], rows.istall[start:stop])),
+            self._completion_points(batch),
+            rows.pieces[2 * (first + 1) : 2 * last],
+            # Row 0's last addend is addend slot 0.
+            np.outer(rows.slots[first:last], (0, 0, 0, 1, 1)).ravel()[_SLOTS - 1 :],
+            rows.constant.take(member, axis=0).ravel()[_SLOTS - 1 :],
+            rows.per_byte.take(member, axis=0).ravel()[_SLOTS - 1 :],
         )
         self._layouts[batch] = layout
         return layout
@@ -570,7 +769,8 @@ class _VecEngine:
         if self.per_message:
             # The slot after each completion carries the next step's flow
             # lookup, so it must be free: the step's 0.0 trailing execute.
-            assert not addends[layout.free].any()
+            per_step = _SLOTS * len(self.placed)
+            assert not addends[per_step::per_step].any()
         return _StepTemplate(
             replay, data, addends, layout.positions, layout.completions
         )
@@ -639,8 +839,10 @@ def vec_supported(scheduler: Scheduler) -> bool:
     Checks everything static: scheduler kind, pure passthrough layers,
     a bound flat (no-L2) direct-mapped hierarchy, and self-conflict-free
     code/data/buffer placements (the static-template soundness
-    condition).  Dynamic conditions (a span-keeping recorder) are
-    checked by :func:`vec_stepper` per drive call.
+    condition: no layer's code, layer's data or ring buffer touches one
+    cache set twice; one sort per cache).  Dynamic conditions (a
+    span-keeping recorder) are checked by :func:`vec_stepper` per drive
+    call.
     """
     kind = _scheduler_kind(scheduler)
     if kind is None:
@@ -659,21 +861,17 @@ def vec_supported(scheduler: Scheduler) -> bool:
     for layer in scheduler.layers:
         if type(layer) is not PassthroughLayer:
             return False
-    icache_sets = hierarchy.icache.num_lines
-    dcache_sets = hierarchy.dcache.num_lines
-    for layer in scheduler.layers:
-        placed = binding.placed_layer(layer.name)
-        if not _distinct_sets(placed.code_lines, icache_sets):
-            return False
-        if not _distinct_sets(placed.data_lines, dcache_sets):
-            return False
     pool = binding.pool
     if pool is None:
         return False
-    for buffer in pool.buffers:
-        if not _distinct_sets(buffer.lines_for(buffer.capacity), dcache_sets):
-            return False
-    return True
+    placed = [binding.placed_layer(layer.name) for layer in scheduler.layers]
+    return _distinct_sets(
+        [layer.code_lines for layer in placed], hierarchy.icache.num_lines
+    ) and _distinct_sets(
+        [layer.data_lines for layer in placed]
+        + [buffer.lines_for(buffer.capacity) for buffer in pool.buffers],
+        hierarchy.dcache.num_lines,
+    )
 
 
 def _scheduler_kind(scheduler: Scheduler) -> str | None:

@@ -23,10 +23,13 @@ contract at three levels:
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class).
 
-Plus the template compiler (shared, collapsed code plans), the state
-memo (a memoized replay equals the cache model's, across flushes and
-under a tiny state table) and the engine-selection seams: config validation, the static
-``vec_supported`` envelope, and the silent scalar fallbacks.
+Plus the template compiler (shared, collapsed code plans; every batch
+length's layout from one analysis per engine, equal to a per-length
+build), the state memo (a memoized replay equals the cache model's,
+across flushes and under a tiny state table; interning stops on
+mixed-size traffic) and the engine-selection seams: config validation,
+the static ``vec_supported`` envelope (code- and data-side conflicts,
+against a per-array reference), and the silent scalar fallbacks.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cache.chunked as chunked_module
 import repro.sim.vec as vec_module
 from repro.cache.cache import DirectMappedCache
 from repro.cache.chunked import FusedReplay, collapsed_plan
@@ -49,14 +53,16 @@ from repro.cache.hierarchy import CacheGeometry, MachineSpec, SplitCacheHierarch
 from repro.core.batching import BatchPolicy
 from repro.core.binding import MachineBinding
 from repro.core.dispatch import DISPATCH_POLICIES
-from repro.core.layer import CountingLayer, LayerFootprint, Message
+from repro.core.layer import CountingLayer, LayerFootprint, Message, PassthroughLayer
 from repro.core.overload import DROP_POLICIES
 from repro.core.scheduler import (
     ConventionalScheduler,
     GroupedLDLPScheduler,
+    ILPScheduler,
     LDLPScheduler,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.figure7 import clock_point
 from repro.faults.campaigns import campaign_plan
 from repro.flows import FLOW_CACHE_ORGS, FlowCacheSpec
 from repro.flows.runner import (
@@ -740,6 +746,155 @@ def test_compile_matches_per_invocation_reference(scheduler, batch, warm_seed):
     assert np.array_equal(planned.l1_tags, scalar.l1_tags)
 
 
+def _reference_layout(engine, batch):
+    """A batch length's layout built the old way: the length's own
+    program, one ``collapsed_plan`` over its whole code stream and one
+    entry per invocation."""
+    program = engine._program(batch)
+    num_layers = len(engine.placed)
+    iplan, kept = collapsed_plan(
+        [engine.placed[layer].code_lines for layer, *_ in program],
+        engine.icache.num_lines,
+    )
+    pieces, slots, constant, per_byte = [], [0], [0.0], [0.0]
+    last = {}
+    for index, (layer, slot, include, trailing, extra) in enumerate(program):
+        footprint = engine.placed[layer].footprint
+        pieces += [layer, num_layers + 1 + slot if include else num_layers]
+        slots += [0, 0, 0, slot, slot]
+        constant += [0.0, 0.0, 0.0, footprint.base_cycles, trailing]
+        per_byte += [
+            0.0, 0.0, 0.0, footprint.per_byte_cycles if include else 0.0, extra
+        ]
+        last[slot] = index
+    # A message completes at its last invocation's execute (one step per
+    # message) or trailing execute (batched).
+    end = 4 if engine.per_message else 5
+    return {
+        "block": iplan.block,
+        "static": iplan.static,
+        "accesses": iplan.accesses,
+        "positions": np.array(
+            [5 * index + slot for index in range(len(program)) for slot in (2, 3)]
+            + [5 * index + 1 for index in kept],
+            dtype=np.int64,
+        ),
+        "pieces": pieces,
+        "slots": np.array(slots, dtype=np.intp),
+        "constant": np.array(constant),
+        "per_byte": np.array(per_byte),
+        "completions": [(slot, 5 * last[slot] + end) for slot in range(batch)],
+    }
+
+
+@st.composite
+def _engines(draw):
+    """A vec engine over a random stack and placement: conventional or
+    ILP (with or without multi-step replay), LDLP or explicit groups,
+    one to five layers of assorted footprints (code as small as two
+    lines, so sequentially placed layers can share lines), random or
+    sequential placement."""
+    num_layers = draw(st.integers(1, 5))
+    layers = [
+        PassthroughLayer(
+            f"layer{index}",
+            LayerFootprint(
+                code_bytes=draw(st.sampled_from([40, 200, 1024, 3000, 6144])),
+                data_bytes=draw(st.sampled_from([0, 64, 256])),
+                base_cycles=draw(st.sampled_from([1376.0, 900.0, 17.5])),
+                per_byte_cycles=draw(st.sampled_from([0.5, 0.0, 1.25])),
+            ),
+        )
+        for index in range(num_layers)
+    ]
+    binding = MachineBinding(
+        rng=draw(st.integers(0, 2**32 - 1)), random_placement=draw(st.booleans())
+    )
+    kind = draw(st.sampled_from(["conventional", "ilp", "ldlp", "groups"]))
+    if kind in ("conventional", "ilp"):
+        scheduler = (ConventionalScheduler if kind == "conventional" else ILPScheduler)(
+            layers, binding
+        )
+        # Without multi-step replay every batch is single.
+        return vec_module._VecEngine(scheduler, kind, draw(st.booleans()))
+    policy = BatchPolicy(draw(st.integers(1, 9)))
+    if kind == "ldlp":
+        scheduler = LDLPScheduler(layers, binding, 500, policy)
+    else:
+        cuts = draw(st.sets(st.integers(1, num_layers - 1))) if num_layers > 1 else set()
+        bounds = [0, *sorted(cuts), num_layers]
+        groups = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        scheduler = GroupedLDLPScheduler(layers, binding, 500, policy, groups=groups)
+    return vec_module._VecEngine(scheduler, "grouped")
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine=_engines())
+def test_layouts_match_per_length_reference(engine):
+    """Every batch length's layout, derived from the engine's one
+    analysis, equals the per-length build field by field: code block,
+    static misses, accesses, stall positions, pieces, addend slots,
+    constant and per-byte terms, and completions.  The lengths run one
+    past the engine's longest, which rebuilds the rows longer."""
+    assert vec_supported(engine.scheduler)
+    for batch in range(1, engine.longest + 2):
+        layout = engine._layout(batch)
+        reference = _reference_layout(engine, batch)
+        iplan = layout.replay.iplan
+        got = {
+            "block": iplan.block,
+            "static": iplan.static,
+            "accesses": iplan.accesses,
+            "positions": layout.positions,
+            "pieces": layout.pieces,
+            "slots": layout.slots,
+            "constant": layout.constant,
+            "per_byte": layout.per_byte,
+            "completions": layout.completions,
+        }
+        for field, expected in reference.items():
+            if isinstance(expected, np.ndarray):
+                assert got[field].dtype == expected.dtype, (batch, field)
+                assert got[field].shape == expected.shape, (batch, field)
+                assert got[field].tobytes() == expected.tobytes(), (batch, field)
+            else:
+                assert got[field] == expected, (batch, field)
+        if engine.per_message:
+            # The slots after each completion, which _compile checks are
+            # free, are every step's last addend slot.
+            step = 5 * len(engine.placed)
+            assert [index + 1 for _, index in layout.completions] == list(
+                range(step, step * batch + 1, step)
+            )
+
+
+def test_code_analysed_once_per_engine():
+    """Every batch length's code plan comes from one static analysis of
+    the engine's code stream: an LDLP engine and a multi-step
+    conventional engine each call the analysis kernel once while they
+    build the layouts of every batch length."""
+    calls = []
+    original = chunked_module._first_touches
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chunked_module, "_first_touches", counting)
+        for scheduler, longest in (("ldlp", 14), ("conventional", vec_module.MAX_STEPS)):
+            config = SimulationConfig(scheduler=scheduler, duration=0.01)
+            built = build_scheduler(config, seed=0)
+            engine = vec_module._VecEngine(
+                built, vec_module._scheduler_kind(built), multi_step=True
+            )
+            assert engine.longest == longest
+            before = len(calls)
+            for batch in range(1, longest + 1):
+                engine._layout(batch)
+            assert len(calls) - before == 1, scheduler
+
+
 # ----------------------------------------------------------------------
 # State memo: (interned L1 tag state, template) -> replay outcome
 
@@ -866,6 +1021,76 @@ def test_state_memo_engages_on_steady_poisson_point():
         assert engine.memo_hits > engine.memo_misses > 0
 
 
+def test_state_memo_stops_interning_only_without_hits():
+    """The memo stops interning when its table fills before any replay
+    has hit, and keeps interning when one has."""
+    geometry = CacheGeometry(8 * 32, 32)
+    spec = MachineSpec(icache=geometry, dcache=geometry)
+    iplan, _ = collapsed_plan([np.array([0, 1, 2])], 8)
+    replay = FusedReplay(iplan, 8, 1)
+    cold = np.full(16, -1)
+    other = np.arange(16) + 64
+
+    def replay_from(memo, hierarchy, tags):
+        hierarchy.flush()
+        hierarchy.l1_tags[:] = tags
+        memo.replay(template)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module, "MAX_STATES", 2)
+        for hit_first in (False, True):
+            template = vec_module._StepTemplate(
+                replay, replay.data_plan([np.array([8, 9])]), np.zeros(1),
+                np.empty(0, np.intp), [],
+            )
+            hierarchy = SplitCacheHierarchy(spec)
+            memo = vec_module._StateMemo(hierarchy, 20.0, None)
+            # Interns the cold state and the one the replay leaves.
+            replay_from(memo, hierarchy, cold)
+            if hit_first:
+                replay_from(memo, hierarchy, cold)
+            replay_from(memo, hierarchy, other)
+            assert memo.hits == hit_first
+            assert len(memo.states) == 2
+            assert memo.interning is hit_first
+
+
+def test_state_memo_stops_interning_on_mixed_sizes():
+    """On a Bellcore-like mixed-size trace, L1 tag states do not recur:
+    the state table fills without one memo hit, and from then on the
+    engine interns nothing, so its reused templates replay through the
+    cache model without the intern and lookup.  The result is the scalar
+    engine's."""
+    calls = []  # (method, whether the memo was still interning)
+    methods = {
+        name: getattr(vec_module._StateMemo, name) for name in ("_intern", "replay")
+    }
+
+    def spying(name):
+        def spy(memo, *args):
+            calls.append((name, memo.interning))
+            return methods[name](memo, *args)
+
+        return spy
+
+    seen = {}
+    with pytest.MonkeyPatch.context() as patch, _vec_steppers() as steppers:
+        for name in methods:
+            patch.setattr(vec_module._StateMemo, name, spying(name))
+        for engine in ENGINE_NAMES:
+            seen[engine] = canonical_json(
+                clock_point("conventional", 80, [1], 0.3, 1200.0, engine=engine)
+            )
+    assert seen["scalar"] == seen["vec"]
+    (engine,) = [stepper.__self__ for stepper in steppers if stepper is not None]
+    memo = engine.memo
+    assert not memo.interning
+    assert memo.hits == 0
+    assert len(memo.states) == vec_module.MAX_STATES
+    assert ("_intern", False) not in calls
+    assert ("replay", False) in calls
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_state_table_bound(scheduler):
     """With room for two states, the table never holds more, and
@@ -938,6 +1163,72 @@ def test_vec_supported_envelope():
     # unsound and the engine must decline (ablations A3 hits this).
     big = build_paper_stack(code_bytes=12288)
     assert not vec_supported(ConventionalScheduler(big, MachineBinding()))
+
+
+#: Data-side placements whose static template would be unsound: ring
+#: buffers larger than the 8 KiB D-cache, and layer data that conflicts
+#: with itself (384 lines in 256 sets).
+DATA_CONFLICTS = {
+    "oversized-buffers": {"buffer_size": 12288},
+    "self-conflicting-layer-data": {"layer_data_bytes": 12288},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_CONFLICTS))
+def test_data_conflicts_decline_vec(case):
+    """A D-side self-conflict declines vec, so the core steps scalar and
+    the results are the scalar engine's."""
+    config = SimulationConfig(
+        scheduler="ldlp", duration=0.01, **DATA_CONFLICTS[case]
+    )
+    assert not vec_supported(build_scheduler(config, seed=5))
+    arrivals = PoissonSource(6000.0, rng=5).arrival_list(config.duration)
+    with _vec_steppers() as steppers:
+        outcomes = _run_both_engines(config, arrivals, 5)
+    assert steppers == [None]
+    assert outcomes["scalar"] == outcomes["vec"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    code_bytes=st.sampled_from([512, 6144, 8192, 8200, 12288]),
+    data_bytes=st.sampled_from([0, 256, 8192, 8200, 12288]),
+    buffer_size=st.sampled_from([552, 2048, 8192, 8193, 12288]),
+    random_placement=st.booleans(),
+)
+def test_soundness_check_matches_per_array_reference(
+    seed, code_bytes, data_bytes, buffer_size, random_placement
+):
+    """``vec_supported``'s one sort per cache agrees with a per-array
+    ``np.unique`` check of every layer's code and data and every ring
+    buffer, on random and sequential placements around the 8 KiB
+    caches' size."""
+    config = SimulationConfig(
+        scheduler="ldlp",
+        duration=0.01,
+        layer_code_bytes=code_bytes,
+        layer_data_bytes=data_bytes,
+        buffer_size=buffer_size,
+        random_placement=random_placement,
+    )
+    scheduler = build_scheduler(config, seed=seed)
+    binding = scheduler.binding
+    hierarchy = binding.cpu.hierarchy
+
+    def distinct(lines, cache):
+        return np.unique(lines % cache.num_lines).size == lines.size
+
+    placed = [binding.placed_layer(layer.name) for layer in scheduler.layers]
+    expected = (
+        all(distinct(layer.code_lines, hierarchy.icache) for layer in placed)
+        and all(distinct(layer.data_lines, hierarchy.dcache) for layer in placed)
+        and all(
+            distinct(buffer.lines_for(buffer.capacity), hierarchy.dcache)
+            for buffer in binding.pool.buffers
+        )
+    )
+    assert vec_supported(scheduler) == expected
 
 
 def test_unsupported_stack_falls_back_to_scalar():
