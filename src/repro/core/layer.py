@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from ..errors import SchedulerError
 from ..machine.executor import LayerFootprint, MessageBuffer
@@ -58,7 +58,10 @@ class Message:
         The placed :class:`~repro.machine.executor.MessageBuffer` holding
         the message's bytes, assigned on first use by
         :meth:`repro.core.binding.MachineBinding.buffer_of`; a message a
-        layer creates starts with ``None`` and gets its own.
+        layer creates starts with ``None`` and gets its own.  Only the
+        scalar charge path assigns it: the vec engine
+        (:mod:`repro.sim.vec`) takes a step's buffers as one run of ring
+        slots and leaves it ``None``.
     """
 
     payload: Any = None
@@ -77,6 +80,38 @@ class Message:
                 self.size = len(self.payload)
             except TypeError:
                 pass
+
+
+def arrival_messages(times: Sequence[float], sizes: Sequence[int]) -> list[Message]:
+    """One payload-less :class:`Message` per (arrival time, size) pair,
+    as ``Message(size=size, arrival_time=time)`` would build each,
+    drawing their ``msg_id`` values in the same order.
+
+    Checks the sizes once for the column and raises the
+    :class:`~repro.errors.SchedulerError` ``__post_init__`` would raise
+    for the first negative one; each message then skips the dataclass
+    ``__init__`` and ``__post_init__`` (with no payload, ``__post_init__``
+    only checks the size).
+    """
+    if sizes and min(sizes) < 0:
+        size = next(size for size in sizes if size < 0)
+        raise SchedulerError(f"message size must be non-negative, got {size}")
+    new = object.__new__
+    messages = []
+    append = messages.append
+    for time, size, msg_id in zip(
+        times, sizes, itertools.islice(_message_ids, len(times))
+    ):
+        message = new(Message)
+        message.payload = None
+        message.size = size
+        message.arrival_time = time
+        message.meta = {}
+        message.msg_id = msg_id
+        message.arrival_cycle = None
+        message.buffer = None
+        append(message)
+    return messages
 
 
 class Layer(ABC):

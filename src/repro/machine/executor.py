@@ -172,3 +172,11 @@ class BufferPool:
         buffer = self.buffers[self._next]
         self._next = (self._next + 1) % len(self.buffers)
         return buffer
+
+    def acquire_run(self, count: int) -> int:
+        """Hand out the next ``count`` buffers in ring order at once, as
+        ``count`` :meth:`acquire` calls would; returns the first one's
+        ring slot (the run wraps past the last slot to slot 0)."""
+        first = self._next
+        self._next = (first + count) % len(self.buffers)
+        return first

@@ -40,7 +40,13 @@ from ..core.dispatch import (
     DispatchPolicy,
     make_dispatch_policy,
 )
-from ..core.layer import Layer, LayerFootprint, Message, PassthroughLayer
+from ..core.layer import (
+    Layer,
+    LayerFootprint,
+    Message,
+    PassthroughLayer,
+    arrival_messages,
+)
 from ..core.overload import DROP_POLICIES, make_drop_policy
 from ..core.scheduler import (
     ConventionalScheduler,
@@ -646,19 +652,16 @@ def simulate(
     if arrivals is None and tag is None:
         # Nothing needs Arrival records: build the messages from columns.
         stream, sizes = source.arrival_columns(config.duration)
-        timestamped = [
-            (time, Message(size=size, arrival_time=time))
-            for time, size in zip(stream, sizes)
-        ]
+        times = stream
     else:
         stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
-        timestamped = [
-            (arrival.time, Message(size=arrival.size, arrival_time=arrival.time))
-            for arrival in stream
-        ]
-        if tag is not None:
-            for arrival, (_, message) in zip(stream, timestamped):
-                tag(arrival, message)
+        times = [arrival.time for arrival in stream]
+        sizes = [arrival.size for arrival in stream]
+    messages = arrival_messages(times, sizes)
+    if tag is not None:
+        for arrival, message in zip(stream, messages):
+            tag(arrival, message)
+    timestamped = list(zip(times, messages))
     dispatch = None
     if config.dispatch is not None:
         dispatch = make_dispatch_policy(config.dispatch)

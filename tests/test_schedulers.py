@@ -23,6 +23,7 @@ from repro.core import (
     group_layers_for_cache,
     process_blocked,
 )
+from repro.core.layer import arrival_messages
 from repro.core.overload import DROP_POLICIES, make_drop_policy
 from repro.errors import ConfigurationError, SchedulerError
 from repro.sim import SimulationConfig, run_simulation
@@ -44,6 +45,29 @@ class TestMessage:
     def test_negative_size_rejected(self):
         with pytest.raises(SchedulerError):
             Message(size=-1)
+
+    def test_bulk_arrival_messages_match_constructor(self):
+        times, sizes = [0.5, 0.25, 1.0], [552, 0, 64]
+        built = arrival_messages(times, sizes)
+        ids = [message.msg_id for message in built]
+        assert ids == list(range(ids[0], ids[0] + 3))
+        assert ids[0] < Message().msg_id
+        assert built == [
+            Message(size=size, arrival_time=time, msg_id=msg_id)
+            for time, size, msg_id in zip(times, sizes, ids)
+        ]
+        assert all(
+            message.arrival_cycle is None and message.buffer is None
+            for message in built
+        )
+        assert arrival_messages([], []) == []
+
+    def test_bulk_arrival_messages_reject_negative_size_as_constructor(self):
+        with pytest.raises(SchedulerError) as constructed:
+            Message(size=-1)
+        with pytest.raises(SchedulerError) as bulk:
+            arrival_messages([0.0, 0.1, 0.2], [64, -1, -2])
+        assert str(bulk.value) == str(constructed.value)
 
     def test_unique_ids(self):
         assert Message().msg_id != Message().msg_id

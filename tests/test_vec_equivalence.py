@@ -48,7 +48,7 @@ from hypothesis import strategies as st
 import repro.cache.chunked as chunked_module
 import repro.sim.vec as vec_module
 from repro.cache.cache import DirectMappedCache
-from repro.cache.chunked import FusedReplay, collapsed_plan
+from repro.cache.chunked import FusedReplay, collapsed_plan, segment_rows
 from repro.cache.hierarchy import CacheGeometry, MachineSpec, SplitCacheHierarchy
 from repro.core.batching import BatchPolicy
 from repro.core.binding import MachineBinding
@@ -507,10 +507,100 @@ def test_multi_step_envelope(case):
         assert 0 < counters[walked] <= counters["flows.lookups"]
         assert (counters.get("flows.hits", 0.0) > 0) == tagged
     replayed = {
-        len(key) for stepper in steppers for key in stepper.__self__._templates
+        len(template.ends)
+        for stepper in steppers
+        for template in stepper.__self__._templates.values()
     }
     assert len(steppers) == config.num_cores
     assert (max(replayed) == vec_module.MAX_STEPS) if multi else replayed == {1}
+
+
+@pytest.mark.parametrize("scheduler", ["conventional", "ldlp"])
+def test_second_drive_starts_mid_ring(scheduler):
+    """Two drive calls on one bound scheduler: the second call's engine
+    takes its first run of buffers from where the first call left the
+    ring, mid-way, as the scalar path's acquires do.  Latency samples,
+    cycles, cache statistics, counters and the ring position stay equal
+    to the scalar engine's."""
+    streams = [
+        PoissonSource(9000.0, rng=rng).arrival_list(0.01) for rng in (5, 6)
+    ]
+    seen = {}
+    for engine in ENGINE_NAMES:
+        built = build_scheduler(SimulationConfig(scheduler=scheduler), seed=5)
+        binding = built.binding
+        recorder = Recorder(keep_spans=False)
+        samples, ring = [], []
+        with recording(recorder), _vec_steppers() as steppers:
+            for offset, arrivals in zip((0.0, 0.01), streams):
+                timestamped = [
+                    (a.time + offset, Message(size=a.size, arrival_time=a.time + offset))
+                    for a in arrivals
+                ]
+                samples.append(list(drive(built, timestamped, engine=engine).latency._samples))
+                ring.append(binding.pool._next)
+        assert [stepper is not None for stepper in steppers] == (
+            [True, True] if engine == "vec" else []
+        )
+        hierarchy = binding.cpu.hierarchy
+        seen[engine] = (
+            samples, ring, binding.cpu.cycles, binding.cpu.stall_cycles,
+            hierarchy.icache.stats, hierarchy.dcache.stats,
+            recorder.counters.as_dict(),
+        )
+    assert seen["scalar"] == seen["vec"]
+    assert seen["vec"][1][0] != 0
+    assert all(seen["vec"][0])
+
+
+def test_grouped_batch_longer_than_ring():
+    """An LDLP batch of more messages than the 32-buffer ring takes a run
+    of ring slots that wraps past its start, so two of its messages
+    share a buffer; results, counters and latency order equal the
+    scalar engine's."""
+    config = SimulationConfig(scheduler="ldlp", batch_limit=48, duration=0.01)
+    arrivals = PoissonSource(40000.0, rng=7).arrival_list(config.duration)
+    with _vec_steppers() as steppers:
+        outcomes = _run_both_engines(config, arrivals, 7)
+    assert outcomes["scalar"] == outcomes["vec"]
+    (engine,) = [stepper.__self__ for stepper in steppers]
+    longest = max(len(template.ends) for template in engine._templates.values())
+    assert longest > len(engine.pool)
+
+
+def test_mixed_sizes_reuse_shape_rows_across_rotations():
+    """On a mixed-size stream, templates at different ring rotations
+    whose buffers hold the same line counts share one shape's rows, and
+    each one's data plan still equals the per-invocation reference's.
+    Results, counters and latency order equal the scalar engine's."""
+    config = SimulationConfig(scheduler="conventional", duration=0.05)
+    sizes = np.random.default_rng(8).choice([64, 552, 1500], size=1000).tolist()
+    arrivals = [
+        Arrival(arrival.time, size)
+        for arrival, size in zip(
+            PoissonSource(3000.0, rng=8).arrival_list(config.duration), sizes
+        )
+    ]
+    with _vec_steppers() as steppers:
+        outcomes = _run_both_engines(config, arrivals, 8)
+    assert outcomes["scalar"] == outcomes["vec"]
+    (engine,) = [stepper.__self__ for stepper in steppers]
+    pool = engine.pool.buffers
+    rotations = {}  # a shape's slot line counts -> its templates' first slots
+    for (first, key_sizes), template in engine._templates.items():
+        ring = [pool[(first + slot) % len(pool)] for slot in range(len(key_sizes))]
+        counts = tuple(
+            buffer.lines_for(min(size, buffer.capacity)).size
+            for buffer, size in zip(ring, key_sizes)
+        )
+        rotations.setdefault(counts, set()).add(first)
+        _, segments = _reference_compile(engine, list(key_sizes), ring)
+        reference = template.replay.data_plan(*segment_rows(segments))
+        assert template.data.block.tobytes() == reference.block.tobytes()
+        assert template.data.static.tolist() == reference.static.tolist()
+        assert template.data.accesses == reference.accesses
+    assert len(rotations) == len(engine._shapes) < len(engine._templates)
+    assert max(len(firsts) for firsts in rotations.values()) > 1
 
 
 def test_drive_owns_the_vec_engines():
@@ -649,7 +739,7 @@ def test_collapsed_plan_matches_uncollapsed(runs, warm):
     replay = FusedReplay(collapsed, num_lines, 1)
     no_lines = np.empty(0, dtype=np.int64)
     kept_misses = replay.apply(
-        hierarchy.l1_tags, replay.data_plan([no_lines]),
+        hierarchy.l1_tags, replay.data_plan(*segment_rows([no_lines])),
         hierarchy.dcache.stats, collapsed_cache.stats,
     )[1:]
     scalar_misses = np.array([
@@ -779,7 +869,7 @@ def _reference_layout(engine, batch):
             + [5 * index + 1 for index in kept],
             dtype=np.int64,
         ),
-        "pieces": pieces,
+        "pieces": np.array(pieces, dtype=np.intp),
         "slots": np.array(slots, dtype=np.intp),
         "constant": np.array(constant),
         "per_byte": np.array(per_byte),
@@ -850,7 +940,7 @@ def test_layouts_match_per_length_reference(engine):
             "slots": layout.slots,
             "constant": layout.constant,
             "per_byte": layout.per_byte,
-            "completions": layout.completions,
+            "completions": list(enumerate(layout.ends.tolist())),
         }
         for field, expected in reference.items():
             if isinstance(expected, np.ndarray):
@@ -860,10 +950,10 @@ def test_layouts_match_per_length_reference(engine):
             else:
                 assert got[field] == expected, (batch, field)
         if engine.per_message:
-            # The slots after each completion, which _compile checks are
+            # The slots after each completion, which _addends_for checks are
             # free, are every step's last addend slot.
             step = 5 * len(engine.placed)
-            assert [index + 1 for _, index in layout.completions] == list(
+            assert (layout.ends + 1).tolist() == list(
                 range(step, step * batch + 1, step)
             )
 
@@ -947,7 +1037,8 @@ def test_state_memo_reproduces_apply(data):
     dsegments = _segments(data, dsets, 1)
     replay = FusedReplay(iplan, dsets, len(dsegments))
     template = vec_module._StepTemplate(
-        replay, replay.data_plan(dsegments), np.zeros(1), np.empty(0, np.intp), []
+        replay, replay.data_plan(*segment_rows(dsegments)), np.zeros(1),
+        np.empty(0, np.intp), [],
     )
     # Each set holds -1 (cold) or one of six lines mapping to it.
     tags = data.draw(
@@ -1023,7 +1114,8 @@ def test_state_memo_engages_on_steady_poisson_point():
 
 def test_state_memo_stops_interning_only_without_hits():
     """The memo stops interning when its table fills before any replay
-    has hit, and keeps interning when one has."""
+    has hit, and releases the table; it keeps interning (and the table)
+    when one has."""
     geometry = CacheGeometry(8 * 32, 32)
     spec = MachineSpec(icache=geometry, dcache=geometry)
     iplan, _ = collapsed_plan([np.array([0, 1, 2])], 8)
@@ -1040,7 +1132,7 @@ def test_state_memo_stops_interning_only_without_hits():
         patch.setattr(vec_module, "MAX_STATES", 2)
         for hit_first in (False, True):
             template = vec_module._StepTemplate(
-                replay, replay.data_plan([np.array([8, 9])]), np.zeros(1),
+                replay, replay.data_plan(*segment_rows([np.array([8, 9])])), np.zeros(1),
                 np.empty(0, np.intp), [],
             )
             hierarchy = SplitCacheHierarchy(spec)
@@ -1051,17 +1143,18 @@ def test_state_memo_stops_interning_only_without_hits():
                 replay_from(memo, hierarchy, cold)
             replay_from(memo, hierarchy, other)
             assert memo.hits == hit_first
-            assert len(memo.states) == 2
             assert memo.interning is hit_first
+            assert len(memo.states) == len(memo.ids) == (2 if hit_first else 0)
 
 
 def test_state_memo_stops_interning_on_mixed_sizes():
     """On a Bellcore-like mixed-size trace, L1 tag states do not recur:
     the state table fills without one memo hit, and from then on the
     engine interns nothing, so its reused templates replay through the
-    cache model without the intern and lookup.  The result is the scalar
-    engine's."""
+    cache model without the intern and lookup, and the full table is
+    released.  The result is the scalar engine's."""
     calls = []  # (method, whether the memo was still interning)
+    filled = []  # the table's size after each call
     methods = {
         name: getattr(vec_module._StateMemo, name) for name in ("_intern", "replay")
     }
@@ -1069,7 +1162,9 @@ def test_state_memo_stops_interning_on_mixed_sizes():
     def spying(name):
         def spy(memo, *args):
             calls.append((name, memo.interning))
-            return methods[name](memo, *args)
+            result = methods[name](memo, *args)
+            filled.append(len(memo.states))
+            return result
 
         return spy
 
@@ -1086,26 +1181,39 @@ def test_state_memo_stops_interning_on_mixed_sizes():
     memo = engine.memo
     assert not memo.interning
     assert memo.hits == 0
-    assert len(memo.states) == vec_module.MAX_STATES
+    assert max(filled) == vec_module.MAX_STATES
+    assert memo.states == [] and memo.ids == {}
     assert ("_intern", False) not in calls
     assert ("replay", False) in calls
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_state_table_bound(scheduler):
-    """With room for two states, the table never holds more, and
-    results stay byte-identical to the unbounded-enough default's and
-    the scalar engine's."""
+    """With room for two states, the table never holds more (it fills;
+    a memo that stops interning then releases it), and results stay
+    byte-identical to the unbounded-enough default's and the scalar
+    engine's."""
     config = SimulationConfig(scheduler=scheduler, duration=0.03)
     arrivals = PoissonSource(7000.0, rng=4).arrival_list(config.duration)
     default = _run_both_engines(config, arrivals, 4)
+    intern = vec_module._StateMemo._intern
+    filled = []  # (states, ids) held after each intern
+
+    def spy(memo):
+        state = intern(memo)
+        filled.append((len(memo.states), len(memo.ids)))
+        return state
+
     with pytest.MonkeyPatch.context() as patch, _vec_steppers() as steppers:
         patch.setattr(vec_module, "MAX_STATES", 2)
+        patch.setattr(vec_module._StateMemo, "_intern", spy)
         bounded = _run_both_engines(config, arrivals, 4)
     assert bounded == default
     assert default["scalar"] == default["vec"]
     (engine,) = [stepper.__self__ for stepper in steppers]
-    assert len(engine.memo.states) == len(engine.memo.ids) == 2
+    assert max(filled) == (2, 2)
+    memo = engine.memo
+    assert len(memo.states) == len(memo.ids) == (2 if memo.interning else 0)
 
 
 # ----------------------------------------------------------------------
