@@ -16,7 +16,7 @@ Run:  python examples/checksum_study.py
 
 from repro.buffers import MbufChain
 from repro.experiments import figure8
-from repro.harness import run_assembled
+from repro.harness import ResultCache, run_experiment
 from repro.protocols import (
     checksum_chain,
     internet_checksum,
@@ -45,10 +45,10 @@ def main() -> None:
     print(__doc__)
     correctness_demo()
     print()
-    result = run_assembled(figure8.SWEEP, "default")
-    print(result.render())
+    run = run_experiment(figure8.SWEEP, "default", cache=ResultCache(enabled=False))
+    print(figure8.SWEEP.render(run.points, run.results))
     print()
-    crossover = result.cold_crossover()
+    crossover = figure8.cold_crossover(run.points, run.results)
     print(
         f"With a cold cache the simple routine wins below {crossover:.0f}\n"
         f"bytes: its 288 bytes of code cost 9 cache-line fills versus 31\n"

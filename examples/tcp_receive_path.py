@@ -12,6 +12,7 @@ Run:  python examples/tcp_receive_path.py
 
 from repro.cache.workingset import Category
 from repro.experiments import figure1, table1, table3
+from repro.harness import run_assembled
 from repro.netbsd import ReceivePathModel
 from repro.trace.callgraph import build_call_graph
 
@@ -19,16 +20,10 @@ from repro.trace.callgraph import build_call_graph
 def main() -> None:
     print(__doc__)
 
-    print(table1.run(seed=0).render())
-    print()
-    print(table3.run(seed=0).render())
-    print()
-
-    result = figure1.run(seed=0)
-    print(result.phase_table())
-    print()
-    print(result.code_map())
-    print()
+    # Each table is one seed-0 analysis; every scale runs the same one.
+    for spec in (table1.SWEEP, table3.SWEEP, figure1.SWEEP):
+        print(run_assembled(spec, "default"))
+        print()
 
     # The call graph of the device-interrupt phase, as the paper's
     # tracing tools could print it.

@@ -1,12 +1,15 @@
 """Reproduction harnesses: one module per table/figure of the paper.
 
 Every module declares a :class:`~repro.harness.points.SweepSpec` named
-``SWEEP``, whose ``claims`` state what the paper says the results
-show.  Swept experiments rebuild a structured result (a ``render()``
-text table) with the spec's ``assemble``; the single-computation analyses (tables 1-3,
-Figure 1) return one from ``run(seed)``, and the schedules module
-prints Figures 2/3 from ``main()``.  The ``ldlp-experiment`` CLI (see
-:mod:`repro.experiments.cli`) drives them from the shell.
+``SWEEP``: its sweep points, the text table it renders from their
+results (``render(points, results)``), its golden quantities, and the
+``claims`` that state what the paper says the results show.  Render,
+quantities and claims are module functions over
+:func:`~repro.experiments.report.point_rows` — each point's params
+and decoded result, in declared order — so there are no per-experiment
+result classes.  The ``ldlp-experiment`` CLI (see
+:mod:`repro.experiments.cli`) prints any experiment's table from the
+shell.
 """
 
 from . import (

@@ -22,7 +22,7 @@ A5, the Cord layout compaction, is :mod:`repro.netbsd.cord`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any
 
 from ..cache.hierarchy import MachineSpec
@@ -32,7 +32,7 @@ from ..sim.runner import SimulationConfig, run_simulation
 from ..sim.stats import RunResult
 from ..traffic.poisson import PoissonSource
 from ..units import format_duration
-from .report import render_table
+from .report import point_rows, render_table
 
 DEFAULT_RATE = 9000.0
 DEFAULT_DURATION = 0.15
@@ -50,49 +50,6 @@ TABLES: dict[str, tuple[str, str]] = {
     "cisc_density": ("density", "A4: CISC code density (1.0 = Alpha, 0.45 = i386)"),
     "prefetch": ("prefetch", "A6: instruction-prefetch efficiency"),
 }
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """One ablation: parameter values and per-scheduler results."""
-
-    title: str
-    parameter: str
-    values: tuple[float, ...]
-    conventional: list[RunResult]
-    ldlp: list[RunResult]
-
-    def render(self) -> str:
-        rows = []
-        for index, value in enumerate(self.values):
-            conv = self.conventional[index]
-            ldlp = self.ldlp[index]
-            rows.append(
-                [
-                    value,
-                    f"{conv.misses.total:.0f}",
-                    format_duration(conv.latency.mean),
-                    f"{ldlp.misses.total:.0f}",
-                    format_duration(ldlp.latency.mean),
-                    f"{ldlp.cycles_per_message:.0f}",
-                ]
-            )
-        return render_table(
-            [self.parameter, "conv miss", "conv lat", "LDLP miss", "LDLP lat",
-             "LDLP cyc/msg"],
-            rows,
-            title=self.title,
-        )
-
-
-@dataclass(frozen=True)
-class AblationsResult:
-    """Every swept ablation, in declared order."""
-
-    sweeps: tuple[SweepResult, ...]
-
-    def render(self) -> str:
-        return "\n\n".join(sweep.render() for sweep in self.sweeps)
 
 
 def _run_pair(config_conv: SimulationConfig, config_ldlp: SimulationConfig,
@@ -194,6 +151,7 @@ SWEEP_SCALES: dict[str, tuple[dict[str, tuple[tuple[float, ...], float]], float]
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
+    """One point per (ablation, value), each on its own arrival rate."""
     sweeps, duration = SWEEP_SCALES[scale]
     return [
         SweepPoint(
@@ -213,33 +171,39 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def _pair(results: dict[str, Any], key: str) -> tuple[RunResult, RunResult]:
-    data = results[key]
+def decode_pair(result: dict[str, Any]) -> tuple[RunResult, RunResult]:
+    """One point result as its (conventional, LDLP) run results."""
     return (
-        RunResult.from_dict(data["conventional"]),
-        RunResult.from_dict(data["ldlp"]),
+        RunResult.from_dict(result["conventional"]),
+        RunResult.from_dict(result["ldlp"]),
     )
 
 
-def assemble(points: list[SweepPoint], results: dict[str, Any]) -> AblationsResult:
-    """Group the point results into one titled table per sweep."""
-    grouped: dict[str, list[SweepPoint]] = {}
-    for point in points:
-        grouped.setdefault(point.params["sweep"], []).append(point)
-    sweeps = []
-    for sweep, members in grouped.items():
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """One titled table per swept ablation, in declared order."""
+    grouped: dict[str, list] = {}
+    for params, pair in point_rows(points, results, decode_pair):
+        grouped.setdefault(params["sweep"], []).append((params, *pair))
+    tables = []
+    for sweep, rows in grouped.items():
         parameter, label = TABLES[sweep]
-        pairs = [_pair(results, point.key) for point in members]
-        sweeps.append(
-            SweepResult(
-                title=f"{label} at {members[0].params['rate']:.0f} msgs/s",
-                parameter=parameter,
-                values=tuple(float(point.params["value"]) for point in members),
-                conventional=[conv for conv, _ in pairs],
-                ldlp=[ldlp for _, ldlp in pairs],
-            )
-        )
-    return AblationsResult(sweeps=tuple(sweeps))
+        tables.append(render_table(
+            [parameter, "conv miss", "conv lat", "LDLP miss", "LDLP lat",
+             "LDLP cyc/msg"],
+            [
+                [
+                    float(params["value"]),
+                    f"{conv.misses.total:.0f}",
+                    format_duration(conv.latency.mean),
+                    f"{ldlp.misses.total:.0f}",
+                    format_duration(ldlp.latency.mean),
+                    f"{ldlp.cycles_per_message:.0f}",
+                ]
+                for params, conv, ldlp in rows
+            ],
+            title=f"{label} at {rows[0][0]['rate']:.0f} msgs/s",
+        ))
+    return "\n\n".join(tables)
 
 
 def golden_quantities(
@@ -260,7 +224,7 @@ def golden_quantities(
     ):
         if key not in results:
             continue
-        conv, ldlp = _pair(results, key)
+        conv, ldlp = decode_pair(results[key])
         if key.startswith("batch_cap"):
             quantities[f"{label}_miss_ratio"] = (
                 ldlp.misses.total / max(conv.misses.total, 1e-9)
@@ -284,7 +248,7 @@ SWEEP = SweepSpec(
     name="ablations",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("LDLP's advantage vanishes with a batch cap of 1, a zero miss penalty "
               "or cache-resident code: LDLP within 5% of conventional",

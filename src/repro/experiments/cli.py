@@ -21,10 +21,13 @@ Usage::
     ldlp-experiment analyze --determinism         # DET gate (exit 1 on ERROR)
     ldlp-experiment analyze --list-rules          # rule registry
 
-The first form runs one experiment serially and prints its table.  An
-experiment with a declared sweep runs that sweep's points inline with no
-result cache, at the ``default`` scale (``paper`` under
-``--paper-scale``), and prints the table ``run`` renders at that scale.
+The first form runs one experiment serially and prints its table: it
+runs the experiment's ``SweepSpec`` points inline with no result cache,
+at the ``default`` scale (``paper`` under ``--paper-scale``), and prints
+the table the spec renders — the one ``run`` prints at that scale.
+``--seed`` sets the seed of every point that takes one; naming an
+experiment none of whose points does is a usage error.  Ablations add
+their A5 Cord section, which is not a sweep point.
 The ``run``/``regress`` forms go through :mod:`repro.harness`: sweep points
 fan out over a worker pool, results are cached by content hash, each
 experiment prints one wall-clock timing line, and ``regress`` gates
@@ -37,58 +40,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from ..harness.registry import get_spec
+from ..harness.points import point_accepts, with_keyword
+from ..harness.registry import EXPERIMENT_MODULES, get_spec
 from ..harness.runner import run_assembled
-from . import figure1, schedules, table1, table2, table3
 
+#: Subcommands dispatched to the parallel harness CLI (repro.harness.cli).
+HARNESS_COMMANDS = ("run", "regress")
 
-def _sweep(name: str) -> Callable[[argparse.Namespace], None]:
-    """The serial form of a swept experiment: run and render its sweep."""
-    def show(args: argparse.Namespace) -> None:
-        scale = "paper" if args.paper_scale else "default"
-        print(run_assembled(get_spec(name), scale).render())
+#: Subcommand dispatched to the tracing CLI (repro.obs.cli).
+TRACE_COMMAND = "trace"
 
-    return show
+#: Subcommand dispatched to the fault-campaign CLI (repro.faults.cli).
+FAULTS_COMMAND = "faults"
 
+#: Subcommand dispatched to the static-analysis CLI (repro.analysis.cli).
+ANALYZE_COMMAND = "analyze"
 
-def _ablations(args: argparse.Namespace) -> None:
-    """A1-A4 and A6 from the sweep, then A5 (Cord layout compaction)."""
-    from ..netbsd.cord import run_cord_experiment
-
-    _sweep("ablations")(args)
-    print()
-    print(run_cord_experiment().render())
-
-
-EXPERIMENTS = {
-    "table1": lambda args: print(table1.run(seed=args.seed).render()),
-    "table2": lambda args: table2.main(),
-    "table3": lambda args: print(table3.run(seed=args.seed).render()),
-    "figure1": lambda args: _figure1(args),
-    "figure5": _sweep("figure5"),
-    "figure6": _sweep("figure6"),
-    "figure7": _sweep("figure7"),
-    "figure8": _sweep("figure8"),
-    "ablations": _ablations,
-    "schedules": lambda args: schedules.main(),
-    "motivation": _sweep("motivation"),
-    "multicore": _sweep("multicore"),
-    "flows": _sweep("flows"),
-    "gossip": _sweep("gossip"),
-    "analyze": lambda args: _analyze(args),
-}
-
-
-def _analyze(args: argparse.Namespace) -> None:
-    """Static analysis of both modelled stacks (see repro.analysis)."""
-    from ..analysis.cli import main as analysis_main
-
-    analysis_main(
-        ["--stack", "synthetic", "--stack", "netbsd", "--harness",
-         "--determinism", "--seed", str(args.seed), "--fail-on", "never"]
-    )
+#: Experiments the serial form runs: every registered one but the fault
+#: campaign, which has its own subcommand.
+SERIAL_EXPERIMENTS = tuple(name for name in EXPERIMENT_MODULES if name != FAULTS_COMMAND)
 
 
 def _analyze_command(argv: list[str]) -> int:
@@ -136,13 +107,6 @@ def _analyze_command(argv: list[str]) -> int:
     )
 
 
-def _figure1(args: argparse.Namespace) -> None:
-    result = figure1.run(seed=args.seed)
-    print(result.phase_table())
-    print()
-    print(result.code_map())
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Parser for the serial one-experiment form."""
     parser = argparse.ArgumentParser(
@@ -154,29 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=sorted(SERIAL_EXPERIMENTS + (ANALYZE_COMMAND,)) + ["all"],
         help="which table/figure to regenerate",
     )
-    parser.add_argument("--seed", type=int, default=0, help="model/placement seed")
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="model/placement seed of every point that takes one "
+        "(default: each point's own)",
+    )
     parser.add_argument(
         "--paper-scale",
         action="store_true",
         help="run a swept experiment at its paper scale instead of default",
     )
     return parser
-
-
-#: Subcommands dispatched to the parallel harness CLI (repro.harness.cli).
-HARNESS_COMMANDS = ("run", "regress")
-
-#: Subcommand dispatched to the tracing CLI (repro.obs.cli).
-TRACE_COMMAND = "trace"
-
-#: Subcommand dispatched to the fault-campaign CLI (repro.faults.cli).
-FAULTS_COMMAND = "faults"
-
-#: Subcommand dispatched to the static-analysis CLI (repro.analysis.cli).
-ANALYZE_COMMAND = "analyze"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,12 +152,31 @@ def main(argv: list[str] | None = None) -> int:
         from ..faults.cli import main as faults_main
 
         return faults_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    scale = "paper" if args.paper_scale else "default"
+    if args.experiment == "all":
+        names = sorted(SERIAL_EXPERIMENTS + (ANALYZE_COMMAND,))
+    else:
+        names = [args.experiment]
     for index, name in enumerate(names):
         if index:
             print("\n" + "=" * 72 + "\n")
-        EXPERIMENTS[name](args)
+        if name == ANALYZE_COMMAND:
+            _analyze_command(["--seed", str(args.seed or 0)])
+            continue
+        spec = get_spec(name)
+        if args.seed is not None:
+            seeded = any(point_accepts(point, "seed") for point in spec.points_for(scale))
+            if not seeded and args.experiment != "all":
+                parser.error(f"{name} has no point that takes a seed; --seed does not apply")
+            spec = with_keyword(spec, "seed", args.seed)
+        print(run_assembled(spec, scale))
+        if name == "ablations":
+            from ..netbsd.cord import run_cord_experiment
+
+            print()
+            print(run_cord_experiment().render())
     return 0
 
 

@@ -14,12 +14,11 @@ batch cap (14 messages in the 8 KB data cache) binds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..sim.stats import RunResult
-from .report import render_table
+from .report import render_table, scheduler_pairs
 
 #: The paper sweeps 1000..10000 msgs/sec.
 PAPER_RATES = tuple(range(1000, 10001, 1000))
@@ -30,44 +29,6 @@ PAPER_RATES = tuple(range(1000, 10001, 1000))
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DURATION = 0.15
 
-
-@dataclass(frozen=True)
-class Figure5Result:
-    rates: tuple[int, ...]
-    conventional: list[RunResult]
-    ldlp: list[RunResult]
-
-    def series(self, scheduler: str, component: str) -> list[float]:
-        """One plotted series: scheduler in {conventional, ldlp},
-        component in {instruction, data, total}."""
-        results = self.conventional if scheduler == "conventional" else self.ldlp
-        return [getattr(r.misses, component, r.misses.total) if component != "total"
-                else r.misses.total for r in results]
-
-    def render(self) -> str:
-        rows = []
-        for index, rate in enumerate(self.rates):
-            conv = self.conventional[index]
-            ldlp = self.ldlp[index]
-            rows.append(
-                [
-                    rate,
-                    f"{conv.misses.instruction:.0f}",
-                    f"{conv.misses.data:.0f}",
-                    f"{ldlp.misses.instruction:.0f}",
-                    f"{ldlp.misses.data:.0f}",
-                    f"{ldlp.mean_batch_size:.1f}",
-                ]
-            )
-        return render_table(
-            ["rate/s", "conv I", "conv D", "LDLP I", "LDLP D", "batch"],
-            rows,
-            title="Figure 5: cache misses per message (Poisson, 552-byte messages)",
-        )
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
 
 #: (rates, seeds, duration) per harness scale.
 SWEEP_SCALES: dict[str, tuple[tuple[int, ...], tuple[int, ...], float]] = {
@@ -99,24 +60,28 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def point_series(
-    points: list[SweepPoint], results: dict[str, Any], scheduler: str
-) -> tuple[tuple[int, ...], list[RunResult]]:
-    """Reassemble one scheduler's rate-ordered series from point results."""
-    rates: list[int] = []
-    series: list[RunResult] = []
-    for point in points:
-        if point.params["scheduler"] != scheduler:
-            continue
-        rates.append(int(point.params["rate"]))
-        series.append(RunResult.from_dict(results[point.key]))
-    return tuple(rates), series
+def pairs(points: list[SweepPoint], results: dict[str, Any]) -> list:
+    """``(rate, conventional, LDLP)`` run results per swept rate."""
+    return scheduler_pairs(points, results, "rate", RunResult.from_dict)
 
 
-def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure5Result:
-    rates, conventional = point_series(points, results, "conventional")
-    _, ldlp = point_series(points, results, "ldlp")
-    return Figure5Result(rates=rates, conventional=conventional, ldlp=ldlp)
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Both schedulers' misses per message, and LDLP's batch, per rate."""
+    return render_table(
+        ["rate/s", "conv I", "conv D", "LDLP I", "LDLP D", "batch"],
+        [
+            [
+                rate,
+                f"{conv.misses.instruction:.0f}",
+                f"{conv.misses.data:.0f}",
+                f"{ldlp.misses.instruction:.0f}",
+                f"{ldlp.misses.data:.0f}",
+                f"{ldlp.mean_batch_size:.1f}",
+            ]
+            for rate, conv, ldlp in pairs(points, results)
+        ],
+        title="Figure 5: cache misses per message (Poisson, 552-byte messages)",
+    )
 
 
 def golden_quantities(
@@ -125,39 +90,38 @@ def golden_quantities(
     """Figure 5's levels: conventional misses/message, LDLP instruction
     misses at both ends of the sweep and their fall, and the top-rate
     miss-count advantage and batch size."""
-    figure = assemble(points, results)
-    conv_total = [r.misses.total for r in figure.conventional]
-    ldlp_i = [r.misses.instruction for r in figure.ldlp]
+    swept = pairs(points, results)
+    conv_total = [conv.misses.total for _, conv, _ in swept]
+    ldlp_i = [ldlp.misses.instruction for _, _, ldlp in swept]
+    _, top_conv, top_ldlp = swept[-1]
     return {
         "conv_total_misses_mean": sum(conv_total) / len(conv_total),
         "conv_total_misses_top": conv_total[-1],
         "ldlp_instruction_first": ldlp_i[0],
         "ldlp_instruction_last": ldlp_i[-1],
         "ldlp_instruction_fall_ratio": ldlp_i[0] / max(ldlp_i[-1], 1e-9),
-        "ldlp_data_last": figure.ldlp[-1].misses.data,
-        "ldlp_over_conv_total_top": (
-            figure.ldlp[-1].misses.total / figure.conventional[-1].misses.total
-        ),
-        "ldlp_batch_top": figure.ldlp[-1].mean_batch_size,
+        "ldlp_data_last": top_ldlp.misses.data,
+        "ldlp_over_conv_total_top": top_ldlp.misses.total / top_conv.misses.total,
+        "ldlp_batch_top": top_ldlp.mean_batch_size,
     }
 
 
 def _conventional_flat_near_1000(points, results) -> bool:
-    totals = [r.misses.total for r in assemble(points, results).conventional]
+    totals = [conv.misses.total for _, conv, _ in pairs(points, results)]
     mean = sum(totals) / len(totals)
     return all(870 <= t <= 1130 and abs(t - mean) < 0.15 * mean for t in totals)
 
 
 def _ldlp_data_does_not_fall(points, results) -> bool:
-    ldlp = assemble(points, results).ldlp
-    return ldlp[-1].misses.data >= 0.8 * ldlp[0].misses.data
+    swept = pairs(points, results)
+    return swept[-1][2].misses.data >= 0.8 * swept[0][2].misses.data
 
 
 SWEEP = SweepSpec(
     name="figure5",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("conventional flat near 1000 misses/msg: every rate in [870, 1130] "
               "and within 15% of the mean", "§4, Fig. 5", _conventional_flat_near_1000),

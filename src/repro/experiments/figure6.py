@@ -8,55 +8,13 @@ LDLP holds sub-millisecond-to-few-millisecond latency almost to 10 k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import Claim, SweepPoint, SweepSpec
-from ..sim.stats import RunResult
 from ..units import format_duration
-from .figure5 import DEFAULT_DURATION, DEFAULT_SEEDS, PAPER_RATES, point_series
+from .figure5 import DEFAULT_DURATION, DEFAULT_SEEDS, PAPER_RATES, pairs
 from .report import render_table
 
-
-@dataclass(frozen=True)
-class Figure6Result:
-    rates: tuple[int, ...]
-    conventional: list[RunResult]
-    ldlp: list[RunResult]
-
-    def render(self) -> str:
-        rows = []
-        for index, rate in enumerate(self.rates):
-            conv = self.conventional[index]
-            ldlp = self.ldlp[index]
-            rows.append(
-                [
-                    rate,
-                    format_duration(conv.latency.mean),
-                    format_duration(conv.latency.p99),
-                    conv.dropped,
-                    format_duration(ldlp.latency.mean),
-                    format_duration(ldlp.latency.p99),
-                    ldlp.dropped,
-                ]
-            )
-        return render_table(
-            [
-                "rate/s",
-                "conv mean",
-                "conv p99",
-                "conv drops",
-                "LDLP mean",
-                "LDLP p99",
-                "LDLP drops",
-            ],
-            rows,
-            title="Figure 6: latency vs arrival rate (Poisson, 500-packet buffer)",
-        )
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
 
 #: (rates, seeds, duration) per harness scale.  The point function and
 #: parameters are shared with Figure 5 (the same simulations produce
@@ -70,6 +28,7 @@ SWEEP_SCALES: dict[str, tuple[tuple[int, ...], tuple[int, ...], float]] = {
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
+    """One point per (scheduler, arrival rate), as in Figure 5."""
     rates, seeds, duration = SWEEP_SCALES[scale]
     return [
         SweepPoint(
@@ -88,10 +47,32 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure6Result:
-    rates, conventional = point_series(points, results, "conventional")
-    _, ldlp = point_series(points, results, "ldlp")
-    return Figure6Result(rates=rates, conventional=conventional, ldlp=ldlp)
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Both schedulers' mean and p99 latency and drops, per rate."""
+    return render_table(
+        [
+            "rate/s",
+            "conv mean",
+            "conv p99",
+            "conv drops",
+            "LDLP mean",
+            "LDLP p99",
+            "LDLP drops",
+        ],
+        [
+            [
+                rate,
+                format_duration(conv.latency.mean),
+                format_duration(conv.latency.p99),
+                conv.dropped,
+                format_duration(ldlp.latency.mean),
+                format_duration(ldlp.latency.p99),
+                ldlp.dropped,
+            ]
+            for rate, conv, ldlp in pairs(points, results)
+        ],
+        title="Figure 6: latency vs arrival rate (Poisson, 500-packet buffer)",
+    )
 
 
 def golden_quantities(
@@ -99,9 +80,8 @@ def golden_quantities(
 ) -> dict[str, float]:
     """Figure 6's levels: the low-load latency ratio, conventional's
     saturated latency and drops, and LDLP's latency near 9 k msgs/s."""
-    figure = assemble(points, results)
-    conv, ldlp = figure.conventional, figure.ldlp
-    ldlp_index = figure.rates.index(9000) if 9000 in figure.rates else -1
+    rates, conv, ldlp = zip(*pairs(points, results))
+    ldlp_index = rates.index(9000) if 9000 in rates else -1
     return {
         "low_rate_conv_over_ldlp": conv[0].latency.mean / ldlp[0].latency.mean,
         "conv_latency_top_ms": 1e3 * conv[-1].latency.mean,
@@ -117,10 +97,9 @@ def _conventional_saturates(points, results) -> bool:
 
 
 def _ldlp_never_much_worse(points, results) -> bool:
-    figure = assemble(points, results)
     return all(
         ldlp.latency.mean < max(3 * conv.latency.mean, 2e-3)
-        for conv, ldlp in zip(figure.conventional, figure.ldlp)
+        for _, conv, ldlp in pairs(points, results)
     )
 
 
@@ -128,7 +107,7 @@ SWEEP = SweepSpec(
     name="figure6",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("comparable at low load: mean latencies within 1.5x at the lowest rate",
               "§4, Fig. 6",

@@ -13,7 +13,6 @@ Bellcore trace file replays through ``read_bellcore_trace`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..cache.hierarchy import MachineSpec
@@ -22,7 +21,7 @@ from ..sim.runner import SimulationConfig, run_simulation
 from ..sim.stats import RunResult, merge_results
 from ..traffic.bellcore import TraceSource, synthesize_bellcore_like
 from ..units import format_duration, mhz
-from .report import render_table
+from .report import render_table, scheduler_pairs
 
 #: Clock sweep from the figure's x-axis.
 PAPER_CLOCKS_MHZ = (10, 20, 30, 40, 50, 60, 70, 80)
@@ -30,38 +29,6 @@ PAPER_CLOCKS_MHZ = (10, 20, 30, 40, 50, 60, 70, 80)
 DEFAULT_DURATION = 0.6
 DEFAULT_MEAN_RATE = 1200.0
 DEFAULT_SEEDS = (0, 1)
-
-
-@dataclass(frozen=True)
-class Figure7Result:
-    clocks_mhz: tuple[int, ...]
-    conventional: list[RunResult]
-    ldlp: list[RunResult]
-
-    def render(self) -> str:
-        rows = []
-        for index, clock in enumerate(self.clocks_mhz):
-            conv = self.conventional[index]
-            ldlp = self.ldlp[index]
-            rows.append(
-                [
-                    clock,
-                    format_duration(conv.latency.mean),
-                    conv.dropped,
-                    format_duration(ldlp.latency.mean),
-                    ldlp.dropped,
-                    f"{ldlp.mean_batch_size:.1f}",
-                ]
-            )
-        return render_table(
-            ["MHz", "conv mean", "conv drops", "LDLP mean", "LDLP drops", "batch"],
-            rows,
-            title="Figure 7: latency vs CPU clock (self-similar Ethernet-like trace)",
-        )
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
 
 
 def clock_point(
@@ -104,6 +71,7 @@ SWEEP_SCALES: dict[str, tuple[tuple[int, ...], tuple[int, ...], float, float]] =
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
+    """One point per (scheduler, CPU clock) on the self-similar trace."""
     clocks, seeds, duration, mean_rate = SWEEP_SCALES[scale]
     return [
         SweepPoint(
@@ -123,24 +91,28 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def _series(
-    points: list[SweepPoint], results: dict[str, Any], scheduler: str
-) -> tuple[tuple[int, ...], list[RunResult]]:
-    clocks: list[int] = []
-    series: list[RunResult] = []
-    for point in points:
-        if point.params["scheduler"] != scheduler:
-            continue
-        clocks.append(int(point.params["clock_mhz"]))
-        series.append(RunResult.from_dict(results[point.key]))
-    return tuple(clocks), series
+def pairs(points: list[SweepPoint], results: dict[str, Any]) -> list:
+    """``(clock MHz, conventional, LDLP)`` run results per swept clock."""
+    return scheduler_pairs(points, results, "clock_mhz", RunResult.from_dict)
 
 
-def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure7Result:
-    clocks, conventional = _series(points, results, "conventional")
-    _, ldlp = _series(points, results, "ldlp")
-    return Figure7Result(
-        clocks_mhz=clocks, conventional=conventional, ldlp=ldlp
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Both schedulers' mean latency and drops, and LDLP's batch, per
+    clock."""
+    return render_table(
+        ["MHz", "conv mean", "conv drops", "LDLP mean", "LDLP drops", "batch"],
+        [
+            [
+                clock,
+                format_duration(conv.latency.mean),
+                conv.dropped,
+                format_duration(ldlp.latency.mean),
+                ldlp.dropped,
+                f"{ldlp.mean_batch_size:.1f}",
+            ]
+            for clock, conv, ldlp in pairs(points, results)
+        ],
+        title="Figure 7: latency vs CPU clock (self-similar Ethernet-like trace)",
     )
 
 
@@ -149,41 +121,33 @@ def golden_quantities(
 ) -> dict[str, float]:
     """Figure 7's levels: latency at both clock extremes and near
     40 MHz, and LDLP's batch size at both extremes."""
-    figure = assemble(points, results)
-    mid = min(
-        range(len(figure.clocks_mhz)),
-        key=lambda i: abs(figure.clocks_mhz[i] - 40),
-    )
+    clocks, conv, ldlp = zip(*pairs(points, results))
+    mid = min(range(len(clocks)), key=lambda i: abs(clocks[i] - 40))
     return {
-        "conv_latency_slowest_ms": 1e3 * figure.conventional[0].latency.mean,
-        "conv_latency_fastest_ms": 1e3 * figure.conventional[-1].latency.mean,
-        "ldlp_latency_mid_ms": 1e3 * figure.ldlp[mid].latency.mean,
-        "conv_over_ldlp_mid": (
-            figure.conventional[mid].latency.mean / figure.ldlp[mid].latency.mean
-        ),
-        "ldlp_batch_slowest": figure.ldlp[0].mean_batch_size,
-        "ldlp_batch_fastest": figure.ldlp[-1].mean_batch_size,
+        "conv_latency_slowest_ms": 1e3 * conv[0].latency.mean,
+        "conv_latency_fastest_ms": 1e3 * conv[-1].latency.mean,
+        "ldlp_latency_mid_ms": 1e3 * ldlp[mid].latency.mean,
+        "conv_over_ldlp_mid": conv[mid].latency.mean / ldlp[mid].latency.mean,
+        "ldlp_batch_slowest": ldlp[0].mean_batch_size,
+        "ldlp_batch_fastest": ldlp[-1].mean_batch_size,
     }
 
 
 def _latency_rises_as_clock_falls(points, results) -> bool:
-    figure = assemble(points, results)
-    return all(
-        series[0].latency.mean > series[-1].latency.mean
-        for series in (figure.conventional, figure.ldlp)
-    )
+    _, conv, ldlp = zip(*pairs(points, results))
+    return all(series[0].latency.mean > series[-1].latency.mean for series in (conv, ldlp))
 
 
 def _ldlp_batches_when_slow(points, results) -> bool:
-    ldlp = assemble(points, results).ldlp
-    return ldlp[0].mean_batch_size > ldlp[-1].mean_batch_size
+    swept = pairs(points, results)
+    return swept[0][2].mean_batch_size > swept[-1][2].mean_batch_size
 
 
 SWEEP = SweepSpec(
     name="figure7",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("latency rises as the CPU clock falls, both schedulers", "Fig. 7",
               _latency_rises_as_clock_falls),

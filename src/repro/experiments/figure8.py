@@ -14,7 +14,6 @@ near 426 (4.4BSD) and 176 (simple) cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..machine.cpu import CPU
@@ -70,47 +69,6 @@ def checksum_cycles(
     return (cpu.cycles - before) + model.warm_cycles(message_bytes)
 
 
-@dataclass(frozen=True)
-class Figure8Result:
-    sizes: tuple[int, ...]
-    bsd_warm: list[float]
-    simple_warm: list[float]
-    bsd_cold: list[float]
-    simple_cold: list[float]
-
-    def cold_crossover(self) -> float:
-        """Message size where the elaborate routine overtakes, cold."""
-        for size, bsd, simple in zip(self.sizes, self.bsd_cold, self.simple_cold):
-            if bsd <= simple:
-                return float(size)
-        return float("inf")
-
-    def render(self) -> str:
-        rows = []
-        for index, size in enumerate(self.sizes):
-            rows.append(
-                [
-                    size,
-                    f"{self.bsd_warm[index]:.0f}",
-                    f"{self.simple_warm[index]:.0f}",
-                    f"{self.bsd_cold[index]:.0f}",
-                    f"{self.simple_cold[index]:.0f}",
-                ]
-            )
-        table = render_table(
-            ["size B", "4.4BSD warm", "simple warm", "4.4BSD cold", "simple cold"],
-            rows,
-            title="Figure 8: checksum cost (CPU cycles), DEC 3000/400 model",
-        )
-        return (
-            table
-            + f"\ncold crossover: {self.cold_crossover():.0f} B "
-            f"(paper ~{PAPER_COLD_CROSSOVER:.0f} B); cold intercepts "
-            f"{self.bsd_cold[0]:.0f}/{self.simple_cold[0]:.0f} "
-            f"(paper {PAPER_BSD_COLD_INTERCEPT:.0f}/{PAPER_SIMPLE_COLD_INTERCEPT:.0f})"
-        )
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -143,14 +101,43 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure8Result:
-    del points
-    return Figure8Result(
-        sizes=PAPER_SIZES,
-        bsd_warm=results["bsd/warm"]["cycles"],
-        simple_warm=results["simple/warm"]["cycles"],
-        bsd_cold=results["bsd/cold"]["cycles"],
-        simple_cold=results["simple/cold"]["cycles"],
+#: The four series in column order: (point key, column header).
+SERIES = (
+    ("bsd/warm", "4.4BSD warm"),
+    ("simple/warm", "simple warm"),
+    ("bsd/cold", "4.4BSD cold"),
+    ("simple/cold", "simple cold"),
+)
+
+
+def cold_crossover(points: list[SweepPoint], results: dict[str, Any]) -> float:
+    """Message size where the elaborate routine overtakes, cold."""
+    sizes = points[0].params["sizes"]
+    cold = zip(sizes, results["bsd/cold"]["cycles"], results["simple/cold"]["cycles"])
+    for size, bsd, simple in cold:
+        if bsd <= simple:
+            return float(size)
+    return float("inf")
+
+
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Every series' cycles per size, then the cold crossover and
+    intercepts against the paper's."""
+    columns = [results[key]["cycles"] for key, _ in SERIES]
+    table = render_table(
+        ["size B"] + [header for _, header in SERIES],
+        [
+            [size] + [f"{column[index]:.0f}" for column in columns]
+            for index, size in enumerate(points[0].params["sizes"])
+        ],
+        title="Figure 8: checksum cost (CPU cycles), DEC 3000/400 model",
+    )
+    return (
+        table
+        + f"\ncold crossover: {cold_crossover(points, results):.0f} B "
+        f"(paper ~{PAPER_COLD_CROSSOVER:.0f} B); cold intercepts "
+        f"{columns[2][0]:.0f}/{columns[3][0]:.0f} "
+        f"(paper {PAPER_BSD_COLD_INTERCEPT:.0f}/{PAPER_SIMPLE_COLD_INTERCEPT:.0f})"
     )
 
 
@@ -159,28 +146,27 @@ def golden_quantities(
 ) -> dict[str, float]:
     """Figure 8's annotated numbers: the 426/176-cycle cold intercepts
     and the ~900-byte cold crossover, plus warm endpoints."""
-    figure = assemble(points, results)
     return {
-        "bsd_cold_intercept": figure.bsd_cold[0],
-        "simple_cold_intercept": figure.simple_cold[0],
-        "cold_crossover_bytes": figure.cold_crossover(),
-        "bsd_warm_at_1000": figure.bsd_warm[-1],
-        "simple_warm_at_1000": figure.simple_warm[-1],
+        "bsd_cold_intercept": results["bsd/cold"]["cycles"][0],
+        "simple_cold_intercept": results["simple/cold"]["cycles"][0],
+        "cold_crossover_bytes": cold_crossover(points, results),
+        "bsd_warm_at_1000": results["bsd/warm"]["cycles"][-1],
+        "simple_warm_at_1000": results["simple/warm"]["cycles"][-1],
     }
 
 
 def _cold_intercepts_exact(points, results) -> bool:
-    figure = assemble(points, results)
-    return (figure.bsd_cold[0], figure.simple_cold[0]) == (
+    return (results["bsd/cold"]["cycles"][0], results["simple/cold"]["cycles"][0]) == (
         PAPER_BSD_COLD_INTERCEPT, PAPER_SIMPLE_COLD_INTERCEPT
     )
 
 
 def _warm_elaborate_wins(points, results) -> bool:
-    figure = assemble(points, results)
     return all(
         bsd <= simple
-        for bsd, simple in zip(figure.bsd_warm[3:], figure.simple_warm[3:])
+        for bsd, simple in zip(
+            results["bsd/warm"]["cycles"][3:], results["simple/warm"]["cycles"][3:]
+        )
     )
 
 
@@ -188,12 +174,12 @@ SWEEP = SweepSpec(
     name="figure8",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("cold-start intercepts are exactly 426 (4.4BSD) and 176 (simple) "
               "cycles", "§5, Fig. 8", _cold_intercepts_exact),
         Claim("cold, the simple routine wins below exactly 900 bytes", "§5, Fig. 8",
-              lambda p, r: assemble(p, r).cold_crossover() == PAPER_COLD_CROSSOVER),
+              lambda p, r: cold_crossover(p, r) == PAPER_COLD_CROSSOVER),
         Claim("warm, the elaborate routine is never slower from 150 bytes up",
               "§5, Fig. 8", _warm_elaborate_wins),
     ),

@@ -18,12 +18,11 @@ the paper's machine model:
 * batching schedulers (LDLP, Grouped) incur *at most* the per-message
   schedulers' lookup misses per message at equal load over the Poisson
   grid, because one batch resolves each distinct destination once
-  (:meth:`FlowSweepResult.amortization_ok`).  Over the bursty Bellcore
-  grid only the performed-lookup *fraction* reduction is guaranteed
-  (:meth:`FlowSweepResult.lookup_reduction_ok`): batch dedup also skips
-  LRU recency refreshes, so an LRU organization can miss slightly more
-  per message while still performing a smaller share of its demanded
-  lookups.
+  (:func:`amortization_ok`).  Over the bursty Bellcore grid only the
+  performed-lookup *fraction* reduction is guaranteed
+  (:func:`lookup_reduction_ok`): batch dedup also skips LRU recency
+  refreshes, so an LRU organization can miss slightly more per message
+  while still performing a smaller share of its demanded lookups.
 
 Every sweep point is the pure module-level
 :func:`repro.flows.runner.flows_point`, so the sweep parallelizes over
@@ -36,164 +35,116 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import Any
 
 from ..flows.runner import FlowRunResult
 from ..harness.points import Claim, SweepPoint, SweepSpec
-from .report import render_table
+from .report import point_rows, render_table
 
 #: Slack for the amortization comparison: misses/msg are ratios of
 #: exact integer counters, so equality up to float noise still counts.
 _EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
-class FlowRow:
-    """One rendered (scheduler, organization, skew, entries) combination."""
-
-    scheduler: str
-    organization: str
-    skew: float
-    entries: int
-    result: FlowRunResult
-    #: Base arrival process ("poisson" or "bellcore" self-similar).
-    base: str = "poisson"
+#: One ``(params, result)`` row of the sweep (see :func:`rows`).
+Row = tuple[dict[str, Any], FlowRunResult]
 
 
-@dataclass(frozen=True)
-class FlowSweepResult:
-    """The assembled flow sweep: one row per combination."""
+def rows(points: list[SweepPoint], results: dict[str, Any]) -> list[Row]:
+    """``(params, flow run result)`` per point, in declared order."""
+    return point_rows(
+        points, results, lambda data: FlowRunResult.from_dict(data["result"])
+    )
 
-    rows: tuple[FlowRow, ...]
 
-    def hit_ratios_monotonic(self) -> bool:
-        """Whether no (scheduler, organization, skew, base) curve's hit
-        ratio drops as the cache grows."""
-        curves: dict[tuple[str, str, float, str], list[tuple[int, float]]] = {}
-        for row in self.rows:
-            curves.setdefault(
-                (row.scheduler, row.organization, row.skew, row.base), []
-            ).append((row.entries, row.result.hit_ratio))
-        return all(
-            earlier <= later + _EPSILON
-            for curve in curves.values()
-            for (_, earlier), (_, later) in pairwise(sorted(curve))
+def base_of(params: dict[str, Any]) -> str:
+    """A point's base arrival process ("poisson" or "bellcore")."""
+    return params.get("base", "poisson")
+
+
+def hit_ratios_monotonic(rows: list[Row]) -> bool:
+    """Whether no (scheduler, organization, skew, base) curve's hit
+    ratio drops as the cache grows."""
+    curves: dict[tuple[str, str, float, str], list[tuple[int, float]]] = {}
+    for params, result in rows:
+        curves.setdefault(
+            (params["scheduler"], params["organization"], params["skew"], base_of(params)),
+            [],
+        ).append((params["entries"], result.hit_ratio))
+    return all(
+        earlier <= later + _EPSILON
+        for curve in curves.values()
+        for (_, earlier), (_, later) in pairwise(sorted(curve))
+    )
+
+
+def amortization_ok(rows: list[Row], base: str = "poisson") -> bool:
+    """Batching schedulers never exceed conventional lookup misses.
+
+    For every (organization, skew, entries) combination over one base
+    process where both the conventional scheduler and a batching
+    scheduler (ldlp, grouped) ran, the batching scheduler's lookup
+    misses per completed message must be at most conventional's.  This
+    is an *empirical* pin, not a theorem: it holds over the memoryless
+    Poisson grid, but batch dedup also skips the LRU recency refresh a
+    repeated in-batch access would have given a hot flow, so over
+    bursty self-similar traffic an LRU organization can genuinely miss
+    slightly *more* per message while still performing fewer lookups —
+    which is why this pin is scoped per base and the guaranteed
+    property is :func:`lookup_reduction_ok`.
+    """
+    baseline: dict[tuple[str, float, int], float] = {}
+    for params, result in rows:
+        if params["scheduler"] == "conventional" and base_of(params) == base:
+            key = (params["organization"], params["skew"], params["entries"])
+            baseline[key] = result.lookup_misses_per_message
+    for params, result in rows:
+        if params["scheduler"] not in ("ldlp", "grouped") or base_of(params) != base:
+            continue
+        reference = baseline.get(
+            (params["organization"], params["skew"], params["entries"])
         )
+        if reference is None:
+            continue
+        if result.lookup_misses_per_message > reference + _EPSILON:
+            return False
+    return True
 
-    def amortization_ok(self, base: str = "poisson") -> bool:
-        """Batching schedulers never exceed conventional lookup misses.
 
-        For every (organization, skew, entries) combination over one
-        base process where both the conventional scheduler and a
-        batching scheduler (ldlp, grouped) ran, the batching
-        scheduler's lookup misses per completed message must be at most
-        conventional's.  This is an *empirical* pin, not a theorem: it
-        holds over the memoryless Poisson grid, but batch dedup also
-        skips the LRU recency refresh a repeated in-batch access would
-        have given a hot flow, so over bursty self-similar traffic an
-        LRU organization can genuinely miss slightly *more* per message
-        while still performing fewer lookups — which is why this pin is
-        scoped per base and the guaranteed property is
-        :meth:`lookup_reduction_ok`.
-        """
-        baseline: dict[tuple[str, float, int], float] = {}
-        for row in self.rows:
-            if row.scheduler == "conventional" and row.base == base:
-                key = (row.organization, row.skew, row.entries)
-                baseline[key] = row.result.lookup_misses_per_message
-        for row in self.rows:
-            if row.scheduler not in ("ldlp", "grouped") or row.base != base:
-                continue
-            reference = baseline.get(
-                (row.organization, row.skew, row.entries)
-            )
-            if reference is None:
-                continue
-            if row.result.lookup_misses_per_message > reference + _EPSILON:
-                return False
-        return True
+def lookup_reduction_ok(rows: list[Row]) -> bool:
+    """Batching never performs a larger *fraction* of demanded lookups.
 
-    def lookup_reduction_ok(self) -> bool:
-        """Batching never performs a larger *fraction* of demanded lookups.
-
-        The dedup guarantee proper, normalized so it holds for any base
-        process: every row performs at most as many lookups as its
-        messages demanded (``lookups <= demand``), and a batching
-        scheduler's performed fraction ``lookups / demand`` never
-        exceeds the conventional counterpart's (which is exactly 1 —
-        size-one batches have nothing to deduplicate).  Raw lookup
-        *counts* are deliberately not compared: schedulers drop
-        different amounts under load, so a batching scheduler that
-        completes more messages may legitimately perform more total
-        lookups.
-        """
-        baseline: dict[tuple[str, str, float, int], float] = {}
-        for row in self.rows:
-            if row.result.lookups > row.result.demand:
-                return False
-            if row.scheduler == "conventional" and row.result.demand:
-                key = (row.base, row.organization, row.skew, row.entries)
-                baseline[key] = row.result.lookups / row.result.demand
-        for row in self.rows:
-            if row.scheduler not in ("ldlp", "grouped"):
-                continue
-            if not row.result.demand:
-                continue
-            reference = baseline.get(
-                (row.base, row.organization, row.skew, row.entries)
-            )
-            if reference is None:
-                continue
-            ratio = row.result.lookups / row.result.demand
-            if ratio > reference + _EPSILON:
-                return False
-        return True
-
-    def render(self) -> str:
-        """The flow-sweep table (hit ratio, misses, amortization)."""
-        table_rows = []
-        for row in self.rows:
-            result = row.result
-            run = result.run
-            table_rows.append(
-                [
-                    row.base,
-                    row.scheduler,
-                    row.organization,
-                    f"{row.skew:g}",
-                    row.entries,
-                    run.completed,
-                    f"{100.0 * result.hit_ratio:.1f}%",
-                    f"{result.lookup_misses_per_message:.3f}",
-                    f"{result.lookups / max(result.demand, 1):.2f}",
-                    f"{run.mean_batch_size:.1f}",
-                ]
-            )
-        return render_table(
-            [
-                "base",
-                "scheduler",
-                "org",
-                "skew",
-                "entries",
-                "done",
-                "hit%",
-                "miss/msg",
-                "lkup/dmnd",
-                "batch",
-            ],
-            table_rows,
-            title=(
-                "Flow-lookup cache sweep: hit ratio and lookup misses vs "
-                "cache size x organization x Zipf skew x scheduler"
-            ),
+    The dedup guarantee proper, normalized so it holds for any base
+    process: every row performs at most as many lookups as its messages
+    demanded (``lookups <= demand``), and a batching scheduler's
+    performed fraction ``lookups / demand`` never exceeds the
+    conventional counterpart's (which is exactly 1 — size-one batches
+    have nothing to deduplicate).  Raw lookup *counts* are deliberately
+    not compared: schedulers drop different amounts under load, so a
+    batching scheduler that completes more messages may legitimately
+    perform more total lookups.
+    """
+    baseline: dict[tuple[str, str, float, int], float] = {}
+    for params, result in rows:
+        if result.lookups > result.demand:
+            return False
+        if params["scheduler"] == "conventional" and result.demand:
+            key = (base_of(params), params["organization"], params["skew"],
+                   params["entries"])
+            baseline[key] = result.lookups / result.demand
+    for params, result in rows:
+        if params["scheduler"] not in ("ldlp", "grouped") or not result.demand:
+            continue
+        reference = baseline.get(
+            (base_of(params), params["organization"], params["skew"], params["entries"])
         )
+        if reference is None:
+            continue
+        if result.lookups / result.demand > reference + _EPSILON:
+            return False
+    return True
 
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
 
 #: (organizations, entry counts, skews, schedulers, seeds, duration)
 #: per harness scale.  The offered load is fixed and high enough that
@@ -353,24 +304,44 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     return points
 
 
-def assemble(
-    points: list[SweepPoint], results: dict[str, Any]
-) -> FlowSweepResult:
-    """Rebuild the sweep table from point results."""
-    rows = []
-    for point in points:
-        data = results[point.key]
-        rows.append(
-            FlowRow(
-                scheduler=point.params["scheduler"],
-                organization=point.params["organization"],
-                skew=float(point.params["skew"]),
-                entries=int(point.params["entries"]),
-                result=FlowRunResult.from_dict(data["result"]),
-                base=str(point.params.get("base", "poisson")),
-            )
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """The flow-sweep table (hit ratio, misses, amortization)."""
+    table_rows = []
+    for params, result in rows(points, results):
+        run = result.run
+        table_rows.append(
+            [
+                base_of(params),
+                params["scheduler"],
+                params["organization"],
+                f"{params['skew']:g}",
+                params["entries"],
+                run.completed,
+                f"{100.0 * result.hit_ratio:.1f}%",
+                f"{result.lookup_misses_per_message:.3f}",
+                f"{result.lookups / max(result.demand, 1):.2f}",
+                f"{run.mean_batch_size:.1f}",
+            ]
         )
-    return FlowSweepResult(rows=tuple(rows))
+    return render_table(
+        [
+            "base",
+            "scheduler",
+            "org",
+            "skew",
+            "entries",
+            "done",
+            "hit%",
+            "miss/msg",
+            "lkup/dmnd",
+            "batch",
+        ],
+        table_rows,
+        title=(
+            "Flow-lookup cache sweep: hit ratio and lookup misses vs "
+            "cache size x organization x Zipf skew x scheduler"
+        ),
+    )
 
 
 def golden_quantities(
@@ -379,16 +350,9 @@ def golden_quantities(
     """The flow-lookup curves: per combination, the lookup-cache hit
     ratio and lookup misses per completed message."""
     quantities: dict[str, float] = {}
-    for row in assemble(points, results).rows:
-        mark = "bellcore/" if row.base == "bellcore" else ""
-        prefix = (
-            f"{mark}{row.scheduler}/{row.organization}/skew={row.skew:g}/"
-            f"entries={row.entries}"
-        )
-        quantities[f"{prefix}/hit_ratio"] = row.result.hit_ratio
-        quantities[f"{prefix}/lookup_misses_per_msg"] = (
-            row.result.lookup_misses_per_message
-        )
+    for point, (_, result) in zip(points, rows(points, results)):
+        quantities[f"{point.key}/hit_ratio"] = result.hit_ratio
+        quantities[f"{point.key}/lookup_misses_per_msg"] = result.lookup_misses_per_message
     return quantities
 
 
@@ -396,16 +360,16 @@ SWEEP = SweepSpec(
     name="flows",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("hit ratio never falls as the lookup cache grows, every scheduler, "
               "organization, skew and base", "Jain, DEC-TR-592",
-              lambda p, r: assemble(p, r).hit_ratios_monotonic()),
+              lambda p, r: hit_ratios_monotonic(rows(p, r))),
         Claim("batching schedulers miss no more per message than conventional over "
               "the Poisson grid", "§4; Jain, DEC-TR-592",
-              lambda p, r: assemble(p, r).amortization_ok()),
+              lambda p, r: amortization_ok(rows(p, r))),
         Claim("batching never performs a larger share of its demanded lookups than "
               "conventional, any base", "§4; Jain, DEC-TR-592",
-              lambda p, r: assemble(p, r).lookup_reduction_ok()),
+              lambda p, r: lookup_reduction_ok(rows(p, r))),
     ),
 )

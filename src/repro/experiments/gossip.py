@@ -28,120 +28,71 @@ appears in this sweep at every scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import Any
 
 from ..gossip.runner import GossipRunResult
 from ..harness.points import Claim, SweepPoint, SweepSpec
-from .report import render_table
+from .report import point_rows, render_table
 
 #: Slack for cross-point comparisons of exact-counter ratios.
 _EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
-class GossipRow:
-    """One (framing, collection size, scheduler, drop policy) combination."""
-
-    framing: str
-    collection_size: int
-    scheduler: str
-    policy: str
-    result: GossipRunResult
+#: One ``(params, result)`` row of the sweep (see :func:`rows`).
+Row = tuple[dict[str, Any], GossipRunResult]
 
 
-@dataclass(frozen=True)
-class GossipSweepResult:
-    """The assembled gossip sweep: one row per combination."""
+def rows(points: list[SweepPoint], results: dict[str, Any]) -> list[Row]:
+    """``(params, gossip run result)`` per point, in declared order."""
+    return point_rows(
+        points, results, lambda data: GossipRunResult.from_dict(data["result"])
+    )
 
-    rows: tuple[GossipRow, ...]
 
-    def session_savings_ok(self) -> bool:
-        """Session framing beats sessionless at every collection size.
+def session_savings_ok(rows: list[Row]) -> bool:
+    """Session framing beats sessionless at every collection size.
 
-        For every (collection size, scheduler, policy) where both
-        framings ran, session framing's header-bytes per logical message
-        must be strictly below sessionless — the whole point of
-        negotiating a session is deleting the version and community
-        fields from every subsequent header — and every swept size must
-        have such a pair.
-        """
-        sessionless = {
-            (row.collection_size, row.scheduler, row.policy):
-                row.result.header_bytes_per_message
-            for row in self.rows
-            if row.framing == "sessionless"
-        }
-        pairs = [
-            (key[0], row.result.header_bytes_per_message, sessionless[key])
-            for row in self.rows
-            if row.framing == "session"
-            and (key := (row.collection_size, row.scheduler, row.policy)) in sessionless
-        ]
-        return {size for size, _, _ in pairs} == {
-            row.collection_size for row in self.rows
-        } and all(session < base - _EPSILON for _, session, base in pairs)
+    For every (collection size, scheduler, policy) where both framings
+    ran, session framing's header-bytes per logical message must be
+    strictly below sessionless — the whole point of negotiating a
+    session is deleting the version and community fields from every
+    subsequent header — and every swept size must have such a pair.
+    """
+    sessionless = {
+        (params["collection_size"], params["scheduler"], params["policy"]):
+            result.header_bytes_per_message
+        for params, result in rows
+        if params["framing"] == "sessionless"
+    }
+    pairs = [
+        (key[0], result.header_bytes_per_message, sessionless[key])
+        for params, result in rows
+        if params["framing"] == "session"
+        and (key := (params["collection_size"], params["scheduler"], params["policy"]))
+        in sessionless
+    ]
+    return {size for size, _, _ in pairs} == {
+        params["collection_size"] for params, _ in rows
+    } and all(session < base - _EPSILON for _, session, base in pairs)
 
-    def header_amortization_ok(self) -> bool:
-        """Header-bytes/msg falls as the collection batch grows, for
-        every framing."""
-        curves: dict[str, dict[int, float]] = {}
-        for row in self.rows:
-            # Header accounting is a pure function of the fleet spec, so
-            # every (scheduler, policy) at one size agrees.
-            curves.setdefault(row.framing, {})[row.collection_size] = (
-                row.result.header_bytes_per_message
-            )
-        return all(
-            earlier > later + _EPSILON
-            for curve in curves.values()
-            for (_, earlier), (_, later) in pairwise(sorted(curve.items()))
+
+def header_amortization_ok(rows: list[Row]) -> bool:
+    """Header-bytes/msg falls as the collection batch grows, for every
+    framing."""
+    curves: dict[str, dict[int, float]] = {}
+    for params, result in rows:
+        # Header accounting is a pure function of the fleet spec, so
+        # every (scheduler, policy) at one size agrees.
+        curves.setdefault(params["framing"], {})[params["collection_size"]] = (
+            result.header_bytes_per_message
         )
+    return all(
+        earlier > later + _EPSILON
+        for curve in curves.values()
+        for (_, earlier), (_, later) in pairwise(sorted(curve.items()))
+    )
 
-    def render(self) -> str:
-        """The gossip-sweep table (headers, lookups, batch size)."""
-        table_rows = []
-        for row in self.rows:
-            result = row.result
-            run = result.run
-            table_rows.append(
-                [
-                    row.framing,
-                    row.collection_size,
-                    row.scheduler,
-                    row.policy,
-                    run.completed,
-                    f"{result.header_bytes_per_message:.1f}",
-                    f"{result.wire_bytes_per_message:.1f}",
-                    f"{result.lookup_misses_per_message:.3f}",
-                    result.untagged,
-                    f"{run.mean_batch_size:.1f}",
-                ]
-            )
-        return render_table(
-            [
-                "framing",
-                "k",
-                "scheduler",
-                "policy",
-                "done",
-                "hdrB/msg",
-                "wireB/msg",
-                "miss/msg",
-                "untagged",
-                "batch",
-            ],
-            table_rows,
-            title=(
-                "Gossip fleet sweep: framing mode x collection size x "
-                "scheduler x drop policy"
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
 
 #: (framings, collection sizes, schedulers, drop policies, seeds,
 #: duration, num_peers) per harness scale.  Both registered framing
@@ -231,23 +182,44 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def assemble(
-    points: list[SweepPoint], results: dict[str, Any]
-) -> GossipSweepResult:
-    """Rebuild the sweep table from point results."""
-    rows = []
-    for point in points:
-        data = results[point.key]
-        rows.append(
-            GossipRow(
-                framing=point.params["framing"],
-                collection_size=int(point.params["collection_size"]),
-                scheduler=point.params["scheduler"],
-                policy=point.params["policy"],
-                result=GossipRunResult.from_dict(data["result"]),
-            )
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """The gossip-sweep table (headers, lookups, batch size)."""
+    table_rows = []
+    for params, result in rows(points, results):
+        run = result.run
+        table_rows.append(
+            [
+                params["framing"],
+                params["collection_size"],
+                params["scheduler"],
+                params["policy"],
+                run.completed,
+                f"{result.header_bytes_per_message:.1f}",
+                f"{result.wire_bytes_per_message:.1f}",
+                f"{result.lookup_misses_per_message:.3f}",
+                result.untagged,
+                f"{run.mean_batch_size:.1f}",
+            ]
         )
-    return GossipSweepResult(rows=tuple(rows))
+    return render_table(
+        [
+            "framing",
+            "k",
+            "scheduler",
+            "policy",
+            "done",
+            "hdrB/msg",
+            "wireB/msg",
+            "miss/msg",
+            "untagged",
+            "batch",
+        ],
+        table_rows,
+        title=(
+            "Gossip fleet sweep: framing mode x collection size x "
+            "scheduler x drop policy"
+        ),
+    )
 
 
 def golden_quantities(
@@ -256,20 +228,10 @@ def golden_quantities(
     """The gossip curves: per combination, header-bytes/msg,
     wire-bytes/msg and lookup-misses per completed datagram."""
     quantities: dict[str, float] = {}
-    for row in assemble(points, results).rows:
-        prefix = (
-            f"{row.framing}/k={row.collection_size}/{row.scheduler}/"
-            f"{row.policy}"
-        )
-        quantities[f"{prefix}/header_bytes_per_msg"] = (
-            row.result.header_bytes_per_message
-        )
-        quantities[f"{prefix}/wire_bytes_per_msg"] = (
-            row.result.wire_bytes_per_message
-        )
-        quantities[f"{prefix}/lookup_misses_per_msg"] = (
-            row.result.lookup_misses_per_message
-        )
+    for point, (_, result) in zip(points, rows(points, results)):
+        quantities[f"{point.key}/header_bytes_per_msg"] = result.header_bytes_per_message
+        quantities[f"{point.key}/wire_bytes_per_msg"] = result.wire_bytes_per_message
+        quantities[f"{point.key}/lookup_misses_per_msg"] = result.lookup_misses_per_message
     return quantities
 
 
@@ -277,14 +239,14 @@ SWEEP = SweepSpec(
     name="gossip",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("session framing carries fewer header bytes per message than "
               "sessionless at every collection size",
               "Dispersy wire protocol 2.0",
-              lambda p, r: assemble(p, r).session_savings_ok()),
+              lambda p, r: session_savings_ok(rows(p, r))),
         Claim("header bytes per message fall as collections grow, both framings",
               "§4, applied to wire bytes",
-              lambda p, r: assemble(p, r).header_amortization_ok()),
+              lambda p, r: header_amortization_ok(rows(p, r))),
     ),
 )

@@ -17,7 +17,6 @@ sequence, so end-to-end setup time ≈ Σ per-hop (queueing + processing)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -83,45 +82,9 @@ def per_hop_latency(
     return summary.mean if summary.count else float("inf")
 
 
-@dataclass(frozen=True)
-class MotivationResult:
-    """End-to-end setup time across hop counts and load levels."""
-
-    pair_rate: float
-    hops: tuple[int, ...]
-    conventional_per_hop: float
-    ldlp_per_hop: float
-
-    def end_to_end(self, per_hop: float, hops: int) -> float:
-        return hops * per_hop + CROSS_COUNTRY_PROPAGATION
-
-    def render(self) -> str:
-        rows = []
-        for hops in self.hops:
-            rows.append(
-                [
-                    hops,
-                    format_duration(
-                        self.end_to_end(self.conventional_per_hop, hops)
-                    ),
-                    format_duration(self.end_to_end(self.ldlp_per_hop, hops)),
-                ]
-            )
-        table = render_table(
-            ["hops", "conventional e2e", "LDLP e2e"],
-            rows,
-            title=(
-                f"Cross-network connection setup at {self.pair_rate:.0f} "
-                f"setup/teardown pairs/s per switch (incl. 20 ms propagation)"
-            ),
-        )
-        return (
-            table
-            + f"\nper-hop processing: conventional "
-            f"{format_duration(self.conventional_per_hop)}, LDLP "
-            f"{format_duration(self.ldlp_per_hop)} "
-            f"(paper's goal: ~100 us at 10000 pairs/s)"
-        )
+def end_to_end(per_hop: float, hops: int) -> float:
+    """Setup time across ``hops`` switches, including propagation."""
+    return hops * per_hop + CROSS_COUNTRY_PROPAGATION
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +109,7 @@ SWEEP_SCALES: dict[str, tuple[float, float, int]] = {
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
+    """One point per scheduler: a switch at the paper's target load."""
     pair_rate, duration, seed = SWEEP_SCALES[scale]
     return [
         SweepPoint(
@@ -163,13 +127,25 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def assemble(points: list[SweepPoint], results: dict[str, Any]) -> MotivationResult:
-    """Compose both schedulers' per-hop latencies across :data:`HOPS`."""
-    return MotivationResult(
-        pair_rate=points[0].params["pair_rate"],
-        hops=HOPS,
-        conventional_per_hop=results["conventional"]["per_hop_latency_s"],
-        ldlp_per_hop=results["ldlp"]["per_hop_latency_s"],
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Both schedulers' end-to-end setup time across :data:`HOPS`."""
+    conv = results["conventional"]["per_hop_latency_s"]
+    ldlp = results["ldlp"]["per_hop_latency_s"]
+    table = render_table(
+        ["hops", "conventional e2e", "LDLP e2e"],
+        [
+            [hops, format_duration(end_to_end(conv, hops)),
+             format_duration(end_to_end(ldlp, hops))]
+            for hops in HOPS
+        ],
+        title=(
+            f"Cross-network connection setup at {points[0].params['pair_rate']:.0f} "
+            f"setup/teardown pairs/s per switch (incl. 20 ms propagation)"
+        ),
+    )
+    return (
+        f"{table}\nper-hop processing: conventional {format_duration(conv)}, "
+        f"LDLP {format_duration(ldlp)} (paper's goal: ~100 us at 10000 pairs/s)"
     )
 
 
@@ -186,10 +162,9 @@ def golden_quantities(
 
 
 def _twenty_hop_setup(points, results) -> bool:
-    result = assemble(points, results)
     return (
-        result.end_to_end(result.conventional_per_hop, 20) > 0.3
-        and result.end_to_end(result.ldlp_per_hop, 20) < 0.1
+        end_to_end(results["conventional"]["per_hop_latency_s"], 20) > 0.3
+        and end_to_end(results["ldlp"]["per_hop_latency_s"], 20) < 0.1
     )
 
 
@@ -197,7 +172,7 @@ SWEEP = SweepSpec(
     name="motivation",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("LDLP meets the setup-processing goal at 10000 pairs/s: per-hop "
               "latency under 1 ms", "§1",

@@ -22,100 +22,16 @@ results are bit-identical; the pinned engine only namespaces the cache).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..sim.multicore import MultiCoreRunResult
-from .report import render_table
+from .report import point_rows, render_table
 
 #: Dispatch policies the sweep compares (all registered policies —
 #: HARN002 gates that this stays in sync with the registry).
 SWEEP_DISPATCH = ("rss", "app", "ldlp")
 
-
-@dataclass(frozen=True)
-class MultiCoreRow:
-    """One rendered (scheduler, dispatch, core count) combination."""
-
-    scheduler: str
-    dispatch: str
-    cores: int
-    result: MultiCoreRunResult
-    imbalance: float
-
-
-@dataclass(frozen=True)
-class MultiCoreSweepResult:
-    """The assembled dispatch sweep: one row per combination."""
-
-    rows: tuple[MultiCoreRow, ...]
-
-    def top_cores(self) -> int:
-        """The highest swept core count."""
-        return max(row.cores for row in self.rows)
-
-    def imiss_ratio(self, scheduler: str, improved: str = "ldlp",
-                    baseline: str = "rss") -> float:
-        """I-miss/msg ratio of two dispatch policies at the top core count.
-
-        Below 1 means ``improved`` keeps layer code more cache-resident
-        than ``baseline`` — the receive-side-dispatch locality claim.
-        """
-        top = self.top_cores()
-        by_dispatch = {
-            row.dispatch: row.result.aggregate.misses.instruction
-            for row in self.rows
-            if row.scheduler == scheduler and row.cores == top
-        }
-        base = by_dispatch.get(baseline, float("nan"))
-        new = by_dispatch.get(improved, float("nan"))
-        if not base or base != base:
-            return float("nan")
-        return new / base
-
-    def render(self) -> str:
-        """The dispatch-sweep table (throughput, misses, imbalance)."""
-        table_rows = []
-        for row in self.rows:
-            aggregate = row.result.aggregate
-            table_rows.append(
-                [
-                    row.scheduler,
-                    row.dispatch,
-                    row.cores,
-                    aggregate.offered,
-                    aggregate.completed,
-                    aggregate.dropped,
-                    f"{aggregate.delivered_rate / 1e3:.1f}k/s",
-                    f"{aggregate.misses.instruction:.0f}",
-                    f"{aggregate.misses.data:.0f}",
-                    f"{row.imbalance:.2f}",
-                ]
-            )
-        return render_table(
-            [
-                "scheduler",
-                "dispatch",
-                "cores",
-                "offered",
-                "done",
-                "drops",
-                "tput",
-                "I/msg",
-                "D/msg",
-                "imbal",
-            ],
-            table_rows,
-            title=(
-                "Multi-core dispatch sweep: throughput and misses vs "
-                "core count x dispatch policy x scheduler"
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
 
 #: (core counts, schedulers, seeds, duration) per harness scale.  The
 #: aggregate arrival rate is fixed: scaling cores at constant offered
@@ -165,23 +81,72 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def assemble(
-    points: list[SweepPoint], results: dict[str, Any]
-) -> MultiCoreSweepResult:
-    """Rebuild the sweep table from point results."""
-    rows = []
-    for point in points:
-        data = results[point.key]
-        rows.append(
-            MultiCoreRow(
-                scheduler=point.params["scheduler"],
-                dispatch=point.params["dispatch"],
-                cores=int(point.params["cores"]),
-                result=MultiCoreRunResult.from_dict(data["result"]),
-                imbalance=float(data["dispatch_imbalance"]),
-            )
+def decode(data: dict[str, Any]) -> tuple[MultiCoreRunResult, float]:
+    """One point result as its run result and dispatch imbalance."""
+    return MultiCoreRunResult.from_dict(data["result"]), float(data["dispatch_imbalance"])
+
+
+def imiss_ratio(
+    rows: list[tuple[dict[str, Any], tuple[MultiCoreRunResult, float]]],
+    scheduler: str, improved: str = "ldlp", baseline: str = "rss",
+) -> float:
+    """I-miss/msg ratio of two dispatch policies at the top core count,
+    over ``point_rows(points, results, decode)``.
+
+    Below 1 means ``improved`` keeps layer code more cache-resident
+    than ``baseline`` — the receive-side-dispatch locality claim.
+    """
+    top = max(params["cores"] for params, _ in rows)
+    by_dispatch = {
+        params["dispatch"]: result.aggregate.misses.instruction
+        for params, (result, _) in rows
+        if params["scheduler"] == scheduler and params["cores"] == top
+    }
+    base = by_dispatch.get(baseline, float("nan"))
+    new = by_dispatch.get(improved, float("nan"))
+    if not base or base != base:
+        return float("nan")
+    return new / base
+
+
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """The dispatch-sweep table (throughput, misses, imbalance)."""
+    table_rows = []
+    for params, (result, imbalance) in point_rows(points, results, decode):
+        aggregate = result.aggregate
+        table_rows.append(
+            [
+                params["scheduler"],
+                params["dispatch"],
+                params["cores"],
+                aggregate.offered,
+                aggregate.completed,
+                aggregate.dropped,
+                f"{aggregate.delivered_rate / 1e3:.1f}k/s",
+                f"{aggregate.misses.instruction:.0f}",
+                f"{aggregate.misses.data:.0f}",
+                f"{imbalance:.2f}",
+            ]
         )
-    return MultiCoreSweepResult(rows=tuple(rows))
+    return render_table(
+        [
+            "scheduler",
+            "dispatch",
+            "cores",
+            "offered",
+            "done",
+            "drops",
+            "tput",
+            "I/msg",
+            "D/msg",
+            "imbal",
+        ],
+        table_rows,
+        title=(
+            "Multi-core dispatch sweep: throughput and misses vs "
+            "core count x dispatch policy x scheduler"
+        ),
+    )
 
 
 def golden_quantities(
@@ -193,38 +158,31 @@ def golden_quantities(
     message and delivered throughput.  Per scheduler: the LDLP-vs-RSS
     I-miss ratio at that core count, which the claims bound.
     """
-    sweep = assemble(points, results)
-    top = sweep.top_cores()
+    rows = point_rows(points, results, decode)
+    top = max(params["cores"] for params, _ in rows)
     quantities: dict[str, float] = {}
-    schedulers = []
-    for row in sweep.rows:
-        if row.cores != top:
+    schedulers: dict[str, None] = {}
+    for params, (result, _) in rows:
+        if params["cores"] != top:
             continue
-        if row.scheduler not in schedulers:
-            schedulers.append(row.scheduler)
-        prefix = f"{row.scheduler}/{row.dispatch}/cores={top}"
-        quantities[f"{prefix}/imiss_per_msg"] = (
-            row.result.aggregate.misses.instruction
-        )
-        quantities[f"{prefix}/kmsg_per_s"] = (
-            row.result.aggregate.delivered_rate / 1e3
-        )
+        schedulers.setdefault(params["scheduler"])
+        prefix = f"{params['scheduler']}/{params['dispatch']}/cores={top}"
+        quantities[f"{prefix}/imiss_per_msg"] = result.aggregate.misses.instruction
+        quantities[f"{prefix}/kmsg_per_s"] = result.aggregate.delivered_rate / 1e3
     for scheduler in schedulers:
-        quantities[f"{scheduler}/ldlp_vs_rss_imiss"] = sweep.imiss_ratio(
-            scheduler
-        )
+        quantities[f"{scheduler}/ldlp_vs_rss_imiss"] = imiss_ratio(rows, scheduler)
     return quantities
 
 
 def _locality_holds(points, results) -> bool:
     """Batching schedulers' LDLP-vs-RSS I-miss ratio below 0.5, the
     per-message schedulers' within 5% of 1."""
-    sweep = assemble(points, results)
+    rows = point_rows(points, results, decode)
     return all(
-        sweep.imiss_ratio(scheduler) < 0.5
+        imiss_ratio(rows, scheduler) < 0.5
         if scheduler in ("ldlp", "grouped")
-        else abs(sweep.imiss_ratio(scheduler) - 1) <= 0.05
-        for scheduler in {row.scheduler for row in sweep.rows}
+        else abs(imiss_ratio(rows, scheduler) - 1) <= 0.05
+        for scheduler in {params["scheduler"] for params, _ in rows}
     )
 
 
@@ -232,7 +190,7 @@ SWEEP = SweepSpec(
     name="multicore",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
     claims=(
         Claim("at the top core count LDLP-aware dispatch at least halves a batching "
               "scheduler's I-misses/msg against RSS, and leaves a per-message "

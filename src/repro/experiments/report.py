@@ -1,8 +1,40 @@
-"""Plain-text table rendering for the experiment harnesses."""
+"""Plain-text table rendering and point-result rows for the experiment
+harnesses."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Callable, Sequence
+
+from ..harness.points import SweepPoint
+
+
+def point_rows(
+    points: list[SweepPoint],
+    results: dict[str, Any],
+    decode: Callable[[Any], Any] = lambda result: result,
+) -> list[tuple[dict[str, Any], Any]]:
+    """``(point.params, decode(result))`` per point, in declared point
+    order — the one row shape every experiment's render, quantities and
+    claims read."""
+    return [(point.params, decode(results[point.key])) for point in points]
+
+
+def scheduler_pairs(
+    points: list[SweepPoint],
+    results: dict[str, Any],
+    axis: str,
+    decode: Callable[[Any], Any],
+) -> list[tuple[Any, Any, Any]]:
+    """``(axis value, conventional, LDLP)`` per swept value of the
+    ``axis`` param, in declared order: a sweep's two scheduler series
+    side by side."""
+    series: dict[str, dict[Any, Any]] = {}
+    for params, result in point_rows(points, results, decode):
+        series.setdefault(params["scheduler"], {})[params[axis]] = result
+    return [
+        (value, conventional, series["ldlp"][value])
+        for value, conventional in series["conventional"].items()
+    ]
 
 
 def render_table(
@@ -18,11 +50,13 @@ def render_table(
             widths[index] = max(widths[index], len(cell))
 
     def is_numericish(text: str) -> bool:
+        """Whether a cell reads as a number (digits with %, +, -, ., x, /)."""
         stripped = text.replace("%", "").replace("+", "").replace("-", "")
         stripped = stripped.replace(".", "").replace("x", "").replace("/", "")
         return stripped.isdigit() if stripped else False
 
     def fmt_row(row: Sequence[str]) -> str:
+        """One padded line: numeric cells right-aligned after column 0."""
         parts = []
         for index, cell in enumerate(row):
             if index > 0 and is_numericish(cell):

@@ -33,25 +33,20 @@ def observed_order(
     scheduler = scheduler_cls(layers, **kwargs)
     messages = [Message() for _ in range(num_messages)]
     index_of = {message.msg_id: i for i, message in enumerate(messages)}
-    order: list[tuple[int, int]] = []
 
-    # Interleave the per-layer logs back into a global order by
-    # re-running with instrumented deliver.
+    # Record the global order by instrumenting every layer's deliver.
     events: list[tuple[int, int]] = []
-
-    original_delivers = []
     for layer_index, layer in enumerate(layers):
         original = layer.deliver
 
         def instrumented(message, _index=layer_index, _original=original):
+            """Log (layer, message) before the real deliver."""
             events.append((_index, index_of[message.msg_id]))
             return _original(message)
 
-        original_delivers.append(original)
         layer.deliver = instrumented  # type: ignore[method-assign]
     scheduler.run_to_completion(messages)
-    order.extend(events)
-    return order
+    return events
 
 
 def render_order(
@@ -69,29 +64,6 @@ def render_order(
         cells = "   ".join("*" if i == layer else "." for i in range(num_layers))
         lines.append(f"{step:>4}  {cells}   P{message}")
     return "\n".join(lines)
-
-
-def figure23_text(num_layers: int = 4, num_messages: int = 2) -> str:
-    """The three schedules of Figures 2/3, from the real schedulers."""
-    sections = []
-    for title, cls, batch in (
-        ("Conventional", ConventionalScheduler, None),
-        ("ILP (same outer order)", ILPScheduler, None),
-        ("Blocked / LDLP", LDLPScheduler, num_messages),
-    ):
-        order = observed_order(cls, num_layers, num_messages, batch)
-        sections.append(f"{title}: " + " ".join(
-            f"(L{layer},P{message})" for layer, message in order
-        ))
-    return "\n".join(sections)
-
-
-def main() -> None:
-    print("Figure 2/3: schedules produced by the implemented schedulers\n")
-    print(figure23_text())
-    print()
-    order = observed_order(LDLPScheduler, 4, 2, batch=2)
-    print(render_order(order, 4, 2))
 
 
 # ----------------------------------------------------------------------
@@ -114,6 +86,7 @@ def compute_point(scheduler: str, num_layers: int, num_messages: int) -> dict:
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
+    """One point per scheduler at the figures' canonical size."""
     del scale  # the conceptual figures have one canonical size
     return [
         SweepPoint(
@@ -124,6 +97,32 @@ def sweep_points(scale: str) -> list[SweepPoint]:
         )
         for scheduler in _SCHEDULER_CLASSES
     ]
+
+
+#: Figure 2/3 section title per scheduler point.
+TITLES = {
+    "conventional": "Conventional",
+    "ilp": "ILP (same outer order)",
+    "ldlp": "Blocked / LDLP",
+}
+
+
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Every scheduler's visit order, then LDLP's as a timeline."""
+    sections = "\n".join(
+        f"{TITLES[point.key]}: " + " ".join(
+            f"(L{layer},P{message})" for layer, message in results[point.key]["order"]
+        )
+        for point in points
+    )
+    size = points[0].params
+    timeline = render_order(
+        results["ldlp"]["order"], size["num_layers"], size["num_messages"]
+    )
+    return (
+        "Figure 2/3: schedules produced by the implemented schedulers\n\n"
+        f"{sections}\n\n{timeline}"
+    )
 
 
 def golden_quantities(
@@ -146,8 +145,5 @@ SWEEP = SweepSpec(
     name="schedules",
     points=sweep_points,
     quantities=golden_quantities,
+    render=render,
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -8,98 +8,20 @@ prints them next to the paper's published values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any
 
-from ..cache.workingset import Category, WorkingSetReport
+from ..cache.workingset import Category
 from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..netbsd.layers import ALL_LAYERS, PAPER_TABLE1, PAPER_TABLE1_TOTAL
 from ..netbsd.receive_path import ReceivePathModel
 from .report import render_table
 
-
-@dataclass(frozen=True)
-class Table1Result:
-    """Measured vs published Table 1."""
-
-    report: WorkingSetReport
-    seed: int
-
-    def measured(self, layer: str, category: Category) -> int:
-        return self.report.layer(layer, category).bytes
-
-    def matches_paper(self) -> bool:
-        """True when every per-layer cell equals the published value."""
-        for layer in ALL_LAYERS:
-            target = PAPER_TABLE1[layer]
-            if self.measured(layer, Category.CODE) != target.code:
-                return False
-            if self.measured(layer, Category.READONLY) != target.readonly:
-                return False
-            if self.measured(layer, Category.MUTABLE) != target.mutable:
-                return False
-        return True
-
-    def render(self) -> str:
-        rows = []
-        for layer in ALL_LAYERS:
-            target = PAPER_TABLE1[layer]
-            rows.append(
-                [
-                    layer,
-                    self.measured(layer, Category.CODE),
-                    target.code,
-                    self.measured(layer, Category.READONLY),
-                    target.readonly,
-                    self.measured(layer, Category.MUTABLE),
-                    target.mutable,
-                ]
-            )
-        totals = [self.report.total(category).bytes for category in Category]
-        rows.append(
-            [
-                "Total",
-                totals[0],
-                PAPER_TABLE1_TOTAL.code,
-                totals[1],
-                PAPER_TABLE1_TOTAL.readonly,
-                totals[2],
-                PAPER_TABLE1_TOTAL.mutable,
-            ]
-        )
-        table = render_table(
-            [
-                "Layer",
-                "code",
-                "(paper)",
-                "ro-data",
-                "(paper)",
-                "mut-data",
-                "(paper)",
-            ],
-            rows,
-            title="Table 1: working set of the TCP receive & acknowledge path (bytes)",
-        )
-        note = (
-            "\nNote: the paper's printed code total (30592) exceeds its own "
-            "row sum (30304) by 288; we reproduce the rows."
-        )
-        return table + note
-
-
-def run(seed: int = 0) -> Table1Result:
-    """Build the trace, run the working-set analysis, return the result."""
-    model = ReceivePathModel(seed=seed)
-    analyzer = model.analyze()
-    return Table1Result(report=analyzer.report(32), seed=seed)
-
-
-def main() -> None:
-    print(run().render())
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
+#: Result cell name per working-set category, in column order.
+CELLS = (
+    ("code", Category.CODE),
+    ("readonly", Category.READONLY),
+    ("mutable", Category.MUTABLE),
+)
 
 
 def slug(layer: str) -> str:
@@ -109,28 +31,30 @@ def slug(layer: str) -> str:
 
 
 def compute_point(seed: int) -> dict:
-    """The full measured Table 1 as plain numbers."""
-    result = run(seed=seed)
+    """The full measured Table 1 as plain numbers: build the trace, run
+    the working-set analysis at 32-byte lines."""
+    report = ReceivePathModel(seed=seed).analyze().report(32)
+    layers = {
+        layer: {
+            name: report.layer(layer, category).bytes for name, category in CELLS
+        }
+        for layer in ALL_LAYERS
+    }
     return {
-        "layers": {
-            layer: {
-                "code": result.measured(layer, Category.CODE),
-                "readonly": result.measured(layer, Category.READONLY),
-                "mutable": result.measured(layer, Category.MUTABLE),
-            }
+        "layers": layers,
+        "totals": {name: report.total(category).bytes for name, category in CELLS},
+        "matches_paper": all(
+            layers[layer][name] == getattr(PAPER_TABLE1[layer], name)
             for layer in ALL_LAYERS
-        },
-        "totals": {
-            "code": result.report.total(Category.CODE).bytes,
-            "readonly": result.report.total(Category.READONLY).bytes,
-            "mutable": result.report.total(Category.MUTABLE).bytes,
-        },
-        "matches_paper": result.matches_paper(),
+            for name, _ in CELLS
+        ),
     }
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
-    del scale  # deterministic single-seed analysis at every scale
+    """One point: the analysis is deterministic and single-seed at
+    every scale."""
+    del scale
     return [
         SweepPoint(
             experiment="table1",
@@ -139,6 +63,30 @@ def sweep_points(scale: str) -> list[SweepPoint]:
             params={"seed": 0},
         )
     ]
+
+
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Measured vs published Table 1, per layer and totalled."""
+    data = results[points[0].key]
+
+    def row(label: str, measured: dict[str, int], paper: Any) -> list:
+        """``label``, then each cell measured and published."""
+        return [label] + [
+            value for name, _ in CELLS for value in (measured[name], getattr(paper, name))
+        ]
+
+    rows = [row(layer, data["layers"][layer], PAPER_TABLE1[layer]) for layer in ALL_LAYERS]
+    rows.append(row("Total", data["totals"], PAPER_TABLE1_TOTAL))
+    table = render_table(
+        ["Layer", "code", "(paper)", "ro-data", "(paper)", "mut-data", "(paper)"],
+        rows,
+        title="Table 1: working set of the TCP receive & acknowledge path (bytes)",
+    )
+    note = (
+        "\nNote: the paper's printed code total (30592) exceeds its own "
+        "row sum (30304) by 288; we reproduce the rows."
+    )
+    return table + note
 
 
 def golden_quantities(
@@ -161,13 +109,10 @@ SWEEP = SweepSpec(
     name="table1",
     points=sweep_points,
     quantities=golden_quantities,
+    render=render,
     claims=(
         Claim("every per-layer code, read-only and mutable cell equals the published "
               "byte count exactly", "Table 1",
               lambda points, results: results[points[0].key]["matches_paper"]),
     ),
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,6 @@ code rather than retyped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import Claim, SweepPoint, SweepSpec
@@ -42,92 +41,63 @@ NARRATIVE_ORDERINGS: dict[str, list[tuple[str, str]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Table2Result:
-    trace: TraceBuffer
-    seed: int
-
-    def phase_functions(self, phase: str) -> list[str]:
-        """Functions executing in a phase, in first-execution order."""
-        seen: dict[str, None] = {}
-        for ref in self.trace.refs_in_phase(phase):
-            if ref.is_code() and ref.fn:
-                seen.setdefault(ref.fn)
-        return list(seen)
-
-    def narrative_holds(self) -> bool:
-        """Every Table-2 ordering appears in the generated trace."""
-        for phase, orderings in NARRATIVE_ORDERINGS.items():
-            functions = self.phase_functions(phase)
-            positions = {name: index for index, name in enumerate(functions)}
-            for before, after in orderings:
-                if before not in positions or after not in positions:
-                    return False
-                if positions[before] > positions[after]:
-                    return False
-        return True
-
-    def render(self) -> str:
-        layer_of = fn_to_layer_map()
-        lines = ["Table 2: phases of the TCP receive & acknowledge path", ""]
-        summaries = {
-            "entry": (
-                "Process makes read system call; call is dispatched to the "
-                "socket layer; no data is available, so the process sleeps."
-            ),
-            "pkt intr": (
-                "Message arrives on Ethernet and triggers a device "
-                "interrupt; an mbuf is allocated and filled; the message is "
-                "vectored through IP (host-addressed, not a fragment) to "
-                "TCP's fastpath (single-entry PCB cache hits); checksum, "
-                "PCB update, socket-buffer append, and wakeup."
-            ),
-            "exit": (
-                "The process wakes, the socket layer copies the data to "
-                "user space, TCP sends an ACK, and the system call returns."
-            ),
-        }
-        for phase in PHASES:
-            lines.append(f"{phase}:")
-            lines.append(f"  {summaries[phase]}")
-            functions = self.phase_functions(phase)
-            annotated = ", ".join(
-                f"{name} [{layer_of.get(name, '?')}]" for name in functions[:14]
-            )
-            more = f" (+{len(functions) - 14} more)" if len(functions) > 14 else ""
-            lines.append(f"  executes: {annotated}{more}")
-            lines.append("")
-        return "\n".join(lines)
+#: Table 2's prose per phase, printed above the functions that ran.
+SUMMARIES = {
+    "entry": (
+        "Process makes read system call; call is dispatched to the "
+        "socket layer; no data is available, so the process sleeps."
+    ),
+    "pkt intr": (
+        "Message arrives on Ethernet and triggers a device "
+        "interrupt; an mbuf is allocated and filled; the message is "
+        "vectored through IP (host-addressed, not a fragment) to "
+        "TCP's fastpath (single-entry PCB cache hits); checksum, "
+        "PCB update, socket-buffer append, and wakeup."
+    ),
+    "exit": (
+        "The process wakes, the socket layer copies the data to "
+        "user space, TCP sends an ACK, and the system call returns."
+    ),
+}
 
 
-def run(seed: int = 0) -> Table2Result:
-    model = ReceivePathModel(seed=seed)
-    return Table2Result(trace=model.build_trace(), seed=seed)
+def phase_functions(trace: TraceBuffer, phase: str) -> list[str]:
+    """Functions executing in a phase, in first-execution order."""
+    seen: dict[str, None] = {}
+    for ref in trace.refs_in_phase(phase):
+        if ref.is_code() and ref.fn:
+            seen.setdefault(ref.fn)
+    return list(seen)
 
 
-def main() -> None:
-    result = run()
-    print(result.render())
-    print(f"narrative orderings hold: {result.narrative_holds()}")
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
+def narrative_holds(trace: TraceBuffer) -> bool:
+    """Every Table-2 ordering appears in the trace."""
+    for phase, orderings in NARRATIVE_ORDERINGS.items():
+        functions = phase_functions(trace, phase)
+        positions = {name: index for index, name in enumerate(functions)}
+        for before, after in orderings:
+            if before not in positions or after not in positions:
+                return False
+            if positions[before] > positions[after]:
+                return False
+    return True
 
 
 def compute_point(seed: int) -> dict:
     """Table 2's checkable content: does the generated trace realize
     every narrated ordering, and how many functions run per phase."""
-    result = run(seed=seed)
+    trace = ReceivePathModel(seed=seed).build_trace()
     return {
-        "narrative_holds": result.narrative_holds(),
+        "narrative_holds": narrative_holds(trace),
         "phase_function_counts": {
-            phase: len(result.phase_functions(phase)) for phase in PHASES
+            phase: len(phase_functions(trace, phase)) for phase in PHASES
         },
     }
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
+    """One point: the trace is deterministic and single-seed at every
+    scale."""
     del scale
     return [
         SweepPoint(
@@ -139,9 +109,34 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Each phase's narrative and the functions it executes.
+
+    The function lists are not in the point result, so the trace is
+    rebuilt from the point's own ``seed``.
+    """
+    point = points[0]
+    trace = ReceivePathModel(seed=point.params["seed"]).build_trace()
+    layer_of = fn_to_layer_map()
+    lines = ["Table 2: phases of the TCP receive & acknowledge path", ""]
+    for phase in PHASES:
+        lines.append(f"{phase}:")
+        lines.append(f"  {SUMMARIES[phase]}")
+        functions = phase_functions(trace, phase)
+        annotated = ", ".join(
+            f"{name} [{layer_of.get(name, '?')}]" for name in functions[:14]
+        )
+        more = f" (+{len(functions) - 14} more)" if len(functions) > 14 else ""
+        lines.append(f"  executes: {annotated}{more}")
+        lines.append("")
+    lines.append(f"narrative orderings hold: {results[point.key]['narrative_holds']}")
+    return "\n".join(lines)
+
+
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
+    """The number of functions each phase executes."""
     data = results[points[0].key]
     quantities = {}
     for phase, count in data["phase_function_counts"].items():
@@ -153,13 +148,10 @@ SWEEP = SweepSpec(
     name="table2",
     points=sweep_points,
     quantities=golden_quantities,
+    render=render,
     claims=(
         Claim("the receive-path trace runs every function ordering the phase "
               "narrative states", "Table 2",
               lambda points, results: results[points[0].key]["narrative_holds"]),
     ),
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -7,121 +7,67 @@ next to the published Table 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from ..cache.workingset import Category, LineSizeTable, WorkingSetAnalyzer
+from ..cache.workingset import Category
 from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..netbsd.layers import PAPER_TABLE3
 from ..netbsd.receive_path import ReceivePathModel
 from .report import pct, render_table
 
+#: Cell-name prefix per working-set category, in column order.
+CATEGORIES = (
+    ("code", Category.CODE),
+    ("ro", Category.READONLY),
+    ("mut", Category.MUTABLE),
+)
 
-@dataclass(frozen=True)
-class Table3Result:
-    table: LineSizeTable
-    seed: int
-
-    def measured_row(self, line_size: int) -> dict[str, float | None]:
-        row = self.table.row(line_size)
-        out: dict[str, float | None] = {}
-        for key, category in (
-            ("code", Category.CODE),
-            ("ro", Category.READONLY),
-            ("mut", Category.MUTABLE),
-        ):
-            delta = row.deltas[category]
-            out[f"{key}_bytes"] = delta.bytes_pct if delta else None
-            out[f"{key}_lines"] = delta.lines_pct if delta else None
-        return out
-
-    def within_tolerance(self, tolerance_points: float = 15.0) -> bool:
-        """True when every defined cell is within ``tolerance_points``
-        percentage points of the published value (500% row is scaled)."""
-        for paper_row in PAPER_TABLE3:
-            measured = self.measured_row(paper_row.line_size)
-            pairs = [
-                (measured["code_bytes"], paper_row.code_bytes_pct),
-                (measured["code_lines"], paper_row.code_lines_pct),
-                (measured["ro_bytes"], paper_row.ro_bytes_pct),
-                (measured["ro_lines"], paper_row.ro_lines_pct),
-                (measured["mut_bytes"], paper_row.mut_bytes_pct),
-                (measured["mut_lines"], paper_row.mut_lines_pct),
-            ]
-            for got, want in pairs:
-                if want is None:
-                    continue
-                if got is None:
-                    return False
-                allowed = tolerance_points * max(1.0, abs(want) / 75.0)
-                if abs(got - want) > allowed:
-                    return False
-        return True
-
-    def render(self) -> str:
-        rows = []
-        for paper_row in PAPER_TABLE3:
-            measured = self.measured_row(paper_row.line_size)
-
-            def cell(got: float | None, want: float | None) -> str:
-                if want is None:
-                    return "N/A"
-                assert got is not None
-                return f"{pct(got)} ({pct(want)})"
-
-            rows.append(
-                [
-                    paper_row.line_size,
-                    cell(measured["code_bytes"], paper_row.code_bytes_pct),
-                    cell(measured["code_lines"], paper_row.code_lines_pct),
-                    cell(measured["ro_bytes"], paper_row.ro_bytes_pct),
-                    cell(measured["ro_lines"], paper_row.ro_lines_pct),
-                    cell(measured["mut_bytes"], paper_row.mut_bytes_pct),
-                    cell(measured["mut_lines"], paper_row.mut_lines_pct),
-                ]
-            )
-        return render_table(
-            [
-                "Line",
-                "code bytes (paper)",
-                "code lines (paper)",
-                "ro bytes (paper)",
-                "ro lines (paper)",
-                "mut bytes (paper)",
-                "mut lines (paper)",
-            ],
-            rows,
-            title="Table 3: working-set change vs 32-byte cache lines",
-        )
+#: Every Table-3 cell name, in column order; the published value of a
+#: cell is the paper row's ``<cell>_pct``.
+CELLS = tuple(f"{key}_{unit}" for key, _ in CATEGORIES for unit in ("bytes", "lines"))
 
 
-def run(seed: int = 0) -> Table3Result:
-    model = ReceivePathModel(seed=seed)
-    analyzer: WorkingSetAnalyzer = model.analyze()
-    return Table3Result(table=analyzer.line_size_table(), seed=seed)
-
-
-def main() -> None:
-    print(run().render())
-
-
-# ----------------------------------------------------------------------
-# Declarative sweep interface (repro.harness)
+def within_tolerance(
+    rows: dict[str, dict[str, float]], tolerance_points: float = 15.0
+) -> bool:
+    """True when every published cell has a measured value within
+    ``tolerance_points`` percentage points (scaled up beyond 75%)."""
+    for paper_row in PAPER_TABLE3:
+        measured = rows[str(paper_row.line_size)]
+        for cell in CELLS:
+            want = getattr(paper_row, f"{cell}_pct")
+            if want is None:
+                continue
+            got = measured.get(cell)
+            if got is None:
+                return False
+            allowed = tolerance_points * max(1.0, abs(want) / 75.0)
+            if abs(got - want) > allowed:
+                return False
+    return True
 
 
 def compute_point(seed: int) -> dict:
-    """Every defined Table-3 cell (percent change vs 32-byte lines)."""
-    result = run(seed=seed)
+    """Every defined Table-3 cell (percent change vs 32-byte lines),
+    keyed by line size; a category not defined at a line size has no
+    cells there."""
+    table = ReceivePathModel(seed=seed).analyze().line_size_table()
     rows: dict[str, dict[str, float]] = {}
     for paper_row in PAPER_TABLE3:
-        measured = result.measured_row(paper_row.line_size)
-        rows[str(paper_row.line_size)] = {
-            key: value for key, value in measured.items() if value is not None
-        }
-    return {"rows": rows, "within_tolerance": result.within_tolerance()}
+        deltas = table.row(paper_row.line_size).deltas
+        cells: dict[str, float] = {}
+        for key, category in CATEGORIES:
+            delta = deltas[category]
+            if delta:
+                cells[f"{key}_bytes"] = delta.bytes_pct
+                cells[f"{key}_lines"] = delta.lines_pct
+        rows[str(paper_row.line_size)] = cells
+    return {"rows": rows, "within_tolerance": within_tolerance(rows)}
 
 
 def sweep_points(scale: str) -> list[SweepPoint]:
+    """One point: the analysis is deterministic and single-seed at
+    every scale."""
     del scale
     return [
         SweepPoint(
@@ -133,9 +79,36 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """Measured (published) percent change per cell and line size."""
+    rows = results[points[0].key]["rows"]
+    table_rows = []
+    for paper_row in PAPER_TABLE3:
+        measured = rows[str(paper_row.line_size)]
+        table_rows.append([paper_row.line_size] + [
+            "N/A" if (want := getattr(paper_row, f"{cell}_pct")) is None
+            else f"{pct(measured[cell])} ({pct(want)})"
+            for cell in CELLS
+        ])
+    return render_table(
+        [
+            "Line",
+            "code bytes (paper)",
+            "code lines (paper)",
+            "ro bytes (paper)",
+            "ro lines (paper)",
+            "mut bytes (paper)",
+            "mut lines (paper)",
+        ],
+        table_rows,
+        title="Table 3: working-set change vs 32-byte cache lines",
+    )
+
+
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
+    """Every defined Table-3 cell, by line size and cell name."""
     data = results[points[0].key]
     quantities: dict[str, float] = {}
     for line_size, cells in data["rows"].items():
@@ -148,13 +121,10 @@ SWEEP = SweepSpec(
     name="table3",
     points=sweep_points,
     quantities=golden_quantities,
+    render=render,
     claims=(
         Claim("every published cell within 15 percentage points (scaled up beyond "
               "75%)", "Table 3",
               lambda points, results: results[points[0].key]["within_tolerance"]),
     ),
 )
-
-
-if __name__ == "__main__":
-    main()

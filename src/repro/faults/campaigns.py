@@ -16,11 +16,10 @@ byte-identical at any ``--jobs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..cache.hierarchy import MachineSpec
-from ..experiments.report import render_table
+from ..experiments.report import point_rows, render_table
 from ..harness.points import SweepPoint, SweepSpec
 from ..sim.runner import SimulationConfig, run_simulation
 from ..sim.stats import RunResult, merge_results
@@ -92,62 +91,6 @@ def fault_point(
     }
 
 
-@dataclass(frozen=True)
-class FaultRow:
-    """One rendered campaign combination."""
-
-    scheduler: str
-    policy: str
-    rate: float
-    result: RunResult
-
-
-@dataclass(frozen=True)
-class FaultsResult:
-    """The assembled degradation campaign: one row per combination."""
-
-    rows: tuple[FaultRow, ...]
-
-    def top_rate(self) -> float:
-        """The highest (most overloaded) swept arrival rate."""
-        return max(row.rate for row in self.rows)
-
-    def render(self) -> str:
-        """The degradation-curve table (drops and tail latency)."""
-        table_rows = []
-        for row in self.rows:
-            result = row.result
-            table_rows.append(
-                [
-                    row.scheduler,
-                    row.policy,
-                    f"{row.rate:.0f}",
-                    result.offered,
-                    result.completed,
-                    result.dropped,
-                    f"{100 * result.drop_fraction:.1f}%",
-                    format_duration(result.latency.p99),
-                ]
-            )
-        return render_table(
-            [
-                "scheduler",
-                "policy",
-                "rate/s",
-                "offered",
-                "done",
-                "drops",
-                "drop%",
-                "p99",
-            ],
-            table_rows,
-            title=(
-                "Fault campaign: degradation under overload "
-                "(lossy/reordering network + periodic cache flushes)"
-            ),
-        )
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -195,20 +138,44 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
-def assemble(points: list[SweepPoint], results: dict[str, Any]) -> FaultsResult:
-    """Rebuild the campaign table from point results."""
-    rows = []
-    for point in points:
-        data = results[point.key]
-        rows.append(
-            FaultRow(
-                scheduler=point.params["scheduler"],
-                policy=point.params["policy"],
-                rate=float(point.params["rate"]),
-                result=RunResult.from_dict(data["result"]),
-            )
-        )
-    return FaultsResult(rows=tuple(rows))
+def rows(
+    points: list[SweepPoint], results: dict[str, Any]
+) -> list[tuple[dict[str, Any], RunResult]]:
+    """``(params, merged run result)`` per point, in declared order."""
+    return point_rows(points, results, lambda data: RunResult.from_dict(data["result"]))
+
+
+def render(points: list[SweepPoint], results: dict[str, Any]) -> str:
+    """The degradation-curve table (drops and tail latency)."""
+    return render_table(
+        [
+            "scheduler",
+            "policy",
+            "rate/s",
+            "offered",
+            "done",
+            "drops",
+            "drop%",
+            "p99",
+        ],
+        [
+            [
+                params["scheduler"],
+                params["policy"],
+                f"{params['rate']:.0f}",
+                result.offered,
+                result.completed,
+                result.dropped,
+                f"{100 * result.drop_fraction:.1f}%",
+                format_duration(result.latency.p99),
+            ]
+            for params, result in rows(points, results)
+        ],
+        title=(
+            "Fault campaign: degradation under overload "
+            "(lossy/reordering network + periodic cache flushes)"
+        ),
+    )
 
 
 def golden_quantities(
@@ -220,15 +187,15 @@ def golden_quantities(
     overloaded swept rate — the degradation end-point of each
     combination.
     """
-    campaign = assemble(points, results)
-    top = campaign.top_rate()
+    swept = rows(points, results)
+    top = max(params["rate"] for params, _ in swept)
     quantities: dict[str, float] = {}
-    for row in campaign.rows:
-        if row.rate != top:
+    for params, result in swept:
+        if params["rate"] != top:
             continue
-        prefix = f"{row.scheduler}/{row.policy}"
-        quantities[f"{prefix}/drop_frac"] = row.result.drop_fraction
-        quantities[f"{prefix}/p99_ms"] = 1e3 * row.result.latency.p99
+        prefix = f"{params['scheduler']}/{params['policy']}"
+        quantities[f"{prefix}/drop_frac"] = result.drop_fraction
+        quantities[f"{prefix}/p99_ms"] = 1e3 * result.latency.p99
     return quantities
 
 
@@ -236,5 +203,5 @@ SWEEP = SweepSpec(
     name="faults",
     points=sweep_points,
     quantities=golden_quantities,
-    assemble=assemble,
+    render=render,
 )

@@ -106,13 +106,12 @@ def cmd_list() -> int:
 
 def cmd_degradation(args: argparse.Namespace) -> int:
     """``degradation``: run the faults sweep and print/write the table."""
-    from .campaigns import SWEEP, assemble
+    from .campaigns import SWEEP
 
     cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
     run = run_experiment(SWEEP, scale=args.scale, jobs=args.jobs, cache=cache)
     print(run.timing_summary())
-    campaign = assemble(run.points, run.results)
-    table = campaign.render()
+    table = SWEEP.render(run.points, run.results)
     print()
     print(table)
     if args.out is not None:

@@ -3,13 +3,14 @@
 Every figure/table module in :mod:`repro.experiments` declares a
 :class:`~repro.harness.points.SweepSpec` named ``SWEEP``: the list of
 pure, picklable sweep points that make up the experiment, how to
-extract its named scalar quantities, and the paper claims its results
-must bear out.  On top of that declaration this package provides:
+render its table and extract its named scalar quantities, and the
+paper claims its results must bear out.  On top of that declaration
+this package provides:
 
 * :mod:`repro.harness.runner` — fan the points out over a
   ``multiprocessing`` worker pool (``--jobs N``), or run them inline
-  and assembled (``run_assembled``, the serial ``ldlp-experiment
-  <name>`` form);
+  and render the table (``run_assembled``, the serial
+  ``ldlp-experiment <name>`` form);
 * :mod:`repro.harness.cache` — an on-disk result cache keyed by a
   content hash of (point function, parameters, every source file of
   the package) so unchanged points are never recomputed;

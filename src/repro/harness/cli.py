@@ -30,7 +30,7 @@ from .golden import (
     DEFAULT_GOLDENS_DIR, bless, check_claims, check_digests, load_golden,
     quantity_changes,
 )
-from .points import SCALES, with_engine
+from .points import SCALES, with_keyword
 from .registry import EXPERIMENT_MODULES, get_spec
 from .runner import ExperimentRun, run_experiment
 
@@ -111,7 +111,7 @@ def _run_all(args: argparse.Namespace) -> list[ExperimentRun]:
     for name in names:
         spec = get_spec(name)
         if args.engine is not None:
-            spec = with_engine(spec, args.engine)
+            spec = with_keyword(spec, "engine", args.engine)
         run = run_experiment(spec, scale=args.scale, jobs=args.jobs, cache=cache)
         print(run.timing_summary())
         runs.append(run)
@@ -123,9 +123,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     runs = _run_all(args)
     for run in runs:
         spec = get_spec(run.name)
-        if not args.no_render and spec.assemble is not None:
+        if not args.no_render:
             print()
-            print(spec.assemble(run.points, run.results).render())
+            print(spec.render(run.points, run.results))
         if args.quantities:
             print(f"\n{run.name} quantities:")
             for key, value in sorted(run.quantities(spec).items()):

@@ -4,8 +4,8 @@ A sweep point is one unit of parallel work: a pure function of its
 parameters, addressed by dotted name so worker processes can import and
 execute it, with JSON-serializable parameters and result so the on-disk
 cache can store it.  A :class:`SweepSpec` bundles an experiment's
-points with the quantities its goldens report and the paper claims
-(:class:`Claim`) its results must bear out.
+points with the table it renders, the quantities its goldens report and
+the paper claims (:class:`Claim`) its results must bear out.
 """
 
 from __future__ import annotations
@@ -101,19 +101,20 @@ class SweepSpec:
         scalars extracted from a completed run's results (keyed by
         point key).  The goldens record them as a report, so a moved
         digest also shows which quantities moved; they gate nothing.
+    render:
+        ``render(points, results) -> str`` — the experiment's text
+        table, the one every CLI form prints, rebuilt from the same
+        inputs as :attr:`quantities`.
     claims:
         The paper's statements about this experiment, each checked by
         ``regress`` at every scale.
-    assemble:
-        Optional ``assemble(points, results) -> object`` rebuilding the
-        experiment's rich result (with ``render()``) from point results.
     """
 
     name: str
     points: Callable[[str], list[SweepPoint]]
     quantities: Callable[[list[SweepPoint], dict[str, Any]], dict[str, float]]
+    render: Callable[[list[SweepPoint], dict[str, Any]], str]
     claims: tuple[Claim, ...] = ()
-    assemble: Callable[[list[SweepPoint], dict[str, Any]], Any] | None = None
 
     def points_for(self, scale: str) -> list[SweepPoint]:
         """Build the sweep points for one scale, checking key uniqueness."""
@@ -135,31 +136,33 @@ class SweepSpec:
         return built
 
 
-def point_accepts_engine(point: SweepPoint) -> bool:
-    """Whether a point's function takes the ``engine`` keyword.
+def point_accepts(point: SweepPoint, keyword: str) -> bool:
+    """Whether a point's function takes ``keyword``.
 
     Simulation-backed points (``poisson_point``, ``fault_point``, …)
-    declare it; analytic points (tables, figure 1) do not and must be
-    left untouched by :func:`with_engine`.
+    take ``engine``; analytic points (tables, figure 1) do not.  Only
+    some points take a single ``seed``.
     """
-    return "engine" in inspect.signature(point.resolve()).parameters
+    return keyword in inspect.signature(point.resolve()).parameters
 
 
-def with_engine(spec: SweepSpec, engine: str) -> SweepSpec:
-    """A copy of ``spec`` with every sim point pinned to one engine.
+def with_keyword(spec: SweepSpec, keyword: str, value: Any) -> SweepSpec:
+    """A copy of ``spec`` with ``keyword=value`` set on every point
+    whose function accepts it; the other points pass through unchanged.
 
-    Points whose functions accept an ``engine`` keyword get it injected
-    into their params — which also namespaces their result-cache keys
-    per engine (params are part of the content hash), so the per-engine
-    CI regress gates never share cache entries.  Points without the
-    keyword pass through unchanged.
+    ``regress --engine`` pins sim points to one engine this way, and
+    ``ldlp-experiment <name> --seed`` sets the seed.  The keyword joins
+    the point's params, so it also namespaces the point's result-cache
+    key (params are part of the content hash): the per-engine CI
+    regress gates never share cache entries.
     """
-    def pinned_points(scale: str) -> list[SweepPoint]:
+    def set_points(scale: str) -> list[SweepPoint]:
+        """The spec's points, with the keyword set where accepted."""
         return [
-            replace(point, params={**point.params, "engine": engine})
-            if point_accepts_engine(point)
+            replace(point, params={**point.params, keyword: value})
+            if point_accepts(point, keyword)
             else point
             for point in spec.points(scale)
         ]
 
-    return replace(spec, points=pinned_points)
+    return replace(spec, points=set_points)

@@ -101,15 +101,13 @@ def run_experiment(
     )
 
 
-def run_assembled(spec: SweepSpec, scale: str) -> Any:
-    """Run ``spec`` inline with no result cache and assemble its result.
+def run_assembled(spec: SweepSpec, scale: str) -> str:
+    """Run ``spec`` inline with no result cache and render its table.
 
     The serial ``ldlp-experiment <name>`` form: every point is computed
-    afresh in this process (``jobs=1``), and the spec's ``assemble``
-    rebuilds the rich result, so its ``render()`` is exactly the table
-    ``ldlp-experiment run <name>`` prints at the same scale.
+    afresh in this process (``jobs=1``), and the spec's ``render``
+    builds exactly the table ``ldlp-experiment run <name>`` prints at
+    the same scale.
     """
-    if spec.assemble is None:
-        raise ConfigurationError(f"experiment {spec.name!r} declares no assemble")
     run = run_experiment(spec, scale, jobs=1, cache=ResultCache(enabled=False))
-    return spec.assemble(run.points, run.results)
+    return spec.render(run.points, run.results)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import ablations
+from repro.experiments.report import point_rows
 from repro.harness.points import SweepPoint
 
 
@@ -11,8 +12,9 @@ def ablation_sweep():
     """Run one ablation at hand-picked values, as its sweep points would.
 
     Returns ``run(sweep, values, rate, duration)``: each value goes
-    through ``ablations.compute_point`` and the results through
-    ``ablations.assemble``, giving one :class:`ablations.SweepResult`.
+    through ``ablations.compute_point`` and is decoded by
+    ``ablations.decode_pair``, giving ``(conventional, ldlp)``: each
+    scheduler's run results in value order.
     """
     def run(sweep, values, rate, duration):
         points = [
@@ -28,7 +30,8 @@ def ablation_sweep():
             for value in values
         ]
         results = {point.key: point.execute() for point in points}
-        (sweep_result,) = ablations.assemble(points, results).sweeps
-        return sweep_result
+        pairs = [pair for _, pair in point_rows(points, results, ablations.decode_pair)]
+        conventional, ldlp = zip(*pairs)
+        return conventional, ldlp
 
     return run

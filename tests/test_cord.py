@@ -106,15 +106,15 @@ class TestCompactTrace:
 
 class TestCiscDensity:
     def test_i386_shrinks_the_gap(self, ablation_sweep):
-        sweep = ablation_sweep("cisc_density", (1.0, 0.45), rate=5000,
-                               duration=0.08)
+        conventional, ldlp = ablation_sweep("cisc_density", (1.0, 0.45), rate=5000,
+                                            duration=0.08)
         alpha_adv = (
-            sweep.conventional[0].cycles_per_message
-            / sweep.ldlp[0].cycles_per_message
+            conventional[0].cycles_per_message
+            / ldlp[0].cycles_per_message
         )
         i386_adv = (
-            sweep.conventional[1].cycles_per_message
-            / sweep.ldlp[1].cycles_per_message
+            conventional[1].cycles_per_message
+            / ldlp[1].cycles_per_message
         )
         assert alpha_adv > i386_adv
         # i386: the 5-layer stack is ~13.8 KB, still above 8 KB, so some
@@ -122,9 +122,6 @@ class TestCiscDensity:
         assert i386_adv > 0.95
 
     def test_i386_conventional_misses_lower(self, ablation_sweep):
-        sweep = ablation_sweep("cisc_density", (1.0, 0.45), rate=3000,
-                               duration=0.08)
-        assert (
-            sweep.conventional[1].misses.total
-            < 0.6 * sweep.conventional[0].misses.total
-        )
+        conventional, _ = ablation_sweep("cisc_density", (1.0, 0.45), rate=3000,
+                                         duration=0.08)
+        assert conventional[1].misses.total < 0.6 * conventional[0].misses.total

@@ -571,6 +571,7 @@ class TestSweepDeterminism:
             name="tinyflows",
             points=points,
             quantities=lambda points, results: {},
+            render=lambda points, results: "",
         )
 
     def test_identical_across_jobs(self, tmp_path):
@@ -622,7 +623,7 @@ class TestExperimentSweep:
 
     def test_assemble_and_render(self):
         points, results = self.shrunk_results()
-        table = experiment.assemble(points, results).render()
+        table = experiment.render(points, results)
         assert "scheduler" in table and "entries" in table
 
     def test_harn003_clean_on_shipped_registry(self):

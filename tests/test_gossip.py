@@ -417,7 +417,7 @@ class TestExperimentSweep:
 
     def test_assemble_and_render(self):
         points, results = self.shrunk_results()
-        table = experiment.assemble(points, results).render()
+        table = experiment.render(points, results)
         assert "framing" in table and "hdrB/msg" in table
 
     def test_harn004_clean_on_shipped_registry(self):

@@ -74,6 +74,7 @@ def tiny_sim_spec() -> SweepSpec:
         name="tinysim",
         points=points,
         quantities=quantities,
+        render=lambda points, results: "",
     )
 
 
@@ -232,6 +233,7 @@ class TestSpecs:
                 SweepPoint("dup", "same", "repro.sim.runner:poisson_point", {}),
             ],
             quantities=lambda points, results: {},
+            render=lambda points, results: "",
         )
         with pytest.raises(ConfigurationError):
             spec.points_for("ci")

@@ -317,6 +317,7 @@ class TestSweepDeterminism:
             name="tinymulticore",
             points=points,
             quantities=lambda points, results: {},
+            render=lambda points, results: "",
         )
 
     def test_every_policy_identical_across_jobs(self, tmp_path):
@@ -380,7 +381,7 @@ class TestExperimentSweep:
             )
             for point in points
         }
-        table = experiment.assemble(points, results).render()
+        table = experiment.render(points, results)
         assert "dispatch" in table and "cores" in table
 
     def test_harn002_clean_on_shipped_registry(self):

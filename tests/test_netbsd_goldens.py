@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.workingset import Category
 from repro.experiments import table1
 from repro.harness import check_claims
 from repro.netbsd.layers import (
@@ -46,7 +45,7 @@ EXPECTED_ROW_SUM = (30304, 5088, 3648)
 
 @pytest.fixture(scope="module")
 def measured():
-    return table1.run(seed=0)
+    return table1.compute_point(seed=0)
 
 
 class TestPublishedConstants:
@@ -80,27 +79,27 @@ class TestMeasuredModel:
     @pytest.mark.parametrize("layer", sorted(EXPECTED_TABLE1))
     def test_measured_row(self, measured, layer):
         code, readonly, mutable = EXPECTED_TABLE1[layer]
-        assert measured.measured(layer, Category.CODE) == code
-        assert measured.measured(layer, Category.READONLY) == readonly
-        assert measured.measured(layer, Category.MUTABLE) == mutable
+        assert measured["layers"][layer] == {
+            "code": code, "readonly": readonly, "mutable": mutable,
+        }
 
     def test_measured_totals_equal_row_sum(self, measured):
-        totals = tuple(
-            measured.report.total(category).bytes for category in Category
+        totals = measured["totals"]
+        assert (totals["code"], totals["readonly"], totals["mutable"]) == (
+            EXPECTED_ROW_SUM
         )
-        assert totals == EXPECTED_ROW_SUM
 
     def test_matches_paper_flag(self, measured):
-        assert measured.matches_paper()
+        assert measured["matches_paper"]
 
     def test_placement_seed_does_not_change_sizes(self):
         """Working-set *sizes* are layout-independent: a different
         placement seed moves addresses, not byte counts."""
-        other = table1.run(seed=7)
+        other = table1.compute_point(seed=7)
         for layer, (code, readonly, mutable) in EXPECTED_TABLE1.items():
-            assert other.measured(layer, Category.CODE) == code
-            assert other.measured(layer, Category.READONLY) == readonly
-            assert other.measured(layer, Category.MUTABLE) == mutable
+            assert other["layers"][layer] == {
+                "code": code, "readonly": readonly, "mutable": mutable,
+            }
 
 
 class TestSweepQuantities:

@@ -11,11 +11,9 @@ from repro.core import (
     LDLPScheduler,
 )
 from repro.core.blocking import blocked_schedule, conventional_schedule
-from repro.experiments.schedules import (
-    figure23_text,
-    observed_order,
-    render_order,
-)
+from repro.experiments import schedules
+from repro.experiments.schedules import observed_order, render_order
+from repro.harness import run_assembled
 
 
 class TestObservedOrders:
@@ -68,7 +66,7 @@ class TestObservedOrders:
 
 class TestRendering:
     def test_figure23_text_mentions_all(self):
-        text = figure23_text()
+        text = run_assembled(schedules.SWEEP, "ci")
         assert "Conventional" in text
         assert "Blocked / LDLP" in text
         assert "(L0,P0)" in text

@@ -6,32 +6,36 @@ import pytest
 from repro.cache.hierarchy import MachineSpec
 from repro.errors import ConfigurationError
 from repro.experiments import table2
+from repro.harness import run_assembled
 from repro.machine import CPU
+from repro.netbsd import ReceivePathModel
 from repro.sim import SimulationConfig, run_simulation
 from repro.traffic import PoissonSource
 
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def result(self):
-        return table2.run(seed=0)
+    def trace(self):
+        return ReceivePathModel(seed=0).build_trace()
 
-    def test_narrative_orderings_hold(self, result):
-        assert result.narrative_holds()
+    def test_narrative_orderings_hold(self, trace):
+        assert table2.narrative_holds(trace)
 
-    def test_entry_ends_asleep(self, result):
-        functions = result.phase_functions("entry")
+    def test_entry_ends_asleep(self, trace):
+        functions = table2.phase_functions(trace, "entry")
         assert functions[-1] in ("cpu_switch", "mi_switch")
 
-    def test_interrupt_starts_at_the_device(self, result):
-        functions = result.phase_functions("pkt intr")
+    def test_interrupt_starts_at_the_device(self, trace):
+        functions = table2.phase_functions(trace, "pkt intr")
         assert functions[0] == "XentInt"
 
-    def test_render_mentions_fastpath(self, result):
-        assert "fastpath" in result.render()
+    def test_render_mentions_fastpath(self):
+        text = run_assembled(table2.SWEEP, "ci")
+        assert "fastpath" in text
+        assert text.endswith("narrative orderings hold: True")
 
     def test_other_seeds_hold_too(self):
-        assert table2.run(seed=3).narrative_holds()
+        assert table2.compute_point(seed=3)["narrative_holds"]
 
 
 class TestPrefetchModel:
@@ -68,10 +72,12 @@ class TestPrefetchAblation:
     def test_prefetch_narrows_but_keeps_advantage(self, ablation_sweep):
         # 8000 msgs/s: past conventional saturation even with prefetch,
         # so batching is actually exercised.
-        sweep = ablation_sweep("prefetch", (0.0, 0.75), rate=8000, duration=0.08)
+        conventional, ldlp = ablation_sweep(
+            "prefetch", (0.0, 0.75), rate=8000, duration=0.08
+        )
         advantages = [
-            conv.cycles_per_message / ldlp.cycles_per_message
-            for conv, ldlp in zip(sweep.conventional, sweep.ldlp)
+            conv.cycles_per_message / batched.cycles_per_message
+            for conv, batched in zip(conventional, ldlp)
         ]
         assert advantages[0] > advantages[1]  # prefetch narrows the gap
         assert advantages[1] > 1.05  # but cannot erase it

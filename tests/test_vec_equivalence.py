@@ -79,7 +79,7 @@ from repro.gossip import (
 )
 from repro.harness.cache import ResultCache, canonical_json
 from repro.harness.golden import check_claims, check_digests, load_golden, result_digests
-from repro.harness.points import point_accepts_engine, with_engine
+from repro.harness.points import point_accepts, with_keyword
 from repro.harness.registry import EXPERIMENT_MODULES, get_spec
 from repro.harness.runner import run_experiment
 from repro.obs.runtime import Recorder, recording
@@ -183,7 +183,7 @@ def test_experiment_byte_identical_across_engines(name):
     """
     runs, totals = {}, {}
     for engine in ENGINE_NAMES:
-        spec = with_engine(get_spec(name), engine)
+        spec = with_keyword(get_spec(name), "engine", engine)
         recorder = Recorder(keep_spans=False)
         with recording(recorder):
             runs[engine] = run_experiment(
@@ -193,8 +193,10 @@ def test_experiment_byte_identical_across_engines(name):
     assert result_digests(runs["scalar"].results) == result_digests(runs["vec"].results)
     assert totals["scalar"] == totals["vec"]
     vec = runs["vec"]
-    assert check_digests(name, load_golden(name, "ci", root=GOLDENS), vec.results) == []
+    golden = load_golden(name, "ci", root=GOLDENS)
+    assert check_digests(name, golden, vec.results) == []
     assert check_claims(get_spec(name), vec.points, vec.results) == []
+    assert get_spec(name).quantities(vec.points, vec.results) == golden.quantities
     counters = totals["vec"]
     if counters.get("messages.arrivals"):
         # Every simulated drive loop runs until the queue drains, so
@@ -206,15 +208,16 @@ def test_experiment_byte_identical_across_engines(name):
 
 
 def test_engine_tagging_only_touches_sim_points():
-    """with_engine pins sim-backed points and leaves analytic ones."""
-    faults = with_engine(get_spec("faults"), "scalar").points_for("ci")
+    """with_keyword pins sim-backed points and leaves analytic ones."""
+    faults = with_keyword(get_spec("faults"), "engine", "scalar").points_for("ci")
     assert all(point.params["engine"] == "scalar" for point in faults)
     table1 = get_spec("table1")
     assert [
-        point.params for point in with_engine(table1, "scalar").points_for("ci")
+        point.params
+        for point in with_keyword(table1, "engine", "scalar").points_for("ci")
     ] == [point.params for point in table1.points_for("ci")]
     assert not any(
-        point_accepts_engine(point) for point in table1.points_for("ci")
+        point_accepts(point, "engine") for point in table1.points_for("ci")
     )
 
 
