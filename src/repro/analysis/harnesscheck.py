@@ -12,10 +12,10 @@ function can reach.
 
 One deliberate refinement keeps the closure honest instead of
 everything-reaches-everything: importing a submodule executes every
-ancestor package ``__init__``, and re-export hubs like
-``repro.experiments.__init__`` eagerly import *every sibling* — which
-would drag the whole codebase into every experiment's closure and make
-the walk useless.  Ancestor ``__init__`` files that are pure re-export
+ancestor package ``__init__``, and a re-export hub (an ``__init__``
+such as ``repro.sim.__init__`` that imports its siblings to re-export
+their names) may eagerly import *every sibling* — which would drag the
+whole codebase into every point's closure and make the walk useless.  Ancestor ``__init__`` files that are pure re-export
 hubs (docstring + imports + ``__all__`` only) are therefore treated as
 inert: their imports are not followed.  Any ``__init__`` reached
 through a real import edge (``from ..core import BatchPolicy``), or

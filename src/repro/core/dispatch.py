@@ -82,6 +82,11 @@ class DispatchPolicy(ABC):
     admission.  Policies must be deterministic functions of the message
     and their construction parameters; they may keep counters or sticky
     state (the LDLP-aware policy does) but must not draw randomness.
+
+    :func:`repro.sim.runner.drive` may call :meth:`select` for every
+    arrival, in arrival order, before any core steps (it then drives
+    each core on its own).  So a policy may depend only on the message
+    and its own earlier selections, never on a core's queue or clock.
     """
 
     #: Registry name; subclasses override.

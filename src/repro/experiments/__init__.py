@@ -10,32 +10,9 @@ and decoded result, in declared order — so there are no per-experiment
 result classes.  The ``ldlp-experiment`` CLI (see
 :mod:`repro.experiments.cli`) prints any experiment's table from the
 shell.
+
+Submodules are imported on demand (``from repro.experiments import
+figure7``; the registry and ``SweepPoint.resolve`` use
+``import_module``), so importing one experiment does not import the
+others.
 """
-
-from . import (
-    ablations,
-    figure1,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    motivation,
-    schedules,
-    table1,
-    table2,
-    table3,
-)
-
-__all__ = [
-    "ablations",
-    "figure1",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "motivation",
-    "schedules",
-    "table1",
-    "table2",
-    "table3",
-]

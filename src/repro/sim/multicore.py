@@ -11,9 +11,12 @@ decides admission, so every drop-policy sweep from :mod:`repro.faults`
 carries over unchanged.
 
 The drive loop is the single-core one (:func:`repro.sim.runner.drive`):
-one deterministic event merge over per-core CPU clocks, with each core
-stepped by the scalar scheduler or the vectorized engine
-(:mod:`repro.sim.vec`), whichever that core supports.  A one-core
+cores that share no L2 are each driven on their own stream of
+dispatched arrivals, and cores behind a shared L2 (or under a
+span-keeping recorder) go through one deterministic event merge over
+the per-core CPU clocks.  Each core is stepped by the scalar scheduler
+or the vectorized engine (:mod:`repro.sim.vec`), whichever that core
+supports.  A one-core
 dispatched run therefore reproduces
 :func:`repro.sim.runner.run_simulation` bit-identically by
 construction (``tests/test_multicore.py`` pins it).  This module adds

@@ -14,8 +14,9 @@ The same runner drives the multi-core machine: with ``num_cores`` > 1
 a receive-side dispatch stage (:mod:`repro.core.dispatch`) steers each
 arrival onto one of N cores, each running its own scheduler over
 private I/D caches (optionally behind one shared L2).  There is one
-drive loop (:func:`drive`) for every core count and both engines; a
-single-core run is simply the N=1 case without a dispatch policy.
+drive loop for every core count and both engines; a single-core run is
+simply the N=1 case without a dispatch policy, and :func:`drive` runs
+each core of an uncoupled multi-core run through it on its own.
 """
 
 from __future__ import annotations
@@ -362,19 +363,47 @@ def drive(
 ) -> DriveStats:
     """Drive bound schedulers (one per core) with timestamped messages.
 
-    Each core's CPU is its clock.  The loop is a deterministic event
-    merge: the busy core with the lowest cycle count (ties broken by
-    core index) steps next, and every arrival at or before that cycle
-    is admitted first — dispatched to a core by ``dispatch``, then
-    offered to that core's drop policy.  An admission that wakes an
-    idle core advances its clock to the arrival.  Each completion's
-    latency is measured in CPU cycles.  Works for any stack — the
-    synthetic five-layer benchmark, the byte-level TCP stack, or the
-    signalling switch — as long as each scheduler carries a
-    :class:`~repro.core.binding.MachineBinding`.
+    Each core's CPU is its clock.  A core steps after exactly its own
+    arrivals at or before the step's start cycle are admitted, each
+    dispatched to a core by ``dispatch`` and then offered to that core's
+    drop policy.  An admission that wakes an idle core advances its
+    clock to the arrival.  Each completion's latency is measured in CPU
+    cycles.  Works for any stack — the synthetic five-layer benchmark,
+    the byte-level TCP stack, or the signalling switch — as long as each
+    scheduler carries a :class:`~repro.core.binding.MachineBinding`.
 
     ``cores`` is one scheduler or a list; more than one core needs a
     ``dispatch`` policy.  Without one every arrival goes to core 0.
+
+    *Two ways to run several cores.*  Cores with an L2 (a multi-core
+    run's L2 is shared by every core), a run under a span-keeping
+    recorder (whose spans and instants interleave on one clock) and
+    arrivals out of time order go through one deterministic event merge
+    (:func:`_event_merge`): the busy core with the lowest cycle count
+    (ties broken by core index) steps next, and every arrival at or
+    before that cycle is admitted first.  Otherwise, with a dispatch
+    policy, the call runs ``dispatch.select`` once per arrival,
+    in arrival order, before any core steps, and drives each core's own
+    arrival stream through the one-core loop, bulk admission and
+    multi-step replay included; one stable sort on (step start cycle,
+    core index) then merges the cores' latency samples, a step replayed
+    ahead starting at the previous step's completion.  This is exact:
+
+    * without an L2, cores share no state;
+    * ``select(message, num_cores)`` sees only the message and the
+      policy's own earlier selections, no core state;
+    * in both loops a core steps after exactly its own arrivals at or
+      before the step's start cycle, and an arrival that wakes an idle
+      core moves that core's clock;
+    * the event merge steps the cores in (start cycle, core index)
+      order, ties going to the lower index, so the sort reproduces its
+      sample order, and with it the float ``mean`` and every digest;
+    * each obs counter gets the same total (``messages.*``,
+      ``scheduler.service_steps``, ``dispatch.core{i}.assigned/drops``,
+      ``faults.cache_flushes``): they are integer-valued floats, whose
+      sums are exact.  A core's drops are those of its own drive, not
+      :attr:`Scheduler.drops <repro.core.scheduler.Scheduler.drops>`,
+      which spans earlier calls.
 
     With a :mod:`repro.obs` recorder installed, the call counts
     arrivals, drops, service steps and completions (plus, with a
@@ -412,24 +441,24 @@ def drive(
     <repro.core.layer.Message.arrival_cycle>`); only stamped messages
     count as completions, so a message a byte-level layer creates does
     not.  Every admission goes through
-    :meth:`~repro.core.scheduler.Scheduler.enqueue_arrivals`.  On one
-    core without a dispatch policy or span-keeping recorder (and with
-    the arrivals in time order), a busy core's window of arrivals up to
-    its next step is one ``bisect`` over the arrival cycles and one
+    :meth:`~repro.core.scheduler.Scheduler.enqueue_arrivals`.  A core
+    driven on its own (one core without a dispatch policy, or each core
+    of the per-core path) admits a busy core's window of arrivals up to
+    its next step with one ``bisect`` over the arrival cycles and one
     admission call; an arrival that wakes an idle core is admitted
-    alone, as with dispatch or spans, where every arrival is.  Without
-    a flush period, a vec conventional/ILP step may also replay up to
-    :data:`repro.sim.vec.MAX_STEPS` queued messages' steps at once,
-    each replayed step's flow lookup (if the core has a lookup cache)
-    already charged inside the replayed timeline.  The loop settles the
-    replayed steps as one block, with the outcome of settling them one
-    by one as if each had run alone: it pops their messages (asserting
-    queue order), adds each step's service cycles in step order and
-    records the block's latencies in sample order with one call.  When
-    the queue has room for every arrival up to the last replayed
-    completion, it admits them all first; otherwise, before popping
-    each replayed step's message, it admits every arrival up to the
-    previous step's completion.
+    alone, as in the event merge, where every arrival is.  Without a
+    flush period, such a core's vec conventional/ILP step may also
+    replay :data:`repro.sim.vec.MAX_STEPS` queued messages' steps at
+    once, each replayed step's flow lookup (if the core has a lookup
+    cache) already charged inside the replayed timeline.  The loop
+    settles the replayed steps as one block, with the outcome of
+    settling them one by one as if each had run alone: it pops their
+    messages (asserting queue order), adds each step's service cycles
+    in step order and records the block's latencies in sample order
+    with one call.  When the queue has room for every arrival up to the
+    last replayed completion, it admits them all first; otherwise,
+    before popping each replayed step's message, it admits every
+    arrival up to the previous step's completion.
     """
     if isinstance(cores, Scheduler):
         cores = [cores]
@@ -445,8 +474,6 @@ def drive(
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
         )
-    recorder = active_recorder()
-    spans = span_recorder()
     num_cores = len(cores)
     cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
     hz = cpus[0].clock.hz
@@ -455,22 +482,122 @@ def drive(
     cycles = [time * hz for time, _ in arrivals]
     for message, cycle in zip(messages, cycles):
         message.arrival_cycle = cycle
-    # One core without a dispatch policy or spans admits each window of
-    # arrivals in one call; its end is a bisect, so the cycles must be
-    # in order.
-    bulk = (
-        num_cores == 1
-        and dispatch is None
-        and spans is None
-        and all(map(le, cycles, islice(cycles, 1, None)))
+    # A core driven on its own admits each window of arrivals in one
+    # call; its end is a bisect, so the cycles must be in order.
+    ordered = all(map(le, cycles, islice(cycles, 1, None)))
+    if (
+        dispatch is not None
+        and ordered
+        and span_recorder() is None
+        and all(cpu.hierarchy.l2 is None for cpu in cpus)
+    ):
+        # The per-core path (see above): split, drive each core on its
+        # own, merge.
+        streams: list[tuple[list[Message], list[float]]] = [
+            ([], []) for _ in cores
+        ]
+        for message, cycle in zip(messages, cycles):
+            own = streams[dispatch.select(message, num_cores) % num_cores]
+            own[0].append(message)
+            own[1].append(cycle)
+        starts: list[list[float]] = [[] for _ in cores]
+        runs = [
+            _event_merge(
+                [scheduler], own_messages, own_cycles, hz, flush_period_cycles,
+                engine, dispatch=None, ordered=True, starts=own_starts,
+            )
+            for scheduler, (own_messages, own_cycles), own_starts
+            in zip(cores, streams, starts)
+        ]
+        samples = [sample for run in runs for sample in run.latency.samples]
+        order = np.argsort(np.concatenate(starts), kind="stable")
+        latency = LatencyRecorder()
+        latency.extend(np.array(samples).take(order).tolist())
+        outcome = _Outcome(
+            latency,
+            [run.completed[0] for run in runs],
+            [run.service[0] for run in runs],
+            [run.dispatched[0] for run in runs],
+            [run.dropped[0] for run in runs],
+            sum(run.steps for run in runs),
+            sum(run.finished for run in runs),
+        )
+    else:
+        outcome = _event_merge(
+            cores, messages, cycles, hz, flush_period_cycles, engine, dispatch,
+            ordered, starts=None,
+        )
+    recorder = active_recorder()
+    if recorder is not None:
+        tallies = {
+            "messages.arrivals": sum(outcome.dispatched),
+            "messages.drops": sum(outcome.dropped),
+            "scheduler.service_steps": outcome.steps,
+        }
+        if dispatch is not None:
+            for target in range(num_cores):
+                tallies[f"dispatch.core{target}.assigned"] = outcome.dispatched[target]
+                tallies[f"dispatch.core{target}.drops"] = outcome.dropped[target]
+        for name, value in tallies.items():
+            if value:
+                recorder.count(name, float(value))
+        if outcome.steps:
+            # Counted per step, so present (maybe 0) once any step ran.
+            recorder.count("messages.completions", float(outcome.finished))
+    return DriveStats(
+        latency=outcome.latency,
+        completed_per_core=outcome.completed,
+        service_cycles_per_core=outcome.service,
+        dispatched_per_core=outcome.dispatched,
     )
+
+
+@dataclass
+class _Outcome:
+    """What one :func:`_event_merge` call tallies: per-core lists in core
+    order, plus the service steps and completions (stamped or not) over
+    every core, for the obs tallies."""
+
+    latency: LatencyRecorder
+    completed: list[int]
+    service: list[float]
+    dispatched: list[int]
+    dropped: list[int]
+    steps: int
+    finished: int
+
+
+def _event_merge(
+    cores: list[Scheduler],
+    messages: list[Message],
+    cycles: list[float],
+    hz: float,
+    flush_period_cycles: float | None,
+    engine: str,
+    dispatch: DispatchPolicy | None,
+    ordered: bool,
+    starts: list[float] | None,
+) -> _Outcome:
+    """The drive loop: step the busy core with the lowest cycle count
+    (ties to the lower index) after admitting every arrival at or
+    before that cycle.  ``messages`` are stamped; ``cycles`` are their
+    arrival cycles, at ``hz`` cycles a second.  ``starts``, when given,
+    receives each latency sample's step start cycle (see
+    :func:`drive`)."""
+    recorder = active_recorder()
+    spans = span_recorder()
+    num_cores = len(cores)
+    cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
+    # One core without a dispatch policy or spans admits each window of
+    # arrivals in one call.
+    bulk = num_cores == 1 and dispatch is None and spans is None and ordered
     multi_step = bulk and flush_period_cycles is None
     steppers = [_stepper(scheduler, engine, multi_step) for scheduler in cores]
     if dispatch is None:
         tracks = ["scheduler"]
     else:
         tracks = [f"core{index}/scheduler" for index in range(num_cores)]
-    total = len(arrivals)
+    total = len(messages)
     next_flush = [flush_period_cycles] * num_cores
     latency = LatencyRecorder()
     completed = [0] * num_cores
@@ -575,6 +702,15 @@ def drive(
                 previous = cycle
             completions += replayed
             ends = [cycle for _, cycle in completions]
+        if starts is not None:
+            # A replayed step (one completion each) starts at the
+            # previous step's completion.
+            opened = [before] + ends[:-1] if replayed else [before] * len(completions)
+            starts += [
+                start
+                for (message, _), start in zip(completions, opened)
+                if message.arrival_cycle is not None
+            ]
         # One service addition per settled step, in step order, so the
         # float sum is the step-by-step one.
         for end_cycle in ends:
@@ -599,27 +735,8 @@ def drive(
             while flush_at <= cpu.cycles:
                 flush_at += flush_period_cycles  # type: ignore[operator]
             next_flush[core] = flush_at
-    if recorder is not None:
-        tallies = {
-            "messages.arrivals": sum(dispatched),
-            "messages.drops": sum(dropped),
-            "scheduler.service_steps": steps,
-        }
-        if dispatch is not None:
-            for target in range(num_cores):
-                tallies[f"dispatch.core{target}.assigned"] = dispatched[target]
-                tallies[f"dispatch.core{target}.drops"] = dropped[target]
-        for name, value in tallies.items():
-            if value:
-                recorder.count(name, float(value))
-        if steps:
-            # Counted per step, so present (maybe 0) once any step ran.
-            recorder.count("messages.completions", float(finished))
-    return DriveStats(
-        latency=latency,
-        completed_per_core=completed,
-        service_cycles_per_core=service,
-        dispatched_per_core=dispatched,
+    return _Outcome(
+        latency, completed, service, dispatched, dropped, steps, finished
     )
 
 

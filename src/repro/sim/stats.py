@@ -26,6 +26,11 @@ class LatencyRecorder:
     def __len__(self) -> int:
         return len(self._samples)
 
+    @property
+    def samples(self) -> list[float]:
+        """The samples in recording order (the live list, not a copy)."""
+        return self._samples
+
     def summary(self) -> "LatencySummary":
         """Reduce the samples to a :class:`LatencySummary` (NaNs if empty)."""
         if not self._samples:

@@ -128,14 +128,17 @@ the cache model without paying for the intern and lookup.
 
 *Multi-step replay.*  A conventional or ILP step serves one message,
 so its fixed Python cost is paid once per message.  When such a core
-has q >= 2 messages queued, its next k = min(q, :data:`MAX_STEPS`)
-steps are fully determined before any new arrival is admitted, so one
-replay runs them back to back: the engine pops the first message,
-peeks at the next k - 1 without popping them, takes all k buffers as
-one run of ring slots (exactly the k slots the k scalar steps would
-acquire, since nothing acquires between them), and keys the template
-on (first slot, the k sizes).  The template is the k single-message
-programs back to back;
+has q >= k = :data:`MAX_STEPS` messages queued, its next k steps are
+fully determined before any new arrival is admitted, so one replay runs
+them back to back: the engine pops the first message, peeks at the
+next k - 1 without popping them, takes all k buffers as one run of ring
+slots (exactly the k slots the k scalar steps would acquire, since
+nothing acquires between them), and keys the template on (first slot,
+the k sizes).  With fewer queued it replays one step: only full runs
+are replayed, so an engine compiles at most one multi-step template
+per (ring slot, size tuple), not one per run length, which keeps the
+shallow queues of a many-core run from compiling a template for every
+k.  The template is the k single-message programs back to back;
 step j completes at its last invocation's execute slot, addend index
 ``_SLOTS * num_layers * (j + 1) - 1`` (the trailing-execute slot after
 it is always 0.0 for these kinds, so the value is the scalar one), and
@@ -145,12 +148,14 @@ block: it pops the k - 1 replayed messages and records the block in
 one pass.  When the queue has room for every arrival up to the last
 completion, it admits them all at once; otherwise, before popping step
 j >= 1's message, it admits every arrival up to step j - 1's
-completion, as k separate steps would.  The envelope is one core
-without a dispatch policy, flush period or span-keeping recorder, with
-the arrivals in time order (the caller's ``multi_step``), and exact
-:class:`~repro.core.overload.TailDrop` (which never evicts, so every
-admission sees the scalar queue length and no replayed message can be
-lost); everything else replays single steps.
+completion, as k separate steps would.  The envelope is a core the
+drive loop runs on its own (one core without a dispatch policy, or
+each core of a multi-core run whose cores share no L2; see
+:func:`~repro.sim.runner.drive`) with no flush period or span-keeping
+recorder and the arrivals in time order (the caller's ``multi_step``),
+and exact :class:`~repro.core.overload.TailDrop` (which never evicts,
+so every admission sees the scalar queue length and no replayed
+message can be lost); everything else replays single steps.
 
 Equivalence boundaries
 ----------------------
@@ -498,7 +503,8 @@ class _VecEngine:
         binding = scheduler.binding
         assert binding is not None
         self.per_message = kind in ("conventional", "ilp")
-        #: Steps one replay may run: see the module docs' envelope.
+        #: Steps a multi-step replay runs (1: single steps only); see
+        #: the module docs' envelope.
         self.max_steps = (
             MAX_STEPS
             if multi_step
@@ -889,7 +895,10 @@ class _VecEngine:
             queue = scheduler.input_queue
             batch = [queue.popleft()]
             charge_flow_lookups(scheduler, batch)
-            batch += islice(queue, self.max_steps - 1)
+            # A full run of max_steps or a single step: one multi-step
+            # template per (ring slot, sizes), not one per run length.
+            if len(queue) >= self.max_steps - 1:
+                batch += islice(queue, self.max_steps - 1)
         else:
             batch = take_batch(scheduler)  # type: ignore[arg-type]
             if not batch:
@@ -1009,7 +1018,7 @@ def vec_stepper(scheduler: Scheduler, multi_step: bool) -> Stepper | None:
     the module docstring and :func:`vec_supported`), or a span-keeping
     recorder wants the per-layer ``invoke`` spans only the scalar path
     emits.  ``multi_step`` is the caller's half of the multi-step
-    envelope (one core, no dispatch policy, flush period or span-keeping
+    envelope (a core driven on its own, no flush period or span-keeping
     recorder, arrivals in time order); the engine checks the rest.  The
     returned bound method is the engine's only owner, so the engine and
     its compiled templates are freed with it.

@@ -619,8 +619,7 @@ class TestHarnessCheck:
         assert "repro.core.scheduler" in closure    # direct import
         assert "repro.obs.runtime" in closure       # transitive
         assert "repro.cache.hierarchy" in closure
-        # Sibling experiments reachable only through the re-export hub
-        # repro.experiments.__init__ must NOT leak into the closure.
+        # No experiment module is reachable from the simulator.
         assert not any(m.startswith("repro.experiments") for m in closure)
 
     def test_repo_specs_all_clean(self):

@@ -15,10 +15,11 @@ contract at three levels:
   both engines and compares results and counters, including
   flow-charged runs (:mod:`repro.flows`, :mod:`repro.gossip`), whose
   lookups the vec step charges at the scalar loop's point,
-  dispatched multi-core runs, where each core picks its own engine,
-  and conventional/ILP runs whose queued steps the vec engine replays
-  several at a time (latency sample order included), with and without
-  a flow lookup.
+  dispatched multi-core runs, where each core picks its own engine
+  (and uncoupled cores, each driven on its own, equal the event merge
+  sample for sample), and conventional/ILP runs whose queued steps the
+  vec engine replays several at a time (latency sample order
+  included), with and without a flow lookup.
 * **Degenerate-input level** — zero-length and length-1 arrival
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class).
@@ -46,6 +47,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.cache.chunked as chunked_module
+import repro.sim.runner as runner_module
 import repro.sim.vec as vec_module
 from repro.cache.cache import DirectMappedCache
 from repro.cache.chunked import FusedReplay, collapsed_plan, segment_rows
@@ -146,6 +148,31 @@ def _vec_steppers():
         yield steppers
     finally:
         vec_module.vec_stepper = original
+
+
+@contextmanager
+def _drive_paths():
+    """Record each drive call's outcome and the core count of every
+    event-merge loop it ran: one loop over all N cores for the event
+    merge, N loops of one core each for the per-core path."""
+    outcomes: list = []
+    loops: list[int] = []
+    drive_original = runner_module.drive
+    merge_original = runner_module._event_merge
+
+    def drive_spy(*args, **kwargs):
+        outcome = drive_original(*args, **kwargs)
+        outcomes.append(outcome)
+        return outcome
+
+    def merge_spy(cores, *args, **kwargs):
+        loops.append(len(cores))
+        return merge_original(cores, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "drive", drive_spy)
+        patch.setattr(runner_module, "_event_merge", merge_spy)
+        yield outcomes, loops
 
 
 def _flow_charged_both_engines(run, config):
@@ -406,6 +433,87 @@ def test_multicore_run_equivalence(
     assert outcomes["vec"][1]["messages.arrivals"] == len(arrivals)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    scheduler=st.sampled_from(SCHEDULER_NAMES),
+    dispatch=st.sampled_from(sorted(DISPATCH_POLICIES)),
+    cores=st.integers(1, 4),
+    policy=st.sampled_from(POLICY_NAMES),
+    input_limit=st.sampled_from([4, 8, 500]),
+    flushed=st.booleans(),
+    rate=st.floats(5000.0, 40000.0),
+    seed=st.integers(0, 2**10),
+)
+def test_per_core_path_equals_event_merge(
+    scheduler, dispatch, cores, policy, input_limit, flushed, rate, seed
+):
+    """An uncoupled multi-core run driven core by core (metrics-only
+    recorder, both engines: bulk admission and multi-step replay per
+    core, samples merged by step start) equals the event merge (a
+    span-keeping recorder, scalar): result bytes, obs counters and the
+    raw latency sample list, order included."""
+    config = SimulationConfig(
+        scheduler=scheduler,
+        dispatch=dispatch,
+        num_cores=cores,
+        drop_policy=policy,
+        input_limit=input_limit,
+        duration=0.01,
+        flush_period_cycles=campaign_plan().flush_period_cycles if flushed else None,
+    )
+    arrivals = PoissonSource(rate, rng=seed).arrival_list(config.duration)
+    seen = {}
+    for engine, keep_spans in (("scalar", True), ("scalar", False), ("vec", False)):
+        recorder = Recorder(keep_spans=keep_spans)
+        with recording(recorder), _drive_paths() as (outcomes, loops):
+            result = run_multicore(
+                PoissonSource(rate, rng=seed), replace(config, engine=engine),
+                seed=seed, arrivals=arrivals,
+            )
+        assert loops == ([cores] if keep_spans else [1] * cores)
+        (outcome,) = outcomes
+        seen[engine, keep_spans] = (
+            canonical_json(result.to_dict()),
+            recorder.counters.as_dict(),
+            outcome.latency.samples,
+        )
+    merged = seen["scalar", True]
+    assert seen["scalar", False] == merged
+    assert seen["vec", False] == merged
+    assert len(merged[2]) == result.aggregate.completed
+
+
+#: Multi-core runs that must keep the event merge, as (config changes,
+#: span-keeping recorder, arrivals reversed): cores behind one shared
+#: L2, a span-keeping recorder, and arrivals out of time order (a
+#: bisect needs them sorted).  "uncoupled" is the per-core control.
+DRIVE_PATH_CASES = {
+    "uncoupled": ({}, False, False),
+    "shared-l2": ({"shared_l2": CacheGeometry(size=65536, line_size=32)}, False, False),
+    "span-keeping": ({}, True, False),
+    "unordered": ({}, False, True),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("case", sorted(DRIVE_PATH_CASES))
+def test_drive_path_choice(case, engine):
+    """drive() splits a dispatched run into one loop per core only when
+    the cores share no L2, no recorder keeps spans and the arrivals are
+    in time order; otherwise one event merge steps every core."""
+    changes, keep_spans, reverse = DRIVE_PATH_CASES[case]
+    config = SimulationConfig(
+        scheduler="conventional", dispatch="rss", num_cores=3, duration=0.01,
+        engine=engine, **changes,
+    )
+    arrivals = PoissonSource(20000.0, rng=4).arrival_list(config.duration)
+    if reverse:
+        arrivals.reverse()
+    with recording(Recorder(keep_spans=keep_spans)), _drive_paths() as (_, loops):
+        run_multicore(PoissonSource(20000.0, rng=4), config, seed=4, arrivals=arrivals)
+    assert loops == ([1, 1, 1] if case == "uncoupled" else [3])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     scheduler=st.sampled_from(["conventional", "ilp"]),
@@ -464,10 +572,10 @@ def test_multi_step_flow_lookup_equivalence(
 
 
 #: Saturated conventional runs that fill an 8-deep queue, each as
-#: (config changes, flow cache, Zipf-tagged arrivals, multi-step): only
-#: the first replays several steps at once, with or without a flow
-#: lookup; head drop, a flush period and a second core each keep
-#: single steps.
+#: (config changes, flow cache, Zipf-tagged arrivals, multi-step): tail
+#: drop replays full runs of MAX_STEPS steps, with or without a flow
+#: lookup and on each core of an uncoupled two-core run; head drop and
+#: a flush period (one core or two) keep single steps.
 MULTI_STEP_ENVELOPE_CASES = {
     "tail": ({}, None, False, True),
     "head": ({"drop_policy": "head"}, None, False, False),
@@ -481,14 +589,23 @@ MULTI_STEP_ENVELOPE_CASES = {
     "flow-lookup-lru4": (
         {}, FlowCacheSpec(entries=16, organization="lru4"), True, True,
     ),
-    "two-cores": ({"num_cores": 2, "dispatch": "rss"}, None, False, False),
+    "two-cores": ({"num_cores": 2, "dispatch": "rss"}, None, False, True),
+    "two-cores-flushed": (
+        {
+            "num_cores": 2, "dispatch": "rss",
+            "flush_period_cycles": campaign_plan().flush_period_cycles,
+        },
+        None, False, False,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MULTI_STEP_ENVELOPE_CASES))
 def test_multi_step_envelope(case):
-    """Multi-step replay engages only inside its envelope, and every
-    case stays byte-identical to scalar, latency order included."""
+    """Multi-step replay engages only inside its envelope (each core of
+    an uncoupled multi-core run included), replays either one step or a
+    full run of MAX_STEPS, and every case stays byte-identical to
+    scalar, latency order included."""
     changes, flow_cache, tagged, multi = MULTI_STEP_ENVELOPE_CASES[case]
     config = SimulationConfig(
         scheduler="conventional", input_limit=8, duration=0.015, **changes
@@ -515,7 +632,7 @@ def test_multi_step_envelope(case):
         for template in stepper.__self__._templates.values()
     }
     assert len(steppers) == config.num_cores
-    assert (max(replayed) == vec_module.MAX_STEPS) if multi else replayed == {1}
+    assert replayed == ({1, vec_module.MAX_STEPS} if multi else {1})
 
 
 @pytest.mark.parametrize("scheduler", ["conventional", "ldlp"])
