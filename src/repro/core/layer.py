@@ -82,12 +82,18 @@ class Message:
                 pass
 
 
-def arrival_messages(times: Sequence[float], sizes: Sequence[int]) -> list[Message]:
+def arrival_messages(
+    times: Sequence[float],
+    sizes: Sequence[int],
+    metas: Sequence[dict[str, Any]] | None = None,
+) -> list[Message]:
     """One payload-less :class:`Message` per (arrival time, size) pair,
-    as ``Message(size=size, arrival_time=time)`` would build each,
-    drawing their ``msg_id`` values in the same order.
+    as ``Message(size=size, arrival_time=time, meta=meta)`` would build
+    each, drawing their ``msg_id`` values in the same order.
 
-    Checks the sizes once for the column and raises the
+    ``metas`` holds each message's own meta dict (a workload's tags);
+    without it every message starts with an empty one.  Checks the
+    sizes once for the column and raises the
     :class:`~repro.errors.SchedulerError` ``__post_init__`` would raise
     for the first negative one; each message then skips the dataclass
     ``__init__`` and ``__post_init__`` (with no payload, ``__post_init__``
@@ -96,17 +102,19 @@ def arrival_messages(times: Sequence[float], sizes: Sequence[int]) -> list[Messa
     if sizes and min(sizes) < 0:
         size = next(size for size in sizes if size < 0)
         raise SchedulerError(f"message size must be non-negative, got {size}")
+    if metas is None:
+        metas = [{} for _ in times]
     new = object.__new__
     messages = []
     append = messages.append
-    for time, size, msg_id in zip(
-        times, sizes, itertools.islice(_message_ids, len(times))
+    for time, size, meta, msg_id in zip(
+        times, sizes, metas, itertools.islice(_message_ids, len(times))
     ):
         message = new(Message)
         message.payload = None
         message.size = size
         message.arrival_time = time
-        message.meta = {}
+        message.meta = meta
         message.msg_id = msg_id
         message.arrival_cycle = None
         message.buffer = None

@@ -19,6 +19,11 @@ The stages model what real receive paths face:
 * :class:`CorruptFault` — payload byte flips (meaningful for byte-level
   frames, where it exercises checksum/decode reject paths).
 
+A stage that copies, delays or cuts an arrival changes only its time or
+size: the record keeps its type and tags (a
+:class:`~repro.traffic.zipf.FlowArrival`'s flow, a gossip datagram's
+kind), so a faulted flow-tagged stream still looks up its flows.
+
 Environment injectors perturb the *machine* rather than the traffic:
 
 * :class:`MbufExhaustionWindows` — deterministic count-based windows in
@@ -32,7 +37,7 @@ Environment injectors perturb the *machine* rather than the traffic:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -115,7 +120,8 @@ class DuplicateFault(FaultStage):
     """Duplicate selected arrivals a short, fixed delay later.
 
     Models link-layer retransmissions and switch flooding: the copy is
-    a distinct message carrying its own (slightly later) timestamp.
+    a distinct message carrying its own (slightly later) timestamp and
+    the original's tags.
     """
 
     rate: float = 0.01
@@ -136,7 +142,7 @@ class DuplicateFault(FaultStage):
         out = list(arrivals)
         for arrival, dup in zip(arrivals, chosen):
             if dup:
-                out.append(Arrival(arrival.time + self.delay, arrival.size))
+                out.append(replace(arrival, time=arrival.time + self.delay))
         out.sort(key=lambda a: a.time)
         return out
 
@@ -232,7 +238,7 @@ class DelayFault(FaultStage):
         chosen = rng.random(len(arrivals)) < self.rate
         jitter = rng.exponential(self.mean, size=len(arrivals))
         out = [
-            Arrival(a.time + (float(j) if c else 0.0), a.size)
+            replace(a, time=a.time + float(j)) if c else a
             for a, c, j in zip(arrivals, chosen, jitter)
         ]
         out.sort(key=lambda a: a.time)
@@ -248,8 +254,9 @@ class TruncateFault(FaultStage):
     """Cut selected packets short (runt frames).
 
     At the arrival level the size shrinks to a uniform fraction (at
-    least ``min_size``); at the frame level the byte string itself is
-    sliced, which is what drives header parsers and checksum
+    least ``min_size``; :meth:`~repro.traffic.base.Arrival.truncated`
+    keeps the record's tags); at the frame level the byte string itself
+    is sliced, which is what drives header parsers and checksum
     verification into their reject paths.
     """
 
@@ -275,7 +282,7 @@ class TruncateFault(FaultStage):
         for arrival, cut, fraction in zip(arrivals, chosen, fractions):
             if cut and arrival.size > self.min_size:
                 size = max(self.min_size, int(arrival.size * float(fraction)))
-                out.append(Arrival(arrival.time, size))
+                out.append(arrival.truncated(size))
             else:
                 out.append(arrival)
         return out

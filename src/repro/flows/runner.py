@@ -1,11 +1,13 @@
 """Driving the synthetic benchmark with flow-lookup charging attached.
 
 Composes the pieces the rest of the package already provides: a
-:class:`~repro.traffic.zipf.ZipfFlowSource` supplies arrivals tagged
-with skewed destination flows, :func:`repro.sim.runner.build_scheduler`
-builds the Section-4 stack, a :class:`~repro.flows.lookup.FlowLookup`
-is attached to the machine binding, and the standard drive loop runs
-(:func:`repro.sim.runner.simulate`; this module only tags arrivals).
+:class:`~repro.traffic.zipf.ZipfFlowSource` supplies arrival columns
+with a skewed destination-flow column,
+:func:`repro.sim.runner.build_scheduler` builds the Section-4 stack, a
+:class:`~repro.flows.lookup.FlowLookup` is attached to the machine
+binding, and the standard drive loop runs
+(:func:`repro.sim.runner.simulate`; this module only turns the flow
+column into each message's meta dict, with no per-arrival record).
 The scheduler hooks (:func:`repro.core.scheduler.charge_flow_lookups`)
 then charge one route/PCB lookup per distinct flow per service batch —
 so under load, LDLP and Grouped batches amortize lookup misses the same
@@ -27,12 +29,11 @@ from typing import Any
 import numpy as np
 
 from ..core.dispatch import FLOW_KEY
-from ..core.layer import Message
 from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError
 from ..sim.runner import SimulationConfig, simulate
 from ..sim.stats import RunResult, merge_results
-from ..traffic.base import Arrival, TrafficSource
+from ..traffic.base import Arrival, ArrivalColumns, TrafficSource, record_columns
 from ..traffic.onoff import ParetoOnOffSource
 from ..traffic.poisson import PoissonSource
 from ..traffic.zipf import ZipfFlowSource
@@ -119,9 +120,12 @@ def merge_flow_results(results: list[FlowRunResult]) -> FlowRunResult:
     )
 
 
-def _tag_flow(arrival: Arrival, message: Message) -> None:
-    """Tag a message with its arrival's flow (plain arrivals: flow 0)."""
-    message.meta[FLOW_KEY] = int(getattr(arrival, "flow", 0))
+def _flow_metas(columns: ArrivalColumns) -> list[dict[str, int]]:
+    """Each message's meta: its arrival's flow under
+    :data:`~repro.core.dispatch.FLOW_KEY`; a stream with no ``"flow"``
+    column (plain arrivals) is all flow 0."""
+    flows = columns.get("flow") or [0] * len(columns["time"])
+    return [{FLOW_KEY: flow} for flow in flows]
 
 
 def run_flow_simulation(
@@ -133,21 +137,26 @@ def run_flow_simulation(
 ) -> FlowRunResult:
     """Run one configuration with flow-lookup charging attached.
 
-    Arrivals carrying a ``flow`` attribute
-    (:class:`~repro.traffic.zipf.FlowArrival`) are tagged into the
-    message meta under :data:`~repro.core.dispatch.FLOW_KEY`; plain
-    arrivals all map to flow 0 — one destination, the degenerate case
-    where every lookup after the first hits.  ``arrivals`` overrides
-    the source's stream (to replay the identical sequence against
-    several schedulers or cache organizations).
+    Each message is tagged with its arrival's flow id (the ``"flow"``
+    column of :class:`~repro.traffic.zipf.FlowArrival` streams) under
+    :data:`~repro.core.dispatch.FLOW_KEY`; plain arrivals all map to
+    flow 0 — one destination, the degenerate case where every lookup
+    after the first hits.  ``arrivals`` overrides the source's stream
+    (to replay the identical sequence against several schedulers or
+    cache organizations).
     """
+    config = config or SimulationConfig()
+    if arrivals is None:
+        columns = source.arrival_columns(config.duration)
+    else:
+        columns = record_columns(arrivals)
     run, cores, _ = simulate(
         source,
-        config or SimulationConfig(),
+        config,
         seed,
-        arrivals,
-        tag=_tag_flow,
+        columns,
         flow_cache=cache or FlowCacheSpec(),
+        metas=_flow_metas(columns),
     )
     return FlowRunResult.of(run, cores)
 

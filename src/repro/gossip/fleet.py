@@ -14,22 +14,23 @@ Determinism is structural, not incidental: every random block — the
 Poisson datagram times, the Zipf peer draws, the data/control kind
 draws — comes from its **own** crc32-derived generator
 (``crc32("gossip:<label>:<seed>")``), freshly constructed inside every
-:meth:`~GossipFleetSource.arrivals` call.  There is no stored RNG
-state, so re-materializing the stream yields identical arrivals — the
-property whose absence in stateful base sources is exactly the
-``ZipfFlowSource`` snapshot bug fixed in this PR.
+:meth:`~GossipFleetSource.arrival_columns` call, which
+:meth:`~GossipFleetSource.arrivals` builds its records from.  There is
+no stored RNG state, so re-materializing the stream yields identical
+arrivals — the property whose absence in stateful base sources is the
+bug ``ZipfFlowSource``'s per-horizon snapshot guards against.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..traffic.base import TrafficSource, check_positive
+from ..traffic.base import ArrivalColumns, TrafficSource, check_positive
 from ..traffic.zipf import FlowArrival, zipf_weights
 from .wire import (
     CONTROL_KINDS,
@@ -75,6 +76,12 @@ class GossipArrival(FlowArrival):
                 f"header bytes {self.header_bytes} outside datagram size "
                 f"{self.size}"
             )
+
+    def truncated(self, size: int) -> GossipArrival:
+        """This datagram cut short to ``size`` bytes: a cut inside the
+        headers leaves only header bytes, so ``header_bytes`` is clamped
+        to ``size``."""
+        return replace(self, size=size, header_bytes=min(self.header_bytes, size))
 
 
 @dataclass(frozen=True)
@@ -161,10 +168,11 @@ class GossipFleetSource(TrafficSource):
     Emits :class:`GossipArrival` datagrams whose sizes come from the
     byte-accurate wire model, so the cache/footprint simulation sees
     exactly the bytes the protocol would put on the network.  Stateless
-    between materializations: every :meth:`arrivals` call derives fresh
-    generators from the spec's seed, so the same source object can be
-    materialized any number of times (or replayed under several
-    schedulers) and always produce the identical stream.
+    between materializations: every :meth:`arrival_columns` call (and
+    so every :meth:`arrivals` call) derives fresh generators from the
+    spec's seed, so the same source object can be materialized any
+    number of times (or replayed under several schedulers) and always
+    produce the identical stream.
     """
 
     def __init__(self, spec: GossipFleetSpec) -> None:
@@ -183,6 +191,8 @@ class GossipFleetSource(TrafficSource):
 
     def _times(self, duration: float) -> np.ndarray:
         """Poisson datagram arrival times on ``[0, duration)``."""
+        if duration <= 0:
+            return np.empty(0)
         rng = self._rng("times")
         chunk = max(int(self.spec.rate * duration) + 1, 16)
         gaps: list[np.ndarray] = []
@@ -195,13 +205,16 @@ class GossipFleetSource(TrafficSource):
         return times[times < duration]
 
     def arrivals(self, duration: float) -> Iterator[GossipArrival]:
-        """Yield the fleet's datagram stream for one horizon.
+        """Yield :meth:`arrival_columns` as :class:`GossipArrival` records."""
+        yield from map(GossipArrival, *self.arrival_columns(duration).values())
+
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """The fleet's datagram stream for one horizon, as columns.
 
         All draw blocks are taken up front from independent derived
         generators — times, destination peers, and message kinds never
         share RNG state, so changing the data fraction cannot shift
-        which peer a datagram targets, and partial consumption of the
-        iterator cannot shift later draws.
+        which peer a datagram targets.
         """
         spec = self.spec
         times = self._times(duration)
@@ -213,37 +226,37 @@ class GossipFleetSource(TrafficSource):
         is_data = kind_rng.random(count) < spec.data_fraction
         control_kinds = kind_rng.integers(0, len(CONTROL_KINDS), size=count)
 
-        data_wire, data_header, data_msgs = datagram_accounting(
-            spec.framing, "data", [spec.data_payload_bytes] * spec.collection_size
+        # Shape 0 is a data datagram, shape 1 + j control kind j.
+        kinds = ("data",) + CONTROL_KINDS
+        payloads = [[spec.data_payload_bytes] * spec.collection_size] + [
+            [CONTROL_PAYLOAD_BYTES[kind]] for kind in CONTROL_KINDS
+        ]
+        accounting = [
+            datagram_accounting(spec.framing, kind, sizes)
+            for kind, sizes in zip(kinds, payloads)
+        ]
+        # GossipArrival's checks, once per shape, by building one record
+        # of it: every datagram has one of these shapes, and its time,
+        # peer and community are non-negative by construction.
+        for kind, (wire, header, messages) in zip(kinds, accounting):
+            GossipArrival(0.0, wire, 0, kind, 0, messages, header)
+        shapes = np.where(is_data, 0, control_kinds + 1)
+        wire, header, messages = (
+            np.array(column)[shapes].tolist() for column in zip(*accounting)
         )
-        control_accounting = {
-            kind: datagram_accounting(
-                spec.framing, kind, [CONTROL_PAYLOAD_BYTES[kind]]
-            )
-            for kind in CONTROL_KINDS
+        unique, inverse = np.unique(peers, return_inverse=True)
+        communities = np.array(
+            [spec.community_of(peer) for peer in unique.tolist()], dtype=np.int64
+        )
+        return {
+            "time": times.tolist(),
+            "size": wire,
+            "flow": peers.tolist(),
+            "kind": np.array(kinds, dtype=object)[shapes].tolist(),
+            "community": communities[inverse].tolist(),
+            "messages": messages,
+            "header_bytes": header,
         }
-        communities: dict[int, int] = {}
-        for i in range(count):
-            peer = int(peers[i])
-            community = communities.get(peer)
-            if community is None:
-                community = spec.community_of(peer)
-                communities[peer] = community
-            if is_data[i]:
-                kind = "data"
-                wire, header, msgs = data_wire, data_header, data_msgs
-            else:
-                kind = CONTROL_KINDS[int(control_kinds[i])]
-                wire, header, msgs = control_accounting[kind]
-            yield GossipArrival(
-                time=float(times[i]),
-                size=wire,
-                flow=peer,
-                kind=kind,
-                community=community,
-                messages=msgs,
-                header_bytes=header,
-            )
 
     def describe(self) -> dict:
         """Static description for analysis and reports."""

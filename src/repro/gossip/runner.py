@@ -2,14 +2,15 @@
 
 Glue between :mod:`repro.gossip.fleet` and the existing machinery: a
 :class:`~repro.gossip.fleet.GossipFleetSource` supplies byte-accurate
-datagram arrivals, each data datagram is tagged with its destination
-peer (:data:`~repro.core.dispatch.FLOW_KEY`) and message kind
-(:data:`~repro.core.dispatch.APP_CLASS_KEY`), a flow-lookup cache is
-attached to the binding, and the standard drive loop runs.  Control
-datagrams (synchronize / acknowledgment walker traffic) deliberately
-carry *no* flow tag — they have no cacheable destination — so every
-service batch mixes tagged and untagged messages, exercising the
-untagged-walk accounting in
+datagram arrival columns, each message is built straight from them
+(no per-datagram record) with its message kind
+(:data:`~repro.core.dispatch.APP_CLASS_KEY`) and, for a data datagram,
+its destination peer (:data:`~repro.core.dispatch.FLOW_KEY`) in its
+meta, a flow-lookup cache is attached to the binding, and the standard
+drive loop runs.  Control datagrams (synchronize / acknowledgment
+walker traffic) deliberately carry *no* flow tag — they have no
+cacheable destination — so every service batch mixes tagged and
+untagged messages, exercising the untagged-walk accounting in
 :meth:`repro.flows.lookup.FlowLookup.charge_batch`.
 
 :func:`gossip_point` is the harness sweep point: framing mode ×
@@ -27,11 +28,10 @@ from typing import Any
 import numpy as np
 
 from ..core.dispatch import APP_CLASS_KEY, FLOW_KEY
-from ..core.layer import Message
 from ..flows.lookup import FlowCacheSpec
 from ..flows.runner import FlowRunResult, merge_flow_results
 from ..sim.runner import SimulationConfig, simulate
-from .fleet import GossipArrival, GossipFleetSource, GossipFleetSpec
+from .fleet import GossipFleetSource, GossipFleetSpec
 from .wire import CONTROL_KINDS
 
 
@@ -64,13 +64,6 @@ class GossipRunResult(FlowRunResult):
         return self.wire_bytes / max(self.messages, 1)
 
 
-def _tag_datagram(arrival: GossipArrival, message: Message) -> None:
-    """Tag a datagram's kind, and its destination peer unless control."""
-    message.meta[APP_CLASS_KEY] = arrival.kind
-    if arrival.kind not in CONTROL_KINDS:
-        message.meta[FLOW_KEY] = int(arrival.flow)
-
-
 def run_gossip_simulation(
     source: GossipFleetSource,
     config: SimulationConfig | None = None,
@@ -79,30 +72,38 @@ def run_gossip_simulation(
 ) -> GossipRunResult:
     """Run one gossip fleet through the flow-charged stack.
 
-    Data datagrams are tagged with their destination peer under
-    :data:`~repro.core.dispatch.FLOW_KEY` and their kind under
-    :data:`~repro.core.dispatch.APP_CLASS_KEY`; control datagrams get
-    the app-class tag only, leaving the flow untagged on purpose —
-    walker traffic resolves no destination, so it must pay the full
-    table walk and must not alias tagged flow 0.
+    Built from the fleet's arrival columns, each message's meta carries
+    its datagram's kind under :data:`~repro.core.dispatch.APP_CLASS_KEY`
+    and, for data datagrams only, its destination peer under
+    :data:`~repro.core.dispatch.FLOW_KEY`: control datagrams stay
+    untagged on purpose — walker traffic resolves no destination, so it
+    must pay the full table walk and must not alias tagged flow 0.  The
+    wire totals are sums over the same columns.
     """
     config = config or SimulationConfig()
-    stream = source.arrival_list(config.duration)
+    columns = source.arrival_columns(config.duration)
+    kinds = columns["kind"]
+    metas = [
+        {APP_CLASS_KEY: kind}
+        if kind in CONTROL_KINDS
+        else {APP_CLASS_KEY: kind, FLOW_KEY: flow}
+        for kind, flow in zip(kinds, columns["flow"])
+    ]
     run, cores, _ = simulate(
         source,
         config,
         seed,
-        stream,
-        tag=_tag_datagram,  # type: ignore[arg-type]
+        columns,
         flow_cache=cache or FlowCacheSpec(),
+        metas=metas,
     )
     return GossipRunResult.of(
         run,
         cores,
-        datagrams=len(stream),
-        messages=sum(a.messages for a in stream),
-        header_bytes=sum(a.header_bytes for a in stream),
-        wire_bytes=sum(a.size for a in stream),
+        datagrams=len(kinds),
+        messages=sum(columns["messages"]),
+        header_bytes=sum(columns["header_bytes"]),
+        wire_bytes=sum(columns["size"]),
     )
 
 

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 from ..errors import ConfigurationError
-from ..traffic.base import Arrival, TrafficSource
+from ..traffic.base import Arrival, TrafficSource, record_columns
 from ..traffic.poisson import PoissonSource
 from .runner import SimulationConfig, simulate
 from .stats import RunResult, merge_results
@@ -120,7 +120,8 @@ def run_multicore(
     """
     if config.dispatch is None:
         raise ConfigurationError("run_multicore() needs a dispatch policy")
-    aggregate, cores, outcome = simulate(source, config, seed, arrivals)
+    columns = None if arrivals is None else record_columns(arrivals)
+    aggregate, cores, outcome = simulate(source, config, seed, columns)
     core_stats = tuple(
         CoreStats(
             core=index,

@@ -59,7 +59,7 @@ from ..core.scheduler import (
 from ..errors import ConfigurationError, SimulationError
 from ..machine.multicore import MultiCoreSpec
 from ..obs.runtime import active_recorder, machine_counters, span_recorder
-from ..traffic.base import Arrival, TrafficSource
+from ..traffic.base import Arrival, ArrivalColumns, TrafficSource, record_columns
 from ..traffic.poisson import PoissonSource
 from .stats import (
     LatencyRecorder,
@@ -744,40 +744,34 @@ def simulate(
     source: TrafficSource,
     config: SimulationConfig,
     seed=0,
-    arrivals: list[Arrival] | None = None,
-    tag: Callable[[Arrival, Message], None] | None = None,
+    columns: ArrivalColumns | None = None,
     flow_cache: Any = None,
+    metas: Sequence[dict[str, Any]] | None = None,
 ) -> tuple[RunResult, list[Scheduler], DriveStats]:
     """Build the cores, drive one arrival stream through them, assemble.
 
-    The shared body of every runner: ``tag(arrival, message)`` lets a
-    workload tag each message (flow, message kind) before the drive;
-    ``flow_cache`` (a :class:`repro.flows.lookup.FlowCacheSpec`, or
-    anything whose ``build()`` returns a fresh lookup cache) attaches a
-    route/PCB lookup cache to every core; a configured dispatch policy
-    tags flows (:func:`tag_flows`) and steers arrivals.  ``arrivals``
-    overrides the source's stream.  Returns the assembled result plus
-    the driven cores and raw drive outcome, for per-core and per-lookup
-    accounting.
+    The shared body of every runner.  The stream is ``columns``, or the
+    source's own :meth:`~repro.traffic.base.TrafficSource.arrival_columns`
+    over the configured duration; every message is built from its
+    ``"time"`` and ``"size"`` columns in one bulk call, starting with
+    its entry of ``metas`` as its meta dict — how a workload tags each
+    message (flow, message kind) before the drive.  ``flow_cache`` (a
+    :class:`repro.flows.lookup.FlowCacheSpec`, or anything whose
+    ``build()`` returns a fresh lookup cache) attaches a route/PCB
+    lookup cache to every core; a configured dispatch policy tags flows
+    (:func:`tag_flows`) and steers arrivals.  Returns the assembled
+    result plus the driven cores and raw drive outcome, for per-core
+    and per-lookup accounting.
     """
     cores = build_cores(config, seed)
     if flow_cache is not None:
         for scheduler in cores:
             assert scheduler.binding is not None
             scheduler.binding.flow_lookup = flow_cache.build()
-    stream: Sequence[Any]
-    if arrivals is None and tag is None:
-        # Nothing needs Arrival records: build the messages from columns.
-        stream, sizes = source.arrival_columns(config.duration)
-        times = stream
-    else:
-        stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
-        times = [arrival.time for arrival in stream]
-        sizes = [arrival.size for arrival in stream]
-    messages = arrival_messages(times, sizes)
-    if tag is not None:
-        for arrival, message in zip(stream, messages):
-            tag(arrival, message)
+    if columns is None:
+        columns = source.arrival_columns(config.duration)
+    times = columns["time"]
+    messages = arrival_messages(times, columns["size"], metas)
     timestamped = list(zip(times, messages))
     dispatch = None
     if config.dispatch is not None:
@@ -790,7 +784,7 @@ def simulate(
         engine=config.engine,
         dispatch=dispatch,
     )
-    return assemble_run_result(cores, outcome, source, stream, config), cores, outcome
+    return assemble_run_result(cores, outcome, source, times, config), cores, outcome
 
 
 def run_simulation(
@@ -804,14 +798,15 @@ def run_simulation(
     ``arrivals`` overrides the source's stream (used to replay the
     identical arrival sequence against several schedulers).
     """
-    return simulate(source, config or SimulationConfig(), seed, arrivals)[0]
+    columns = None if arrivals is None else record_columns(arrivals)
+    return simulate(source, config or SimulationConfig(), seed, columns)[0]
 
 
 def assemble_run_result(
     cores: list[Scheduler],
     outcome: DriveStats,
     source: TrafficSource,
-    stream: Sequence[Any],
+    times: Sequence[float],
     config: SimulationConfig,
 ) -> RunResult:
     """Reduce one driven run to its :class:`RunResult`.
@@ -824,7 +819,9 @@ def assemble_run_result(
     It is also the one place message conservation is enforced: a core
     whose ``arrivals != completed + drops`` raises
     :class:`~repro.errors.SimulationError`.  Not in :func:`drive`, whose
-    byte-level stacks may complete several outputs per input.
+    byte-level stacks may complete several outputs per input.  A source
+    that declares no ``rate`` reports the offered stream's arrivals
+    (``times``) per second of ``config.duration``.
     """
     for index, scheduler in enumerate(cores):
         done = outcome.completed_per_core[index]
@@ -844,10 +841,9 @@ def assemble_run_result(
         for size in getattr(scheduler, "batch_sizes", ())
     ]
     mean_batch = float(np.mean(batch_sizes)) if len(batch_sizes) > 0 else 1.0
-    # Explicit length check: ``stream`` may be any sequence type.
     rate = getattr(source, "rate", None)
     if rate is None:
-        rate = len(stream) / config.duration if len(stream) > 0 else 0.0
+        rate = len(times) / config.duration
     divisor = max(completed, 1)
     return RunResult(
         scheduler=config.scheduler,

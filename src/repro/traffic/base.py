@@ -1,16 +1,27 @@
 """Traffic sources: common vocabulary.
 
-A traffic source yields :class:`Arrival` records — (time, size) pairs —
+A traffic source yields :class:`Arrival` records — (time, size) pairs,
+plus whatever a subclass record adds (a flow id, a message kind...) —
 for a requested horizon.  Sources are deterministic given their RNG
 seed, which is what lets every experiment be reproduced exactly.
+
+The same stream is also available as *columns*
+(:meth:`TrafficSource.arrival_columns`): one list per record field,
+keyed by field name.  The simulator builds and tags its messages from
+columns, so a source that draws its stream as arrays (Poisson, Pareto
+ON/OFF, Zipf flows, gossip fleets) overrides ``arrival_columns`` and
+builds its records from those columns — one draw path, and no record
+per arrival on the simulation path.  :func:`record_columns` turns any
+record list (a fault plan's output, a replayed trace) into the same
+columns.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +50,35 @@ class Arrival:
         if self.size <= 0:
             raise ConfigurationError(f"arrival size must be positive: {self.size}")
 
+    def truncated(self, size: int) -> Arrival:
+        """This arrival cut short to ``size`` bytes, type and tags kept."""
+        return replace(self, size=size)
+
+
+#: An arrival stream as columns: one list per record field (``"time"``,
+#: ``"size"``, then any subclass fields), keyed by field name in field
+#: order, all of one length, in arrival order.
+ArrivalColumns = dict[str, list]
+
+
+def record_columns(records: Sequence[Arrival]) -> ArrivalColumns:
+    """The columns of a record list: one list per field of its records'
+    types, keyed by field name.
+
+    A list that mixes record types gets the union of their fields, and a
+    record without one of them contributes that field's default (a plain
+    :class:`Arrival` among flow-tagged ones reads as flow 0).  An empty
+    list has the ``"time"`` and ``"size"`` columns only.
+    """
+    columns: ArrivalColumns = {}
+    for kind in dict.fromkeys(map(type, records)) or (Arrival,):
+        for field in fields(kind):
+            if field.name not in columns:
+                columns[field.name] = [
+                    getattr(record, field.name, field.default) for record in records
+                ]
+    return columns
+
 
 class TrafficSource(ABC):
     """Generates a packet arrival process."""
@@ -51,14 +91,13 @@ class TrafficSource(ABC):
         """Materialize :meth:`arrivals` as a list."""
         return list(self.arrivals(duration))
 
-    def arrival_columns(self, duration: float) -> tuple[list[float], list[int]]:
-        """:meth:`arrivals` as parallel lists of times and sizes.
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """:meth:`arrivals` as columns (see :data:`ArrivalColumns`).
 
-        A source that can generate the columns directly overrides this
-        and skips building :class:`Arrival` records.
+        A source that can generate the columns directly overrides this,
+        skips building records, and builds :meth:`arrivals` from it.
         """
-        stream = self.arrival_list(duration)
-        return [arrival.time for arrival in stream], [arrival.size for arrival in stream]
+        return record_columns(self.arrival_list(duration))
 
 
 def make_rng(rng: np.random.Generator | int | None) -> np.random.Generator:

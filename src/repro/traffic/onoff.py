@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, TrafficSource, check_positive, make_rng
+from .base import Arrival, ArrivalColumns, TrafficSource, check_positive, make_rng
 
 if TYPE_CHECKING:
     from .bellcore import SizeMix
@@ -119,8 +119,17 @@ class ParetoOnOffSource(TrafficSource):
         return np.asarray(times)
 
     def arrivals(self, duration: float) -> Iterator[Arrival]:
+        yield from map(Arrival, *self.arrival_columns(duration).values())
+
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """The merged trains' times, then every size drawn in one call.
+
+        Times are non-negative by construction; the sizes, which may come
+        from any sampler, are checked once for the column, raising
+        :class:`Arrival`'s own error for the first non-positive one.
+        """
         if duration <= 0:
-            return
+            return {"time": [], "size": []}
         streams = [
             self._one_source_times(duration, self.rng)
             for _ in range(self.num_sources)
@@ -134,8 +143,10 @@ class ParetoOnOffSource(TrafficSource):
             sizes = self.size.sample(self.rng, len(times)).tolist()
         else:
             sizes = [int(self.size)] * len(times)
-        for time, size in zip(times, sizes):
-            yield Arrival(time, size)
+        if sizes and min(sizes) <= 0:
+            size = next(size for size in sizes if size <= 0)
+            raise ConfigurationError(f"arrival size must be positive: {size}")
+        return {"time": times, "size": sizes}
 
 
 def hurst_estimate(counts: np.ndarray, min_scale: int = 1, num_scales: int = 6) -> float:

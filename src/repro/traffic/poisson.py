@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, TrafficSource, check_positive, make_rng
+from .base import Arrival, ArrivalColumns, TrafficSource, check_positive, make_rng
 
 #: The paper's message size for Figures 5 and 6.
 PAPER_MESSAGE_SIZE = 552
@@ -68,13 +68,16 @@ class PoissonSource(TrafficSource):
             time = times[-1]
 
     def arrivals(self, duration: float) -> Iterator[Arrival]:
-        for time in self.arrival_times(duration).tolist():
-            yield Arrival(time, self.size)
+        yield from map(Arrival, *self.arrival_columns(duration).values())
 
-    def arrival_columns(self, duration: float) -> tuple[list[float], list[int]]:
-        """:meth:`arrival_times` as a list, with the fixed size per arrival."""
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """:meth:`arrival_times` as a list, with the fixed size per arrival.
+
+        :class:`Arrival`'s checks hold by construction: times accumulate
+        non-negative gaps from 0, and the constructor checked the size.
+        """
         times = self.arrival_times(duration).tolist()
-        return times, [self.size] * len(times)
+        return {"time": times, "size": [self.size] * len(times)}
 
 
 class DeterministicSource(TrafficSource):

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, TrafficSource
+from .base import Arrival, ArrivalColumns, TrafficSource
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +114,7 @@ class ZipfFlowSource(TrafficSource):
 
     The base stream is *snapshotted* on first materialization of each
     horizon: stateful base sources (Pareto on/off in particular) hold a
-    live RNG that advances every time ``arrival_list`` is called, so
+    live RNG that advances every time the stream is materialized, so
     without the snapshot each materialization of this wrapper would tag
     a *different* base stream with the *same* pinned flow ids — a
     mismatch that never surfaces over memoryless Poisson defaults but
@@ -135,7 +135,7 @@ class ZipfFlowSource(TrafficSource):
         self.num_flows = num_flows
         self.skew = float(skew)
         self.seed = int(seed)
-        self._snapshots: dict[float, tuple[Arrival, ...]] = {}
+        self._snapshots: dict[float, ArrivalColumns] = {}
 
     @property
     def rate(self) -> float | None:
@@ -143,26 +143,28 @@ class ZipfFlowSource(TrafficSource):
         return getattr(self.base, "rate", None)
 
     def arrivals(self, duration: float) -> Iterator[FlowArrival]:
-        """Yield the base stream re-wrapped as :class:`FlowArrival`.
+        """Yield :meth:`arrival_columns` as :class:`FlowArrival` records."""
+        yield from map(FlowArrival, *self.arrival_columns(duration).values())
 
-        The whole flow-id block is drawn up front from the derived
-        generator, so partial consumption of the iterator cannot shift
-        later draws; the base stream is materialized exactly once per
-        horizon and cached, so a stateful base source's RNG is consumed
-        exactly once no matter how many times this wrapper is
-        materialized.
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """The base stream's times and sizes, plus a Zipf flow column.
+
+        The whole flow-id block is drawn in one call from the derived
+        generator, so it depends only on the stream length; the base
+        columns are materialized exactly once per horizon and cached, so
+        a stateful base source's RNG is consumed exactly once no matter
+        how many times this wrapper is materialized, as columns or as
+        records.  Every flow id is in ``0..num_flows-1`` by
+        construction, and the base source checked its times and sizes.
         """
-        stream = self._snapshots.get(duration)
-        if stream is None:
-            stream = tuple(self.base.arrival_list(duration))
-            self._snapshots[duration] = stream
-        flows = zipf_flow_ids(
-            len(stream), self.num_flows, self.skew, self.seed
-        )
-        for arrival, flow in zip(stream, flows):
-            yield FlowArrival(
-                time=arrival.time, size=arrival.size, flow=int(flow)
-            )
+        base = self._snapshots.get(duration)
+        if base is None:
+            base = self.base.arrival_columns(duration)
+            self._snapshots[duration] = base
+        times = base["time"]
+        flows = zipf_flow_ids(len(times), self.num_flows, self.skew, self.seed)
+        # Copies, so no caller can change the snapshot through its lists.
+        return {"time": list(times), "size": list(base["size"]), "flow": flows.tolist()}
 
     def describe(self) -> dict:
         """Static description for analysis and reports."""

@@ -49,6 +49,7 @@ from repro.faults import (
     stage_from_params,
 )
 from repro.faults.campaigns import SWEEP, campaign_plan, fault_point
+from repro.gossip.fleet import GossipArrival, GossipFleetSource, GossipFleetSpec
 from repro.protocols.checksum import (
     internet_checksum,
     internet_checksum_unrolled,
@@ -62,6 +63,7 @@ from repro.sim.runner import (
 from repro.traffic.base import Arrival
 from repro.traffic.bellcore import TraceSource, read_bellcore_trace
 from repro.traffic.poisson import PoissonSource
+from repro.traffic.zipf import FlowArrival, ZipfFlowSource
 
 ALL_STAGES = (
     LossFault(rate=0.1),
@@ -155,6 +157,50 @@ class TestInjectorSemantics:
         sizes = [a.size for a in out]
         assert min(sizes) >= 1
         assert min(sizes) < 552 and max(sizes) == 552
+
+    def test_stages_keep_flow_tags(self):
+        """Copied, delayed and cut arrivals keep their record type and
+        flow.  Rebuilt as plain arrivals, a faulted flow-tagged stream
+        read as flow 0 throughout."""
+        flowed = ZipfFlowSource(
+            PoissonSource(11000.0, rng=1), num_flows=64, skew=1.1, seed=1
+        ).arrival_list(0.05)
+        assert len({arrival.flow for arrival in flowed}) > 1
+
+        def apply(stage):
+            out = FaultPlan(stages=(stage,)).apply(flowed, 1)
+            assert {type(arrival) for arrival in out} == {FlowArrival}
+            return out
+
+        delayed = apply(DelayFault(rate=0.02))
+        assert sorted((a.flow, a.size) for a in delayed) == sorted(
+            (a.flow, a.size) for a in flowed
+        )
+        assert delayed != flowed
+        duplicated = apply(DuplicateFault(rate=1.0, delay=1e-5))
+        assert sorted((a.flow, a.size) for a in duplicated) == sorted(
+            2 * [(a.flow, a.size) for a in flowed]
+        )
+        cut = apply(TruncateFault(rate=1.0))
+        assert [(a.time, a.flow) for a in cut] == [(a.time, a.flow) for a in flowed]
+        assert all(a.size < 552 for a in cut)
+
+    def test_truncate_clamps_gossip_header_bytes(self):
+        """A datagram cut inside its headers keeps its kind and peer and
+        carries only header bytes: ``header_bytes`` is clamped to the
+        cut size, which GossipArrival's own check requires."""
+        datagrams = GossipFleetSource(
+            GossipFleetSpec(num_peers=100, rate=8000.0, seed=2)
+        ).arrival_list(0.02)
+        cut = FaultPlan(stages=(TruncateFault(rate=1.0),)).apply(datagrams, 0)
+        assert {type(datagram) for datagram in cut} == {GossipArrival}
+        for before, after in zip(datagrams, cut):
+            assert (after.time, after.flow, after.kind) == (
+                before.time, before.flow, before.kind,
+            )
+            assert after.size < before.size
+            assert after.header_bytes == min(before.header_bytes, after.size)
+        assert any(a.header_bytes < b.header_bytes for a, b in zip(cut, datagrams))
 
     def test_truncate_frames_respects_min_size(self):
         frames = make_frames()

@@ -37,6 +37,7 @@ from repro.harness.golden import result_digests
 from repro.obs.runtime import Recorder, recording
 from repro.sim.runner import SimulationConfig, build_scheduler
 from repro.sim.vec import vec_supported
+from repro.traffic.base import TrafficSource
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.zipf import (
     FlowArrival,
@@ -174,7 +175,7 @@ class TestZipfSource:
 # The stateful-base snapshot fix (regression guard)
 
 
-class _CountingSource:
+class _CountingSource(TrafficSource):
     """Wraps a source and counts how many times its stream is drawn."""
 
     def __init__(self, inner):
@@ -188,9 +189,6 @@ class _CountingSource:
     def arrivals(self, duration):
         self.draws += 1
         yield from self.inner.arrivals(duration)
-
-    def arrival_list(self, duration):
-        return list(self.arrivals(duration))
 
 
 class TestStatefulBaseSnapshot:

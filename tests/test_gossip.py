@@ -286,11 +286,12 @@ class TestFleet:
 
 
 class TestGossipRuns:
+    def spec(self, **overrides):
+        return GossipFleetSpec(**{"num_peers": 500, "rate": 6000.0, "seed": 3, **overrides})
+
     def run(self, scheduler="ldlp", **spec_overrides):
-        defaults = dict(num_peers=500, rate=6000.0, seed=3)
-        defaults.update(spec_overrides)
         return run_gossip_simulation(
-            GossipFleetSource(GossipFleetSpec(**defaults)),
+            GossipFleetSource(self.spec(**spec_overrides)),
             SimulationConfig(scheduler=scheduler, duration=0.03),
             FlowCacheSpec(entries=16),
         )
@@ -320,6 +321,31 @@ class TestGossipRuns:
             b.messages,
             b.header_bytes,
             b.wire_bytes,
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"framing": "sessionless", "collection_size": 1},
+            {"data_fraction": 0.0},
+            {"data_fraction": 1.0, "collection_size": 8},
+        ],
+        ids=["default", "sessionless-k1", "all-control", "all-data"],
+    )
+    def test_wire_totals_equal_record_sums(self, overrides):
+        """The run's wire totals, summed over the fleet's columns, equal
+        the sums over its datagram records."""
+        result = self.run(**overrides)
+        datagrams = GossipFleetSource(self.spec(**overrides)).arrival_list(0.03)
+        assert datagrams
+        assert (
+            result.datagrams, result.messages, result.header_bytes, result.wire_bytes
+        ) == (
+            len(datagrams),
+            sum(d.messages for d in datagrams),
+            sum(d.header_bytes for d in datagrams),
+            sum(d.size for d in datagrams),
         )
 
     def test_result_dict_round_trip(self):

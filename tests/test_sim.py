@@ -193,12 +193,12 @@ def test_bulk_drive_equals_per_message_drive(scheduler, drop_policy):
         scheduler=scheduler, drop_policy=drop_policy, input_limit=12,
         duration=0.01,
     )
-    arrivals = PoissonSource(30000.0, rng=2).arrival_list(config.duration)
+    columns = PoissonSource(30000.0, rng=2).arrival_columns(config.duration)
     seen = []
     for keep_spans in (True, False):
         with recording(Recorder(keep_spans=keep_spans)):
             result, _, stats = simulate(
-                PoissonSource(30000.0, rng=2), config, seed=2, arrivals=arrivals
+                PoissonSource(30000.0, rng=2), config, seed=2, columns=columns
             )
         seen.append((canonical_json(result.to_dict()), stats.latency._samples))
     assert seen[0] == seen[1]

@@ -143,16 +143,15 @@ class TestPoissonArrays:
         arrivals = PoissonSource(5000, size=100, rng=3).arrival_list(0.1)
         assert [arrival.time for arrival in arrivals] == expected
         assert all(type(arrival.time) is float for arrival in arrivals)
-        times, sizes = PoissonSource(5000, size=100, rng=3).arrival_columns(0.1)
-        assert times == expected
-        assert sizes == [100] * len(expected)
+        columns = PoissonSource(5000, size=100, rng=3).arrival_columns(0.1)
+        assert columns == {"time": expected, "size": [100] * len(expected)}
 
     def test_base_columns_match_arrivals(self):
         source = DeterministicSource(100, size=64)
-        times, sizes = source.arrival_columns(0.1)
+        columns = source.arrival_columns(0.1)
         arrivals = DeterministicSource(100, size=64).arrival_list(0.1)
-        assert times == [arrival.time for arrival in arrivals]
-        assert sizes == [64] * len(arrivals)
+        assert columns["time"] == [arrival.time for arrival in arrivals]
+        assert columns["size"] == [64] * len(arrivals)
 
 
 class TestDeterministic:

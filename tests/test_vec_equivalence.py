@@ -69,7 +69,7 @@ from repro.faults.campaigns import campaign_plan
 from repro.flows import FLOW_CACHE_ORGS, FlowCacheSpec
 from repro.flows.runner import (
     FlowRunResult,
-    _tag_flow,
+    _flow_metas,
     make_flow_base,
     run_flow_simulation,
 )
@@ -98,17 +98,20 @@ from repro.sim.runner import (
 )
 from repro.sim.multicore import run_multicore
 from repro.sim.vec import vec_supported
-from repro.traffic.base import Arrival
+from repro.traffic.base import Arrival, record_columns
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.zipf import ZipfFlowSource
 
 POLICY_NAMES = tuple(sorted(DROP_POLICIES))
 
 
-def _run_both_engines(config, arrivals, seed, flow_cache=None, tag=None):
+def _run_both_engines(config, arrivals, seed, flow_cache=None, tagged=False):
     """One config on both engines under a metrics recorder; returns
     {engine: (canonical result JSON, counters dict, latency samples)}.
-    With a ``flow_cache`` the result carries the lookup counters."""
+    With a ``flow_cache`` the result carries the lookup counters;
+    ``tagged`` tags each message with its arrival's flow, as
+    :func:`run_flow_simulation` does."""
+    columns = record_columns(arrivals)
     outcomes = {}
     for engine in ENGINE_NAMES:
         recorder = Recorder(keep_spans=False)
@@ -117,9 +120,9 @@ def _run_both_engines(config, arrivals, seed, flow_cache=None, tag=None):
                 PoissonSource(1000.0, rng=seed),
                 replace(config, engine=engine),
                 seed=seed,
-                arrivals=arrivals,
-                tag=tag,
+                columns=columns,
                 flow_cache=flow_cache,
+                metas=_flow_metas(columns) if tagged else None,
             )
         if flow_cache is not None:
             result = FlowRunResult.of(result, cores)
@@ -331,7 +334,7 @@ def test_flow_run_equivalence(scheduler, organization, base, policy, faulted, se
     arrivals = source.arrival_list(duration)
     flush = None
     if faulted:
-        # Duplicates come back as plain arrivals: tagged flow 0.
+        # Duplicated and delayed arrivals keep their flows.
         plan = campaign_plan()
         arrivals = plan.apply(arrivals, seed)
         flush = plan.flush_period_cycles
@@ -347,8 +350,15 @@ def test_flow_run_equivalence(scheduler, organization, base, policy, faulted, se
         config,
     )
     assert outcomes["scalar"] == outcomes["vec"]
+    counters = outcomes["vec"][1]
     # A short Bellcore-style stream can be all OFF period.
-    assert (outcomes["vec"][1].get("flows.lookups", 0.0) > 0) == bool(arrivals)
+    assert (counters.get("flows.lookups", 0.0) > 0) == bool(arrivals)
+    if faulted and len({arrival.flow for arrival in arrivals}) > 1:
+        # The fault stages keep every arrival's flow, so the run looks up
+        # more than one flow: each one's first lookup misses the cache,
+        # which is never flushed.  Rebuilt as plain arrivals, every
+        # message was flow 0 and missed exactly once.
+        assert counters["flows.misses"] > 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -566,7 +576,7 @@ def test_multi_step_flow_lookup_equivalence(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vec_module, "MAX_STEPS", max_steps)
         outcomes = _run_both_engines(
-            config, arrivals, seed, cache, _tag_flow if tagged else None
+            config, arrivals, seed, cache, tagged
         )
     assert outcomes["scalar"] == outcomes["vec"]
 
@@ -616,7 +626,7 @@ def test_multi_step_envelope(case):
     arrivals = source.arrival_list(config.duration)
     with _vec_steppers() as steppers:
         outcomes = _run_both_engines(
-            config, arrivals, 2, flow_cache, _tag_flow if tagged else None
+            config, arrivals, 2, flow_cache, tagged
         )
     assert outcomes["scalar"] == outcomes["vec"]
     counters = outcomes["vec"][1]
