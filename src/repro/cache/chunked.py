@@ -77,6 +77,7 @@ def _first_touches(
     segment_ids: np.ndarray,
     num_lines: int,
     num_segments: int,
+    dtype: type[np.signedinteger] = np.int64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The static analysis of a segmented access stream.
 
@@ -84,7 +85,8 @@ def _first_touches(
     segment; ``segment_ids`` holds each line's segment id, ascending
     (:func:`segment_rows`).  Returns:
 
-    * ``block`` — a ``(4, n)`` int64 array with one column per touched
+    * ``block`` — a ``(4, n)`` array of ``dtype``, which must hold every
+      line, with one column per touched
       set, ascending by set: the set, the line of its first touch, that
       touch's segment id and the line of its last touch (the set's tag
       after the stream, hit or miss; see the module docs);
@@ -125,7 +127,7 @@ def _first_touches(
     # is gathered from live state at replay time.  The set's last
     # occurrence is the position just before the next set's first.
     first = (~repeat).nonzero()[0]
-    block = np.empty((4, first.size), dtype=np.int64)
+    block = np.empty((4, first.size), dtype=dtype)
     block[:3] = ordered.take(first, axis=1)
     block[3, :-1] = ordered_lines[first[1:] - 1]
     block[3, -1:] = ordered_lines[-1:]
@@ -244,14 +246,24 @@ class FusedReplay:
         self._arena[0, dsets:] += dsets
         self._arena[2, dsets:] += dsegments
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arena, which holds the I plan's first touches."""
+        return self._arena.nbytes
+
     def data_plan(
-        self, lines: np.ndarray, segment_ids: np.ndarray, segments: int
+        self,
+        lines: np.ndarray,
+        segment_ids: np.ndarray,
+        segments: int,
+        dtype: type[np.signedinteger] = np.int64,
     ) -> PackedPlan:
         """Compile a data stream of ``segments`` segments straight into
         its packed replay: ``lines`` holds every line (int64) and
         ``segment_ids`` each line's segment id, ascending below
         ``segments`` (:func:`segment_rows` builds all three from one
-        line array per segment).
+        line array per segment).  The plan's block is of ``dtype``
+        (int32 halves a kept plan), which must hold every line.
 
         Raises :class:`ValueError` unless the stream has exactly
         ``dsegments`` segments, and :class:`UnsupportedPlanError` if a
@@ -262,7 +274,7 @@ class FusedReplay:
                 f"expected {self.dsegments} data segments, got {segments}"
             )
         block, static = _first_touches(
-            lines, segment_ids, self.dsets, self.num_segments
+            lines, segment_ids, self.dsets, self.num_segments, dtype
         )
         static[self.dsegments :] = self.iplan.static
         return PackedPlan(block, static, int(lines.size))

@@ -19,7 +19,7 @@ from ..cache.hierarchy import MachineSpec
 from ..harness.points import Claim, SweepPoint, SweepSpec
 from ..sim.runner import SimulationConfig, run_simulation
 from ..sim.stats import RunResult, merge_results
-from ..traffic.bellcore import TraceSource, synthesize_bellcore_like
+from ..traffic.bellcore import bellcore_like_source
 from ..units import format_duration, mhz
 from .report import render_table, scheduler_pairs
 
@@ -42,12 +42,13 @@ def clock_point(
     """One (scheduler, CPU clock) point on the self-similar trace.
 
     Each seed's trace is synthesized inside the point from the seed
-    alone, so the point stays a pure function of its parameters.
+    alone, so the point stays a pure function of its parameters; the
+    run takes the source's columns straight.
     """
     spec = MachineSpec(clock_hz=mhz(clock_mhz))
     per_seed = []
     for seed in seeds:
-        stream = synthesize_bellcore_like(duration, mean_rate=mean_rate, rng=seed)
+        source = bellcore_like_source(mean_rate=mean_rate, rng=seed)
         config = SimulationConfig(
             scheduler=scheduler,
             duration=duration,
@@ -56,9 +57,7 @@ def clock_point(
             buffer_size=2048,
             engine=engine,
         )
-        per_seed.append(
-            run_simulation(TraceSource(stream), config, seed=seed, arrivals=stream)
-        )
+        per_seed.append(run_simulation(source, config, seed=seed))
     return merge_results(per_seed).to_dict()
 
 

@@ -134,7 +134,11 @@ class FaultPlan:
 
     @classmethod
     def from_params(cls, params: dict[str, Any]) -> "FaultPlan":
-        """Rebuild a plan from its :meth:`to_params` dict."""
+        """Rebuild a plan from its :meth:`to_params` dict.
+
+        Raises :class:`ConfigurationError` on any malformed input,
+        including a field of the wrong type.
+        """
         if not isinstance(params, dict):
             raise ConfigurationError(
                 f"fault plan parameters must be a dict, got {type(params).__name__}"
@@ -145,15 +149,20 @@ class FaultPlan:
             raise ConfigurationError(
                 f"unknown fault plan field(s): {', '.join(sorted(unknown))}"
             )
-        stages = tuple(
-            stage_from_params(stage) for stage in params.get("stages", ())
-        )
-        windows = params.get("mbuf_windows")
-        return cls(
-            stages=stages,
-            flush_period_cycles=params.get("flush_period_cycles"),
-            clock_derate=params.get("clock_derate", 1.0),
-            mbuf_windows=(
-                MbufExhaustionWindows(**windows) if windows is not None else None
-            ),
-        )
+        try:
+            stages = tuple(
+                stage_from_params(stage) for stage in params.get("stages", ())
+            )
+            windows = params.get("mbuf_windows")
+            return cls(
+                stages=stages,
+                flush_period_cycles=params.get("flush_period_cycles"),
+                clock_derate=params.get("clock_derate", 1.0),
+                mbuf_windows=(
+                    MbufExhaustionWindows(**windows) if windows is not None else None
+                ),
+            )
+        except (TypeError, ValueError) as error:
+            # A field of the wrong type fails inside a constructor or a
+            # range check, as one of these.
+            raise ConfigurationError(f"malformed fault plan: {error}") from None

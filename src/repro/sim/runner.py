@@ -334,8 +334,10 @@ def _stepper(scheduler: Scheduler, engine: str, multi_step: bool) -> Stepper:
     ``"vec"`` asks the vectorized engine (:func:`repro.sim.vec.vec_stepper`)
     and falls back to the scalar step where it declines; ``multi_step``
     lets it replay several conventional/ILP steps at once.  The returned
-    callable is the only reference to a vec engine, so the engines live
-    exactly as long as the drive call that holds them.
+    callable is the only reference to a vec engine, so the engines and
+    their state memos live exactly as long as the drive call that holds
+    them; what they compile stays in the vec engine's byte-bounded
+    table store for later engines with equal inputs.
     """
     if engine == "vec":
         from . import vec

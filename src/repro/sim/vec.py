@@ -13,7 +13,10 @@ core, :func:`vec_stepper` returns the engine's ``step`` (the step's
 (message, completion cycle) pairs, plus any steps replayed ahead of
 it), and the loop — admission, dispatch, obs spans, cache flushes — is
 the same for both engines and every core count.  The drive call owns
-the engines; they are freed when it returns.
+the engines and their state memos; they are freed when it returns.
+What an engine compiles lives in a process-level store of tables,
+shared by later engines with equal inputs and bounded in bytes (see
+"Table store").
 
 How it works
 ------------
@@ -105,8 +108,8 @@ not merely close.
 array and the plan, so a step that starts from a (tag state, template)
 pair it has seen before needs no cache model: the engine interns the
 live L1 tags (``l1_tags.tobytes()`` is both the key and, through
-``np.frombuffer``, the one stored copy) as a small state id, and each
-template memoizes, per start state, the stall vector after the
+``np.frombuffer``, the one stored copy) as a small state id, and keeps
+per template key a memo of, per start state, the stall vector after the
 iprefetch ``rint``, its float sum, the next state's id and the six
 hit/miss/eviction deltas, cold fills included
 (:class:`_StateMemo`).  A hit copies the next state's tags back into
@@ -115,7 +118,7 @@ addend array and its ``cumsum``, are the ones the cache model would
 give, so a hit is exact.  The state is unknown at engine start, after
 any :meth:`~repro.cache.hierarchy.SplitCacheHierarchy.flush` (the
 hierarchy counts them in ``flushes``), and after a template's first
-use, which cannot hit and so is not worth an intern; a reused template
+use in the engine, which cannot hit and so is not worth an intern; a reused template
 interns an unknown state before its lookup.  Paper-scale working sets
 leave the cache in a few recurring states (the paper's Section 4
 argument, turned on the simulator), so the table is bounded at
@@ -125,6 +128,36 @@ Bellcore-like trace) leave states that do not recur: once the table
 fills before any step has replayed from a memo, the engine stops
 interning and releases the table, and its later steps replay through
 the cache model without paying for the intern and lookup.
+
+*Table store.*  Everything an engine compiles — templates, layouts,
+:class:`_Rows`, shapes, addend arrays and buffer runs — is a pure
+function of the *content* of its inputs (:meth:`_VecEngine.inputs`):
+the template kind and, for grouped LDLP, the groups with their queue
+costs; each layer's placed code and data lines and its footprint (ILP's
+integrated per-byte cost among them); each ring buffer's base, capacity
+and line size; both L1s' line counts; and whether steps resolve flow
+lookups ahead (a multi-step engine with a flow lookup writes the
+addends' lookup slots, which one without relies on staying 0.0).  The
+arrival rate, the clock and the flow-cache organization are not
+inputs, nor are the miss penalty and the prefetch efficiency (they act
+in the per-engine :class:`_StateMemo`), nor the batch limit or the
+multi-step bound (they only bound which batch lengths an engine asks
+for).  So one process keeps each input content's :class:`_Table` in a
+store keyed by that content, never by object identity, and
+:func:`vec_stepper` hands a new engine the stored table; a stored
+table's inputs passed the placement soundness sorts, so a hit skips
+them.  The paper averages each point over random placements, and a
+sweep's points that differ only in rate, clock, dispatch or flow cache
+share every placement: over the ``multicore`` benchmark pass this
+takes compiles from ~1,540 to ~960.  Memory bounds the store: a table
+counts its arrays' bytes (data-plan blocks as int32, and a shape's
+rows only from its second use, since most shapes of a mixed-size trace
+are used once), it stops taking entries at :data:`MAX_TABLE_BYTES`
+(its engines then keep what they compile to themselves), and at each
+engine's start the store evicts the least recently used tables while
+it counts more than :data:`MAX_TABLE_BYTES`.  The state memo is
+per engine: each engine memoizes per template key, so nothing a memo
+holds outlives the drive call.
 
 *Multi-step replay.*  A conventional or ILP step serves one message,
 so its fixed Python cost is paid once per message.  When such a core
@@ -227,6 +260,14 @@ MAX_STEPS = 8
 #: of the default 2 x 8 KiB L1 hold 512 KiB of tags.
 MAX_STATES = 128
 
+#: Most bytes of compiled tables the process keeps across drive calls
+#: (see "Table store"), counted as :attr:`_Table.nbytes`: 768 KiB.
+MAX_TABLE_BYTES = 3 << 18
+
+#: What a table counts per entry beyond its arrays: the Python objects
+#: and dict slots around them, roughly.
+_ENTRY_BYTES = 256
+
 
 class _StepTemplate:
     """Compiled cache replay + cost layout for one batch composition.
@@ -237,7 +278,7 @@ class _StepTemplate:
     ``data`` belongs to the composition.
     """
 
-    __slots__ = ("replay", "data", "addends", "positions", "ends", "lookups", "memo")
+    __slots__ = ("replay", "data", "addends", "positions", "ends", "lookups")
 
     def __init__(
         self,
@@ -268,9 +309,6 @@ class _StepTemplate:
         #: The addend slot where replayed step j >= 1's flow lookup lands
         #: (right after step j - 1's completion).
         self.lookups = lookups
-        #: Interned start state -> (stall vector, its sum, next state,
-        #: D hits/misses/evictions and I hits/misses/evictions deltas).
-        self.memo: dict[int, tuple[np.ndarray, float, int, tuple[int, ...]]] = {}
 
 
 @dataclass(slots=True)
@@ -362,6 +400,75 @@ class _Rows:
     accesses: int
 
 
+class _Table:
+    """Everything an engine compiles, shared by every engine whose
+    inputs have equal content (see the module docs' "Table store").
+
+    ``nbytes`` is the table's size as the store counts it: its arrays
+    plus :data:`_ENTRY_BYTES` per entry.
+    """
+
+    __slots__ = (
+        "templates", "layouts", "rows", "shapes", "addends", "layer_runs",
+        "buffer_runs", "dtype", "nbytes",
+    )
+
+    def __init__(
+        self, layer_runs: list[tuple[int, int]], dtype: type[np.signedinteger]
+    ) -> None:
+        #: (first ring slot, sizes) -> template: a step's buffers are the
+        #: run of ring slots from the first (see the module docs).
+        self.templates: dict[tuple[int, tuple[int, ...]], _StepTemplate] = {}
+        self.layouts: dict[int, _Layout] = {}
+        self.rows: _Rows | None = None
+        #: Each piece's line count (the layers' pieces, then each slot's
+        #: buffer; the count of slots fixes the batch length) -> its
+        #: rows, or ``None`` while the shape has been used once.
+        self.shapes: dict[tuple[int, ...], _Shape | None] = {}
+        #: Sizes -> the addend array its templates share.
+        self.addends: dict[tuple[int, ...], np.ndarray] = {}
+        #: The first line and line count of the pieces every template
+        #: shares: each layer's data lines, then no lines (see
+        #: _Layout.pieces).
+        self.layer_runs = layer_runs
+        #: (ring slot, size) -> the first line and line count of the
+        #: buffer lines a message touches.
+        self.buffer_runs: dict[tuple[int, int], tuple[int, int]] = {}
+        #: The data plans' block dtype: int32 while every line fits.
+        self.dtype = dtype
+        self.nbytes = 0
+
+    def add(self, *arrays: np.ndarray) -> None:
+        """Count one new entry holding ``arrays``."""
+        self.nbytes += _ENTRY_BYTES + sum(array.nbytes for array in arrays)
+
+    def keep(self, entries: dict, key, value, nbytes: int = 0):
+        """Store ``value``, holding ``nbytes`` of arrays, as
+        ``entries[key]`` (one of the table's dicts) unless the table is
+        full; returns ``value``.  A full table counts
+        :data:`MAX_TABLE_BYTES`: it still serves what it holds, and its
+        engines keep what they compile beyond it to themselves."""
+        if self.nbytes < MAX_TABLE_BYTES:
+            entries[key] = value
+            self.nbytes += _ENTRY_BYTES + nbytes
+        return value
+
+
+#: Engine-input content -> its table, least recently used first.
+_TABLES: dict[tuple, _Table] = {}
+
+
+def clear_tables() -> None:
+    """Empty the table store: later engines compile from scratch."""
+    _TABLES.clear()  # det: allow[DET005] the store only caches what its key's content determines; results never depend on it
+
+
+#: One template's memo in one engine: interned start state -> (stall
+#: vector, its sum, next state, D hits/misses/evictions and I
+#: hits/misses/evictions deltas).
+_Memo = dict[int, tuple[np.ndarray, float, int, tuple[int, ...]]]
+
+
 class _StateMemo:
     """Replays step templates against one split L1, memoized per
     (interned tag state, template); see the module docs' "State memo".
@@ -432,9 +539,10 @@ class _StateMemo:
             istall[:] = np.rint(istall * self.iprefetch_scale)
         return stall, float(stall.sum())
 
-    def replay(self, template: _StepTemplate) -> tuple[np.ndarray, float]:
-        """:meth:`apply` for a template used before, served from its
-        memo when it has left this tag state before."""
+    def replay(self, template: _StepTemplate, memo: _Memo) -> tuple[np.ndarray, float]:
+        """:meth:`apply` for a template this engine used before, served
+        from ``memo``, the template's entries, when it has left this tag
+        state before."""
         if not self.interning:
             return self.apply(template)
         flushes = self.hierarchy.flushes
@@ -446,7 +554,7 @@ class _StateMemo:
             state = self._intern()
             if state < 0:
                 return self.apply(template)
-        entry = template.memo.get(state)
+        entry = memo.get(state)
         if entry is not None:
             stall, total, after, deltas = entry
             self.tags[:] = self.states[after]
@@ -467,7 +575,7 @@ class _StateMemo:
         after = self._intern()
         if after >= 0:
             deltas = tuple(map(sub, self._counts(), before))
-            template.memo[state] = (stall, total, after, deltas)
+            memo[state] = (stall, total, after, deltas)
             self.state = after
         return stall, total
 
@@ -493,7 +601,11 @@ def _distinct_sets(arrays: list[np.ndarray], num_lines: int) -> bool:
 
 
 class _VecEngine:
-    """Per-drive-call state of the vectorized service path."""
+    """Per-drive-call state of the vectorized service path.
+
+    Compiles into ``table``: a fresh one unless :func:`vec_stepper`
+    hands it the store's table for its inputs (:meth:`inputs`).
+    """
 
     def __init__(
         self, scheduler: Scheduler, kind: str, multi_step: bool = False
@@ -530,7 +642,7 @@ class _VecEngine:
             binding.placed_layer(layer.name) for layer in scheduler.layers
         ]
         self.extra_per_byte = sum(
-            layer.footprint.per_byte_cycles for layer in scheduler.layers[1:]
+            placed.footprint.per_byte_cycles for placed in self.placed[1:]
         )
         #: Per group, each member's (layer index, trailing execute): the
         #: queue hop is charged on entering the group.
@@ -551,24 +663,40 @@ class _VecEngine:
         pool = binding.pool
         assert pool is not None
         self.pool = pool
-        #: (first ring slot, sizes) -> template: a step's buffers are the
-        #: run of ring slots from the first (see the module docs).
-        self._templates: dict[tuple[int, tuple[int, ...]], _StepTemplate] = {}
-        self._layouts: dict[int, _Layout] = {}
-        self._rows_built: _Rows | None = None
-        #: Each piece's line count (the layers' pieces, then each slot's
-        #: buffer; the count of slots fixes the batch length) -> its rows.
-        self._shapes: dict[tuple[int, ...], _Shape] = {}
-        #: Sizes -> the addend array its templates share.
-        self._addends: dict[tuple[int, ...], np.ndarray] = {}
-        #: The first line and line count of the pieces every template
-        #: shares: each layer's data lines, then no lines (see
-        #: _Layout.pieces).
-        self._layer_runs = [_run(placed.data_lines) for placed in self.placed]
-        self._layer_runs.append((0, 0))
-        #: (ring slot, size) -> the first line and line count of the
-        #: buffer lines a message touches.
-        self._buffer_runs: dict[tuple[int, int], tuple[int, int]] = {}
+        layer_runs = [_run(placed.data_lines) for placed in self.placed]
+        # One past every data line: the layers' and the ring's.
+        bound = max(
+            [first + count for first, count in layer_runs]
+            + [(buffer.base + buffer.capacity) // buffer.line_size for buffer in pool.buffers]
+        )
+        self.table = _Table(
+            layer_runs + [(0, 0)],
+            np.int32 if bound <= np.iinfo(np.int32).max else np.int64,
+        )
+        #: (first ring slot, sizes) -> the template and this engine's
+        #: memo of it, from the template's first use here.
+        self._seen: dict[tuple[int, tuple[int, ...]], tuple[_StepTemplate, _Memo]] = {}
+
+    def inputs(self) -> tuple:
+        """The content of everything the engine's table holds depends on
+        (see the module docs' "Table store"): engines with equal inputs
+        compile equal entries."""
+        return (
+            self.kind,
+            # Whether steps resolve flow lookups ahead into the addends.
+            self.flow_lookup is not None,
+            None if self.groups is None else tuple(map(tuple, self.groups)),
+            tuple(
+                (placed.code_lines.tobytes(), placed.data_lines.tobytes(), placed.footprint)
+                for placed in self.placed
+            ),
+            tuple(
+                (buffer.base, buffer.capacity, buffer.line_size)
+                for buffer in self.pool.buffers
+            ),
+            self.icache.num_lines,
+            self.dcache.num_lines,
+        )
 
     @property
     def memo_hits(self) -> int:
@@ -643,11 +771,13 @@ class _VecEngine:
     def _rows(self, batch: int) -> _Rows:
         """Every batch length's layout arrays, up to at least ``batch``.
 
-        Built once, up to the engine's longest batch (its multi-step
-        bound, or the scheduler's batch limit); a drop policy whose
-        batches outgrow the limit rebuilds them longer.
+        Built once per table, up to the building engine's longest batch
+        (its multi-step bound, or the scheduler's batch limit); an
+        engine whose batches outgrow them (a longer limit, or a drop
+        policy's batch cap) rebuilds them longer.
         """
-        rows = self._rows_built
+        table = self.table
+        rows = table.rows
         if rows is not None and rows.length >= batch:
             return rows
         length = max(batch, self.longest)
@@ -705,7 +835,7 @@ class _VecEngine:
             [(layer_index, num_layers) for layer_index, *_ in one] + [(0, 0)]
         )
         buffers = np.array([(0, include) for _, _, include, *_ in one] + [(0, 0)])
-        rows = self._rows_built = _Rows(
+        rows = table.rows = _Rows(
             length,
             [b + step * b * (b + 1) // 2 for b in range(length + 1)],
             member,
@@ -718,6 +848,10 @@ class _VecEngine:
             ).ravel(),
             (_SLOTS * np.arange(count)[:, None] + (2, 3)).ravel(),
             *self._code_rows(spans, batches),
+        )
+        table.add(
+            rows.member, rows.slots, rows.constant, rows.per_byte, rows.pieces,
+            rows.dpos, rows.istall, rows.static, rows.block,
         )
         return rows
 
@@ -787,7 +921,8 @@ class _VecEngine:
         """The batch-length-only parts of a template: its rows of
         :meth:`_rows` (slices, and gathers of the per-invocation addend
         terms), plus the length's own fused replay."""
-        layout = self._layouts.get(batch)
+        layouts = self.table.layouts
+        layout = layouts.get(batch)
         if layout is not None:
             return layout
         rows = self._rows(batch)
@@ -811,7 +946,12 @@ class _VecEngine:
             rows.constant.take(member, axis=0).ravel()[_SLOTS - 1 :],
             rows.per_byte.take(member, axis=0).ravel()[_SLOTS - 1 :],
         )
-        self._layouts[batch] = layout
+        layouts[batch] = layout
+        self.table.nbytes += layout.replay.nbytes
+        self.table.add(
+            layout.positions, layout.ends, layout.pieces, layout.slots,
+            layout.constant, layout.per_byte,
+        )
         return layout
 
     def _compile(
@@ -821,15 +961,18 @@ class _VecEngine:
         ``sizes[j]`` bytes in ``buffers[j]``."""
         batch = len(sizes)
         layout = self._layout(batch)
+        table = self.table
         # Each piece's first line and line count; a slot's, computed once
         # per (ring slot, size).
-        runs = self._layer_runs.copy()
-        cache = self._buffer_runs
+        runs = table.layer_runs.copy()
+        cache = table.buffer_runs
         for buffer, size in zip(buffers, sizes):
             key = (buffer.index, size)
             run = cache.get(key)
             if run is None:
-                run = cache[key] = _run(buffer.lines_for(min(size, buffer.capacity)))
+                run = table.keep(
+                    cache, key, _run(buffer.lines_for(min(size, buffer.capacity)))
+                )
             runs.append(run)
         firsts, counts = zip(*runs)
         shape = self._shape(layout, counts)
@@ -840,12 +983,13 @@ class _VecEngine:
         lines = run_base.take(shape.segment_ids)
         lines += np.arange(lines.size)
         data = layout.replay.data_plan(
-            lines, shape.segment_ids, shape.starts.size
+            lines, shape.segment_ids, shape.starts.size, table.dtype
         )
         sizes = tuple(sizes)
-        addends = self._addends.get(sizes)
+        addends = table.addends.get(sizes)
         if addends is None:
-            addends = self._addends[sizes] = self._addends_for(layout, sizes)
+            addends = self._addends_for(layout, sizes)
+            table.keep(table.addends, sizes, addends, addends.nbytes)
         return _StepTemplate(
             layout.replay, data, addends, layout.positions, layout.ends,
             layout.lookups,
@@ -853,18 +997,27 @@ class _VecEngine:
 
     def _shape(self, layout: _Layout, counts: tuple[int, ...]) -> _Shape:
         """The rows of the data streams whose pieces hold ``counts``
-        lines each (the layers' pieces first; see :class:`_Shape`)."""
-        shape = self._shapes.get(counts)
-        if shape is not None:
+        lines each (the layers' pieces first; see :class:`_Shape`),
+        kept from the shape's second use: most shapes of a mixed-size
+        trace are used once."""
+        shapes = self.table.shapes
+        shape = shapes.get(counts, False)
+        if shape:
             return shape
         lengths = np.array(counts).take(layout.pieces)
         ends = lengths.cumsum()
         segments = len(lengths)
         dtype = np.int16 if segments <= 1 << 15 else np.int32
-        shape = self._shapes[counts] = _Shape(
+        rows = _Shape(
             np.repeat(np.arange(segments, dtype=dtype), lengths), ends - lengths
         )
-        return shape
+        if shape is None:
+            self.table.keep(
+                shapes, counts, rows, rows.segment_ids.nbytes + rows.starts.nbytes
+            )
+        else:
+            self.table.keep(shapes, counts, None)
+        return rows
 
     def _addends_for(self, layout: _Layout, sizes: tuple[int, ...]) -> np.ndarray:
         """The flat addend array of a batch of ``sizes``, free slots 0.0."""
@@ -908,18 +1061,28 @@ class _VecEngine:
         assert batch[0].buffer is None, "vec step on a message with a buffer"
         sizes = tuple([message.size for message in batch])
         key = (self.pool.acquire_run(len(batch)), sizes)
-        template = self._templates.get(key)
-        if template is None:
-            buffers = self.pool.buffers
-            first = key[0]
-            ring = [
-                buffers[slot % len(buffers)] for slot in range(first, first + len(batch))
-            ]
+        seen = self._seen.get(key)
+        if seen is None:
+            templates = self.table.templates
+            template = templates.get(key)
+            if template is None:
+                buffers = self.pool.buffers
+                first = key[0]
+                ring = [
+                    buffers[slot % len(buffers)]
+                    for slot in range(first, first + len(batch))
+                ]
+                template = self._compile(sizes, ring)
+                data = template.data
+                self.table.keep(
+                    templates, key, template, data.block.nbytes + data.static.nbytes
+                )
+            self._seen[key] = (template, {})
             # A first use cannot hit its empty memo: skip the intern.
-            template = self._templates[key] = self._compile(sizes, ring)
             stall, total = self.memo.apply(template)
         else:
-            stall, total = self.memo.replay(template)
+            template, memo = seen
+            stall, total = self.memo.replay(template, memo)
         cpu = self.cpu
         addends = template.addends
         lookup = self.flow_lookup
@@ -954,39 +1117,52 @@ def vec_supported(scheduler: Scheduler) -> bool:
     """Whether the vectorized engine can replay this scheduler exactly.
 
     Checks everything static: scheduler kind, pure passthrough layers,
-    a bound flat (no-L2) direct-mapped hierarchy, and self-conflict-free
-    code/data/buffer placements (the static-template soundness
-    condition: no layer's code, layer's data or ring buffer touches one
-    cache set twice; one sort per cache).  Dynamic conditions (a
-    span-keeping recorder) are checked by :func:`vec_stepper` per drive
-    call.
+    a bound flat (no-L2) direct-mapped hierarchy (:func:`_typed_kind`),
+    and self-conflict-free code/data/buffer placements
+    (:func:`_sound`).  Dynamic conditions (a span-keeping recorder) are
+    checked by :func:`vec_stepper` per drive call.
     """
+    return _typed_kind(scheduler) is not None and _sound(scheduler)
+
+
+def _typed_kind(scheduler: Scheduler) -> str | None:
+    """The template kind of a scheduler that passes every static check
+    but the placement sorts (see :func:`vec_supported`), else None."""
     kind = _scheduler_kind(scheduler)
     if kind is None:
-        return False
+        return None
     binding = scheduler.binding
     if binding is None or not binding.bound:
-        return False
+        return None
     if binding.spec.l2 is not None:
-        return False
+        return None
     hierarchy = binding.cpu.hierarchy
     for cache in (hierarchy.icache, hierarchy.dcache):
         if type(cache) is not DirectMappedCache:
-            return False
+            return None
         if cache.tag_array.base is not hierarchy.l1_tags:
-            return False
+            return None
     for layer in scheduler.layers:
         if type(layer) is not PassthroughLayer:
-            return False
-    pool = binding.pool
-    if pool is None:
-        return False
+            return None
+    if binding.pool is None:
+        return None
+    return kind
+
+
+def _sound(scheduler: Scheduler) -> bool:
+    """The static-template soundness condition: no layer's code, layer's
+    data or ring buffer touches one cache set twice (one sort per
+    cache).  Pure in the engine's inputs (:meth:`_VecEngine.inputs`)."""
+    binding = scheduler.binding
+    assert binding is not None and binding.pool is not None
+    hierarchy = binding.cpu.hierarchy
     placed = [binding.placed_layer(layer.name) for layer in scheduler.layers]
     return _distinct_sets(
         [layer.code_lines for layer in placed], hierarchy.icache.num_lines
     ) and _distinct_sets(
         [layer.data_lines for layer in placed]
-        + [buffer.lines_for(buffer.capacity) for buffer in pool.buffers],
+        + [buffer.lines_for(buffer.capacity) for buffer in binding.pool.buffers],
         hierarchy.dcache.num_lines,
     )
 
@@ -1019,12 +1195,40 @@ def vec_stepper(scheduler: Scheduler, multi_step: bool) -> Stepper | None:
     recorder wants the per-layer ``invoke`` spans only the scalar path
     emits.  ``multi_step`` is the caller's half of the multi-step
     envelope (a core driven on its own, no flush period or span-keeping
-    recorder, arrivals in time order); the engine checks the rest.  The
-    returned bound method is the engine's only owner, so the engine and
-    its compiled templates are freed with it.
+    recorder, arrivals in time order); the engine checks the rest.
+
+    The engine compiles into the store's table for its inputs (see the
+    module docs' "Table store"): a stored table's inputs passed the
+    soundness sorts, so a hit skips them.  The returned bound method is
+    the engine's only owner, so the engine and its state memo are freed
+    with it; its table stays in the store until evicted.
     """
     if span_recorder() is not None:
         return None
-    if not vec_supported(scheduler):
+    kind = _typed_kind(scheduler)
+    if kind is None:
         return None
-    return _VecEngine(scheduler, _scheduler_kind(scheduler) or "", multi_step).step
+    engine = _VecEngine(scheduler, kind, multi_step)
+    key = engine.inputs()
+    table = _TABLES.pop(key, None)  # det: allow[DET005] the store caches what its key's content determines, so no result depends on it
+    if table is None:
+        if not _sound(scheduler):
+            return None
+        table = engine.table
+    else:
+        engine.table = table
+    _keep(key, table)
+    return engine.step
+
+
+def _keep(key: tuple, table: _Table) -> None:
+    """Store ``table`` as the most recently used, then evict the least
+    recently used others while the store counts more than
+    :data:`MAX_TABLE_BYTES`."""
+    _TABLES[key] = table  # det: allow[DET005] see vec_stepper
+    total = sum([stored.nbytes for stored in _TABLES.values()])
+    for stored, oldest in list(_TABLES.items()):
+        if total <= MAX_TABLE_BYTES or oldest is table:
+            break
+        total -= oldest.nbytes
+        del _TABLES[stored]  # det: allow[DET005] see vec_stepper

@@ -14,6 +14,7 @@ from .bellcore import (
     OCT89_SIZE_MIX,
     SizeMix,
     TraceSource,
+    bellcore_like_source,
     read_bellcore_trace,
     synthesize_bellcore_like,
     write_bellcore_trace,
@@ -48,6 +49,7 @@ __all__ = [
     "TraceSource",
     "TrafficSource",
     "ZipfFlowSource",
+    "bellcore_like_source",
     "flow_rng",
     "hurst_estimate",
     "make_rng",

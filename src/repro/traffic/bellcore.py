@@ -172,28 +172,41 @@ def synthesize_bellcore_like(
     num_sources: int = 32,
     alpha: float = 1.5,
 ) -> list[Arrival]:
-    """Synthesize a self-similar, Bellcore-like arrival list.
+    """Synthesize a self-similar, Bellcore-like arrival list: the
+    records of :func:`bellcore_like_source`'s stream."""
+    check_positive(duration, "duration")
+    return bellcore_like_source(
+        mean_rate, size_mix, rng, num_sources, alpha
+    ).arrival_list(duration)
+
+
+def bellcore_like_source(
+    mean_rate: float = 1000.0,
+    size_mix: SizeMix = OCT89_SIZE_MIX,
+    rng: np.random.Generator | int | None = None,
+    num_sources: int = 32,
+    alpha: float = 1.5,
+) -> ParetoOnOffSource:
+    """The self-similar, Bellcore-like source; a run takes its
+    :meth:`~ParetoOnOffSource.arrival_columns` straight.
 
     ``mean_rate`` is the target long-run packet rate.  The ON/OFF
     parameters keep the Willinger-construction defaults and scale the
     per-source ON rate to hit the target mean.
     """
-    check_positive(duration, "duration")
     check_positive(mean_rate, "mean rate")
     rng = make_rng(rng)
     mean_on, mean_off = 0.02, 0.08
     duty = mean_on / (mean_on + mean_off)
-    packet_rate_on = mean_rate / (num_sources * duty)
-    source = ParetoOnOffSource(
+    return ParetoOnOffSource(
         num_sources=num_sources,
-        packet_rate_on=packet_rate_on,
+        packet_rate_on=mean_rate / (num_sources * duty),
         mean_on=mean_on,
         mean_off=mean_off,
         alpha=alpha,
         size=size_mix,
         rng=rng,
     )
-    return source.arrival_list(duration)
 
 
 class TraceSource(TrafficSource):

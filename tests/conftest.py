@@ -5,6 +5,14 @@ import pytest
 from repro.experiments import ablations
 from repro.experiments.report import point_rows
 from repro.harness.points import SweepPoint
+from repro.sim import vec
+
+
+@pytest.fixture(autouse=True)
+def fresh_vec_tables():
+    """Empty the vec engine's table store before each test, so a test
+    that reads an engine's table sees only what its own runs compiled."""
+    vec.clear_tables()
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConventionalScheduler, LDLPScheduler, Message
 from repro.errors import ConfigurationError, ProtocolError, TraceError, WireError
+from repro.faults import FaultPlan
 from repro.gossip.wire import (
     FRAMING_MODES,
     MESSAGE_IDS,
@@ -474,6 +475,53 @@ class TestGoldenFuzz:
         assert all(type(value) is float for value in golden.quantities.values())
         assert all(isinstance(value, str) for value in golden.digests.values())
         assert isinstance(golden.numpy, str)
+
+
+#: Fault-plan parameters of the wrong type.
+BAD_FAULT_PLANS = [
+    {"mbuf_windows": 5},
+    {"mbuf_windows": {"x": 1}},
+    {"stages": 5},
+    {"stages": [5]},
+    {"clock_derate": "a"},
+    {"flush_period_cycles": "x"},
+    {"stages": [{"kind": "loss", "rate": "x"}]},
+]
+
+FAULT_PLAN_FIELDS = st.dictionaries(
+    st.sampled_from(["stages", "clock_derate", "flush_period_cycles", "mbuf_windows"]),
+    JSON_VALUES
+    | st.lists(
+        st.dictionaries(
+            st.sampled_from(["kind", "rate", "period", "width", "start"]),
+            st.sampled_from(["loss", "delay", "truncate"]) | JSON_VALUES,
+            max_size=3,
+        ),
+        max_size=2,
+    )
+    | st.dictionaries(
+        st.sampled_from(["period", "width", "start", "x"]), JSON_VALUES, max_size=3
+    ),
+    max_size=4,
+)
+
+
+class TestFaultPlanFuzz:
+    @pytest.mark.parametrize("params", BAD_FAULT_PLANS, ids=repr)
+    def test_wrong_type_is_a_configuration_error(self, params):
+        with pytest.raises(ConfigurationError):
+            FaultPlan.from_params(params)
+
+    @given(params=FAULT_PLAN_FIELDS)
+    @settings(max_examples=200, deadline=None)
+    def test_from_params_raises_only_configuration_error(self, params):
+        try:
+            plan = FaultPlan.from_params(params)
+        except ConfigurationError:
+            return
+        # Compared as JSON text, so a NaN field round-trips too.
+        params = json.dumps(plan.to_params())
+        assert json.dumps(FaultPlan.from_params(plan.to_params()).to_params()) == params
 
 
 CACHE_KEY = "ab" * 32

@@ -28,7 +28,10 @@ Plus the template compiler (shared, collapsed code plans; every batch
 length's layout from one analysis per engine, equal to a per-length
 build), the state memo (a memoized replay equals the cache model's,
 across flushes and under a tiny state table; interning stops on
-mixed-size traffic) and the engine-selection seams: config validation,
+mixed-size traffic), the table store (a run through tables that
+earlier drive calls compiled equals a fresh-store run and the scalar
+run, over engines that differ in each part of the store's key) and the
+engine-selection seams: config validation,
 the static ``vec_supported`` envelope (code- and data-side conflicts,
 against a per-array reference), and the silent scalar fallbacks.
 """
@@ -112,26 +115,33 @@ def _run_both_engines(config, arrivals, seed, flow_cache=None, tagged=False):
     ``tagged`` tags each message with its arrival's flow, as
     :func:`run_flow_simulation` does."""
     columns = record_columns(arrivals)
-    outcomes = {}
-    for engine in ENGINE_NAMES:
-        recorder = Recorder(keep_spans=False)
-        with recording(recorder):
-            result, cores, stats = simulate(
-                PoissonSource(1000.0, rng=seed),
-                replace(config, engine=engine),
-                seed=seed,
-                columns=columns,
-                flow_cache=flow_cache,
-                metas=_flow_metas(columns) if tagged else None,
-            )
-        if flow_cache is not None:
-            result = FlowRunResult.of(result, cores)
-        outcomes[engine] = (
-            canonical_json(result.to_dict()),
-            recorder.counters.as_dict(),
-            list(stats.latency._samples),
+    return {
+        engine: _run_engine(
+            replace(config, engine=engine), columns, seed, flow_cache, tagged
         )
-    return outcomes
+        for engine in ENGINE_NAMES
+    }
+
+
+def _run_engine(config, columns, seed, flow_cache, tagged):
+    """One run of ``config`` (see :func:`_run_both_engines`)."""
+    recorder = Recorder(keep_spans=False)
+    with recording(recorder):
+        result, cores, stats = simulate(
+            PoissonSource(1000.0, rng=seed),
+            config,
+            seed=seed,
+            columns=columns,
+            flow_cache=flow_cache,
+            metas=_flow_metas(columns) if tagged else None,
+        )
+    if flow_cache is not None:
+        result = FlowRunResult.of(result, cores)
+    return (
+        canonical_json(result.to_dict()),
+        recorder.counters.as_dict(),
+        list(stats.latency._samples),
+    )
 
 
 @contextmanager
@@ -639,7 +649,7 @@ def test_multi_step_envelope(case):
     replayed = {
         len(template.ends)
         for stepper in steppers
-        for template in stepper.__self__._templates.values()
+        for template in stepper.__self__.table.templates.values()
     }
     assert len(steppers) == config.num_cores
     assert replayed == ({1, vec_module.MAX_STEPS} if multi else {1})
@@ -694,7 +704,7 @@ def test_grouped_batch_longer_than_ring():
         outcomes = _run_both_engines(config, arrivals, 7)
     assert outcomes["scalar"] == outcomes["vec"]
     (engine,) = [stepper.__self__ for stepper in steppers]
-    longest = max(len(template.ends) for template in engine._templates.values())
+    longest = max(len(template.ends) for template in engine.table.templates.values())
     assert longest > len(engine.pool)
 
 
@@ -717,20 +727,29 @@ def test_mixed_sizes_reuse_shape_rows_across_rotations():
     (engine,) = [stepper.__self__ for stepper in steppers]
     pool = engine.pool.buffers
     rotations = {}  # a shape's slot line counts -> its templates' first slots
-    for (first, key_sizes), template in engine._templates.items():
+    compiles = {}  # a shape's slot line counts -> its templates
+    table = engine.table
+    for (first, key_sizes), template in table.templates.items():
         ring = [pool[(first + slot) % len(pool)] for slot in range(len(key_sizes))]
         counts = tuple(
             buffer.lines_for(min(size, buffer.capacity)).size
             for buffer, size in zip(ring, key_sizes)
         )
         rotations.setdefault(counts, set()).add(first)
+        compiles[counts] = compiles.get(counts, 0) + 1
         _, segments = _reference_compile(engine, list(key_sizes), ring)
         reference = template.replay.data_plan(*segment_rows(segments))
-        assert template.data.block.tobytes() == reference.block.tobytes()
+        assert template.data.block.tolist() == reference.block.tolist()
         assert template.data.static.tolist() == reference.static.tolist()
         assert template.data.accesses == reference.accesses
-    assert len(rotations) == len(engine._shapes) < len(engine._templates)
+    assert len(rotations) == len(table.shapes) < len(table.templates)
     assert max(len(firsts) for firsts in rotations.values()) > 1
+    # A shape keeps its rows from its second compile: one-off shapes
+    # hold none.  Its key leads with the layers' data line counts.
+    layers = tuple(count for _, count in table.layer_runs)
+    assert {
+        layers + counts: uses > 1 for counts, uses in compiles.items()
+    } == {counts: rows is not None for counts, rows in table.shapes.items()}
 
 
 def test_drive_owns_the_vec_engines():
@@ -1191,12 +1210,13 @@ def test_state_memo_reproduces_apply(data):
     memo = vec_module._StateMemo(
         live, penalty, (1.0 - efficiency) if efficiency else None
     )
+    entries = {}
     for hits in (0, 1):
         # A flush tells the memo the tags changed under it.
         live.flush()
         live.l1_tags[:] = start
         before = _stats(live)
-        got, total = memo.replay(template)
+        got, total = memo.replay(template, entries)
         assert memo.hits == hits
         assert got.tolist() == stall.tolist()
         assert total == float(stall.sum())
@@ -1256,11 +1276,12 @@ def test_state_memo_stops_interning_only_without_hits():
     def replay_from(memo, hierarchy, tags):
         hierarchy.flush()
         hierarchy.l1_tags[:] = tags
-        memo.replay(template)
+        memo.replay(template, entries)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vec_module, "MAX_STATES", 2)
         for hit_first in (False, True):
+            entries = {}
             template = vec_module._StepTemplate(
                 replay, replay.data_plan(*segment_rows([np.array([8, 9])])), np.zeros(1),
                 np.empty(0, np.intp), [],
@@ -1344,6 +1365,176 @@ def test_state_table_bound(scheduler):
     assert max(filled) == (2, 2)
     memo = engine.memo
     assert len(memo.states) == len(memo.ids) == (2 if memo.interning else 0)
+
+
+# ----------------------------------------------------------------------
+# Table store: compiled tables shared across drive calls
+
+def _shift(attribute, layer, lines):
+    """A build hook moving one placed layer's code or data lines."""
+
+    def hook(build, config, seed):
+        scheduler = build(config, seed)
+        placed = scheduler.binding.placed_layer(scheduler.layers[layer].name)
+        setattr(placed, attribute, getattr(placed, attribute) + lines)
+        return scheduler
+
+    return hook
+
+
+def _regroup(groups):
+    """A build hook making a grouped scheduler with explicit ``groups``,
+    placed as :func:`build_scheduler` places it."""
+
+    def hook(build, config, seed):
+        binding = MachineBinding(
+            spec=config.spec, rng=seed, pool_buffers=config.pool_buffers,
+            buffer_size=config.buffer_size,
+        )
+        stack = build_paper_stack(config.num_layers, config.layer_code_bytes)
+        return GroupedLDLPScheduler(
+            stack, binding, config.input_limit, groups=groups,
+            drop_policy=DROP_POLICIES[config.drop_policy](),
+        )
+
+    return hook
+
+
+#: Each variant of the base run (conventional cores with 2 KiB of code
+#: per layer, so a moved code line changes the I-cache misses) changes
+#: one engine input: first each part of the table key, then inputs the
+#: key leaves out because no table entry reads them.  A variant is
+#: (config changes, a build hook or None).
+STORE_VARIANTS = {
+    "base": ({}, None),
+    "ilp": ({"scheduler": "ilp"}, None),
+    "ldlp": ({"scheduler": "ldlp"}, None),
+    "groups": ({"scheduler": "ldlp"}, _regroup([[0, 1], [2], [3, 4]])),
+    "code-lines": ({}, _shift("code_lines", 1, 100)),
+    "data-lines": ({}, _shift("data_lines", 2, 5)),
+    "buffers": ({"buffer_size": 1664}, None),
+    "footprint": ({"layer_base_cycles": 1400.0}, None),
+    "ilp-per-byte": ({"scheduler": "ilp", "layer_per_byte_cycles": 0.75}, None),
+    "icache": ({"spec": MachineSpec(icache=CacheGeometry(16384, 32))}, None),
+    "dcache": ({"spec": MachineSpec(dcache=CacheGeometry(16384, 32))}, None),
+    # Not key parts.
+    "penalty": ({"spec": MachineSpec(miss_penalty=35)}, None),
+    "prefetch": ({"spec": MachineSpec(iprefetch_efficiency=0.5)}, None),
+    "batch-limit": ({"scheduler": "ldlp", "batch_limit": 3}, None),
+    "head-drop": ({"drop_policy": "head"}, None),
+}
+
+
+def _store_columns(seed, sizes):
+    """A 10 ms stream past conventional saturation, so multi-step runs
+    replay, with sizes drawn from ``sizes`` and 16 flows."""
+    columns = PoissonSource(30000.0, rng=seed).arrival_columns(0.01)
+    rng = np.random.default_rng(seed)
+    count = len(columns["time"])
+    columns["size"] = rng.choice(sizes, size=count).tolist()
+    columns["flow"] = rng.integers(0, 16, size=count).tolist()
+    return columns
+
+
+def _store_outcomes(variant, cores, lookup, seed, columns):
+    """One run of ``variant`` on ``cores`` cores, with a flow lookup or
+    without: {"shared": vec with the store as it is, "fresh": vec with
+    an empty store, "scalar": ...}, each (canonical result JSON,
+    counters, latency samples).  Only the shared run keeps its tables."""
+    changes, hook = STORE_VARIANTS[variant]
+    config = SimulationConfig(**{
+        "scheduler": "conventional", "layer_code_bytes": 2048, "input_limit": 64,
+        "duration": 0.01, **changes,
+    })
+    if cores > 1:
+        config = replace(config, num_cores=cores, dispatch="rss")
+    flow_cache = FlowCacheSpec(entries=16, organization="lru4") if lookup else None
+    outcomes = {}
+    with pytest.MonkeyPatch.context() as patch:
+        if hook is not None:
+            build = runner_module.build_scheduler
+            patch.setattr(
+                runner_module, "build_scheduler",
+                lambda config, seed: hook(build, config, seed),
+            )
+        for run, engine in (("shared", "vec"), ("fresh", "vec"), ("scalar", "scalar")):
+            if run == "fresh":
+                patch.setattr(vec_module, "_TABLES", {})
+            outcomes[run] = _run_engine(
+                replace(config, engine=engine), columns, seed, flow_cache, lookup
+            )
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("base", variant) for variant in sorted(STORE_VARIANTS)]
+    + [(("base", True), ("base", False)), (("base", False), ("base", True))],
+    ids=str,
+)
+def test_table_store_twin_runs(first, second):
+    """A run after one whose engines differ in one input (a key part,
+    the flow lookup's presence, or an input the key leaves out) equals
+    a fresh-store run and the scalar run: result, counters and latency
+    order.  One message size, so the second run finds templates."""
+    columns = _store_columns(4, [552])
+    first, second = (
+        run if isinstance(run, tuple) else (run, True) for run in (first, second)
+    )
+    for variant, lookup in (first, second):
+        outcomes = _store_outcomes(variant, 1, lookup, 4, columns)
+        assert outcomes["shared"] == outcomes["fresh"] == outcomes["scalar"]
+    assert vec_module._TABLES
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2),
+    sizes=st.sampled_from([[552], [64, 552, 1500]]),
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(STORE_VARIANTS)), st.integers(1, 4), st.booleans()
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_table_store_equals_fresh_and_scalar(seed, sizes, runs):
+    """Random sequences of drive calls, in random order, over variants
+    that share and differ in each engine input, with and without a flow
+    lookup on 1-4 cores: every run through the shared store equals a
+    fresh-store run and the scalar run."""
+    vec_module.clear_tables()
+    columns = _store_columns(seed, sizes)
+    for variant, cores, lookup in [("base", 1, runs[0][2])] + runs:
+        outcomes = _store_outcomes(variant, cores, lookup, seed, columns)
+        assert outcomes["shared"] == outcomes["fresh"] == outcomes["scalar"]
+
+
+def test_table_store_shares_and_stays_in_budget():
+    """A second drive call with equal engine inputs (another rate)
+    compiles nothing its first compiled, and the store evicts the least
+    recently used tables past MAX_TABLE_BYTES."""
+    compiled = []
+    original = vec_module._VecEngine._compile
+
+    def counting(engine, sizes, buffers):
+        compiled.append(tuple(sizes))
+        return original(engine, sizes, buffers)
+
+    config = SimulationConfig(scheduler="ldlp", duration=0.01)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module._VecEngine, "_compile", counting)
+        run_simulation(PoissonSource(9000.0, rng=1), config, seed=1)
+        first = len(compiled)
+        run_simulation(PoissonSource(9000.0, rng=1), config, seed=1)
+        assert first > 0 and len(compiled) == first
+        (table,) = vec_module._TABLES.values()
+        patch.setattr(vec_module, "MAX_TABLE_BYTES", table.nbytes - 1)
+        run_simulation(PoissonSource(9000.0, rng=1), config, seed=2)
+        # The seed-2 table is the most recent; seed 1's went over budget.
+        assert len(vec_module._TABLES) == 1
+        assert next(iter(vec_module._TABLES.values())) is not table
 
 
 # ----------------------------------------------------------------------
