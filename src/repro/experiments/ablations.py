@@ -55,9 +55,9 @@ TABLES: dict[str, tuple[str, str]] = {
 def _run_pair(config_conv: SimulationConfig, config_ldlp: SimulationConfig,
               rate: float, seed: int) -> tuple[RunResult, RunResult]:
     source = PoissonSource(rate, rng=seed)
-    arrivals = source.arrival_list(config_conv.duration)
-    conv = run_simulation(source, config_conv, seed=seed, arrivals=arrivals)
-    ldlp = run_simulation(source, config_ldlp, seed=seed, arrivals=arrivals)
+    columns = source.arrival_columns(config_conv.duration)
+    conv = run_simulation(source, config_conv, seed=seed, columns=columns)
+    ldlp = run_simulation(source, config_ldlp, seed=seed, columns=columns)
     return conv, ldlp
 
 

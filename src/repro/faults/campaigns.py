@@ -82,8 +82,8 @@ def fault_point(
     results = []
     for seed in seeds:
         source = PoissonSource(rate, rng=seed)
-        arrivals = fault_plan.apply(source.arrival_list(duration), seed)
-        results.append(run_simulation(source, config, seed=seed, arrivals=arrivals))
+        columns = fault_plan.apply(source.arrival_columns(duration), seed)
+        results.append(run_simulation(source, config, seed=seed, columns=columns))
     return {
         "result": merge_results(results).to_dict(),
         "policy": policy,

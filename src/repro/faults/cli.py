@@ -133,8 +133,8 @@ def _survives(kind: str, scheduler: str, seed: int, rate: float,
     config = SimulationConfig(scheduler=scheduler, duration=duration)
     source = PoissonSource(rate, rng=seed)
     try:
-        arrivals = plan.apply(source.arrival_list(duration), seed)
-        result = run_simulation(source, config, seed=seed, arrivals=arrivals)
+        columns = plan.apply(source.arrival_columns(duration), seed)
+        result = run_simulation(source, config, seed=seed, columns=columns)
     except ReproError as exc:
         return f"raised {type(exc).__name__}: {exc}"
     if result.completed == 0:

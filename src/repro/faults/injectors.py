@@ -1,8 +1,9 @@
 """Composable, rng-driven fault injectors.
 
 Every injector is one :class:`FaultStage`: a deterministic transform of
-an arrival list (and, where it makes sense, of a raw frame list) driven
-by a :class:`numpy.random.Generator` the plan derives from the run seed.
+an arrival stream's columns (and, where it makes sense, of a raw frame
+list) driven by a :class:`numpy.random.Generator` the plan derives from
+the run seed.
 Stages are JSON round-trippable (``to_params`` / ``from_params``) so a
 whole fault plan travels through the parallel harness as plain point
 parameters and hashes into the result-cache key.
@@ -19,10 +20,11 @@ The stages model what real receive paths face:
 * :class:`CorruptFault` — payload byte flips (meaningful for byte-level
   frames, where it exercises checksum/decode reject paths).
 
-A stage that copies, delays or cuts an arrival changes only its time or
-size: the record keeps its type and tags (a
-:class:`~repro.traffic.zipf.FlowArrival`'s flow, a gossip datagram's
-kind), so a faulted flow-tagged stream still looks up its flows.
+A stage computes an index selection or permutation of the stream and
+replaces at most its ``time`` and ``size`` columns (and clamps a
+gossip stream's ``header_bytes`` to a cut size), so every tag column
+(a flow id, a gossip datagram's kind...) survives by construction: a
+faulted flow-tagged stream still looks up its flows.
 
 Environment injectors perturb the *machine* rather than the traffic:
 
@@ -36,19 +38,43 @@ Environment injectors perturb the *machine* rather than the traffic:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..traffic.base import Arrival
+from ..traffic.base import ArrivalColumns, check_positive
 
 
 def _check_rate(rate: float) -> None:
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"fault rate must be in [0, 1]: {rate}")
+
+
+def _take(
+    columns: ArrivalColumns, index: np.ndarray, **replaced: np.ndarray
+) -> ArrivalColumns:
+    """Every column indexed by ``index`` (an integer array), in column
+    order, except those named in ``replaced``, which take the given
+    arrays (already indexed) instead."""
+    return {
+        name: (
+            replaced[name] if name in replaced else np.asarray(column)[index]
+        ).tolist()
+        for name, column in columns.items()
+    }
+
+
+def _time_order(
+    columns: ArrivalColumns, index: np.ndarray, times: np.ndarray
+) -> ArrivalColumns:
+    """The arrivals ``index`` with new ``times``, stably sorted by time
+    (equal times keep their order, as ``list.sort`` does)."""
+    order = np.argsort(times, kind="stable")
+    return _take(columns, index[order], time=times[order])
 
 
 class FaultStage(ABC):
@@ -64,9 +90,10 @@ class FaultStage(ABC):
 
     @abstractmethod
     def apply(
-        self, arrivals: list[Arrival], rng: np.random.Generator
-    ) -> list[Arrival]:
-        """Transform an arrival list (must not mutate the input)."""
+        self, columns: ArrivalColumns, rng: np.random.Generator
+    ) -> ArrivalColumns:
+        """Transform an arrival stream's columns into new lists (must
+        not mutate the input)."""
 
     def apply_frames(
         self, frames: list[bytes], rng: np.random.Generator
@@ -97,11 +124,11 @@ class LossFault(FaultStage):
         _check_rate(self.rate)
 
     def apply(
-        self, arrivals: list[Arrival], rng: np.random.Generator
-    ) -> list[Arrival]:
+        self, columns: ArrivalColumns, rng: np.random.Generator
+    ) -> ArrivalColumns:
         """Keep each arrival with probability ``1 - rate``."""
-        keep = rng.random(len(arrivals)) >= self.rate
-        return [a for a, k in zip(arrivals, keep) if k]
+        keep = rng.random(len(columns["time"])) >= self.rate
+        return _take(columns, np.flatnonzero(keep))
 
     def apply_frames(
         self, frames: list[bytes], rng: np.random.Generator
@@ -131,20 +158,21 @@ class DuplicateFault(FaultStage):
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.delay < 0:
-            raise ConfigurationError(f"duplicate delay must be >= 0: {self.delay}")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ConfigurationError(
+                f"duplicate delay must be finite and >= 0: {self.delay}"
+            )
 
     def apply(
-        self, arrivals: list[Arrival], rng: np.random.Generator
-    ) -> list[Arrival]:
+        self, columns: ArrivalColumns, rng: np.random.Generator
+    ) -> ArrivalColumns:
         """Insert time-shifted copies of the selected arrivals."""
-        chosen = rng.random(len(arrivals)) < self.rate
-        out = list(arrivals)
-        for arrival, dup in zip(arrivals, chosen):
-            if dup:
-                out.append(replace(arrival, time=arrival.time + self.delay))
-        out.sort(key=lambda a: a.time)
-        return out
+        times = np.asarray(columns["time"], dtype=float)
+        copies = np.flatnonzero(rng.random(len(times)) < self.rate)
+        index = np.concatenate((np.arange(len(times)), copies))
+        return _time_order(
+            columns, index, np.concatenate((times, times[copies] + self.delay))
+        )
 
     def apply_frames(
         self, frames: list[bytes], rng: np.random.Generator
@@ -195,11 +223,11 @@ class ReorderFault(FaultStage):
         return order
 
     def apply(
-        self, arrivals: list[Arrival], rng: np.random.Generator
-    ) -> list[Arrival]:
+        self, columns: ArrivalColumns, rng: np.random.Generator
+    ) -> ArrivalColumns:
         """Reorder delivery positions, keeping each arrival's timestamp."""
-        order = self._permute(len(arrivals), rng)
-        return [arrivals[i] for i in order]
+        order = self._permute(len(columns["time"]), rng)
+        return _take(columns, np.array(order, dtype=np.int64))
 
     def apply_frames(
         self, frames: list[bytes], rng: np.random.Generator
@@ -228,21 +256,18 @@ class DelayFault(FaultStage):
 
     def __post_init__(self) -> None:
         _check_rate(self.rate)
-        if self.mean <= 0:
-            raise ConfigurationError(f"mean delay must be positive: {self.mean}")
+        check_positive(self.mean, "mean delay")
 
     def apply(
-        self, arrivals: list[Arrival], rng: np.random.Generator
-    ) -> list[Arrival]:
+        self, columns: ArrivalColumns, rng: np.random.Generator
+    ) -> ArrivalColumns:
         """Shift selected timestamps by Exp(mean) and restore time order."""
-        chosen = rng.random(len(arrivals)) < self.rate
-        jitter = rng.exponential(self.mean, size=len(arrivals))
-        out = [
-            replace(a, time=a.time + float(j)) if c else a
-            for a, c, j in zip(arrivals, chosen, jitter)
-        ]
-        out.sort(key=lambda a: a.time)
-        return out
+        times = np.asarray(columns["time"], dtype=float)
+        chosen = rng.random(len(times)) < self.rate
+        jitter = rng.exponential(self.mean, size=len(times))
+        return _time_order(
+            columns, np.arange(len(times)), np.where(chosen, times + jitter, times)
+        )
 
     def to_params(self) -> dict[str, Any]:
         """JSON form."""
@@ -254,10 +279,11 @@ class TruncateFault(FaultStage):
     """Cut selected packets short (runt frames).
 
     At the arrival level the size shrinks to a uniform fraction (at
-    least ``min_size``; :meth:`~repro.traffic.base.Arrival.truncated`
-    keeps the record's tags); at the frame level the byte string itself
-    is sliced, which is what drives header parsers and checksum
-    verification into their reject paths.
+    least ``min_size``), and a ``header_bytes`` column is clamped to the
+    new size: a cut inside a gossip datagram's headers leaves only
+    header bytes.  At the frame level the byte string itself is sliced,
+    which is what drives header parsers and checksum verification into
+    their reject paths.
     """
 
     rate: float = 0.01
@@ -273,19 +299,18 @@ class TruncateFault(FaultStage):
             )
 
     def apply(
-        self, arrivals: list[Arrival], rng: np.random.Generator
-    ) -> list[Arrival]:
+        self, columns: ArrivalColumns, rng: np.random.Generator
+    ) -> ArrivalColumns:
         """Shrink selected sizes to a uniform fraction of the original."""
-        chosen = rng.random(len(arrivals)) < self.rate
-        fractions = rng.uniform(0.05, 0.95, size=len(arrivals))
-        out = []
-        for arrival, cut, fraction in zip(arrivals, chosen, fractions):
-            if cut and arrival.size > self.min_size:
-                size = max(self.min_size, int(arrival.size * float(fraction)))
-                out.append(arrival.truncated(size))
-            else:
-                out.append(arrival)
-        return out
+        sizes = np.asarray(columns["size"], dtype=np.int64)
+        chosen = rng.random(len(sizes)) < self.rate
+        fractions = rng.uniform(0.05, 0.95, size=len(sizes))
+        cut = np.maximum(self.min_size, (sizes * fractions).astype(np.int64))
+        sizes = np.where(chosen & (sizes > self.min_size), cut, sizes)
+        replaced = {"size": sizes}
+        if "header_bytes" in columns:
+            replaced["header_bytes"] = np.minimum(columns["header_bytes"], sizes)
+        return _take(columns, np.arange(len(sizes)), **replaced)
 
     def apply_frames(
         self, frames: list[bytes], rng: np.random.Generator
@@ -332,15 +357,15 @@ class CorruptFault(FaultStage):
             )
 
     def apply(
-        self, arrivals: list[Arrival], rng: np.random.Generator
-    ) -> list[Arrival]:
+        self, columns: ArrivalColumns, rng: np.random.Generator
+    ) -> ArrivalColumns:
         """Identity — synthetic arrivals carry no bytes to corrupt.
 
         The rng is still consumed once per arrival so a plan produces
         the same downstream stream whether or not payloads exist.
         """
-        rng.random(len(arrivals))
-        return list(arrivals)
+        rng.random(len(columns["time"]))
+        return {name: list(column) for name, column in columns.items()}
 
     def apply_frames(
         self, frames: list[bytes], rng: np.random.Generator
@@ -411,6 +436,7 @@ class MbufExhaustionWindows:
         """The ``gate(allocation_index) -> allowed`` callable to install."""
 
         def allowed(index: int) -> bool:
+            """Whether allocation attempt ``index`` may succeed."""
             if index < self.start:
                 return True
             return (index - self.start) % self.period >= self.width

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cache.hierarchy import MachineSpec
 from ..errors import ConfigurationError
-from ..traffic.base import Arrival
+from ..traffic.base import ArrivalColumns, check_positive
 from .injectors import FaultStage, MbufExhaustionWindows, stage_from_params
 
 #: Root of every fault rng stream; distinct from traffic/placement seeds
@@ -66,8 +66,8 @@ class FaultPlan:
     mbuf_windows: MbufExhaustionWindows | None = None
 
     def __post_init__(self) -> None:
-        if self.flush_period_cycles is not None and self.flush_period_cycles <= 0:
-            raise ConfigurationError("cache-flush period must be positive")
+        if self.flush_period_cycles is not None:
+            check_positive(self.flush_period_cycles, "cache-flush period")
         if not 0.0 < self.clock_derate <= 1.0:
             raise ConfigurationError(
                 f"clock derate must be in (0, 1]: {self.clock_derate}"
@@ -79,12 +79,12 @@ class FaultPlan:
         tag = zlib.crc32(stage.kind.encode("ascii"))
         return np.random.default_rng([FAULT_SEED_TAG, tag, index, seed])
 
-    def apply(self, arrivals: list[Arrival], seed: int) -> list[Arrival]:
-        """Run an arrival list through every stage, in order."""
-        stream = list(arrivals)
-        for index in range(len(self.stages)):
-            stream = self.stages[index].apply(stream, self.stage_rng(index, seed))
-        return stream
+    def apply(self, columns: ArrivalColumns, seed: int) -> ArrivalColumns:
+        """Run an arrival stream's columns through every stage, in order
+        (no stage mutates its input)."""
+        for index, stage in enumerate(self.stages):
+            columns = stage.apply(columns, self.stage_rng(index, seed))
+        return columns
 
     def apply_frames(self, frames: list[bytes], seed: int) -> list[bytes]:
         """Run raw frames through every stage, in order."""

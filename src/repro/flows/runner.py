@@ -7,7 +7,7 @@ with a skewed destination-flow column,
 :class:`~repro.flows.lookup.FlowLookup` is attached to the machine
 binding, and the standard drive loop runs
 (:func:`repro.sim.runner.simulate`; this module only turns the flow
-column into each message's meta dict, with no per-arrival record).
+column into each message's meta dict).
 The scheduler hooks (:func:`repro.core.scheduler.charge_flow_lookups`)
 then charge one route/PCB lookup per distinct flow per service batch —
 so under load, LDLP and Grouped batches amortize lookup misses the same
@@ -33,7 +33,7 @@ from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError
 from ..sim.runner import SimulationConfig, simulate
 from ..sim.stats import RunResult, merge_results
-from ..traffic.base import Arrival, ArrivalColumns, TrafficSource, record_columns
+from ..traffic.base import ArrivalColumns, TrafficSource
 from ..traffic.onoff import ParetoOnOffSource
 from ..traffic.poisson import PoissonSource
 from ..traffic.zipf import ZipfFlowSource
@@ -133,23 +133,21 @@ def run_flow_simulation(
     config: SimulationConfig | None = None,
     cache: FlowCacheSpec | None = None,
     seed: int | np.random.Generator | None = 0,
-    arrivals: list[Arrival] | None = None,
+    columns: ArrivalColumns | None = None,
 ) -> FlowRunResult:
     """Run one configuration with flow-lookup charging attached.
 
     Each message is tagged with its arrival's flow id (the ``"flow"``
-    column of :class:`~repro.traffic.zipf.FlowArrival` streams) under
-    :data:`~repro.core.dispatch.FLOW_KEY`; plain arrivals all map to
-    flow 0 — one destination, the degenerate case where every lookup
-    after the first hits.  ``arrivals`` overrides the source's stream
-    (to replay the identical sequence against several schedulers or
-    cache organizations).
+    column, as :class:`~repro.traffic.zipf.ZipfFlowSource` draws it)
+    under :data:`~repro.core.dispatch.FLOW_KEY`; a stream without one
+    maps every arrival to flow 0 — one destination, the degenerate case
+    where every lookup after the first hits.  ``columns`` overrides the
+    source's stream (to replay the identical sequence against several
+    schedulers or cache organizations).
     """
     config = config or SimulationConfig()
-    if arrivals is None:
+    if columns is None:
         columns = source.arrival_columns(config.duration)
-    else:
-        columns = record_columns(arrivals)
     run, cores, _ = simulate(
         source,
         config,

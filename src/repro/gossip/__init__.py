@@ -8,7 +8,7 @@ harness sweep point (:mod:`repro.gossip.runner`).  See
 ``EXPERIMENTS.md`` for the golden-pinned ``gossip`` sweep.
 """
 
-from .fleet import GossipArrival, GossipFleetSource, GossipFleetSpec
+from .fleet import GossipFleetSource, GossipFleetSpec
 from .runner import (
     GossipRunResult,
     gossip_point,
@@ -39,7 +39,6 @@ __all__ = [
     "FRAMING_MODES",
     "MESSAGE_IDS",
     "FramingSpec",
-    "GossipArrival",
     "GossipFleetSource",
     "GossipFleetSpec",
     "GossipRunResult",

@@ -5,18 +5,20 @@ module generates it.  A :class:`GossipFleetSpec` describes a community
 of peers — how many, how skewed their popularity, which framing mode
 the wire uses, how many small messages pack into each
 ``dispersy-collection`` — and :class:`GossipFleetSource` turns the spec
-into an arrival stream of *datagrams*: each arrival's size is the exact
-wire size from :mod:`repro.gossip.wire`, its ``flow`` is the Zipf-drawn
-destination peer (feeding the PR-9 flow-lookup cache), and its ``kind``
-is the application class (feeding the PR-8 receive-side dispatch).
+into an arrival stream of *datagrams*, as columns: each arrival's
+``size`` is the exact wire size from :mod:`repro.gossip.wire`, its
+``flow`` is the Zipf-drawn destination peer (feeding the flow-lookup
+cache), its ``kind`` is the application class (feeding the receive-side
+dispatch), and ``community``, ``messages`` and ``header_bytes`` carry
+the datagram's community and its
+:func:`~repro.gossip.wire.datagram_accounting`.
 
 Determinism is structural, not incidental: every random block — the
 Poisson datagram times, the Zipf peer draws, the data/control kind
 draws — comes from its **own** crc32-derived generator
 (``crc32("gossip:<label>:<seed>")``), freshly constructed inside every
-:meth:`~GossipFleetSource.arrival_columns` call, which
-:meth:`~GossipFleetSource.arrivals` builds its records from.  There is
-no stored RNG state, so re-materializing the stream yields identical
+:meth:`~GossipFleetSource.arrival_columns` call.  There is no stored
+RNG state, so re-materializing the stream yields identical
 arrivals — the property whose absence in stateful base sources is the
 bug ``ZipfFlowSource``'s per-horizon snapshot guards against.
 """
@@ -24,64 +26,19 @@ bug ``ZipfFlowSource``'s per-horizon snapshot guards against.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..traffic.base import ArrivalColumns, TrafficSource, check_positive
-from ..traffic.zipf import FlowArrival, zipf_weights
+from ..traffic.zipf import zipf_weights
 from .wire import (
     CONTROL_KINDS,
     CONTROL_PAYLOAD_BYTES,
     FRAMING_MODES,
     datagram_accounting,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class GossipArrival(FlowArrival):
-    """One gossip datagram arrival.
-
-    ``size`` is the full wire size (transport overhead + framing +
-    payloads); ``flow`` is the destination peer id; ``kind`` is the
-    message kind (the decoded application class); ``messages`` and
-    ``header_bytes`` are the datagram's logical-message count and
-    non-payload byte count from
-    :func:`repro.gossip.wire.datagram_accounting`, which the gossip
-    runner aggregates into the header-bytes/msg headline.
-    """
-
-    kind: str = "data"
-    community: int = 0
-    messages: int = 1
-    header_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        # Explicit base call: slots=True rebinds the class under
-        # @dataclass, breaking zero-argument super() (same workaround
-        # as FlowArrival itself).
-        FlowArrival.__post_init__(self)
-        if self.community < 0:
-            raise ConfigurationError(
-                f"community must be non-negative: {self.community}"
-            )
-        if self.messages < 1:
-            raise ConfigurationError(
-                f"a datagram carries at least one message: {self.messages}"
-            )
-        if not 0 <= self.header_bytes <= self.size:
-            raise ConfigurationError(
-                f"header bytes {self.header_bytes} outside datagram size "
-                f"{self.size}"
-            )
-
-    def truncated(self, size: int) -> GossipArrival:
-        """This datagram cut short to ``size`` bytes: a cut inside the
-        headers leaves only header bytes, so ``header_bytes`` is clamped
-        to ``size``."""
-        return replace(self, size=size, header_bytes=min(self.header_bytes, size))
 
 
 @dataclass(frozen=True)
@@ -165,11 +122,16 @@ class GossipFleetSpec:
 class GossipFleetSource(TrafficSource):
     """A gossip fleet as a :class:`~repro.traffic.base.TrafficSource`.
 
-    Emits :class:`GossipArrival` datagrams whose sizes come from the
-    byte-accurate wire model, so the cache/footprint simulation sees
-    exactly the bytes the protocol would put on the network.  Stateless
-    between materializations: every :meth:`arrival_columns` call (and
-    so every :meth:`arrivals` call) derives fresh generators from the
+    Emits datagram columns whose sizes come from the byte-accurate wire
+    model, so the cache/footprint simulation sees exactly the bytes the
+    protocol would put on the network: ``size`` is the full wire size
+    (transport overhead + framing + payloads), ``flow`` the destination
+    peer id, ``kind`` the message kind (the decoded application class),
+    ``community`` the peer's community, and ``messages`` and
+    ``header_bytes`` the datagram's logical-message count and
+    non-payload byte count, which the gossip runner aggregates into the
+    header-bytes/msg headline.  Stateless between materializations:
+    every :meth:`arrival_columns` call derives fresh generators from the
     spec's seed, so the same source object can be materialized any
     number of times (or replayed under several schedulers) and always
     produce the identical stream.
@@ -204,10 +166,6 @@ class GossipFleetSource(TrafficSource):
         times = np.cumsum(np.concatenate(gaps))
         return times[times < duration]
 
-    def arrivals(self, duration: float) -> Iterator[GossipArrival]:
-        """Yield :meth:`arrival_columns` as :class:`GossipArrival` records."""
-        yield from map(GossipArrival, *self.arrival_columns(duration).values())
-
     def arrival_columns(self, duration: float) -> ArrivalColumns:
         """The fleet's datagram stream for one horizon, as columns.
 
@@ -235,11 +193,13 @@ class GossipFleetSource(TrafficSource):
             datagram_accounting(spec.framing, kind, sizes)
             for kind, sizes in zip(kinds, payloads)
         ]
-        # GossipArrival's checks, once per shape, by building one record
-        # of it: every datagram has one of these shapes, and its time,
-        # peer and community are non-negative by construction.
-        for kind, (wire, header, messages) in zip(kinds, accounting):
-            GossipArrival(0.0, wire, 0, kind, 0, messages, header)
+        # Once per shape: every datagram has one of these shapes.
+        for wire, header, messages in accounting:
+            if messages < 1 or not 0 <= header <= wire:
+                raise ConfigurationError(
+                    f"a {wire}-byte datagram needs >= 1 message and 0..{wire} "
+                    f"header bytes, got {messages} and {header}"
+                )
         shapes = np.where(is_data, 0, control_kinds + 1)
         wire, header, messages = (
             np.array(column)[shapes].tolist() for column in zip(*accounting)

@@ -3,8 +3,7 @@
 Glue between :mod:`repro.gossip.fleet` and the existing machinery: a
 :class:`~repro.gossip.fleet.GossipFleetSource` supplies byte-accurate
 datagram arrival columns, each message is built straight from them
-(no per-datagram record) with its message kind
-(:data:`~repro.core.dispatch.APP_CLASS_KEY`) and, for a data datagram,
+with its message kind (:data:`~repro.core.dispatch.APP_CLASS_KEY`) and, for a data datagram,
 its destination peer (:data:`~repro.core.dispatch.FLOW_KEY`) in its
 meta, a flow-lookup cache is attached to the binding, and the standard
 drive loop runs.  Control datagrams (synchronize / acknowledgment

@@ -39,9 +39,12 @@ def trace_simulation(
     duration: float = 0.02,
     message_size: int = 552,
     spec: MachineSpec | None = None,
-    arrivals: list | None = None,
+    columns: dict[str, list] | None = None,
 ) -> TracedRun:
     """Run one Section-4 simulation with tracing enabled.
+
+    ``columns`` overrides the Poisson source's stream, as in
+    :func:`~repro.sim.runner.run_simulation`.
 
     Imports the simulator lazily so building a receive-path trace never
     pays for the scheduler stack.
@@ -57,7 +60,7 @@ def trace_simulation(
     source = PoissonSource(rate, size=message_size, rng=seed)
     recorder = Recorder(keep_spans=True)
     with recording(recorder):
-        result = run_simulation(source, config, seed=seed, arrivals=arrivals)
+        result = run_simulation(source, config, seed=seed, columns=columns)
     return TracedRun(name=scheduler, recorder=recorder, result=result)
 
 
@@ -72,7 +75,7 @@ def trace_schedulers(
     from ..traffic.poisson import PoissonSource
 
     source = PoissonSource(rate, size=message_size, rng=seed)
-    arrivals = source.arrival_list(duration)
+    columns = source.arrival_columns(duration)
     return [
         trace_simulation(
             scheduler=name,
@@ -80,7 +83,7 @@ def trace_schedulers(
             seed=seed,
             duration=duration,
             message_size=message_size,
-            arrivals=arrivals,
+            columns=columns,
         )
         for name in schedulers
     ]

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 from ..errors import ConfigurationError
-from ..traffic.base import Arrival, TrafficSource, record_columns
+from ..traffic.base import ArrivalColumns, TrafficSource
 from ..traffic.poisson import PoissonSource
 from .runner import SimulationConfig, simulate
 from .stats import RunResult, merge_results
@@ -107,11 +107,11 @@ def run_multicore(
     source: TrafficSource,
     config: SimulationConfig,
     seed: int = 0,
-    arrivals: list[Arrival] | None = None,
+    columns: ArrivalColumns | None = None,
 ) -> MultiCoreRunResult:
     """Run one dispatched configuration against one traffic source.
 
-    ``config`` must name a ``dispatch`` policy.  ``arrivals`` overrides
+    ``config`` must name a ``dispatch`` policy.  ``columns`` overrides
     the source's stream (used to replay the identical arrival sequence
     against several dispatch policies or core counts).  The aggregate
     is :func:`repro.sim.runner.run_simulation`'s accounting; the
@@ -120,7 +120,6 @@ def run_multicore(
     """
     if config.dispatch is None:
         raise ConfigurationError("run_multicore() needs a dispatch policy")
-    columns = None if arrivals is None else record_columns(arrivals)
     aggregate, cores, outcome = simulate(source, config, seed, columns)
     core_stats = tuple(
         CoreStats(

@@ -59,7 +59,7 @@ from ..core.scheduler import (
 from ..errors import ConfigurationError, SimulationError
 from ..machine.multicore import MultiCoreSpec
 from ..obs.runtime import active_recorder, machine_counters, span_recorder
-from ..traffic.base import Arrival, ArrivalColumns, TrafficSource, record_columns
+from ..traffic.base import ArrivalColumns, TrafficSource, check_positive
 from ..traffic.poisson import PoissonSource
 from .stats import (
     LatencyRecorder,
@@ -162,11 +162,7 @@ class SimulationConfig:
                 f"unknown scheduler {self.scheduler!r}; expected one of "
                 f"{SCHEDULER_NAMES}"
             )
-        # NaN fails every comparison, so test finiteness first.
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ConfigurationError(
-                f"duration must be positive and finite, got {self.duration}"
-            )
+        check_positive(self.duration, "duration")
         if self.drop_policy not in DROP_POLICIES:
             raise ConfigurationError(
                 f"unknown drop policy {self.drop_policy!r}; expected one of "
@@ -350,10 +346,8 @@ def _stepper(scheduler: Scheduler, engine: str, multi_step: bool) -> Stepper:
 
 def _check_flush_period(period: float | None) -> None:
     """Reject a flush period that is not positive and finite (NaN never flushes)."""
-    if period is not None and not (math.isfinite(period) and period > 0):
-        raise ConfigurationError(
-            f"cache-flush period must be positive and finite, got {period}"
-        )
+    if period is not None:
+        check_positive(period, "cache-flush period")
 
 
 def drive(
@@ -742,6 +736,29 @@ def _event_merge(
     )
 
 
+def _check_columns(columns: ArrivalColumns) -> None:
+    """Raise :class:`ConfigurationError` unless every column has the same
+    length, every time is finite and non-negative and every size is
+    positive.  Whole-column reductions decide; only a failing stream is
+    walked, to name its first bad value (a sum of finite times can
+    overflow to infinity, so that walk may find nothing to reject)."""
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ConfigurationError(f"arrival columns differ in length: {lengths}")
+    times, sizes = columns["time"], columns["size"]
+    if len(times) == 0:
+        return
+    if not (min(times) >= 0 and math.isfinite(sum(times))):
+        for time in times:
+            if not (math.isfinite(time) and time >= 0):
+                raise ConfigurationError(
+                    f"arrival time must be finite and non-negative: {time}"
+                )
+    if not min(sizes) > 0:
+        size = next(size for size in sizes if not size > 0)
+        raise ConfigurationError(f"arrival size must be positive: {size}")
+
+
 def simulate(
     source: TrafficSource,
     config: SimulationConfig,
@@ -754,10 +771,11 @@ def simulate(
 
     The shared body of every runner.  The stream is ``columns``, or the
     source's own :meth:`~repro.traffic.base.TrafficSource.arrival_columns`
-    over the configured duration; every message is built from its
-    ``"time"`` and ``"size"`` columns in one bulk call, starting with
-    its entry of ``metas`` as its meta dict — how a workload tags each
-    message (flow, message kind) before the drive.  ``flow_cache`` (a
+    over the configured duration, and :func:`_check_columns` checks it;
+    every message is built from its ``"time"`` and ``"size"`` columns
+    in one bulk call, starting with its entry of ``metas`` as its meta
+    dict — how a workload tags each message (flow, message kind) before
+    the drive.  ``flow_cache`` (a
     :class:`repro.flows.lookup.FlowCacheSpec`, or anything whose
     ``build()`` returns a fresh lookup cache) attaches a route/PCB
     lookup cache to every core; a configured dispatch policy tags flows
@@ -772,6 +790,7 @@ def simulate(
             scheduler.binding.flow_lookup = flow_cache.build()
     if columns is None:
         columns = source.arrival_columns(config.duration)
+    _check_columns(columns)
     times = columns["time"]
     messages = arrival_messages(times, columns["size"], metas)
     timestamped = list(zip(times, messages))
@@ -793,14 +812,13 @@ def run_simulation(
     source: TrafficSource,
     config: SimulationConfig | None = None,
     seed: int | np.random.Generator | None = 0,
-    arrivals: list[Arrival] | None = None,
+    columns: ArrivalColumns | None = None,
 ) -> RunResult:
     """Run one configuration against one traffic source.
 
-    ``arrivals`` overrides the source's stream (used to replay the
+    ``columns`` overrides the source's stream (used to replay the
     identical arrival sequence against several schedulers).
     """
-    columns = None if arrivals is None else record_columns(arrivals)
     return simulate(source, config or SimulationConfig(), seed, columns)[0]
 
 
@@ -950,13 +968,13 @@ def compare_schedulers(
     """Run several schedulers against the *same* arrival sequence."""
     base = config or SimulationConfig(duration=duration)
     source = PoissonSource(arrival_rate, size=message_size, rng=seed)
-    arrivals = source.arrival_list(base.duration)
+    columns = source.arrival_columns(base.duration)
     results = {}
     for name in schedulers:
         results[name] = run_simulation(
             source,
             base.with_scheduler(name),
             seed=seed,
-            arrivals=arrivals,
+            columns=columns,
         )
     return ComparisonResult(results)

@@ -7,7 +7,7 @@ layers Zipf-distributed destination flows over any base source for the
 flow-lookup cache sweep (:mod:`repro.flows`).
 """
 
-from .base import Arrival, TrafficSource, make_rng
+from .base import TrafficSource, make_rng
 from .bellcore import (
     ETHERNET_MAX,
     ETHERNET_MIN,
@@ -16,7 +16,6 @@ from .bellcore import (
     TraceSource,
     bellcore_like_source,
     read_bellcore_trace,
-    synthesize_bellcore_like,
     write_bellcore_trace,
 )
 from .onoff import ParetoOnOffSource, hurst_estimate, pareto_samples
@@ -27,7 +26,6 @@ from .poisson import (
     PoissonSource,
 )
 from .zipf import (
-    FlowArrival,
     ZipfFlowSource,
     flow_rng,
     zipf_flow_ids,
@@ -35,12 +33,10 @@ from .zipf import (
 )
 
 __all__ = [
-    "Arrival",
     "BurstSource",
     "DeterministicSource",
     "ETHERNET_MAX",
     "ETHERNET_MIN",
-    "FlowArrival",
     "OCT89_SIZE_MIX",
     "PAPER_MESSAGE_SIZE",
     "ParetoOnOffSource",
@@ -55,7 +51,6 @@ __all__ = [
     "make_rng",
     "pareto_samples",
     "read_bellcore_trace",
-    "synthesize_bellcore_like",
     "write_bellcore_trace",
     "zipf_flow_ids",
     "zipf_weights",

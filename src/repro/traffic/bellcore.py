@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, TraceError
-from .base import Arrival, TrafficSource, check_positive, make_rng
+from .base import ArrivalColumns, TrafficSource, check_positive, make_rng
 from .onoff import ParetoOnOffSource
 
 #: Minimum / maximum Ethernet frame sizes.
@@ -67,6 +66,7 @@ class SizeMix:
 
     @property
     def mean(self) -> float:
+        """The mixture's mean size in bytes."""
         probs = np.asarray(self.weights, dtype=float)
         probs = probs / probs.sum()
         return float(np.dot(probs, np.asarray(self.sizes, dtype=float)))
@@ -83,8 +83,9 @@ OCT89_SIZE_MIX = SizeMix(
 
 def read_bellcore_trace(
     path: str | Path, limit: float | None = None, clamp: bool = False
-) -> list[Arrival]:
-    """Read a two-column (timestamp, length) Bellcore-format trace.
+) -> ArrivalColumns:
+    """Read a two-column (timestamp, length) Bellcore-format trace as
+    ``"time"`` and ``"size"`` columns.
 
     ``limit`` truncates to the first ``limit`` seconds (the paper uses
     "the first 1000 seconds of the October 5, 1989 trace").
@@ -107,7 +108,8 @@ def read_bellcore_trace(
     instead of raising.  A NaN or infinite timestamp has no sane clamp
     and raises either way.
     """
-    arrivals: list[Arrival] = []
+    times: list[float] = []
+    sizes: list[int] = []
     last_time = 0.0
     # surrogateescape: a non-ASCII byte fails isascii() with its line number.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as stream:
@@ -153,31 +155,17 @@ def read_bellcore_trace(
             if limit is not None and time >= limit:
                 break
             last_time = time
-            arrivals.append(Arrival(time, size))
-    return arrivals
+            times.append(time)
+            sizes.append(size)
+    return {"time": times, "size": sizes}
 
 
-def write_bellcore_trace(arrivals: Iterable[Arrival], path: str | Path) -> None:
-    """Write arrivals in the two-column Bellcore format."""
+def write_bellcore_trace(columns: ArrivalColumns, path: str | Path) -> None:
+    """Write a stream's ``"time"`` and ``"size"`` columns in the
+    two-column Bellcore format."""
     with open(path, "w", encoding="ascii") as stream:
-        for arrival in arrivals:
-            stream.write(f"{arrival.time:.6f} {arrival.size}\n")
-
-
-def synthesize_bellcore_like(
-    duration: float,
-    mean_rate: float = 1000.0,
-    size_mix: SizeMix = OCT89_SIZE_MIX,
-    rng: np.random.Generator | int | None = None,
-    num_sources: int = 32,
-    alpha: float = 1.5,
-) -> list[Arrival]:
-    """Synthesize a self-similar, Bellcore-like arrival list: the
-    records of :func:`bellcore_like_source`'s stream."""
-    check_positive(duration, "duration")
-    return bellcore_like_source(
-        mean_rate, size_mix, rng, num_sources, alpha
-    ).arrival_list(duration)
+        for time, size in zip(columns["time"], columns["size"]):
+            stream.write(f"{time:.6f} {size}\n")
 
 
 def bellcore_like_source(
@@ -210,16 +198,25 @@ def bellcore_like_source(
 
 
 class TraceSource(TrafficSource):
-    """A traffic source replaying a fixed arrival list (real or synthetic)."""
+    """A traffic source replaying a fixed stream (real or synthetic).
 
-    def __init__(self, arrivals: Sequence[Arrival]) -> None:
-        self._arrivals = sorted(arrivals, key=lambda a: a.time)
+    The stream's columns are put in time order once, by a stable sort,
+    so arrivals with equal timestamps keep their order.
+    """
 
-    def arrivals(self, duration: float) -> Iterator[Arrival]:
-        for arrival in self._arrivals:
-            if arrival.time >= duration:
-                return
-            yield arrival
+    def __init__(self, columns: ArrivalColumns) -> None:
+        order = np.argsort(columns["time"], kind="stable").tolist()
+        self._columns = {
+            name: [column[index] for index in order]
+            for name, column in columns.items()
+        }
+
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """The stream's arrivals before ``duration``: its first
+        ``count`` arrivals, where the ``count``-th is the first at or
+        past the horizon."""
+        count = int(np.searchsorted(self._columns["time"], duration))
+        return {name: column[:count] for name, column in self._columns.items()}
 
     def __len__(self) -> int:
-        return len(self._arrivals)
+        return len(self._columns["time"])

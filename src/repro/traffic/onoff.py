@@ -13,12 +13,12 @@ self-similar with Hurst parameter H = (3 - alpha) / 2.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, ArrivalColumns, TrafficSource, check_positive, make_rng
+from .base import ArrivalColumns, TrafficSource, check_positive, make_rng
 
 if TYPE_CHECKING:
     from .bellcore import SizeMix
@@ -118,16 +118,8 @@ class ParetoOnOffSource(TrafficSource):
             now = now + on_len + off_len
         return np.asarray(times)
 
-    def arrivals(self, duration: float) -> Iterator[Arrival]:
-        yield from map(Arrival, *self.arrival_columns(duration).values())
-
     def arrival_columns(self, duration: float) -> ArrivalColumns:
-        """The merged trains' times, then every size drawn in one call.
-
-        Times are non-negative by construction; the sizes, which may come
-        from any sampler, are checked once for the column, raising
-        :class:`Arrival`'s own error for the first non-positive one.
-        """
+        """The merged trains' times, then every size drawn in one call."""
         if duration <= 0:
             return {"time": [], "size": []}
         streams = [
@@ -143,9 +135,6 @@ class ParetoOnOffSource(TrafficSource):
             sizes = self.size.sample(self.rng, len(times)).tolist()
         else:
             sizes = [int(self.size)] * len(times)
-        if sizes and min(sizes) <= 0:
-            size = next(size for size in sizes if size <= 0)
-            raise ConfigurationError(f"arrival size must be positive: {size}")
         return {"time": times, "size": sizes}
 
 

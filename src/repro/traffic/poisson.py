@@ -7,12 +7,10 @@ Poisson traffic source".
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, ArrivalColumns, TrafficSource, check_positive, make_rng
+from .base import ArrivalColumns, TrafficSource, check_positive, make_rng
 
 #: The paper's message size for Figures 5 and 6.
 PAPER_MESSAGE_SIZE = 552
@@ -67,15 +65,8 @@ class PoissonSource(TrafficSource):
                 return np.concatenate(chunks)
             time = times[-1]
 
-    def arrivals(self, duration: float) -> Iterator[Arrival]:
-        yield from map(Arrival, *self.arrival_columns(duration).values())
-
     def arrival_columns(self, duration: float) -> ArrivalColumns:
-        """:meth:`arrival_times` as a list, with the fixed size per arrival.
-
-        :class:`Arrival`'s checks hold by construction: times accumulate
-        non-negative gaps from 0, and the constructor checked the size.
-        """
+        """:meth:`arrival_times` as a list, with the fixed size per arrival."""
         times = self.arrival_times(duration).tolist()
         return {"time": times, "size": [self.size] * len(times)}
 
@@ -94,14 +85,12 @@ class DeterministicSource(TrafficSource):
         self.rate = rate
         self.size = size
 
-    def arrivals(self, duration: float) -> Iterator[Arrival]:
-        interval = 1.0 / self.rate
-        count = int(self.rate * duration)
-        for index in range(1, count + 1):
-            time = index * interval
-            if time >= duration:
-                return
-            yield Arrival(time, self.size)
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """Arrival ``k`` at ``k * (1 / rate)`` for ``k = 1 .. floor(rate *
+        duration)``, cut at the first that reaches the horizon."""
+        times = np.arange(1, int(self.rate * duration) + 1) * (1.0 / self.rate)
+        times = times[: np.searchsorted(times, duration)].tolist()
+        return {"time": times, "size": [self.size] * len(times)}
 
 
 class BurstSource(TrafficSource):
@@ -121,10 +110,14 @@ class BurstSource(TrafficSource):
         self.burst_size = burst_size
         self.size = size
 
-    def arrivals(self, duration: float) -> Iterator[Arrival]:
+    def arrival_columns(self, duration: float) -> ArrivalColumns:
+        """Burst starts accumulate ``time += 1 / burst_rate`` from 0, and
+        each start repeats ``burst_size`` times."""
         interval = 1.0 / self.burst_rate
+        starts = []
         time = 0.0
         while time < duration:
-            for _ in range(self.burst_size):
-                yield Arrival(time, self.size)
+            starts.append(time)
             time += interval
+        times = np.repeat(starts, self.burst_size).tolist()
+        return {"time": times, "size": [self.size] * len(times)}

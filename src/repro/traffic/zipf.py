@@ -21,35 +21,11 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Arrival, ArrivalColumns, TrafficSource
-
-
-@dataclass(frozen=True, slots=True)
-class FlowArrival(Arrival):
-    """One arrival carrying its destination flow id.
-
-    ``flow`` identifies the destination/PCB the packet's lookup keys
-    on; ids are dense in ``0..num_flows-1`` with flow 0 the most
-    popular under any positive skew.
-    """
-
-    flow: int = 0
-
-    def __post_init__(self) -> None:
-        # Explicit base call: slots=True makes @dataclass rebind the
-        # class, which breaks zero-argument super() in methods defined
-        # before the rebind.
-        Arrival.__post_init__(self)
-        if self.flow < 0:
-            raise ConfigurationError(
-                f"flow id must be non-negative: {self.flow}"
-            )
+from .base import ArrivalColumns, TrafficSource
 
 
 def zipf_weights(num_flows: int, skew: float) -> np.ndarray:
@@ -105,10 +81,11 @@ def zipf_flow_ids(
 class ZipfFlowSource(TrafficSource):
     """A base arrival process with Zipf-distributed destination flows.
 
-    Wraps any :class:`~repro.traffic.base.TrafficSource` and yields
-    :class:`FlowArrival` records: the base source's (time, size) pairs,
-    each tagged with a flow id drawn Zipf(``skew``) over ``num_flows``
-    flows.  The wrapper is deterministic given ``seed`` and leaves the
+    Wraps any :class:`~repro.traffic.base.TrafficSource` and adds a
+    ``"flow"`` column to its stream: each arrival's destination flow id,
+    drawn Zipf(``skew``) over ``num_flows`` flows.  Ids are dense in
+    ``0..num_flows-1``, with flow 0 the most popular under any positive
+    skew.  The wrapper is deterministic given ``seed`` and leaves the
     base source's RNG untouched, so the same base stream can be
     re-flowed at several skews for controlled comparisons.
 
@@ -142,10 +119,6 @@ class ZipfFlowSource(TrafficSource):
         """The base source's nominal rate, if it declares one."""
         return getattr(self.base, "rate", None)
 
-    def arrivals(self, duration: float) -> Iterator[FlowArrival]:
-        """Yield :meth:`arrival_columns` as :class:`FlowArrival` records."""
-        yield from map(FlowArrival, *self.arrival_columns(duration).values())
-
     def arrival_columns(self, duration: float) -> ArrivalColumns:
         """The base stream's times and sizes, plus a Zipf flow column.
 
@@ -153,9 +126,7 @@ class ZipfFlowSource(TrafficSource):
         generator, so it depends only on the stream length; the base
         columns are materialized exactly once per horizon and cached, so
         a stateful base source's RNG is consumed exactly once no matter
-        how many times this wrapper is materialized, as columns or as
-        records.  Every flow id is in ``0..num_flows-1`` by
-        construction, and the base source checked its times and sizes.
+        how many times this wrapper is materialized.
         """
         base = self._snapshots.get(duration)
         if base is None:

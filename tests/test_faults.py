@@ -49,7 +49,7 @@ from repro.faults import (
     stage_from_params,
 )
 from repro.faults.campaigns import SWEEP, campaign_plan, fault_point
-from repro.gossip.fleet import GossipArrival, GossipFleetSource, GossipFleetSpec
+from repro.gossip.fleet import GossipFleetSource, GossipFleetSpec
 from repro.protocols.checksum import (
     internet_checksum,
     internet_checksum_unrolled,
@@ -60,10 +60,9 @@ from repro.sim.runner import (
     SimulationConfig,
     run_simulation,
 )
-from repro.traffic.base import Arrival
 from repro.traffic.bellcore import TraceSource, read_bellcore_trace
 from repro.traffic.poisson import PoissonSource
-from repro.traffic.zipf import FlowArrival, ZipfFlowSource
+from repro.traffic.zipf import ZipfFlowSource
 
 ALL_STAGES = (
     LossFault(rate=0.1),
@@ -78,7 +77,12 @@ ALL_STAGES = (
 def make_arrivals(count=200, seed=0):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(1e-4, size=count))
-    return [Arrival(float(t), 552) for t in times]
+    return {"time": times.tolist(), "size": [552] * count}
+
+
+def rows(columns):
+    """A stream's arrivals as tuples, one per arrival, in column order."""
+    return list(zip(*columns.values()))
 
 
 def make_frames(count=64, seed=0):
@@ -111,36 +115,40 @@ class TestInjectorDeterminism:
         stacked = FaultPlan(
             stages=(LossFault(rate=0.2), DelayFault(rate=0.0))
         ).apply(arrivals, 3)
-        assert [a.size for a in alone] == [a.size for a in stacked]
+        assert alone["size"] == stacked["size"]
 
     def test_original_list_never_mutated(self):
         arrivals = make_arrivals(count=50)
-        copy = list(arrivals)
+        copy = {name: list(column) for name, column in arrivals.items()}
         FaultPlan(stages=ALL_STAGES).apply(arrivals, 0)
         assert arrivals == copy
+        for stage in ALL_STAGES:
+            out = stage.apply(arrivals, np.random.default_rng(0))
+            assert arrivals == copy
+            assert all(out[name] is not arrivals[name] for name in arrivals)
 
 
 class TestInjectorSemantics:
     def test_loss_removes_only(self):
         arrivals = make_arrivals(count=500)
         survivors = FaultPlan(stages=(LossFault(rate=0.3),)).apply(arrivals, 0)
-        assert 0 < len(survivors) < 500
-        assert set(survivors) <= set(arrivals)
+        assert 0 < len(survivors["time"]) < 500
+        assert set(rows(survivors)) <= set(rows(arrivals))
 
     def test_duplicate_adds_time_shifted_copies(self):
         arrivals = make_arrivals(count=300)
         out = FaultPlan(stages=(DuplicateFault(rate=0.5, delay=1e-5),)).apply(
             arrivals, 0
         )
-        assert len(out) > 300
-        assert [a.time for a in out] == sorted(a.time for a in out)
+        assert len(out["time"]) > 300
+        assert out["time"] == sorted(out["time"])
 
     def test_reorder_keeps_timestamps(self):
         arrivals = make_arrivals(count=300)
         out = FaultPlan(stages=(ReorderFault(rate=0.5, span=4),)).apply(
             arrivals, 0
         )
-        assert sorted(out, key=lambda a: a.time) == arrivals
+        assert sorted(rows(out)) == rows(arrivals)
         assert out != arrivals  # the delivery order did change
 
     def test_delay_only_increases_times(self):
@@ -148,59 +156,64 @@ class TestInjectorSemantics:
         out = FaultPlan(stages=(DelayFault(rate=0.5, mean=1e-3),)).apply(
             arrivals, 0
         )
-        assert len(out) == 300
-        assert sum(a.time for a in out) > sum(a.time for a in arrivals)
+        assert len(out["time"]) == 300
+        assert out["time"] == sorted(out["time"])
+        assert sum(out["time"]) > sum(arrivals["time"])
 
     def test_truncate_shrinks_sizes(self):
         arrivals = make_arrivals(count=300)
         out = FaultPlan(stages=(TruncateFault(rate=0.5),)).apply(arrivals, 0)
-        sizes = [a.size for a in out]
+        sizes = out["size"]
+        assert all(type(size) is int for size in sizes)
         assert min(sizes) >= 1
         assert min(sizes) < 552 and max(sizes) == 552
 
     def test_stages_keep_flow_tags(self):
-        """Copied, delayed and cut arrivals keep their record type and
-        flow.  Rebuilt as plain arrivals, a faulted flow-tagged stream
-        read as flow 0 throughout."""
+        """Copied, delayed and cut arrivals keep their flow: a faulted
+        flow-tagged stream that lost its flow column would read as flow
+        0 throughout."""
         flowed = ZipfFlowSource(
             PoissonSource(11000.0, rng=1), num_flows=64, skew=1.1, seed=1
-        ).arrival_list(0.05)
-        assert len({arrival.flow for arrival in flowed}) > 1
+        ).arrival_columns(0.05)
+        assert len(set(flowed["flow"])) > 1
 
         def apply(stage):
             out = FaultPlan(stages=(stage,)).apply(flowed, 1)
-            assert {type(arrival) for arrival in out} == {FlowArrival}
+            assert list(out) == ["time", "size", "flow"]
             return out
 
+        def pairs(columns):
+            return sorted(zip(columns["flow"], columns["size"]))
+
         delayed = apply(DelayFault(rate=0.02))
-        assert sorted((a.flow, a.size) for a in delayed) == sorted(
-            (a.flow, a.size) for a in flowed
-        )
+        assert pairs(delayed) == pairs(flowed)
         assert delayed != flowed
         duplicated = apply(DuplicateFault(rate=1.0, delay=1e-5))
-        assert sorted((a.flow, a.size) for a in duplicated) == sorted(
-            2 * [(a.flow, a.size) for a in flowed]
-        )
+        assert pairs(duplicated) == sorted(2 * pairs(flowed))
         cut = apply(TruncateFault(rate=1.0))
-        assert [(a.time, a.flow) for a in cut] == [(a.time, a.flow) for a in flowed]
-        assert all(a.size < 552 for a in cut)
+        assert (cut["time"], cut["flow"]) == (flowed["time"], flowed["flow"])
+        assert all(size < 552 for size in cut["size"])
 
     def test_truncate_clamps_gossip_header_bytes(self):
         """A datagram cut inside its headers keeps its kind and peer and
         carries only header bytes: ``header_bytes`` is clamped to the
-        cut size, which GossipArrival's own check requires."""
+        cut size, so no datagram has more header bytes than bytes."""
         datagrams = GossipFleetSource(
             GossipFleetSpec(num_peers=100, rate=8000.0, seed=2)
-        ).arrival_list(0.02)
+        ).arrival_columns(0.02)
         cut = FaultPlan(stages=(TruncateFault(rate=1.0),)).apply(datagrams, 0)
-        assert {type(datagram) for datagram in cut} == {GossipArrival}
-        for before, after in zip(datagrams, cut):
-            assert (after.time, after.flow, after.kind) == (
-                before.time, before.flow, before.kind,
-            )
-            assert after.size < before.size
-            assert after.header_bytes == min(before.header_bytes, after.size)
-        assert any(a.header_bytes < b.header_bytes for a, b in zip(cut, datagrams))
+        assert list(cut) == list(datagrams)
+        for name in ("time", "flow", "kind", "community", "messages"):
+            assert cut[name] == datagrams[name]
+        for size, header, before_size, before_header in zip(
+            cut["size"], cut["header_bytes"], datagrams["size"],
+            datagrams["header_bytes"],
+        ):
+            assert size < before_size
+            assert header == min(before_header, size)
+        assert any(
+            a < b for a, b in zip(cut["header_bytes"], datagrams["header_bytes"])
+        )
 
     def test_truncate_frames_respects_min_size(self):
         frames = make_frames()
@@ -247,6 +260,28 @@ class TestPlanRoundTrip:
         )
         params = json.loads(json.dumps(plan.to_params()))
         assert FaultPlan.from_params(params) == plan
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "params",
+        [{"kind": "duplicate", "delay": None}, {"kind": "delay", "mean": None}],
+        ids=["duplicate.delay", "delay.mean"],
+    )
+    def test_non_finite_stage_parameters_rejected(self, params, value):
+        """A NaN duplicate delay once gave copies NaN times that the run
+        then lost without an error, and an infinite one (or an infinite
+        mean delay) broke message conservation deep in the drive."""
+        field = next(name for name in params if name != "kind")
+        with pytest.raises(ConfigurationError, match="finite"):
+            stage_from_params({**params, field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_flush_period_must_be_positive_and_finite(self, value):
+        """The plan rejects a flush period ``SimulationConfig`` would."""
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            FaultPlan.from_params({"flush_period_cycles": value})
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            SimulationConfig(flush_period_cycles=value)
 
     def test_unknown_stage_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -430,10 +465,10 @@ class TestConservationUnderFaults:
         duration = 0.02
         config = SimulationConfig(scheduler=scheduler, duration=duration)
         source = PoissonSource(11000.0, rng=0)
-        arrivals = FaultPlan(stages=(stage,)).apply(
-            source.arrival_list(duration), 0
+        columns = FaultPlan(stages=(stage,)).apply(
+            source.arrival_columns(duration), 0
         )
-        result = run_simulation(source, config, seed=0, arrivals=arrivals)
+        result = run_simulation(source, config, seed=0, columns=columns)
         assert result.completed > 0
         assert result.offered == result.completed + result.dropped
 
@@ -450,21 +485,21 @@ class TestConservationUnderFaults:
             flush_period_cycles=plan.flush_period_cycles,
         )
         source = PoissonSource(14000.0, rng=1)
-        arrivals = plan.apply(source.arrival_list(duration), 1)
-        result = run_simulation(source, config, seed=1, arrivals=arrivals)
+        columns = plan.apply(source.arrival_columns(duration), 1)
+        result = run_simulation(source, config, seed=1, columns=columns)
         assert result.completed > 0
         assert result.offered == result.completed + result.dropped
 
     def test_default_policy_matches_legacy_tail_drop(self):
         duration = 0.03
         source = PoissonSource(12000.0, rng=0)
-        arrivals = source.arrival_list(duration)
+        columns = source.arrival_columns(duration)
         base = SimulationConfig(scheduler="ldlp", duration=duration)
         explicit = SimulationConfig(
             scheduler="ldlp", duration=duration, drop_policy="tail"
         )
-        first = run_simulation(source, base, seed=0, arrivals=arrivals)
-        second = run_simulation(source, explicit, seed=0, arrivals=arrivals)
+        first = run_simulation(source, base, seed=0, columns=columns)
+        second = run_simulation(source, explicit, seed=0, columns=columns)
         assert first.to_dict() == second.to_dict()
 
 
@@ -472,12 +507,12 @@ class TestEnvironmentFaults:
     def test_cache_flush_costs_extra_misses(self):
         duration = 0.02
         source = PoissonSource(8000.0, rng=0)
-        arrivals = source.arrival_list(duration)
+        columns = source.arrival_columns(duration)
         clean = run_simulation(
             source,
             SimulationConfig(scheduler="ldlp", duration=duration),
             seed=0,
-            arrivals=arrivals,
+            columns=columns,
         )
         flushed = run_simulation(
             source,
@@ -485,7 +520,7 @@ class TestEnvironmentFaults:
                 scheduler="ldlp", duration=duration, flush_period_cycles=1e5
             ),
             seed=0,
-            arrivals=arrivals,
+            columns=columns,
         )
         assert flushed.offered == flushed.completed + flushed.dropped
         assert flushed.misses.total > clean.misses.total
@@ -540,13 +575,13 @@ class TestSatelliteFixes:
     def test_bellcore_clamp_escape_hatch(self, tmp_path):
         path = tmp_path / "dirty.txt"
         path.write_text("-1.0 64\n0.5 9999\n0.2 0\n")
-        arrivals = read_bellcore_trace(path, clamp=True)
-        assert [a.time for a in arrivals] == [0.0, 0.5, 0.5]
-        assert [a.size for a in arrivals] == [64, 1518, 1]
+        assert read_bellcore_trace(path, clamp=True) == {
+            "time": [0.0, 0.5, 0.5], "size": [64, 1518, 1],
+        }
 
     def test_run_simulation_empty_stream_rate_zero(self):
         result = run_simulation(
-            TraceSource([]),
+            TraceSource({"time": [], "size": []}),
             SimulationConfig(scheduler="ldlp", duration=0.01),
             seed=0,
         )

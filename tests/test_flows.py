@@ -40,7 +40,6 @@ from repro.sim.vec import vec_supported
 from repro.traffic.base import TrafficSource
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.zipf import (
-    FlowArrival,
     ZipfFlowSource,
     flow_rng,
     zipf_flow_ids,
@@ -100,23 +99,21 @@ class TestZipfSource:
         assert flow_rng(7).integers(0, 1 << 30) == expected.integers(0, 1 << 30)
 
     def test_same_seed_same_stream(self):
-        first = zipf_source(seed=3).arrival_list(0.05)
-        second = zipf_source(seed=3).arrival_list(0.05)
+        first = zipf_source(seed=3).arrival_columns(0.05)
+        second = zipf_source(seed=3).arrival_columns(0.05)
         assert first == second
 
     def test_different_seeds_differ(self):
-        first = zipf_source(seed=0).arrival_list(0.05)
-        second = zipf_source(seed=5).arrival_list(0.05)
-        assert [a.flow for a in first] != [a.flow for a in second]
+        first = zipf_source(seed=0).arrival_columns(0.05)
+        second = zipf_source(seed=5).arrival_columns(0.05)
+        assert first["flow"] != second["flow"]
 
     def test_flow_draws_leave_base_rng_untouched(self):
         """Re-flowing the same base stream at another skew must not
         shift the base source's arrivals."""
-        plain = PoissonSource(11000.0, size=552, rng=9).arrival_list(0.05)
-        flowed = zipf_source(seed=9, skew=1.5).arrival_list(0.05)
-        assert [(a.time, a.size) for a in flowed] == [
-            (a.time, a.size) for a in plain
-        ]
+        plain = PoissonSource(11000.0, size=552, rng=9).arrival_columns(0.05)
+        flowed = zipf_source(seed=9, skew=1.5).arrival_columns(0.05)
+        assert {"time": flowed["time"], "size": flowed["size"]} == plain
 
     def test_top_flow_share_grows_with_skew(self):
         shares = []
@@ -126,13 +123,15 @@ class TestZipfSource:
         assert shares[0] < shares[1] < shares[2]
 
     def test_flow_arrival_validation(self):
-        with pytest.raises(ConfigurationError):
-            FlowArrival(time=0.0, size=100, flow=-1)
-        # The base Arrival checks still run despite slots=True.
-        with pytest.raises(ConfigurationError):
-            FlowArrival(time=-1.0, size=100, flow=0)
-        with pytest.raises(ConfigurationError):
-            FlowArrival(time=0.0, size=0, flow=0)
+        """A flow-charged run checks its stream like any other run."""
+        config = SimulationConfig(duration=0.01)
+        for columns in (
+            {"time": [-1.0], "size": [100], "flow": [0]},
+            {"time": [0.0], "size": [0], "flow": [0]},
+            {"time": [0.0], "size": [100], "flow": [0, 1]},
+        ):
+            with pytest.raises(ConfigurationError):
+                run_flow_simulation(zipf_source(), config, columns=columns)
 
     def test_rate_passthrough(self):
         assert zipf_source(rate=12345.0).rate == 12345.0
@@ -186,9 +185,9 @@ class _CountingSource(TrafficSource):
     def rate(self):
         return self.inner.rate
 
-    def arrivals(self, duration):
+    def arrival_columns(self, duration):
         self.draws += 1
-        yield from self.inner.arrivals(duration)
+        return self.inner.arrival_columns(duration)
 
 
 class TestStatefulBaseSnapshot:
@@ -207,18 +206,18 @@ class TestStatefulBaseSnapshot:
         flowed = ZipfFlowSource(
             self.bursty_source(), num_flows=64, skew=1.1, seed=4
         )
-        first = flowed.arrival_list(0.05)
-        second = flowed.arrival_list(0.05)
+        first = flowed.arrival_columns(0.05)
+        second = flowed.arrival_columns(0.05)
         assert first == second
 
     def test_base_stream_drawn_once_per_duration(self):
         counting = _CountingSource(self.bursty_source())
         flowed = ZipfFlowSource(counting, num_flows=64, skew=1.1, seed=4)
-        flowed.arrival_list(0.05)
-        flowed.arrival_list(0.05)
+        flowed.arrival_columns(0.05)
+        flowed.arrival_columns(0.05)
         assert counting.draws == 1
         # A different duration is a different snapshot.
-        flowed.arrival_list(0.02)
+        flowed.arrival_columns(0.02)
         assert counting.draws == 2
 
     def test_fresh_wrapper_matches_reused_wrapper(self):
@@ -226,12 +225,12 @@ class TestStatefulBaseSnapshot:
         snapshot changes nothing for the first materialization."""
         fresh = ZipfFlowSource(
             self.bursty_source(), num_flows=64, skew=1.1, seed=4
-        ).arrival_list(0.05)
+        ).arrival_columns(0.05)
         reused = ZipfFlowSource(
             self.bursty_source(), num_flows=64, skew=1.1, seed=4
         )
-        reused.arrival_list(0.05)
-        assert reused.arrival_list(0.05) == fresh
+        reused.arrival_columns(0.05)
+        assert reused.arrival_columns(0.05) == fresh
 
 
 # ----------------------------------------------------------------------

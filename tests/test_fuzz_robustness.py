@@ -43,7 +43,6 @@ from repro.signalling import build_switch, saal_frame, setup
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import dump_trace, load_trace, parse_trace
 from repro.trace.record import MemRef, RefKind
-from repro.traffic.base import Arrival
 from repro.traffic.bellcore import read_bellcore_trace, write_bellcore_trace
 
 #: Function-scoped ``tmp_path`` is safe here: every example overwrites
@@ -367,10 +366,11 @@ class TestBellcoreFuzz:
         path = tmp_path / "trace.txt"
         path.write_text("".join(f"{time} {size}\n" for time, size in lines))
         try:
-            arrivals = read_bellcore_trace(path, clamp=clamp)
+            columns = read_bellcore_trace(path, clamp=clamp)
         except TraceError:
             return
-        times = [arrival.time for arrival in arrivals]
+        times = columns["time"]
+        assert len(columns["size"]) == len(times)
         assert all(np.isfinite(times))
         assert times == sorted(times)
 
@@ -393,12 +393,11 @@ class TestBellcoreFuzz:
     )
     @FILE_SETTINGS
     def test_round_trips(self, tmp_path, micros, sizes):
-        arrivals = [
-            Arrival(tick / 1e6, size) for tick, size in zip(sorted(micros), sizes)
-        ]
+        times = [tick / 1e6 for tick in sorted(micros)]
+        columns = {"time": times, "size": sizes[: len(times)]}
         path = tmp_path / "trace.txt"
-        write_bellcore_trace(arrivals, path)
-        assert read_bellcore_trace(path) == arrivals
+        write_bellcore_trace(columns, path)
+        assert read_bellcore_trace(path) == columns
 
 
 #: Any JSON document, so the readers' checks past the parser get

@@ -27,7 +27,6 @@ from repro.gossip import (
     CONTROL_PAYLOAD_BYTES,
     DATAGRAM_OVERHEAD_BYTES,
     FRAMING_MODES,
-    GossipArrival,
     GossipFleetSource,
     GossipFleetSpec,
     WireIdentity,
@@ -195,6 +194,15 @@ class TestWireFormats:
 # Fleet generation (repro.gossip.fleet)
 
 
+def _accounting(spec, kind):
+    """One datagram of ``kind``'s (wire, header, messages) under ``spec``."""
+    if kind == "data":
+        sizes = [spec.data_payload_bytes] * spec.collection_size
+    else:
+        sizes = [CONTROL_PAYLOAD_BYTES[kind]]
+    return datagram_accounting(spec.framing, kind, sizes)
+
+
 class TestFleet:
     def spec(self, **overrides):
         defaults = dict(num_peers=500, rate=6000.0, seed=3)
@@ -220,58 +228,59 @@ class TestFleet:
         with pytest.raises(ConfigurationError):
             self.spec(peer_skew=-1.0)
 
-    def test_arrival_validation(self):
-        with pytest.raises(ConfigurationError):
-            GossipArrival(time=0.0, size=100, flow=0, community=-1)
-        with pytest.raises(ConfigurationError):
-            GossipArrival(time=0.0, size=100, flow=0, messages=0)
-        with pytest.raises(ConfigurationError):
-            GossipArrival(time=0.0, size=100, flow=0, header_bytes=101)
-        # The FlowArrival checks still run despite slots=True.
-        with pytest.raises(ConfigurationError):
-            GossipArrival(time=0.0, size=100, flow=-1)
+    def test_arrival_validation(self, monkeypatch):
+        """Each datagram shape's wire accounting is checked once, before
+        any datagram of that shape is emitted."""
+        import repro.gossip.fleet as fleet
+
+        for shape, match in (
+            ((100, 20, 0), ">= 1 message and 0..100 header bytes, got 0 and 20"),
+            ((100, 101, 1), "got 1 and 101"),
+            ((100, -1, 1), "got 1 and -1"),
+        ):
+            monkeypatch.setattr(fleet, "datagram_accounting", lambda *args: shape)
+            with pytest.raises(ConfigurationError, match=match):
+                GossipFleetSource(self.spec()).arrival_columns(0.01)
 
     def test_rematerialization_is_byte_identical(self):
         source = GossipFleetSource(self.spec())
-        assert source.arrival_list(0.03) == source.arrival_list(0.03)
+        assert source.arrival_columns(0.03) == source.arrival_columns(0.03)
 
     def test_seeds_differ_and_specs_agree(self):
-        first = GossipFleetSource(self.spec(seed=0)).arrival_list(0.03)
-        second = GossipFleetSource(self.spec(seed=0)).arrival_list(0.03)
-        other = GossipFleetSource(self.spec(seed=9)).arrival_list(0.03)
+        first = GossipFleetSource(self.spec(seed=0)).arrival_columns(0.03)
+        second = GossipFleetSource(self.spec(seed=0)).arrival_columns(0.03)
+        other = GossipFleetSource(self.spec(seed=9)).arrival_columns(0.03)
         assert first == second
         assert first != other
 
     def test_arrival_sizes_match_wire_accounting(self):
         spec = self.spec(collection_size=4)
-        for arrival in GossipFleetSource(spec).arrival_list(0.02):
-            if arrival.kind == "data":
-                sizes = [spec.data_payload_bytes] * spec.collection_size
-            else:
-                sizes = [CONTROL_PAYLOAD_BYTES[arrival.kind]]
-            wire, header, messages = datagram_accounting(
-                spec.framing, arrival.kind, sizes
-            )
-            assert arrival.size == wire
-            assert arrival.header_bytes == header
-            assert arrival.messages == messages
+        columns = GossipFleetSource(spec).arrival_columns(0.02)
+        assert columns["kind"]
+        for kind, size, header, messages in zip(
+            columns["kind"], columns["size"], columns["header_bytes"],
+            columns["messages"],
+        ):
+            assert (size, header, messages) == _accounting(spec, kind)
 
     def test_communities_stable_and_in_range(self):
         spec = self.spec(num_communities=3)
-        for arrival in GossipFleetSource(spec).arrival_list(0.02):
-            assert 0 <= arrival.community < 3
-            assert arrival.community == spec.community_of(arrival.flow)
+        columns = GossipFleetSource(spec).arrival_columns(0.02)
+        assert columns["community"]
+        for community, peer in zip(columns["community"], columns["flow"]):
+            assert 0 <= community < 3
+            assert community == spec.community_of(peer)
 
     def test_data_fraction_extremes(self):
         all_data = GossipFleetSource(
             self.spec(data_fraction=1.0)
-        ).arrival_list(0.02)
-        assert all_data and all(a.kind == "data" for a in all_data)
+        ).arrival_columns(0.02)["kind"]
+        assert all_data and all(kind == "data" for kind in all_data)
         all_control = GossipFleetSource(
             self.spec(data_fraction=0.0)
-        ).arrival_list(0.02)
+        ).arrival_columns(0.02)["kind"]
         assert all_control
-        assert all(a.kind in CONTROL_KINDS for a in all_control)
+        assert all(kind in CONTROL_KINDS for kind in all_control)
 
     def test_rate_property_and_describe(self):
         source = GossipFleetSource(self.spec(rate=7777.0))
@@ -335,18 +344,17 @@ class TestGossipRuns:
     )
     def test_wire_totals_equal_record_sums(self, overrides):
         """The run's wire totals, summed over the fleet's columns, equal
-        the sums over its datagram records."""
+        the sums over its datagrams, each accounted from its kind."""
         result = self.run(**overrides)
-        datagrams = GossipFleetSource(self.spec(**overrides)).arrival_list(0.03)
-        assert datagrams
+        spec = self.spec(**overrides)
+        kinds = GossipFleetSource(spec).arrival_columns(0.03)["kind"]
+        assert kinds
+        wire, header, messages = (
+            sum(column) for column in zip(*(_accounting(spec, kind) for kind in kinds))
+        )
         assert (
             result.datagrams, result.messages, result.header_bytes, result.wire_bytes
-        ) == (
-            len(datagrams),
-            sum(d.messages for d in datagrams),
-            sum(d.header_bytes for d in datagrams),
-            sum(d.size for d in datagrams),
-        )
+        ) == (len(kinds), messages, header, wire)
 
     def test_result_dict_round_trip(self):
         result = self.run()

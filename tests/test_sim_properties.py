@@ -133,13 +133,13 @@ class TestMonotonicity:
     def test_misses_monotone_in_batch_cap(self):
         """LDLP misses/message never increase with a larger batch cap."""
         source = PoissonSource(9000, rng=4)
-        arrivals = source.arrival_list(0.1)
+        arrivals = source.arrival_columns(0.1)
         totals = []
         for cap in (1, 4, 16):
             config = SimulationConfig(
                 scheduler="ldlp", duration=0.1, batch_limit=cap
             )
-            result = run_simulation(source, config, seed=4, arrivals=arrivals)
+            result = run_simulation(source, config, seed=4, columns=arrivals)
             totals.append(result.misses.total)
         assert totals[0] > totals[1] > totals[2]
 
@@ -147,7 +147,7 @@ class TestMonotonicity:
         from repro.cache.hierarchy import MachineSpec
 
         source = PoissonSource(3000, rng=5)
-        arrivals = source.arrival_list(0.1)
+        arrivals = source.arrival_columns(0.1)
         means = []
         for mhz_value in (50e6, 100e6, 200e6):
             config = SimulationConfig(
@@ -155,7 +155,7 @@ class TestMonotonicity:
                 duration=0.1,
                 spec=MachineSpec(clock_hz=mhz_value),
             )
-            result = run_simulation(source, config, seed=5, arrivals=arrivals)
+            result = run_simulation(source, config, seed=5, columns=arrivals)
             means.append(result.latency.mean)
         assert means[0] > means[1] > means[2]
 
@@ -165,14 +165,14 @@ class TestSchedulerRanking:
         """With cache-fitting groups the grouped schedule sits between
         conventional and per-layer LDLP in cycles per message."""
         source = PoissonSource(6000, rng=6)
-        arrivals = source.arrival_list(0.1)
+        arrivals = source.arrival_columns(0.1)
         costs = {}
         for name in ("conventional", "grouped", "ldlp"):
             config = SimulationConfig(
                 scheduler=name, duration=0.1, layer_code_bytes=2048
             )
             costs[name] = run_simulation(
-                source, config, seed=6, arrivals=arrivals
+                source, config, seed=6, columns=arrivals
             ).cycles_per_message
         assert costs["ldlp"] <= costs["grouped"] * 1.05
         assert costs["grouped"] < costs["conventional"]
@@ -180,12 +180,12 @@ class TestSchedulerRanking:
     def test_ilp_beats_conventional_slightly(self):
         """ILP saves data-loop work but not instruction locality."""
         source = PoissonSource(5000, rng=7)
-        arrivals = source.arrival_list(0.1)
+        arrivals = source.arrival_columns(0.1)
         results = {}
         for name in ("conventional", "ilp"):
             config = SimulationConfig(scheduler=name, duration=0.1)
             results[name] = run_simulation(source, config, seed=7,
-                                           arrivals=arrivals)
+                                           columns=arrivals)
         assert (
             results["ilp"].cycles_per_message
             <= results["conventional"].cycles_per_message

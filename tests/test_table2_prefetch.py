@@ -84,7 +84,7 @@ class TestPrefetchAblation:
 
     def test_prefetch_lowers_conventional_latency(self):
         source = PoissonSource(5000, rng=8)
-        arrivals = source.arrival_list(0.1)
+        arrivals = source.arrival_columns(0.1)
         means = []
         for efficiency in (0.0, 0.6):
             config = SimulationConfig(
@@ -94,6 +94,6 @@ class TestPrefetchAblation:
             )
             means.append(
                 run_simulation(source, config, seed=8,
-                               arrivals=arrivals).latency.mean
+                               columns=arrivals).latency.mean
             )
         assert means[1] < means[0]

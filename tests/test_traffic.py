@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TraceError
+from repro.sim.runner import SimulationConfig, _check_columns, run_simulation
 from repro.traffic import (
-    Arrival,
     BurstSource,
     DeterministicSource,
     OCT89_SIZE_MIX,
@@ -18,10 +18,10 @@ from repro.traffic import (
     PoissonSource,
     SizeMix,
     TraceSource,
+    bellcore_like_source,
     hurst_estimate,
     pareto_samples,
     read_bellcore_trace,
-    synthesize_bellcore_like,
     write_bellcore_trace,
 )
 
@@ -37,7 +37,7 @@ from repro.traffic import (
         lambda value: ParetoOnOffSource(mean_on=value),
         lambda value: ParetoOnOffSource(mean_off=value),
         lambda value: ParetoOnOffSource(alpha=value),
-        lambda value: synthesize_bellcore_like(0.01, mean_rate=value),
+        lambda value: bellcore_like_source(mean_rate=value),
     ],
     ids=["poisson", "deterministic", "burst", "rate_on", "mean_on", "mean_off",
          "alpha", "bellcore"],
@@ -51,37 +51,48 @@ def test_non_finite_rates_rejected_at_construction(build, value):
 
 
 class TestArrival:
+    """Every run checks its stream once, whatever source drew it."""
+
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Arrival(-1.0, 100)
-        with pytest.raises(ConfigurationError):
-            Arrival(0.0, 0)
+        source = DeterministicSource(100.0)
+        for columns, match in (
+            ({"time": [0.0, -1.0], "size": [100, 100]}, "non-negative: -1.0"),
+            ({"time": [math.nan], "size": [100]}, "finite and non-negative: nan"),
+            ({"time": [0.1, math.inf], "size": [100, 100]}, "non-negative: inf"),
+            ({"time": [0.0, 0.1], "size": [100, 0]}, "size must be positive: 0"),
+            ({"time": [0.0], "size": [100, 100]}, "differ in length"),
+            ({"time": [0.0], "size": [100], "flow": []}, "differ in length"),
+        ):
+            with pytest.raises(ConfigurationError, match=match):
+                run_simulation(source, SimulationConfig(duration=0.01), columns=columns)
+
+    def test_overflowing_sum_is_not_an_error(self):
+        """Two huge finite times sum to infinity; neither is rejected."""
+        _check_columns({"time": [1e308, 1e308], "size": [100, 100]})
 
 
 class TestPoisson:
     def test_rate_approximately_met(self):
         source = PoissonSource(5000, rng=0)
-        arrivals = source.arrival_list(2.0)
-        assert 9000 < len(arrivals) < 11000
+        times = source.arrival_columns(2.0)["time"]
+        assert 9000 < len(times) < 11000
 
     def test_sorted_and_bounded(self):
-        arrivals = PoissonSource(1000, rng=1).arrival_list(0.5)
-        times = [a.time for a in arrivals]
+        times = PoissonSource(1000, rng=1).arrival_columns(0.5)["time"]
         assert times == sorted(times)
         assert all(0 <= t < 0.5 for t in times)
 
     def test_fixed_size(self):
-        arrivals = PoissonSource(1000, size=552, rng=2).arrival_list(0.1)
-        assert all(a.size == 552 for a in arrivals)
+        sizes = PoissonSource(1000, size=552, rng=2).arrival_columns(0.1)["size"]
+        assert sizes and all(size == 552 for size in sizes)
 
     def test_reproducible(self):
-        a = PoissonSource(1000, rng=3).arrival_list(0.2)
-        b = PoissonSource(1000, rng=3).arrival_list(0.2)
+        a = PoissonSource(1000, rng=3).arrival_columns(0.2)
+        b = PoissonSource(1000, rng=3).arrival_columns(0.2)
         assert a == b
 
     def test_exponential_gaps(self):
-        arrivals = PoissonSource(10000, rng=4).arrival_list(1.0)
-        gaps = np.diff([a.time for a in arrivals])
+        gaps = np.diff(PoissonSource(10000, rng=4).arrival_columns(1.0)["time"])
         # Exponential: std ~ mean.
         assert abs(gaps.std() / gaps.mean() - 1.0) < 0.1
 
@@ -92,7 +103,7 @@ class TestPoisson:
             PoissonSource(100, size=0)
 
     def test_zero_duration(self):
-        assert PoissonSource(1000, rng=0).arrival_list(0) == []
+        assert PoissonSource(1000, rng=0).arrival_columns(0) == {"time": [], "size": []}
 
 
 def _per_gap_poisson(rate, duration, seed):
@@ -140,34 +151,50 @@ class TestPoissonArrays:
 
     def test_arrivals_and_columns_derive_from_the_array(self):
         expected, _, _ = _per_gap_poisson(5000, 0.1, 3)
-        arrivals = PoissonSource(5000, size=100, rng=3).arrival_list(0.1)
-        assert [arrival.time for arrival in arrivals] == expected
-        assert all(type(arrival.time) is float for arrival in arrivals)
         columns = PoissonSource(5000, size=100, rng=3).arrival_columns(0.1)
         assert columns == {"time": expected, "size": [100] * len(expected)}
+        assert all(type(time) is float for time in columns["time"])
 
     def test_base_columns_match_arrivals(self):
-        source = DeterministicSource(100, size=64)
-        columns = source.arrival_columns(0.1)
-        arrivals = DeterministicSource(100, size=64).arrival_list(0.1)
-        assert columns["time"] == [arrival.time for arrival in arrivals]
-        assert columns["size"] == [64] * len(arrivals)
+        """Deterministic arrivals are ``k * (1 / rate)`` for ``k = 1, 2...``
+        up to the horizon, as Python floats."""
+        columns = DeterministicSource(100, size=64).arrival_columns(0.1)
+        interval = 1.0 / 100
+        expected = [k * interval for k in range(1, 11)]
+        expected = [time for time in expected if time < 0.1]
+        assert columns == {"time": expected, "size": [64] * len(expected)}
+        assert all(type(time) is float for time in columns["time"])
 
 
 class TestDeterministic:
     def test_exact_count(self):
-        arrivals = DeterministicSource(100).arrival_list(1.0)
-        assert len(arrivals) == 99  # last lands exactly at the horizon
-        gaps = np.diff([a.time for a in arrivals])
+        times = DeterministicSource(100).arrival_columns(1.0)["time"]
+        assert len(times) == 99  # last lands exactly at the horizon
+        gaps = np.diff(times)
         assert np.allclose(gaps, 0.01)
 
 
 class TestBurst:
     def test_burst_structure(self):
         source = BurstSource(burst_rate=10, burst_size=5)
-        arrivals = source.arrival_list(0.5)
-        assert len(arrivals) == 25
-        assert arrivals[0].time == arrivals[4].time
+        times = source.arrival_columns(0.5)["time"]
+        assert len(times) == 25
+        assert times[0] == times[4]
+
+    def test_burst_starts_accumulate(self):
+        """Burst starts add ``1 / burst_rate`` to the previous start, as a
+        running float sum: at 7 bursts/s the sum of seven gaps stays
+        below 1.0, where ``7 * (1 / 7)`` would land on the horizon."""
+        columns = BurstSource(burst_rate=7, burst_size=2, size=64).arrival_columns(1.0)
+        starts, time = [], 0.0
+        while time < 1.0:
+            starts.append(time)
+            time += 1 / 7
+        assert len(starts) == 8 and 7 * (1 / 7) == 1.0
+        assert columns == {
+            "time": [start for start in starts for _ in range(2)],
+            "size": [64] * 16,
+        }
 
 
 class TestPareto:
@@ -202,13 +229,12 @@ class TestOnOff:
             num_sources=20, packet_rate_on=500, mean_on=0.02, mean_off=0.08,
             rng=1,
         )
-        arrivals = source.arrival_list(5.0)
-        rate = len(arrivals) / 5.0
+        rate = len(source.arrival_columns(5.0)["time"]) / 5.0
         assert 0.4 * source.mean_rate < rate < 2.0 * source.mean_rate
 
     def test_sorted_times(self):
         source = ParetoOnOffSource(num_sources=5, rng=2)
-        times = [a.time for a in source.arrival_list(1.0)]
+        times = source.arrival_columns(1.0)["time"]
         assert times == sorted(times)
 
     def test_self_similar_burstier_than_poisson(self):
@@ -221,12 +247,13 @@ class TestOnOff:
         target_rate = onoff.mean_rate
         poisson = PoissonSource(target_rate, rng=3)
 
-        def counts(arrivals):
+        def counts(source):
             edges = np.linspace(0, duration, bins + 1)
-            return np.histogram([a.time for a in arrivals], bins=edges)[0]
+            times = source.arrival_columns(duration)["time"]
+            return np.histogram(times, bins=edges)[0]
 
-        h_onoff = hurst_estimate(counts(onoff.arrival_list(duration)))
-        h_poisson = hurst_estimate(counts(poisson.arrival_list(duration)))
+        h_onoff = hurst_estimate(counts(onoff))
+        h_poisson = hurst_estimate(counts(poisson))
         assert h_poisson < 0.65
         assert h_onoff > h_poisson + 0.1
 
@@ -288,8 +315,8 @@ def _reference_arrivals(source, duration):
     return arrivals
 
 
-def _pairs(arrivals):
-    return [(a.time, a.size) for a in arrivals]
+def _pairs(columns):
+    return list(zip(columns["time"], columns["size"]))
 
 
 _SIZE_MIXES = st.lists(
@@ -310,7 +337,7 @@ class TestSynthesisEquivalence:
     def test_matches_per_packet_reference(self, seed, duration, num_sources, size):
         fast = ParetoOnOffSource(num_sources=num_sources, size=size, rng=seed)
         slow = ParetoOnOffSource(num_sources=num_sources, size=size, rng=seed)
-        assert _pairs(fast.arrival_list(duration)) == _reference_arrivals(
+        assert _pairs(fast.arrival_columns(duration)) == _reference_arrivals(
             slow, duration
         )
         assert fast.rng.random() == slow.rng.random()
@@ -329,7 +356,7 @@ class TestSynthesisEquivalence:
         )
         fast = ParetoOnOffSource(num_sources=2, size=OCT89_SIZE_MIX, rng=7)
         slow = ParetoOnOffSource(num_sources=2, size=OCT89_SIZE_MIX, rng=7)
-        got = _pairs(fast.arrival_list(0.01))
+        got = _pairs(fast.arrival_columns(0.01))
         assert got == _reference_arrivals(slow, 0.01)
         assert [time for time, _ in got] == [0.0, 0.0, 0.002, 0.002, 0.003, 0.004]
         assert [math.copysign(1.0, time) for time, _ in got[:2]] == [1.0, -1.0]
@@ -337,17 +364,19 @@ class TestSynthesisEquivalence:
 
 class TestBellcore:
     def test_file_roundtrip(self, tmp_path):
-        arrivals = [Arrival(0.001, 64), Arrival(0.005, 1518)]
+        columns = {"time": [0.001, 0.005], "size": [64, 1518]}
         path = tmp_path / "trace.txt"
-        write_bellcore_trace(arrivals, path)
-        assert read_bellcore_trace(path) == arrivals
+        write_bellcore_trace(columns, path)
+        assert read_bellcore_trace(path) == columns
 
     def test_limit_truncates(self, tmp_path):
         # The paper uses "the first 1000 seconds" of the trace.
-        arrivals = [Arrival(float(t), 64) for t in range(10)]
+        columns = {"time": [float(t) for t in range(10)], "size": [64] * 10}
         path = tmp_path / "trace.txt"
-        write_bellcore_trace(arrivals, path)
-        assert len(read_bellcore_trace(path, limit=5.0)) == 5
+        write_bellcore_trace(columns, path)
+        assert read_bellcore_trace(path, limit=5.0) == {
+            "time": columns["time"][:5], "size": [64] * 5,
+        }
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -361,24 +390,34 @@ class TestBellcore:
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("# header\n\n0.5 64\n")
-        assert len(read_bellcore_trace(path)) == 1
+        assert read_bellcore_trace(path) == {"time": [0.5], "size": [64]}
 
     def test_synthesize(self):
-        arrivals = synthesize_bellcore_like(2.0, mean_rate=500, rng=0)
-        assert arrivals
-        rate = len(arrivals) / 2.0
+        columns = bellcore_like_source(mean_rate=500, rng=0).arrival_columns(2.0)
+        assert columns["time"]
+        rate = len(columns["time"]) / 2.0
         assert 100 < rate < 2000
-        assert all(a.size in OCT89_SIZE_MIX.sizes for a in arrivals)
+        assert all(size in OCT89_SIZE_MIX.sizes for size in columns["size"])
 
     def test_synthesize_validation(self):
         with pytest.raises(ConfigurationError):
-            synthesize_bellcore_like(0.0)
+            bellcore_like_source(mean_rate=0)
         with pytest.raises(ConfigurationError):
-            synthesize_bellcore_like(1.0, mean_rate=0)
+            bellcore_like_source(mean_rate=-1.0)
 
     def test_trace_source_replay(self):
-        arrivals = [Arrival(0.2, 64), Arrival(0.1, 64), Arrival(0.9, 64)]
-        source = TraceSource(arrivals)
-        replayed = source.arrival_list(0.5)
-        assert [a.time for a in replayed] == [0.1, 0.2]
-        assert len(source) == 3
+        """Replay sorts by time, stably, keeps every column, and cuts at
+        the horizon."""
+        columns = {
+            "time": [0.2, 0.1, 0.9, 0.1],
+            "size": [64, 65, 66, 67],
+            "flow": [1, 2, 3, 4],
+        }
+        source = TraceSource(columns)
+        assert source.arrival_columns(0.5) == {
+            "time": [0.1, 0.1, 0.2], "size": [65, 67, 64], "flow": [2, 4, 1],
+        }
+        assert source.arrival_columns(0.5) == source.arrival_columns(0.5)
+        assert source.arrival_columns(0.0) == {"time": [], "size": [], "flow": []}
+        assert columns["time"] == [0.2, 0.1, 0.9, 0.1]
+        assert len(source) == 4

@@ -107,14 +107,14 @@ class TestEndToEnd:
         """With a big L2 the penalty gap shrinks but the working set
         still exceeds L1, so LDLP still wins at high load."""
         source = PoissonSource(8000, rng=0)
-        arrivals = source.arrival_list(0.1)
+        arrivals = source.arrival_columns(0.1)
         results = {}
         for name in ("conventional", "ldlp"):
             config = SimulationConfig(
                 scheduler=name, duration=0.1, spec=L2_SPEC
             )
             results[name] = run_simulation(source, config, seed=0,
-                                           arrivals=arrivals)
+                                           columns=arrivals)
         assert (
             results["ldlp"].cycles_per_message
             < results["conventional"].cycles_per_message
@@ -124,7 +124,7 @@ class TestEndToEnd:
         """An L2 should be strictly cheaper than paying memory penalty
         on every primary miss."""
         source = PoissonSource(4000, rng=1)
-        arrivals = source.arrival_list(0.1)
+        arrivals = source.arrival_columns(0.1)
         flat_expensive = MachineSpec(miss_penalty=100, memory_penalty=100)
         with_l2 = L2_SPEC
         costs = {}
@@ -133,6 +133,6 @@ class TestEndToEnd:
                 scheduler="conventional", duration=0.1, spec=spec
             )
             costs[label] = run_simulation(
-                source, config, seed=1, arrivals=arrivals
+                source, config, seed=1, columns=arrivals
             ).cycles_per_message
         assert costs["l2"] < costs["flat100"]

@@ -101,20 +101,18 @@ from repro.sim.runner import (
 )
 from repro.sim.multicore import run_multicore
 from repro.sim.vec import vec_supported
-from repro.traffic.base import Arrival, record_columns
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.zipf import ZipfFlowSource
 
 POLICY_NAMES = tuple(sorted(DROP_POLICIES))
 
 
-def _run_both_engines(config, arrivals, seed, flow_cache=None, tagged=False):
+def _run_both_engines(config, columns, seed, flow_cache=None, tagged=False):
     """One config on both engines under a metrics recorder; returns
     {engine: (canonical result JSON, counters dict, latency samples)}.
     With a ``flow_cache`` the result carries the lookup counters;
     ``tagged`` tags each message with its arrival's flow, as
     :func:`run_flow_simulation` does."""
-    columns = record_columns(arrivals)
     return {
         engine: _run_engine(
             replace(config, engine=engine), columns, seed, flow_cache, tagged
@@ -281,7 +279,7 @@ def test_random_config_equivalence(
     duration = 0.015
     flush = None
     source = PoissonSource(rate, rng=seed)
-    arrivals = source.arrival_list(duration)
+    arrivals = source.arrival_columns(duration)
     if faulted:
         # The standard campaign plan: loss, duplication, reordering and
         # jitter (out-of-order timestamps!) plus periodic cache flushes.
@@ -319,7 +317,7 @@ def test_machine_variation_equivalence(
         buffer_size=buffer_size,
         spec=MachineSpec(iprefetch_efficiency=prefetch),
     )
-    arrivals = PoissonSource(9000.0, rng=seed).arrival_list(config.duration)
+    arrivals = PoissonSource(9000.0, rng=seed).arrival_columns(config.duration)
     outcomes = _run_both_engines(config, arrivals, seed)
     assert outcomes["scalar"] == outcomes["vec"]
 
@@ -341,7 +339,7 @@ def test_flow_run_equivalence(scheduler, organization, base, policy, faulted, se
         make_flow_base(base, 11000.0, 552, seed), num_flows=64, skew=1.1,
         seed=seed,
     )
-    arrivals = source.arrival_list(duration)
+    arrivals = source.arrival_columns(duration)
     flush = None
     if faulted:
         # Duplicated and delayed arrivals keep their flows.
@@ -355,19 +353,19 @@ def test_flow_run_equivalence(scheduler, organization, base, policy, faulted, se
     cache = FlowCacheSpec(entries=16, organization=organization)
     outcomes = _flow_charged_both_engines(
         lambda config: run_flow_simulation(
-            source, config, cache, seed=seed, arrivals=arrivals
+            source, config, cache, seed=seed, columns=arrivals
         ),
         config,
     )
     assert outcomes["scalar"] == outcomes["vec"]
     counters = outcomes["vec"][1]
     # A short Bellcore-style stream can be all OFF period.
-    assert (counters.get("flows.lookups", 0.0) > 0) == bool(arrivals)
-    if faulted and len({arrival.flow for arrival in arrivals}) > 1:
+    assert (counters.get("flows.lookups", 0.0) > 0) == bool(arrivals["time"])
+    if faulted and len(set(arrivals["flow"])) > 1:
         # The fault stages keep every arrival's flow, so the run looks up
         # more than one flow: each one's first lookup misses the cache,
-        # which is never flushed.  Rebuilt as plain arrivals, every
-        # message was flow 0 and missed exactly once.
+        # which is never flushed.  A stream that lost its flow column
+        # would be all flow 0 and miss exactly once.
         assert counters["flows.misses"] > 1
 
 
@@ -434,14 +432,14 @@ def test_multicore_run_equivalence(
         shared_l2=CacheGeometry(size=65536, line_size=32) if shared_l2 else None,
     )
     source = PoissonSource(15000.0, rng=seed)
-    arrivals = source.arrival_list(config.duration)
+    arrivals = source.arrival_columns(config.duration)
     outcomes = {}
     for engine in ENGINE_NAMES:
         recorder = Recorder(keep_spans=False)
         with recording(recorder), _vec_steppers() as steppers:
             result = run_multicore(
                 source, replace(config, engine=engine), seed=seed,
-                arrivals=arrivals,
+                columns=arrivals,
             )
         ran_vec = [stepper is not None for stepper in steppers]
         assert ran_vec == ([not shared_l2] * cores if engine == "vec" else [])
@@ -450,7 +448,7 @@ def test_multicore_run_equivalence(
             recorder.counters.as_dict(),
         )
     assert outcomes["scalar"] == outcomes["vec"]
-    assert outcomes["vec"][1]["messages.arrivals"] == len(arrivals)
+    assert outcomes["vec"][1]["messages.arrivals"] == len(arrivals["time"])
 
 
 @settings(max_examples=25, deadline=None)
@@ -481,14 +479,14 @@ def test_per_core_path_equals_event_merge(
         duration=0.01,
         flush_period_cycles=campaign_plan().flush_period_cycles if flushed else None,
     )
-    arrivals = PoissonSource(rate, rng=seed).arrival_list(config.duration)
+    arrivals = PoissonSource(rate, rng=seed).arrival_columns(config.duration)
     seen = {}
     for engine, keep_spans in (("scalar", True), ("scalar", False), ("vec", False)):
         recorder = Recorder(keep_spans=keep_spans)
         with recording(recorder), _drive_paths() as (outcomes, loops):
             result = run_multicore(
                 PoissonSource(rate, rng=seed), replace(config, engine=engine),
-                seed=seed, arrivals=arrivals,
+                seed=seed, columns=arrivals,
             )
         assert loops == ([cores] if keep_spans else [1] * cores)
         (outcome,) = outcomes
@@ -526,11 +524,11 @@ def test_drive_path_choice(case, engine):
         scheduler="conventional", dispatch="rss", num_cores=3, duration=0.01,
         engine=engine, **changes,
     )
-    arrivals = PoissonSource(20000.0, rng=4).arrival_list(config.duration)
+    arrivals = PoissonSource(20000.0, rng=4).arrival_columns(config.duration)
     if reverse:
-        arrivals.reverse()
+        arrivals = {name: column[::-1] for name, column in arrivals.items()}
     with recording(Recorder(keep_spans=keep_spans)), _drive_paths() as (_, loops):
-        run_multicore(PoissonSource(20000.0, rng=4), config, seed=4, arrivals=arrivals)
+        run_multicore(PoissonSource(20000.0, rng=4), config, seed=4, columns=arrivals)
     assert loops == ([1, 1, 1] if case == "uncoupled" else [3])
 
 
@@ -551,7 +549,7 @@ def test_multi_step_replay_equivalence(
     config = SimulationConfig(
         scheduler=scheduler, input_limit=input_limit, duration=0.015
     )
-    arrivals = PoissonSource(rate, rng=seed).arrival_list(config.duration)
+    arrivals = PoissonSource(rate, rng=seed).arrival_columns(config.duration)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vec_module, "MAX_STEPS", max_steps)
         outcomes = _run_both_engines(config, arrivals, seed)
@@ -581,7 +579,7 @@ def test_multi_step_flow_lookup_equivalence(
     source = PoissonSource(rate, rng=seed)
     if tagged:
         source = ZipfFlowSource(source, num_flows=64, skew=1.1, seed=seed)
-    arrivals = source.arrival_list(config.duration)
+    arrivals = source.arrival_columns(config.duration)
     cache = FlowCacheSpec(entries=16, organization=organization)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vec_module, "MAX_STEPS", max_steps)
@@ -633,7 +631,7 @@ def test_multi_step_envelope(case):
     source = PoissonSource(30000.0, rng=2)
     if tagged:
         source = ZipfFlowSource(source, num_flows=64, skew=1.1, seed=2)
-    arrivals = source.arrival_list(config.duration)
+    arrivals = source.arrival_columns(config.duration)
     with _vec_steppers() as steppers:
         outcomes = _run_both_engines(
             config, arrivals, 2, flow_cache, tagged
@@ -663,7 +661,7 @@ def test_second_drive_starts_mid_ring(scheduler):
     cycles, cache statistics, counters and the ring position stay equal
     to the scalar engine's."""
     streams = [
-        PoissonSource(9000.0, rng=rng).arrival_list(0.01) for rng in (5, 6)
+        PoissonSource(9000.0, rng=rng).arrival_columns(0.01) for rng in (5, 6)
     ]
     seen = {}
     for engine in ENGINE_NAMES:
@@ -674,8 +672,8 @@ def test_second_drive_starts_mid_ring(scheduler):
         with recording(recorder), _vec_steppers() as steppers:
             for offset, arrivals in zip((0.0, 0.01), streams):
                 timestamped = [
-                    (a.time + offset, Message(size=a.size, arrival_time=a.time + offset))
-                    for a in arrivals
+                    (time + offset, Message(size=size, arrival_time=time + offset))
+                    for time, size in zip(arrivals["time"], arrivals["size"])
                 ]
                 samples.append(list(drive(built, timestamped, engine=engine).latency._samples))
                 ring.append(binding.pool._next)
@@ -699,7 +697,7 @@ def test_grouped_batch_longer_than_ring():
     share a buffer; results, counters and latency order equal the
     scalar engine's."""
     config = SimulationConfig(scheduler="ldlp", batch_limit=48, duration=0.01)
-    arrivals = PoissonSource(40000.0, rng=7).arrival_list(config.duration)
+    arrivals = PoissonSource(40000.0, rng=7).arrival_columns(config.duration)
     with _vec_steppers() as steppers:
         outcomes = _run_both_engines(config, arrivals, 7)
     assert outcomes["scalar"] == outcomes["vec"]
@@ -715,12 +713,8 @@ def test_mixed_sizes_reuse_shape_rows_across_rotations():
     Results, counters and latency order equal the scalar engine's."""
     config = SimulationConfig(scheduler="conventional", duration=0.05)
     sizes = np.random.default_rng(8).choice([64, 552, 1500], size=1000).tolist()
-    arrivals = [
-        Arrival(arrival.time, size)
-        for arrival, size in zip(
-            PoissonSource(3000.0, rng=8).arrival_list(config.duration), sizes
-        )
-    ]
+    times = PoissonSource(3000.0, rng=8).arrival_columns(config.duration)["time"]
+    arrivals = {"time": times, "size": sizes[: len(times)]}
     with _vec_steppers() as steppers:
         outcomes = _run_both_engines(config, arrivals, 8)
     assert outcomes["scalar"] == outcomes["vec"]
@@ -791,7 +785,7 @@ def test_grouped_explicit_groups_equivalence(batch_limit, groups):
     layer over the whole batch back to back, so its code segments
     collapse; the latency samples and cache statistics must not move.
     ``None`` builds :class:`LDLPScheduler`, the singleton grouping."""
-    arrivals = PoissonSource(12000.0, rng=3).arrival_list(0.01)
+    arrivals = PoissonSource(12000.0, rng=3).arrival_columns(0.01)
     seen = {}
     for engine in ENGINE_NAMES:
         binding = MachineBinding(rng=3)
@@ -805,7 +799,8 @@ def test_grouped_explicit_groups_equivalence(batch_limit, groups):
                 groups=groups,
             )
         timestamped = [
-            (a.time, Message(size=a.size, arrival_time=a.time)) for a in arrivals
+            (time, Message(size=size, arrival_time=time))
+            for time, size in zip(arrivals["time"], arrivals["size"])
         ]
         recorder = Recorder(keep_spans=False)
         with recording(recorder):
@@ -1242,7 +1237,7 @@ def test_state_memo_flushed_equivalence(scheduler):
         scheduler=scheduler, duration=0.03, flush_period_cycles=50_000.0
     )
     rate = FLUSHED_MEMO_RATES[scheduler]
-    arrivals = PoissonSource(rate, rng=3).arrival_list(config.duration)
+    arrivals = PoissonSource(rate, rng=3).arrival_columns(config.duration)
     with _vec_steppers() as steppers:
         outcomes = _run_both_engines(config, arrivals, 3)
     assert outcomes["scalar"] == outcomes["vec"]
@@ -1345,7 +1340,7 @@ def test_state_table_bound(scheduler):
     byte-identical to the unbounded-enough default's and the scalar
     engine's."""
     config = SimulationConfig(scheduler=scheduler, duration=0.03)
-    arrivals = PoissonSource(7000.0, rng=4).arrival_list(config.duration)
+    arrivals = PoissonSource(7000.0, rng=4).arrival_columns(config.duration)
     default = _run_both_engines(config, arrivals, 4)
     intern = vec_module._StateMemo._intern
     filled = []  # (states, ids) held after each intern
@@ -1546,15 +1541,15 @@ def test_table_store_shares_and_stays_in_budget():
 def test_empty_and_singleton_streams(scheduler, policy):
     """Zero-length and length-1 arrival streams through every
     scheduler and drop policy, on both engines."""
-    for arrivals in ([], [Arrival(time=0.001, size=552)]):
+    for arrivals in ({"time": [], "size": []}, {"time": [0.001], "size": [552]}):
         config = SimulationConfig(
             scheduler=scheduler, drop_policy=policy, duration=0.01
         )
-        outcomes = _run_both_engines(config, list(arrivals), seed=0)
+        outcomes = _run_both_engines(config, arrivals, seed=0)
         assert outcomes["scalar"] == outcomes["vec"]
         for engine in ENGINE_NAMES:
             counters = outcomes[engine][1]
-            expected = float(len(arrivals))
+            expected = float(len(arrivals["time"]))
             assert counters.get("messages.arrivals", 0.0) == expected
             assert counters.get("messages.completions", 0.0) == expected
 
@@ -1611,7 +1606,7 @@ def test_data_conflicts_decline_vec(case):
         scheduler="ldlp", duration=0.01, **DATA_CONFLICTS[case]
     )
     assert not vec_supported(build_scheduler(config, seed=5))
-    arrivals = PoissonSource(6000.0, rng=5).arrival_list(config.duration)
+    arrivals = PoissonSource(6000.0, rng=5).arrival_columns(config.duration)
     with _vec_steppers() as steppers:
         outcomes = _run_both_engines(config, arrivals, 5)
     assert steppers == [None]
@@ -1676,9 +1671,9 @@ def test_unsupported_stack_falls_back_to_scalar():
             layer_code_bytes=12288,
             engine=engine,
         )
-        arrivals = PoissonSource(3000.0, rng=1).arrival_list(config.duration)
+        arrivals = PoissonSource(3000.0, rng=1).arrival_columns(config.duration)
         result = run_simulation(
-            PoissonSource(3000.0, rng=1), config, seed=1, arrivals=arrivals
+            PoissonSource(3000.0, rng=1), config, seed=1, columns=arrivals
         )
         results[engine] = canonical_json(result.to_dict())
     assert results["scalar"] == results["vec"]
@@ -1689,11 +1684,11 @@ def test_span_keeping_recorder_uses_scalar_path():
     scalar path emits: under a keep_spans recorder the vec engine must
     stand aside, and the trace must contain layer tracks."""
     config = SimulationConfig(duration=0.005, engine="vec")
-    arrivals = PoissonSource(5000.0, rng=0).arrival_list(config.duration)
+    arrivals = PoissonSource(5000.0, rng=0).arrival_columns(config.duration)
     recorder = Recorder(keep_spans=True)
     with recording(recorder):
         run_simulation(PoissonSource(5000.0, rng=0), config, seed=0,
-                       arrivals=arrivals)
+                       columns=arrivals)
     tracks = set(recorder.tracks())
     assert "layer0" in tracks
     assert any(span.name == "invoke" for span in recorder.spans)
@@ -1731,7 +1726,7 @@ def test_counters_identical_with_and_without_spans(case):
     metrics-only path and tallying the drive counters per call must
     not change a bit (nor which counters exist)."""
     config, rate = COUNTER_IDENTITY_CASES[case]
-    arrivals = PoissonSource(rate, rng=5).arrival_list(config.duration)
+    arrivals = PoissonSource(rate, rng=5).arrival_columns(config.duration)
     seen = {}
     for engine in ENGINE_NAMES:
         for keep_spans in (True, False):
@@ -1739,14 +1734,14 @@ def test_counters_identical_with_and_without_spans(case):
             with recording(recorder):
                 result = run_simulation(
                     PoissonSource(rate, rng=5), replace(config, engine=engine),
-                    seed=5, arrivals=arrivals,
+                    seed=5, columns=arrivals,
                 )
             seen[engine, keep_spans] = (
                 canonical_json(result.to_dict()), recorder.counters.as_dict()
             )
     assert len(set(map(repr, seen.values()))) == 1
     counters = seen["vec", False][1]
-    assert counters["messages.arrivals"] == len(arrivals)
+    assert counters["messages.arrivals"] == len(arrivals["time"])
     if case == "flushed":
         assert counters["faults.cache_flushes"] > 0
     if case == "dispatched":
@@ -1761,13 +1756,13 @@ def test_latency_sample_order_is_identical():
     sample sequences match, which pins completion *order*."""
     for scheduler_name in SCHEDULER_NAMES:
         config = SimulationConfig(scheduler=scheduler_name, duration=0.01)
-        arrivals = PoissonSource(12000.0, rng=7).arrival_list(config.duration)
+        arrivals = PoissonSource(12000.0, rng=7).arrival_columns(config.duration)
         samples = {}
         for engine in ENGINE_NAMES:
             scheduler = build_scheduler(config, seed=7)
             timestamped = [
-                (a.time, Message(size=a.size, arrival_time=a.time))
-                for a in arrivals
+                (time, Message(size=size, arrival_time=time))
+                for time, size in zip(arrivals["time"], arrivals["size"])
             ]
             stats = drive(scheduler, timestamped, engine=engine)
             samples[engine] = list(stats.latency._samples)
