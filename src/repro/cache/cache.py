@@ -98,6 +98,9 @@ class DirectMappedCache(Cache):
         self._tags = tags
 
     def access_line(self, line: int) -> bool:
+        """Access one line: a miss replaces set ``line % num_lines``'s
+        tag (an eviction unless the set was empty).  Returns True iff
+        it missed."""
         if line < 0:
             raise ConfigurationError(f"line number must be non-negative, got {line}")
         index = line % self.num_lines
@@ -111,6 +114,7 @@ class DirectMappedCache(Cache):
         return True
 
     def contains_line(self, line: int) -> bool:
+        """True iff ``line`` is its set's tag; no statistics change."""
         if line < 0:
             # Same guard as access_line: a negative line would otherwise
             # compare equal to the -1 invalid-slot sentinel and report
@@ -119,6 +123,7 @@ class DirectMappedCache(Cache):
         return bool(self._tags[line % self.num_lines] == line)
 
     def flush(self) -> None:
+        """Empty every set (tag -1); statistics are kept."""
         self._tags.fill(-1)
 
     def access_line_array_report(self, lines: np.ndarray) -> np.ndarray:
@@ -222,6 +227,9 @@ class SetAssociativeCache(Cache):
         self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
 
     def access_line(self, line: int) -> bool:
+        """Access one line in set ``line % num_sets``: a hit refreshes it
+        under LRU (FIFO leaves the order), a miss appends it and, in a
+        full set, evicts the first tag.  Returns True iff it missed."""
         if line < 0:
             raise ConfigurationError(f"line number must be non-negative, got {line}")
         lru = self._sets[line % self.num_sets]
@@ -239,6 +247,8 @@ class SetAssociativeCache(Cache):
         return True
 
     def contains_line(self, line: int) -> bool:
+        """True iff ``line`` is resident in its set; neither the
+        replacement order nor the statistics change."""
         if line < 0:
             # Parity with access_line (and with DirectMappedCache): the
             # membership probe must reject the same inputs the access
@@ -247,6 +257,7 @@ class SetAssociativeCache(Cache):
         return line in self._sets[line % self.num_sets]
 
     def flush(self) -> None:
+        """Empty every set; statistics are kept."""
         for lru in self._sets:
             lru.clear()
 

@@ -29,7 +29,9 @@ tag arrays are one plan over an array holding both:
 :class:`FusedReplay` replays an instruction-cache plan and a data-cache
 plan against the split L1's one backing tag array
 (:class:`repro.cache.hierarchy.SplitCacheHierarchy`) with one gather,
-compare, scatter and count.
+compare, scatter and count.  Replays whose instruction plans differ
+only in their first touches' segment ids share one scratch
+:class:`ReplayArena`.
 
 One static-analysis kernel, :func:`_first_touches`, computes a stream's
 first touches, last lines and static misses per segment: one stable
@@ -204,6 +206,32 @@ def _same_lines(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
+class ReplayArena:
+    """The scratch columns :class:`FusedReplay` instances share when their
+    I plans differ only in segment ids.
+
+    The tail holds an I plan's first touches, sets offset past the
+    ``dsets`` data sets: rows 0, 1 and 3 (sets, first lines, last lines)
+    once for every replay that shares the arena, and in row 2 the
+    segment ids of the replay that applied last (``loaded``), which each
+    replay swaps in with one slice-assign when it is not the one loaded.
+    The ``dsets`` columns before the tail take each apply's D plan.
+    """
+
+    __slots__ = ("columns", "dsets", "loaded")
+
+    def __init__(self, iblock: np.ndarray, dsets: int) -> None:
+        # A D plan touches each of the dsets sets at most once first,
+        # so the first ``dsets`` columns have room for any of them.
+        self.columns = np.empty((4, dsets + iblock.shape[1]), dtype=np.int64)
+        self.columns[:, dsets:] = iblock
+        self.columns[0, dsets:] += dsets
+        self.dsets = dsets
+        #: The segment-id row now in the tail's row 2, as the replay
+        #: that loaded it holds it; ``None`` before any apply.
+        self.loaded: np.ndarray | None = None
+
+
 class FusedReplay:
     """One instruction-cache plan replayed together with data-cache plans.
 
@@ -215,41 +243,86 @@ class FusedReplay:
     segments first.
 
     One instance serves one I plan and every D plan of ``dsegments``
-    segments.  It keeps an arena whose tail holds the I plan's
+    segments.  Its :class:`ReplayArena`'s tail holds the I plan's
     first-touch arrays; :meth:`apply` copies a packed D plan
     (:meth:`data_plan`) into the columns just before the tail, so each
     replay reads one contiguous run of first touches and never copies
-    the I arrays.  Hits, misses and evictions accrue to each cache's
-    :class:`CacheStats` exactly as one scalar
-    ``access_line_array_report`` call per segment would add them, given
-    non-negative line numbers (``-1`` marks an empty set).
+    the I arrays.  Replays whose I plans share every first touch but
+    its segment id (the vec engine's batch lengths) share one arena
+    (:meth:`sharing`): each keeps only its offset segment-id row and
+    loads it into the arena when another replay applied last.  Hits,
+    misses and evictions accrue to each cache's :class:`CacheStats`
+    exactly as one scalar ``access_line_array_report`` call per segment
+    would add them, given non-negative line numbers (``-1`` marks an
+    empty set).
 
     Both sides need at least one segment: :meth:`apply` splits the
     per-segment misses at ``dsegments`` with one ``add.reduceat``, which
     miscounts an empty side.  A segment may be empty.
     """
 
+    __slots__ = (
+        "dsets", "dsegments", "num_segments", "static", "accesses",
+        "_segments", "_bounds", "_arena",
+    )
+
     def __init__(self, iplan: PackedPlan, dsets: int, dsegments: int) -> None:
+        self._bind(
+            ReplayArena(iplan.block, dsets), iplan.block[2], iplan.static,
+            iplan.accesses, dsegments,
+        )
+
+    @classmethod
+    def sharing(
+        cls,
+        arena: ReplayArena,
+        segment_ids: np.ndarray,
+        static: np.ndarray,
+        accesses: int,
+        dsegments: int,
+    ) -> FusedReplay:
+        """The replay of the I plan whose first touches ``arena`` holds
+        but with segment ids ``segment_ids`` (before the ``dsegments``
+        offset), ``static`` misses per segment and ``accesses``."""
+        replay = cls.__new__(cls)
+        replay._bind(arena, segment_ids, static, accesses, dsegments)
+        return replay
+
+    def _bind(
+        self,
+        arena: ReplayArena,
+        segment_ids: np.ndarray,
+        static: np.ndarray,
+        accesses: int,
+        dsegments: int,
+    ) -> None:
         if dsegments < 1:
             raise ValueError(f"need at least one data segment, got {dsegments}")
-        if iplan.static.size < 1:
+        if static.size < 1:
             raise ValueError("need at least one code segment, got none")
-        self.iplan = iplan
-        self.dsets = dsets
+        self.dsets = arena.dsets
         self.dsegments = dsegments
-        self.num_segments = dsegments + iplan.static.size
+        self.num_segments = dsegments + static.size
+        #: The I plan's static misses per segment, and its accesses.
+        self.static = static
+        self.accesses = accesses
+        self._segments = np.add(segment_ids, dsegments, dtype=np.int64)
         self._bounds = np.array([0, dsegments], dtype=np.int64)
-        # A D plan touches each of the dsets sets at most once first,
-        # so the first ``dsets`` columns have room for any of them.
-        self._arena = np.empty((4, dsets + iplan.block.shape[1]), dtype=np.int64)
-        self._arena[:, dsets:] = iplan.block
-        self._arena[0, dsets:] += dsets
-        self._arena[2, dsets:] += dsegments
+        self._arena = arena
+
+    @property
+    def iplan(self) -> PackedPlan:
+        """The I plan, rebuilt from the arena and the segment-id row."""
+        block = self._arena.columns[:, self.dsets :].copy()
+        block[0] -= self.dsets
+        block[2] = self._segments - self.dsegments
+        return PackedPlan(block, self.static, self.accesses)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arena, which holds the I plan's first touches."""
-        return self._arena.nbytes
+        """Bytes of the arrays the replay holds beside its arena: its
+        segment-id row, static misses and segment bounds."""
+        return self._segments.nbytes + self.static.nbytes + self._bounds.nbytes
 
     def data_plan(
         self,
@@ -276,7 +349,7 @@ class FusedReplay:
         block, static = _first_touches(
             lines, segment_ids, self.dsets, self.num_segments, dtype
         )
-        static[self.dsegments :] = self.iplan.static
+        static[self.dsegments :] = self.static
         return PackedPlan(block, static, int(lines.size))
 
     def apply(
@@ -291,10 +364,15 @@ class FusedReplay:
         Mutates ``tags`` in place and returns the per-segment miss
         counts (int64): the D plan's segments, then the I plan's.
         """
-        head = self.dsets - data.block.shape[1]
+        dsets = self.dsets
+        head = dsets - data.block.shape[1]
         arena = self._arena
-        arena[:, head : self.dsets] = data.block
-        sets, first_lines, segments, last_lines = arena[:, head:]
+        columns = arena.columns
+        if arena.loaded is not self._segments:
+            columns[2, dsets:] = self._segments
+            arena.loaded = self._segments
+        columns[:, head:dsets] = data.block
+        sets, first_lines, segments, last_lines = columns[:, head:]
         resident = tags[sets]
         first_miss = first_lines != resident
         tags[sets] = last_lines
@@ -307,12 +385,12 @@ class FusedReplay:
         dcold = 0
         icold = int(np.count_nonzero(cold))
         if icold:
-            dcold = int(np.count_nonzero(cold[: self.dsets - head]))
+            dcold = int(np.count_nonzero(cold[: dsets - head]))
             icold -= dcold
         dstats.misses += dmisses
         dstats.hits += data.accesses - dmisses
         dstats.evictions += dmisses - dcold
         istats.misses += imisses
-        istats.hits += self.iplan.accesses - imisses
+        istats.hits += self.accesses - imisses
         istats.evictions += imisses - icold
         return per_segment

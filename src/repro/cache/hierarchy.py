@@ -209,6 +209,7 @@ class SplitCacheHierarchy:
             self.l2.flush()
 
     def reset_stats(self) -> None:
+        """Zero every level's statistics; cache contents are kept."""
         self.icache.stats.reset()
         self.dcache.stats.reset()
         if self.l2 is not None:

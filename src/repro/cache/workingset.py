@@ -57,15 +57,18 @@ class WorkingSetReport:
     per_layer: dict[str, dict[Category, CategoryCount]]
 
     def layer(self, name: str, category: Category) -> CategoryCount:
+        """One layer's count in ``category`` (zero if it has none)."""
         return self.per_layer.get(name, {}).get(category, ZERO_COUNT)
 
     def total(self, category: Category) -> CategoryCount:
+        """The count in ``category`` summed over every layer."""
         result = ZERO_COUNT
         for counts in self.per_layer.values():
             result = result + counts.get(category, ZERO_COUNT)
         return result
 
     def grand_total_bytes(self) -> int:
+        """Bytes over every layer and category."""
         return sum(self.total(category).bytes for category in Category)
 
 
@@ -131,6 +134,8 @@ class WorkingSetAnalyzer:
         per_layer: dict[str, dict[Category, CategoryCount]] = {}
 
         def bump(layer: str, category: Category, lines: int) -> None:
+            """Add ``lines`` lines (and their bytes) to one layer's
+            count in ``category``."""
             counts = per_layer.setdefault(layer, {})
             old = counts.get(category, ZERO_COUNT)
             counts[category] = CategoryCount(
@@ -211,11 +216,16 @@ class LineSizeDelta:
     lines_pct: float
 
     def format(self) -> str:
+        """The deltas as Table 3 prints them, e.g. ``+12% -40%``."""
         return f"{self.bytes_pct:+.0f}% {self.lines_pct:+.0f}%"
 
 
 @dataclass(frozen=True)
 class LineSizeRow:
+    """One line size's row: each category's change against the
+    baseline, ``None`` for data categories below the 8-byte word (N/A
+    in Table 3)."""
+
     line_size: int
     deltas: dict[Category, "LineSizeDelta | None"]
 
@@ -228,6 +238,8 @@ class LineSizeTable:
     rows: list[LineSizeRow]
 
     def row(self, line_size: int) -> LineSizeRow:
+        """The row of ``line_size``; raises ConfigurationError if the
+        table has none."""
         for row in self.rows:
             if row.line_size == line_size:
                 return row

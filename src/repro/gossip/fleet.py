@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,13 @@ class GossipFleetSpec:
         """Zipf(``peer_skew``) popularity over the ranked peers."""
         return zipf_weights(self.num_peers, self.peer_skew)
 
+    def draw_peers(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` destination peers drawn by popularity: the draws
+        ``rng.choice(num_peers, size=count, p=peer_popularity())``
+        makes, from the spec's cached CDF (:func:`_peer_cdf`)."""
+        cdf = _peer_cdf(self.num_peers, self.peer_skew)
+        return cdf.searchsorted(rng.random(count), side="right")
+
     def community_of(self, peer: int) -> int:
         """The stable community one peer belongs to (crc32-mixed)."""
         return zlib.crc32(f"gossip:peer:{peer}".encode("utf-8")) % self.num_communities
@@ -117,6 +125,17 @@ class GossipFleetSpec:
             "rate": self.rate,
             "seed": self.seed,
         }
+
+
+@lru_cache(maxsize=16)
+def _peer_cdf(num_peers: int, peer_skew: float) -> np.ndarray:
+    """The normalised cumulative popularity ``Generator.choice`` forms
+    from ``p``, read-only: it depends on the spec's peers and skew
+    alone, so every draw of one fleet shares it."""
+    cdf = zipf_weights(num_peers, peer_skew).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 class GossipFleetSource(TrafficSource):
@@ -177,9 +196,7 @@ class GossipFleetSource(TrafficSource):
         spec = self.spec
         times = self._times(duration)
         count = len(times)
-        peers = self._rng("peers").choice(
-            spec.num_peers, size=count, p=spec.peer_popularity()
-        ).astype(np.int64) if count else np.empty(0, dtype=np.int64)
+        peers = spec.draw_peers(self._rng("peers"), count)
         kind_rng = self._rng("kinds")
         is_data = kind_rng.random(count) < spec.data_fraction
         control_kinds = kind_rng.integers(0, len(CONTROL_KINDS), size=count)

@@ -73,6 +73,7 @@ class MemoryLayout:
         self.rng = rng
         self._next_free = base
         self._intervals: list[tuple[int, int]] = []  # sorted (start, end)
+        self._reserved = 0  # bytes the intervals cover
 
     def _round_up(self, addr: int) -> int:
         return -(-addr // self.line_size) * self.line_size
@@ -80,7 +81,7 @@ class MemoryLayout:
     @property
     def reserved_bytes(self) -> int:
         """Total bytes already reserved by placed regions."""
-        return sum(end - start for start, end in self._intervals)
+        return self._reserved
 
     @property
     def free_bytes(self) -> int:
@@ -96,6 +97,7 @@ class MemoryLayout:
     def _reserve(self, start: int, end: int) -> None:
         self._intervals.append((start, end))
         self._intervals.sort()
+        self._reserved += end - start
 
     def place_sequential(self, region: Region) -> Region:
         """Place ``region`` at the lowest line-aligned free address."""

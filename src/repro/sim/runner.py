@@ -315,6 +315,7 @@ def _scalar_stepper(scheduler: Scheduler) -> Stepper:
     """Adapt the scheduler's own ``service_step`` to the stepper shape."""
 
     def step() -> tuple[Completions, Completions]:
+        """One scalar service step's completions; it replays none ahead."""
         completions = [
             (completion.message, completion.completion_cycle)
             for completion in scheduler.service_step()

@@ -95,8 +95,10 @@ the addends are bit-equal to the per-invocation ones.
 *Dynamic replay.*  The split L1 keeps both tag arrays in one backing
 array (:class:`~repro.cache.hierarchy.SplitCacheHierarchy`), so a step
 replays its code and data plans as one plan, in ~15 numpy ops: copy
-the data plan's first touches in front of the code plan's in the batch
-length's arena, gather the live tags, compare, scatter the final tags,
+the data plan's first touches in front of the code plan's in the
+table's arena (:class:`~repro.cache.chunked.ReplayArena`; a batch
+length other than the last one applied first swaps in its code
+segment-id row), gather the live tags, compare, scatter the final tags,
 count misses per segment, scatter them as stall addends, and one
 ``cumsum`` over the flat addend array.  ``cumsum`` accumulates strictly
 left-to-right, so seeding slot 0 with the current cycle counter
@@ -150,12 +152,24 @@ them.  The paper averages each point over random placements, and a
 sweep's points that differ only in rate, clock, dispatch or flow cache
 share every placement: over the ``multicore`` benchmark pass this
 takes compiles from ~1,540 to ~960.  Memory bounds the store: a table
-counts its arrays' bytes (data-plan blocks as int32, and a shape's
-rows only from its second use, since most shapes of a mixed-size trace
-are used once), it stops taking entries at :data:`MAX_TABLE_BYTES`
+counts the bytes of every array it holds plus :data:`_ENTRY_BYTES` per
+entry (data-plan blocks are int32, a shape's rows are kept only from
+its second use, since most shapes of a mixed-size trace are used once,
+and a layout copies what it keeps of the rows, so rows rebuilt longer
+free the old ones), it stops taking entries at :data:`MAX_TABLE_BYTES`
 (its engines then keep what they compile to themselves), and at each
 engine's start the store evicts the least recently used tables while
-it counts more than :data:`MAX_TABLE_BYTES`.  The state memo is
+it counts more than :data:`MAX_TABLE_BYTES`.  A table's batch lengths
+share one replay arena: their code first-touch blocks differ only in
+the segment ids (see "Layouts"), so the table keeps one int64
+``(4, dsets + icols)`` arena (16 KiB at the default L1s) and one
+segment-id row per length (<= 2 KiB).  The budget is sized to what the
+``multicore`` benchmark pass needs: its schedulers cycle over four
+per-core placements, so it holds about four LDLP tables at once.
+Data plans per pass (seeds 1-6 in one process, after one at seed 0)
+are 685 with no bound, 691 at 1.25 MiB, 729 at 1 MiB and 902 at
+768 KiB; 1.25 MiB is the smallest of the three within 5 % of the
+unbounded count.  The state memo is
 per engine: each engine memoizes per template key, so nothing a memo
 holds outlives the drive call.
 
@@ -231,7 +245,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cache.cache import DirectMappedCache
-from ..cache.chunked import FusedReplay, PackedPlan, collapsed_plan
+from ..cache.chunked import FusedReplay, PackedPlan, ReplayArena, collapsed_plan
 from ..cache.hierarchy import SplitCacheHierarchy
 from ..core.dispatch import FLOW_KEY
 from ..core.layer import PassthroughLayer
@@ -261,8 +275,8 @@ MAX_STEPS = 8
 MAX_STATES = 128
 
 #: Most bytes of compiled tables the process keeps across drive calls
-#: (see "Table store"), counted as :attr:`_Table.nbytes`: 768 KiB.
-MAX_TABLE_BYTES = 3 << 18
+#: (see "Table store"), counted as :attr:`_Table.nbytes`: 1.25 MiB.
+MAX_TABLE_BYTES = 5 << 18
 
 #: What a table counts per entry beyond its arrays: the Python objects
 #: and dict slots around them, roughly.
@@ -315,8 +329,9 @@ class _StepTemplate:
 class _Layout:
     """Everything about a template that depends on the batch length only.
 
-    The length's rows of the engine's :class:`_Rows` plus its own fused
-    replay, built at the length's first compile; compiling a
+    The length's rows of the engine's :class:`_Rows` plus its fused
+    replay (over the table's shared arena), built at the length's first
+    compile; compiling a
     composition is then a lookup of its buffers' line runs and shape
     (:class:`_Shape`), one :meth:`FusedReplay.data_plan` and, for a new
     size tuple, one vector expression for the addends.  ``replay``,
@@ -391,13 +406,23 @@ class _Rows:
     #: Each kept code segment's istall slot and static misses.
     istall: np.ndarray
     static: np.ndarray
-    #: The analysed code plan's first-touch block, and what a batch of
-    #: ``b`` adds ``b - 2`` times to it: ``None`` unless a group keeps
-    #: second repetitions before another (see :meth:`_VecEngine._code_rows`).
-    block: np.ndarray
+    #: The analysed code plan's first-touch segment ids (row 2 of its
+    #: block; the other rows are the table's arena's), and what a batch
+    #: of ``b`` adds ``b - 2`` times to them: ``None`` unless a group
+    #: keeps second repetitions before another (see
+    #: :meth:`_VecEngine._code_rows`).
+    segments: np.ndarray
     shift: np.ndarray | None
     #: Code accesses per message, elided repeats included.
     accesses: int
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Every array the rows hold."""
+        arrays = (
+            self.member, self.slots, self.constant, self.per_byte, self.pieces,
+            self.dpos, self.istall, self.static, self.segments,
+        )
+        return arrays if self.shift is None else arrays + (self.shift,)
 
 
 class _Table:
@@ -409,8 +434,8 @@ class _Table:
     """
 
     __slots__ = (
-        "templates", "layouts", "rows", "shapes", "addends", "layer_runs",
-        "buffer_runs", "dtype", "nbytes",
+        "templates", "layouts", "rows", "arena", "shapes", "addends",
+        "layer_runs", "buffer_runs", "dtype", "nbytes",
     )
 
     def __init__(
@@ -421,6 +446,9 @@ class _Table:
         self.templates: dict[tuple[int, tuple[int, ...]], _StepTemplate] = {}
         self.layouts: dict[int, _Layout] = {}
         self.rows: _Rows | None = None
+        #: The code plan's first touches, and the scratch columns every
+        #: batch length's replay shares (see :class:`ReplayArena`).
+        self.arena: ReplayArena | None = None
         #: Each piece's line count (the layers' pieces, then each slot's
         #: buffer; the count of slots fixes the batch length) -> its
         #: rows, or ``None`` while the shape has been used once.
@@ -449,8 +477,10 @@ class _Table:
         :data:`MAX_TABLE_BYTES`: it still serves what it holds, and its
         engines keep what they compile beyond it to themselves."""
         if self.nbytes < MAX_TABLE_BYTES:
+            if key not in entries:
+                self.nbytes += _ENTRY_BYTES
             entries[key] = value
-            self.nbytes += _ENTRY_BYTES + nbytes
+            self.nbytes += nbytes
         return value
 
 
@@ -778,8 +808,11 @@ class _VecEngine:
         """
         table = self.table
         rows = table.rows
-        if rows is not None and rows.length >= batch:
-            return rows
+        if rows is not None:
+            if rows.length >= batch:
+                return rows
+            # The longer rows replace these: layouts copy what they keep.
+            table.nbytes -= _ENTRY_BYTES + sum(array.nbytes for array in rows.arrays())
         length = max(batch, self.longest)
         one = self._program(1)
         step = len(one)
@@ -849,10 +882,7 @@ class _VecEngine:
             (_SLOTS * np.arange(count)[:, None] + (2, 3)).ravel(),
             *self._code_rows(spans, batches),
         )
-        table.add(
-            rows.member, rows.slots, rows.constant, rows.per_byte, rows.pieces,
-            rows.dpos, rows.istall, rows.static, rows.block,
-        )
+        table.add(*rows.arrays())
         return rows
 
     def _code_rows(
@@ -863,7 +893,9 @@ class _VecEngine:
         batches are all single), whose plan keeps each group's first
         repetition and one copy of its second (see the module docs'
         "Layouts").  ``spans`` are the groups' first batch-1
-        invocations and sizes, ``batches`` the lengths as a column."""
+        invocations and sizes, ``batches`` the lengths as a column.
+        The table's arena takes the plan's first touches at the first
+        analysis; a longer one finds the same."""
         length = len(batches)
         analysed = min(2, length)
         plan, kept = collapsed_plan(
@@ -904,24 +936,33 @@ class _VecEngine:
         # a batch of b keeps b - 2 more second repetitions than a batch
         # of 2 in the groups before each.
         before = [sum(seconds[: twins[index][0]]) for index in kept]
-        shift = None
-        if any(before):
-            shift = np.zeros_like(plan.block)
-            shift[2] = np.array(before)[plan.block[2]]
+        segments = plan.block[2].copy()
+        shift = np.array(before)[segments] if any(before) else None
+        table = self.table
+        if table.arena is None:
+            table.arena = ReplayArena(plan.block, self.dcache.num_lines)
+            table.add(table.arena.columns)
+        else:
+            dsets = table.arena.dsets
+            assert np.array_equal(
+                table.arena.columns[[1, 3], dsets:], plan.block[[1, 3]]
+            ), "a longer analysis moved a first touch"
         return (
             [b * firsts + sum(seconds) * b * (b - 1) // 2 for b in range(length + 1)],
             code_batch * code[:, 1] + code[:, 2],
-            code[:, 3],
-            plan.block,
+            code[:, 3].copy(),
+            segments,
             shift,
             plan.accesses // analysed,
         )
 
     def _layout(self, batch: int) -> _Layout:
         """The batch-length-only parts of a template: its rows of
-        :meth:`_rows` (slices, and gathers of the per-invocation addend
-        terms), plus the length's own fused replay."""
-        layouts = self.table.layouts
+        :meth:`_rows` (copied slices, and gathers of the per-invocation
+        addend terms), plus the length's fused replay, which shares the
+        table's arena."""
+        table = self.table
+        layouts = table.layouts
         layout = layouts.get(batch)
         if layout is not None:
             return layout
@@ -929,28 +970,32 @@ class _VecEngine:
         first, last = rows.row_ends[batch - 1 : batch + 1]
         start, stop = rows.code_ends[batch - 1 : batch + 1]
         count = last - first - 1
-        block = rows.block
+        segments = rows.segments
         if rows.shift is not None:
-            block = block + (batch - 2) * rows.shift
-        iplan = PackedPlan(block, rows.static[start:stop], batch * rows.accesses)
+            segments = segments + (batch - 2) * rows.shift
+        assert table.arena is not None
+        replay = FusedReplay.sharing(
+            table.arena, segments, rows.static[start:stop].copy(),
+            batch * rows.accesses, 2 * count,
+        )
         member = rows.member[first:last]
         ends = self._completion_points(batch)
         layout = _Layout(
-            FusedReplay(iplan, self.dcache.num_lines, 2 * count),
+            replay,
             np.concatenate((rows.dpos[: 2 * count], rows.istall[start:stop])),
             ends,
             ends[:-1] + 1,
-            rows.pieces[2 * (first + 1) : 2 * last],
+            rows.pieces[2 * (first + 1) : 2 * last].copy(),
             # Row 0's last addend is addend slot 0.
-            np.outer(rows.slots[first:last], (0, 0, 0, 1, 1)).ravel()[_SLOTS - 1 :],
-            rows.constant.take(member, axis=0).ravel()[_SLOTS - 1 :],
-            rows.per_byte.take(member, axis=0).ravel()[_SLOTS - 1 :],
+            np.outer(rows.slots[first:last], (0, 0, 0, 1, 1)).ravel()[_SLOTS - 1 :].copy(),
+            rows.constant.take(member, axis=0).ravel()[_SLOTS - 1 :].copy(),
+            rows.per_byte.take(member, axis=0).ravel()[_SLOTS - 1 :].copy(),
         )
         layouts[batch] = layout
-        self.table.nbytes += layout.replay.nbytes
-        self.table.add(
-            layout.positions, layout.ends, layout.pieces, layout.slots,
-            layout.constant, layout.per_byte,
+        table.nbytes += replay.nbytes
+        table.add(
+            layout.positions, layout.ends, layout.lookups, layout.pieces,
+            layout.slots, layout.constant, layout.per_byte,
         )
         return layout
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.harnesscheck import check_sweep_coverage
+import repro.gossip.fleet as fleet_module
 from repro.errors import ConfigurationError, WireError
 from repro.experiments import gossip as experiment
 from repro.flows import FlowCacheSpec
@@ -281,6 +283,25 @@ class TestFleet:
         ).arrival_columns(0.02)["kind"]
         assert all_control
         assert all(kind in CONTROL_KINDS for kind in all_control)
+
+    @pytest.mark.parametrize("peer_skew", [0.0, 0.6, 1.1, 2.5])
+    @pytest.mark.parametrize("num_peers", [1, 7, 10_000])
+    def test_peer_draws_equal_choice(self, num_peers, peer_skew):
+        """Peers drawn from the cached CDF are the ones
+        ``Generator.choice(p=...)`` draws over the popularity vector,
+        value for value and in dtype, and the CDF is shared read-only."""
+        spec = self.spec(num_peers=num_peers, peer_skew=peer_skew)
+        for seed in range(4):
+            for count in (0, 1, 17, 600):
+                expected = np.random.default_rng(seed).choice(
+                    num_peers, size=count, p=spec.peer_popularity()
+                )
+                drawn = spec.draw_peers(np.random.default_rng(seed), count)
+                assert drawn.dtype == expected.dtype
+                assert drawn.tolist() == expected.tolist(), (seed, count)
+        cdf = fleet_module._peer_cdf(num_peers, peer_skew)
+        assert cdf is fleet_module._peer_cdf(num_peers, peer_skew)
+        assert not cdf.flags.writeable
 
     def test_rate_property_and_describe(self):
         source = GossipFleetSource(self.spec(rate=7777.0))

@@ -158,6 +158,20 @@ class TestMemoryLayout:
         with pytest.raises(LayoutError):
             layout.place_random(Region("big", 4096))
 
+    def test_reserved_bytes_track_every_placement(self):
+        """The running total of reserved bytes equals the sum over the
+        reserved intervals after every placement, sequential or random,
+        and the free bytes are the rest of the window."""
+        layout = MemoryLayout(line_size=32, rng=7, span=1 << 14)
+        sizes = [64, 100, 32, 1000, 7, 480]
+        for index, size in enumerate(sizes * 3):
+            place = layout.place_random if index % 3 else layout.place_sequential
+            place(Region(f"r{index}", size))
+            covered = sum(end - start for start, end in layout._intervals)
+            assert layout.reserved_bytes == covered
+            assert layout.free_bytes == layout.span - covered
+        assert layout.reserved_bytes == 3 * sum(sizes)
+
     def test_full_window_raises(self):
         layout = MemoryLayout(line_size=32, span=128)
         layout.place_random(Region("a", 128))

@@ -819,9 +819,10 @@ def test_grouped_explicit_groups_equivalence(batch_limit, groups):
 
 
 def test_code_plan_shared_per_batch_length():
-    """Templates of one batch length share one code plan, fused replay
-    and arena, and LDLP's layer-major code stream collapses to one
-    segment per layer."""
+    """Templates of one batch length share one code plan and fused
+    replay, every length's replay shares the table's one arena, and
+    LDLP's layer-major code stream collapses to one segment per
+    layer."""
     config = SimulationConfig(scheduler="ldlp", batch_limit=14, duration=0.01)
     scheduler = build_scheduler(config, seed=0)
     engine = vec_module._VecEngine(scheduler, vec_module._scheduler_kind(scheduler))
@@ -831,6 +832,7 @@ def test_code_plan_shared_per_batch_length():
     second = engine._compile([100] * 14, buffers[14:28])
     replay = first.replay
     assert second.replay is replay
+    assert engine._layout(3).replay._arena is replay._arena is engine.table.arena
     assert second.positions is first.positions
     assert first.data is not second.data
     assert replay.iplan.static.size == len(scheduler.layers)
@@ -1530,6 +1532,73 @@ def test_table_store_shares_and_stays_in_budget():
         # The seed-2 table is the most recent; seed 1's went over budget.
         assert len(vec_module._TABLES) == 1
         assert next(iter(vec_module._TABLES.values())) is not table
+
+
+def _recount(table):
+    """What ``table`` holds, recounted without its own bookkeeping: the
+    bytes of every distinct array buffer reachable from it (a view
+    counts its base once), plus ``_ENTRY_BYTES`` per dict entry, for
+    its rows and for its arena."""
+    buffers = {}
+    seen = set()
+    stack = [table]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif obj is None or isinstance(obj, (int, float, type)) or id(obj) in seen:
+            continue
+        else:
+            seen.add(id(obj))
+            if isinstance(obj, dict):
+                stack += obj.values()
+            elif isinstance(obj, (list, tuple)):
+                stack += obj
+            else:
+                names = [
+                    name for cls in type(obj).__mro__
+                    for name in getattr(cls, "__slots__", ())
+                ]
+                stack += [getattr(obj, name) for name in names if hasattr(obj, name)]
+                stack += getattr(obj, "__dict__", {}).values()
+    entries = sum(
+        map(len, (table.templates, table.layouts, table.shapes, table.addends, table.buffer_runs))
+    ) + (table.rows is not None) + (table.arena is not None)
+    return sum(array.nbytes for array in buffers.values()) + vec_module._ENTRY_BYTES * entries
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 16], ids=["default-budget", "64KiB"])
+def test_table_bytes_count_what_tables_hold(budget):
+    """After runs of each scheduler kind (conventional single-step, then
+    multi-step over the same table, so its rows are rebuilt longer;
+    ILP; LDLP; explicit groups), on one core and on two, each stored
+    table's ``nbytes`` equals a recount of the arrays it holds plus
+    ``_ENTRY_BYTES`` per entry, whether or not it filled."""
+    columns = _store_columns(5, [64, 552, 1500])
+    build = runner_module.build_scheduler
+    for variant in ("head-drop", "base", "ilp", "ldlp", "groups"):
+        changes, hook = STORE_VARIANTS[variant]
+        for cores in (1, 2):
+            config = SimulationConfig(**{
+                "scheduler": "conventional", "layer_code_bytes": 2048,
+                "input_limit": 64, "duration": 0.01, "engine": "vec", **changes,
+            })
+            if cores > 1:
+                config = replace(config, num_cores=cores, dispatch="rss")
+            with pytest.MonkeyPatch.context() as patch:
+                if budget is not None:
+                    patch.setattr(vec_module, "MAX_TABLE_BYTES", budget)
+                if hook is not None:
+                    patch.setattr(
+                        runner_module, "build_scheduler",
+                        lambda config, seed, hook=hook: hook(build, config, seed),
+                    )
+                _run_engine(config, columns, 5, None, False)
+            assert vec_module._TABLES
+            for table in vec_module._TABLES.values():
+                assert table.nbytes == _recount(table), (variant, cores)
 
 
 # ----------------------------------------------------------------------
