@@ -14,6 +14,8 @@ reproduces both strategies:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 import numpy as np
 
 from ..errors import LayoutError
@@ -89,14 +91,16 @@ class MemoryLayout:
         return self.span - self.reserved_bytes
 
     def _overlaps(self, start: int, end: int) -> bool:
-        for existing_start, existing_end in self._intervals:
-            if start < existing_end and existing_start < end:
-                return True
-        return False
+        """Whether ``[start, end)`` meets a reserved interval.  The
+        intervals are disjoint and sorted, so their ends are sorted too:
+        of those that start before ``end``, the last one ends latest,
+        and it alone decides."""
+        intervals = self._intervals
+        index = bisect_left(intervals, (end,))
+        return index > 0 and intervals[index - 1][1] > start
 
     def _reserve(self, start: int, end: int) -> None:
-        self._intervals.append((start, end))
-        self._intervals.sort()
+        insort(self._intervals, (start, end))
         self._reserved += end - start
 
     def place_sequential(self, region: Region) -> Region:

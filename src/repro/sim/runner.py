@@ -72,7 +72,7 @@ from .stats import (
 Completions = list[tuple[Message, float]]
 
 #: One service step of one core: the step's completions, then the
-#: one-message steps it replayed ahead (conventional/ILP on the vec
+#: one-message steps it replayed after it (conventional/ILP on the vec
 #: engine), one pair per step, whose messages are still queued for
 #: :func:`drive` to pop and settle.
 Stepper = Callable[[], tuple[Completions, Completions]]
@@ -325,12 +325,19 @@ def _scalar_stepper(scheduler: Scheduler) -> Stepper:
     return step
 
 
-def _stepper(scheduler: Scheduler, engine: str, multi_step: bool) -> Stepper:
+def _stepper(
+    scheduler: Scheduler,
+    engine: str,
+    admit_ahead: Callable[[int], bool] | None,
+) -> Stepper:
     """The service step one core runs under ``engine``.
 
     ``"vec"`` asks the vectorized engine (:func:`repro.sim.vec.vec_stepper`)
-    and falls back to the scalar step where it declines; ``multi_step``
-    lets it replay several conventional/ILP steps at once.  The returned
+    and falls back to the scalar step where it declines.  ``admit_ahead``
+    is the drive loop's early admission: ``admit_ahead(count)`` admits
+    the core's next ``count`` arrivals now, or none, and says which.
+    Given one, the engine may replay several conventional/ILP steps at
+    once (see :func:`drive`).  The returned
     callable is the only reference to a vec engine, so the engines and
     their state memos live exactly as long as the drive call that holds
     them; what they compile stays in the vec engine's byte-bounded
@@ -339,7 +346,7 @@ def _stepper(scheduler: Scheduler, engine: str, multi_step: bool) -> Stepper:
     if engine == "vec":
         from . import vec
 
-        stepper = vec.vec_stepper(scheduler, multi_step)
+        stepper = vec.vec_stepper(scheduler, admit_ahead)
         if stepper is not None:
             return stepper
     return _scalar_stepper(scheduler)
@@ -443,19 +450,38 @@ def drive(
     of the per-core path) admits a busy core's window of arrivals up to
     its next step with one ``bisect`` over the arrival cycles and one
     admission call; an arrival that wakes an idle core is admitted
-    alone, as in the event merge, where every arrival is.  Without a
-    flush period, such a core's vec conventional/ILP step may also
-    replay :data:`repro.sim.vec.MAX_STEPS` queued messages' steps at
-    once, each replayed step's flow lookup (if the core has a lookup
-    cache) already charged inside the replayed timeline.  The loop
-    settles the replayed steps as one block, with the outcome of
-    settling them one by one as if each had run alone: it pops their
-    messages (asserting queue order), adds each step's service cycles
-    in step order and records the block's latencies in sample order
-    with one call.  When the queue has room for every arrival up to the
-    last replayed completion, it admits them all first; otherwise,
-    before popping each replayed step's message, it admits every
-    arrival up to the previous step's completion.
+    alone, as in the event merge, where every arrival is.
+
+    *Run-ahead.*  Without a flush period, such a core's vec
+    conventional/ILP step replays :data:`repro.sim.vec.MAX_STEPS`
+    messages' steps at once, each replayed step's flow lookup (if the
+    core has a lookup cache) already charged inside the replayed
+    timeline.  The messages are the queued ones; when fewer than
+    ``MAX_STEPS - 1`` are queued after the step's pop, the loop admits
+    the next arrivals of the core's stream *ahead* of their time,
+    exactly as many as fill the run, or none when the stream has fewer
+    left or the queue would then hold more than its input limit (and
+    the step runs alone).  A step admitted ahead starts at the previous
+    step's completion ``c_{j-1}``, or at its own arrival ``a_j`` when
+    that is later and the core idled in between, so its start is
+    ``max(c_{j-1}, a_j)``.  The loop settles the replayed steps as one
+    block, with the outcome of settling them one by one as if each had
+    run alone: it pops their messages (asserting queue order), adds
+    each step's ``c_j - start_j`` to the service cycles in step order,
+    gives the per-core merge each step's start and records the block's
+    latencies in sample order with one call.  When the queue has room
+    for every arrival up to the last replayed completion, it admits
+    them all first; otherwise, before popping each replayed step's
+    message, it admits every arrival up to that step's start.  Admitting
+    ahead is exact (the argument is in :mod:`repro.sim.vec`'s
+    "Multi-step replay"): under tail drop, the i-th message admitted
+    ahead has at most ``q + i <= MAX_STEPS - 2`` messages ahead of it (q
+    queued after the pop), as many as the scalar run can show it at its
+    real arrival, so neither run drops it; the served sequence, the
+    ring slots and the order of flow lookups are therefore unchanged;
+    and a later arrival admitted before step j sees the same queue in
+    both runs, because every message admitted ahead precedes it in
+    time.
     """
     if isinstance(cores, Scheduler):
         cores = [cores]
@@ -588,8 +614,6 @@ def _event_merge(
     # One core without a dispatch policy or spans admits each window of
     # arrivals in one call.
     bulk = num_cores == 1 and dispatch is None and spans is None and ordered
-    multi_step = bulk and flush_period_cycles is None
-    steppers = [_stepper(scheduler, engine, multi_step) for scheduler in cores]
     if dispatch is None:
         tracks = ["scheduler"]
     else:
@@ -613,6 +637,23 @@ def _event_merge(
         dispatched[0] += end - index
         index = end
 
+    # Core 0's queue, where a core driven on its own replays and settles
+    # several steps at once.
+    queue = cores[0].input_queue
+    input_limit = cores[0].input_limit
+
+    def admit_ahead(count: int) -> bool:
+        """Admit core 0's next ``count`` arrivals before their time, or
+        none when fewer remain or the queue would hold more than its
+        limit (see :func:`drive`); returns whether it did."""
+        if total - index < count or len(queue) + count > input_limit:
+            return False
+        admit_window(index + count)
+        return True
+
+    # Without a flush period, a core driven on its own may run ahead.
+    ahead = admit_ahead if bulk and flush_period_cycles is None else None
+    steppers = [_stepper(scheduler, engine, ahead) for scheduler in cores]
     while True:
         core = -1
         bound = math.inf
@@ -676,43 +717,48 @@ def _event_merge(
             completions, replayed = steppers[core]()
             handle.args["completions"] = len(completions)
             spans.end(handle, cpu.cycles)
+        # Each settled step's start and completion.
+        opened = [before]
         ends = [cpu.cycles]
         if replayed:
             # Settle the replayed steps, whose messages are still queued,
-            # as one block.  Step j >= 1 runs after every arrival up to
-            # step j - 1's completion is admitted.  When the queue has
-            # room for every arrival up to the last completion (a
-            # multi-step core runs TailDrop), admitting them all first
-            # changes nothing; otherwise each step's window is admitted
-            # before its message leaves the queue.
-            queue = scheduler.input_queue
+            # as one block.  Step j >= 1 starts at step j - 1's
+            # completion, or at its own arrival when it was admitted
+            # ahead and arrived later (the core idles in between), and
+            # runs after every arrival up to its start is admitted.  When
+            # the queue has room for every arrival up to the last
+            # completion (a multi-step core runs TailDrop), admitting
+            # them all first changes nothing; otherwise each step's
+            # window is admitted before its message leaves the queue.
             end = bisect_right(cycles, replayed[-1][1], index)
-            fits = len(queue) + end - index <= scheduler.input_limit
+            fits = len(queue) + end - index <= input_limit
             if fits:
                 admit_window(end)
-            previous = completions[-1][1]
+            previous = ends[0] = completions[-1][1]
             for message, cycle in replayed:
+                arrival = message.arrival_cycle
+                start = previous if arrival is None or arrival <= previous else arrival
                 if not fits:
-                    admit_window(bisect_right(cycles, previous, index))
+                    admit_window(bisect_right(cycles, start, index))
                 popped = queue.popleft()
                 assert popped is message, "replayed step out of queue order"
+                opened.append(start)
+                ends.append(cycle)
                 previous = cycle
             completions += replayed
-            ends = [cycle for _, cycle in completions]
         if starts is not None:
-            # A replayed step (one completion each) starts at the
-            # previous step's completion.
-            opened = [before] + ends[:-1] if replayed else [before] * len(completions)
+            # A replayed step has one completion.
             starts += [
                 start
-                for (message, _), start in zip(completions, opened)
+                for (message, _), start in zip(
+                    completions, opened if replayed else opened * len(completions)
+                )
                 if message.arrival_cycle is not None
             ]
         # One service addition per settled step, in step order, so the
         # float sum is the step-by-step one.
-        for end_cycle in ends:
-            service[core] += end_cycle - before
-            before = end_cycle
+        for start, end_cycle in zip(opened, ends):
+            service[core] += end_cycle - start
         steps += len(ends)
         finished += len(completions)
         samples = [

@@ -35,8 +35,8 @@ asserts that its first message holds no buffer.  The ring of 32 buffers
 and the bounded batch cap keep the key space small, so a single-size
 workload soon replays only cached templates.  A mixed-size trace does
 not: on the synthesized Bellcore-like trace (nine Ethernet frame sizes)
-about 0.7 templates are compiled per step, so almost every compile sits
-on the critical path.
+about 0.8 templates are compiled per step (0.45 with the table store
+below), so almost every compile sits on the critical path.
 
 *Shapes.*  A composition's *shape* is its batch length plus each
 slot's buffer line count.  Line counts, not sizes, fix the data
@@ -174,35 +174,59 @@ per engine: each engine memoizes per template key, so nothing a memo
 holds outlives the drive call.
 
 *Multi-step replay.*  A conventional or ILP step serves one message,
-so its fixed Python cost is paid once per message.  When such a core
-has q >= k = :data:`MAX_STEPS` messages queued, its next k steps are
-fully determined before any new arrival is admitted, so one replay runs
-them back to back: the engine pops the first message, peeks at the
-next k - 1 without popping them, takes all k buffers as one run of ring
-slots (exactly the k slots the k scalar steps would acquire, since
-nothing acquires between them), and keys the template on (first slot,
-the k sizes).  With fewer queued it replays one step: only full runs
-are replayed, so an engine compiles at most one multi-step template
-per (ring slot, size tuple), not one per run length, which keeps the
-shallow queues of a many-core run from compiling a template for every
-k.  The template is the k single-message programs back to back;
-step j completes at its last invocation's execute slot, addend index
-``_SLOTS * num_layers * (j + 1) - 1`` (the trailing-execute slot after
-it is always 0.0 for these kinds, so the value is the scalar one), and
-one fused apply and one ``cumsum`` keep the scalar left fold.
+so its fixed Python cost is paid once per message.  Such a core's cache
+behaviour depends only on the *order* of the messages it serves, not on
+when they arrive, so one replay runs k = :data:`MAX_STEPS` steps back
+to back: the engine pops the first message, peeks at the next k - 1
+without popping them, takes all k buffers as one run of ring slots
+(exactly the k slots the k scalar steps would acquire, since nothing
+acquires between them), and keys the template on (first slot, the k
+sizes).  When fewer than k - 1 messages are queued after the pop, the
+engine asks the drive loop to *admit ahead* (the ``admit_ahead`` hook
+of :func:`vec_stepper`): the loop admits exactly the next arrivals of
+the core's stream that fill the run, or none (the stream has fewer
+left, or the queue would then hold more than its input limit), and
+then the engine replays one step.  Only full runs are replayed, so an
+engine compiles at most one multi-step template per (ring slot, size
+tuple), not one per run length, and a core's templates depend on
+neither its clock nor its load.  The template is the k single-message
+programs back to back; step j completes at its last invocation's
+execute slot, addend index ``_SLOTS * num_layers * (j + 1) - 1`` (the
+trailing-execute slot after it is always 0.0 for these kinds, so the
+value is the scalar one), and one fused apply and one
+``cumsum`` keep the scalar left fold.  A step admitted ahead may start
+idle: when its arrival a_j is later than the previous completion
+c_{j-1}, the scalar loop advances the clock to a_j before the step, so
+the engine restarts the ``cumsum`` there, from ``fl(a_j + lookup_j)``
+(its lookup slot's value added to the arrival), and folds the rest of
+the run on from it.  Only steps admitted ahead are checked, so a
+deep-queue run pays nothing for it.
+
 :func:`repro.sim.runner.drive` then settles the replayed steps as one
-block: it pops the k - 1 replayed messages and records the block in
-one pass.  When the queue has room for every arrival up to the last
-completion, it admits them all at once; otherwise, before popping step
-j >= 1's message, it admits every arrival up to step j - 1's
-completion, as k separate steps would.  The envelope is a core the
-drive loop runs on its own (one core without a dispatch policy, or
-each core of a multi-core run whose cores share no L2; see
+block: it pops the k - 1 replayed messages, takes each step's start as
+``max(c_{j-1}, a_j)`` and adds ``c_j - start_j`` to the core's service
+cycles, and records the block in one pass.  When the queue has room
+for every arrival up to the last completion, it admits them all at
+once; otherwise, before popping step j >= 1's message, it admits every
+arrival up to step j's start, as k separate steps would.  The envelope
+is a core the drive loop runs on its own (one core without a dispatch
+policy, or each core of a multi-core run whose cores share no L2; see
 :func:`~repro.sim.runner.drive`) with no flush period or span-keeping
-recorder and the arrivals in time order (the caller's ``multi_step``),
-and exact :class:`~repro.core.overload.TailDrop` (which never evicts,
-so every admission sees the scalar queue length and no replayed
-message can be lost); everything else replays single steps.
+recorder and the arrivals in time order (the loop then offers the
+hook), and exact :class:`~repro.core.overload.TailDrop`; everything
+else replays single steps.  Admitting ahead is exact:
+
+* the i-th message admitted ahead (from 0) has at most
+  ``q + i <= MAX_STEPS - 2`` messages ahead of it, q being the queue
+  after the pop, and the scalar run sees at most that many at its real
+  arrival; the loop admits ahead only when ``MAX_STEPS - 1`` messages
+  fit the input limit, so under TailDrop neither run drops it;
+* the served sequence is therefore unchanged, and so are the ring
+  slots and the order of the flow lookups;
+* a later arrival that either run admits before step j sees the same
+  queue in both, because every message admitted ahead precedes it in
+  time: at its admission, all of them have arrived in the scalar run
+  too.
 
 Equivalence boundaries
 ----------------------
@@ -215,7 +239,14 @@ itself in the instruction cache (the static template would be unsound —
 see :class:`~repro.cache.chunked.UnsupportedPlanError`), or a
 span-keeping obs recorder (the vec path emits no per-layer ``invoke``
 spans; full tracing keeps the scalar path, and the harness's
-metrics-only recorder wants only the drive loop's counters).
+metrics-only recorder wants only the drive loop's counters).  Inside
+the envelope, a core never runs ahead of its arrivals where that could
+change an outcome: with an input limit below ``MAX_STEPS - 1`` (a run
+admitted ahead could overflow it), under a drop policy other than
+TailDrop (head drop evicts queued messages, which a replay would
+already have served), with a flush period (a replay would have to stop
+at the period boundary) or under a span-keeping recorder (whose spans
+are per step).
 
 Flow-lookup charging (:mod:`repro.flows`, :mod:`repro.gossip`) is
 inside the envelope, multi-step replay included.  The lookup stays
@@ -230,8 +261,9 @@ one-flow batches in one call
 (:meth:`~repro.flows.lookup.FlowLookup.resolve_each`, which executes
 nothing), and writes step j's cycles into the 0.0 trailing-execute slot
 right after step j - 1's completion: the point in the timeline where
-the scalar step j would charge them.  Resolving ahead is exact because
-only lookups touch the lookup cache (admissions never do) and TailDrop
+the scalar step j would charge them (after advancing the clock to its
+arrival, when it starts idle).  Resolving ahead is exact because only
+lookups touch the lookup cache (admissions never do) and TailDrop
 never evicts a peeked message.
 """
 
@@ -240,7 +272,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -248,7 +280,7 @@ from ..cache.cache import DirectMappedCache
 from ..cache.chunked import FusedReplay, PackedPlan, ReplayArena, collapsed_plan
 from ..cache.hierarchy import SplitCacheHierarchy
 from ..core.dispatch import FLOW_KEY
-from ..core.layer import PassthroughLayer
+from ..core.layer import Message, PassthroughLayer
 from ..core.overload import TailDrop
 from ..core.scheduler import (
     ConventionalScheduler,
@@ -638,7 +670,10 @@ class _VecEngine:
     """
 
     def __init__(
-        self, scheduler: Scheduler, kind: str, multi_step: bool = False
+        self,
+        scheduler: Scheduler,
+        kind: str,
+        admit_ahead: Callable[[int], bool] | None = None,
     ) -> None:
         self.scheduler = scheduler
         self.kind = kind
@@ -649,11 +684,13 @@ class _VecEngine:
         #: the module docs' envelope.
         self.max_steps = (
             MAX_STEPS
-            if multi_step
+            if admit_ahead is not None
             and self.per_message
             and type(scheduler.drop_policy) is TailDrop
             else 1
         )
+        #: The drive loop's early admission (see "Multi-step replay").
+        self.admit_ahead = admit_ahead if self.max_steps > 1 else None
         #: Resolves the lookups of steps replayed after the first.
         self.flow_lookup = binding.flow_lookup if self.max_steps > 1 else None
         self.cpu = binding.cpu
@@ -1089,14 +1126,22 @@ class _VecEngine:
         queued for the drive loop to pop.
         """
         scheduler = self.scheduler
+        # The batch slot of the first step admitted ahead, if any.
+        early = 0
         if self.per_message:
             queue = scheduler.input_queue
             batch = [queue.popleft()]
             charge_flow_lookups(scheduler, batch)
             # A full run of max_steps or a single step: one multi-step
             # template per (ring slot, sizes), not one per run length.
-            if len(queue) >= self.max_steps - 1:
-                batch += islice(queue, self.max_steps - 1)
+            # A shallow queue is filled from the arrivals to come.
+            ahead = self.max_steps - 1
+            queued = len(queue)
+            admit_ahead = self.admit_ahead
+            if queued < ahead and admit_ahead is not None and admit_ahead(ahead - queued):
+                early = queued + 1
+            if len(queue) >= ahead:
+                batch += islice(queue, ahead)
         else:
             batch = take_batch(scheduler)  # type: ignore[arg-type]
             if not batch:
@@ -1141,12 +1186,37 @@ class _VecEngine:
         addends[0] = cpu.cycles
         addends[template.positions] = stall
         timeline = addends.cumsum()
+        if early:
+            _reseed(timeline, addends, template.lookups, batch, early)
         cpu.cycles = float(timeline[-1])
         cpu.stall_cycles += total
         completions = list(zip(batch, timeline.take(template.ends).tolist()))
         if self.per_message:
             return completions[:1], completions[1:]
         return completions, []
+
+
+def _reseed(
+    timeline: np.ndarray,
+    addends: np.ndarray,
+    lookups: np.ndarray,
+    batch: list[Message],
+    early: int,
+) -> None:
+    """Restart ``timeline`` at every replayed step from ``early`` on
+    that starts idle (see "Multi-step replay"): step ``j`` arrives after
+    step ``j - 1`` completes, so its clock starts at its arrival plus
+    its lookup cycles, ``fl(a_j + lookup_j)``, as the scalar path's
+    ``advance_to_cycle`` then lookup charge leave it, and the fold runs
+    on from there.  ``addends`` is left as it was."""
+    for j in range(early, len(batch)):
+        slot = lookups[j - 1]
+        arrival = batch[j].arrival_cycle
+        if arrival > timeline[slot - 1]:
+            lookup = addends[slot]
+            addends[slot] = arrival + lookup
+            np.cumsum(addends[slot:], out=timeline[slot:])
+            addends[slot] = lookup
 
 
 def _run(lines: np.ndarray) -> tuple[int, int]:
@@ -1231,16 +1301,22 @@ def _scheduler_kind(scheduler: Scheduler) -> str | None:
     return None
 
 
-def vec_stepper(scheduler: Scheduler, multi_step: bool) -> Stepper | None:
+def vec_stepper(
+    scheduler: Scheduler, admit_ahead: Callable[[int], bool] | None
+) -> Stepper | None:
     """The vec engine's service step for one core, or ``None``.
 
     ``None`` means the caller steps this core on the scalar path: the
     configuration is outside the engine's exact-replay envelope (see
     the module docstring and :func:`vec_supported`), or a span-keeping
     recorder wants the per-layer ``invoke`` spans only the scalar path
-    emits.  ``multi_step`` is the caller's half of the multi-step
-    envelope (a core driven on its own, no flush period or span-keeping
-    recorder, arrivals in time order); the engine checks the rest.
+    emits.  ``admit_ahead`` is the drive loop's early admission, given
+    only inside the caller's half of the multi-step envelope (a core
+    driven on its own, no flush period or span-keeping recorder,
+    arrivals in time order): ``admit_ahead(count)`` admits the core's
+    next ``count`` arrivals now, or none, and returns whether it did.
+    Multi-step replay needs it; the engine checks the rest of the
+    envelope (see "Multi-step replay").
 
     The engine compiles into the store's table for its inputs (see the
     module docs' "Table store"): a stored table's inputs passed the
@@ -1253,7 +1329,7 @@ def vec_stepper(scheduler: Scheduler, multi_step: bool) -> Stepper | None:
     kind = _typed_kind(scheduler)
     if kind is None:
         return None
-    engine = _VecEngine(scheduler, kind, multi_step)
+    engine = _VecEngine(scheduler, kind, admit_ahead)
     key = engine.inputs()
     table = _TABLES.pop(key, None)  # det: allow[DET005] the store caches what its key's content determines, so no result depends on it
     if table is None:

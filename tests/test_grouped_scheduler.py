@@ -43,7 +43,7 @@ class TestGrouping:
         config = scheduler.describe_config()
         assert config["groups"] == singletons
         assert config["scheduler"] == "LDLPScheduler"
-        assert vec_stepper(scheduler, multi_step=False) is not None
+        assert vec_stepper(scheduler, admit_ahead=None) is not None
 
     def test_explicit_groups(self):
         scheduler = GroupedLDLPScheduler(

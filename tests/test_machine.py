@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import MachineSpec
 from repro.core.binding import MachineBinding
@@ -171,6 +173,31 @@ class TestMemoryLayout:
             assert layout.reserved_bytes == covered
             assert layout.free_bytes == layout.span - covered
         assert layout.reserved_bytes == 3 * sum(sizes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(0, 400), unique=True, max_size=24),
+        queries=st.lists(
+            st.tuples(st.integers(-10, 410), st.integers(1, 120)), max_size=30
+        ),
+    )
+    def test_overlap_check_matches_linear_walk(self, cuts, queries):
+        """On any set of disjoint reserved intervals, reserved in any
+        order, the bisect overlap check answers every query as a walk
+        over every interval does."""
+        cuts = sorted(cuts)
+        intervals = list(zip(cuts[::2], cuts[1::2]))
+        layout = MemoryLayout(line_size=1, span=1 << 10)
+        for start, end in reversed(intervals):
+            layout._reserve(start, end)
+        assert layout._intervals == intervals
+        probes = [(start, start + size) for start, size in queries]
+        for start, end in probes + intervals:
+            walk = any(
+                start < existing_end and existing_start < end
+                for existing_start, existing_end in intervals
+            )
+            assert layout._overlaps(start, end) == walk
 
     def test_full_window_raises(self):
         layout = MemoryLayout(line_size=32, span=128)

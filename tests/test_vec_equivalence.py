@@ -17,9 +17,11 @@ contract at three levels:
   lookups the vec step charges at the scalar loop's point,
   dispatched multi-core runs, where each core picks its own engine
   (and uncoupled cores, each driven on its own, equal the event merge
-  sample for sample), and conventional/ILP runs whose queued steps the
-  vec engine replays several at a time (latency sample order
-  included), with and without a flow lookup.
+  sample for sample), and conventional/ILP runs whose steps the vec
+  engine replays several at a time (latency sample order included),
+  with and without a flow lookup, from a deep queue or from arrivals
+  the drive loop admits ahead (run-ahead), and the cases where it must
+  not run ahead.
 * **Degenerate-input level** — zero-length and length-1 arrival
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class).
@@ -73,6 +75,7 @@ from repro.flows import FLOW_CACHE_ORGS, FlowCacheSpec
 from repro.flows.runner import (
     FlowRunResult,
     _flow_metas,
+    flows_point,
     make_flow_base,
     run_flow_simulation,
 )
@@ -82,6 +85,7 @@ from repro.gossip import (
     GossipFleetSpec,
     run_gossip_simulation,
 )
+from repro.gossip.runner import gossip_point
 from repro.harness.cache import ResultCache, canonical_json
 from repro.harness.golden import check_claims, check_digests, load_golden, result_digests
 from repro.harness.points import point_accepts, with_keyword
@@ -99,8 +103,9 @@ from repro.sim.runner import (
     run_simulation,
     simulate,
 )
-from repro.sim.multicore import run_multicore
+from repro.sim.multicore import multicore_point, run_multicore
 from repro.sim.vec import vec_supported
+from repro.traffic.onoff import ParetoOnOffSource
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.zipf import ZipfFlowSource
 
@@ -653,6 +658,239 @@ def test_multi_step_envelope(case):
     assert replayed == ({1, vec_module.MAX_STEPS} if multi else {1})
 
 
+# ----------------------------------------------------------------------
+# Run-ahead: a shallow conventional/ILP queue is filled from the arrivals
+# to come, so the engine replays full runs at any queue depth
+
+
+@contextmanager
+def _early_admissions():
+    """Record each drive loop's early-admission requests: one
+    ``(count, admitted)`` pair per call of the hook a core's stepper
+    was given, and per stepper built whether it was given one."""
+    requests: list[tuple[int, bool]] = []
+    offered: list[bool] = []
+    original = runner_module._stepper
+
+    def spy(scheduler, engine, admit_ahead):
+        offered.append(admit_ahead is not None)
+        if admit_ahead is None:
+            return original(scheduler, engine, None)
+
+        def counting(count):
+            admitted = admit_ahead(count)
+            requests.append((count, admitted))
+            return admitted
+
+        return original(scheduler, engine, counting)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "_stepper", spy)
+        yield requests, offered
+
+
+def _admitted(requests):
+    """How many early admissions went through."""
+    return sum(admitted for _, admitted in requests)
+
+
+def _points_both_engines(point, **params):
+    """``point(**params)`` on both engines under a metrics recorder;
+    returns ({engine: (canonical JSON, counters)}, the vec pass's early
+    admission requests)."""
+    outcomes = {}
+    for engine in ENGINE_NAMES:
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder), _early_admissions() as (requests, _):
+            result = point(**params, engine=engine)
+        outcomes[engine] = (canonical_json(result), recorder.counters.as_dict())
+    return outcomes, requests
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    scheduler=st.sampled_from(["conventional", "ilp"]),
+    rate=st.floats(500.0, 2000.0),
+    seed=st.integers(0, 2**20),
+)
+def test_run_ahead_idle_poisson_equivalence(scheduler, rate, seed):
+    """At 500-2000 msg/s nearly every step starts idle, so a run admitted
+    ahead restarts its timeline at almost every step: results, counters
+    and latency sample order equal the scalar engine's."""
+    config = SimulationConfig(scheduler=scheduler, duration=0.03)
+    arrivals = PoissonSource(rate, rng=seed).arrival_columns(config.duration)
+    with _early_admissions() as (requests, _):
+        outcomes = _run_both_engines(config, arrivals, seed)
+    assert outcomes["scalar"] == outcomes["vec"]
+    if len(arrivals["time"]) >= 2 * vec_module.MAX_STEPS:
+        assert _admitted(requests) > 0
+
+
+@pytest.mark.parametrize("scheduler", ["conventional", "ilp"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_ahead_pareto_bursts_equivalence(scheduler, seed):
+    """Pareto on/off bursts mix deep queues (full runs, no admission
+    ahead) with lone arrivals between bursts (runs admitted ahead, idle
+    gaps inside them): scalar ≡ vec, latency order included."""
+    config = SimulationConfig(scheduler=scheduler, duration=0.1)
+    source = ParetoOnOffSource(
+        num_sources=8, packet_rate_on=3000.0, mean_on=0.01, mean_off=0.04,
+        rng=seed,
+    )
+    arrivals = source.arrival_columns(config.duration)
+    with _early_admissions() as (requests, _):
+        outcomes = _run_both_engines(config, arrivals, seed)
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert _admitted(requests) > 0
+
+
+def test_run_ahead_flow_lookup_points():
+    """A flows point (LRU-4 lookup cache) and a gossip point: lookups of
+    the steps admitted ahead are resolved in queue order, and each idle
+    restart adds the step's lookup cycles to its arrival.  Both engines
+    give the same bytes and counters."""
+    for point, params in (
+        (
+            flows_point,
+            dict(
+                scheduler="conventional", organization="lru4", entries=16,
+                skew=1.1, rate=2000.0, seeds=[1, 2], duration=0.03,
+            ),
+        ),
+        (
+            gossip_point,
+            dict(
+                framing="sessionless", collection_size=1, scheduler="ilp",
+                policy="tail", rate=2000.0, seeds=[1], duration=0.03,
+            ),
+        ),
+    ):
+        outcomes, requests = _points_both_engines(point, **params)
+        assert outcomes["scalar"] == outcomes["vec"]
+        assert outcomes["vec"][1]["flows.lookups"] > 0
+        assert _admitted(requests) > 0
+
+
+@pytest.mark.parametrize("dispatch", ["rss", "app", "ldlp"])
+def test_run_ahead_per_core_dispatch(dispatch):
+    """Each core of an uncoupled four-core run admits its own stream's
+    arrivals ahead, under each dispatch policy; the per-core samples
+    merge by step start (an idle step starting at its arrival) into the
+    scalar engine's bytes and counters."""
+    outcomes, requests = _points_both_engines(
+        multicore_point, scheduler="conventional", dispatch=dispatch, cores=4,
+        rate=12000.0, seeds=[1], duration=0.02,
+    )
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert _admitted(requests) > 0
+
+
+def test_run_ahead_stream_tail():
+    """A stream with fewer than MAX_STEPS arrivals left replays its last
+    steps one by one: the loop admits a full run ahead or none."""
+    steps = vec_module.MAX_STEPS
+    count = 2 * steps + 3
+    # 1 ms apart, ten times a step's service time: every step idles.
+    arrivals = {"time": [0.001 * index for index in range(count)], "size": [552] * count}
+    config = SimulationConfig(scheduler="conventional", duration=0.001 * count)
+    with _early_admissions() as (requests, _), _vec_steppers() as steppers:
+        outcomes = _run_both_engines(config, arrivals, 0)
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert requests == [(steps - 1, True)] * 2 + [(steps - 1, False)] * 3
+    (engine,) = [stepper.__self__ for stepper in steppers]
+    assert {len(template.ends) for template in engine.table.templates.values()} == {1, steps}
+
+
+def test_run_ahead_admits_up_to_each_step_start():
+    """A run admitted ahead whose steps idle until one burst: the burst's
+    first message starts its step at its arrival, so an arrival at that
+    same instant is admitted before the step, while the message is still
+    queued, as the scalar loop admits it.  With the queue just long
+    enough for the run, that arrival is dropped on both engines."""
+    steps = vec_module.MAX_STEPS
+    # One message, then a burst of MAX_STEPS at one instant 1 ms later.
+    arrivals = {"time": [0.0] + [0.001] * steps, "size": [552] * (steps + 1)}
+    config = SimulationConfig(
+        scheduler="conventional", input_limit=steps - 1, duration=0.002
+    )
+    with _early_admissions() as (requests, _):
+        outcomes = _run_both_engines(config, arrivals, 0)
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert requests[0] == (steps - 1, True)
+    assert outcomes["vec"][1]["messages.drops"] == 1
+
+
+#: Light-load conventional runs, as (config changes, span-keeping
+#: recorder, whether the loop offers an early admission, whether it
+#: admits): the engine must not run ahead with a queue too short to
+#: hold a run, under head drop (it evicts), with a flush period (a run
+#: must stop at the period boundary) or under a span-keeping recorder
+#: (scalar steps).  "tail" is the control, and an input limit of
+#: MAX_STEPS - 1 is just long enough.
+RUN_AHEAD_DECLINE_CASES = {
+    "tail": ({}, False, True, True),
+    "input-limit-fits": ({"input_limit": vec_module.MAX_STEPS - 1}, False, True, True),
+    "input-limit": ({"input_limit": vec_module.MAX_STEPS - 2}, False, True, False),
+    "head": ({"drop_policy": "head"}, False, True, False),
+    "flushed": (
+        {"flush_period_cycles": campaign_plan().flush_period_cycles},
+        False, False, False,
+    ),
+    "span-keeping": ({}, True, False, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_AHEAD_DECLINE_CASES))
+def test_run_ahead_declines(case):
+    """Where running ahead could change an outcome the engine steps one
+    message at a time; every case stays byte-identical to scalar."""
+    changes, keep_spans, offers, admits = RUN_AHEAD_DECLINE_CASES[case]
+    config = SimulationConfig(scheduler="conventional", duration=0.03, **changes)
+    arrivals = PoissonSource(1500.0, rng=5).arrival_columns(config.duration)
+    seen = {}
+    for engine in ENGINE_NAMES:
+        recorder = Recorder(keep_spans=keep_spans)
+        with recording(recorder), _early_admissions() as (requests, offered), \
+                _vec_steppers() as steppers:
+            result, _, stats = simulate(
+                PoissonSource(1500.0, rng=5), replace(config, engine=engine),
+                seed=5, columns=arrivals,
+            )
+        seen[engine] = (
+            canonical_json(result.to_dict()), recorder.counters.as_dict(),
+            stats.latency.samples,
+        )
+    assert seen["scalar"] == seen["vec"]
+    # The vec pass ran last.
+    assert offered == [offers]
+    assert (_admitted(requests) > 0) == admits
+    if keep_spans:
+        assert steppers == [None]
+        return
+    (stepper,) = steppers
+    lengths = {len(template.ends) for template in stepper.__self__.table.templates.values()}
+    assert lengths == ({1, vec_module.MAX_STEPS} if admits else {1})
+
+
+def test_run_ahead_bellcore_step_calls():
+    """On the 80 MHz Bellcore-like point a conventional core is idle
+    between most messages; admitting ahead, it serves its 405 messages
+    in 55 vec steps (50 full runs and 5 single steps) instead of one
+    step each."""
+    calls = []
+    step = vec_module._VecEngine.step
+
+    def counting(engine):
+        calls.append(engine)
+        return step(engine)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module._VecEngine, "step", counting)
+        result = clock_point("conventional", 80, [1], 0.3, 1200.0)
+    assert result["completed"] == 405
+    assert len(calls) == 55
+
+
 @pytest.mark.parametrize("scheduler", ["conventional", "ldlp"])
 def test_second_drive_starts_mid_ring(scheduler):
     """Two drive calls on one bound scheduler: the second call's engine
@@ -1122,7 +1360,7 @@ def test_code_analysed_once_per_engine():
             config = SimulationConfig(scheduler=scheduler, duration=0.01)
             built = build_scheduler(config, seed=0)
             engine = vec_module._VecEngine(
-                built, vec_module._scheduler_kind(built), multi_step=True
+                built, vec_module._scheduler_kind(built), lambda count: False
             )
             assert engine.longest == longest
             before = len(calls)
@@ -1322,7 +1560,7 @@ def test_state_memo_stops_interning_on_mixed_sizes():
             patch.setattr(vec_module._StateMemo, name, spying(name))
         for engine in ENGINE_NAMES:
             seen[engine] = canonical_json(
-                clock_point("conventional", 80, [1], 0.3, 1200.0, engine=engine)
+                clock_point("ldlp", 80, [1], 0.3, 1200.0, engine=engine)
             )
     assert seen["scalar"] == seen["vec"]
     (engine,) = [stepper.__self__ for stepper in steppers if stepper is not None]
