@@ -112,9 +112,18 @@ class FlowHashRSS(DispatchPolicy):
 
     name = "rss"
 
+    def __init__(self) -> None:
+        #: Flow id -> its :func:`stable_hash`: a run hashes each of its
+        #: few flows once.
+        self._hashes: dict[int, int] = {}
+
     def select(self, message: Message, num_cores: int) -> int:
         """Hash the message's flow id modulo the core count."""
-        return stable_hash(flow_of(message)) % num_cores
+        flow = flow_of(message)
+        hashed = self._hashes.get(flow)
+        if hashed is None:
+            hashed = self._hashes[flow] = stable_hash(flow)
+        return hashed % num_cores
 
 
 class AppDefinedDispatch(DispatchPolicy):
@@ -140,13 +149,21 @@ class AppDefinedDispatch(DispatchPolicy):
     ) -> None:
         self.field = field
         self.rules = dict(rules or {})
+        #: (type, field value) -> its :func:`stable_hash`: a run hashes
+        #: each of its few classes once.  The type is part of the key
+        #: because equal values of different types (``1``, ``1.0``,
+        #: ``True``) hash different strings.
+        self._hashes: dict[tuple[type, Any], int] = {}
 
     def select(self, message: Message, num_cores: int) -> int:
         """Match the decoded field against the rules, else hash it."""
         value = message.meta.get(self.field, flow_of(message))
         core = self.rules.get(value)
         if core is None:
-            core = stable_hash(value)
+            key = (type(value), value)
+            core = self._hashes.get(key)
+            if core is None:
+                core = self._hashes[key] = stable_hash(value)
         return int(core) % num_cores
 
     def describe(self) -> dict[str, Any]:

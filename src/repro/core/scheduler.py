@@ -404,12 +404,11 @@ class ILPScheduler(Scheduler):
 def take_batch(scheduler: "GroupedLDLPScheduler") -> list[Message]:
     """Pop one service-step batch off a batched scheduler's input queue.
 
-    Applies the drop policy's dynamic batch cap, appends to
-    ``batch_sizes``, and bumps the ``ldlp.batches`` /
-    ``ldlp.batched_messages`` counters — the single place batch
-    assembly happens, shared by the scalar ``service_step`` and the
-    vectorized engine (:mod:`repro.sim.vec`) so both observe
-    byte-identical batching behavior.
+    Applies the drop policy's dynamic batch cap, charges the batch's
+    flow lookups and records the batch (:func:`note_batches`) — the
+    single place batch assembly happens, shared by the scalar
+    ``service_step`` and the vectorized engine (:mod:`repro.sim.vec`)
+    so both observe byte-identical batching behavior.
     """
     limit = scheduler.drop_policy.batch_limit(
         scheduler.batch_limit, len(scheduler.input_queue), scheduler.input_limit
@@ -417,13 +416,26 @@ def take_batch(scheduler: "GroupedLDLPScheduler") -> list[Message]:
     batch: list[Message] = []
     while scheduler.input_queue and len(batch) < limit:
         batch.append(scheduler.input_queue.popleft())
-    scheduler.batch_sizes.append(len(batch))
     charge_flow_lookups(scheduler, batch)
+    note_batches(scheduler, len(batch))
+    return batch
+
+
+def note_batches(scheduler: "GroupedLDLPScheduler", size: int, count: int = 1) -> None:
+    """Record ``count`` service-step batches of ``size`` messages: append
+    them to ``batch_sizes`` and bump the ``ldlp.batches`` /
+    ``ldlp.batched_messages`` counters.
+
+    :func:`take_batch` records each batch it takes; the vectorized
+    engine records the batches of one it replays after it.  The counters
+    hold integer-valued floats, so one bump by ``count`` adds exactly
+    what ``count`` bumps of one do.
+    """
+    scheduler.batch_sizes += [size] * count
     recorder = active_recorder()
     if recorder is not None:
-        recorder.count("ldlp.batches")
-        recorder.count("ldlp.batched_messages", float(len(batch)))
-    return batch
+        recorder.count("ldlp.batches", float(count))
+        recorder.count("ldlp.batched_messages", float(size * count))
 
 
 class GroupedLDLPScheduler(Scheduler):

@@ -77,6 +77,29 @@ Completions = list[tuple[Message, float]]
 #: :func:`drive` to pop and settle.
 Stepper = Callable[[], tuple[Completions, Completions]]
 
+@dataclass(frozen=True, slots=True)
+class AdmitAhead:
+    """The drive loop's early admission for a core it drives on its own
+    with no flush period (see :func:`drive`, "Run-ahead").
+
+    Calling it with ``count`` admits the core's next ``count`` arrivals
+    now, or none when fewer are left or the queue would then hold more
+    than its input limit, and returns whether it did.
+    :attr:`upcoming` shows the arrivals to come first.
+    """
+
+    #: ``admit(count)``: what calling the hook does.
+    admit: Callable[[int], bool]
+    #: ``upcoming(count)``: the core's next ``count`` arrivals, stamped
+    #: with their arrival cycles, without admitting them (fewer at the
+    #: stream's end).
+    upcoming: Callable[[int], list[Message]]
+
+    def __call__(self, count: int) -> bool:
+        """``admit(count)``."""
+        return self.admit(count)
+
+
 #: Scheduler registry keyed by the names used throughout the experiments.
 SCHEDULER_NAMES = ("conventional", "ilp", "ldlp", "grouped")
 
@@ -281,8 +304,11 @@ def tag_flows(
     policies key on these meta fields (:data:`~repro.core.dispatch.FLOW_KEY`,
     :data:`~repro.core.dispatch.APP_CLASS_KEY`).
     """
+    # CRC-32 extends: crc32(suffix, crc32(prefix)) == crc32(prefix + suffix),
+    # so the constant prefix is hashed once per run.
+    prefix = zlib.crc32(f"flow:{seed}:".encode("utf-8"))
     for index, (_, message) in enumerate(messages):
-        flow = zlib.crc32(f"flow:{seed}:{index}".encode("utf-8")) % num_flows
+        flow = zlib.crc32(str(index).encode("utf-8"), prefix) % num_flows
         message.meta[FLOW_KEY] = int(flow)
         message.meta[APP_CLASS_KEY] = int(flow % app_classes)
 
@@ -334,10 +360,11 @@ def _stepper(
 
     ``"vec"`` asks the vectorized engine (:func:`repro.sim.vec.vec_stepper`)
     and falls back to the scalar step where it declines.  ``admit_ahead``
-    is the drive loop's early admission: ``admit_ahead(count)`` admits
-    the core's next ``count`` arrivals now, or none, and says which.
-    Given one, the engine may replay several conventional/ILP steps at
-    once (see :func:`drive`).  The returned
+    is the drive loop's early admission (:class:`AdmitAhead`):
+    ``admit_ahead(count)`` admits the core's next ``count`` arrivals
+    now, or none, and says which.  Given one, the engine may replay
+    several conventional/ILP steps, or several LDLP/grouped steps of one
+    message, at once (see :func:`drive`).  The returned
     callable is the only reference to a vec engine, so the engines and
     their state memos live exactly as long as the drive call that holds
     them; what they compile stays in the vec engine's byte-bounded
@@ -461,27 +488,32 @@ def drive(
     the next arrivals of the core's stream *ahead* of their time,
     exactly as many as fill the run, or none when the stream has fewer
     left or the queue would then hold more than its input limit (and
-    the step runs alone).  A step admitted ahead starts at the previous
-    step's completion ``c_{j-1}``, or at its own arrival ``a_j`` when
-    that is later and the core idled in between, so its start is
-    ``max(c_{j-1}, a_j)``.  The loop settles the replayed steps as one
-    block, with the outcome of settling them one by one as if each had
-    run alone: it pops their messages (asserting queue order), adds
-    each step's ``c_j - start_j`` to the service cycles in step order,
-    gives the per-core merge each step's start and records the block's
-    latencies in sample order with one call.  When the queue has room
-    for every arrival up to the last replayed completion, it admits
-    them all first; otherwise, before popping each replayed step's
-    message, it admits every arrival up to that step's start.  Admitting
-    ahead is exact (the argument is in :mod:`repro.sim.vec`'s
-    "Multi-step replay"): under tail drop, the i-th message admitted
-    ahead has at most ``q + i <= MAX_STEPS - 2`` messages ahead of it (q
-    queued after the pop), as many as the scalar run can show it at its
-    real arrival, so neither run drops it; the served sequence, the
-    ring slots and the order of flow lookups are therefore unchanged;
-    and a later arrival admitted before step j sees the same queue in
-    both runs, because every message admitted ahead precedes it in
-    time.
+    the step runs alone).  A vec LDLP/grouped step that takes a batch
+    of one and empties the queue reads the arrivals to come
+    (:attr:`AdmitAhead.upcoming`) and replays the next steps that
+    provably serve one message each, up to ``MAX_STEPS`` steps in all;
+    the loop admits their messages ahead (the gate and its proof are
+    :mod:`repro.sim.vec`'s "Light-load runs").  A step admitted ahead
+    starts at the previous step's completion ``c_{j-1}``, or at its own
+    arrival ``a_j`` when that is later and the core idled in between,
+    so its start is ``max(c_{j-1}, a_j)``.  The loop settles the
+    replayed steps as one block, with the outcome of settling them one
+    by one as if each had run alone: it pops their messages (asserting
+    queue order), adds each step's ``c_j - start_j`` to the service
+    cycles in step order, gives the per-core merge each step's start
+    and records the block's latencies in sample order with one call.
+    When the queue has room for every arrival up to the last replayed
+    completion, it admits them all first; otherwise, before popping
+    each replayed step's message, it admits every arrival up to that
+    step's start.  Admitting a conventional/ILP run ahead is exact (the
+    argument is in :mod:`repro.sim.vec`'s "Multi-step replay"): under
+    tail drop, the i-th message admitted ahead has at most
+    ``q + i <= MAX_STEPS - 2`` messages ahead of it (q queued after the
+    pop), as many as the scalar run can show it at its real arrival, so
+    neither run drops it; the served sequence, the ring slots and the
+    order of flow lookups are therefore unchanged; and a later arrival
+    admitted before step j sees the same queue in both runs, because
+    every message admitted ahead precedes it in time.
     """
     if isinstance(cores, Scheduler):
         cores = [cores]
@@ -651,8 +683,16 @@ def _event_merge(
         admit_window(index + count)
         return True
 
+    def upcoming(count: int) -> list[Message]:
+        """Core 0's next ``count`` arrivals, not admitted."""
+        return messages[index : index + count]
+
     # Without a flush period, a core driven on its own may run ahead.
-    ahead = admit_ahead if bulk and flush_period_cycles is None else None
+    ahead = (
+        AdmitAhead(admit_ahead, upcoming)
+        if bulk and flush_period_cycles is None
+        else None
+    )
     steppers = [_stepper(scheduler, engine, ahead) for scheduler in cores]
     while True:
         core = -1

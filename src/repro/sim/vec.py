@@ -202,19 +202,94 @@ the engine restarts the ``cumsum`` there, from ``fl(a_j + lookup_j)``
 the run on from it.  Only steps admitted ahead are checked, so a
 deep-queue run pays nothing for it.
 
-:func:`repro.sim.runner.drive` then settles the replayed steps as one
-block: it pops the k - 1 replayed messages, takes each step's start as
-``max(c_{j-1}, a_j)`` and adds ``c_j - start_j`` to the core's service
-cycles, and records the block in one pass.  When the queue has room
-for every arrival up to the last completion, it admits them all at
-once; otherwise, before popping step j >= 1's message, it admits every
-arrival up to step j's start, as k separate steps would.  The envelope
-is a core the drive loop runs on its own (one core without a dispatch
-policy, or each core of a multi-core run whose cores share no L2; see
+*Light-load runs.*  At light load an LDLP or grouped core finds one
+message per step and runs like conventional processing, a whole step
+per message.  So when a grouped step takes a batch of one and leaves
+its queue empty, the engine may replay it and the next k - 1 <=
+``MAX_STEPS - 1`` steps with one template of a second family,
+``singles``: the batch-of-one program k times, message-major, on k
+consecutive ring slots, as in a conventional run.  It reads the next
+arrivals first (the hook's ``upcoming``, which admits nothing) and
+admits the k - 1 it replays ahead.  Only a core whose arrival stream
+mixes message sizes runs singles (checked once, when the engine is
+built).  A core that serves one size replays at most one batch-of-one
+template per ring slot, compiled once per table and then served mostly
+from the state memo, while its runs would be keyed on (first slot, k
+sizes) for every k and replay through the cache model: running singles
+on one-size streams too, the ``multicore`` benchmark pass compiled
+2,398 templates over three passes instead of 1,655 and ran about 10 %
+longer.  A mixed-size stream compiles most of its batch-of-one
+templates anyway, one per (ring slot, size), and one run template
+replaces several of those compiles.  Let step j serve m_j, arriving at
+a_j, and start at s_j = max(c_{j-1}, a_j); step 0 is the step just
+taken, and s_0 is the cycle count it starts at.
+
+* Step j is a batch of one iff a_{j+1} > s_j: the loop admits every
+  arrival up to s_j before the step, and ``take_batch`` takes all of
+  them.  Step 0's successor has a_1 > s_0, since the loop admitted
+  everything up to s_0 and the queue is empty.
+* The engine gates on a bound, since s_j is known only after the
+  replay: hi_s_0 = s_0, hi_s_j = max(hi_c_{j-1}, a_j), where hi_c_j is
+  the left fold from hi_s_j of step j's addends with every stall slot
+  at its all-miss value (the segment's lines times the miss penalty,
+  the code's after the prefetch ``rint``, a buffer's lines bounded over
+  its offset within its first line; ``_VecEngine._ceiling``).  No data
+  plan is needed.
+* A stall is a miss count times the penalty, and a segment misses at
+  most once per line, so each addend is at most its ceiling.  IEEE
+  addition (round to nearest), ``max`` and ``rint`` are monotone in
+  each argument, and an idle step's fold restarts from its arrival
+  (below), so by induction hi_c_j >= c_j and hi_s_j >= s_j.
+* Step j >= 1 joins the run iff a_{j+1} > hi_s_j, or m_j is the last
+  arrival of the stream.  The run ends at the first step that fails,
+  at ``MAX_STEPS`` steps or at the stream's end, so every replayed step
+  is provably a batch of one and no replay is ever undone.
+  Same-instant arrivals never fold, since a_{j+1} = a_j <= hi_s_j.
+
+The replay is exact:
+
+* at s_j every earlier message has been served, m_j has arrived and
+  m_{j+1} has not, so the queue holds m_j alone, and ``take_batch``
+  would return ``[m_j]`` for any batch limit >= 1;
+* each real arrival in the run finds an empty queue, so TailDrop drops
+  nothing, and admitting k - 1 <= ``MAX_STEPS - 1`` ahead into the
+  empty queue passes the hook's input-limit check;
+* the served order, the ring slots and the cache-state sequence are
+  therefore the scalar ones.  A step that starts idle (a_j > c_{j-1})
+  restarts the fold at ``fl(a_j + x)``, x its first addend, which is
+  what ``advance_to_cycle`` then the first charge give.  The restart
+  slot is the one after step j - 1's completion, as for conventional,
+  but it holds step j's first addend: an LDLP step ends on a queue-hop
+  addend, not on a free 0.0 slot, so no lookup slot is there to reuse;
+* each replayed single appends 1 to ``batch_sizes`` and counts one
+  ``ldlp.batches`` and one ``ldlp.batched_messages``
+  (:func:`~repro.core.scheduler.note_batches`).
+
+The family compiles into its own table, since a run of k sizes must
+share no template key, memo entry or addend array with a batch of the
+same sizes: the store keys it by the family's inputs, which lead with
+its kind, from the engine's first run on.  Both families replay
+through the core's one state memo: a second memo over the same tags
+would hold a stale state.
+
+:func:`repro.sim.runner.drive` then settles the replayed steps of
+either kind of run as one block: it pops the k - 1 replayed messages,
+takes each step's start as ``max(c_{j-1}, a_j)`` and adds
+``c_j - start_j`` to the core's service cycles, and records the block
+in one pass.  When the queue has room for every arrival up to the last
+completion, it admits them all at once; otherwise, before popping step
+j >= 1's message, it admits every arrival up to step j's start, as k
+separate steps would.  The envelope of both is a core the drive loop
+runs on its own (one core without a dispatch policy, or each core of a
+multi-core run whose cores share no L2; see
 :func:`~repro.sim.runner.drive`) with no flush period or span-keeping
 recorder and the arrivals in time order (the loop then offers the
-hook), and exact :class:`~repro.core.overload.TailDrop`; everything
-else replays single steps.  Admitting ahead is exact:
+hook), and exact :class:`~repro.core.overload.TailDrop`.  Light-load
+runs also need an input limit of at least ``MAX_STEPS - 1``, no flow
+lookup on the binding (a lookup-charging LDLP core takes few batches of
+one) and a stream of mixed sizes.  Everything else replays single
+steps.  Admitting a
+conventional run ahead is exact:
 
 * the i-th message admitted ahead (from 0) has at most
   ``q + i <= MAX_STEPS - 2`` messages ahead of it, q being the queue
@@ -244,9 +319,12 @@ the envelope, a core never runs ahead of its arrivals where that could
 change an outcome: with an input limit below ``MAX_STEPS - 1`` (a run
 admitted ahead could overflow it), under a drop policy other than
 TailDrop (head drop evicts queued messages, which a replay would
-already have served), with a flush period (a replay would have to stop
-at the period boundary) or under a span-keeping recorder (whose spans
-are per step).
+already have served; ``QueueCap``'s depth limit is not the input limit
+the hook checks, and ``AdaptiveBatchBackoff``'s batch cap depends on
+the queue), with a flush period (a replay would have to stop at the
+period boundary) or under a span-keeping recorder (whose spans are per
+step).  A grouped core with a flow lookup replays its batches one step
+each: light-load runs resolve no lookups ahead.
 
 Flow-lookup charging (:mod:`repro.flows`, :mod:`repro.gossip`) is
 inside the envelope, multi-step replay included.  The lookup stays
@@ -269,10 +347,13 @@ never evicts a peeked message.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from operator import sub
-from typing import Callable, Sequence
+from operator import add, sub
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -289,11 +370,15 @@ from ..core.scheduler import (
     LDLPScheduler,
     Scheduler,
     charge_flow_lookups,
+    note_batches,
     take_batch,
 )
-from ..machine.executor import QUEUE_INSTRUCTIONS, MessageBuffer
+from ..machine.executor import QUEUE_INSTRUCTIONS, BufferPool, MessageBuffer
 from ..obs.runtime import span_recorder
-from .runner import Completions, Stepper
+from .runner import AdmitAhead, Completions, Stepper
+
+if TYPE_CHECKING:
+    from ..flows.lookup import FlowLookup
 
 #: Cost-addend slots per invocation in a step template (istall, layer
 #: data stall, message-buffer stall, execute, trailing execute).
@@ -662,100 +747,76 @@ def _distinct_sets(arrays: list[np.ndarray], num_lines: int) -> bool:
     return not (keys[1:] == keys[:-1]).any()
 
 
-class _VecEngine:
-    """Per-drive-call state of the vectorized service path.
+class _Compiler:
+    """Compiles one template family's step templates into ``table``.
 
-    Compiles into ``table``: a fresh one unless :func:`vec_stepper`
-    hands it the store's table for its inputs (:meth:`inputs`).
+    A family is a template kind (:meth:`_program`): ``conventional`` and
+    ``ilp`` (one step per message, a template of ``b`` messages being
+    ``b`` steps), ``grouped`` (one step over a batch of ``b``) and
+    ``singles`` (``b`` one-message grouped steps back to back; see
+    "Light-load runs").  ``table`` is a fresh one unless the store hands
+    over the table for the family's inputs (:meth:`inputs`).
     """
 
     def __init__(
         self,
-        scheduler: Scheduler,
         kind: str,
-        admit_ahead: Callable[[int], bool] | None = None,
+        placed: list,
+        groups: list[list[tuple[int, float]]] | None,
+        hierarchy: SplitCacheHierarchy,
+        pool: BufferPool,
+        longest: int,
+        flow_lookup: FlowLookup | None,
+        table: _Table | None = None,
     ) -> None:
-        self.scheduler = scheduler
         self.kind = kind
-        binding = scheduler.binding
-        assert binding is not None
+        #: One step per message, completing at its last execute, so that
+        #: step's 0.0 trailing execute can carry the next step's lookup.
         self.per_message = kind in ("conventional", "ilp")
-        #: Steps a multi-step replay runs (1: single steps only); see
-        #: the module docs' envelope.
-        self.max_steps = (
-            MAX_STEPS
-            if admit_ahead is not None
-            and self.per_message
-            and type(scheduler.drop_policy) is TailDrop
-            else 1
-        )
-        #: The drive loop's early admission (see "Multi-step replay").
-        self.admit_ahead = admit_ahead if self.max_steps > 1 else None
-        #: Resolves the lookups of steps replayed after the first.
-        self.flow_lookup = binding.flow_lookup if self.max_steps > 1 else None
-        self.cpu = binding.cpu
-        hierarchy = self.cpu.hierarchy
-        self.icache = hierarchy.icache
-        self.dcache = hierarchy.dcache
-        efficiency = float(binding.spec.iprefetch_efficiency)
-        # A float penalty makes the stalls float64, exactly: miss counts
-        # times the penalty stay far below 2**53.
-        self.memo = _StateMemo(
-            hierarchy,
-            float(binding.spec.miss_penalty),
-            (1.0 - efficiency) if efficiency else None,
-        )
-        self.placed = [
-            binding.placed_layer(layer.name) for layer in scheduler.layers
-        ]
+        self.placed = placed
         self.extra_per_byte = sum(
-            placed.footprint.per_byte_cycles for placed in self.placed[1:]
+            layer.footprint.per_byte_cycles for layer in placed[1:]
         )
         #: Per group, each member's (layer index, trailing execute): the
         #: queue hop is charged on entering the group.
-        queue_cost = float(QUEUE_INSTRUCTIONS)
-        self.groups: list[list[tuple[int, float]]] | None = None
-        #: Longest batch a step serves, unless a drop policy's batch cap
-        #: exceeds the scheduler's (see _rows).
-        self.longest = self.max_steps
-        if isinstance(scheduler, GroupedLDLPScheduler):
-            self.groups = [
-                [
-                    (index, queue_cost if position == 0 else 0.0)
-                    for position, index in enumerate(members)
-                ]
-                for members in scheduler.groups
-            ]
-            self.longest = scheduler.batch_limit
-        pool = binding.pool
-        assert pool is not None
+        self.groups = groups
+        #: Longest batch a template serves, unless a drop policy's batch
+        #: cap exceeds the scheduler's (see _rows).
+        self.longest = longest
+        #: Resolves the lookups of steps replayed after the first.
+        self.flow_lookup = flow_lookup
+        self.icache = hierarchy.icache
+        self.dcache = hierarchy.dcache
         self.pool = pool
-        layer_runs = [_run(placed.data_lines) for placed in self.placed]
-        # One past every data line: the layers' and the ring's.
-        bound = max(
-            [first + count for first, count in layer_runs]
-            + [(buffer.base + buffer.capacity) // buffer.line_size for buffer in pool.buffers]
-        )
-        self.table = _Table(
-            layer_runs + [(0, 0)],
-            np.int32 if bound <= np.iinfo(np.int32).max else np.int64,
-        )
+        if table is None:
+            layer_runs = [_run(layer.data_lines) for layer in placed]
+            # One past every data line: the layers' and the ring's.
+            bound = max(
+                [first + count for first, count in layer_runs]
+                + [(buffer.base + buffer.capacity) // buffer.line_size for buffer in pool.buffers]
+            )
+            table = _Table(
+                layer_runs + [(0, 0)],
+                np.int32 if bound <= np.iinfo(np.int32).max else np.int64,
+            )
+        self.table = table
         #: (first ring slot, sizes) -> the template and this engine's
         #: memo of it, from the template's first use here.
         self._seen: dict[tuple[int, tuple[int, ...]], tuple[_StepTemplate, _Memo]] = {}
 
     def inputs(self) -> tuple:
-        """The content of everything the engine's table holds depends on
-        (see the module docs' "Table store"): engines with equal inputs
-        compile equal entries."""
+        """The content of everything the family's table holds depends on
+        (see the module docs' "Table store"): families with equal inputs
+        compile equal entries.  The kind leads, so the families of one
+        engine never share a table."""
         return (
             self.kind,
             # Whether steps resolve flow lookups ahead into the addends.
             self.flow_lookup is not None,
             None if self.groups is None else tuple(map(tuple, self.groups)),
             tuple(
-                (placed.code_lines.tobytes(), placed.data_lines.tobytes(), placed.footprint)
-                for placed in self.placed
+                (layer.code_lines.tobytes(), layer.data_lines.tobytes(), layer.footprint)
+                for layer in self.placed
             ),
             tuple(
                 (buffer.base, buffer.capacity, buffer.line_size)
@@ -764,16 +825,6 @@ class _VecEngine:
             self.icache.num_lines,
             self.dcache.num_lines,
         )
-
-    @property
-    def memo_hits(self) -> int:
-        """Steps replayed from a template's memo."""
-        return self.memo.hits
-
-    @property
-    def memo_misses(self) -> int:
-        """Steps replayed through the cache model."""
-        return self.memo.misses
 
     # ------------------------------------------------------------------
     # Template compilation
@@ -788,7 +839,8 @@ class _VecEngine:
         slot, back to back); grouped is group-major with one queue hop
         per group, which with singleton groups (LDLP) is layer-major
         over the batch.  ILP's integrated loop charges the later layers'
-        per-byte cycles as the first layer's trailing execute.
+        per-byte cycles as the first layer's trailing execute.  A run of
+        singles is message-major over grouped batches of one.
         """
         num_layers = len(self.placed)
         if self.kind == "conventional":
@@ -806,6 +858,13 @@ class _VecEngine:
                 ]
             return program
         assert self.groups is not None
+        if self.kind == "singles":
+            return [
+                (layer_index, slot, True, trailing, 0.0)
+                for slot in range(batch)
+                for members in self.groups
+                for layer_index, trailing in members
+            ]
         return [
             (layer_index, slot, True, trailing, 0.0)
             for members in self.groups
@@ -830,6 +889,10 @@ class _VecEngine:
             # the step completes one slot early with the same value and
             # leaves that slot to the next step's flow lookup.
             return _SLOTS * len(self.placed) * (slots + 1) - 1
+        if self.kind == "singles":
+            # Each step completes at its last addend, the queue hop of its
+            # last group's first member (or that group's 0.0 trailing).
+            return _SLOTS * len(self.placed) * (slots + 1)
         assert self.groups is not None
         last = len(self.groups[-1])
         offset = batch * sum(len(members) for members in self.groups[:-1])
@@ -854,10 +917,10 @@ class _VecEngine:
         one = self._program(1)
         step = len(one)
         # Each group's first batch-1 invocation and size; a
-        # conventional/ILP step is one group.
+        # conventional/ILP step, or a single, is one group.
         spans = []
         start = 0
-        for members in self.groups or [one]:
+        for members in self.groups if self.kind == "grouped" else [one]:
             spans.append((start, len(members)))
             start += len(members)
         batches = np.arange(1, length + 1)[:, None]
@@ -1114,18 +1177,195 @@ class _VecEngine:
             assert not addends[per_step::per_step].any()
         return addends
 
+
+class _VecEngine(_Compiler):
+    """Per-drive-call state of the vectorized service path of one core.
+
+    The engine is its scheduler's template family; a grouped core inside
+    the light-load envelope (see "Light-load runs") has a second one,
+    :attr:`runs`, for its runs of singles.  Both replay through the one
+    state memo of the core's L1.
+    """
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        kind: str,
+        admit_ahead: Callable[[int], bool] | None = None,
+    ) -> None:
+        self.scheduler = scheduler
+        binding = scheduler.binding
+        assert binding is not None
+        pool = binding.pool
+        assert pool is not None
+        tail = admit_ahead is not None and type(scheduler.drop_policy) is TailDrop
+        per_message = kind in ("conventional", "ilp")
+        #: Steps a multi-step replay runs (1: single steps only); see
+        #: the module docs' envelope.
+        self.max_steps = MAX_STEPS if tail and per_message else 1
+        #: Whether a grouped step of one that empties the queue may run
+        #: the next steps as singles (see "Light-load runs").
+        self.light = (
+            tail
+            and kind == "grouped"
+            and isinstance(admit_ahead, AdmitAhead)
+            and scheduler.input_limit >= MAX_STEPS - 1
+            and binding.flow_lookup is None
+            and _mixes_sizes(admit_ahead.upcoming(sys.maxsize))
+        )
+        #: The drive loop's early admission (see "Multi-step replay").
+        self.admit_ahead = admit_ahead if self.max_steps > 1 or self.light else None
+        self.cpu = binding.cpu
+        hierarchy = self.cpu.hierarchy
+        efficiency = float(binding.spec.iprefetch_efficiency)
+        # A float penalty makes the stalls float64, exactly: miss counts
+        # times the penalty stay far below 2**53.
+        self.memo = _StateMemo(
+            hierarchy,
+            float(binding.spec.miss_penalty),
+            (1.0 - efficiency) if efficiency else None,
+        )
+        groups = None
+        longest = self.max_steps
+        if isinstance(scheduler, GroupedLDLPScheduler):
+            queue_cost = float(QUEUE_INSTRUCTIONS)
+            groups = [
+                [
+                    (index, queue_cost if position == 0 else 0.0)
+                    for position, index in enumerate(members)
+                ]
+                for members in scheduler.groups
+            ]
+            longest = scheduler.batch_limit
+        super().__init__(
+            kind,
+            [binding.placed_layer(layer.name) for layer in scheduler.layers],
+            groups,
+            hierarchy,
+            pool,
+            longest,
+            binding.flow_lookup if self.max_steps > 1 else None,
+        )
+        #: The runs-of-singles family, from the engine's first run.
+        self.runs: _Compiler | None = None
+        #: Size -> a step of one's ceiling addends, and the terms they
+        #: are built from (see _ceiling).
+        self._ceilings: dict[int, list[float]] = {}
+        self._terms: tuple[list[float], list[float]] | None = None
+
+    @property
+    def memo_hits(self) -> int:
+        """Steps replayed from a template's memo."""
+        return self.memo.hits
+
+    @property
+    def memo_misses(self) -> int:
+        """Steps replayed through the cache model."""
+        return self.memo.misses
+
+    # ------------------------------------------------------------------
+    # Light-load runs of singles
+
+    def _runs(self) -> _Compiler:
+        """The runs-of-singles family, built at the engine's first run
+        over the store's table for its inputs, which share the
+        placements this engine's table passed the soundness sorts
+        with."""
+        runs = self.runs
+        if runs is None:
+            table = self.table
+            runs = self.runs = _Compiler(
+                "singles", self.placed, self.groups, self.cpu.hierarchy,
+                self.pool, MAX_STEPS, None, _Table(table.layer_runs, table.dtype),
+            )
+            key = runs.inputs()
+            stored = _TABLES.pop(key, None)  # det: allow[DET005] see vec_stepper
+            if stored is not None:
+                runs.table = stored
+            _keep(key, runs.table)
+        return runs
+
+    def _singles(self, first: Message) -> int:
+        """How many steps of one message can follow ``first``'s step,
+        which starts now and leaves the queue empty, in one run of
+        singles: the arrivals to come, at most ``MAX_STEPS - 1`` of
+        them, up to the first whose step might serve a second message
+        (see "Light-load runs")."""
+        ahead = self.admit_ahead
+        assert isinstance(ahead, AdmitAhead)
+        upcoming = ahead.upcoming(MAX_STEPS)
+        # Each step's next arrival; past the stream's end none joins.
+        arrivals = [message.arrival_cycle for message in upcoming[1:]]
+        arrivals.append(math.inf)
+        steps = min(len(upcoming), MAX_STEPS - 1)
+        for count, start in enumerate(islice(self._starts(first, upcoming), steps)):
+            if arrivals[count] <= start:
+                return count
+        return steps
+
+    def _starts(self, first: Message, upcoming: list[Message]) -> Iterator[float]:
+        """hi_s_j for j = 1, 2, ...: a bound on the start of the step that
+        would serve ``upcoming[j - 1]`` as a single after ``first``'s,
+        which starts now (see "Light-load runs")."""
+        start = self.cpu.cycles
+        size = first.size
+        for message in upcoming:
+            start = max(reduce(add, self._ceiling(size), start), message.arrival_cycle)
+            yield start
+            size = message.size
+
+    def _ceiling(self, size: int) -> list[float]:
+        """The addends of a grouped step of one ``size``-byte message,
+        after slot 0, with every stall slot at its all-miss value: the
+        segment's lines times the miss penalty (for code, after the
+        prefetch ``rint``), a buffer's lines bounded over its offset
+        within its first line.  Each is at least any replay's stall, so
+        their fold from a bound on the step's start bounds its
+        completion (see "Light-load runs")."""
+        ceiling = self._ceilings.get(size)
+        if ceiling is None:
+            if self._terms is None:
+                self._terms = self._ceiling_terms()
+            constant, per_byte = self._terms
+            # The same IEEE products and sums as _addends_for.
+            ceiling = [term + rate * size for term, rate in zip(constant, per_byte)]
+            # The ring's buffers share one capacity and line size.
+            buffer = self.pool.buffers[0]
+            line = buffer.line_size
+            lines = (min(size, buffer.capacity) + line - 2) // line + 1
+            ceiling[2::_SLOTS] = [lines * self.memo.miss_penalty] * (len(ceiling) // _SLOTS)
+            self._ceilings[size] = ceiling
+        return ceiling
+
+    def _ceiling_terms(self) -> tuple[list[float], list[float]]:
+        """A grouped step of one's constant and per-byte addend terms
+        after slot 0 (see :class:`_Layout`), with the code and layer-data
+        stall slots at their all-miss values."""
+        layout = self._layout(1)
+        memo = self.memo
+        penalty = memo.miss_penalty
+        layers = [self.placed[index] for index, *_ in self._program(1)]
+        constant = layout.constant[1:].copy()
+        code = np.array([layer.code_lines.size for layer in layers]) * penalty
+        if memo.iprefetch_scale is not None:
+            code = np.rint(code * memo.iprefetch_scale)
+        constant[0::_SLOTS] = code
+        constant[1::_SLOTS] = [layer.data_lines.size * penalty for layer in layers]
+        return constant.tolist(), layout.per_byte[1:].tolist()
+
     # ------------------------------------------------------------------
     # Dynamic replay
 
     def step(self) -> tuple[Completions, Completions]:
-        """Run one service step, plus any conventional/ILP steps replayed
-        after it.
+        """Run one service step, plus any steps replayed after it: a
+        conventional/ILP run, or a grouped run of singles.
 
         Returns the step's completions and the replayed steps, one
         (message, completion cycle) pair each, whose messages are still
         queued for the drive loop to pop.
         """
         scheduler = self.scheduler
+        family: _Compiler = self
         # The batch slot of the first step admitted ahead, if any.
         early = 0
         if self.per_message:
@@ -1146,15 +1386,24 @@ class _VecEngine:
             batch = take_batch(scheduler)  # type: ignore[arg-type]
             if not batch:
                 return [], []
+            if self.light and len(batch) == 1 and not scheduler.input_queue:
+                count = self._singles(batch[0])
+                if count:
+                    admitted = self.admit_ahead(count)  # type: ignore[misc]
+                    assert admitted, "a run of singles was not admitted"
+                    batch += scheduler.input_queue
+                    note_batches(scheduler, 1, count)  # type: ignore[arg-type]
+                    family = self._runs()
+                    early = 1
         # Only the scalar path assigns buffers; this one takes the ring
         # slots the scalar steps would acquire, one run per step.
         assert batch[0].buffer is None, "vec step on a message with a buffer"
         sizes = tuple([message.size for message in batch])
         key = (self.pool.acquire_run(len(batch)), sizes)
-        seen = self._seen.get(key)
+        seen = family._seen.get(key)
         if seen is None:
-            templates = self.table.templates
-            template = templates.get(key)
+            table = family.table
+            template = table.templates.get(key)
             if template is None:
                 buffers = self.pool.buffers
                 first = key[0]
@@ -1162,12 +1411,13 @@ class _VecEngine:
                     buffers[slot % len(buffers)]
                     for slot in range(first, first + len(batch))
                 ]
-                template = self._compile(sizes, ring)
+                template = family._compile(sizes, ring)
                 data = template.data
-                self.table.keep(
-                    templates, key, template, data.block.nbytes + data.static.nbytes
+                table.keep(
+                    table.templates, key, template,
+                    data.block.nbytes + data.static.nbytes,
                 )
-            self._seen[key] = (template, {})
+            family._seen[key] = (template, {})
             # A first use cannot hit its empty memo: skip the intern.
             stall, total = self.memo.apply(template)
         else:
@@ -1191,9 +1441,9 @@ class _VecEngine:
         cpu.cycles = float(timeline[-1])
         cpu.stall_cycles += total
         completions = list(zip(batch, timeline.take(template.ends).tolist()))
-        if self.per_message:
-            return completions[:1], completions[1:]
-        return completions, []
+        if family.kind == "grouped":
+            return completions, []
+        return completions[:1], completions[1:]
 
 
 def _reseed(
@@ -1217,6 +1467,12 @@ def _reseed(
             addends[slot] = arrival + lookup
             np.cumsum(addends[slot:], out=timeline[slot:])
             addends[slot] = lookup
+
+
+def _mixes_sizes(messages: list[Message]) -> bool:
+    """Whether ``messages`` hold more than one size (see "Light-load
+    runs")."""
+    return len({message.size for message in messages}) > 1
 
 
 def _run(lines: np.ndarray) -> tuple[int, int]:
@@ -1315,8 +1571,12 @@ def vec_stepper(
     driven on its own, no flush period or span-keeping recorder,
     arrivals in time order): ``admit_ahead(count)`` admits the core's
     next ``count`` arrivals now, or none, and returns whether it did.
-    Multi-step replay needs it; the engine checks the rest of the
-    envelope (see "Multi-step replay").
+    Multi-step replay needs it.  Light-load runs of singles also read
+    the arrivals to come before admitting, so they need an
+    :class:`~repro.sim.runner.AdmitAhead`, whose ``upcoming`` shows
+    them; a bare callable gives conventional/ILP runs only.  The engine
+    checks the rest of the envelope (see "Multi-step replay" and
+    "Light-load runs").
 
     The engine compiles into the store's table for its inputs (see the
     module docs' "Table store"): a stored table's inputs passed the

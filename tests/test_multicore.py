@@ -11,6 +11,8 @@ share once there are at least 32 flows per core).
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +40,12 @@ from repro.sim.multicore import (
     multicore_point,
     run_multicore,
 )
-from repro.sim.runner import ENGINE_NAMES, SimulationConfig, run_simulation
+from repro.sim.runner import (
+    ENGINE_NAMES,
+    SimulationConfig,
+    run_simulation,
+    tag_flows,
+)
 from repro.traffic.poisson import PoissonSource
 
 ALL_SCHEDULERS = ("conventional", "ilp", "ldlp", "grouped")
@@ -91,6 +98,25 @@ class TestDispatchPolicies:
             stable_hash(7) % 4
         )
 
+    @pytest.mark.parametrize("cores", [1, 3, 4])
+    def test_cached_hashes_equal_stable_hash(self, cores):
+        """RSS and app dispatch keep each value's hash per instance: every
+        selection, first or repeated, equals the uncached
+        ``stable_hash`` of every flow (RSS) and every class (app), and
+        equal app values of different types keep their own hashes."""
+        rss = FlowHashRSS()
+        app = AppDefinedDispatch()
+        for _ in range(2):
+            for flow in range(64):
+                message = flow_message(flow)
+                assert rss.select(message, cores) == stable_hash(flow) % cores
+                assert app.select(message, cores) == stable_hash(flow % 8) % cores
+        for value in (1, 1.0, True, "1"):
+            message = Message()
+            message.meta[APP_CLASS_KEY] = value
+            for _ in range(2):
+                assert app.select(message, 7) == stable_hash(value) % 7
+
     def test_ldlp_steers_whole_chunks_then_rotates(self):
         policy = LDLPAwareDispatch(chunk=3)
         picks = [policy.select(Message(), 2) for _ in range(9)]
@@ -118,6 +144,20 @@ class TestDispatchPolicies:
                 for i in range(40)
             ]
             assert first == second
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456789])
+def test_tag_flows_equals_whole_string_crc(seed):
+    """``tag_flows`` extends the CRC of its constant prefix per arrival:
+    every flow id and class equals the CRC-32 of the whole
+    ``flow:{seed}:{index}`` string."""
+    count = 5000
+    messages = [(0.0, Message()) for _ in range(count)]
+    tag_flows(messages, seed, 64, 8)
+    for index, (_, message) in enumerate(messages):
+        flow = zlib.crc32(f"flow:{seed}:{index}".encode("utf-8")) % 64
+        assert message.meta[FLOW_KEY] == flow
+        assert message.meta[APP_CLASS_KEY] == flow % 8
 
 
 class TestRSSBalanceProperty:

@@ -21,7 +21,9 @@ contract at three levels:
   engine replays several at a time (latency sample order included),
   with and without a flow lookup, from a deep queue or from arrivals
   the drive loop admits ahead (run-ahead), and the cases where it must
-  not run ahead.
+  not run ahead; and LDLP/grouped runs of one-message steps at light
+  load, replayed as one template (a spy checks every gate bound against
+  the exact step start), and the cases where they must not run.
 * **Degenerate-input level** — zero-length and length-1 arrival
   streams through every scheduler and drop policy (the PR 4
   ``len()``-truthiness bug class).
@@ -41,6 +43,7 @@ against a per-array reference), and the silent scalar fallbacks.
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
@@ -48,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.cache.chunked as chunked_module
@@ -105,6 +108,7 @@ from repro.sim.runner import (
 )
 from repro.sim.multicore import multicore_point, run_multicore
 from repro.sim.vec import vec_supported
+from repro.traffic.bellcore import bellcore_like_source
 from repro.traffic.onoff import ParetoOnOffSource
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.zipf import ZipfFlowSource
@@ -891,6 +895,316 @@ def test_run_ahead_bellcore_step_calls():
     assert len(calls) == 55
 
 
+# ----------------------------------------------------------------------
+# Light-load runs: an LDLP/grouped step of one that empties its queue
+# replays the next steps that provably serve one message each with one
+# template of the runs-of-singles family
+
+
+@contextmanager
+def _singles_runs():
+    """Record, per vec step of a grouped engine, how many singles it
+    replayed after its own step (0 when it ran alone), and check on
+    every replayed single that the gate's bound on its start
+    (``_VecEngine._starts``) is at least its exact start
+    ``max(c_{j-1}, a_j)``."""
+    lengths: list[int] = []
+    drawn: list[list[float]] = []
+    starts = vec_module._VecEngine._starts
+    step = vec_module._VecEngine.step
+
+    def starts_spy(engine, first, upcoming):
+        bounds: list[float] = []
+        drawn.append(bounds)
+        for bound in starts(engine, first, upcoming):
+            bounds.append(bound)
+            yield bound
+
+    def step_spy(engine):
+        gates = len(drawn)
+        completions, replayed = step(engine)
+        if engine.kind == "grouped":
+            lengths.append(len(replayed))
+            if replayed:
+                assert len(drawn) == gates + 1
+                bounds = drawn[-1]
+                assert len(bounds) >= len(replayed)
+                previous = completions[-1][1]
+                for bound, (message, cycle) in zip(bounds, replayed):
+                    assert bound >= max(previous, message.arrival_cycle)
+                    previous = cycle
+        return completions, replayed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module._VecEngine, "_starts", starts_spy)
+        patch.setattr(vec_module._VecEngine, "step", step_spy)
+        yield lengths
+
+
+@contextmanager
+def _assembled_runs():
+    """Record each simulated run's per-core batch sizes and latency
+    samples, as :func:`assemble_run_result` receives them."""
+    runs: list = []
+    original = runner_module.assemble_run_result
+
+    def spy(cores, outcome, *args):
+        runs.append((
+            [list(core.batch_sizes) for core in cores],
+            list(outcome.latency.samples),
+        ))
+        return original(cores, outcome, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "assemble_run_result", spy)
+        yield runs
+
+
+def _singles_points_both_engines(point, **params):
+    """``point(**params)`` on both engines under a metrics recorder:
+    ({engine: (canonical JSON, counters, each run's batch sizes and
+    latency samples)}, the vec pass's replayed-singles counts)."""
+    outcomes = {}
+    for engine in ENGINE_NAMES:
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder), _assembled_runs() as runs, _singles_runs() as lengths:
+            result = point(**params, engine=engine)
+        outcomes[engine] = (canonical_json(result), recorder.counters.as_dict(), runs)
+    return outcomes, lengths
+
+
+def _mixed_columns(rate, duration, seed):
+    """A Poisson stream whose sizes are drawn from three Ethernet-like
+    sizes: light-load runs of singles need a stream of mixed sizes."""
+    columns = PoissonSource(rate, rng=seed).arrival_columns(duration)
+    sizes = np.random.default_rng(seed).choice([64, 552, 1500], size=len(columns["time"]))
+    columns["size"] = sizes.tolist()
+    return columns
+
+
+def _singles_run(config, columns, seed, flow_cache=None, keep_spans=False):
+    """One simulated run: (canonical result JSON, counters, latency
+    samples, each core's batch sizes)."""
+    recorder = Recorder(keep_spans=keep_spans)
+    with recording(recorder):
+        result, cores, stats = simulate(
+            PoissonSource(1000.0, rng=seed), config, seed=seed, columns=columns,
+            flow_cache=flow_cache,
+        )
+    return (
+        canonical_json(result.to_dict()),
+        recorder.counters.as_dict(),
+        list(stats.latency.samples),
+        [list(core.batch_sizes) for core in cores],
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cuts=st.one_of(st.none(), st.sets(st.integers(1, 4))),
+    batch_limit=st.sampled_from([1, 2, 14]),
+    rate=st.floats(500.0, 4000.0),
+    seed=st.integers(0, 2**20),
+)
+def test_singles_light_load_equivalence(cuts, batch_limit, rate, seed):
+    """LDLP (``cuts`` None) and grouped LDLP with random explicit groups
+    at 500-4,000 msg/s of mixed sizes: most steps take a batch of one
+    from an empty queue, so runs of singles replay; latency samples in
+    order, cycles, cache statistics, counters and batch sizes equal the
+    scalar engine's."""
+    arrivals = _mixed_columns(rate, 0.03, seed)
+    seen = {}
+    for engine in ENGINE_NAMES:
+        binding = MachineBinding(rng=seed)
+        if cuts is None:
+            scheduler = LDLPScheduler(
+                build_paper_stack(), binding, 500, BatchPolicy(batch_limit)
+            )
+        else:
+            bounds = [0, *sorted(cuts), 5]
+            scheduler = GroupedLDLPScheduler(
+                build_paper_stack(), binding, 500, BatchPolicy(batch_limit),
+                groups=[list(range(a, b)) for a, b in zip(bounds, bounds[1:])],
+            )
+        timestamped = [
+            (time, Message(size=size, arrival_time=time))
+            for time, size in zip(arrivals["time"], arrivals["size"])
+        ]
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder), _singles_runs() as lengths:
+            stats = drive(scheduler, timestamped, engine=engine)
+        hierarchy = binding.cpu.hierarchy
+        seen[engine] = (
+            list(stats.latency.samples), binding.cpu.cycles,
+            binding.cpu.stall_cycles, hierarchy.icache.stats,
+            hierarchy.dcache.stats, recorder.counters.as_dict(),
+            scheduler.batch_sizes,
+        )
+    assert seen["scalar"] == seen["vec"]
+    assert all(length < vec_module.MAX_STEPS for length in lengths)
+    if len(arrivals["time"]) >= 2 * vec_module.MAX_STEPS:
+        assert any(lengths)
+
+
+@pytest.mark.parametrize("clock", [40, 80])
+def test_singles_bellcore_clock_points(clock):
+    """The Bellcore-like trace at 40 and 80 MHz, where most LDLP steps
+    are batches of one from an empty queue: runs of singles replay, and
+    the result, counters, batch sizes and latency order equal the scalar
+    engine's."""
+    outcomes, lengths = _singles_points_both_engines(
+        clock_point, scheduler="ldlp", clock_mhz=clock, seeds=[1, 2],
+        duration=0.3, mean_rate=1200.0,
+    )
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert sum(lengths) > 100
+
+
+@pytest.mark.parametrize("dispatch", ["rss", "app", "ldlp"])
+def test_singles_per_core_dispatch(dispatch):
+    """Each core of an uncoupled four-core LDLP run replays its own
+    runs of singles under each dispatch policy, on a mixed-size stream;
+    the per-core samples merge into the scalar engine's bytes, counters,
+    batch sizes and latency order.  The benchmark's one-size
+    ``multicore_point`` replays none and equals scalar too."""
+    config = SimulationConfig(
+        scheduler="ldlp", num_cores=4, dispatch=dispatch, duration=0.02
+    )
+    arrivals = _mixed_columns(12000.0, config.duration, 1)
+    seen = {}
+    for engine in ENGINE_NAMES:
+        with _singles_runs() as lengths:
+            seen[engine] = _singles_run(replace(config, engine=engine), arrivals, 1)
+    assert seen["scalar"] == seen["vec"]
+    assert any(lengths)
+    outcomes, lengths = _singles_points_both_engines(
+        multicore_point, scheduler="ldlp", dispatch=dispatch, cores=4,
+        rate=12000.0, seeds=[1], duration=0.02,
+    )
+    assert outcomes["scalar"] == outcomes["vec"]
+    assert lengths and not any(lengths)
+
+
+def test_singles_arrivals_at_completion_boundaries():
+    """Arrivals one ulp before, exactly on and one ulp after a scalar
+    completion, inside one run of singles: step 1 arrives at step 0's
+    completion c_0 (shifted), step 2 at step 1's c_1 (shifted), so the
+    timeline restarts at an arrival exactly when it is later than the
+    completion before it.  A same-instant pair then ends the run and is
+    served as one batch of two.  Sizes alternate, so the stream mixes
+    them.  The clock is 2**27 Hz, so every cycle count is an exact
+    time."""
+    hz = 2.0 ** 27
+    config = SimulationConfig(scheduler="ldlp", spec=MachineSpec(clock_hz=hz))
+    gap = 1e6
+
+    def drive_cycles(cycles, engine):
+        scheduler = build_scheduler(config, seed=3)
+        timestamped = [
+            (cycle / hz, Message(size=(552, 64)[index % 2], arrival_time=cycle / hz))
+            for index, cycle in enumerate(cycles)
+        ]
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder):
+            stats = drive(scheduler, timestamped, engine=engine)
+        binding = scheduler.binding
+        return (
+            list(stats.latency.samples), binding.cpu.cycles,
+            binding.cpu.stall_cycles, binding.cpu.hierarchy.icache.stats,
+            binding.cpu.hierarchy.dcache.stats, recorder.counters.as_dict(),
+            scheduler.batch_sizes,
+        )
+
+    def shifted(cycle, ulps):
+        for _ in range(abs(ulps)):
+            cycle = math.nextafter(cycle, math.copysign(math.inf, ulps))
+        return cycle
+
+    for first in (-1, 0, 1):
+        for second in (-1, 0, 1):
+            cycles = [0.0]
+            cycles.append(shifted(drive_cycles(cycles, "scalar")[1], first))
+            cycles.append(shifted(drive_cycles(cycles, "scalar")[1], second))
+            cycles += [cycles[-1] + gap, cycles[-1] + 2 * gap, cycles[-1] + 2 * gap]
+            scalar = drive_cycles(cycles, "scalar")
+            with _singles_runs() as lengths:
+                vec = drive_cycles(cycles, "vec")
+            assert scalar == vec, (first, second)
+            # Steps 0-3 in one run; the pair is one batch.
+            assert lengths == [3, 0], (first, second)
+            assert vec[-1] == [1, 1, 1, 1, 2]
+
+
+def test_singles_bellcore_step_calls():
+    """On the 80 MHz Bellcore-like point an LDLP core mostly serves one
+    message per step from an empty queue: its stream mixes frame sizes,
+    so it runs singles ahead and serves its 405 messages in 85 vec
+    steps."""
+    calls = []
+    step = vec_module._VecEngine.step
+
+    def counting(engine):
+        calls.append(engine)
+        return step(engine)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec_module._VecEngine, "step", counting)
+        result = clock_point("ldlp", 80, [1], 0.3, 1200.0)
+    assert result["completed"] == 405
+    assert len(calls) == 85
+
+
+#: Light-load LDLP runs of mixed sizes, as (config changes, flow lookup,
+#: span-keeping recorder, whether runs of singles replay): not under a
+#: drop policy other than exact tail drop, with a flush period, under a
+#: span-keeping recorder (scalar steps), with a flow lookup, with an
+#: input limit below MAX_STEPS - 1, or (``one-size``) on a stream of one
+#: message size.  "tail" is the control, and an input limit of
+#: MAX_STEPS - 1 is just long enough.
+SINGLES_DECLINE_CASES = {
+    "tail": ({}, None, False, True),
+    "one-size": ({}, None, False, False),
+    "input-limit-fits": ({"input_limit": vec_module.MAX_STEPS - 1}, None, False, True),
+    "input-limit": ({"input_limit": vec_module.MAX_STEPS - 2}, None, False, False),
+    "head": ({"drop_policy": "head"}, None, False, False),
+    "batch-cap": ({"drop_policy": "batch-cap"}, None, False, False),
+    "adaptive": ({"drop_policy": "adaptive"}, None, False, False),
+    "flushed": (
+        {"flush_period_cycles": campaign_plan().flush_period_cycles},
+        None, False, False,
+    ),
+    "span-keeping": ({}, None, True, False),
+    "flow-lookup": ({}, FlowCacheSpec(entries=16, organization="lru4"), False, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLES_DECLINE_CASES))
+def test_singles_declines(case):
+    """Where a run of singles could change an outcome, or the lookups
+    would have to be resolved ahead, an LDLP core replays each step on
+    its own; every case stays byte-identical to scalar, batch sizes and
+    latency order included."""
+    changes, flow_cache, keep_spans, runs = SINGLES_DECLINE_CASES[case]
+    config = SimulationConfig(scheduler="ldlp", duration=0.03, **changes)
+    if case == "one-size":
+        arrivals = PoissonSource(1500.0, rng=5).arrival_columns(config.duration)
+    else:
+        arrivals = _mixed_columns(1500.0, config.duration, 5)
+    seen = {}
+    for engine in ENGINE_NAMES:
+        with _vec_steppers() as steppers, _singles_runs() as lengths:
+            seen[engine] = _singles_run(
+                replace(config, engine=engine), arrivals, 5, flow_cache, keep_spans
+            )
+    assert seen["scalar"] == seen["vec"]
+    if keep_spans:
+        assert steppers == [None]
+        return
+    (stepper,) = steppers
+    assert (stepper.__self__.runs is not None) == runs
+    assert any(lengths) == runs
+
+
 @pytest.mark.parametrize("scheduler", ["conventional", "ldlp"])
 def test_second_drive_starts_mid_ring(scheduler):
     """Two drive calls on one bound scheduler: the second call's engine
@@ -1302,6 +1616,46 @@ def _engines(draw):
     return vec_module._VecEngine(scheduler, "grouped")
 
 
+@settings(max_examples=30, deadline=None)
+@given(engine=_engines())
+def test_singles_layouts_match_per_length_reference(engine):
+    """A grouped engine's runs-of-singles family derives every run
+    length's layout from its one analysis, each equal to the per-length
+    build of ``b`` grouped steps of one back to back: code block, static
+    misses, accesses, stall positions, pieces, addend slots, constant
+    and per-byte terms, and each step's completion at its last addend.
+    The lengths run one past MAX_STEPS."""
+    assume(engine.kind == "grouped")
+    runs = engine._runs()
+    assert runs.kind == "singles" and runs.table is not engine.table
+    step = 5 * len(runs.placed)
+    for batch in range(1, vec_module.MAX_STEPS + 2):
+        layout = runs._layout(batch)
+        reference = _reference_layout(runs, batch)
+        iplan = layout.replay.iplan
+        got = {
+            "block": iplan.block,
+            "static": iplan.static,
+            "accesses": iplan.accesses,
+            "positions": layout.positions,
+            "pieces": layout.pieces,
+            "slots": layout.slots,
+            "constant": layout.constant,
+            "per_byte": layout.per_byte,
+            "completions": list(enumerate(layout.ends.tolist())),
+        }
+        for field, expected in reference.items():
+            if isinstance(expected, np.ndarray):
+                assert got[field].dtype == expected.dtype, (batch, field)
+                assert got[field].shape == expected.shape, (batch, field)
+                assert got[field].tobytes() == expected.tobytes(), (batch, field)
+            else:
+                assert got[field] == expected, (batch, field)
+        assert layout.ends.tolist() == list(range(step, step * batch + 1, step))
+        # Each later step's fold restarts at its first addend.
+        assert layout.lookups.tolist() == list(range(step + 1, step * batch, step))
+
+
 @settings(max_examples=60, deadline=None)
 @given(engine=_engines())
 def test_layouts_match_per_length_reference(engine):
@@ -1344,9 +1698,10 @@ def test_layouts_match_per_length_reference(engine):
 
 def test_code_analysed_once_per_engine():
     """Every batch length's code plan comes from one static analysis of
-    the engine's code stream: an LDLP engine and a multi-step
-    conventional engine each call the analysis kernel once while they
-    build the layouts of every batch length."""
+    the engine's code stream per template family: an LDLP engine and a
+    multi-step conventional engine each call the analysis kernel once
+    while they build the layouts of every batch length, and an LDLP
+    engine's runs-of-singles family once more for every run length."""
     calls = []
     original = chunked_module._first_touches
 
@@ -1367,6 +1722,13 @@ def test_code_analysed_once_per_engine():
             for batch in range(1, longest + 1):
                 engine._layout(batch)
             assert len(calls) - before == 1, scheduler
+        built = build_scheduler(SimulationConfig(scheduler="ldlp", duration=0.01), seed=0)
+        engine = vec_module._VecEngine(built, "grouped")
+        for family in (engine, engine._runs()):
+            before = len(calls)
+            for batch in range(1, family.longest + 1):
+                family._layout(batch)
+            assert len(calls) - before == 1, family.kind
 
 
 # ----------------------------------------------------------------------
@@ -1538,7 +1900,10 @@ def test_state_memo_stops_interning_on_mixed_sizes():
     the state table fills without one memo hit, and from then on the
     engine interns nothing, so its reused templates replay through the
     cache model without the intern and lookup, and the full table is
-    released.  The result is the scalar engine's."""
+    released.  The result is the scalar engine's.  LDLP at 80 MHz under
+    head drop, which keeps its batches of one as single steps (runs of
+    singles would replay mostly first-use templates, which never
+    intern)."""
     calls = []  # (method, whether the memo was still interning)
     filled = []  # the table's size after each call
     methods = {
@@ -1559,8 +1924,13 @@ def test_state_memo_stops_interning_on_mixed_sizes():
         for name in methods:
             patch.setattr(vec_module._StateMemo, name, spying(name))
         for engine in ENGINE_NAMES:
+            config = SimulationConfig(
+                scheduler="ldlp", duration=0.3, spec=MachineSpec(clock_hz=80e6),
+                buffer_size=2048, drop_policy="head", engine=engine,
+            )
+            source = bellcore_like_source(mean_rate=1200.0, rng=1)
             seen[engine] = canonical_json(
-                clock_point("ldlp", 80, [1], 0.3, 1200.0, engine=engine)
+                run_simulation(source, config, seed=1).to_dict()
             )
     assert seen["scalar"] == seen["vec"]
     (engine,) = [stepper.__self__ for stepper in steppers if stepper is not None]
@@ -1837,6 +2207,23 @@ def test_table_bytes_count_what_tables_hold(budget):
             assert vec_module._TABLES
             for table in vec_module._TABLES.values():
                 assert table.nbytes == _recount(table), (variant, cores)
+
+
+def test_singles_table_bytes_count_what_tables_hold():
+    """After light-load LDLP and grouped runs of mixed sizes, the store
+    holds each engine's runs-of-singles table under its own key (its
+    inputs lead with its kind), and every stored table's ``nbytes``
+    equals a recount of the arrays it holds plus ``_ENTRY_BYTES`` per
+    entry."""
+    columns = _mixed_columns(2000.0, 0.05, 6)
+    # 2 KiB layers: the grouped scheduler puts several in one group.
+    for changes in ({"scheduler": "ldlp"}, {"scheduler": "grouped", "layer_code_bytes": 2048}):
+        _run_engine(SimulationConfig(duration=0.05, **changes), columns, 6, None, False)
+    kinds = [key[0] for key in vec_module._TABLES]
+    assert kinds.count("singles") == kinds.count("grouped") == 2
+    for table in vec_module._TABLES.values():
+        assert table.templates
+        assert table.nbytes == _recount(table)
 
 
 # ----------------------------------------------------------------------
